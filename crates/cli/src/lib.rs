@@ -62,7 +62,7 @@ commands:
   fuzzlist <in.elf> -o <allow.lst> [--input seed,..] [--iters N]
                                        coverage-guided profiling (E9AFL-style)
   run     <in.elf> [--input v,v,..] [--log] [--memcheck] [--max-steps N]
-          [--backend step|superblock|trace|fast] [--stats]
+          [--backend step|trace|fast] [--stats]
           [--alloc-policy lowfat|rand-lowfat]
                                        --backend selects the execution tier
                                        (default step); --stats prints the
@@ -74,18 +74,15 @@ commands:
   analyze <in.elf> --callgraph         call graph + function summaries
                                        (text report followed by Graphviz DOT)
   stats   <in.elf>                     image and instrumentation-plan statistics
-  selftest [--quick] [--superblock] [--fast] [--alloc-policy lowfat|rand-lowfat]
+  selftest [--quick] [--alloc-policy lowfat|rand-lowfat]
                                        differential self-test: lockstep oracle,
+                                       backend lockstep of the trace and fast
+                                       tiers against the step interpreter,
                                        round-trip fuzzer, allocator invariants
                                        (the invariant campaign always covers
                                        every allocator policy; --alloc-policy
                                        picks the heap backend for the lockstep
-                                       runs);
-                                       --superblock also runs the superblock
-                                       and trace-linked execution backends
-                                       against the step interpreter on every
-                                       workload; --fast adds the fast tier's
-                                       boundary-audit oracle
+                                       runs)
   selftest --faults [--quick]          fault-injection sweep: seeded mutants of
                                        every stand-in driven through the full
                                        pipeline; any panic fails the sweep
@@ -194,12 +191,12 @@ impl Args {
         }
     }
 
-    /// Execution backend for `run`: `--backend step|superblock|trace|fast`.
+    /// Execution backend for `run`: `--backend step|trace|fast`.
     fn backend(&self) -> Result<ExecBackend, CliError> {
         match self.flags.get("--backend").and_then(|v| v.as_deref()) {
             None => Ok(ExecBackend::Step),
             Some(s) => ExecBackend::parse(s)
-                .ok_or_else(|| err(format!("bad --backend {s:?} (step|superblock|trace|fast)"))),
+                .ok_or_else(|| err(format!("bad --backend {s:?} (step|trace|fast)"))),
         }
     }
 
@@ -549,19 +546,10 @@ pub fn run_cli(argv: &[String]) -> Result<String, CliError> {
         }
         "selftest" => {
             let quick = args.has("--quick");
-            let superblock = args.has("--superblock");
-            let fast = args.has("--fast");
             if args.has("--faults") {
                 run_faults(quick, args.threads()?, &mut out)?;
             } else {
-                run_selftest(
-                    quick,
-                    superblock,
-                    fast,
-                    args.alloc_policy()?,
-                    args.threads()?,
-                    &mut out,
-                )?;
+                run_selftest(quick, args.alloc_policy()?, args.threads()?, &mut out)?;
             }
         }
         "serve" => {
@@ -706,24 +694,20 @@ fn run_faults(quick: bool, threads: usize, out: &mut String) -> Result<(), CliEr
 ///
 /// Runs the deterministic encoder/decoder round-trip fuzzer, the
 /// allocator invariant checker, and the lockstep divergence oracle over
-/// every SPEC stand-in plus a Juliet sample. With `superblock`, every
-/// stand-in additionally runs the superblock and trace-linked execution
-/// backends against the single-step reference interpreter on both the
-/// baseline and the hardened image; `fast` adds the fast tier's
-/// boundary-audit oracle ([`redfat_core::selftest::backend_lockstep`]
-/// with [`ExecBackend::Fast`]) to that sweep. Any failure shrinks to a
-/// minimal repro and fails the invocation with a nonzero exit code, so
-/// CI can gate on `redfat selftest --quick`.
+/// every SPEC stand-in plus a Juliet sample. Every stand-in also runs
+/// the trace-linked and fast execution backends against the
+/// single-step reference interpreter on both the baseline and the
+/// hardened image ([`redfat_core::selftest::backend_lockstep`]). Any
+/// failure shrinks to a minimal repro and fails the invocation with a
+/// nonzero exit code, so CI can gate on `redfat selftest --quick`.
 fn run_selftest(
     quick: bool,
-    superblock: bool,
-    fast: bool,
     policy: AllocPolicyKind,
     threads: usize,
     out: &mut String,
 ) -> Result<(), CliError> {
     use redfat_core::selftest::{
-        allocator_invariants, backend_lockstep_policy, lockstep_images_policy, roundtrip_fuzz,
+        allocator_invariants, backend_lockstep, lockstep_images_policy, roundtrip_fuzz,
     };
     let mut failures: Vec<String> = Vec::new();
     writeln!(out, "alloc-policy: {policy}").ok();
@@ -771,41 +755,27 @@ fn run_selftest(
         };
         let hardened = harden_threaded(&image, &config, threads)
             .map_err(|e| err(format!("selftest: hardening {} failed: {e}", w.name)))?;
-        if superblock || fast {
-            // Audit the translated backends: the superblock tier and
-            // the trace-linked tier (chaining + inline caches + dead-
-            // flag elision fully enabled) under `--superblock`, plus
-            // the fast tier's boundary-audit oracle under `--fast`.
-            let mut backends = Vec::new();
-            if superblock {
-                backends.extend([ExecBackend::Superblock, ExecBackend::Trace]);
-            }
-            if fast {
-                backends.push(ExecBackend::Fast);
-            }
-            for backend in backends {
-                for (kind, img) in [("baseline", &image), ("hardened", &hardened.image)] {
-                    let rep = backend_lockstep_policy(img, &input, backend, max_steps, policy);
-                    writeln!(
-                        out,
-                        "backend  {:<14} {:<10} {kind:<8} {:>9} blocks, {} divergences{}",
-                        w.name,
-                        backend.to_string(),
-                        rep.blocks,
-                        rep.divergences.len(),
-                        if rep.completed { "" } else { " (incomplete)" }
-                    )
-                    .ok();
-                    if !rep.clean() || !rep.completed {
-                        let detail = rep
-                            .divergences
-                            .first()
-                            .map(|d| d.detail.clone())
-                            .unwrap_or_else(|| {
-                                "run did not complete within the step budget".into()
-                            });
-                        failures.push(format!("backend {} {backend} ({kind}):\n{detail}", w.name));
-                    }
+        // Audit the translated backends against the step interpreter.
+        for backend in [ExecBackend::Trace, ExecBackend::Fast] {
+            for (kind, img) in [("baseline", &image), ("hardened", &hardened.image)] {
+                let rep = backend_lockstep(img, &input, backend, max_steps, policy);
+                writeln!(
+                    out,
+                    "backend  {:<14} {:<10} {kind:<8} {:>9} blocks, {} divergences{}",
+                    w.name,
+                    backend.to_string(),
+                    rep.blocks,
+                    rep.divergences.len(),
+                    if rep.completed { "" } else { " (incomplete)" }
+                )
+                .ok();
+                if !rep.clean() || !rep.completed {
+                    let detail = rep
+                        .divergences
+                        .first()
+                        .map(|d| d.detail.clone())
+                        .unwrap_or_else(|| "run did not complete within the step budget".into());
+                    failures.push(format!("backend {} {backend} ({kind}):\n{detail}", w.name));
                 }
             }
         }

@@ -228,6 +228,49 @@ fn harden_flags_change_the_plan() {
     // Unknown flags/commands fail cleanly.
     assert!(run_cli(&args(&["frobnicate"])).is_err());
     assert!(run_cli(&args(&["run", "/nonexistent.elf"])).is_err());
+    let e = run_cli(&args(&[
+        "run",
+        elf.to_str().unwrap(),
+        "--backend",
+        "superblock",
+    ]))
+    .unwrap_err();
+    assert!(e.message.contains("step|trace|fast"), "{}", e.message);
+}
+
+#[test]
+fn run_backends_print_identical_output() {
+    let dir = tmpdir("backends");
+    let src = dir.join("p.mc");
+    let elf = dir.join("p.elf");
+    std::fs::write(&src, ANTI_IDIOM_SRC).unwrap();
+    run_cli(&args(&[
+        "compile",
+        src.to_str().unwrap(),
+        "-o",
+        elf.to_str().unwrap(),
+    ]))
+    .unwrap();
+    let run = |backend: &str| {
+        run_cli(&args(&[
+            "run",
+            elf.to_str().unwrap(),
+            "--input",
+            "3,2",
+            "--backend",
+            backend,
+        ]))
+        .unwrap_or_else(|e| panic!("--backend {backend}: {e}"))
+    };
+    // Result, guest output, error reports and the counter line.
+    let step = run("step");
+    assert!(
+        step.lines().last().unwrap().starts_with("instructions "),
+        "{step}"
+    );
+    for backend in ["trace", "fast"] {
+        assert_eq!(run(backend), step, "--backend {backend} differs from step");
+    }
 }
 
 #[test]

@@ -57,7 +57,7 @@ pub fn try_run_once(
 }
 
 /// [`try_run_once`] on an explicit execution backend: `step` (the
-/// reference interpreter), `superblock`, or the trace-linked tier.
+/// reference interpreter), the trace-linked tier or the fast tier.
 /// Counters, I/O, and reported errors are backend-independent (the
 /// translated tiers are audited against `step` by the selftest
 /// lockstep oracle); only wall-clock time and [`RunOutcome::trace_stats`]

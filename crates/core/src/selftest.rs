@@ -23,13 +23,13 @@
 //!    Figure 3 object layout (`base(p) <= p`, `p == base + 16`,
 //!    size-class consistency, metadata/canary round-trip, shadow-state
 //!    classification, double-free detection).
-//! 4. **Backend lockstep oracle** ([`backend_lockstep`]): runs the
-//!    superblock-translated execution backend against the single-step
-//!    reference interpreter on the *same* image and compares the full
-//!    architectural state (every register, flags, `rip`, all cost
-//!    counters, runtime error count) at every superblock boundary. The
-//!    translation cache is a pure performance optimization, so any
-//!    difference at all is a bug.
+//! 4. **Backend lockstep oracle** ([`backend_lockstep`]): runs a
+//!    translated execution backend (trace-linked or fast) against the
+//!    single-step reference interpreter on the *same* image and
+//!    compares the full architectural state (every register, flags,
+//!    `rip`, all cost counters, runtime error count) at every audit
+//!    boundary. The translation cache is a pure performance
+//!    optimization, so any difference at all is a bug.
 //!
 //! When the lockstep oracle diverges, [`shrink_input`] applies ddmin-style
 //! [`minimize`]-ation to the program input so the repro is as small as the
@@ -957,20 +957,25 @@ pub fn minimize<T: Clone>(items: &[T], mut still_fails: impl FnMut(&[T]) -> bool
 }
 
 // ---------------------------------------------------------------------------
-// Superblock backend lockstep oracle
+// Backend lockstep oracle
 // ---------------------------------------------------------------------------
+
+/// Instructions per audited slice of a translated backend run.
+const AUDIT_SLICE: u64 = 4096;
 
 /// Result of a [`backend_lockstep`] run.
 #[derive(Debug, Default)]
 pub struct BackendReport {
-    /// Superblock boundaries at which full state was compared.
+    /// Audit boundaries at which full state was compared: one per
+    /// backend return, so one per slice of at most 4096 instructions
+    /// unless a run ends or a successor cannot be linked sooner.
     pub blocks: u64,
     /// Instructions executed (identical for both backends by design).
     pub instructions: u64,
     /// Unexplained differences between the backends (capped).
     pub divergences: Vec<Divergence>,
     /// How the translated-backend run ended (`None` only on a stall).
-    pub superblock_exit: Option<RunResult>,
+    pub backend_exit: Option<RunResult>,
     /// How the reference single-step run ended.
     pub step_exit: Option<RunResult>,
     /// `true` if both backends terminated within the step budget.
@@ -990,8 +995,9 @@ fn push_divergence(divs: &mut Vec<Divergence>, rip: u64, detail: String) {
     }
 }
 
-/// Maps a `step`/`step_block` outcome to the run result `run_superblock`
-/// and `run` would report, so the two backends compare apples to apples.
+/// Maps a `step`/`step_trace`/`step_fast` outcome to the run result
+/// `run_backend` would report, so the two backends compare apples to
+/// apples.
 fn settle(outcome: Result<Option<RunResult>, EmuError>) -> Option<RunResult> {
     match outcome {
         Ok(r) => r,
@@ -1000,19 +1006,26 @@ fn settle(outcome: Result<Option<RunResult>, EmuError>) -> Option<RunResult> {
     }
 }
 
-/// Runs a translated backend (superblock or trace-linked) and the
-/// single-step reference interpreter in lockstep on `image` and compares
-/// the complete architectural state at every block boundary.
+/// Runs a translated backend (trace-linked or fast) and the
+/// single-step reference interpreter in lockstep on `image`, both runs
+/// backed by the allocator `policy`, and compares the complete
+/// architectural state at every audit boundary.
 ///
 /// Unlike [`lockstep_images`], both emulators execute the *same* image,
 /// so the comparison is exact: every register (no dead-clobber
 /// exemptions), the flags, `rip`, the full cost-counter set, and the
 /// memory-error reports must agree element-for-element at every
 /// boundary, and the final run results and guest IO digests must be
-/// equal. For the trace-linked backend a "boundary" is wherever
-/// `step_trace` returns (budget exhaustion or an unlinkable successor),
-/// so chained execution is still audited against the reference run
-/// whenever it surfaces.
+/// equal. Both emulators use the same policy (and thus see the same
+/// deterministic pointer stream), so the oracle stays exact even under
+/// the randomized backend.
+///
+/// Both tiers are audited the same way: the backend runs in slices of
+/// at most 4096 instructions, and a boundary is wherever
+/// `step_trace`/`step_fast` returns (slice exhausted, run ended, or an
+/// unlinkable successor), so chained execution is audited against the
+/// reference run at least once per slice and mid-trace budget expiry
+/// (the exact-prefix path) is exercised continuously.
 ///
 /// For [`ExecBackend::Fast`] this is the **boundary-audit oracle**: the
 /// fast tier batches counter updates and skips hook dispatch *within* a
@@ -1024,23 +1037,10 @@ fn settle(outcome: Result<Option<RunResult>, EmuError>) -> Option<RunResult> {
 /// hook attached nothing can observe the interior states -- so
 /// auditing all 16 GPRs, flags, `rip`, the full `Counters`, and the
 /// error reports at every return boundary, plus end-state equivalence,
-/// is exactly as strong a statement as the per-instruction oracle is
-/// for the other tiers. Slices are bounded at 4096 instructions so a
-/// run is audited at thousands of boundaries.
+/// is exactly the contract the tier makes. [`ExecBackend::Step`]
+/// degenerates to comparing the interpreter with itself after every
+/// instruction.
 pub fn backend_lockstep(
-    image: &Image,
-    input: &[i64],
-    backend: ExecBackend,
-    max_steps: u64,
-) -> BackendReport {
-    backend_lockstep_policy(image, input, backend, max_steps, AllocPolicyKind::default())
-}
-
-/// [`backend_lockstep`] with both runs backed by the given allocator
-/// policy. Both emulators use the same policy (and thus see the same
-/// deterministic pointer stream), so the oracle stays exact even under
-/// the randomized backend.
-pub fn backend_lockstep_policy(
     image: &Image,
     input: &[i64],
     backend: ExecBackend,
@@ -1065,19 +1065,15 @@ pub fn backend_lockstep_policy(
             break (Some(RunResult::StepLimit), Some(RunResult::StepLimit));
         }
         let (executed, outcome) = match backend {
-            // Chained execution would otherwise run the whole budget in
-            // one call; bound each slice so full state is compared at
-            // thousands of boundaries and mid-block budget expiry (the
-            // exact-prefix path) is exercised continuously.
-            ExecBackend::Trace => sup.step_trace(remaining.min(4096)),
-            ExecBackend::Fast => sup.step_fast(remaining.min(4096)),
-            ExecBackend::Step | ExecBackend::Superblock => sup.step_block(remaining),
+            ExecBackend::Step => (1, sup.step()),
+            ExecBackend::Trace => sup.step_trace(remaining.min(AUDIT_SLICE)),
+            ExecBackend::Fast => sup.step_fast(remaining.min(AUDIT_SLICE)),
         };
         remaining -= executed.min(remaining);
         report.instructions += executed;
         let sup_end = settle(outcome);
         // The reference interpreter retires exactly as many instructions
-        // as the superblock executed; if it terminates first, the state
+        // as the backend executed; if it terminates first, the state
         // comparison below reports where the two runs parted ways.
         let mut ref_end = None;
         for _ in 0..executed {
@@ -1182,7 +1178,7 @@ pub fn backend_lockstep_policy(
         });
     }
     report.completed = sup_end.is_some() && ref_end.is_some();
-    report.superblock_exit = sup_end;
+    report.backend_exit = sup_end;
     report.step_exit = ref_end;
     report
 }
@@ -1839,30 +1835,28 @@ mod tests {
         }";
         let image = redfat_minic::compile(src).unwrap();
         let hardened = harden(&image, &HardenConfig::default()).unwrap();
-        for backend in [
-            ExecBackend::Superblock,
-            ExecBackend::Trace,
-            ExecBackend::Fast,
-        ] {
-            let rep = backend_lockstep(&image, &[3], backend, 5_000_000);
-            assert!(
-                rep.completed,
-                "{backend}: baseline run incomplete: {rep:#?}"
-            );
-            assert!(rep.clean(), "{backend}: {:#?}", rep.divergences);
-            assert_eq!(rep.superblock_exit, Some(RunResult::Exited(0)));
-            assert_eq!(rep.step_exit, Some(RunResult::Exited(0)));
-            assert!(rep.blocks > 0 && rep.instructions > rep.blocks);
+        for policy in AllocPolicyKind::ALL {
+            for backend in [ExecBackend::Trace, ExecBackend::Fast] {
+                let rep = backend_lockstep(&image, &[3], backend, 5_000_000, policy);
+                assert!(
+                    rep.completed,
+                    "{backend} ({policy}): baseline run incomplete: {rep:#?}"
+                );
+                assert!(rep.clean(), "{backend} ({policy}): {:#?}", rep.divergences);
+                assert_eq!(rep.backend_exit, Some(RunResult::Exited(0)));
+                assert_eq!(rep.step_exit, Some(RunResult::Exited(0)));
+                assert!(rep.blocks > 0 && rep.instructions > rep.blocks);
 
-            // The hardened image exercises trampoline crossings and the
-            // inserted check payloads under the translated backends.
-            let rep = backend_lockstep(&hardened.image, &[3], backend, 5_000_000);
-            assert!(
-                rep.completed,
-                "{backend}: hardened run incomplete: {rep:#?}"
-            );
-            assert!(rep.clean(), "{backend}: {:#?}", rep.divergences);
-            assert_eq!(rep.superblock_exit, Some(RunResult::Exited(0)));
+                // The hardened image exercises trampoline crossings and the
+                // inserted check payloads under the translated backends.
+                let rep = backend_lockstep(&hardened.image, &[3], backend, 5_000_000, policy);
+                assert!(
+                    rep.completed,
+                    "{backend} ({policy}): hardened run incomplete: {rep:#?}"
+                );
+                assert!(rep.clean(), "{backend} ({policy}): {:#?}", rep.divergences);
+                assert_eq!(rep.backend_exit, Some(RunResult::Exited(0)));
+            }
         }
     }
 
@@ -1875,20 +1869,17 @@ mod tests {
             return 0;
         }";
         let image = redfat_minic::compile(src).unwrap();
-        for backend in [
-            ExecBackend::Superblock,
-            ExecBackend::Trace,
-            ExecBackend::Fast,
-        ] {
+        for backend in [ExecBackend::Trace, ExecBackend::Fast] {
             for budget in [1u64, 7, 100, 12345] {
-                let rep = backend_lockstep(&image, &[], backend, budget);
+                let rep =
+                    backend_lockstep(&image, &[], backend, budget, AllocPolicyKind::default());
                 assert!(
                     rep.clean(),
                     "{backend} budget {budget}: {:#?}",
                     rep.divergences
                 );
                 assert!(rep.completed, "{backend} budget {budget}");
-                assert_eq!(rep.superblock_exit, Some(RunResult::StepLimit));
+                assert_eq!(rep.backend_exit, Some(RunResult::StepLimit));
                 assert_eq!(rep.step_exit, Some(RunResult::StepLimit));
                 assert_eq!(rep.instructions, budget);
             }

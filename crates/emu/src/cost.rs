@@ -78,7 +78,7 @@ pub struct Counters {
 }
 
 /// Observability counters for the translated execution backends
-/// (superblock and trace-linked tiers).
+/// (trace-linked and fast tiers).
 ///
 /// Deliberately *not* part of [`Counters`]: the backend lockstep oracle
 /// requires `Counters` to be bit-identical between `step()` and the

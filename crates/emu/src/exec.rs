@@ -134,7 +134,7 @@ impl ICache {
     /// Drops every cached decode in the segment containing `addr`.
     /// Returns `false` when no tracked segment contains it. The pool
     /// keeps the stale entries (bounded garbage, same policy as the
-    /// superblock cache); only the slot mapping is reset.
+    /// trace cache); only the slot mapping is reset.
     fn invalidate(&mut self, addr: u64) -> bool {
         match self.seg_of(addr) {
             Some(seg) => {

@@ -41,7 +41,7 @@ pub use runtime::{
     syscalls, ErrorMode, GuestIo, HostRuntime, MemErrKind, MemoryError, ProfileStats, Runtime,
     SyscallOutcome,
 };
-pub use trace::{ExecBackend, SUPERBLOCK_CAP};
+pub use trace::{ExecBackend, TRACE_CAP};
 
 /// Re-exported so runtime constructors can name a policy without
 /// depending on `redfat-lowfat` directly.

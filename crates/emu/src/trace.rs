@@ -1,32 +1,29 @@
-//! Translated execution backends: the superblock cache and the
-//! trace-linked tier built on top of it.
+//! Translated execution backends: the trace-linked tier and the fast
+//! tier, two instantiations of one trace interpreter.
 //!
 //! The step interpreter ([`Emu::step`]) pays one instruction-cache probe
 //! (segment search, slot load, pool indirection, a full [`Inst`] copy)
 //! and one fall-through `rip` computation *per instruction*. The
-//! **superblock** backend ([`Emu::step_block`]) instead decodes a
-//! straight-line run of instructions -- up to the next control transfer,
-//! or [`SUPERBLOCK_CAP`] -- into a pre-resolved block on first
-//! execution, so execution needs a single cache probe per block.
+//! **trace-linked** backend ([`Emu::step_trace`]) instead decodes a run
+//! of instructions into a pre-resolved trace on first execution, so
+//! execution needs at most one cache probe per trace, and removes the
+//! per-transfer costs as well (DESIGN.md §12):
 //!
-//! The **trace-linked** backend ([`Emu::step_trace`]) removes the
-//! remaining per-block costs (DESIGN.md §12):
-//!
-//! * **Trace formation.** Where the superblock tier stops at every
-//!   control transfer, the trace builder follows *direct* edges: an
-//!   unconditional `jmp`/`call` keeps decoding at its target (the
-//!   transfer becomes an interior charge pseudo-op), a conditional
-//!   branch keeps decoding along its predicted direction (backward
-//!   taken, forward fall-through -- the classic loop heuristic) and
-//!   becomes a checked [`FastOp::JccInline`] with a **side exit** for
-//!   the other direction, and a `ret` whose matching `call` was inlined
-//!   earlier in the same trace becomes [`FastOp::RetInline`]: the
-//!   return address is popped and *compared* against the build-time
+//! * **Trace formation.** The trace builder decodes straight-line code
+//!   and follows *direct* edges: an unconditional `jmp`/`call` keeps
+//!   decoding at its target (the transfer becomes an interior charge
+//!   pseudo-op), a conditional branch keeps decoding along its
+//!   predicted direction (backward taken, forward fall-through -- the
+//!   classic loop heuristic) and becomes a checked
+//!   [`FastOp::JccInline`] with a **side exit** for the other
+//!   direction, and a `ret` whose matching `call` was inlined earlier
+//!   in the same trace becomes [`FastOp::RetInline`]: the return
+//!   address is popped and *compared* against the build-time
 //!   prediction, so an entire call-return pair of a small helper runs
 //!   inside one trace. Formation stops at indirect transfers, at
-//!   addresses already in the trace (loop closure), at
-//!   [`TRACE_CAP`] instructions or [`MAX_INLINE_DEPTH`] nested inlined
-//!   calls. Mispredicted interior branches roll back the unexecuted
+//!   addresses already in the trace (loop closure), at [`TRACE_CAP`]
+//!   instructions or [`MAX_INLINE_DEPTH`] nested inlined calls.
+//!   Mispredicted interior branches roll back the unexecuted
 //!   tail of the block charge and leave through a per-site side link.
 //! * **Chaining.** A trace ending in a direct jump, call, conditional
 //!   branch or fall-through stores link slots (`link_taken` /
@@ -119,16 +116,11 @@ use crate::runtime::Runtime;
 use redfat_vm::{MemSlot, Vm, VmFault};
 use redfat_x86::{decode_one, AluOp, Cond, Inst, Mem, MulDivOp, Op, Operands, Reg, ShiftOp, Width};
 
-/// Upper bound on instructions per superblock. Keeps pathological
+/// Upper bound on instructions per trace. Keeps pathological
 /// straight-line runs (huge unrolled loops) from producing unbounded
-/// decode work on a cold probe; a capped block simply falls through to
-/// the block starting at its end.
-pub const SUPERBLOCK_CAP: usize = 64;
-
-/// Upper bound on instructions per *trace* (the mega-block form built
-/// by the trace-linked tier, which keeps decoding across direct
-/// edges). Must stay below `u8::MAX`: slow-path ops index the decoded
-/// instruction table with a `u8`.
+/// decode work on a cold probe; a capped trace simply falls through to
+/// the trace starting at its end. Must stay below `u8::MAX`: slow-path
+/// ops index the decoded instruction table with a `u8`.
 pub const TRACE_CAP: usize = 192;
 
 /// Maximum depth of `call`s inlined into one trace (bounds the
@@ -942,8 +934,8 @@ fn exit_of(inst: &Inst) -> BlockExit {
     }
 }
 
-/// A decoded straight-line run ending at a control transfer (or the
-/// cap), plus its chaining state.
+/// A decoded trace ending at a control transfer it did not follow (or
+/// the cap), plus its chaining state.
 pub(crate) struct TraceBlock {
     /// Dense body dispatch stream (terminal excluded unless the block
     /// falls through at the cap); parallel to `insts[..ops.len()]`.
@@ -1126,8 +1118,6 @@ pub enum ExecBackend {
     /// Per-instruction fetch/decode-cached interpretation ([`Emu::step`]).
     #[default]
     Step,
-    /// Superblock translation cache ([`Emu::step_block`]).
-    Superblock,
     /// Trace-linked tier: chaining + indirect-branch inline caches +
     /// dead-flag elision ([`Emu::step_trace`]).
     Trace,
@@ -1140,12 +1130,10 @@ pub enum ExecBackend {
 }
 
 impl ExecBackend {
-    /// Parses a backend name
-    /// (`"step"` / `"superblock"` / `"trace"` / `"fast"`).
+    /// Parses a backend name (`"step"` / `"trace"` / `"fast"`).
     pub fn parse(s: &str) -> Option<ExecBackend> {
         match s {
             "step" => Some(ExecBackend::Step),
-            "superblock" => Some(ExecBackend::Superblock),
             "trace" => Some(ExecBackend::Trace),
             "fast" => Some(ExecBackend::Fast),
             _ => None,
@@ -1157,7 +1145,6 @@ impl std::fmt::Display for ExecBackend {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ExecBackend::Step => write!(f, "step"),
-            ExecBackend::Superblock => write!(f, "superblock"),
             ExecBackend::Trace => write!(f, "trace"),
             ExecBackend::Fast => write!(f, "fast"),
         }
@@ -1165,15 +1152,12 @@ impl std::fmt::Display for ExecBackend {
 }
 
 impl<R: Runtime> Emu<R> {
-    /// Decodes the run starting at `rip` into a cached block. In
-    /// `mega` mode (the trace-linked tier) decoding continues across
-    /// direct edges -- see the module docs; otherwise it stops at the
-    /// first control transfer (the superblock tier). Returns `None`
-    /// when even the first instruction cannot be fetched or decoded
-    /// (the caller defers to [`Emu::step`] so the error is produced
-    /// with exactly the interpreter's semantics).
-    fn build_block(&mut self, trace: &mut TraceCache, rip: u64, mega: bool) -> Option<u32> {
-        let cap = if mega { TRACE_CAP } else { SUPERBLOCK_CAP };
+    /// Decodes the trace starting at `rip` into a cached block,
+    /// continuing across direct edges (see the module docs). Returns
+    /// `None` when even the first instruction cannot be fetched or
+    /// decoded (the caller defers to [`Emu::step`] so the error is
+    /// produced with exactly the interpreter's semantics).
+    fn build_block(&mut self, trace: &mut TraceCache, rip: u64) -> Option<u32> {
         let mut insts: Vec<TraceInst> = Vec::new();
         let mut kinds: Vec<Interior> = Vec::new();
         // Interior edge targets: dependency tracking (a trace decoding
@@ -1189,7 +1173,7 @@ impl<R: Runtime> Emu<R> {
         let mut addr = rip;
         let mut exit = BlockExit::Fall;
         let mut done = false;
-        while !done && insts.len() < cap {
+        while !done && insts.len() < TRACE_CAP {
             let Ok(bytes) = self.vm.fetch(addr, 16) else {
                 break;
             };
@@ -1208,51 +1192,44 @@ impl<R: Runtime> Emu<R> {
                 addr = next;
                 continue;
             }
-            // Direct transfer: follow the edge in mega mode.
-            let followed: Option<(Interior, u64)> = if !mega {
-                None
-            } else {
-                match (inst.op, &inst.operands) {
-                    (Op::Jmp, Operands::Rel(t)) if !visited.contains(t) => {
-                        Some((Interior::Jmp { to: *t }, *t))
-                    }
-                    (Op::Call, Operands::Rel(t))
-                        if !visited.contains(t) && ret_stack.len() < MAX_INLINE_DEPTH =>
-                    {
-                        ret_stack.push(next);
-                        Some((Interior::Call { to: *t }, *t))
-                    }
-                    (Op::Jcc(c), Operands::Rel(t)) => {
-                        // Backward-taken / forward-fall-through
-                        // direction heuristic. No fallback to the
-                        // other direction: when the predicted target
-                        // is already in the trace (a loop-closing
-                        // conditional), the trace ends there -- the
-                        // unpredicted path is cold, and decoding it
-                        // would grow a tail that every iteration
-                        // side-exits around.
-                        let (expect_taken, cand) = if *t <= addr {
-                            (true, *t)
-                        } else {
-                            (false, next)
-                        };
-                        (!visited.contains(&cand)).then_some((
-                            Interior::Jcc {
-                                cond: c,
-                                to: *t,
-                                expect_taken,
-                            },
-                            cand,
-                        ))
-                    }
-                    (Op::Ret, Operands::None) => match ret_stack.pop() {
-                        Some(ra) if !visited.contains(&ra) => {
-                            Some((Interior::Ret { expect: ra }, ra))
-                        }
-                        _ => None,
-                    },
-                    _ => None,
+            // Direct transfer: follow the edge.
+            let followed: Option<(Interior, u64)> = match (inst.op, &inst.operands) {
+                (Op::Jmp, Operands::Rel(t)) if !visited.contains(t) => {
+                    Some((Interior::Jmp { to: *t }, *t))
                 }
+                (Op::Call, Operands::Rel(t))
+                    if !visited.contains(t) && ret_stack.len() < MAX_INLINE_DEPTH =>
+                {
+                    ret_stack.push(next);
+                    Some((Interior::Call { to: *t }, *t))
+                }
+                (Op::Jcc(c), Operands::Rel(t)) => {
+                    // Backward-taken / forward-fall-through direction
+                    // heuristic. No fallback to the other direction:
+                    // when the predicted target is already in the trace
+                    // (a loop-closing conditional), the trace ends there
+                    // -- the unpredicted path is cold, and decoding it
+                    // would grow a tail that every iteration side-exits
+                    // around.
+                    let (expect_taken, cand) = if *t <= addr {
+                        (true, *t)
+                    } else {
+                        (false, next)
+                    };
+                    (!visited.contains(&cand)).then_some((
+                        Interior::Jcc {
+                            cond: c,
+                            to: *t,
+                            expect_taken,
+                        },
+                        cand,
+                    ))
+                }
+                (Op::Ret, Operands::None) => match ret_stack.pop() {
+                    Some(ra) if !visited.contains(&ra) => Some((Interior::Ret { expect: ra }, ra)),
+                    _ => None,
+                },
+                _ => None,
             };
             match followed {
                 Some((kind, target)) => {
@@ -1413,96 +1390,20 @@ impl<R: Runtime> Emu<R> {
     /// One global-cache probe, building on miss. `None` means the first
     /// instruction at `rip` is unfetchable/undecodable; the caller
     /// defers to [`Emu::step`] for the exact error.
-    fn lookup_or_build(&mut self, trace: &mut TraceCache, rip: u64, mega: bool) -> Option<u32> {
+    fn lookup_or_build(&mut self, trace: &mut TraceCache, rip: u64) -> Option<u32> {
         if let Some(idx) = trace.lookup_idx(rip) {
             if trace.block_current(idx) {
                 trace.stats.hits += 1;
                 return Some(idx);
             }
-            // A mega trace that starts in a live segment but decoded
+            // A trace that starts in a live segment but decoded
             // across an edge into a since-invalidated one is still
             // reachable through its own segment's slot: sever it here
             // (the rebuild below overwrites the slot).
             trace.stats.links_severed += 1;
         }
         trace.stats.misses += 1;
-        self.build_block(trace, rip, mega)
-    }
-
-    /// Executes up to `budget` instructions of the superblock at the
-    /// current `rip` (one cache probe, then straight-line dispatch).
-    ///
-    /// Returns how many instructions were retired together with the
-    /// step outcome, with *identical* per-instruction counter and error
-    /// semantics to calling [`Emu::step`] that many times. A jump into
-    /// the middle of an existing block simply starts a new block there;
-    /// a `budget` smaller than the block executes a prefix and leaves
-    /// `rip` mid-run, where the next call re-enters.
-    pub fn step_block(&mut self, budget: u64) -> (u64, Result<Option<RunResult>, EmuError>) {
-        if budget == 0 {
-            return (0, Ok(None));
-        }
-        // Detach the cache so block borrows can coexist with `&mut
-        // self` exec calls; `self.trace` is empty (and unused) for the
-        // duration.
-        let mut trace = std::mem::take(&mut self.trace);
-        let out = self.step_block_inner(&mut trace, budget);
-        self.trace = trace;
-        out
-    }
-
-    fn step_block_inner(
-        &mut self,
-        trace: &mut TraceCache,
-        budget: u64,
-    ) -> (u64, Result<Option<RunResult>, EmuError>) {
-        let rip = self.cpu.rip;
-        let bidx = match self.lookup_or_build(trace, rip, false) {
-            Some(b) => b,
-            None => {
-                // Unfetchable/undecodable first instruction: the step
-                // interpreter owns the exact error behavior.
-                let before = self.counters.instructions;
-                let r = self.step();
-                return (self.counters.instructions - before, r);
-            }
-        };
-        let block = &trace.blocks[bidx as usize];
-        let n = (block.insts.len() as u64).min(budget) as usize;
-        // Charge the whole run up front (per-instruction state is
-        // unobservable between the charge and the dispatch: hooks and
-        // syscalls never read the counters mid-run) and roll the excess
-        // back if an entry terminates or errors early -- the counters
-        // then equal a per-instruction charge exactly.
-        let per_inst = self.cost.base + self.cost.dbi_dispatch;
-        self.counters.instructions += n as u64;
-        self.counters.cycles += per_inst * n as u64;
-        for (i, ti) in block.insts[..n].iter().enumerate() {
-            // Fall-through before dispatch, exactly like `step()`:
-            // faults and region-crossing accounting observe `next`.
-            self.cpu.rip = ti.next;
-            match self.exec(&ti.inst, ti.rip, ti.next) {
-                Ok(None) => {
-                    // Control left the recorded line (an interior
-                    // conditional of a shared-cache trace went the
-                    // other way): stop here, the next probe re-enters
-                    // at the actual `rip`.
-                    if i + 1 < n && self.cpu.rip != block.insts[i + 1].rip {
-                        let unexecuted = (n - (i + 1)) as u64;
-                        self.counters.instructions -= unexecuted;
-                        self.counters.cycles -= per_inst * unexecuted;
-                        return ((i + 1) as u64, Ok(None));
-                    }
-                }
-                done => {
-                    let unexecuted = (n - (i + 1)) as u64;
-                    self.counters.instructions -= unexecuted;
-                    self.counters.cycles -= per_inst * unexecuted;
-                    return ((i + 1) as u64, done);
-                }
-            }
-        }
-        (n as u64, Ok(None))
+        self.build_block(trace, rip)
     }
 
     /// Executes up to `budget` instructions on the trace-linked tier:
@@ -1512,8 +1413,11 @@ impl<R: Runtime> Emu<R> {
     /// the next call's probe falls back to [`Emu::step`] for the exact
     /// error).
     ///
-    /// Same contract as [`Emu::step_block`]: retired-count plus step
-    /// outcome, with counter and error semantics identical to `step()`.
+    /// Returns how many instructions were retired together with the
+    /// step outcome, with counter and error semantics identical to
+    /// calling [`Emu::step`] that many times. A `budget` smaller than
+    /// the trace executes a prefix and leaves `rip` mid-trace, where the
+    /// next call re-enters.
     pub fn step_trace(&mut self, budget: u64) -> (u64, Result<Option<RunResult>, EmuError>) {
         if budget == 0 {
             return (0, Ok(None));
@@ -1606,7 +1510,7 @@ impl<R: Runtime> Emu<R> {
         let mut executed: u64 = 0;
         let per_inst = self.cost.base + self.cost.dbi_dispatch;
 
-        let mut bidx = match self.lookup_or_build(trace, self.cpu.rip, true) {
+        let mut bidx = match self.lookup_or_build(trace, self.cpu.rip) {
             Some(b) => b,
             None => {
                 let before = self.counters.instructions;
@@ -2158,7 +2062,7 @@ impl<R: Runtime> Emu<R> {
                         // Stale (invalidated) or retargeted link.
                         trace.stats.links_severed += 1;
                     }
-                    match self.lookup_or_build(trace, target, true) {
+                    match self.lookup_or_build(trace, target) {
                         Some(idx) => {
                             trace.blocks[bidx as usize].side_links[side as usize] = idx;
                             idx
@@ -2307,7 +2211,7 @@ impl<R: Runtime> Emu<R> {
                     }
                     None => {
                         trace.stats.ic_misses += 1;
-                        match self.lookup_or_build(trace, target, true) {
+                        match self.lookup_or_build(trace, target) {
                             Some(idx) => {
                                 let b = &mut trace.blocks[bidx as usize];
                                 for k in (1..IC_WAYS).rev() {
@@ -2337,7 +2241,7 @@ impl<R: Runtime> Emu<R> {
                         // Stale link (segment invalidated): sever.
                         trace.stats.links_severed += 1;
                     }
-                    let linked = self.lookup_or_build(trace, target, true);
+                    let linked = self.lookup_or_build(trace, target);
                     let b = &mut trace.blocks[bidx as usize];
                     let slot = if use_taken {
                         &mut b.link_taken
@@ -2369,67 +2273,29 @@ impl<R: Runtime> Emu<R> {
         self.trace.stats
     }
 
-    /// Runs until exit, error or `max_steps` instructions using the
-    /// superblock backend. Behaviorally identical to [`Emu::run`]
-    /// (result, counters, guest-visible state), just faster.
-    pub fn run_superblock(&mut self, max_steps: u64) -> RunResult {
-        let mut remaining = max_steps;
-        while remaining > 0 {
-            let (executed, outcome) = self.step_block(remaining);
-            remaining -= executed.min(remaining);
-            match outcome {
-                Ok(None) => {}
-                Ok(Some(result)) => return result,
-                Err(EmuError::AccessVetoed { error, .. }) => return RunResult::MemoryError(error),
-                Err(e) => return RunResult::Error(e),
-            }
-        }
-        RunResult::StepLimit
-    }
-
-    /// Runs until exit, error or `max_steps` instructions using the
-    /// trace-linked backend. Behaviorally identical to [`Emu::run`]
-    /// (result, counters, guest-visible state), just faster still.
-    pub fn run_trace(&mut self, max_steps: u64) -> RunResult {
-        let mut remaining = max_steps;
-        while remaining > 0 {
-            let (executed, outcome) = self.step_trace(remaining);
-            remaining -= executed.min(remaining);
-            match outcome {
-                Ok(None) => {}
-                Ok(Some(result)) => return result,
-                Err(EmuError::AccessVetoed { error, .. }) => return RunResult::MemoryError(error),
-                Err(e) => return RunResult::Error(e),
-            }
-        }
-        RunResult::StepLimit
-    }
-
-    /// Runs until exit, error or `max_steps` instructions using the
-    /// fast backend. Behaviorally identical to [`Emu::run`] (result,
-    /// counters, guest-visible state), fastest of the four tiers.
-    pub fn run_fast(&mut self, max_steps: u64) -> RunResult {
-        let mut remaining = max_steps;
-        while remaining > 0 {
-            let (executed, outcome) = self.step_fast(remaining);
-            remaining -= executed.min(remaining);
-            match outcome {
-                Ok(None) => {}
-                Ok(Some(result)) => return result,
-                Err(EmuError::AccessVetoed { error, .. }) => return RunResult::MemoryError(error),
-                Err(e) => return RunResult::Error(e),
-            }
-        }
-        RunResult::StepLimit
-    }
-
-    /// Runs with the selected backend (see [`ExecBackend`]).
+    /// Runs until exit, error or `max_steps` instructions on the
+    /// selected backend (see [`ExecBackend`]). The translated backends
+    /// are behaviorally identical to [`Emu::run`] (result, counters,
+    /// guest-visible state), just faster.
     pub fn run_backend(&mut self, backend: ExecBackend, max_steps: u64) -> RunResult {
-        match backend {
-            ExecBackend::Step => self.run(max_steps),
-            ExecBackend::Superblock => self.run_superblock(max_steps),
-            ExecBackend::Trace => self.run_trace(max_steps),
-            ExecBackend::Fast => self.run_fast(max_steps),
+        let mut remaining = max_steps;
+        while remaining > 0 {
+            let (executed, outcome) = match backend {
+                // The reference interpreter keeps its own tight loop;
+                // one-instruction slices through this switch are
+                // measurably slower.
+                ExecBackend::Step => return self.run(max_steps),
+                ExecBackend::Trace => self.step_trace(remaining),
+                ExecBackend::Fast => self.step_fast(remaining),
+            };
+            remaining -= executed.min(remaining);
+            match outcome {
+                Ok(None) => {}
+                Ok(Some(result)) => return result,
+                Err(EmuError::AccessVetoed { error, .. }) => return RunResult::MemoryError(error),
+                Err(e) => return RunResult::Error(e),
+            }
         }
+        RunResult::StepLimit
     }
 }

@@ -1,11 +1,14 @@
-//! Trace-linked tier tests: the chained backend must stay
-//! observationally identical to the step interpreter across the
-//! machinery the superblock tier does not have -- direct-exit chaining,
-//! indirect-branch inline caches, cross-segment mega traces, segment
+//! Translated-tier tests: the trace-linked and fast backends must stay
+//! observationally identical to the step interpreter -- same run
+//! result, same counters (modeled cycles and region crossings
+//! included), same final CPU state -- across block-cache shapes (loops,
+//! one-instruction blocks, jumps into the middle of a decoded run,
+//! straight-line runs longer than [`TRACE_CAP`]), direct-exit chaining,
+//! indirect-branch inline caches, cross-segment traces, segment
 //! invalidation mid-loop, and step budgets that expire inside a trace.
 
 use redfat_elf::{Image, ImageKind, SegFlags, Segment};
-use redfat_emu::{syscalls, Emu, ErrorMode, ExecBackend, HostRuntime, RunResult};
+use redfat_emu::{syscalls, Emu, ErrorMode, ExecBackend, HostRuntime, RunResult, TRACE_CAP};
 use redfat_vm::{layout, Prot};
 use redfat_x86::{AluOp, Asm, Cond, Mem, Reg, Width};
 
@@ -69,6 +72,127 @@ fn snap(emu: &Emu<HostRuntime>) -> (u64, i64, i64, redfat_emu::Counters) {
         emu.cpu.get(Reg::Rbx) as i64,
         emu.counters,
     )
+}
+
+/// Runs `image` under `step` and under each translated tier, and
+/// asserts the run result and the architectural snapshot (counters
+/// included) match `step` exactly. Returns the common result.
+fn assert_backends_agree(image: &Image, max_steps: u64) -> RunResult {
+    let mut step = load(image);
+    let expect = step.run_backend(ExecBackend::Step, max_steps);
+    for backend in [ExecBackend::Trace, ExecBackend::Fast] {
+        let mut emu = load(image);
+        let r = emu.run_backend(backend, max_steps);
+        assert_eq!(r, expect, "{backend}: run result differs from step");
+        assert_eq!(
+            snap(&emu),
+            snap(&step),
+            "{backend}: state differs from step"
+        );
+    }
+    expect
+}
+
+/// Builds a one-segment image from `f`, with exit(rdi) appended.
+fn image_of(f: impl FnOnce(&mut Asm)) -> Image {
+    let mut a = Asm::new(layout::CODE_BASE);
+    f(&mut a);
+    a.mov_ri(Width::W64, Reg::Rax, syscalls::EXIT as i64);
+    a.syscall();
+    let p = a.finish().unwrap();
+    Image {
+        kind: ImageKind::Exec,
+        entry: layout::CODE_BASE,
+        segments: vec![Segment::new(p.base, SegFlags::RX, p.bytes)],
+        symbols: vec![],
+    }
+}
+
+#[test]
+fn loop_and_short_blocks() {
+    // A countdown loop whose body is a multi-instruction trace, followed
+    // by a chain of one-instruction blocks (back-to-back jumps, which
+    // trace formation follows as interior transfers).
+    let image = image_of(|a| {
+        a.mov_ri(Width::W64, Reg::Rdi, 0);
+        a.mov_ri(Width::W64, Reg::Rbx, 10);
+        let head = a.label();
+        a.bind(head).unwrap();
+        a.alu_ri(AluOp::Add, Width::W64, Reg::Rdi, 3);
+        a.alu_ri(AluOp::Sub, Width::W64, Reg::Rbx, 1);
+        a.jcc_label(Cond::Ne, head);
+        let (b, c) = (a.label(), a.label());
+        a.jmp_label(b);
+        a.bind(c).unwrap();
+        a.alu_ri(AluOp::Add, Width::W64, Reg::Rdi, 1000);
+        let done = a.label();
+        a.jmp_label(done);
+        a.bind(b).unwrap();
+        a.jmp_label(c);
+        a.bind(done).unwrap();
+    });
+    assert_eq!(
+        assert_backends_agree(&image, 100_000),
+        RunResult::Exited(1030)
+    );
+}
+
+#[test]
+fn jump_into_middle_of_decoded_run() {
+    // The first pass decodes a straight-line trace spanning `mid`; the
+    // loop then re-enters at `mid`, which starts a *new* trace there.
+    let image = image_of(|a| {
+        a.mov_ri(Width::W64, Reg::Rdi, 0);
+        a.mov_ri(Width::W64, Reg::Rbx, 3);
+        a.alu_ri(AluOp::Add, Width::W64, Reg::Rdi, 1);
+        let mid = a.label();
+        a.bind(mid).unwrap();
+        a.alu_ri(AluOp::Add, Width::W64, Reg::Rdi, 10);
+        a.alu_ri(AluOp::Add, Width::W64, Reg::Rdi, 100);
+        a.alu_ri(AluOp::Sub, Width::W64, Reg::Rbx, 1);
+        a.jcc_label(Cond::Ne, mid);
+    });
+    assert_eq!(
+        assert_backends_agree(&image, 100_000),
+        RunResult::Exited(331)
+    );
+}
+
+#[test]
+fn straight_line_longer_than_cap() {
+    // More fall-through instructions than TRACE_CAP: the run is split
+    // across several capped traces, with no behavioral difference.
+    let n = 2 * TRACE_CAP + 17;
+    let image = image_of(|a| {
+        a.mov_ri(Width::W64, Reg::Rdi, 0);
+        for _ in 0..n {
+            a.alu_ri(AluOp::Add, Width::W64, Reg::Rdi, 1);
+        }
+    });
+    assert_eq!(
+        assert_backends_agree(&image, 100_000),
+        RunResult::Exited(n as i64)
+    );
+}
+
+#[test]
+fn step_budget_expires_mid_block() {
+    // A budget that lands inside a straight-line run: every backend
+    // must report StepLimit with identical counters and an identical
+    // rip pointing mid-trace.
+    let image = image_of(|a| {
+        a.mov_ri(Width::W64, Reg::Rdi, 0);
+        for _ in 0..40 {
+            a.alu_ri(AluOp::Add, Width::W64, Reg::Rdi, 1);
+        }
+    });
+    for budget in [1, 2, 7, 23, 38] {
+        assert_eq!(
+            assert_backends_agree(&image, budget),
+            RunResult::StepLimit,
+            "budget {budget}"
+        );
+    }
 }
 
 #[test]
@@ -243,66 +367,38 @@ fn segment_remap_forces_slow_path_fallback() {
 }
 
 #[test]
-fn fast_budget_expiry_mid_trace_retires_identical_counter_deltas() {
-    let (image, expect) = cross_segment_loop();
-    // Same boundary sweep as the trace-tier test above, against the
-    // fast tier: budgets landing inside the spin trace force the
-    // batched-counter prefix path, and every stop must show exactly the
-    // step interpreter's counter deltas (the static block charge rolled
-    // back to the retired prefix).
-    for budget in [1, 2, 3, 901, 902, 903, 910, 1500, 2500, 3901] {
-        let mut step = load(&image);
-        let mut fast = load(&image);
-        assert_eq!(
-            step.run_backend(ExecBackend::Step, budget),
-            RunResult::StepLimit
-        );
-        assert_eq!(
-            fast.run_backend(ExecBackend::Fast, budget),
-            RunResult::StepLimit
-        );
-        assert_eq!(snap(&step), snap(&fast), "divergence at budget {budget}");
-
-        let rs = step.run_backend(ExecBackend::Step, 1_000_000);
-        let rf = fast.run_backend(ExecBackend::Fast, 1_000_000);
-        assert_eq!(rs, RunResult::Exited(expect));
-        assert_eq!(rf, RunResult::Exited(expect));
-        assert_eq!(
-            snap(&step),
-            snap(&fast),
-            "post-resume divergence (budget {budget})"
-        );
-    }
-}
-
-#[test]
 fn budget_expiry_mid_trace_retires_identical_counter_deltas() {
     let (image, expect) = cross_segment_loop();
     // Budgets landing in the spin trace, on its boundary, and inside
-    // the inlined call loop: at every stop the chained tier must have
-    // retired exactly the step interpreter's counter deltas, and
-    // resuming must converge to the same final state.
-    for budget in [1, 2, 3, 901, 902, 903, 910, 1500, 2500, 3901] {
-        let mut step = load(&image);
-        let mut trace = load(&image);
-        assert_eq!(
-            step.run_backend(ExecBackend::Step, budget),
-            RunResult::StepLimit
-        );
-        assert_eq!(
-            trace.run_backend(ExecBackend::Trace, budget),
-            RunResult::StepLimit
-        );
-        assert_eq!(snap(&step), snap(&trace), "divergence at budget {budget}");
+    // the inlined call loop: at every stop each translated tier must
+    // have retired exactly the step interpreter's counter deltas (on
+    // the fast tier, the batched block charge rolled back to the
+    // retired prefix), and resuming must converge to the same final
+    // state.
+    for backend in [ExecBackend::Trace, ExecBackend::Fast] {
+        for budget in [1, 2, 3, 901, 902, 903, 910, 1500, 2500, 3901] {
+            let mut step = load(&image);
+            let mut tier = load(&image);
+            assert_eq!(
+                step.run_backend(ExecBackend::Step, budget),
+                RunResult::StepLimit
+            );
+            assert_eq!(tier.run_backend(backend, budget), RunResult::StepLimit);
+            assert_eq!(
+                snap(&step),
+                snap(&tier),
+                "{backend}: divergence at budget {budget}"
+            );
 
-        let rs = step.run_backend(ExecBackend::Step, 1_000_000);
-        let rt = trace.run_backend(ExecBackend::Trace, 1_000_000);
-        assert_eq!(rs, RunResult::Exited(expect));
-        assert_eq!(rt, RunResult::Exited(expect));
-        assert_eq!(
-            snap(&step),
-            snap(&trace),
-            "post-resume divergence (budget {budget})"
-        );
+            let rs = step.run_backend(ExecBackend::Step, 1_000_000);
+            let rt = tier.run_backend(backend, 1_000_000);
+            assert_eq!(rs, RunResult::Exited(expect));
+            assert_eq!(rt, RunResult::Exited(expect));
+            assert_eq!(
+                snap(&step),
+                snap(&tier),
+                "{backend}: post-resume divergence (budget {budget})"
+            );
+        }
     }
 }
