@@ -91,9 +91,7 @@ pub fn plan_batches(
                 continue;
             }
 
-            for r in inst.regs_written() {
-                written |= 1 << r.code();
-            }
+            written |= inst.regs_written_mask();
         }
         if let Some(b) = current.take() {
             batches.push(b);

@@ -75,35 +75,39 @@ impl Cfg {
     /// Components are ordered by their lowest block address, and every
     /// block appears in exactly one component.
     pub fn components(&self) -> Vec<Cfg> {
-        // Undirected adjacency: successor edges plus their reverses.
-        let mut adj: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
-        for (&start, block) in &self.blocks {
-            adj.entry(start).or_default();
-            for &s in block.succs.iter().filter(|s| self.blocks.contains_key(s)) {
-                adj.entry(start).or_default().push(s);
-                adj.entry(s).or_default().push(start);
+        // Undirected adjacency over block indices (address order):
+        // successor edges plus their reverses.
+        let blocks: Vec<&Block> = self.blocks.values().collect();
+        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); blocks.len()];
+        for (i, block) in blocks.iter().enumerate() {
+            for &s in &block.succs {
+                if let Ok(s) = blocks.binary_search_by_key(&s, |b| b.start) {
+                    adj[i].push(s);
+                    adj[s].push(i);
+                }
             }
         }
-        let mut seen: BTreeSet<u64> = BTreeSet::new();
+        let mut seen = vec![false; blocks.len()];
         let mut out = Vec::new();
-        for &start in self.blocks.keys() {
-            if !seen.insert(start) {
+        for first in 0..blocks.len() {
+            if std::mem::replace(&mut seen[first], true) {
                 continue;
             }
-            let mut members = vec![start];
-            let mut stack = vec![start];
+            let mut members = vec![first];
+            let mut stack = vec![first];
             while let Some(b) = stack.pop() {
-                for &n in &adj[&b] {
-                    if seen.insert(n) {
+                for &n in &adj[b] {
+                    if !std::mem::replace(&mut seen[n], true) {
                         members.push(n);
                         stack.push(n);
                     }
                 }
             }
+            members.sort_unstable();
             out.push(Cfg {
                 blocks: members
                     .iter()
-                    .map(|m| (*m, self.blocks[m].clone()))
+                    .map(|&m| (blocks[m].start, blocks[m].clone()))
                     .collect(),
                 leaders: Arc::clone(&self.leaders),
                 func_entries: Arc::clone(&self.func_entries),

@@ -8,11 +8,15 @@
 //! low-level optimizations").
 //!
 //! Conservatism: any opaque exit (indirect control flow, `ret`, calls,
-//! unknown bytes) is assumed to read every register and the flags.
+//! unknown bytes) is assumed to read every register and the flags, and so
+//! is a successor address where no block starts.
+//!
+//! Each instruction's transfer is `live & !kill | gen`; such functions
+//! compose into one of the same shape, so every block is summarized once
+//! and the fixpoint rounds touch blocks, not instructions.
 
-use crate::cfg::Cfg;
-use crate::disasm::Disasm;
-use std::collections::HashMap;
+use crate::cfg::{Block, Cfg};
+use crate::disasm::{sort_keep_last, Disasm};
 
 /// Bitmask over the 16 GPRs, plus a flags bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,89 +43,142 @@ impl LiveSet {
     }
 }
 
+/// A backward transfer `live ↦ live & !kill | gen`, for one instruction
+/// or, composed, for a whole block.
+#[derive(Debug, Clone, Copy)]
+struct Transfer {
+    kill: LiveSet,
+    gen: LiveSet,
+}
+
+impl Transfer {
+    const IDENTITY: Transfer = Transfer {
+        kill: LiveSet::NONE,
+        gen: LiveSet::NONE,
+    };
+
+    /// The transfer of one instruction: writes kill, then reads gen.
+    fn of(inst: &redfat_x86::Inst) -> Transfer {
+        Transfer {
+            kill: LiveSet {
+                regs: inst.regs_written_mask(),
+                flags: inst.writes_flags(),
+            },
+            gen: LiveSet {
+                regs: inst.regs_read_mask(),
+                flags: inst.reads_flags(),
+            },
+        }
+    }
+
+    fn apply(self, after: LiveSet) -> LiveSet {
+        LiveSet {
+            regs: after.regs & !self.kill.regs | self.gen.regs,
+            flags: after.flags && !self.kill.flags || self.gen.flags,
+        }
+    }
+
+    /// `self` applied first, then `earlier`: the transfer of a block
+    /// grown backward by one instruction.
+    fn then(self, earlier: Transfer) -> Transfer {
+        Transfer {
+            kill: self.kill.union(earlier.kill),
+            gen: earlier.apply(self.gen),
+        }
+    }
+}
+
 /// Per-site liveness results.
 pub struct Liveness {
-    /// Live-before set per instruction address.
-    live_before: HashMap<u64, (u16, bool)>,
+    /// Live-before set per block-member address, in address order.
+    live_before: Vec<(u64, LiveSet)>,
 }
 
 impl Liveness {
     /// Computes liveness over a recovered CFG.
     pub fn compute(disasm: &Disasm, cfg: &Cfg) -> Liveness {
-        // Iterate blocks to a fixed point (the graph is small).
-        let mut live_in: HashMap<u64, LiveSet> = HashMap::new();
+        let blocks: Vec<&Block> = cfg.blocks.values().collect();
+        let index = |addr: u64| blocks.binary_search_by_key(&addr, |b| b.start).ok();
+        // Successor block indices; `None` marks a successor address where
+        // no block starts.
+        let succs: Vec<Vec<Option<usize>>> = blocks
+            .iter()
+            .map(|b| b.succs.iter().map(|&s| index(s)).collect())
+            .collect();
+        let summary: Vec<Transfer> = blocks
+            .iter()
+            .map(|b| {
+                b.insts.iter().rev().fold(Transfer::IDENTITY, |t, &addr| {
+                    let (inst, _) = disasm.at(addr).expect("block member decoded");
+                    t.then(Transfer::of(inst))
+                })
+            })
+            .collect();
+
+        // The one live-out rule of both passes: opaque exits, successors
+        // not computed yet and successors with no block read everything.
+        let live_out = |i: usize, live_in: &[Option<LiveSet>]| {
+            if blocks[i].opaque_exit {
+                return LiveSet::ALL;
+            }
+            succs[i].iter().fold(LiveSet::NONE, |acc, s| {
+                acc.union(s.and_then(|s| live_in[s]).unwrap_or(LiveSet::ALL))
+            })
+        };
+
+        // Iterate blocks in reverse address order to a fixed point.
+        let mut live_in: Vec<Option<LiveSet>> = vec![None; blocks.len()];
         let mut changed = true;
         let mut rounds = 0usize;
         while changed && rounds < 64 {
             changed = false;
             rounds += 1;
-            for (&start, block) in cfg.blocks.iter().rev() {
-                let mut live = if block.opaque_exit {
-                    LiveSet::ALL
-                } else {
-                    block
-                        .succs
-                        .iter()
-                        .filter_map(|s| live_in.get(s).copied())
-                        .fold(LiveSet::NONE, LiveSet::union)
-                };
-                // Successors not yet computed: be conservative.
-                if !block.opaque_exit && block.succs.iter().any(|s| !live_in.contains_key(s)) {
-                    live = live.union(LiveSet::ALL);
-                }
-                for &addr in block.insts.iter().rev() {
-                    let (inst, _) = disasm.at(addr).expect("block member decoded");
-                    live = transfer(inst, live);
-                }
-                if live_in.get(&start) != Some(&live) {
-                    live_in.insert(start, live);
+            for i in (0..blocks.len()).rev() {
+                let live = summary[i].apply(live_out(i, &live_in));
+                if live_in[i] != Some(live) {
+                    live_in[i] = Some(live);
                     changed = true;
                 }
             }
         }
 
         // Second pass: record live-before per instruction.
-        let mut live_before = HashMap::new();
-        for block in cfg.blocks.values() {
-            let mut live = if block.opaque_exit {
-                LiveSet::ALL
-            } else {
-                block
-                    .succs
-                    .iter()
-                    .filter_map(|s| live_in.get(s).copied())
-                    .fold(LiveSet::NONE, LiveSet::union)
-            };
-            for &addr in block.insts.iter().rev() {
+        let mut live_before: Vec<(u64, LiveSet)> = Vec::new();
+        for (i, block) in blocks.iter().enumerate() {
+            let base = live_before.len();
+            live_before.extend(block.insts.iter().map(|&a| (a, LiveSet::NONE)));
+            let mut live = live_out(i, &live_in);
+            for (slot, &addr) in block.insts.iter().enumerate().rev() {
                 let (inst, _) = disasm.at(addr).expect("block member decoded");
-                live = transfer(inst, live);
-                live_before.insert(addr, (live.regs, live.flags));
+                live = Transfer::of(inst).apply(live);
+                live_before[base + slot].1 = live;
             }
         }
+        // Blocks share instructions only when exec segments overlap;
+        // there the block with the higher start wins an address.
+        sort_keep_last(&mut live_before);
         Liveness { live_before }
+    }
+
+    fn live_before(&self, addr: u64) -> Option<LiveSet> {
+        let i = self
+            .live_before
+            .binary_search_by_key(&addr, |&(a, _)| a)
+            .ok()?;
+        Some(self.live_before[i].1)
     }
 
     /// Registers that are dead immediately before the instruction at
     /// `addr` (safe to clobber by code inserted before it).
     pub fn dead_regs_before(&self, addr: u64) -> Vec<redfat_x86::Reg> {
-        let (live, _) = self
-            .live_before
-            .get(&addr)
-            .copied()
-            .unwrap_or((u16::MAX, true));
-        (0u8..16)
-            .filter(|&c| live & (1 << c) == 0)
-            .map(redfat_x86::Reg::from_code)
-            .collect()
+        let live = self.live_before(addr).unwrap_or(LiveSet::ALL);
+        redfat_x86::Reg::from_mask(!live.regs).collect()
     }
 
     /// Returns `true` if the flags are dead immediately before `addr`
     /// (code inserted before it may trash them without saving).
     pub fn flags_dead_before(&self, addr: u64) -> bool {
-        match self.live_before.get(&addr) {
-            Some((_, flags_live)) => !*flags_live,
-            None => false,
-        }
+        self.live_before(addr).is_some_and(|live| !live.flags)
     }
 }
 
@@ -200,25 +257,6 @@ pub fn flags_live_after_run(insts: &[redfat_x86::Inst]) -> Vec<bool> {
         live = may_exit_run(inst) || inst.reads_flags() || (live && !inst.writes_flags());
     }
     out
-}
-
-fn transfer(inst: &redfat_x86::Inst, after: LiveSet) -> LiveSet {
-    let mut regs = after.regs;
-    let mut flags = after.flags;
-    // Kill writes first, then add reads (standard backward transfer).
-    for r in inst.regs_written() {
-        regs &= !(1u16 << r.code());
-    }
-    if inst.writes_flags() {
-        flags = false;
-    }
-    for r in inst.regs_read() {
-        regs |= 1u16 << r.code();
-    }
-    if inst.reads_flags() {
-        flags = true;
-    }
-    LiveSet { regs, flags }
 }
 
 #[cfg(test)]
@@ -513,6 +551,21 @@ mod tests {
             inst(Op::Jcc(redfat_x86::Cond::E), Width::W64, Operands::Rel(0)),
         ];
         assert_eq!(dead_flags_in_run(&not_killer), vec![false, false, false]);
+    }
+
+    #[test]
+    fn branch_to_undecoded_address_keeps_everything_live() {
+        // The jmp's target decodes to nothing, so no block starts there:
+        // whatever runs at 0x500000 may read every register and the
+        // flags, and the store's check payload must clobber none of them.
+        let (lv, marks) = analyze(|a| {
+            let site = a.here();
+            a.mov_mr(Width::W64, Mem::base(Reg::Rbx), Reg::Rax);
+            a.jmp_abs(0x50_0000).unwrap();
+            vec![site]
+        });
+        assert_eq!(lv.dead_regs_before(marks[0]), Vec::<Reg>::new());
+        assert!(!lv.flags_dead_before(marks[0]));
     }
 
     #[test]

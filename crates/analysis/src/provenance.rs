@@ -355,7 +355,7 @@ impl ForwardAnalysis for ProvenanceAnalysis {
         }
         // 8-bit partial writes: the written register's full value is
         // unknown. %rsp keeps its axiom.
-        for r in inst.regs_written() {
+        for r in Reg::from_mask(inst.regs_written_mask()) {
             fact.set(r, AbsVal::Top);
         }
     }
@@ -507,7 +507,7 @@ impl ProvenanceAnalysis {
         }
         // Default: every written register becomes unknown (loads, pop,
         // mul/div, ...). %rsp keeps its axiom.
-        for r in inst.regs_written() {
+        for r in Reg::from_mask(inst.regs_written_mask()) {
             fact.set(r, AbsVal::Top);
         }
     }

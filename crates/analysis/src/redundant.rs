@@ -46,7 +46,7 @@ use crate::dataflow::{solve_forward, unknown_entries, ForwardAnalysis};
 use crate::disasm::Disasm;
 use crate::domtree::DomTree;
 use crate::provenance::Provenance;
-use redfat_x86::{Inst, Mem, Op, Reg, Seg};
+use redfat_x86::{Inst, Mem, Op, Seg};
 use std::collections::{BTreeMap, HashMap};
 
 /// Operand shape: a memory operand with the displacement abstracted
@@ -79,13 +79,9 @@ impl Shape {
         }
     }
 
-    fn uses(&self, r: Reg) -> bool {
-        let c = r.code();
-        self.base == c || self.index == c
-    }
-
     /// `true` when the shape reads any register whose bit is set in
-    /// `mask` (a callee may-write mask; see [`crate::summary`]).
+    /// `mask` (an instruction's write mask, or a callee may-write mask;
+    /// see [`crate::summary`]).
     fn uses_mask(&self, mask: u16) -> bool {
         [self.base, self.index]
             .into_iter()
@@ -165,15 +161,15 @@ impl<F: Fn(u64, &Inst) -> bool> ForwardAnalysis for AvailableChecks<F> {
         } else {
             None
         };
-        let written = inst.regs_written();
-        if !written.is_empty() {
-            fact.retain(|shape, _| !written.iter().any(|&r| shape.uses(r)));
+        let written = inst.regs_written_mask();
+        if written != 0 {
+            fact.retain(|shape, _| !shape.uses_mask(written));
         }
         if let Some((mem, len)) = gen {
             // The check observed the *pre-instruction* register values;
             // if the instruction overwrites one of them the shape no
             // longer describes the checked address.
-            if !mem.regs().any(|r| written.contains(&r)) {
+            if !mem.regs().any(|r| written & (1 << r.code()) != 0) {
                 let key = Shape::of(&mem);
                 let (lo, hi) = (mem.disp, mem.disp + len);
                 match fact.get(&key) {
@@ -348,7 +344,7 @@ pub fn compute_with_provenance<F: Fn(u64, &Inst) -> bool>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use redfat_x86::{Operands, Width};
+    use redfat_x86::{Operands, Reg, Width};
 
     fn checked_all(_: u64, inst: &Inst) -> bool {
         inst.memory_access().is_some()

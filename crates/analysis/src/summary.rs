@@ -340,9 +340,7 @@ fn local_write_mask(disasm: &Disasm, cfg: &Cfg, graph: &CallGraph, entry: u64) -
                 Op::CallInd | Op::Syscall | Op::JmpInd => return ALL_REGS_MASK,
                 _ => {}
             }
-            for r in inst.regs_written() {
-                mask |= 1u16 << r.code();
-            }
+            mask |= inst.regs_written_mask();
         }
     }
     // Direct calls to targets outside the recovered entry set (e.g.

@@ -5,6 +5,7 @@ use crate::allowlist::AllowList;
 use crate::checks::{BatchPayload, CheckSpec, PayloadMode};
 use crate::config::{HardenConfig, LowFatPolicy};
 use crate::digest::{image_digest, Digest, Sha256, TOOL_VERSION};
+use redfat_analysis::cfg::Block;
 use redfat_analysis::provenance::CallEffect;
 use redfat_analysis::{can_reach_heap, unknown_entries, Disasm, Provenance, RedundantChecks};
 use redfat_analysis::{disassemble, merge_checks, plan_batches, Batch, Cfg, Liveness, Summaries};
@@ -369,11 +370,7 @@ fn component_key(
     // from "enabled with no roots in this component".
     match roots {
         Some(roots) => {
-            let in_comp: Vec<u64> = roots
-                .iter()
-                .copied()
-                .filter(|&r| sub.block_of(r).is_some())
-                .collect();
+            let in_comp = in_component(roots, sub);
             h.update_u64(in_comp.len() as u64);
             for r in in_comp {
                 h.update_u64(r);
@@ -383,17 +380,30 @@ fn component_key(
     }
     // Function entries inside the component (call-boundary context for
     // the flow/redundant analyses).
-    let entries: Vec<u64> = sub
-        .func_entries
-        .iter()
-        .copied()
-        .filter(|&e| sub.block_of(e).is_some())
-        .collect();
+    let entries = in_component(&sub.func_entries, sub);
     h.update_u64(entries.len() as u64);
     for e in entries {
         h.update_u64(e);
     }
     h.finalize()
+}
+
+/// The addresses of `set` that `sub.block_of` places in a block of the
+/// component, ascending. Each block's address span is looked up in
+/// `set`, so the cost follows the component's size, not the image's.
+fn in_component(set: &BTreeSet<u64>, sub: &Cfg) -> Vec<u64> {
+    let mut out: Vec<u64> = sub
+        .blocks
+        .values()
+        .flat_map(|b| {
+            let last = b.insts.last().map_or(b.start, |&a| a.max(b.start));
+            set.range(b.start..=last).copied()
+        })
+        .filter(|&a| sub.block_of(a).is_some())
+        .collect();
+    out.sort_unstable();
+    out.dedup();
+    out
 }
 
 fn instrument(
@@ -495,10 +505,23 @@ fn instrument_with_cache(
     // Instructions in no recovered block belong to no shard; they are
     // never instrumented (batches only cover block members) but still
     // count toward the classification statistics. Flow facts are `None`
-    // for them, so flow elimination never applies.
+    // for them, so flow elimination never applies. One address-ordered
+    // sweep over blocks and instructions answers `cfg.block_of(addr)`
+    // for each: the last block starting at or before `addr`, and
+    // whether `addr` is one of its members.
+    let mut blocks = cfg.blocks.values().peekable();
+    let mut current: Option<(&Block, usize)> = None;
     for (addr, inst, _) in disasm.iter() {
-        if cfg.block_of(addr).is_some() {
-            continue;
+        while let Some(b) = blocks.next_if(|b| b.start <= addr) {
+            current = Some((b, 0));
+        }
+        if let Some((block, member)) = &mut current {
+            while block.insts.get(*member).is_some_and(|&a| a < addr) {
+                *member += 1;
+            }
+            if block.insts.get(*member) == Some(&addr) {
+                continue;
+            }
         }
         if let Some(mem) = inst.memory_access() {
             if !config.instrument_reads && !inst.writes_memory() {

@@ -1499,21 +1499,17 @@ pub fn lockstep_images_policy(
 
             // Liveness soundness: nothing may read a clobbered register or
             // flag before it is rewritten.
-            if dirty != 0 {
-                for r in inst.regs_read() {
-                    if dirty & (1 << r.code()) != 0 {
-                        record(
-                            &mut report,
-                            &window,
-                            rip,
-                            format!(
-                                "`{inst}` at {rip:#x} reads {r:?}, which instrumentation \
-                                 clobbered (liveness violation)"
-                            ),
-                        );
-                        dirty &= !(1 << r.code());
-                    }
-                }
+            for r in Reg::from_mask(inst.regs_read_mask() & dirty) {
+                record(
+                    &mut report,
+                    &window,
+                    rip,
+                    format!(
+                        "`{inst}` at {rip:#x} reads {r:?}, which instrumentation \
+                         clobbered (liveness violation)"
+                    ),
+                );
+                dirty &= !(1 << r.code());
             }
             if flags_dirty && inst.reads_flags() {
                 record(
@@ -1583,16 +1579,12 @@ pub fn lockstep_images_policy(
                     // (W32 zero-extend of the old low half) the old value:
                     // only a taken cmov cleans its destination.
                     if pre_cond {
-                        for r in inst.regs_written() {
-                            dirty &= !(1u16 << r.code());
-                        }
+                        dirty &= !inst.regs_written_mask();
                     }
                 }
                 _ => {
                     if inst.w != Width::W8 {
-                        for r in inst.regs_written() {
-                            dirty &= !(1u16 << r.code());
-                        }
+                        dirty &= !inst.regs_written_mask();
                     }
                 }
             }

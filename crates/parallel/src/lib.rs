@@ -42,6 +42,10 @@ fn catch_item<T, U>(i: usize, item: &T, f: impl Fn(&T) -> U) -> Result<U, String
 /// item's index and panic message if its closure panicked; a poisoned
 /// item never prevents the other items from completing and reporting.
 ///
+/// The calling thread is one of the workers, and no more workers run
+/// than there are items: `threads.min(items.len()) - 1` threads are
+/// spawned, so a small work list pays for no idle thread start-up.
+///
 /// With `threads <= 1` no worker thread is spawned at all: the items
 /// run serially on the *calling* thread (same `ThreadId`), with the
 /// same per-item `catch_unwind` isolation and error format. This keeps
@@ -67,21 +71,22 @@ where
     let items_ref = &items;
     let f_ref = &f;
     let next_ref = &next;
-    std::thread::scope(|scope| {
-        for _ in 0..threads.max(1) {
-            let tx = tx.clone();
-            scope.spawn(move || loop {
-                let i = next_ref.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let out = catch_item(i, &items_ref[i], f_ref);
-                if tx.send((i, out)).is_err() {
-                    break;
-                }
-            });
+    let work = move |tx: std::sync::mpsc::Sender<(usize, Result<U, String>)>| loop {
+        let i = next_ref.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        if i >= n {
+            break;
         }
-        drop(tx);
+        let out = catch_item(i, &items_ref[i], f_ref);
+        if tx.send((i, out)).is_err() {
+            break;
+        }
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..threads.min(n) {
+            let tx = tx.clone();
+            scope.spawn(move || work(tx));
+        }
+        work(tx);
         let mut results: Vec<Option<Result<U, String>>> = (0..n).map(|_| None).collect();
         for (i, out) in rx {
             results[i] = Some(out);
@@ -404,6 +409,23 @@ mod tests {
         // threads == 0 takes the same serial path.
         let results = try_parallel_map(vec![7u32], 0, |_| std::thread::current().id());
         assert_eq!(results[0], Ok(caller));
+    }
+
+    #[test]
+    fn caller_works_and_workers_never_outnumber_items() {
+        let caller = std::thread::current().id();
+        // One item at many threads: no worker is spawned at all.
+        let results = try_parallel_map(vec![7u32], 8, |_| std::thread::current().id());
+        assert_eq!(results[0], Ok(caller));
+        // Three items at sixteen threads: at most three threads, one of
+        // which may be the caller.
+        let results = try_parallel_map((0..3).collect::<Vec<u32>>(), 16, |_| {
+            std::thread::current().id()
+        });
+        let mut ids: Vec<_> = results.into_iter().map(|r| r.expect("no panics")).collect();
+        ids.sort_by_key(|id| format!("{id:?}"));
+        ids.dedup();
+        assert!(ids.len() <= 3, "{} threads ran 3 items", ids.len());
     }
 
     #[test]

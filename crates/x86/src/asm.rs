@@ -7,7 +7,7 @@
 //! instructions is deliberately avoided; a hardening tool favors
 //! predictability over the last byte of density).
 
-use crate::encode::{encode, EncodeError};
+use crate::encode::{encode_append, EncodeError};
 use crate::insn::{AluOp, Cond, Inst, Mem, MulDivOp, Op, Operands, ShiftOp, Width};
 use crate::reg::Reg;
 use std::collections::HashMap;
@@ -148,8 +148,7 @@ impl Asm {
     /// Emits a full instruction through the encoder.
     pub fn emit(&mut self, inst: Inst) -> Result<(), AsmError> {
         let addr = self.here();
-        let enc = encode(&inst, addr)?;
-        self.bytes.extend_from_slice(&enc);
+        encode_append(&inst, addr, &mut self.bytes)?;
         Ok(())
     }
 
@@ -547,5 +546,14 @@ mod tests {
         let mut a = Asm::new(0x40_0001);
         a.align(16);
         assert_eq!(a.here() % 16, 0);
+    }
+
+    #[test]
+    fn failed_emit_leaves_no_partial_bytes() {
+        let mut a = Asm::new(0x40_0000);
+        a.nop();
+        // The opcode is written before the rel32 is found out of range.
+        assert!(a.jmp_abs(0x40_0000 + (1 << 40)).is_err());
+        assert_eq!(a.finish().unwrap().bytes, vec![0x90]);
     }
 }

@@ -36,15 +36,19 @@ fn bare8(r: Reg) -> bool {
     matches!(r, Reg::Rsp | Reg::Rbp | Reg::Rsi | Reg::Rdi)
 }
 
-struct Enc {
-    buf: Vec<u8>,
+/// Appends one instruction's encoding to a caller-owned buffer. `start`
+/// is where the instruction begins in `buf`, so `buf.len() - start` is
+/// the encoded length so far (the origin of RIP-relative and branch
+/// displacements).
+struct Enc<'a> {
+    buf: &'a mut Vec<u8>,
+    start: usize,
 }
 
-impl Enc {
-    fn new() -> Enc {
-        Enc {
-            buf: Vec::with_capacity(16),
-        }
+impl Enc<'_> {
+    /// Bytes of the current instruction emitted so far.
+    fn len(&self) -> u64 {
+        (self.buf.len() - self.start) as u64
     }
 
     fn byte(&mut self, b: u8) {
@@ -231,7 +235,7 @@ fn emit_modrm(
     e.bytes(imm);
     if let Some(pos) = rip_pos {
         let m = mem_of(&rm).expect("rip operand is memory");
-        let end = addr + e.buf.len() as u64;
+        let end = addr + e.len();
         let rel = (m.disp as u64).wrapping_sub(end) as i64;
         let rel32: i32 = rel
             .try_into()
@@ -246,9 +250,22 @@ fn emit_modrm(
 /// The address is needed for RIP-relative operands and branch targets
 /// (stored in the model as absolute addresses).
 pub fn encode(inst: &Inst, addr: u64) -> Result<Vec<u8>, EncodeError> {
-    let mut e = Enc::new();
-    encode_into(inst, addr, &mut e)?;
-    Ok(e.buf)
+    let mut buf = Vec::with_capacity(16);
+    encode_append(inst, addr, &mut buf)?;
+    Ok(buf)
+}
+
+/// [`encode`] appending straight onto `buf` (the assembler's code
+/// buffer), with no per-instruction allocation. On error `buf` is left
+/// as it was.
+pub(crate) fn encode_append(inst: &Inst, addr: u64, buf: &mut Vec<u8>) -> Result<(), EncodeError> {
+    let start = buf.len();
+    let mut e = Enc { buf, start };
+    let res = encode_into(inst, addr, &mut e);
+    if res.is_err() {
+        buf.truncate(start);
+    }
+    res
 }
 
 fn encode_into(inst: &Inst, addr: u64, e: &mut Enc) -> Result<(), EncodeError> {
@@ -919,7 +936,7 @@ fn encode_into(inst: &Inst, addr: u64, e: &mut Enc) -> Result<(), EncodeError> {
 /// Emits a rel32 whose origin is `addr` and whose end is four bytes past
 /// the current buffer position.
 fn emit_rel32(e: &mut Enc, addr: u64, target: u64) -> Result<(), EncodeError> {
-    let end = addr + e.buf.len() as u64 + 4;
+    let end = addr + e.len() + 4;
     let rel = (target as i64) - (end as i64);
     let rel32: i32 = rel
         .try_into()

@@ -596,27 +596,24 @@ impl Inst {
         }
     }
 
-    /// Collects the general-purpose registers this instruction reads.
-    pub fn regs_read(&self) -> Vec<Reg> {
-        let mut out = Vec::with_capacity(4);
-        let mem_regs = |m: &Mem, out: &mut Vec<Reg>| {
-            out.extend(m.regs());
-        };
-        match &self.operands {
-            Operands::None | Operands::Rel(_) => {}
-            Operands::R(r) => {
-                // Unary register forms read their operand unless pure-write.
-                if !matches!(self.op, Op::Pop | Op::Setcc(_)) {
-                    out.push(*r);
-                }
-            }
-            Operands::M(m) => mem_regs(m, &mut out),
+    /// Bitmask (bit `Reg::code`) of the general-purpose registers this
+    /// instruction reads. The one definition of the read set: the
+    /// analyses use the mask directly and [`Inst::regs_read`] is a view
+    /// over it.
+    pub fn regs_read_mask(&self) -> u16 {
+        let bit = |r: Reg| 1u16 << r.code();
+        let mem = |m: &Mem| m.regs().fold(0, |acc, r| acc | bit(r));
+        let mut out = match &self.operands {
+            Operands::None | Operands::Rel(_) => 0,
+            // Unary register forms read their operand unless pure-write.
+            Operands::R(r) if !matches!(self.op, Op::Pop | Op::Setcc(_)) => bit(*r),
+            Operands::R(_) => 0,
+            Operands::M(m) => mem(m),
             Operands::RR { dst, src } => {
-                out.push(*src);
                 // `mov`/`movzx`/`lea` do not read dst; RMW ALU does, and
                 // `cmov` keeps dst when the condition is false, so its
                 // prior value flows into the result.
-                if matches!(
+                let rmw = matches!(
                     self.op,
                     Op::Alu(_)
                         | Op::Test
@@ -624,62 +621,50 @@ impl Inst {
                         | Op::Shift(_)
                         | Op::ShiftCl(_)
                         | Op::Cmovcc(_)
-                ) {
-                    out.push(*dst);
-                }
+                );
+                bit(*src) | if rmw { bit(*dst) } else { 0 }
             }
             Operands::RM { dst, src } => {
-                mem_regs(src, &mut out);
-                if matches!(self.op, Op::Alu(_) | Op::Imul2 | Op::Cmovcc(_)) {
-                    out.push(*dst);
-                }
+                let rmw = matches!(self.op, Op::Alu(_) | Op::Imul2 | Op::Cmovcc(_));
+                mem(src) | if rmw { bit(*dst) } else { 0 }
             }
-            Operands::MR { dst, src } => {
-                mem_regs(dst, &mut out);
-                out.push(*src);
-            }
+            Operands::MR { dst, src } => mem(dst) | bit(*src),
             Operands::RI { dst, .. } => {
                 if matches!(self.op, Op::Alu(_) | Op::Test | Op::Shift(_)) {
-                    out.push(*dst);
+                    bit(*dst)
+                } else {
+                    0
                 }
             }
-            Operands::MI { dst, .. } => mem_regs(dst, &mut out),
-            Operands::RRI { src, .. } => out.push(*src),
-            Operands::RMI { src, .. } => mem_regs(src, &mut out),
-        }
-        match self.op {
-            Op::ShiftCl(_) => out.push(Reg::Rcx),
-            Op::MulDiv(_) => {
-                out.push(Reg::Rax);
-                out.push(Reg::Rdx);
-            }
-            Op::Cqo => out.push(Reg::Rax),
+            Operands::MI { dst, .. } => mem(dst),
+            Operands::RRI { src, .. } => bit(*src),
+            Operands::RMI { src, .. } => mem(src),
+        };
+        out |= match self.op {
+            Op::ShiftCl(_) => bit(Reg::Rcx),
+            Op::MulDiv(_) => bit(Reg::Rax) | bit(Reg::Rdx),
+            Op::Cqo => bit(Reg::Rax),
             Op::Push | Op::Pop | Op::Call | Op::CallInd | Op::Ret | Op::Pushfq | Op::Popfq => {
-                out.push(Reg::Rsp)
+                bit(Reg::Rsp)
             }
-            Op::Syscall => {
-                // Runtime call ABI: function number in rax, arguments in
-                // rdi/rsi. These must be modeled as reads or liveness
-                // would let instrumentation clobber a syscall argument.
-                out.push(Reg::Rax);
-                out.push(Reg::Rdi);
-                out.push(Reg::Rsi);
-            }
-            _ => {}
-        }
+            // Runtime call ABI: function number in rax, arguments in
+            // rdi/rsi. These must be modeled as reads or liveness would
+            // let instrumentation clobber a syscall argument.
+            Op::Syscall => bit(Reg::Rax) | bit(Reg::Rdi) | bit(Reg::Rsi),
+            _ => 0,
+        };
         out
     }
 
-    /// Collects the general-purpose registers this instruction writes.
+    /// Bitmask (bit `Reg::code`) of the general-purpose registers this
+    /// instruction writes; [`Inst::regs_written`] is a view over it.
     ///
     /// `call` conservatively clobbers nothing here; inter-procedural
     /// effects are the business of `redfat-analysis`.
-    pub fn regs_written(&self) -> Vec<Reg> {
-        let mut out = Vec::with_capacity(2);
-        match &self.operands {
-            Operands::R(r) if !matches!(self.op, Op::Push | Op::CallInd | Op::JmpInd) => {
-                out.push(*r);
-            }
+    pub fn regs_written_mask(&self) -> u16 {
+        let bit = |r: Reg| 1u16 << r.code();
+        let mut out = match &self.operands {
+            Operands::R(r) if !matches!(self.op, Op::Push | Op::CallInd | Op::JmpInd) => bit(*r),
             Operands::RR { dst, .. }
             | Operands::RM { dst, .. }
             | Operands::RI { dst, .. }
@@ -687,30 +672,35 @@ impl Inst {
             | Operands::RMI { dst, .. }
                 if !matches!(self.op, Op::Alu(AluOp::Cmp) | Op::Test) =>
             {
-                out.push(*dst);
+                bit(*dst)
             }
-            _ => {}
-        }
-        match self.op {
-            Op::MulDiv(_) => {
-                out.push(Reg::Rax);
-                out.push(Reg::Rdx);
-            }
-            Op::Cqo => out.push(Reg::Rdx),
+            _ => 0,
+        };
+        out |= match self.op {
+            Op::MulDiv(_) => bit(Reg::Rax) | bit(Reg::Rdx),
+            Op::Cqo => bit(Reg::Rdx),
             Op::Push | Op::Pop | Op::Call | Op::CallInd | Op::Ret | Op::Pushfq | Op::Popfq => {
-                out.push(Reg::Rsp)
+                bit(Reg::Rsp)
             }
-            Op::Syscall => {
-                // Runtime call ABI: result in rax. Only *must*-writes
-                // belong here -- the runtime preserves rcx/r11 (unlike
-                // real hardware) and writes rdx only for read_int, so
-                // claiming either would falsely kill liveness across the
-                // call.
-                out.push(Reg::Rax);
-            }
-            _ => {}
-        }
+            // Runtime call ABI: result in rax. Only *must*-writes belong
+            // here -- the runtime preserves rcx/r11 (unlike real
+            // hardware) and writes rdx only for read_int, so claiming
+            // either would falsely kill liveness across the call.
+            Op::Syscall => bit(Reg::Rax),
+            _ => 0,
+        };
         out
+    }
+
+    /// The registers of [`Inst::regs_read_mask`], in register-code order.
+    pub fn regs_read(&self) -> Vec<Reg> {
+        Reg::from_mask(self.regs_read_mask()).collect()
+    }
+
+    /// The registers of [`Inst::regs_written_mask`], in register-code
+    /// order.
+    pub fn regs_written(&self) -> Vec<Reg> {
+        Reg::from_mask(self.regs_written_mask()).collect()
     }
 
     /// Returns `true` if the instruction *always* rewrites every

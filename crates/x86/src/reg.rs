@@ -95,6 +95,14 @@ impl Reg {
         ALL_REGS[code as usize]
     }
 
+    /// The registers whose bits (`1 << code`) are set in `mask`, in
+    /// register-code order.
+    pub fn from_mask(mask: u16) -> impl Iterator<Item = Reg> {
+        (0u8..16)
+            .filter(move |&c| mask & (1 << c) != 0)
+            .map(Reg::from_code)
+    }
+
     /// Returns the canonical 64-bit AT&T-style name, e.g. `"rax"`.
     pub fn name64(self) -> &'static str {
         const NAMES: [&str; 16] = [
