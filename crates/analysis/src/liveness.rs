@@ -246,9 +246,9 @@ pub fn dead_flags_in_run(insts: &[redfat_x86::Inst]) -> Vec<bool> {
 /// leave the run early. Same conservative rules as
 /// [`dead_flags_in_run`] (flags live at the end of the run and at
 /// every potential early exit); the two differ only in what they
-/// report: this is the raw liveness-out, used by the trace tier to
-/// decide whether a compare-and-branch pair may skip materializing the
-/// compare's flags on its predicted path.
+/// report: this is the raw liveness-out, used by the translated
+/// execution tier to decide whether a compare-and-branch pair may skip
+/// materializing the compare's flags on its predicted path.
 pub fn flags_live_after_run(insts: &[redfat_x86::Inst]) -> Vec<bool> {
     let mut out = vec![true; insts.len()];
     let mut live = true;

@@ -19,9 +19,7 @@
 //!   -- which is exactly why the §5 allow-list workflow precedes
 //!   production deployment under any backend.
 
-use redfat_bench::{
-    false_positive_sites_policy, parallel_map, policy_from_args, threads_from_args,
-};
+use redfat_bench::{false_positive_sites, parallel_map, policy_from_args, threads_from_args};
 use redfat_core::AllocPolicyKind;
 use redfat_workloads::spec;
 
@@ -38,7 +36,7 @@ fn main() {
 fn paper_table(threads: usize, policy: AllocPolicyKind) {
     let suite = spec::all();
     let expected: Vec<(&str, usize)> = suite.iter().map(|w| (w.name, w.anti_idiom_sites)).collect();
-    let counts = parallel_map(suite, threads, |w| false_positive_sites_policy(w, policy));
+    let counts = parallel_map(suite, threads, |w| false_positive_sites(w, policy));
 
     println!("False positives with (Redzone)+(LowFat) on ALL memory access (no allow-list):");
     println!();
@@ -62,7 +60,7 @@ fn per_backend(threads: usize) {
     let suite = spec::all();
     let names: Vec<(&str, usize)> = suite.iter().map(|w| (w.name, w.anti_idiom_sites)).collect();
     let counts = parallel_map(suite, threads, |w| {
-        AllocPolicyKind::ALL.map(|kind| false_positive_sites_policy(w, kind))
+        AllocPolicyKind::ALL.map(|kind| false_positive_sites(w, kind))
     });
 
     println!("False positives per allocator policy (full checking, no allow-list):");

@@ -3,16 +3,14 @@
 //! Measures, across the SPEC stand-in suite:
 //!
 //! * **Emulator throughput** -- retired instructions/sec of the step
-//!   interpreter vs the trace-linked backend (chaining +
-//!   indirect-branch inline caches + dead-flag elision) vs the fast
-//!   tier (host-pointer caching + batched counters + hook elision) on
-//!   the baseline image. All three backends must agree exactly on the
+//!   interpreter vs the fast tier (chaining, indirect-branch inline
+//!   caches, dead-flag elision, host-pointer caching, batched counters)
+//!   on the baseline image. Both backends must agree exactly on the
 //!   run result and every cost counter; a difference aborts the run
 //!   naming the first counter that diverged and both values. The
-//!   headline `fast_speedup` is step → fast; `emu_speedup` (step →
-//!   trace) records the trace tier.
-//!   Trace-cache behavior (hits, misses, chain follows, inline-cache
-//!   hits/misses) is recorded per workload.
+//!   headline `fast_speedup` is step → fast. The fast run's
+//!   translation-cache behavior (hits, misses, chain follows,
+//!   inline-cache hits/misses) is recorded per workload.
 //! * **Harden wall-clock** -- end-to-end `harden()` time serial
 //!   (1 thread) vs parallel (`--threads`/`REDFAT_THREADS`/available
 //!   parallelism). The two images must be byte-identical, and the
@@ -30,13 +28,12 @@
 //!   JSON to `-o` (default `BENCH_perf.json`). The quick-subset geomeans
 //!   are stored alongside the full ones so CI can compare like for like.
 //! * `--quick`: measure only the quick subset (train inputs, reduced
-//!   step budget), validate the committed baseline's schema, fail if
-//!   the measured geomean emulator speedup regressed more than 10%
-//!   against the baseline's recorded quick geomean, and assert the
-//!   tier ordering holds: fast at least as fast as trace-linked.
+//!   step budget), validate the committed baseline's schema, and fail
+//!   if the measured geomean fast-tier speedup regressed more than 10%
+//!   against the baseline's recorded quick geomean.
 //! * `--micro`: run only the microbenchmark suite (reg-ALU, branch,
 //!   mem-load, mem-store and mixed loops; `micro_suite`), printing
-//!   per-category M instr/s for all three backends. The full sweep
+//!   per-category M instr/s for both backends. The full sweep
 //!   always records the same suite in the `"micro"` JSON section, so
 //!   the per-category numbers are versioned with `BENCH_perf.json`.
 //! * `--check <file>`: validate the schema of an existing JSON file and
@@ -58,12 +55,12 @@ use redfat_x86::{AluOp, Asm, Cond, Mem, Reg, Width};
 use std::fmt::Write as _;
 use std::time::Instant;
 
-const SCHEMA: &str = "redfat-bench-perf/v5";
+const SCHEMA: &str = "redfat-bench-perf/v6";
 /// Step cap for the full sweep (ref inputs all exit well below this).
 const FULL_BUDGET: u64 = 4_000_000_000;
 /// Step cap for the quick subset (train inputs).
 const QUICK_BUDGET: u64 = 100_000_000;
-/// Quick mode fails if the emulator speedup geomean drops below
+/// Quick mode fails if the fast-tier speedup geomean drops below
 /// `baseline * (1 - REGRESSION_TOLERANCE)`.
 const REGRESSION_TOLERANCE: f64 = 0.10;
 /// Per-workload floor on serial/parallel harden ratio: the parallel
@@ -78,12 +75,10 @@ struct Row {
     name: &'static str,
     instructions: u64,
     step_mips: f64,
-    trace_mips: f64,
     fast_mips: f64,
-    /// step → trace throughput ratio (the v3 headline).
-    emu_speedup: f64,
     /// Headline: step → fast throughput ratio.
     fast_speedup: f64,
+    /// Translation-cache counters of the fast run.
     stats: TraceStats,
     harden_serial_ms: f64,
     harden_parallel_ms: f64,
@@ -95,35 +90,30 @@ fn quick_subset(suite: Vec<Workload>) -> Vec<Workload> {
     suite.into_iter().step_by(4).collect()
 }
 
-/// Counter-equality precondition for the throughput comparison: when a
-/// translated backend disagrees with `step()`, name the first counter
-/// that diverged and both values -- "cost counters diverge" with two
-/// 9-field debug dumps made people diff structs by eye.
-fn assert_counters_equal(
-    wl: &str,
-    backend: ExecBackend,
-    step: &redfat_emu::Counters,
-    other: &redfat_emu::Counters,
-) {
+/// Counter-equality precondition for the throughput comparison: when
+/// the fast run disagrees with `step()`, name the first counter that
+/// diverged and both values -- "cost counters diverge" with two 9-field
+/// debug dumps made people diff structs by eye.
+fn assert_counters_equal(wl: &str, step: &redfat_emu::Counters, fast: &redfat_emu::Counters) {
     let fields = [
-        ("instructions", step.instructions, other.instructions),
-        ("cycles", step.cycles, other.cycles),
-        ("loads", step.loads, other.loads),
-        ("stores", step.stores, other.stores),
-        ("taken_branches", step.taken_branches, other.taken_branches),
-        ("transfers", step.transfers, other.transfers),
+        ("instructions", step.instructions, fast.instructions),
+        ("cycles", step.cycles, fast.cycles),
+        ("loads", step.loads, fast.loads),
+        ("stores", step.stores, fast.stores),
+        ("taken_branches", step.taken_branches, fast.taken_branches),
+        ("transfers", step.transfers, fast.transfers),
         (
             "region_crossings",
             step.region_crossings,
-            other.region_crossings,
+            fast.region_crossings,
         ),
-        ("syscalls", step.syscalls, other.syscalls),
-        ("int3_traps", step.int3_traps, other.int3_traps),
+        ("syscalls", step.syscalls, fast.syscalls),
+        ("int3_traps", step.int3_traps, fast.int3_traps),
     ];
-    for (name, s, o) in fields {
+    for (name, s, f) in fields {
         assert_eq!(
-            s, o,
-            "{wl}: counter {name:?} diverges between step ({s}) and {backend} ({o})"
+            s, f,
+            "{wl}: counter {name:?} diverges between step ({s}) and fast ({f})"
         );
     }
 }
@@ -153,19 +143,13 @@ fn measure(wl: &Workload, input: &[i64], budget: u64, threads: usize) -> Row {
     let image = wl.image();
 
     let (r_step, c_step, _, t_step) = time_backend(&image, input, ExecBackend::Step, budget);
-    let (r_tr, c_tr, stats, t_tr) = time_backend(&image, input, ExecBackend::Trace, budget);
-    let (r_fast, c_fast, _, t_fast) = time_backend(&image, input, ExecBackend::Fast, budget);
-    for (backend, r, c) in [
-        (ExecBackend::Trace, r_tr, &c_tr),
-        (ExecBackend::Fast, r_fast, &c_fast),
-    ] {
-        assert_eq!(
-            r_step, r,
-            "{}: backend run results diverge (step {r_step:?}, {backend} {r:?})",
-            wl.name
-        );
-        assert_counters_equal(wl.name, backend, &c_step, c);
-    }
+    let (r_fast, c_fast, stats, t_fast) = time_backend(&image, input, ExecBackend::Fast, budget);
+    assert_eq!(
+        r_step, r_fast,
+        "{}: backend run results diverge (step {r_step:?}, fast {r_fast:?})",
+        wl.name
+    );
+    assert_counters_equal(wl.name, &c_step, &c_fast);
     assert!(
         matches!(r_step, RunResult::Exited(_) | RunResult::StepLimit),
         "{}: unexpected run result {r_step:?}",
@@ -205,9 +189,7 @@ fn measure(wl: &Workload, input: &[i64], budget: u64, threads: usize) -> Row {
         name: wl.name,
         instructions: c_step.instructions,
         step_mips: c_step.instructions as f64 / t_step / 1e6,
-        trace_mips: c_step.instructions as f64 / t_tr / 1e6,
         fast_mips: c_step.instructions as f64 / t_fast / 1e6,
-        emu_speedup: t_step / t_tr,
         fast_speedup: t_step / t_fast,
         stats,
         harden_serial_ms: serial_best * 1e3,
@@ -229,13 +211,11 @@ fn sweep(suite: &[Workload], quick: bool, threads: usize) -> Vec<Row> {
             let row = measure(wl, input, budget, threads);
             eprintln!(
                 "perf: {:<14} {:>11} insts  step {:>6.1} M/s  \
-                 trace {:>7.1} M/s  fast {:>7.1} M/s  emu {:.2}x  fast {:.2}x  harden {:.2}x",
+                 fast {:>7.1} M/s  speedup {:.2}x  harden {:.2}x",
                 row.name,
                 row.instructions,
                 row.step_mips,
-                row.trace_mips,
                 row.fast_mips,
-                row.emu_speedup,
                 row.fast_speedup,
                 row.harden_speedup
             );
@@ -253,17 +233,14 @@ fn rows_json(rows: &[Row]) -> String {
         let _ = write!(
             s,
             "\n    {{\"name\":\"{}\",\"instructions\":{},\"step_mips\":{:.3},\
-             \"trace_mips\":{:.3},\"fast_mips\":{:.3},\
-             \"emu_speedup\":{:.4},\"fast_speedup\":{:.4},\
+             \"fast_mips\":{:.3},\"fast_speedup\":{:.4},\
              \"trace_hits\":{},\"trace_misses\":{},\"trace_chain_follows\":{},\
              \"trace_ic_hits\":{},\"trace_ic_misses\":{},\
              \"harden_serial_ms\":{:.3},\"harden_parallel_ms\":{:.3},\"harden_speedup\":{:.4}}}",
             r.name,
             r.instructions,
             r.step_mips,
-            r.trace_mips,
             r.fast_mips,
-            r.emu_speedup,
             r.fast_speedup,
             r.stats.hits,
             r.stats.misses,
@@ -333,10 +310,6 @@ fn warm_cache_geomean(rows: &[ServiceRow]) -> f64 {
     geomean(rows.iter().map(|r| r.warm_speedup))
 }
 
-fn emu_geomean(rows: &[Row]) -> f64 {
-    geomean(rows.iter().map(|r| r.emu_speedup))
-}
-
 fn fast_geomean(rows: &[Row]) -> f64 {
     geomean(rows.iter().map(|r| r.fast_speedup))
 }
@@ -351,7 +324,6 @@ struct MicroRow {
     name: &'static str,
     instructions: u64,
     step_mips: f64,
-    trace_mips: f64,
     fast_mips: f64,
 }
 
@@ -409,7 +381,7 @@ fn micro_suite() -> Vec<(&'static str, Image)> {
             }),
         ),
         // Taken on even counts, fall-through on odd: a 50% mispredict
-        // rate against the trace tier's expect-taken/expect-fallthrough
+        // rate against the fast tier's expect-taken/expect-fallthrough
         // block shapes, stressing the side-exit path.
         (
             "branch",
@@ -459,43 +431,35 @@ fn micro_suite() -> Vec<(&'static str, Image)> {
     ]
 }
 
-/// Times every category on all three backends, under the same
-/// run-result and counter-equality preconditions as the main sweep.
+/// Times every category on both backends, under the same run-result and
+/// counter-equality preconditions as the main sweep.
 fn sweep_micro() -> Vec<MicroRow> {
     micro_suite()
         .into_iter()
         .map(|(name, image)| {
             let (r_step, c_step, _, t_step) =
                 time_backend(&image, &[], ExecBackend::Step, FULL_BUDGET);
-            let (r_tr, c_tr, _, t_tr) = time_backend(&image, &[], ExecBackend::Trace, FULL_BUDGET);
             let (r_fast, c_fast, _, t_fast) =
                 time_backend(&image, &[], ExecBackend::Fast, FULL_BUDGET);
             assert!(
                 matches!(r_step, RunResult::Exited(_)),
                 "micro {name}: unexpected run result {r_step:?}"
             );
-            for (backend, r, c) in [
-                (ExecBackend::Trace, r_tr, &c_tr),
-                (ExecBackend::Fast, r_fast, &c_fast),
-            ] {
-                assert_eq!(
-                    r_step, r,
-                    "micro {name}: backend run results diverge (step {r_step:?}, {backend} {r:?})"
-                );
-                assert_counters_equal(name, backend, &c_step, c);
-            }
+            assert_eq!(
+                r_step, r_fast,
+                "micro {name}: backend run results diverge (step {r_step:?}, fast {r_fast:?})"
+            );
+            assert_counters_equal(name, &c_step, &c_fast);
             let insts = c_step.instructions as f64;
             let row = MicroRow {
                 name,
                 instructions: c_step.instructions,
                 step_mips: insts / t_step / 1e6,
-                trace_mips: insts / t_tr / 1e6,
                 fast_mips: insts / t_fast / 1e6,
             };
             eprintln!(
-                "perf micro: {:<10} {:>9} insts  step {:>6.1} M/s  \
-                 trace {:>7.1} M/s  fast {:>7.1} M/s",
-                row.name, row.instructions, row.step_mips, row.trace_mips, row.fast_mips
+                "perf micro: {:<10} {:>9} insts  step {:>6.1} M/s  fast {:>7.1} M/s",
+                row.name, row.instructions, row.step_mips, row.fast_mips
             );
             row
         })
@@ -511,8 +475,8 @@ fn micro_rows_json(rows: &[MicroRow]) -> String {
         let _ = write!(
             s,
             "\n    {{\"name\":\"{}\",\"instructions\":{},\"step_mips\":{:.3},\
-             \"trace_mips\":{:.3},\"fast_mips\":{:.3}}}",
-            r.name, r.instructions, r.step_mips, r.trace_mips, r.fast_mips
+             \"fast_mips\":{:.3}}}",
+            r.name, r.instructions, r.step_mips, r.fast_mips
         );
     }
     s.push_str("\n  ]");
@@ -530,18 +494,14 @@ fn render_json(
     format!(
         "{{\n  \"schema\": \"{SCHEMA}\",\n  \"threads\": {threads},\n  \"cores\": {cores},\n  \
          \"full_budget\": {FULL_BUDGET},\n  \"quick_budget\": {QUICK_BUDGET},\n  \
-         \"geomean_emu_speedup\": {:.4},\n  \
          \"geomean_fast_speedup\": {:.4},\n  \
          \"geomean_harden_speedup\": {:.4},\n  \
-         \"quick_geomean_emu_speedup\": {:.4},\n  \
          \"quick_geomean_fast_speedup\": {:.4},\n  \
          \"quick_geomean_harden_speedup\": {:.4},\n  \
          \"geomean_warm_cache_speedup\": {:.4},\n  \
          \"workloads\": {},\n  \"quick_workloads\": {},\n  \"micro\": {},\n  \"service\": {}\n}}\n",
-        emu_geomean(full),
         fast_geomean(full),
         harden_geomean(full),
-        emu_geomean(quick),
         fast_geomean(quick),
         harden_geomean(quick),
         warm_cache_geomean(service),
@@ -570,10 +530,8 @@ fn validate_schema(text: &str) -> Result<(), String> {
         return Err(format!("missing or unexpected schema id (want {SCHEMA})"));
     }
     for key in [
-        "geomean_emu_speedup",
         "geomean_fast_speedup",
         "geomean_harden_speedup",
-        "quick_geomean_emu_speedup",
         "quick_geomean_fast_speedup",
         "quick_geomean_harden_speedup",
         "geomean_warm_cache_speedup",
@@ -590,11 +548,11 @@ fn validate_schema(text: &str) -> Result<(), String> {
     if !text.contains("\"name\":") {
         return Err("workload arrays are empty".into());
     }
-    if !text.contains("\"trace_mips\":") || !text.contains("\"trace_chain_follows\":") {
-        return Err("missing per-workload trace backend columns".into());
-    }
     if !text.contains("\"fast_mips\":") || !text.contains("\"fast_speedup\":") {
         return Err("missing per-workload fast backend columns".into());
+    }
+    if !text.contains("\"trace_chain_follows\":") {
+        return Err("missing per-workload translation-cache columns".into());
     }
     if !text.contains("\"micro\":") {
         return Err("missing microbenchmark section".into());
@@ -656,20 +614,11 @@ fn main() {
     if quick {
         eprintln!("perf: quick subset on {threads} threads ({cores} cores)...",);
         let rows = sweep(&quick_subset(suite), true, threads);
-        let measured = emu_geomean(&rows);
-        let fast = fast_geomean(&rows);
+        let measured = fast_geomean(&rows);
         println!(
-            "perf quick: geomean emu speedup {measured:.3}x (fast {fast:.3}x), \
-             harden speedup {:.3}x",
+            "perf quick: geomean fast speedup {measured:.3}x, harden speedup {:.3}x",
             harden_geomean(&rows)
         );
-        if fast < measured {
-            eprintln!(
-                "perf: REGRESSION: fast tier ({fast:.3}x) is slower than the \
-                 trace-linked tier ({measured:.3}x) it builds on"
-            );
-            std::process::exit(1);
-        }
 
         let service = sweep_service(&quick_subset(spec::all()));
         let warm = warm_cache_geomean(&service);
@@ -690,12 +639,12 @@ fn main() {
             eprintln!("perf: baseline {baseline_path} schema invalid: {e}");
             std::process::exit(1);
         }
-        let recorded = json_number(&text, "quick_geomean_emu_speedup").expect("validated");
+        let recorded = json_number(&text, "quick_geomean_fast_speedup").expect("validated");
         let floor = recorded * (1.0 - REGRESSION_TOLERANCE);
         println!("perf quick: baseline quick geomean {recorded:.3}x, regression floor {floor:.3}x");
         if measured < floor {
             eprintln!(
-                "perf: REGRESSION: emulator speedup geomean {measured:.3}x fell below \
+                "perf: REGRESSION: fast-tier speedup geomean {measured:.3}x fell below \
                  {floor:.3}x (baseline {recorded:.3}x - {:.0}%)",
                 REGRESSION_TOLERANCE * 100.0
             );
@@ -720,9 +669,8 @@ fn main() {
     validate_schema(&json).expect("self-produced JSON validates");
     std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
     println!(
-        "perf: geomean emu speedup {:.3}x (fast {:.3}x), \
+        "perf: geomean fast speedup {:.3}x, \
          harden speedup {:.3}x, warm cache {:.3}x ({} workloads) -> {out_path}",
-        emu_geomean(&full),
         fast_geomean(&full),
         harden_geomean(&full),
         warm_cache_geomean(&service),

@@ -9,7 +9,7 @@
 
 use redfat_bench::parallel_map;
 use redfat_core::selftest::{allocator_invariants, lockstep_images, roundtrip_fuzz, shrink_input};
-use redfat_core::{harden, HardenConfig};
+use redfat_core::{harden, AllocPolicyKind, HardenConfig};
 use redfat_workloads::spec;
 
 const MAX_STEPS: u64 = 600_000_000;
@@ -55,6 +55,7 @@ fn main() {
             &hardened.clobbers,
             &w.ref_input,
             MAX_STEPS,
+            AllocPolicyKind::default(),
         );
         let detail = if rep.clean() && rep.completed {
             None
@@ -67,6 +68,7 @@ fn main() {
                 &hardened.clobbers,
                 &w.ref_input,
                 MAX_STEPS,
+                AllocPolicyKind::default(),
             );
             let rerun = lockstep_images(
                 &image,
@@ -74,6 +76,7 @@ fn main() {
                 &hardened.clobbers,
                 &shrunk,
                 MAX_STEPS,
+                AllocPolicyKind::default(),
             );
             let msg = rerun
                 .divergences

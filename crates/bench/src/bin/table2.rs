@@ -14,7 +14,7 @@
 //!   `results/table2_backends.txt`; methodology in EXPERIMENTS.md).
 
 use redfat_bench::{
-    memcheck_detects, parallel_map, policy_from_args, redfat_detects_policy, threads_from_args,
+    memcheck_detects, parallel_map, policy_from_args, redfat_detects, threads_from_args,
 };
 use redfat_core::AllocPolicyKind;
 use redfat_workloads::{cve, juliet, skips};
@@ -38,7 +38,7 @@ fn paper_table(threads: usize, policy: AllocPolicyKind) {
 
     for case in cve::all() {
         let image = case.workload.image();
-        let rf = redfat_detects_policy(&image, &case.attack_input, policy) as usize;
+        let rf = redfat_detects(&image, &case.attack_input, policy) as usize;
         let mc = memcheck_detects(&image, &case.attack_input) as usize;
         println!(
             "{:<38} {:>10}/1 ({:>3.0}%) {:>9}/1 ({:>3.0}%)",
@@ -56,7 +56,7 @@ fn paper_table(threads: usize, policy: AllocPolicyKind) {
     let verdicts = parallel_map(suite, threads, |case| {
         let image = case.workload.image();
         (
-            redfat_detects_policy(&image, &case.attack_input, policy),
+            redfat_detects(&image, &case.attack_input, policy),
             memcheck_detects(&image, &case.attack_input),
         )
     });
@@ -89,7 +89,7 @@ fn per_backend(threads: usize) {
         let image = case.workload.image();
         print!("{:<38}", format!("{} ({})", case.cve, case.workload.name));
         for kind in AllocPolicyKind::ALL {
-            let hit = redfat_detects_policy(&image, &case.attack_input, kind) as usize;
+            let hit = redfat_detects(&image, &case.attack_input, kind) as usize;
             print!(" {hit:>14}/1");
         }
         println!();
@@ -106,7 +106,7 @@ fn per_backend(threads: usize) {
             format!("{} (computed-pointer skip)", case.workload.name)
         );
         for kind in AllocPolicyKind::ALL {
-            let hit = redfat_detects_policy(&image, &case.attack_input, kind) as usize;
+            let hit = redfat_detects(&image, &case.attack_input, kind) as usize;
             print!(" {hit:>14}/1");
         }
         println!();
@@ -116,7 +116,7 @@ fn per_backend(threads: usize) {
     let total = suite.len();
     let verdicts = parallel_map(suite, threads, |case| {
         let image = case.workload.image();
-        AllocPolicyKind::ALL.map(|kind| redfat_detects_policy(&image, &case.attack_input, kind))
+        AllocPolicyKind::ALL.map(|kind| redfat_detects(&image, &case.attack_input, kind))
     });
     print!("{:<38}", "CWE-122-Heap-Buffer (Juliet-like)");
     for (i, _) in AllocPolicyKind::ALL.iter().enumerate() {

@@ -176,17 +176,12 @@ pub fn table1_row(wl: &Workload) -> Table1Row {
 }
 
 /// False-positive measurement (§7.1): harden with LowFat on *all* sites
-/// (no allow-list), run ref in log mode, and count distinct erroring
-/// sites that are not planted real errors.
-pub fn false_positive_sites(wl: &Workload) -> usize {
-    false_positive_sites_policy(wl, AllocPolicyKind::default())
-}
-
-/// [`false_positive_sites`] with the runtime heap backed by the given
-/// allocator policy. The hardened image is identical across policies;
-/// only the placement decisions (and thus which intentional-OOB
-/// anti-idiom pointers land on live metadata) change.
-pub fn false_positive_sites_policy(wl: &Workload, policy: AllocPolicyKind) -> usize {
+/// (no allow-list), run ref in log mode with the runtime heap backed by
+/// the given allocator policy, and count distinct erroring sites that
+/// are not planted real errors. The hardened image is identical across
+/// policies; only the placement decisions (and thus which
+/// intentional-OOB anti-idiom pointers land on live metadata) change.
+pub fn false_positive_sites(wl: &Workload, policy: AllocPolicyKind) -> usize {
     let image = wl.image();
     // Merging would attribute a merged check's error to its first member
     // site; measure without merging for exact per-site attribution.
@@ -205,14 +200,9 @@ pub fn false_positive_sites_policy(wl: &Workload, policy: AllocPolicyKind) -> us
     sites.len().saturating_sub(wl.planted_errors)
 }
 
-/// Detection verdict for a vulnerable program under RedFat hardening.
-pub fn redfat_detects(image: &Image, attack_input: &[i64]) -> bool {
-    redfat_detects_policy(image, attack_input, AllocPolicyKind::default())
-}
-
-/// [`redfat_detects`] with the runtime heap backed by the given
-/// allocator policy.
-pub fn redfat_detects_policy(image: &Image, attack_input: &[i64], policy: AllocPolicyKind) -> bool {
+/// Detection verdict for a vulnerable program under RedFat hardening,
+/// with the runtime heap backed by the given allocator policy.
+pub fn redfat_detects(image: &Image, attack_input: &[i64], policy: AllocPolicyKind) -> bool {
     let cfg = HardenConfig::with_merge(LowFatPolicy::All);
     let hardened = harden(image, &cfg).expect("hardening");
     let out = try_run_backend_policy(

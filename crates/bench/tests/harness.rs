@@ -2,6 +2,7 @@
 //! one benchmark, false-positive counting, and the helpers.
 
 use redfat_bench::{false_positive_sites, geomean, parallel_map, table1_row};
+use redfat_core::AllocPolicyKind;
 use redfat_workloads::spec;
 
 #[test]
@@ -47,7 +48,11 @@ fn false_positive_counts_match_planted_sites() {
     for name in ["gobmk", "calculix"] {
         let wl = spec::by_name(name).unwrap();
         let expected = wl.anti_idiom_sites;
-        assert_eq!(false_positive_sites(&wl), expected, "{name} planted sites");
+        assert_eq!(
+            false_positive_sites(&wl, AllocPolicyKind::default()),
+            expected,
+            "{name} planted sites"
+        );
     }
 }
 

@@ -62,7 +62,7 @@ commands:
   fuzzlist <in.elf> -o <allow.lst> [--input seed,..] [--iters N]
                                        coverage-guided profiling (E9AFL-style)
   run     <in.elf> [--input v,v,..] [--log] [--memcheck] [--max-steps N]
-          [--backend step|trace|fast] [--stats]
+          [--backend step|fast] [--stats]
           [--alloc-policy lowfat|rand-lowfat]
                                        --backend selects the execution tier
                                        (default step); --stats prints the
@@ -76,8 +76,8 @@ commands:
   stats   <in.elf>                     image and instrumentation-plan statistics
   selftest [--quick] [--alloc-policy lowfat|rand-lowfat]
                                        differential self-test: lockstep oracle,
-                                       backend lockstep of the trace and fast
-                                       tiers against the step interpreter,
+                                       backend lockstep of the fast tier
+                                       against the step interpreter,
                                        round-trip fuzzer, allocator invariants
                                        (the invariant campaign always covers
                                        every allocator policy; --alloc-policy
@@ -191,12 +191,13 @@ impl Args {
         }
     }
 
-    /// Execution backend for `run`: `--backend step|trace|fast`.
+    /// Execution backend for `run`: `--backend step|fast`.
     fn backend(&self) -> Result<ExecBackend, CliError> {
         match self.flags.get("--backend").and_then(|v| v.as_deref()) {
             None => Ok(ExecBackend::Step),
-            Some(s) => ExecBackend::parse(s)
-                .ok_or_else(|| err(format!("bad --backend {s:?} (step|trace|fast)"))),
+            Some(s) => {
+                ExecBackend::parse(s).ok_or_else(|| err(format!("bad --backend {s:?} (step|fast)")))
+            }
         }
     }
 
@@ -695,11 +696,11 @@ fn run_faults(quick: bool, threads: usize, out: &mut String) -> Result<(), CliEr
 /// Runs the deterministic encoder/decoder round-trip fuzzer, the
 /// allocator invariant checker, and the lockstep divergence oracle over
 /// every SPEC stand-in plus a Juliet sample. Every stand-in also runs
-/// the trace-linked and fast execution backends against the
-/// single-step reference interpreter on both the baseline and the
-/// hardened image ([`redfat_core::selftest::backend_lockstep`]). Any
-/// failure shrinks to a minimal repro and fails the invocation with a
-/// nonzero exit code, so CI can gate on `redfat selftest --quick`.
+/// the fast execution tier against the single-step reference
+/// interpreter on both the baseline and the hardened image
+/// ([`redfat_core::selftest::backend_lockstep`]). Any failure shrinks
+/// to a minimal repro and fails the invocation with a nonzero exit
+/// code, so CI can gate on `redfat selftest --quick`.
 fn run_selftest(
     quick: bool,
     policy: AllocPolicyKind,
@@ -707,7 +708,7 @@ fn run_selftest(
     out: &mut String,
 ) -> Result<(), CliError> {
     use redfat_core::selftest::{
-        allocator_invariants, backend_lockstep, lockstep_images_policy, roundtrip_fuzz,
+        allocator_invariants, backend_lockstep, lockstep_images, roundtrip_fuzz, shrink_input,
     };
     let mut failures: Vec<String> = Vec::new();
     writeln!(out, "alloc-policy: {policy}").ok();
@@ -755,31 +756,30 @@ fn run_selftest(
         };
         let hardened = harden_threaded(&image, &config, threads)
             .map_err(|e| err(format!("selftest: hardening {} failed: {e}", w.name)))?;
-        // Audit the translated backends against the step interpreter.
-        for backend in [ExecBackend::Trace, ExecBackend::Fast] {
-            for (kind, img) in [("baseline", &image), ("hardened", &hardened.image)] {
-                let rep = backend_lockstep(img, &input, backend, max_steps, policy);
-                writeln!(
-                    out,
-                    "backend  {:<14} {:<10} {kind:<8} {:>9} blocks, {} divergences{}",
-                    w.name,
-                    backend.to_string(),
-                    rep.blocks,
-                    rep.divergences.len(),
-                    if rep.completed { "" } else { " (incomplete)" }
-                )
-                .ok();
-                if !rep.clean() || !rep.completed {
-                    let detail = rep
-                        .divergences
-                        .first()
-                        .map(|d| d.detail.clone())
-                        .unwrap_or_else(|| "run did not complete within the step budget".into());
-                    failures.push(format!("backend {} {backend} ({kind}):\n{detail}", w.name));
-                }
+        // Audit the translated tier against the step interpreter.
+        let backend = ExecBackend::Fast;
+        for (kind, img) in [("baseline", &image), ("hardened", &hardened.image)] {
+            let rep = backend_lockstep(img, &input, backend, max_steps, policy);
+            writeln!(
+                out,
+                "backend  {:<14} {:<10} {kind:<8} {:>9} blocks, {} divergences{}",
+                w.name,
+                backend.to_string(),
+                rep.blocks,
+                rep.divergences.len(),
+                if rep.completed { "" } else { " (incomplete)" }
+            )
+            .ok();
+            if !rep.clean() || !rep.completed {
+                let detail = rep
+                    .divergences
+                    .first()
+                    .map(|d| d.detail.clone())
+                    .unwrap_or_else(|| "run did not complete within the step budget".into());
+                failures.push(format!("backend {} {backend} ({kind}):\n{detail}", w.name));
             }
         }
-        let rep = lockstep_images_policy(
+        let rep = lockstep_images(
             &image,
             &hardened.image,
             &hardened.clobbers,
@@ -798,7 +798,7 @@ fn run_selftest(
         )
         .ok();
         if !rep.clean() || !rep.completed {
-            let shrunk = redfat_core::selftest::shrink_input_policy(
+            let shrunk = shrink_input(
                 &image,
                 &hardened.image,
                 &hardened.clobbers,
@@ -806,7 +806,7 @@ fn run_selftest(
                 max_steps,
                 policy,
             );
-            let rep2 = lockstep_images_policy(
+            let rep2 = lockstep_images(
                 &image,
                 &hardened.image,
                 &hardened.clobbers,
@@ -844,7 +844,7 @@ fn run_selftest(
             ))
         })?;
         for input in [&case.benign_input, &case.attack_input] {
-            let rep = lockstep_images_policy(
+            let rep = lockstep_images(
                 &image,
                 &hardened.image,
                 &hardened.clobbers,

@@ -228,14 +228,10 @@ fn harden_flags_change_the_plan() {
     // Unknown flags/commands fail cleanly.
     assert!(run_cli(&args(&["frobnicate"])).is_err());
     assert!(run_cli(&args(&["run", "/nonexistent.elf"])).is_err());
-    let e = run_cli(&args(&[
-        "run",
-        elf.to_str().unwrap(),
-        "--backend",
-        "superblock",
-    ]))
-    .unwrap_err();
-    assert!(e.message.contains("step|trace|fast"), "{}", e.message);
+    for gone in ["superblock", "trace"] {
+        let e = run_cli(&args(&["run", elf.to_str().unwrap(), "--backend", gone])).unwrap_err();
+        assert_eq!(e.message, format!("bad --backend \"{gone}\" (step|fast)"));
+    }
 }
 
 #[test]
@@ -251,25 +247,43 @@ fn run_backends_print_identical_output() {
         elf.to_str().unwrap(),
     ]))
     .unwrap();
-    let run = |backend: &str| {
-        run_cli(&args(&[
+    let run = |input: &str, backend: &str, memcheck: bool| {
+        let mut a = vec![
             "run",
             elf.to_str().unwrap(),
             "--input",
-            "3,2",
+            input,
             "--backend",
             backend,
-        ]))
-        .unwrap_or_else(|e| panic!("--backend {backend}: {e}"))
+        ];
+        if memcheck {
+            a.push("--memcheck");
+        }
+        run_cli(&args(&a)).unwrap_or_else(|e| panic!("--backend {backend}: {e}"))
     };
     // Result, guest output, error reports and the counter line.
-    let step = run("step");
+    let step = run("3,2", "step", false);
     assert!(
         step.lines().last().unwrap().starts_with("instructions "),
         "{step}"
     );
-    for backend in ["trace", "fast"] {
-        assert_eq!(run(backend), step, "--backend {backend} differs from step");
+    assert_eq!(run("3,2", "fast", false), step, "--backend fast differs");
+
+    // Memcheck observes every access, so it runs on the step
+    // interpreter whichever backend is selected: identical output with
+    // the planted overflow triggered (`buf[9]`) and without it.
+    for (input, overflows) in [("3,9", true), ("3,2", false)] {
+        let step = run(input, "step", true);
+        assert_eq!(
+            step.contains("memcheck error: "),
+            overflows,
+            "--input {input}: {step}"
+        );
+        assert_eq!(
+            run(input, "fast", true),
+            step,
+            "--memcheck --input {input}: --backend fast differs"
+        );
     }
 }
 

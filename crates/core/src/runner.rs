@@ -57,11 +57,10 @@ pub fn try_run_once(
 }
 
 /// [`try_run_once`] on an explicit execution backend: `step` (the
-/// reference interpreter), the trace-linked tier or the fast tier.
-/// Counters, I/O, and reported errors are backend-independent (the
-/// translated tiers are audited against `step` by the selftest
-/// lockstep oracle); only wall-clock time and [`RunOutcome::trace_stats`]
-/// differ.
+/// reference interpreter) or the fast tier. Counters, I/O, and
+/// reported errors are backend-independent (the translated tier is
+/// audited against `step` by the selftest lockstep oracle); only
+/// wall-clock time and [`RunOutcome::trace_stats`] differ.
 pub fn try_run_backend(
     image: &Image,
     input: Vec<i64>,

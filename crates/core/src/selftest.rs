@@ -23,13 +23,13 @@
 //!    Figure 3 object layout (`base(p) <= p`, `p == base + 16`,
 //!    size-class consistency, metadata/canary round-trip, shadow-state
 //!    classification, double-free detection).
-//! 4. **Backend lockstep oracle** ([`backend_lockstep`]): runs a
-//!    translated execution backend (trace-linked or fast) against the
-//!    single-step reference interpreter on the *same* image and
-//!    compares the full architectural state (every register, flags,
-//!    `rip`, all cost counters, runtime error count) at every audit
-//!    boundary. The translation cache is a pure performance
-//!    optimization, so any difference at all is a bug.
+//! 4. **Backend lockstep oracle** ([`backend_lockstep`]): runs the
+//!    translated execution tier against the single-step reference
+//!    interpreter on the *same* image and compares the full
+//!    architectural state (every register, flags, `rip`, all cost
+//!    counters, runtime error count) at every audit boundary. The
+//!    translation cache is a pure performance optimization, so any
+//!    difference at all is a bug.
 //!
 //! When the lockstep oracle diverges, [`shrink_input`] applies ddmin-style
 //! [`minimize`]-ation to the program input so the repro is as small as the
@@ -712,7 +712,7 @@ pub fn allocator_invariants(cases: usize, seed: u64) -> AllocReport {
     let mut total = 0;
     let mut failures = Vec::new();
     for policy in AllocPolicyKind::ALL {
-        let r = allocator_invariants_policy(cases, seed, policy);
+        let r = policy_campaign(cases, seed, policy);
         total += r.cases;
         for f in r.failures {
             push_capped(&mut failures, format!("[{policy}] {f}"));
@@ -727,11 +727,7 @@ pub fn allocator_invariants(cases: usize, seed: u64) -> AllocReport {
 /// Runs `cases` randomized heap operations from `seed` against one
 /// policy, checking the redzone/metadata invariants after every
 /// mutation.
-pub fn allocator_invariants_policy(
-    cases: usize,
-    seed: u64,
-    policy: AllocPolicyKind,
-) -> AllocReport {
+fn policy_campaign(cases: usize, seed: u64, policy: AllocPolicyKind) -> AllocReport {
     let mut rng = SplitMix64::new(seed);
     let mut vm = Vm::new();
     let mut heap = RedFatHeap::new(LowFatConfig {
@@ -995,7 +991,7 @@ fn push_divergence(divs: &mut Vec<Divergence>, rip: u64, detail: String) {
     }
 }
 
-/// Maps a `step`/`step_trace`/`step_fast` outcome to the run result
+/// Maps a `step`/`step_fast` outcome to the run result
 /// `run_backend` would report, so the two backends compare apples to
 /// apples.
 fn settle(outcome: Result<Option<RunResult>, EmuError>) -> Option<RunResult> {
@@ -1006,10 +1002,10 @@ fn settle(outcome: Result<Option<RunResult>, EmuError>) -> Option<RunResult> {
     }
 }
 
-/// Runs a translated backend (trace-linked or fast) and the
-/// single-step reference interpreter in lockstep on `image`, both runs
-/// backed by the allocator `policy`, and compares the complete
-/// architectural state at every audit boundary.
+/// Runs the translated tier and the single-step reference interpreter
+/// in lockstep on `image`, both runs backed by the allocator `policy`,
+/// and compares the complete architectural state at every audit
+/// boundary.
 ///
 /// Unlike [`lockstep_images`], both emulators execute the *same* image,
 /// so the comparison is exact: every register (no dead-clobber
@@ -1020,15 +1016,14 @@ fn settle(outcome: Result<Option<RunResult>, EmuError>) -> Option<RunResult> {
 /// deterministic pointer stream), so the oracle stays exact even under
 /// the randomized backend.
 ///
-/// Both tiers are audited the same way: the backend runs in slices of
-/// at most 4096 instructions, and a boundary is wherever
-/// `step_trace`/`step_fast` returns (slice exhausted, run ended, or an
-/// unlinkable successor), so chained execution is audited against the
-/// reference run at least once per slice and mid-trace budget expiry
-/// (the exact-prefix path) is exercised continuously.
+/// The translated tier runs in slices of at most 4096 instructions,
+/// and a boundary is wherever `step_fast` returns (slice exhausted, run
+/// ended, or an unlinkable successor), so chained execution is audited
+/// against the reference run at least once per slice and mid-trace
+/// budget expiry (the exact-prefix path) is exercised continuously.
 ///
 /// For [`ExecBackend::Fast`] this is the **boundary-audit oracle**: the
-/// fast tier batches counter updates and skips hook dispatch *within* a
+/// tier batches counter updates and skips hook dispatch *within* a
 /// trace, so per-instruction lockstep would (correctly) observe
 /// mid-trace counters ahead of or behind the reference. But every
 /// `step_fast` return restores bit-exact `step()` state by
@@ -1066,7 +1061,6 @@ pub fn backend_lockstep(
         }
         let (executed, outcome) = match backend {
             ExecBackend::Step => (1, sup.step()),
-            ExecBackend::Trace => sup.step_trace(remaining.min(AUDIT_SLICE)),
             ExecBackend::Fast => sup.step_fast(remaining.min(AUDIT_SLICE)),
         };
         remaining -= executed.min(remaining);
@@ -1258,7 +1252,7 @@ pub fn lockstep(
     max_steps: u64,
 ) -> Result<LockstepReport, HardenError> {
     let hardened = harden(image, config)?;
-    Ok(lockstep_images_policy(
+    Ok(lockstep_images(
         image,
         &hardened.image,
         &hardened.clobbers,
@@ -1269,28 +1263,10 @@ pub fn lockstep(
 }
 
 /// Shrinks `input` to a minimal vector on which the hardened image still
-/// diverges from the baseline (ddmin over input elements).
+/// diverges from the baseline (ddmin over input elements), reproducing
+/// the divergence under the given allocator policy (a divergence seen
+/// under one policy need not reproduce under another).
 pub fn shrink_input(
-    baseline: &Image,
-    hardened: &Image,
-    clobbers: &HashMap<u64, ClobberInfo>,
-    input: &[i64],
-    max_steps: u64,
-) -> Vec<i64> {
-    shrink_input_policy(
-        baseline,
-        hardened,
-        clobbers,
-        input,
-        max_steps,
-        AllocPolicyKind::default(),
-    )
-}
-
-/// [`shrink_input`] reproducing the divergence under the given allocator
-/// policy (a divergence seen under one backend need not reproduce under
-/// another).
-pub fn shrink_input_policy(
     baseline: &Image,
     hardened: &Image,
     clobbers: &HashMap<u64, ClobberInfo>,
@@ -1299,7 +1275,7 @@ pub fn shrink_input_policy(
     policy: AllocPolicyKind,
 ) -> Vec<i64> {
     minimize(input, |cand| {
-        !lockstep_images_policy(baseline, hardened, clobbers, cand, max_steps, policy).clean()
+        !lockstep_images(baseline, hardened, clobbers, cand, max_steps, policy).clean()
     })
 }
 
@@ -1314,28 +1290,12 @@ pub fn shrink_input_policy(
 /// baseline to the same address, checking per instruction that nothing
 /// reads a clobbered register or flag (which would falsify the liveness
 /// analysis that justified the clobber).
+///
+/// Both runs are backed by the given allocator policy. Baseline and
+/// hardened share the policy (deterministic per seed), so their pointer
+/// streams stay identical and every divergence is attributable to the
+/// instrumentation.
 pub fn lockstep_images(
-    baseline: &Image,
-    hardened: &Image,
-    clobbers: &HashMap<u64, ClobberInfo>,
-    input: &[i64],
-    max_steps: u64,
-) -> LockstepReport {
-    lockstep_images_policy(
-        baseline,
-        hardened,
-        clobbers,
-        input,
-        max_steps,
-        AllocPolicyKind::default(),
-    )
-}
-
-/// [`lockstep_images`] with both runs backed by the given allocator
-/// policy. Baseline and hardened share the policy (deterministic per
-/// seed), so their pointer streams stay identical and every divergence
-/// is attributable to the instrumentation.
-pub fn lockstep_images_policy(
     baseline: &Image,
     hardened: &Image,
     clobbers: &HashMap<u64, ClobberInfo>,
@@ -1742,7 +1702,14 @@ mod tests {
         let disasm = redfat_analysis::disassemble(&image);
         let cfg = Cfg::recover(&disasm, image.entry, &[]);
         let out = rewrite(&image, &disasm, &cfg, clobber_rbx_patch(anchor)).unwrap();
-        let rep = lockstep_images(&image, &out.image, &HashMap::new(), &[], 100_000);
+        let rep = lockstep_images(
+            &image,
+            &out.image,
+            &HashMap::new(),
+            &[],
+            100_000,
+            AllocPolicyKind::default(),
+        );
         assert!(!rep.clean(), "undeclared clobber not flagged: {rep:#?}");
         assert!(
             rep.divergences.iter().any(|d| d.detail.contains("Rbx")),
@@ -1771,7 +1738,14 @@ mod tests {
         let out = rewrite(&image, &disasm, &cfg, clobber_rbx_patch(anchor)).unwrap();
 
         // Undeclared: flagged.
-        let rep = lockstep_images(&image, &out.image, &HashMap::new(), &[], 100_000);
+        let rep = lockstep_images(
+            &image,
+            &out.image,
+            &HashMap::new(),
+            &[],
+            100_000,
+            AllocPolicyKind::default(),
+        );
         assert!(!rep.clean(), "expected the undeclared clobber to be seen");
 
         // Declared: clean, and both runs exit 5.
@@ -1783,7 +1757,14 @@ mod tests {
                 flags: false,
             },
         );
-        let rep = lockstep_images(&image, &out.image, &declared, &[], 100_000);
+        let rep = lockstep_images(
+            &image,
+            &out.image,
+            &declared,
+            &[],
+            100_000,
+            AllocPolicyKind::default(),
+        );
         assert!(rep.clean(), "{:#?}", rep.divergences);
         assert!(rep.completed);
         assert_eq!(rep.baseline_exit, Some(RunResult::Exited(5)));
@@ -1809,7 +1790,14 @@ mod tests {
         let disasm = redfat_analysis::disassemble(&image);
         let cfg = Cfg::recover(&disasm, image.entry, &[]);
         let out = rewrite(&image, &disasm, &cfg, clobber_rbx_patch(anchor)).unwrap();
-        let shrunk = shrink_input(&image, &out.image, &HashMap::new(), &[1, 2, 3], 100_000);
+        let shrunk = shrink_input(
+            &image,
+            &out.image,
+            &HashMap::new(),
+            &[1, 2, 3],
+            100_000,
+            AllocPolicyKind::default(),
+        );
         assert!(shrunk.is_empty(), "{shrunk:?}");
     }
 
@@ -1827,28 +1815,27 @@ mod tests {
         }";
         let image = redfat_minic::compile(src).unwrap();
         let hardened = harden(&image, &HardenConfig::default()).unwrap();
+        let fast = ExecBackend::Fast;
         for policy in AllocPolicyKind::ALL {
-            for backend in [ExecBackend::Trace, ExecBackend::Fast] {
-                let rep = backend_lockstep(&image, &[3], backend, 5_000_000, policy);
-                assert!(
-                    rep.completed,
-                    "{backend} ({policy}): baseline run incomplete: {rep:#?}"
-                );
-                assert!(rep.clean(), "{backend} ({policy}): {:#?}", rep.divergences);
-                assert_eq!(rep.backend_exit, Some(RunResult::Exited(0)));
-                assert_eq!(rep.step_exit, Some(RunResult::Exited(0)));
-                assert!(rep.blocks > 0 && rep.instructions > rep.blocks);
+            let rep = backend_lockstep(&image, &[3], fast, 5_000_000, policy);
+            assert!(
+                rep.completed,
+                "{fast} ({policy}): baseline run incomplete: {rep:#?}"
+            );
+            assert!(rep.clean(), "{fast} ({policy}): {:#?}", rep.divergences);
+            assert_eq!(rep.backend_exit, Some(RunResult::Exited(0)));
+            assert_eq!(rep.step_exit, Some(RunResult::Exited(0)));
+            assert!(rep.blocks > 0 && rep.instructions > rep.blocks);
 
-                // The hardened image exercises trampoline crossings and the
-                // inserted check payloads under the translated backends.
-                let rep = backend_lockstep(&hardened.image, &[3], backend, 5_000_000, policy);
-                assert!(
-                    rep.completed,
-                    "{backend} ({policy}): hardened run incomplete: {rep:#?}"
-                );
-                assert!(rep.clean(), "{backend} ({policy}): {:#?}", rep.divergences);
-                assert_eq!(rep.backend_exit, Some(RunResult::Exited(0)));
-            }
+            // The hardened image exercises trampoline crossings and the
+            // inserted check payloads under the translated tier.
+            let rep = backend_lockstep(&hardened.image, &[3], fast, 5_000_000, policy);
+            assert!(
+                rep.completed,
+                "{fast} ({policy}): hardened run incomplete: {rep:#?}"
+            );
+            assert!(rep.clean(), "{fast} ({policy}): {:#?}", rep.divergences);
+            assert_eq!(rep.backend_exit, Some(RunResult::Exited(0)));
         }
     }
 
@@ -1861,20 +1848,19 @@ mod tests {
             return 0;
         }";
         let image = redfat_minic::compile(src).unwrap();
-        for backend in [ExecBackend::Trace, ExecBackend::Fast] {
-            for budget in [1u64, 7, 100, 12345] {
-                let rep =
-                    backend_lockstep(&image, &[], backend, budget, AllocPolicyKind::default());
-                assert!(
-                    rep.clean(),
-                    "{backend} budget {budget}: {:#?}",
-                    rep.divergences
-                );
-                assert!(rep.completed, "{backend} budget {budget}");
-                assert_eq!(rep.backend_exit, Some(RunResult::StepLimit));
-                assert_eq!(rep.step_exit, Some(RunResult::StepLimit));
-                assert_eq!(rep.instructions, budget);
-            }
+        for budget in [1u64, 7, 100, 12345] {
+            let rep = backend_lockstep(
+                &image,
+                &[],
+                ExecBackend::Fast,
+                budget,
+                AllocPolicyKind::default(),
+            );
+            assert!(rep.clean(), "budget {budget}: {:#?}", rep.divergences);
+            assert!(rep.completed, "budget {budget}");
+            assert_eq!(rep.backend_exit, Some(RunResult::StepLimit));
+            assert_eq!(rep.step_exit, Some(RunResult::StepLimit));
+            assert_eq!(rep.instructions, budget);
         }
     }
 

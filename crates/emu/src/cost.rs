@@ -77,14 +77,15 @@ pub struct Counters {
     pub int3_traps: u64,
 }
 
-/// Observability counters for the translated execution backends
-/// (trace-linked and fast tiers).
+/// Observability counters for the translated execution tier
+/// ([`crate::ExecBackend::Fast`]). A run on the step interpreter leaves
+/// them all zero.
 ///
 /// Deliberately *not* part of [`Counters`]: the backend lockstep oracle
 /// requires `Counters` to be bit-identical between `step()` and the
-/// translated backends, while cache probes, chain follows and
-/// inline-cache hits are properties of one backend's machinery, not of
-/// the guest's execution.
+/// translated tier, while cache probes, chain follows and inline-cache
+/// hits are properties of the tier's machinery, not of the guest's
+/// execution.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TraceStats {
     /// Block-cache probes that found an existing block.

@@ -162,7 +162,7 @@ pub struct Emu<R: Runtime> {
     pub(crate) trace: crate::trace::TraceCache,
     trap_table: HashMap<u64, u64>,
     /// Dead-flag elision switch: when set, the flag helpers skip writing
-    /// `cpu.flags`. Only the trace-linked backend sets it, and only
+    /// `cpu.flags`. Only the translated tier sets it, and only
     /// around instructions whose flag outputs
     /// [`redfat_analysis::dead_flags_in_run`] proved unobservable.
     pub(crate) noflags: bool,
@@ -242,8 +242,8 @@ impl<R: Runtime> Emu<R> {
 
     /// [`Emu::load_at`] with the fault-reporting `rip` passed explicitly,
     /// so callers that have not stored the architectural `rip` (the
-    /// trace tier's fast paths) still report faults at the exact address
-    /// `step()` would.
+    /// translated tier's block terminals) still report faults at the
+    /// exact address `step()` would.
     #[inline]
     pub(crate) fn load_at_rip(&mut self, addr: u64, w: Width, rip: u64) -> Result<u64, EmuError> {
         let extra = self
@@ -275,13 +275,7 @@ impl<R: Runtime> Emu<R> {
     /// [`Emu::store_at`] with an explicit fault-reporting `rip`; see
     /// [`Emu::load_at_rip`].
     #[inline]
-    pub(crate) fn store_at_rip(
-        &mut self,
-        addr: u64,
-        w: Width,
-        v: u64,
-        rip: u64,
-    ) -> Result<(), EmuError> {
+    fn store_at_rip(&mut self, addr: u64, w: Width, v: u64, rip: u64) -> Result<(), EmuError> {
         let extra = self
             .runtime
             .on_memory_access(&self.vm, addr, w.bytes(), true, rip)
@@ -896,15 +890,15 @@ impl<R: Runtime> Emu<R> {
 }
 
 /// `true` when `a` lies in the trampoline region (used for the
-/// region-crossing cost; shared with the trace-linked backend's inline
-/// exit handling).
+/// region-crossing cost; shared with the translated tier's inline exit
+/// handling).
 #[inline]
 pub(crate) fn in_tramp(a: u64) -> bool {
     (layout::TRAMPOLINE_BASE..layout::STACK_TOP).contains(&a)
 }
 
 /// The pure value an ALU operation computes, without flag effects. The
-/// trace-linked backend's specialized entries use this for operations
+/// translated tier's specialized entries use this for operations
 /// whose flags were proven dead ([`Emu::alu`] stays the single source of
 /// truth for flag semantics).
 #[inline]

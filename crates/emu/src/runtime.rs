@@ -143,15 +143,16 @@ pub enum SyscallOutcome {
 /// The runtime services a guest can reach.
 pub trait Runtime {
     /// Whether [`Runtime::on_memory_access`] actually observes guest
-    /// accesses. Consulted at compile time by the fast execution tier
-    /// ([`crate::ExecBackend::Fast`]): when `false` -- the default, and
-    /// correct for the stock [`HostRuntime`], whose instrumentation
-    /// reports errors through syscalls rather than the hook -- the fast
-    /// tier emits memory paths with no hook dispatch at all. Any
-    /// implementation that overrides [`Runtime::on_memory_access`]
-    /// MUST set this to `true`; the fast tier then transparently
-    /// degrades to trace-tier semantics so every access still
-    /// dispatches the hook in order.
+    /// accesses. Consulted at compile time by the translated execution
+    /// tier ([`crate::ExecBackend::Fast`]), whose memory paths dispatch
+    /// no hook at all. `false` -- the default -- is correct for the
+    /// stock [`HostRuntime`], whose instrumentation reports errors
+    /// through syscalls rather than the hook. Any implementation that
+    /// overrides [`Runtime::on_memory_access`] MUST set this to `true`;
+    /// such runtimes then run on the step interpreter even when the
+    /// fast tier is selected ([`crate::Emu::run_backend`] calls
+    /// [`crate::Emu::run`], and `step_fast` retires one `step()`), so
+    /// every access dispatches the hook in program order.
     const OBSERVES_MEMORY: bool = false;
 
     /// Called once after the image is loaded, before execution.

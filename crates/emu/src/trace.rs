@@ -1,13 +1,15 @@
-//! Translated execution backends: the trace-linked tier and the fast
-//! tier, two instantiations of one trace interpreter.
+//! The translated execution tier ([`Emu::step_fast`]): one trace
+//! interpreter that runs pre-decoded traces in place of the step
+//! interpreter.
 //!
 //! The step interpreter ([`Emu::step`]) pays one instruction-cache probe
-//! (segment search, slot load, pool indirection, a full [`Inst`] copy)
-//! and one fall-through `rip` computation *per instruction*. The
-//! **trace-linked** backend ([`Emu::step_trace`]) instead decodes a run
-//! of instructions into a pre-resolved trace on first execution, so
-//! execution needs at most one cache probe per trace, and removes the
-//! per-transfer costs as well (DESIGN.md §12):
+//! (segment search, slot load, pool indirection, a full [`Inst`] copy),
+//! one fall-through `rip` computation, one software-MMU lookup per
+//! access and one counter update per instruction. The translated tier
+//! instead decodes a run of instructions into a pre-resolved trace on
+//! first execution, so execution needs at most one cache probe per
+//! trace, and removes the per-transfer and per-access costs as well
+//! (DESIGN.md §12):
 //!
 //! * **Trace formation.** The trace builder decodes straight-line code
 //!   and follows *direct* edges: an unconditional `jmp`/`call` keeps
@@ -52,30 +54,10 @@
 //!   [`MemFast`] addressing), sized so the hot loop streams small
 //!   fixed-width entries instead of full [`Inst`] records. Fast paths
 //!   never store the architectural `rip` (it is unobservable between
-//!   exits); instructions that can fault pass their fall-through
-//!   address to [`Emu::load_at_rip`]/[`Emu::store_at_rip`] so faults
-//!   report exactly the `rip` the step interpreter would, and the cold
-//!   error path materializes `cpu.rip` before unwinding.
-//!
-//! Counter semantics are *identical* to the step interpreter by
-//! construction on all backends: every entry charges
-//! `base + dbi_dispatch` and bumps `instructions` exactly as
-//! [`Emu::step`] does, block-level charges are rolled back on early
-//! exit, terminal transfers replicate `step()`'s branch/transfer/
-//! crossing accounting (`ret` and register-indirect `jmp`/`call`
-//! terminals are replicated inline; memory-indirect forms and traps
-//! defer to the interpreter), and a budget smaller than the block falls
-//! back to exact per-instruction interpretation (with elision disabled,
-//! so flags are architecturally exact at the step-limit boundary). The
-//! differential self-test (`redfat-core::selftest`) locksteps both
-//! backends against the step interpreter to enforce that equivalence
-//! rather than argue it.
-//!
-//! The **fast** tier ([`Emu::step_fast`]) reuses the trace machinery
-//! and removes the per-access costs the trace tier still shares with
-//! `step()` (DESIGN.md §12's measured ceiling), under three cooperating
-//! optimizations:
-//!
+//!   exits); instructions that can fault carry their fall-through
+//!   address so faults report exactly the `rip` the step interpreter
+//!   would, and the cold error path materializes `cpu.rip` before
+//!   unwinding.
 //! * **Host-pointer caching.** Every memory-touching trace op owns a
 //!   [`MemSlot`]: a `(page, segment, epoch)` resolution cache that lets
 //!   repeat accesses through the same operand skip the software-MMU
@@ -90,21 +72,27 @@
 //!   interior transfer accounting) are precomputed as prefix sums
 //!   ([`StaticCharge`]) and flushed in one batch at block entry instead
 //!   of per instruction; early exits roll back to the exiting op's
-//!   prefix and recharge its actual partial effects, so `Counters` are
-//!   bit-identical to `step()` at *every* `step_fast` return.
-//! * **Hook elision.** `step_fast` is compiled per runtime: when
-//!   [`Runtime::OBSERVES_MEMORY`] is `false` (the stock `redfat run`
-//!   case) the memory path contains no hook dispatch at all; observing
-//!   runtimes transparently degrade to trace-tier semantics.
+//!   prefix and recharge its actual partial effects.
 //!
-//! What the fast tier changes is *when* mid-trace state becomes
-//! current, never whether: with no access hook attached, nothing can
-//! observe counters or registers between trace entry and exit, and
-//! every exit (including faults, which recharge their op's exact
-//! partial) restores bit-exact `step()` state. The boundary-audit
-//! oracle (`redfat-core::selftest`) enforces exactly that contract at
-//! every trace boundary; budgets smaller than a block still interpret
-//! per-instruction, so `StepLimit` states stay bit-identical too.
+//! Counter semantics are *identical* to the step interpreter at every
+//! `step_fast` return: every entry charges `base + dbi_dispatch` and
+//! bumps `instructions` exactly as [`Emu::step`] does, block-level
+//! charges are rolled back on early exit, terminal transfers replicate
+//! `step()`'s branch/transfer/crossing accounting (`ret` and
+//! register-indirect `jmp`/`call` terminals are replicated inline;
+//! memory-indirect forms and traps defer to the interpreter), and a
+//! budget smaller than the block falls back to exact per-instruction
+//! interpretation (with elision disabled, so flags are architecturally
+//! exact at the step-limit boundary). What the tier changes is *when*
+//! mid-trace state becomes current, never whether: nothing can observe
+//! counters or registers between trace entry and exit, because the
+//! memory path dispatches no access hook. Runtimes that do observe
+//! accesses ([`Runtime::OBSERVES_MEMORY`]) therefore never enter a
+//! trace; they run on the step interpreter, which dispatches the hook
+//! on every access in program order. The boundary-audit oracle
+//! (`redfat-core::selftest`) locksteps the tier against the step
+//! interpreter at every return to enforce that equivalence rather than
+//! argue it.
 //!
 //! Cache-maintenance counters live in [`TraceStats`], deliberately
 //! outside [`crate::Counters`] (the lockstep oracle requires `Counters`
@@ -423,7 +411,7 @@ enum FastOp {
 }
 
 /// Build-time-known counter contributions of one trace op on its
-/// *predicted* (in-trace) path. The fast tier accumulates these as
+/// *predicted* (in-trace) path. The trace builder accumulates these as
 /// prefix sums over the op stream ([`TraceBlock::charge`]), charges the
 /// block total in one batch at entry, and on an early exit at op `i`
 /// rolls back to prefix `i` (or `i + 1` for ops whose fault path keeps
@@ -488,8 +476,8 @@ impl StaticCharge {
 }
 
 /// The static (build-time-known) charge of `op`'s predicted path,
-/// mirroring exactly what the trace tier accounts dynamically. Kept
-/// dynamic on purpose: `MulDivR` ([`Emu::muldiv`] self-charges, and the
+/// mirroring exactly what `step()` charges for it. Kept dynamic on
+/// purpose: `MulDivR` ([`Emu::muldiv`] self-charges, and the
 /// div price must land even on `DivideError`), the multiply cycle of
 /// `Imul2RM` (priced only after its load succeeds, like `exec`), and
 /// everything behind `Slow`/`SlowElide`.
@@ -553,9 +541,9 @@ fn static_charge(op: &FastOp, cost: &CostModel) -> StaticCharge {
     c
 }
 
-/// Whether the fast tier's dispatch of `op` consumes one
-/// [`TraceBlock::mem_cache`] slot (must match the `FAST` arms of the
-/// body loop, in program order).
+/// Whether the body loop's dispatch of `op` consumes one
+/// [`TraceBlock::mem_cache`] slot (must match its `load_fast` /
+/// `store_fast` calls, in program order).
 fn uses_mem_slot(op: &FastOp) -> bool {
     matches!(
         op,
@@ -574,7 +562,7 @@ fn uses_mem_slot(op: &FastOp) -> bool {
 
 /// Width dispatch over [`Vm::read_cached`]: [`Emu::load_at_rip`] minus
 /// the hook dispatch and the per-access counter writes, both of which
-/// the fast tier batches or elides.
+/// the translated tier batches or elides.
 #[inline(always)]
 fn read_cached_w(vm: &Vm, addr: u64, w: Width, slot: &MemSlot) -> Result<u64, VmFault> {
     Ok(match w {
@@ -964,10 +952,10 @@ pub(crate) struct TraceBlock {
     ic: [(u64, u32); IC_WAYS],
     /// Prefix sums of the ops' static charges (`charge[i]` covers
     /// `ops[..i]`; `charge[ops.len()]` is the block total), flushed as
-    /// one batch at entry by the fast tier; ignored by the trace tier.
+    /// one batch at block entry.
     charge: Box<[StaticCharge]>,
     /// One host-resolution cache slot per memory-touching op (see
-    /// [`uses_mem_slot`]), consumed in program order by the fast tier.
+    /// [`uses_mem_slot`]), consumed in program order by the body loop.
     /// Dies with the block: invalidation rebuilds get fresh slots.
     mem_cache: Box<[MemSlot]>,
 }
@@ -1118,23 +1106,20 @@ pub enum ExecBackend {
     /// Per-instruction fetch/decode-cached interpretation ([`Emu::step`]).
     #[default]
     Step,
-    /// Trace-linked tier: chaining + indirect-branch inline caches +
-    /// dead-flag elision ([`Emu::step_trace`]).
-    Trace,
-    /// Fast tier: the trace-linked tier plus host-pointer memory
-    /// caching, batched counter accounting and hook elision
-    /// ([`Emu::step_fast`]). Counters and architectural state are
-    /// bit-exact at every trace boundary (audited by the boundary-audit
-    /// oracle), not at every instruction mid-trace.
+    /// The translated tier ([`Emu::step_fast`]): trace chaining,
+    /// indirect-branch inline caches, dead-flag elision, host-pointer
+    /// memory caching and batched counter accounting. Counters and
+    /// architectural state are bit-exact at every trace boundary
+    /// (audited by the boundary-audit oracle), not at every instruction
+    /// mid-trace.
     Fast,
 }
 
 impl ExecBackend {
-    /// Parses a backend name (`"step"` / `"trace"` / `"fast"`).
+    /// Parses a backend name (`"step"` / `"fast"`).
     pub fn parse(s: &str) -> Option<ExecBackend> {
         match s {
             "step" => Some(ExecBackend::Step),
-            "trace" => Some(ExecBackend::Trace),
             "fast" => Some(ExecBackend::Fast),
             _ => None,
         }
@@ -1145,7 +1130,6 @@ impl std::fmt::Display for ExecBackend {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ExecBackend::Step => write!(f, "step"),
-            ExecBackend::Trace => write!(f, "trace"),
             ExecBackend::Fast => write!(f, "fast"),
         }
     }
@@ -1406,81 +1390,67 @@ impl<R: Runtime> Emu<R> {
         self.build_block(trace, rip)
     }
 
-    /// Executes up to `budget` instructions on the trace-linked tier:
-    /// one cache probe at entry, then block-to-block execution via
-    /// direct links and indirect-branch inline caches until the budget
-    /// runs out or a successor cannot be linked (unfetchable target --
-    /// the next call's probe falls back to [`Emu::step`] for the exact
+    /// Executes up to `budget` instructions on the translated tier: one
+    /// cache probe at entry, then block-to-block execution via direct
+    /// links and indirect-branch inline caches until the budget runs
+    /// out or a successor cannot be linked (unfetchable target -- the
+    /// next call's probe falls back to [`Emu::step`] for the exact
     /// error).
     ///
     /// Returns how many instructions were retired together with the
-    /// step outcome, with counter and error semantics identical to
-    /// calling [`Emu::step`] that many times. A `budget` smaller than
-    /// the trace executes a prefix and leaves `rip` mid-trace, where the
-    /// next call re-enters.
-    pub fn step_trace(&mut self, budget: u64) -> (u64, Result<Option<RunResult>, EmuError>) {
-        if budget == 0 {
-            return (0, Ok(None));
-        }
-        let mut trace = std::mem::take(&mut self.trace);
-        let out = self.step_trace_inner::<false>(&mut trace, budget);
-        self.trace = trace;
-        out
-    }
-
-    /// Executes up to `budget` instructions on the fast tier: the
-    /// trace-linked machinery plus host-pointer memory caching, batched
-    /// counter accounting and hook elision (module docs).
-    ///
-    /// Same contract as [`Emu::step_trace`] *at every return*:
-    /// architectural state, `Counters` and error semantics are
-    /// bit-identical to `step()` whenever this function hands control
-    /// back (budget exhausted, fault, termination). Between entry and
-    /// return, counters lead or lag `step()` by the batched remainder
-    /// of the current block -- unobservable, because the tier only runs
-    /// when no memory-access observer is attached: when
-    /// [`Runtime::OBSERVES_MEMORY`] is `true` this transparently
-    /// degrades to [`Emu::step_trace`] (full hook dispatch in access
-    /// order).
+    /// step outcome. Architectural state, `Counters` and error
+    /// semantics are bit-identical to calling [`Emu::step`] that many
+    /// times whenever this function hands control back (budget
+    /// exhausted, fault, termination). Between entry and return,
+    /// counters lead or lag `step()` by the batched remainder of the
+    /// current block -- unobservable, because traces dispatch no
+    /// memory-access hook. A `budget` smaller than the trace executes a
+    /// prefix and leaves `rip` mid-trace, where the next call
+    /// re-enters. When [`Runtime::OBSERVES_MEMORY`] is `true` this
+    /// retires one [`Emu::step`] instead, so the hook sees every access
+    /// in program order.
     pub fn step_fast(&mut self, budget: u64) -> (u64, Result<Option<RunResult>, EmuError>) {
-        if R::OBSERVES_MEMORY {
-            return self.step_trace(budget);
-        }
         if budget == 0 {
             return (0, Ok(None));
         }
+        if R::OBSERVES_MEMORY {
+            return self.step_counted();
+        }
         let mut trace = std::mem::take(&mut self.trace);
-        let out = self.step_trace_inner::<true>(&mut trace, budget);
+        let out = self.step_trace_inner(&mut trace, budget);
         self.trace = trace;
         out
     }
 
-    /// One guest load from the body loop: host-pointer-cached in fast
-    /// mode (hook elided, counters covered by the block's static
-    /// charge), [`Emu::load_at_rip`] otherwise. Consumes one
-    /// `mem_cache` slot in fast mode -- call sites must match
+    /// One [`Emu::step`], paired with the number of instructions it
+    /// retired (zero when the fetch or decode fails).
+    fn step_counted(&mut self) -> (u64, Result<Option<RunResult>, EmuError>) {
+        let before = self.counters.instructions;
+        let r = self.step();
+        (self.counters.instructions - before, r)
+    }
+
+    /// One guest load from the body loop: host-pointer-cached, with the
+    /// hook elided and the counters covered by the block's static
+    /// charge. Consumes one `mem_cache` slot -- call sites must match
     /// [`uses_mem_slot`] in program order.
     #[inline(always)]
-    fn load_fast<const FAST: bool>(
-        &mut self,
+    fn load_fast(
+        &self,
         block: &TraceBlock,
         mslot: &mut usize,
         addr: u64,
         w: Width,
         rip: u64,
     ) -> Result<u64, EmuError> {
-        if FAST {
-            let slot = &block.mem_cache[*mslot];
-            *mslot += 1;
-            read_cached_w(&self.vm, addr, w, slot).map_err(|fault| EmuError::Fault { rip, fault })
-        } else {
-            self.load_at_rip(addr, w, rip)
-        }
+        let slot = &block.mem_cache[*mslot];
+        *mslot += 1;
+        read_cached_w(&self.vm, addr, w, slot).map_err(|fault| EmuError::Fault { rip, fault })
     }
 
     /// Store counterpart of [`Emu::load_fast`].
     #[inline(always)]
-    fn store_fast<const FAST: bool>(
+    fn store_fast(
         &mut self,
         block: &TraceBlock,
         mslot: &mut usize,
@@ -1489,20 +1459,14 @@ impl<R: Runtime> Emu<R> {
         v: u64,
         rip: u64,
     ) -> Result<(), EmuError> {
-        if FAST {
-            let slot = &block.mem_cache[*mslot];
-            *mslot += 1;
-            write_cached_w(&mut self.vm, addr, w, v, slot)
-                .map_err(|fault| EmuError::Fault { rip, fault })
-        } else {
-            self.store_at_rip(addr, w, v, rip)
-        }
+        let slot = &block.mem_cache[*mslot];
+        *mslot += 1;
+        write_cached_w(&mut self.vm, addr, w, v, slot)
+            .map_err(|fault| EmuError::Fault { rip, fault })
     }
 
-    /// Shared engine of the trace and fast tiers; `FAST` is resolved at
-    /// monomorphization time, so each tier compiles to its own loop
-    /// with no runtime mode checks.
-    fn step_trace_inner<const FAST: bool>(
+    /// The trace interpreter loop behind [`Emu::step_fast`].
+    fn step_trace_inner(
         &mut self,
         trace: &mut TraceCache,
         budget: u64,
@@ -1512,11 +1476,7 @@ impl<R: Runtime> Emu<R> {
 
         let mut bidx = match self.lookup_or_build(trace, self.cpu.rip) {
             Some(b) => b,
-            None => {
-                let before = self.counters.instructions;
-                let r = self.step();
-                return (self.counters.instructions - before, r);
-            }
+            None => return self.step_counted(),
         };
         loop {
             // ---- execute one block ----
@@ -1552,32 +1512,28 @@ impl<R: Runtime> Emu<R> {
             }
             self.counters.instructions += n as u64;
             self.counters.cycles += per_inst * n as u64;
-            // Fast tier: charge the whole block's predicted-path static
-            // cost upfront in one shot (`charge` holds prefix sums over
+            // Charge the whole block's predicted-path static cost
+            // upfront in one shot (`charge` holds prefix sums over
             // `ops`; the last entry is the block total). Every early
             // exit below rolls the unexecuted suffix back, so counters
             // are bit-exact at every return boundary.
             let charge = &block.charge;
             let total = charge[block.ops.len()];
-            if FAST {
-                total.apply(&mut self.counters);
-            }
+            total.apply(&mut self.counters);
             // Rolls back the upfront block charge to a per-instruction
             // charge and returns, after entry `$i` of an `$n`-entry
-            // block ended the run early. In fast mode the batched
-            // static charge is rolled back to prefix `$keep`: `$i`
-            // when the exiting op's static charge must not stand (any
-            // partial effects were recharged inline by the arm),
-            // `$i + 1` when it stands in full (plain loads/stores:
-            // `step()` prices memory before the access faults).
+            // block ended the run early. The batched static charge is
+            // rolled back to prefix `$keep`: `$i` when the exiting op's
+            // static charge must not stand (any partial effects were
+            // recharged inline by the arm), `$i + 1` when it stands in
+            // full (plain loads/stores: `step()` prices memory before
+            // the access faults).
             macro_rules! bail {
                 ($n:expr, $i:expr, $keep:expr, $res:expr) => {{
                     let unexecuted = ($n - ($i + 1)) as u64;
                     self.counters.instructions -= unexecuted;
                     self.counters.cycles -= per_inst * unexecuted;
-                    if FAST {
-                        total.minus(charge[$keep]).revert(&mut self.counters);
-                    }
+                    total.minus(charge[$keep]).revert(&mut self.counters);
                     return (executed + $i as u64 + 1, $res);
                 }};
             }
@@ -1640,7 +1596,7 @@ impl<R: Runtime> Emu<R> {
                         next,
                     } => {
                         let addr = ea_fast(&self.cpu.regs, &mem);
-                        let b = match self.load_fast::<FAST>(block, &mut mslot, addr, w, next) {
+                        let b = match self.load_fast(block, &mut mslot, addr, w, next) {
                             Ok(v) => v,
                             Err(e) => {
                                 self.cpu.rip = next;
@@ -1671,7 +1627,7 @@ impl<R: Runtime> Emu<R> {
                     }
                     FastOp::LoadRM { w, dst, mem, next } => {
                         let addr = ea_fast(&self.cpu.regs, &mem);
-                        match self.load_fast::<FAST>(block, &mut mslot, addr, w, next) {
+                        match self.load_fast(block, &mut mslot, addr, w, next) {
                             Ok(v) => wr(&mut self.cpu.regs, dst, w, v),
                             Err(e) => {
                                 self.cpu.rip = next;
@@ -1682,17 +1638,14 @@ impl<R: Runtime> Emu<R> {
                     FastOp::StoreMR { w, src, mem, next } => {
                         let addr = ea_fast(&self.cpu.regs, &mem);
                         let v = rd(&self.cpu.regs, src, w);
-                        if let Err(e) = self.store_fast::<FAST>(block, &mut mslot, addr, w, v, next)
-                        {
+                        if let Err(e) = self.store_fast(block, &mut mslot, addr, w, v, next) {
                             self.cpu.rip = next;
                             bail!(n, i, i + 1, Err(e));
                         }
                     }
                     FastOp::StoreMI { w, imm, mem, next } => {
                         let addr = ea_fast(&self.cpu.regs, &mem);
-                        if let Err(e) =
-                            self.store_fast::<FAST>(block, &mut mslot, addr, w, imm, next)
-                        {
+                        if let Err(e) = self.store_fast(block, &mut mslot, addr, w, imm, next) {
                             self.cpu.rip = next;
                             bail!(n, i, i + 1, Err(e));
                         }
@@ -1716,7 +1669,7 @@ impl<R: Runtime> Emu<R> {
                             ExtKind::Zx8 | ExtKind::Sx8 => Width::W8,
                             ExtKind::Sxd => Width::W32,
                         };
-                        match self.load_fast::<FAST>(block, &mut mslot, addr, lw, next) {
+                        match self.load_fast(block, &mut mslot, addr, lw, next) {
                             Ok(raw) => {
                                 let v = match kind {
                                     ExtKind::Zx8 => raw,
@@ -1770,8 +1723,7 @@ impl<R: Runtime> Emu<R> {
                         let v = self.cpu.regs[src as usize];
                         let rsp = self.cpu.regs[RSP].wrapping_sub(8);
                         self.cpu.regs[RSP] = rsp;
-                        if let Err(e) =
-                            self.store_fast::<FAST>(block, &mut mslot, rsp, Width::W64, v, next)
+                        if let Err(e) = self.store_fast(block, &mut mslot, rsp, Width::W64, v, next)
                         {
                             self.cpu.rip = next;
                             bail!(n, i, i + 1, Err(e));
@@ -1779,7 +1731,7 @@ impl<R: Runtime> Emu<R> {
                     }
                     FastOp::PopR { dst, next } => {
                         let rsp = self.cpu.regs[RSP];
-                        match self.load_fast::<FAST>(block, &mut mslot, rsp, Width::W64, next) {
+                        match self.load_fast(block, &mut mslot, rsp, Width::W64, next) {
                             Ok(v) => {
                                 // Increment before the register write:
                                 // `pop rsp` keeps the popped value.
@@ -1805,13 +1757,10 @@ impl<R: Runtime> Emu<R> {
                         let b = rd(&self.cpu.regs, src, w);
                         let r = self.imul_flags(w, a, b);
                         wr(&mut self.cpu.regs, dst, w, r);
-                        if !FAST {
-                            self.counters.cycles += self.cost.mul;
-                        }
                     }
                     FastOp::Imul2RM { w, dst, mem, next } => {
                         let addr = ea_fast(&self.cpu.regs, &mem);
-                        let b = match self.load_fast::<FAST>(block, &mut mslot, addr, w, next) {
+                        let b = match self.load_fast(block, &mut mslot, addr, w, next) {
                             Ok(v) => v,
                             Err(e) => {
                                 self.cpu.rip = next;
@@ -1821,17 +1770,14 @@ impl<R: Runtime> Emu<R> {
                         let a = rd(&self.cpu.regs, dst, w);
                         let r = self.imul_flags(w, a, b);
                         wr(&mut self.cpu.regs, dst, w, r);
-                        // Dynamic in both modes: `exec` prices the
-                        // multiply only once the load has succeeded.
+                        // Dynamic: `exec` prices the multiply only once
+                        // the load has succeeded.
                         self.counters.cycles += self.cost.mul;
                     }
                     FastOp::Imul3RRI { w, dst, src, imm } => {
                         let b = rd(&self.cpu.regs, src, w);
                         let r = self.imul_flags(w, b, imm);
                         wr(&mut self.cpu.regs, dst, w, r);
-                        if !FAST {
-                            self.counters.cycles += self.cost.mul;
-                        }
                     }
                     FastOp::MulDivR {
                         op,
@@ -1846,46 +1792,28 @@ impl<R: Runtime> Emu<R> {
                             bail!(n, i, i, Err(e));
                         }
                     }
-                    FastOp::ChargeJmp { next, to } => {
-                        // Interior direct jump: `transfer_to` minus the
-                        // `rip` store (control stays in-trace). Fully
-                        // covered by the static charge in fast mode.
-                        if !FAST {
-                            self.counters.transfers += 1;
-                            self.counters.cycles += self.cost.transfer;
-                            if in_tramp(next) != in_tramp(to) {
-                                self.counters.region_crossings += 1;
-                                self.counters.cycles += self.cost.cross_region;
-                            }
-                        }
-                    }
-                    FastOp::ChargeCall { next, to } => {
+                    // Interior direct jump: `transfer_to` minus the `rip`
+                    // store (control stays in-trace), fully covered by
+                    // the static charge.
+                    FastOp::ChargeJmp { .. } => {}
+                    FastOp::ChargeCall { next, .. } => {
                         // Interior direct call: push the return address
                         // (rsp adjusted before the store faults, like
-                        // `push64`), then transfer accounting.
+                        // `push64`); the transfer accounting is covered
+                        // by the static charge.
                         let rsp = self.cpu.regs[RSP].wrapping_sub(8);
                         self.cpu.regs[RSP] = rsp;
                         if let Err(e) =
-                            self.store_fast::<FAST>(block, &mut mslot, rsp, Width::W64, next, next)
+                            self.store_fast(block, &mut mslot, rsp, Width::W64, next, next)
                         {
                             // The push is priced before it faults
                             // (charge-before-access); the transfer
                             // never happens, so drop the whole static
                             // entry and recharge just the store.
-                            if FAST {
-                                self.counters.stores += 1;
-                                self.counters.cycles += self.cost.mem;
-                            }
+                            self.counters.stores += 1;
+                            self.counters.cycles += self.cost.mem;
                             self.cpu.rip = next;
                             bail!(n, i, i, Err(e));
-                        }
-                        if !FAST {
-                            self.counters.transfers += 1;
-                            self.counters.cycles += self.cost.transfer;
-                            if in_tramp(next) != in_tramp(to) {
-                                self.counters.region_crossings += 1;
-                                self.counters.cycles += self.cost.cross_region;
-                            }
                         }
                     }
                     FastOp::JccInline {
@@ -1900,7 +1828,7 @@ impl<R: Runtime> Emu<R> {
                         // mispredict the side-exit rollback drops this
                         // op's static entry, so the actual outcome is
                         // always accounted exactly once.
-                        if taken && (!FAST || !expect_taken) {
+                        if taken && !expect_taken {
                             self.counters.taken_branches += 1;
                             self.counters.cycles += self.cost.branch_taken;
                             if in_tramp(next) != in_tramp(to) {
@@ -1937,7 +1865,7 @@ impl<R: Runtime> Emu<R> {
                         } else {
                             cmp_cond(cond, w, av, bv)
                         };
-                        if taken && (!FAST || !expect_taken) {
+                        if taken && !expect_taken {
                             self.counters.taken_branches += 1;
                             self.counters.cycles += self.cost.branch_taken;
                             if in_tramp(next) != in_tramp(to) {
@@ -1966,7 +1894,7 @@ impl<R: Runtime> Emu<R> {
                         // return address matches the build-time
                         // prediction.
                         let rsp = self.cpu.regs[RSP];
-                        match self.load_fast::<FAST>(block, &mut mslot, rsp, Width::W64, next) {
+                        match self.load_fast(block, &mut mslot, rsp, Width::W64, next) {
                             Ok(t) => {
                                 self.cpu.regs[RSP] = rsp.wrapping_add(8);
                                 // A predicted return is fully covered
@@ -1976,19 +1904,15 @@ impl<R: Runtime> Emu<R> {
                                 // entry to the side-exit rollback, so
                                 // recharge everything against the
                                 // actual target.
-                                if !FAST || t != expect {
-                                    if FAST {
-                                        self.counters.loads += 1;
-                                        self.counters.cycles += self.cost.mem;
-                                    }
+                                if t != expect {
+                                    self.counters.loads += 1;
+                                    self.counters.cycles += self.cost.mem;
                                     self.counters.transfers += 1;
                                     self.counters.cycles += self.cost.transfer;
                                     if in_tramp(next) != in_tramp(t) {
                                         self.counters.region_crossings += 1;
                                         self.counters.cycles += self.cost.cross_region;
                                     }
-                                }
-                                if t != expect {
                                     self.cpu.rip = t;
                                     side_exit = ((i as u64) << 16) | side as u64;
                                     break 'body;
@@ -1997,10 +1921,8 @@ impl<R: Runtime> Emu<R> {
                             Err(e) => {
                                 // `step()` prices the pop before it
                                 // faults; the transfer never happens.
-                                if FAST {
-                                    self.counters.loads += 1;
-                                    self.counters.cycles += self.cost.mem;
-                                }
+                                self.counters.loads += 1;
+                                self.counters.cycles += self.cost.mem;
                                 self.cpu.rip = next;
                                 bail!(n, i, i, Err(e));
                             }
@@ -2039,12 +1961,10 @@ impl<R: Runtime> Emu<R> {
                 let unexecuted = (n - (i + 1)) as u64;
                 self.counters.instructions -= unexecuted;
                 self.counters.cycles -= per_inst * unexecuted;
-                if FAST {
-                    // Keep the static prefix up to (but excluding) the
-                    // exiting op: its actual outcome differed from the
-                    // prediction and was accounted dynamically inline.
-                    total.minus(charge[i]).revert(&mut self.counters);
-                }
+                // Keep the static prefix up to (but excluding) the
+                // exiting op: its actual outcome differed from the
+                // prediction and was accounted dynamically inline.
+                total.minus(charge[i]).revert(&mut self.counters);
                 executed += (i + 1) as u64;
                 if executed >= budget {
                     return (executed, Ok(None));
@@ -2268,26 +2188,25 @@ impl<R: Runtime> Emu<R> {
         t || i
     }
 
-    /// Cache-maintenance counters for the translated backends.
+    /// Cache-maintenance counters for the translated tier.
     pub fn trace_stats(&self) -> TraceStats {
         self.trace.stats
     }
 
     /// Runs until exit, error or `max_steps` instructions on the
-    /// selected backend (see [`ExecBackend`]). The translated backends
-    /// are behaviorally identical to [`Emu::run`] (result, counters,
+    /// selected backend (see [`ExecBackend`]). The translated tier is
+    /// behaviorally identical to [`Emu::run`] (result, counters,
     /// guest-visible state), just faster.
     pub fn run_backend(&mut self, backend: ExecBackend, max_steps: u64) -> RunResult {
+        // The reference interpreter keeps its own tight loop;
+        // one-instruction slices through `step_fast` are measurably
+        // slower. Runtimes that observe memory always run on it.
+        if backend == ExecBackend::Step || R::OBSERVES_MEMORY {
+            return self.run(max_steps);
+        }
         let mut remaining = max_steps;
         while remaining > 0 {
-            let (executed, outcome) = match backend {
-                // The reference interpreter keeps its own tight loop;
-                // one-instruction slices through this switch are
-                // measurably slower.
-                ExecBackend::Step => return self.run(max_steps),
-                ExecBackend::Trace => self.step_trace(remaining),
-                ExecBackend::Fast => self.step_fast(remaining),
-            };
+            let (executed, outcome) = self.step_fast(remaining);
             remaining -= executed.min(remaining);
             match outcome {
                 Ok(None) => {}

@@ -1,5 +1,5 @@
-//! Translated-tier tests: the trace-linked and fast backends must stay
-//! observationally identical to the step interpreter -- same run
+//! Translated-tier tests: the fast tier must stay observationally
+//! identical to the step interpreter -- same run
 //! result, same counters (modeled cycles and region crossings
 //! included), same final CPU state -- across block-cache shapes (loops,
 //! one-instruction blocks, jumps into the middle of a decoded run,
@@ -74,22 +74,16 @@ fn snap(emu: &Emu<HostRuntime>) -> (u64, i64, i64, redfat_emu::Counters) {
     )
 }
 
-/// Runs `image` under `step` and under each translated tier, and
+/// Runs `image` under `step` and under the translated tier, and
 /// asserts the run result and the architectural snapshot (counters
 /// included) match `step` exactly. Returns the common result.
 fn assert_backends_agree(image: &Image, max_steps: u64) -> RunResult {
     let mut step = load(image);
     let expect = step.run_backend(ExecBackend::Step, max_steps);
-    for backend in [ExecBackend::Trace, ExecBackend::Fast] {
-        let mut emu = load(image);
-        let r = emu.run_backend(backend, max_steps);
-        assert_eq!(r, expect, "{backend}: run result differs from step");
-        assert_eq!(
-            snap(&emu),
-            snap(&step),
-            "{backend}: state differs from step"
-        );
-    }
+    let mut fast = load(image);
+    let r = fast.run_backend(ExecBackend::Fast, max_steps);
+    assert_eq!(r, expect, "fast: run result differs from step");
+    assert_eq!(snap(&fast), snap(&step), "fast: state differs from step");
     expect
 }
 
@@ -200,14 +194,14 @@ fn chained_run_matches_step_and_uses_every_link_kind() {
     let (image, expect) = cross_segment_loop();
     let mut step = load(&image);
     let rs = step.run_backend(ExecBackend::Step, 1_000_000);
-    let mut trace = load(&image);
-    let rt = trace.run_backend(ExecBackend::Trace, 1_000_000);
+    let mut fast = load(&image);
+    let rf = fast.run_backend(ExecBackend::Fast, 1_000_000);
     assert_eq!(rs, RunResult::Exited(expect));
-    assert_eq!(rt, RunResult::Exited(expect));
-    assert_eq!(snap(&step), snap(&trace), "architectural state differs");
+    assert_eq!(rf, RunResult::Exited(expect));
+    assert_eq!(snap(&step), snap(&fast), "architectural state differs");
 
     // The observability counters prove the tier actually engaged.
-    let s = trace.trace_stats();
+    let s = fast.trace_stats();
     assert!(s.chain_follows > 0, "direct chaining never fired: {s}");
     assert!(s.ic_hits > 0, "inline caches never hit: {s}");
     assert_eq!(s.invalidations, 0);
@@ -224,7 +218,7 @@ fn invalidation_severs_links_and_inline_caches_mid_loop() {
     // the inline caches are warm.
     let mut emu = load(&image);
     assert_eq!(
-        emu.run_backend(ExecBackend::Trace, 2500),
+        emu.run_backend(ExecBackend::Fast, 2500),
         RunResult::StepLimit
     );
     let before = emu.trace_stats();
@@ -238,7 +232,7 @@ fn invalidation_severs_links_and_inline_caches_mid_loop() {
     assert!(emu.invalidate_code(layout::TRAMPOLINE_BASE));
     assert!(!emu.invalidate_code(0xdead_0000), "untracked address");
     assert_eq!(
-        emu.run_backend(ExecBackend::Trace, 1_000_000),
+        emu.run_backend(ExecBackend::Fast, 1_000_000),
         RunResult::Exited(expect)
     );
     let after = emu.trace_stats();
@@ -370,35 +364,31 @@ fn segment_remap_forces_slow_path_fallback() {
 fn budget_expiry_mid_trace_retires_identical_counter_deltas() {
     let (image, expect) = cross_segment_loop();
     // Budgets landing in the spin trace, on its boundary, and inside
-    // the inlined call loop: at every stop each translated tier must
-    // have retired exactly the step interpreter's counter deltas (on
-    // the fast tier, the batched block charge rolled back to the
-    // retired prefix), and resuming must converge to the same final
-    // state.
-    for backend in [ExecBackend::Trace, ExecBackend::Fast] {
-        for budget in [1, 2, 3, 901, 902, 903, 910, 1500, 2500, 3901] {
-            let mut step = load(&image);
-            let mut tier = load(&image);
-            assert_eq!(
-                step.run_backend(ExecBackend::Step, budget),
-                RunResult::StepLimit
-            );
-            assert_eq!(tier.run_backend(backend, budget), RunResult::StepLimit);
-            assert_eq!(
-                snap(&step),
-                snap(&tier),
-                "{backend}: divergence at budget {budget}"
-            );
+    // the inlined call loop: at every stop the translated tier must
+    // have retired exactly the step interpreter's counter deltas (the
+    // batched block charge rolled back to the retired prefix), and
+    // resuming must converge to the same final state.
+    for budget in [1, 2, 3, 901, 902, 903, 910, 1500, 2500, 3901] {
+        let mut step = load(&image);
+        let mut fast = load(&image);
+        assert_eq!(
+            step.run_backend(ExecBackend::Step, budget),
+            RunResult::StepLimit
+        );
+        assert_eq!(
+            fast.run_backend(ExecBackend::Fast, budget),
+            RunResult::StepLimit
+        );
+        assert_eq!(snap(&step), snap(&fast), "divergence at budget {budget}");
 
-            let rs = step.run_backend(ExecBackend::Step, 1_000_000);
-            let rt = tier.run_backend(backend, 1_000_000);
-            assert_eq!(rs, RunResult::Exited(expect));
-            assert_eq!(rt, RunResult::Exited(expect));
-            assert_eq!(
-                snap(&step),
-                snap(&tier),
-                "{backend}: post-resume divergence (budget {budget})"
-            );
-        }
+        let rs = step.run_backend(ExecBackend::Step, 1_000_000);
+        let rf = fast.run_backend(ExecBackend::Fast, 1_000_000);
+        assert_eq!(rs, RunResult::Exited(expect));
+        assert_eq!(rf, RunResult::Exited(expect));
+        assert_eq!(
+            snap(&step),
+            snap(&fast),
+            "post-resume divergence (budget {budget})"
+        );
     }
 }
