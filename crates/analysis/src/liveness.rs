@@ -115,28 +115,31 @@ impl Liveness {
             })
             .collect();
 
-        // The one live-out rule of both passes: opaque exits, successors
-        // not computed yet and successors with no block read everything.
-        let live_out = |i: usize, live_in: &[Option<LiveSet>]| {
+        // The one live-out rule of both passes: opaque exits and
+        // successors with no block read everything.
+        let live_out = |i: usize, live_in: &[LiveSet]| {
             if blocks[i].opaque_exit {
                 return LiveSet::ALL;
             }
             succs[i].iter().fold(LiveSet::NONE, |acc, s| {
-                acc.union(s.and_then(|s| live_in[s]).unwrap_or(LiveSet::ALL))
+                acc.union(s.map_or(LiveSet::ALL, |s| live_in[s]))
             })
         };
 
-        // Iterate blocks in reverse address order to a fixed point.
-        let mut live_in: Vec<Option<LiveSet>> = vec![None; blocks.len()];
+        // Iterate blocks in reverse address order to the least fixpoint.
+        // Every block starts with nothing live and the transfers are
+        // monotone, so a block's set only grows, at most 17 times (16
+        // registers and the flags), and the rounds end. Starting from
+        // all-live instead keeps a register that a loop only carries
+        // around its back edge live.
+        let mut live_in: Vec<LiveSet> = vec![LiveSet::NONE; blocks.len()];
         let mut changed = true;
-        let mut rounds = 0usize;
-        while changed && rounds < 64 {
+        while changed {
             changed = false;
-            rounds += 1;
             for i in (0..blocks.len()).rev() {
                 let live = summary[i].apply(live_out(i, &live_in));
-                if live_in[i] != Some(live) {
-                    live_in[i] = Some(live);
+                if live_in[i] != live {
+                    live_in[i] = live;
                     changed = true;
                 }
             }
@@ -566,6 +569,30 @@ mod tests {
         });
         assert_eq!(lv.dead_regs_before(marks[0]), Vec::<Reg>::new());
         assert!(!lv.flags_dead_before(marks[0]));
+    }
+
+    #[test]
+    fn register_carried_only_around_a_back_edge_is_dead() {
+        let (lv, marks) = analyze(|a| {
+            a.mov_ri(Width::W64, Reg::Rcx, 10);
+            let top = a.label();
+            a.bind(top).unwrap();
+            let site = a.here();
+            a.mov_mr(Width::W64, Mem::base(Reg::Rbx), Reg::Rax);
+            a.alu_ri(AluOp::Sub, Width::W64, Reg::Rcx, 1);
+            a.jcc_label(redfat_x86::Cond::Ne, top);
+            // r8 is written before any read after the loop, and the loop
+            // only carries it around the back edge.
+            a.mov_ri(Width::W64, Reg::R8, 0);
+            a.mov_rr(Width::W64, Reg::Rdi, Reg::R8);
+            a.ret();
+            vec![site]
+        });
+        let dead = lv.dead_regs_before(marks[0]);
+        assert!(dead.contains(&Reg::R8), "{dead:?}");
+        for live in [Reg::Rax, Reg::Rbx, Reg::Rcx] {
+            assert!(!dead.contains(&live), "{live:?} is read in the loop");
+        }
     }
 
     #[test]

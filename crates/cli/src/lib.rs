@@ -331,7 +331,8 @@ pub fn run_cli(argv: &[String]) -> Result<String, CliError> {
                 out,
                 "hardened {input}: {} sites ({} full, {} redzone-only, {} eliminated, \
                  {} flow-eliminated, {} interproc-eliminated, {} redundant), \
-                 {} trampolines ({} jmp, {} int3), {} trampoline bytes",
+                 {} trampolines ({} jmp, {} int3), {} trampoline bytes, \
+                 {} register saves, {} flag saves",
                 s.sites_considered,
                 s.sites_lowfat,
                 s.sites_redzone,
@@ -342,7 +343,9 @@ pub fn run_cli(argv: &[String]) -> Result<String, CliError> {
                 s.batches,
                 s.rewrite.jmp_patches,
                 s.rewrite.trap_patches,
-                s.rewrite.trampoline_bytes
+                s.rewrite.trampoline_bytes,
+                s.regs_saved,
+                s.flags_saved
             )
             .ok();
         }

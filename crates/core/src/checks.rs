@@ -21,19 +21,22 @@
 //!
 //! Register discipline: `rax`/`rdx` are forced scratch (the `mul`
 //! computing `ptr / class_size` needs them); three more scratch registers
-//! are chosen from [`CHECK_SCRATCH_CANDIDATES`] avoiding every operand
-//! register of the batch. Live scratch registers are saved on the guest
-//! stack; when `rax`/`rdx` are themselves operand registers of a later
-//! check in the batch, their original values are reloaded from their
-//! stack slots.
+//! are chosen from the 13 [`CHECK_SCRATCH_CANDIDATES`] (every GPR but
+//! `rsp`, `rax` and `rdx`) avoiding every operand register of the batch.
+//! Candidates dead at the anchor come first, so a dead register is
+//! clobbered before a live one is saved; among equals the caller-saved
+//! ones win. Live scratch registers are saved on the guest stack; when
+//! `rax`/`rdx` are themselves operand registers of a later check in the
+//! batch, their original values are reloaded from their stack slots.
 
 use redfat_analysis::MergedCheck;
 use redfat_emu::syscalls;
 use redfat_vm::layout;
 use redfat_x86::{AluOp, Asm, AsmError, Cond, Label, Mem, Reg, ShiftOp, Width};
 
-/// Registers eligible as chosen scratch (beyond the forced `rax`/`rdx`).
-pub const CHECK_SCRATCH_CANDIDATES: [Reg; 7] = [
+/// Registers eligible as chosen scratch (beyond the forced `rax`/`rdx`),
+/// in preference order: caller-saved first, then callee-saved.
+pub const CHECK_SCRATCH_CANDIDATES: [Reg; 13] = [
     Reg::Rcx,
     Reg::Rsi,
     Reg::Rdi,
@@ -41,6 +44,12 @@ pub const CHECK_SCRATCH_CANDIDATES: [Reg; 7] = [
     Reg::R9,
     Reg::R10,
     Reg::R11,
+    Reg::Rbx,
+    Reg::Rbp,
+    Reg::R12,
+    Reg::R13,
+    Reg::R14,
+    Reg::R15,
 ];
 
 /// One check to synthesize, with its policy decision.
@@ -108,11 +117,14 @@ impl BatchPayload {
                 operand_regs |= 1 << r.code();
             }
         }
-        let free: Vec<Reg> = CHECK_SCRATCH_CANDIDATES
+        let mut free: Vec<Reg> = CHECK_SCRATCH_CANDIDATES
             .iter()
             .copied()
             .filter(|r| operand_regs & (1 << r.code()) == 0)
             .collect();
+        // Dead candidates first (a stable sort keeps candidate order
+        // otherwise): each one chosen is a save that never runs.
+        free.sort_by_key(|r| !dead.contains(r));
         if free.len() < 3 {
             return None; // caller splits the batch
         }
@@ -468,6 +480,70 @@ mod tests {
         let insts = redfat_x86::decode_all(&prog.bytes, prog.base);
         let total: usize = insts.iter().map(|(_, _, l)| *l as usize).sum();
         assert_eq!(total, prog.bytes.len(), "payload decodes completely");
+    }
+
+    fn plan_harden(checks: Vec<CheckSpec>, dead: &[Reg]) -> BatchPayload {
+        BatchPayload::plan(checks, dead, false, true, false, PayloadMode::Harden).unwrap()
+    }
+
+    #[test]
+    fn dead_candidates_are_chosen_before_live_ones() {
+        let store = || vec![spec(Mem::base(Reg::Rax), 8, true, true)];
+        // r8 is dead, rcx/rsi/rdi live: r8 is clobbered, not saved.
+        let p = plan_harden(store(), &[Reg::R8]);
+        assert_eq!(p.scratch, (Reg::R8, Reg::Rcx, Reg::Rsi));
+        assert!(p.clobbers.contains(&Reg::R8));
+        assert!(!p.saves.contains(&Reg::R8));
+
+        // Every caller-saved candidate live, rbx dead: rbx is scratch
+        // and costs no save.
+        let p = plan_harden(store(), &[Reg::Rbx]);
+        assert_eq!(p.scratch, (Reg::Rbx, Reg::Rcx, Reg::Rsi));
+        assert_eq!(p.clobbers, vec![Reg::Rbx]);
+        assert_eq!(p.saves, vec![Reg::Rax, Reg::Rdx, Reg::Rcx, Reg::Rsi]);
+    }
+
+    #[test]
+    fn every_dead_candidate_triple_is_chosen_and_encodes() {
+        // The operand's base is rsp, never a candidate, so every triple
+        // of candidates is free; marking one dead makes it the scratch
+        // set. The check body then uses it as base, index and operand in
+        // every position, rbp/r12/r13 included (their ModRM/SIB forms).
+        let c = CHECK_SCRATCH_CANDIDATES;
+        let mut cases = 0;
+        for i in 0..c.len() {
+            for j in i + 1..c.len() {
+                for k in j + 1..c.len() {
+                    let dead = [c[i], c[j], c[k]];
+                    let check = spec(Mem::base_disp(Reg::Rsp, 24), 8, true, true);
+                    let p = plan_harden(vec![check], &dead);
+                    assert_eq!(p.scratch, (c[i], c[j], c[k]));
+                    assert_eq!(p.saves, vec![Reg::Rax, Reg::Rdx]);
+                    assert_eq!(p.clobbers, dead.to_vec());
+
+                    let mut a = Asm::new(redfat_vm::layout::TRAMPOLINE_BASE);
+                    p.emit(&mut a).unwrap();
+                    let prog = a.finish().unwrap();
+                    let insts = redfat_x86::decode_all(&prog.bytes, prog.base);
+                    let total: usize = insts.iter().map(|(_, _, l)| *l as usize).sum();
+                    assert_eq!(total, prog.bytes.len(), "{dead:?}: decodes completely");
+                    // Writes stay inside the scratch set, the forced
+                    // rax/rdx, rsp, and the report stub's rdi/rsi.
+                    for (addr, inst, _) in &insts {
+                        for r in inst.regs_written() {
+                            assert!(
+                                dead.contains(&r)
+                                    || [Reg::Rax, Reg::Rdx, Reg::Rsp, Reg::Rdi, Reg::Rsi]
+                                        .contains(&r),
+                                "{dead:?}: {inst:?} at {addr:#x} writes {r:?}"
+                            );
+                        }
+                    }
+                    cases += 1;
+                }
+            }
+        }
+        assert_eq!(cases, 286);
     }
 
     #[test]

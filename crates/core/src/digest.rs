@@ -66,7 +66,7 @@ impl std::fmt::Debug for Digest {
 /// alter hardened output for the same (image, config) pair; stale
 /// cache entries from older tool revisions then miss by key instead of
 /// serving wrong bytes.
-pub const TOOL_VERSION: &str = concat!("redfat-", env!("CARGO_PKG_VERSION"), "+cache1");
+pub const TOOL_VERSION: &str = concat!("redfat-", env!("CARGO_PKG_VERSION"), "+cache2");
 
 const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,

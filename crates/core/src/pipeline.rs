@@ -70,6 +70,11 @@ pub struct HardenStats {
     pub batches: usize,
     /// Merged checks emitted across all batches.
     pub checks: usize,
+    /// Registers pushed by payload prologues, summed over batches (a
+    /// scratch register dead at its anchor is clobbered instead).
+    pub regs_saved: usize,
+    /// Batches whose payload saves the flags (`pushfq`/`popfq`).
+    pub flags_saved: usize,
     /// Sites skipped because a planned block member no longer decodes
     /// (graceful degradation on corrupt code; zero on well-formed
     /// inputs). Rewriter-level skips are counted separately in
@@ -495,6 +500,8 @@ fn instrument_with_cache(
         stats.sites_lowfat += shard.stats.sites_lowfat;
         stats.sites_redzone += shard.stats.sites_redzone;
         stats.checks += shard.stats.checks;
+        stats.regs_saved += shard.stats.regs_saved;
+        stats.flags_saved += shard.stats.flags_saved;
         stats.sites_skipped += shard.stats.sites_skipped;
         clobbers.extend(shard.clobbers.iter().cloned());
         planned.extend(shard.planned.iter().cloned());
@@ -747,6 +754,8 @@ fn instrument_shard(
         ) {
             Some(p) => {
                 stats.checks += n_specs;
+                stats.regs_saved += p.saves.len();
+                stats.flags_saved += p.save_flags as usize;
                 stats.sites_redundant += batch_redundant;
                 for (n, lowfat) in site_counts {
                     if lowfat {
@@ -780,5 +789,27 @@ fn instrument_shard(
         planned,
         clobbers,
         stats,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_batch_saves_or_clobbers_five_registers() {
+        // A harden-mode payload's save set is rax, rdx and three scratch
+        // registers; each is either pushed (live) or declared clobbered
+        // (dead at the anchor).
+        let image = redfat_workloads::spec::by_name("gcc")
+            .expect("stand-in exists")
+            .image();
+        let h = harden_threaded(&image, &HardenConfig::default(), 1).expect("gcc hardens");
+        let clobbered: usize = h.clobbers.values().map(|c| c.regs.len()).sum();
+        let s = &h.stats;
+        assert!(s.regs_saved > 0 && clobbered > 0, "both occur: {s:?}");
+        assert_eq!(s.regs_saved + clobbered, 5 * s.batches);
+        let flag_clobbers = h.clobbers.values().filter(|c| c.flags).count();
+        assert_eq!(s.flags_saved + flag_clobbers, s.batches);
     }
 }

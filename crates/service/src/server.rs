@@ -419,8 +419,8 @@ pub fn render_harden_stats(s: &HardenStats) -> String {
     format!(
         "sites_considered={}\nsites_eliminated={}\nsites_eliminated_flow={}\n\
          sites_eliminated_interproc={}\nsites_redundant={}\nsites_lowfat={}\n\
-         sites_redzone={}\nbatches={}\nchecks={}\nsites_skipped={}\n\
-         components={}\ncomponents_reused={}\ndegraded={}\n",
+         sites_redzone={}\nbatches={}\nchecks={}\nregs_saved={}\nflags_saved={}\n\
+         sites_skipped={}\ncomponents={}\ncomponents_reused={}\ndegraded={}\n",
         s.sites_considered,
         s.sites_eliminated,
         s.sites_eliminated_flow,
@@ -430,6 +430,8 @@ pub fn render_harden_stats(s: &HardenStats) -> String {
         s.sites_redzone,
         s.batches,
         s.checks,
+        s.regs_saved,
+        s.flags_saved,
         s.sites_skipped,
         s.components,
         s.components_reused,

@@ -6,7 +6,7 @@
 //!    linear sweep does -- including overlapping exec segments, where
 //!    the later segment's instruction wins a shared address.
 //! 2. Block-summary `Liveness` reports, before every instruction, what a
-//!    per-instruction backward iteration to the same fixpoint reports.
+//!    per-instruction backward iteration to the least fixpoint reports.
 
 use redfat_analysis::{disassemble, Cfg, Disasm, Liveness};
 use redfat_elf::{Image, ImageKind, SegFlags, Segment};
@@ -168,10 +168,11 @@ fn disasm_lookups_match_btreemap_reference() {
 type Live = (u16, bool);
 const ALL: Live = (u16::MAX, true);
 
-/// Per-instruction backward liveness: the same reverse-address rounds,
-/// round cap and live-out rule as the analysis (opaque exits, successors
-/// not computed yet and successors with no block read everything), but
-/// every instruction's transfer re-applied in every round.
+/// Per-instruction backward liveness to the least fixpoint: a successor
+/// that starts a block reads that block's current set (empty at first),
+/// and opaque exits and successors with no block read everything. Every
+/// instruction's transfer is re-applied in every round, until a round
+/// changes nothing.
 fn reference_liveness(d: &Disasm, cfg: &Cfg) -> HashMap<u64, Live> {
     let transfer = |inst: &Inst, (mut regs, mut flags): Live| {
         for r in inst.regs_written() {
@@ -194,12 +195,10 @@ fn reference_liveness(d: &Disasm, cfg: &Cfg) -> HashMap<u64, Live> {
             (r | sr, f || sf)
         })
     };
-    let mut live_in: HashMap<u64, Live> = HashMap::new();
+    let mut live_in: HashMap<u64, Live> = cfg.blocks.keys().map(|&b| (b, (0, false))).collect();
     let mut changed = true;
-    let mut rounds = 0;
-    while changed && rounds < 64 {
+    while changed {
         changed = false;
-        rounds += 1;
         for (&start, block) in cfg.blocks.iter().rev() {
             let mut live = live_out(block, &live_in);
             for &addr in block.insts.iter().rev() {
