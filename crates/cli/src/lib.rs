@@ -99,7 +99,8 @@ commands:
 
 `harden`, `analyze`, and `selftest` accept --threads N to set the worker
 thread count (falls back to the REDFAT_THREADS environment variable, then
-to the available parallelism).
+to the available parallelism). Every command prints this text for -h or
+--help and rejects a flag not listed here.
 
 harden options:
   --allowlist <allow.lst>   full check only on listed sites (Fig. 5 step 2)
@@ -136,6 +137,32 @@ const VALUE_FLAGS: [&str; 12] = [
     "--alloc-policy",
 ];
 
+/// Flags that take no value.
+const SWITCH_FLAGS: [&str; 19] = [
+    "-h",
+    "--help",
+    "--callgraph",
+    "--faults",
+    "--interproc",
+    "--log",
+    "--lowfat-only",
+    "--memcheck",
+    "--no-batch",
+    "--no-elim",
+    "--no-flow",
+    "--no-merge",
+    "--no-redundant",
+    "--no-size",
+    "--quick",
+    "--redzone-only",
+    "--stats",
+    "--strip",
+    "--writes-only",
+];
+
+/// Splits `argv` into positional arguments and flags. A flag outside
+/// [`VALUE_FLAGS`] and [`SWITCH_FLAGS`] is an error, so a typo fails
+/// at once instead of being ignored.
 fn parse_args(argv: &[String]) -> Result<Args, CliError> {
     let mut positional = Vec::new();
     let mut flags = std::collections::BTreeMap::new();
@@ -147,8 +174,10 @@ fn parse_args(argv: &[String]) -> Result<Args, CliError> {
                     .next()
                     .ok_or_else(|| err(format!("{a} requires a value")))?;
                 flags.insert(a.clone(), Some(v.clone()));
-            } else {
+            } else if SWITCH_FLAGS.contains(&a.as_str()) {
                 flags.insert(a.clone(), None);
+            } else {
+                return Err(err(format!("unknown flag {a} (see `redfat --help`)")));
             }
         } else {
             positional.push(a.clone());
@@ -301,6 +330,10 @@ pub fn run_cli(argv: &[String]) -> Result<String, CliError> {
     };
     let args = parse_args(rest)?;
     let mut out = String::new();
+    if args.has("-h") || args.has("--help") {
+        writeln!(out, "{USAGE}").ok();
+        return Ok(out);
+    }
 
     match cmd.as_str() {
         "compile" => {

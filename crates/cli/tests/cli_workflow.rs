@@ -227,6 +227,21 @@ fn harden_flags_change_the_plan() {
 
     // Unknown flags/commands fail cleanly.
     assert!(run_cli(&args(&["frobnicate"])).is_err());
+    let typo_out = dir.join("typo.hard");
+    let e = run_cli(&args(&[
+        "harden",
+        elf.to_str().unwrap(),
+        "-o",
+        typo_out.to_str().unwrap(),
+        "--no-elmi",
+    ]))
+    .unwrap_err();
+    assert!(
+        e.message.contains("unknown flag --no-elmi"),
+        "{}",
+        e.message
+    );
+    assert!(!typo_out.exists(), "a rejected flag writes no output");
     assert!(run_cli(&args(&["run", "/nonexistent.elf"])).is_err());
     for gone in ["superblock", "trace"] {
         let e = run_cli(&args(&["run", elf.to_str().unwrap(), "--backend", gone])).unwrap_err();
@@ -323,4 +338,18 @@ fn error_symbolization_names_the_function() {
     ]))
     .unwrap();
     assert!(out.contains("in vulnerable+"), "{out}");
+}
+
+#[test]
+fn selftest_rejects_unknown_flags_and_answers_help_without_running() {
+    // A typo must not fall through to the full-length selftest.
+    let e = run_cli(&args(&["selftest", "--qiuck"])).unwrap_err();
+    assert!(e.message.contains("--qiuck"), "{}", e.message);
+    assert_eq!(e.code, 1);
+    let usage = run_cli(&args(&["--help"])).expect("help succeeds");
+    assert!(usage.starts_with("usage: redfat"), "{usage}");
+    for help in ["--help", "-h"] {
+        let out = run_cli(&args(&["selftest", help])).expect("help succeeds");
+        assert_eq!(out, usage, "selftest {help} prints usage and runs nothing");
+    }
 }

@@ -9,7 +9,11 @@
 //! read as "equal input" throughout the cache layer.
 //!
 //! The implementation is an in-tree SHA-256 (FIPS 180-4); the workspace
-//! builds offline, so no external hashing crate is available.
+//! builds offline, so no external hashing crate is available. Whole
+//! 64-byte blocks go through the x86-64 SHA extensions when the CPU
+//! reports them at run time, and through a portable compression
+//! function otherwise; the two agree bit for bit, so keys and on-disk
+//! entries do not depend on the host.
 
 use redfat_elf::Image;
 
@@ -93,6 +97,10 @@ impl Default for Sha256 {
     }
 }
 
+/// A compression function over whole 64-byte blocks: the dispatching
+/// [`compress_blocks`] or the portable [`compress_portable`].
+type Compress = fn(&mut [u32; 8], &[[u8; 64]]);
+
 impl Sha256 {
     /// Fresh hasher with the FIPS 180-4 initial state.
     pub fn new() -> Sha256 {
@@ -109,103 +117,245 @@ impl Sha256 {
 
     /// Absorbs `data`.
     pub fn update(&mut self, data: &[u8]) {
-        self.total_bytes = self.total_bytes.wrapping_add(data.len() as u64);
-        let mut rest = data;
-        if self.buf_len > 0 {
-            let need = 64 - self.buf_len;
-            let take = need.min(rest.len());
-            self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&rest[..take]);
-            self.buf_len += take;
-            rest = &rest[take..];
-            if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
-            } else {
-                // Buffer still partial: `rest` is necessarily empty
-                // (take == rest.len()), and falling through would reset
-                // buf_len from rest.len() and drop the buffered bytes.
-                return;
-            }
-        }
-        while rest.len() >= 64 {
-            let (block, tail) = rest.split_at(64);
-            let mut b = [0u8; 64];
-            b.copy_from_slice(block);
-            self.compress(&b);
-            rest = tail;
-        }
-        self.buf[..rest.len()].copy_from_slice(rest);
-        self.buf_len = rest.len();
+        self.absorb(data, compress_blocks);
     }
 
-    /// Absorbs a length-prefixed little-endian `u64` (the canonical way
-    /// structured fields enter a digest, so adjacent fields cannot
-    /// alias across a boundary).
+    /// Absorbs a little-endian `u64`: eight bytes, no length prefix.
+    /// Structured fields enter a digest this way; a variable-length
+    /// field needs its length absorbed in front of it to keep adjacent
+    /// fields from aliasing across their boundary.
     pub fn update_u64(&mut self, v: u64) {
         self.update(&v.to_le_bytes());
     }
 
     /// Finalizes and returns the digest.
-    pub fn finalize(mut self) -> Digest {
-        let bit_len = self.total_bytes.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
+    pub fn finalize(self) -> Digest {
+        self.finish(compress_blocks)
+    }
+
+    /// [`Sha256::update`] through the compression function `compress`:
+    /// tops up a partly filled buffer, hands every further whole block
+    /// to `compress` in one call and keeps the tail.
+    fn absorb(&mut self, data: &[u8], compress: Compress) {
+        self.total_bytes = self.total_bytes.wrapping_add(data.len() as u64);
+        let mut rest = data;
+        if self.buf_len > 0 {
+            let take = (64 - self.buf_len).min(rest.len());
+            self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&rest[..take]);
+            self.buf_len += take;
+            rest = &rest[take..];
+            if self.buf_len < 64 {
+                // Still partial, so `data` is used up.
+                return;
+            }
+            compress(&mut self.state, std::slice::from_ref(&self.buf));
+            self.buf_len = 0;
         }
-        // Manual length append: update() would recount these 8 bytes.
-        self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        let block = self.buf;
-        self.compress(&block);
+        let (blocks, tail) = rest.as_chunks::<64>();
+        if !blocks.is_empty() {
+            compress(&mut self.state, blocks);
+        }
+        self.buf[..tail.len()].copy_from_slice(tail);
+        self.buf_len = tail.len();
+    }
+
+    /// [`Sha256::finalize`] through the compression function `compress`.
+    fn finish(mut self, compress: Compress) -> Digest {
+        // Padding: 0x80, zeros, then the message length in bits as a
+        // big-endian u64 in the last 8 bytes of a block. It takes a
+        // second block when the buffered tail leaves fewer than 9 bytes.
+        let bit_len = self.total_bytes.wrapping_mul(8);
+        let mut pad = [[0u8; 64]; 2];
+        let n = self.buf_len;
+        pad[0][..n].copy_from_slice(&self.buf[..n]);
+        pad[0][n] = 0x80;
+        let used = if n < 56 { 1 } else { 2 };
+        pad[used - 1][56..].copy_from_slice(&bit_len.to_be_bytes());
+        compress(&mut self.state, &pad[..used]);
         let mut out = [0u8; 32];
         for (i, w) in self.state.iter().enumerate() {
             out[i * 4..i * 4 + 4].copy_from_slice(&w.to_be_bytes());
         }
         Digest(out)
     }
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 64];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+/// Compresses `blocks` into `state`: with the x86-64 SHA extensions
+/// when the CPU reports them at run time, else with the portable
+/// [`compress`]. Both compute FIPS 180-4's compression function, so
+/// the digest does not depend on the CPU.
+#[allow(unsafe_code)]
+fn compress_blocks(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+    #[cfg(target_arch = "x86_64")]
+    if shani::detected() {
+        // SAFETY: `shani::detected` has just confirmed, through
+        // `is_x86_feature_detected!`, that this CPU supports sha, sse2,
+        // ssse3 and sse4.1: every feature `shani::compress_blocks` is
+        // compiled with, and its only precondition.
+        unsafe { shani::compress_blocks(state, blocks) };
+        return;
+    }
+    compress_portable(state, blocks);
+}
+
+/// The portable compression of whole blocks: the fallback on CPUs
+/// without SHA extensions and the reference the tests hold the
+/// hardware path to.
+fn compress_portable(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+    for block in blocks {
+        compress(state, block);
+    }
+}
+
+fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+    let mut w = [0u32; 64];
+    for (i, chunk) in block.chunks_exact(4).enumerate() {
+        w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+    }
+    for i in 16..64 {
+        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16]
+            .wrapping_add(s0)
+            .wrapping_add(w[i - 7])
+            .wrapping_add(s1);
+    }
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    for i in 0..64 {
+        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ (!e & g);
+        let t1 = h
+            .wrapping_add(s1)
+            .wrapping_add(ch)
+            .wrapping_add(K[i])
+            .wrapping_add(w[i]);
+        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let t2 = s0.wrapping_add(maj);
+        h = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(t1);
+        d = c;
+        c = b;
+        b = a;
+        a = t1.wrapping_add(t2);
+    }
+    for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        *s = s.wrapping_add(v);
+    }
+}
+
+/// The SHA-NI compression path (Intel SHA extensions). The state lives
+/// in two registers, ABEF and CDGH, the order `sha256rnds2` works on;
+/// each `sha256rnds2` runs two rounds, and `sha256msg1`/`sha256msg2`
+/// extend the message schedule four words at a time.
+#[cfg(target_arch = "x86_64")]
+mod shani {
+    use super::K;
+    use std::arch::x86_64::{
+        __m128i, _mm_add_epi32, _mm_alignr_epi8, _mm_blend_epi16, _mm_extract_epi32, _mm_set_epi32,
+        _mm_sha256msg1_epu32, _mm_sha256msg2_epu32, _mm_sha256rnds2_epu32, _mm_shuffle_epi32,
+    };
+
+    /// Whether this CPU supports every feature [`compress_blocks`] is
+    /// compiled with.
+    pub(super) fn detected() -> bool {
+        is_x86_feature_detected!("sha")
+            && is_x86_feature_detected!("sse2")
+            && is_x86_feature_detected!("ssse3")
+            && is_x86_feature_detected!("sse4.1")
+    }
+
+    /// The four big-endian message words `4 * i .. 4 * i + 4` of
+    /// `block`, word `4 * i` in the lowest lane.
+    macro_rules! words {
+        ($block:expr, $i:expr) => {{
+            let (w, _) = $block.as_chunks::<4>();
+            let be = |j: usize| u32::from_be_bytes(w[4 * $i + j]) as i32;
+            _mm_set_epi32(be(3), be(2), be(1), be(0))
+        }};
+    }
+
+    /// Rounds `4 * i .. 4 * i + 4` on message words `w`.
+    macro_rules! rounds4 {
+        ($abef:ident, $cdgh:ident, $w:expr, $i:expr) => {{
+            let k = _mm_set_epi32(
+                K[4 * $i + 3] as i32,
+                K[4 * $i + 2] as i32,
+                K[4 * $i + 1] as i32,
+                K[4 * $i] as i32,
+            );
+            let wk = _mm_add_epi32($w, k);
+            $cdgh = _mm_sha256rnds2_epu32($cdgh, $abef, wk);
+            $abef = _mm_sha256rnds2_epu32($abef, $cdgh, _mm_shuffle_epi32::<0x0E>(wk));
+        }};
+    }
+
+    /// The next four schedule words from the previous sixteen, oldest
+    /// group first.
+    macro_rules! schedule {
+        ($w0:expr, $w1:expr, $w2:expr, $w3:expr) => {{
+            let t = _mm_add_epi32(
+                _mm_sha256msg1_epu32($w0, $w1),
+                _mm_alignr_epi8::<4>($w3, $w2),
+            );
+            _mm_sha256msg2_epu32(t, $w3)
+        }};
+    }
+
+    /// Compresses `blocks` into `state`.
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    pub(super) fn compress_blocks(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+        let s = |i: usize| state[i] as i32;
+        let dcba = _mm_set_epi32(s(3), s(2), s(1), s(0));
+        let hgfe = _mm_set_epi32(s(7), s(6), s(5), s(4));
+        let cdab = _mm_shuffle_epi32::<0xB1>(dcba);
+        let efgh = _mm_shuffle_epi32::<0x1B>(hgfe);
+        let mut abef: __m128i = _mm_alignr_epi8::<8>(cdab, efgh);
+        let mut cdgh: __m128i = _mm_blend_epi16::<0xF0>(efgh, cdab);
+
+        for block in blocks {
+            let (abef_in, cdgh_in) = (abef, cdgh);
+            let mut w0 = words!(block, 0);
+            let mut w1 = words!(block, 1);
+            let mut w2 = words!(block, 2);
+            let mut w3 = words!(block, 3);
+            rounds4!(abef, cdgh, w0, 0);
+            rounds4!(abef, cdgh, w1, 1);
+            rounds4!(abef, cdgh, w2, 2);
+            rounds4!(abef, cdgh, w3, 3);
+            for group in (4..16).step_by(4) {
+                w0 = schedule!(w0, w1, w2, w3);
+                rounds4!(abef, cdgh, w0, group);
+                w1 = schedule!(w1, w2, w3, w0);
+                rounds4!(abef, cdgh, w1, group + 1);
+                w2 = schedule!(w2, w3, w0, w1);
+                rounds4!(abef, cdgh, w2, group + 2);
+                w3 = schedule!(w3, w0, w1, w2);
+                rounds4!(abef, cdgh, w3, group + 3);
+            }
+            abef = _mm_add_epi32(abef, abef_in);
+            cdgh = _mm_add_epi32(cdgh, cdgh_in);
         }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
+
+        let feba = _mm_shuffle_epi32::<0x1B>(abef);
+        let dchg = _mm_shuffle_epi32::<0xB1>(cdgh);
+        let dcba = _mm_blend_epi16::<0xF0>(feba, dchg);
+        let hgef = _mm_alignr_epi8::<8>(dchg, feba);
+        let out = [
+            _mm_extract_epi32::<0>(dcba),
+            _mm_extract_epi32::<1>(dcba),
+            _mm_extract_epi32::<2>(dcba),
+            _mm_extract_epi32::<3>(dcba),
+            _mm_extract_epi32::<0>(hgef),
+            _mm_extract_epi32::<1>(hgef),
+            _mm_extract_epi32::<2>(hgef),
+            _mm_extract_epi32::<3>(hgef),
+        ];
+        for (s, v) in state.iter_mut().zip(out) {
+            *s = v as u32;
         }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let t1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
     }
 }
 
@@ -226,20 +376,58 @@ pub fn image_digest(image: &Image) -> Digest {
 mod tests {
     use super::*;
 
+    /// Both compression paths, named: on a CPU without SHA extensions
+    /// the dispatching one runs the portable code too.
+    const PATHS: [(&str, Compress); 2] = [
+        ("portable", compress_portable),
+        ("dispatch", compress_blocks),
+    ];
+
+    /// The digest of `parts`, absorbed in order through `compress`.
+    fn digest_with(compress: Compress, parts: &[&[u8]]) -> Digest {
+        let mut h = Sha256::new();
+        for part in parts {
+            h.absorb(part, compress);
+        }
+        h.finish(compress)
+    }
+
+    /// `n` seeded pseudo-random bytes (splitmix64).
+    fn seeded_bytes(seed: u64, n: usize) -> Vec<u8> {
+        let mut x = seed;
+        (0..n)
+            .map(|_| {
+                x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = x;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                (z ^ (z >> 31)) as u8
+            })
+            .collect()
+    }
+
     #[test]
     fn known_answers() {
-        assert_eq!(
-            sha256(b"").to_hex(),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-        );
-        assert_eq!(
-            sha256(b"abc").to_hex(),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-        );
-        assert_eq!(
-            sha256(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq").to_hex(),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
-        );
+        let vectors: [(&[u8], &str); 3] = [
+            (
+                b"",
+                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            ),
+            (
+                b"abc",
+                "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
+            ),
+            (
+                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+                "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+            ),
+        ];
+        for (data, want) in vectors {
+            assert_eq!(sha256(data).to_hex(), want);
+            for (name, compress) in PATHS {
+                assert_eq!(digest_with(compress, &[data]).to_hex(), want, "{name}");
+            }
+        }
     }
 
     #[test]
@@ -256,15 +444,33 @@ mod tests {
     #[test]
     fn million_a() {
         // FIPS 180-4 long known-answer: 1,000,000 x 'a'.
-        let mut h = Sha256::new();
-        let chunk = [b'a'; 1000];
-        for _ in 0..1000 {
-            h.update(&chunk);
+        let chunk: &[u8] = &[b'a'; 1000];
+        for (name, compress) in PATHS {
+            assert_eq!(
+                digest_with(compress, &[chunk; 1000]).to_hex(),
+                "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
+                "{name}"
+            );
         }
-        assert_eq!(
-            h.finalize().to_hex(),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-        );
+    }
+
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn hardware_path_matches_portable_reference() {
+        if !shani::detected() {
+            eprintln!("skipped: this CPU lacks the SHA extensions, so no hardware path runs");
+            return;
+        }
+        // Detected, so the dispatch runs the hardware path.
+        for len in 0..=300 {
+            let data = seeded_bytes(len as u64, len);
+            let want = digest_with(compress_portable, &[&data]);
+            for split in [0, 1, len / 3, len / 2, len.saturating_sub(1), len] {
+                let (head, tail) = data.split_at(split.min(len));
+                let got = digest_with(compress_blocks, &[head, tail]);
+                assert_eq!(got, want, "length {len}, split {split}");
+            }
+        }
     }
 
     #[test]

@@ -25,6 +25,11 @@
 // panics: the pipeline feeds a long-running daemon. Deliberate
 // exceptions carry an `allow` with a safety comment at the site.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+// The one `unsafe` block is the SHA-256 hardware dispatch in `digest`,
+// which carries its own `allow` and a `SAFETY:` comment naming the
+// run-time feature detection it relies on.
+#![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 mod allowlist;
 mod cache;

@@ -292,12 +292,17 @@ pub fn harden_cached(
 
 /// The digest prefix shared by every component key of one (image,
 /// config, mode) run: tool version, canonical config, payload mode,
-/// and -- when interprocedural summaries are enabled -- the whole-image
-/// digest. Summaries are a whole-image fixpoint handed to every shard,
-/// so under `interproc` a component's plan can depend on bytes outside
-/// the component; folding the image digest into the prefix keeps the
-/// key sound at the cost of degrading reuse to whole-image granularity
-/// for that (non-default) configuration.
+/// and -- when interprocedural summaries are enabled or an executable
+/// segment overlaps another segment -- the whole-image digest.
+/// Summaries are a whole-image fixpoint handed to every shard, so under
+/// `interproc` a component's plan can depend on bytes outside the
+/// component. Where segments overlap, the bytes at an address are no
+/// longer one segment's: the disassembler keeps the instruction decoded
+/// last, while a key reads the first segment holding the address.
+/// Folding the image digest into the prefix keeps the key sound in both
+/// cases at the cost of degrading reuse to whole-image granularity: for
+/// `interproc`, a non-default configuration, and for overlapping
+/// segments, which the loader rejects (`LoadError::SegmentOverlap`).
 fn cache_prefix(image: &Image, config: &HardenConfig, mode: PayloadMode) -> Digest {
     let mut h = Sha256::new();
     let tool = TOOL_VERSION.as_bytes();
@@ -310,20 +315,52 @@ fn cache_prefix(image: &Image, config: &HardenConfig, mode: PayloadMode) -> Dige
         PayloadMode::Harden => 1,
         PayloadMode::Profile => 2,
     }]);
-    if config.interproc {
+    if config.interproc || exec_segment_overlaps(image) {
         h.update(image_digest(image).as_bytes());
     }
     h.finalize()
 }
 
+/// Whether an executable segment overlaps another segment. Extents are
+/// measured as the loader measures them: the larger of file and memory
+/// size, with empty segments skipped.
+fn exec_segment_overlaps(image: &Image) -> bool {
+    let extents: Vec<(bool, u64, u64)> = image
+        .segments
+        .iter()
+        .map(|s| {
+            let size = s.mem_size.max(s.data.len() as u64);
+            (s.flags.executable(), s.vaddr, s.vaddr.saturating_add(size))
+        })
+        .collect();
+    extents.iter().enumerate().any(|(i, &(exec, lo, hi))| {
+        exec && lo < hi
+            && extents
+                .iter()
+                .enumerate()
+                .any(|(j, &(_, olo, ohi))| i != j && olo < ohi && lo < ohi && olo < hi)
+    })
+}
+
 /// The content key for one component: the run prefix plus every input
-/// the shard analysis can observe -- block structure, member
-/// instruction addresses and raw bytes, successor edges, opaque exits,
-/// and the restrictions of the global root/leader/function-entry sets
-/// to this component. A byte change anywhere in the component (or in
-/// context it can see) changes the key; a change elsewhere in the
-/// image leaves it untouched, which is exactly the incremental-reuse
-/// granularity.
+/// the shard analysis can observe. Each block enters as
+///
+/// - one structure record: start, member count, end (one past the last
+///   member's last byte), successors, the opaque-exit flag, the global
+///   leaders in `[start, end)` (block splits seen by in-block planning),
+///   and the unknown-entry roots and function entries among its
+///   members, each list found by one range over the block's own span
+///   and preceded by its length;
+/// - one byte per member: its length, 0 if it no longer decodes, with
+///   the top bit set when the member does not start where the previous
+///   one ended -- its address then follows -- so the encoding stays
+///   unambiguous;
+/// - its code bytes: in one `update` for the usual block, whose members
+///   run back to back (see [`update_code`]).
+///
+/// A byte change anywhere in the component (or in context it can see)
+/// changes the key; a change elsewhere in the image leaves it
+/// untouched, which is exactly the incremental-reuse granularity.
 fn component_key(
     prefix: &Digest,
     disasm: &Disasm,
@@ -334,81 +371,106 @@ fn component_key(
     let mut h = Sha256::new();
     h.update(prefix.as_bytes());
     h.update_u64(sub.blocks.len() as u64);
+    let mut lens: Vec<u8> = Vec::new();
+    let mut runs: Vec<(u64, u64)> = Vec::new();
+    let mut record: Vec<u8> = Vec::new();
     for block in sub.blocks.values() {
-        h.update_u64(block.start);
-        h.update_u64(block.insts.len() as u64);
-        let mut block_end = block.start;
+        // Members ascend from `block.start` by construction; `runs`
+        // collects the address ranges of back-to-back decodable ones.
+        lens.clear();
+        runs.clear();
+        let mut expected = Some(block.start);
+        let mut end = block.start;
         for &addr in &block.insts {
-            h.update_u64(addr);
-            match disasm.at(addr) {
-                Some(&(_, len)) => {
-                    h.update_u64(len as u64);
-                    match image.read_bytes(addr, len as usize) {
-                        Some(bytes) => h.update(bytes),
-                        // Unreadable bytes for a decoded instruction
-                        // cannot happen (decode read them); a distinct
-                        // marker keeps the encoding total anyway.
-                        None => h.update(&[0xFF]),
-                    }
-                    block_end = block_end.max(addr.saturating_add(len as u64));
-                }
-                // Member no longer decodes: the shard degrades to
-                // skip-and-record, which the key must distinguish from
-                // a decodable member.
-                None => h.update_u64(u64::MAX),
+            let len = disasm.at(addr).map_or(0, |&(_, len)| len);
+            if expected == Some(addr) {
+                lens.push(len);
+            } else {
+                lens.push(0x80 | len);
+                lens.extend_from_slice(&addr.to_le_bytes());
+            }
+            // A member that no longer decodes degrades the shard to
+            // skip-and-record and ends the run; it spans one byte.
+            let next = addr.saturating_add(u64::from(len.max(1)));
+            end = end.max(next);
+            expected = (len > 0).then_some(next);
+            match runs.last_mut() {
+                Some(run) if run.1 == addr && len > 0 => run.1 = next,
+                _ if len > 0 => runs.push((addr, next)),
+                _ => {}
             }
         }
-        h.update_u64(block.succs.len() as u64);
-        for &s in &block.succs {
-            h.update_u64(s);
+        record.clear();
+        for v in [block.start, block.insts.len() as u64, end] {
+            record.extend_from_slice(&v.to_le_bytes());
         }
-        h.update(&[u8::from(block.opaque_exit)]);
-        // Global leaders landing inside this block's byte span (block
-        // splits seen by in-block planning).
-        for &l in sub.leaders.range(block.start..block_end) {
-            h.update_u64(l);
+        put_list(&mut record, block.succs.iter().copied());
+        record.push(u8::from(block.opaque_exit));
+        put_list(&mut record, sub.leaders.range(block.start..end).copied());
+        // `None` (the analyses that need roots are disabled) must hash
+        // differently from "enabled with no roots in this block".
+        match roots {
+            Some(roots) => put_list(&mut record, members_in(roots, block, end)),
+            None => record.extend_from_slice(&u64::MAX.to_le_bytes()),
         }
-        h.update_u64(u64::MAX); // leader-list terminator
-    }
-    // Unknown-entry roots this component's analyses can see. `None`
-    // (analyses that need roots are disabled) must hash differently
-    // from "enabled with no roots in this component".
-    match roots {
-        Some(roots) => {
-            let in_comp = in_component(roots, sub);
-            h.update_u64(in_comp.len() as u64);
-            for r in in_comp {
-                h.update_u64(r);
-            }
+        put_list(&mut record, members_in(&sub.func_entries, block, end));
+        record.extend_from_slice(&lens);
+        h.update(&record);
+        for &(lo, hi) in &runs {
+            update_code(&mut h, image, lo, hi);
         }
-        None => h.update_u64(u64::MAX),
-    }
-    // Function entries inside the component (call-boundary context for
-    // the flow/redundant analyses).
-    let entries = in_component(&sub.func_entries, sub);
-    h.update_u64(entries.len() as u64);
-    for e in entries {
-        h.update_u64(e);
     }
     h.finalize()
 }
 
-/// The addresses of `set` that `sub.block_of` places in a block of the
-/// component, ascending. Each block's address span is looked up in
-/// `set`, so the cost follows the component's size, not the image's.
-fn in_component(set: &BTreeSet<u64>, sub: &Cfg) -> Vec<u64> {
-    let mut out: Vec<u64> = sub
-        .blocks
-        .values()
-        .flat_map(|b| {
-            let last = b.insts.last().map_or(b.start, |&a| a.max(b.start));
-            set.range(b.start..=last).copied()
-        })
-        .filter(|&a| sub.block_of(a).is_some())
-        .collect();
-    out.sort_unstable();
-    out.dedup();
-    out
+/// The addresses of `set` that are members of `block`, whose members
+/// lie in `[block.start, end)`.
+fn members_in<'a>(
+    set: &'a BTreeSet<u64>,
+    block: &'a Block,
+    end: u64,
+) -> impl Iterator<Item = u64> + 'a {
+    set.range(block.start..end)
+        .copied()
+        .filter(|a| block.insts.binary_search(a).is_ok())
+}
+
+/// Appends `items` to `record` as a little-endian `u64` count followed
+/// by the items.
+fn put_list(record: &mut Vec<u8>, items: impl Iterator<Item = u64>) {
+    let at = record.len();
+    record.extend_from_slice(&0u64.to_le_bytes());
+    let mut count = 0u64;
+    for item in items {
+        record.extend_from_slice(&item.to_le_bytes());
+        count += 1;
+    }
+    record[at..at + 8].copy_from_slice(&count.to_le_bytes());
+}
+
+/// Absorbs the code bytes in `[lo, hi)` from the data of the executable
+/// segments, where the disassembler decoded them: one `update` when one
+/// segment holds the range, one per segment when it runs from one
+/// segment into the next, so every byte is hashed from the segment it
+/// lies in.
+fn update_code(h: &mut Sha256, image: &Image, mut lo: u64, hi: u64) {
+    while lo < hi {
+        let piece = image.exec_segments().find_map(|seg| {
+            let off = usize::try_from(lo.checked_sub(seg.vaddr)?).ok()?;
+            let data = seg.data.get(off..)?;
+            let len = usize::try_from(hi - lo).map_or(data.len(), |n| n.min(data.len()));
+            (len > 0).then(|| &data[..len])
+        });
+        let Some(bytes) = piece else {
+            // Decodable members lie in executable segment data, so this
+            // cannot happen for a recovered block; a marker keeps the
+            // encoding total anyway.
+            h.update_u64(u64::MAX);
+            return;
+        };
+        h.update(bytes);
+        lo += bytes.len() as u64;
+    }
 }
 
 fn instrument(

@@ -1,11 +1,15 @@
 //! Golden tests for incremental re-hardening: warm component-cache
 //! runs must do zero analysis and a one-component byte edit must
 //! re-analyze exactly that component, with output byte-identical to a
-//! cold run -- across every SPEC stand-in.
+//! cold run -- across every SPEC stand-in. Hand-built images with
+//! overlapping or adjacent code segments pin down which bytes a
+//! component key covers.
 
 use redfat_analysis::{disassemble, unknown_entries, Cfg};
 use redfat_core::{harden_cached, HardenConfig, MemoryComponentCache};
-use redfat_elf::Image;
+use redfat_elf::{Image, ImageKind, SegFlags, Segment};
+use redfat_vm::layout::CODE_BASE;
+use redfat_x86::{Asm, Mem, Reg, Width};
 
 /// Finds a single-byte mutation of `image` that changes instruction
 /// *content* but not structure: identical decode boundaries, identical
@@ -154,4 +158,95 @@ fn interproc_config_degrades_reuse_to_whole_image_soundly() {
     let cold_cache = MemoryComponentCache::new();
     let cold2 = harden_cached(&mutated, &config, 2, &cold_cache).expect("mutated cold");
     assert_eq!(incr.image.to_bytes(), cold2.image.to_bytes());
+}
+
+/// Code at `base`: the instructions `body` emits.
+fn code_at(base: u64, body: impl FnOnce(&mut Asm)) -> Vec<u8> {
+    let mut a = Asm::new(base);
+    body(&mut a);
+    a.finish().expect("assembles").bytes
+}
+
+/// `mov %rax, 0x40(%base); ret` at `at`: a heap-reachable store whose
+/// check depends on the base register.
+fn store_ret(at: u64, base: Reg) -> Vec<u8> {
+    code_at(at, |a| {
+        a.mov_mr(Width::W64, Mem::base_disp(base, 0x40), Reg::Rax);
+        a.ret();
+    })
+}
+
+/// An executable image entered at `CODE_BASE` with the given RX
+/// segments.
+fn rx_image(segments: Vec<(u64, Vec<u8>)>) -> Image {
+    Image {
+        kind: ImageKind::Exec,
+        entry: CODE_BASE,
+        segments: segments
+            .into_iter()
+            .map(|(vaddr, code)| Segment::new(vaddr, SegFlags::RX, code))
+            .collect(),
+        symbols: vec![],
+    }
+}
+
+/// Hardens `first` and then `second` through one cache, and checks that
+/// the warm run of `second` reuses nothing and matches a cold harden of
+/// it byte for byte.
+fn assert_no_stale_reuse(first: &Image, second: &Image) {
+    let config = HardenConfig::default();
+    let cache = MemoryComponentCache::new();
+    let primed = harden_cached(first, &config, 1, &cache).expect("first harden");
+    assert!(primed.stats.checks > 0, "the store is instrumented");
+    let warm = harden_cached(second, &config, 1, &cache).expect("warm harden");
+    let cold = harden_cached(second, &config, 1, &MemoryComponentCache::new()).expect("cold");
+    assert_ne!(
+        primed.image.to_bytes(),
+        cold.image.to_bytes(),
+        "the two images harden differently"
+    );
+    assert_eq!(
+        warm.stats.components_reused, 0,
+        "a changed component must not reuse the other image's plan"
+    );
+    assert_eq!(warm.image.to_bytes(), cold.image.to_bytes());
+}
+
+#[test]
+fn overlapping_code_segments_never_serve_a_stale_plan() {
+    // Both images share the first RX segment; the second sits on top of
+    // it and differs in the store's base register. The disassembler
+    // keeps the instruction decoded last, so the two plans differ,
+    // while a lookup by address reads the shared first segment.
+    let shared = store_ret(CODE_BASE, Reg::Rcx);
+    let over_rcx = rx_image(vec![
+        (CODE_BASE, shared.clone()),
+        (CODE_BASE, store_ret(CODE_BASE, Reg::Rcx)),
+    ]);
+    let over_rdx = rx_image(vec![
+        (CODE_BASE, shared),
+        (CODE_BASE, store_ret(CODE_BASE, Reg::Rdx)),
+    ]);
+    assert_no_stale_reuse(&over_rcx, &over_rdx);
+}
+
+#[test]
+fn a_block_across_adjacent_code_segments_hashes_both_segments() {
+    // One block runs from the first RX segment into the second, which
+    // starts where the first ends; the images differ only in the
+    // second segment's store.
+    let head = code_at(CODE_BASE, |a| a.mov_ri(Width::W32, Reg::Rsi, 1));
+    let tail_at = CODE_BASE + head.len() as u64;
+    let image = |base| {
+        rx_image(vec![
+            (CODE_BASE, head.clone()),
+            (tail_at, store_ret(tail_at, base)),
+        ])
+    };
+    let (with_rcx, with_rdx) = (image(Reg::Rcx), image(Reg::Rdx));
+    let d = disassemble(&with_rcx);
+    let cfg = Cfg::recover(&d, with_rcx.entry, &[]);
+    assert_eq!(cfg.blocks.len(), 1, "one block spans both segments");
+    assert_eq!(cfg.blocks[&CODE_BASE].insts.len(), 3);
+    assert_no_stale_reuse(&with_rcx, &with_rdx);
 }
