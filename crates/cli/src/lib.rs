@@ -22,7 +22,7 @@ use redfat_core::{
     AllowList, HardenConfig, LowFatPolicy,
 };
 use redfat_elf::Image;
-use redfat_emu::{AllocPolicyKind, Emu, ErrorMode, ExecBackend, RunResult};
+use redfat_emu::{AllocPolicyKind, Counters, Emu, ErrorMode, ExecBackend, RunResult, TraceStats};
 use redfat_memcheck::MemcheckRuntime;
 use redfat_parallel::resolve_threads;
 use std::fmt::Write as _;
@@ -66,7 +66,11 @@ commands:
           [--alloc-policy lowfat|rand-lowfat]
                                        --backend selects the execution tier
                                        (default step); --stats prints the
-                                       translation-cache counters afterwards;
+                                       run's event counters (loads, stores,
+                                       taken branches, transfers, region
+                                       crossings, syscalls, int3 traps) and
+                                       the translation-cache counters
+                                       afterwards;
                                        --alloc-policy selects the heap backend
                                        (default lowfat)
   disasm  <in.elf>                     linear disassembly of code segments
@@ -473,15 +477,8 @@ pub fn run_cli(argv: &[String]) -> Result<String, CliError> {
                 for e in &emu.runtime.errors {
                     writeln!(out, "memcheck error: {e}").ok();
                 }
-                writeln!(
-                    out,
-                    "instructions {}  cycles {}",
-                    emu.counters.instructions, emu.counters.cycles
-                )
-                .ok();
-                if args.has("--stats") {
-                    writeln!(out, "trace-cache: {}", emu.trace_stats()).ok();
-                }
+                let stats = args.has("--stats");
+                write_run_counters(&mut out, &emu.counters, &emu.trace_stats(), stats);
             } else {
                 let mode = if args.has("--log") {
                     ErrorMode::Log
@@ -507,15 +504,8 @@ pub fn run_cli(argv: &[String]) -> Result<String, CliError> {
                 for e in &result.errors {
                     writeln!(out, "error: {}", symbolize(&image, e)).ok();
                 }
-                writeln!(
-                    out,
-                    "instructions {}  cycles {}",
-                    result.counters.instructions, result.counters.cycles
-                )
-                .ok();
-                if args.has("--stats") {
-                    writeln!(out, "trace-cache: {}", result.trace_stats).ok();
-                }
+                let stats = args.has("--stats");
+                write_run_counters(&mut out, &result.counters, &result.trace_stats, stats);
             }
         }
         "disasm" => {
@@ -683,6 +673,28 @@ pub fn run_cli(argv: &[String]) -> Result<String, CliError> {
         other => return Err(err(format!("unknown command {other:?}\n\n{USAGE}"))),
     }
     Ok(out)
+}
+
+/// Writes a run's instruction and cycle totals; with `stats`, also the
+/// events the cycles are priced from and the translation-cache counters.
+fn write_run_counters(out: &mut String, c: &Counters, trace: &TraceStats, stats: bool) {
+    writeln!(out, "instructions {}  cycles {}", c.instructions, c.cycles).ok();
+    if stats {
+        writeln!(
+            out,
+            "counters: loads {}  stores {}  taken-branches {}  transfers {}  \
+             region-crossings {}  syscalls {}  int3-traps {}",
+            c.loads,
+            c.stores,
+            c.taken_branches,
+            c.transfers,
+            c.region_crossings,
+            c.syscalls,
+            c.int3_traps
+        )
+        .ok();
+        writeln!(out, "trace-cache: {trace}").ok();
+    }
 }
 
 /// The `selftest --faults` subcommand: the deterministic

@@ -262,7 +262,7 @@ fn run_backends_print_identical_output() {
         elf.to_str().unwrap(),
     ]))
     .unwrap();
-    let run = |input: &str, backend: &str, memcheck: bool| {
+    let run = |input: &str, backend: &str, flag: Option<&str>| {
         let mut a = vec![
             "run",
             elf.to_str().unwrap(),
@@ -271,31 +271,50 @@ fn run_backends_print_identical_output() {
             "--backend",
             backend,
         ];
-        if memcheck {
-            a.push("--memcheck");
-        }
+        a.extend(flag);
         run_cli(&args(&a)).unwrap_or_else(|e| panic!("--backend {backend}: {e}"))
     };
     // Result, guest output, error reports and the counter line.
-    let step = run("3,2", "step", false);
+    let step = run("3,2", "step", None);
     assert!(
         step.lines().last().unwrap().starts_with("instructions "),
         "{step}"
     );
-    assert_eq!(run("3,2", "fast", false), step, "--backend fast differs");
+    assert_eq!(run("3,2", "fast", None), step, "--backend fast differs");
+
+    // --stats adds the event counters, which match too; only the
+    // translation-cache line is the fast tier's own.
+    let without_cache = |out: String| -> String {
+        out.lines()
+            .filter(|l| !l.starts_with("trace-cache: "))
+            .map(|l| format!("{l}\n"))
+            .collect()
+    };
+    let step_stats = run("3,2", "step", Some("--stats"));
+    assert!(
+        step_stats
+            .lines()
+            .any(|l| l.starts_with("counters: loads ")),
+        "{step_stats}"
+    );
+    assert_eq!(
+        without_cache(run("3,2", "fast", Some("--stats"))),
+        without_cache(step_stats),
+        "--stats: --backend fast differs"
+    );
 
     // Memcheck observes every access, so it runs on the step
     // interpreter whichever backend is selected: identical output with
     // the planted overflow triggered (`buf[9]`) and without it.
     for (input, overflows) in [("3,9", true), ("3,2", false)] {
-        let step = run(input, "step", true);
+        let step = run(input, "step", Some("--memcheck"));
         assert_eq!(
             step.contains("memcheck error: "),
             overflows,
             "--input {input}: {step}"
         );
         assert_eq!(
-            run(input, "fast", true),
+            run(input, "fast", Some("--memcheck")),
             step,
             "--memcheck --input {input}: --backend fast differs"
         );

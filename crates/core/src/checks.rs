@@ -1,18 +1,33 @@
 //! Machine-code synthesis of the Figure 4 check.
 //!
-//! Each batch (paper §6) becomes one trampoline payload:
+//! Each batch (paper §6) becomes one trampoline payload. Its cold code
+//! comes first and the rewriter jumps to the entry after it:
 //!
 //! ```text
-//!   prologue   push live scratch registers; pushfq if flags live
-//!   check_1    BASE/metadata/bounds tests → ja .err_1
+//!   .fallback_k: BASE from LB; not low-fat → .done_k; jmp .have_base_k
+//!   .err_k:      push rdi/rsi; report via MEMORY_ERROR syscall; pop;
+//!                jmp .after_k        (log mode continues checking)
+//!   entry:       push live scratch registers; pushfq if flags live
+//!   check_1      BASE from the base register (not low-fat → .fallback_1)
+//!   .have_base_1: metadata/bounds tests → ja .err_1
 //!   ...
 //!   check_n
-//!   jmp .epilogue
-//!   .err_k:    push rdi/rsi; report via MEMORY_ERROR syscall; pop;
-//!              jmp .after_k          (log mode continues checking)
-//!   .epilogue: popfq; pop scratch
+//!                popfq; pop scratch
 //!   (falls through to the displaced original instructions)
 //! ```
+//!
+//! A passing heap access therefore runs straight from the entry to the
+//! displaced instructions without a taken branch. Only a failed test, or
+//! a full check whose base register is not low-fat, leaves the hot path.
+//! A redzone-only check has no fallback: it computes BASE from LB in
+//! line and skips to `.done_k` when LB is not low-fat.
+//!
+//! BASE is one `SIZES` lookup plus one multiply. A zero `SIZES` entry
+//! means "not low-fat" (every heap pointer is at least `2^35`, above
+//! every class size, so a valid class never yields BASE 0), so the
+//! check tests the entry before it multiplies and a non-fat pointer
+//! runs no multiply at all. BASE stays in `rdx`: `imul` scales the
+//! quotient the `mul` leaves there.
 //!
 //! The check body implements the *merged* variant of §4.2: state and size
 //! share one metadata word (`SIZE == 0` ⇒ free), the use-after-free test
@@ -162,29 +177,52 @@ impl BatchPayload {
         Some((after + flags) * 8)
     }
 
-    /// Emits the payload into the trampoline assembler.
-    pub fn emit(&self, a: &mut Asm) -> Result<(), AsmError> {
-        let (lb, cls, siz) = self.scratch;
+    /// Emits the payload into the trampoline assembler and returns its
+    /// entry address, which follows the payload's cold code.
+    pub fn emit(&self, a: &mut Asm) -> Result<u64, AsmError> {
+        let labels: Vec<CheckLabels> = self
+            .checks
+            .iter()
+            .map(|spec| CheckLabels::new(a, self, spec))
+            .collect();
+        for (spec, l) in self.checks.iter().zip(&labels) {
+            self.emit_cold(a, spec, l)?;
+        }
 
+        let entry = a.here();
         for &r in &self.saves {
             a.push_r(r);
         }
         if self.save_flags {
             a.pushfq();
         }
+        for (k, (spec, l)) in self.checks.iter().zip(&labels).enumerate() {
+            self.emit_hot(a, spec, k > 0, l)?;
+        }
+        if self.save_flags {
+            a.popfq();
+        }
+        for &r in self.saves.iter().rev() {
+            a.pop_r(r);
+        }
+        Ok(entry)
+    }
 
-        // Deferred error/report stubs: (label, resume, site, kind_bits).
-        let mut stubs: Vec<(Label, Label, u64, u64)> = Vec::new();
-
-        for (k, spec) in self.checks.iter().enumerate() {
-            self.emit_one(a, spec, k > 0, (lb, cls, siz), &mut stubs)?;
+    /// Emits one check's out-of-line code: the redzone fallback of a
+    /// full check, then its report stubs.
+    fn emit_cold(&self, a: &mut Asm, spec: &CheckSpec, l: &CheckLabels) -> Result<(), AsmError> {
+        let (lb, cls, siz) = self.scratch;
+        if let Some(fallback) = l.fallback {
+            a.bind(fallback)?;
+            emit_base(a, lb, (cls, siz), l.done);
+            a.jmp_label(l.have_base);
         }
 
-        let epilogue = a.label();
-        if !stubs.is_empty() {
-            a.jmp_label(epilogue);
-        }
-        for (label, resume, site, kind_bits) in stubs {
+        let site = spec.check.sites[0];
+        let w_bit = spec.check.is_write as u64;
+        let stubs = [(l.err_meta, (1 << 1) | w_bit), (l.err_bounds, w_bit)];
+        for (label, kind_bits) in stubs {
+            let Some(label) = label else { continue };
             a.bind(label)?;
             match self.mode {
                 PayloadMode::Harden => {
@@ -198,44 +236,31 @@ impl BatchPayload {
                     a.syscall();
                     a.pop_r(Reg::Rsi);
                     a.pop_r(Reg::Rdi);
-                    a.jmp_label(resume);
                 }
                 PayloadMode::Profile => {
                     // rdi/rsi are in the save set for profile mode. A
                     // stub always records a *fail* event (rsi = 0).
-                    let _ = kind_bits;
                     a.mov_ri(Width::W64, Reg::Rdi, site as i64);
                     a.mov_ri(Width::W64, Reg::Rsi, 0);
                     a.mov_ri(Width::W64, Reg::Rax, syscalls::PROFILE_EVENT as i64);
                     a.syscall();
-                    a.jmp_label(resume);
                 }
             }
-        }
-        a.bind(epilogue)?;
-
-        if self.save_flags {
-            a.popfq();
-        }
-        for &r in self.saves.iter().rev() {
-            a.pop_r(r);
+            a.jmp_label(l.after);
         }
         Ok(())
     }
 
-    /// Emits one (merged) check.
-    #[allow(clippy::too_many_arguments)]
-    fn emit_one(
+    /// Emits one (merged) check's hot path.
+    fn emit_hot(
         &self,
         a: &mut Asm,
         spec: &CheckSpec,
         may_be_clobbered: bool,
-        (lb, cls, siz): (Reg, Reg, Reg),
-        stubs: &mut Vec<(Label, Label, u64, u64)>,
+        l: &CheckLabels,
     ) -> Result<(), AsmError> {
+        let (lb, cls, siz) = self.scratch;
         let mem = spec.check.mem;
-        let site = spec.check.sites[0];
-        let w_bit = spec.check.is_write as u64;
         let len = spec.check.len as i64;
 
         // If a previous check clobbered rax/rdx and this operand uses
@@ -257,137 +282,147 @@ impl BatchPayload {
             }
         }
 
-        let try_lb = a.label();
-        let have_base = a.label();
-        let done = a.label();
-        let err_meta = a.label();
-        let err_bounds = a.label();
-        let after = a.label(); // resume point for log-mode continuation
-
-        // LB = effective address (uses original operand registers; must
-        // be first, before any scratch writes could alias... scratch is
-        // disjoint from operand regs by construction, and rax/rdx were
-        // reloaded above).
-        a.lea(lb, mem);
-
-        // ---- (LowFat) path: BASE from the operand's base register ----
-        let ptr_reg = if spec.lowfat { mem.base } else { None };
-        if let Some(ptr) = ptr_reg {
-            a.mov_rr(Width::W64, cls, ptr);
-            a.shift_ri(
-                ShiftOp::Shr,
-                Width::W64,
-                cls,
-                layout::REGION_SIZE_LOG2 as u8,
+        // No bounds stub: the `lowfat_only` ablation without a low-fat
+        // base register, which tests nothing (paper §2.1).
+        if let Some(err_bounds) = l.err_bounds {
+            // LB = effective address (operand registers are intact:
+            // scratch is disjoint from them, rax/rdx were reloaded).
+            a.lea(lb, mem);
+            // A full check takes BASE from the base register and leaves
+            // for its fallback when that is not low-fat (the ablation has
+            // none); a redzone-only check takes BASE from LB.
+            emit_base(
+                a,
+                l.ptr.unwrap_or(lb),
+                (cls, siz),
+                l.fallback.unwrap_or(l.done),
             );
-            a.alu_ri(AluOp::Cmp, Width::W64, cls, layout::TABLE_ENTRIES as i64);
-            a.jcc_label(Cond::Ae, try_lb);
-            a.mov_rm(
-                Width::W64,
-                siz,
-                Mem::index_scale(cls, 8, layout::SIZES_TABLE as i64),
-            );
-            if ptr != Reg::Rax {
-                a.mov_rr(Width::W64, Reg::Rax, ptr);
+            if self.lowfat_only {
+                // Class-size bounds only: (u32)(LB - BASE) + len <= size(BASE).
+                a.mov_rr(Width::W64, Reg::Rax, lb);
+                a.alu_rr(AluOp::Sub, Width::W32, Reg::Rax, Reg::Rdx);
+                a.alu_ri(AluOp::Add, Width::W64, Reg::Rax, len);
+                a.alu_rr(AluOp::Cmp, Width::W64, Reg::Rax, siz);
+                a.jcc_label(Cond::A, err_bounds);
+            } else {
+                a.bind(l.have_base)?;
+
+                // ---- metadata: cls := SIZE (merged state/size; 0 = free) ----
+                a.mov_rm(Width::W64, cls, Mem::base(Reg::Rdx));
+                if let Some(err_meta) = l.err_meta {
+                    // SIZE must fit the allocation class: SIZE <= size(BASE)-16.
+                    a.lea(Reg::Rax, Mem::base_disp(siz, -(layout::REDZONE as i64)));
+                    a.alu_rr(AluOp::Cmp, Width::W64, cls, Reg::Rax);
+                    a.jcc_label(Cond::A, err_meta);
+                }
+
+                // ---- merged bounds check (§4.2) ----
+                // rax = (u32)(LB - (BASE+16)) + len, compared against SIZE.
+                // The 32-bit `sub` is the paper's underflow trick: a
+                // lower-bound violation leaves a huge 32-bit value that the
+                // upper-bound compare rejects, merging both bounds (and the
+                // UaF check, since SIZE == 0 fails everything) into one
+                // branch. Like the paper's, the truncation leaves a blind
+                // spot at offsets that are exact multiples of 2^32 --
+                // irrelevant for adjacent-object attacks.
+                a.lea(Reg::Rax, Mem::base_disp(lb, -(layout::REDZONE as i64)));
+                a.alu_rr(AluOp::Sub, Width::W32, Reg::Rax, Reg::Rdx);
+                a.alu_ri(AluOp::Add, Width::W64, Reg::Rax, len);
+                a.alu_rr(AluOp::Cmp, Width::W64, Reg::Rax, cls);
+                a.jcc_label(Cond::A, err_bounds);
             }
-            a.mul_m(Mem::index_scale(cls, 8, layout::MAGICS_TABLE as i64));
-            a.mov_rr(Width::W64, Reg::Rax, Reg::Rdx);
-            a.imul_rr(Width::W64, Reg::Rax, siz);
-            a.test_rr(Width::W64, Reg::Rax, Reg::Rax);
-            a.jcc_label(Cond::Ne, have_base);
         }
 
-        // ---- (Redzone) fallback: BASE from LB ----
-        a.bind(try_lb)?;
-        if self.lowfat_only {
-            // Pure-lowfat ablation: no redzone fallback; non-fat base
-            // register means no check at all (paper §2.1).
-            a.jmp_label(done);
-            a.bind(have_base)?;
-            // Class-size bounds only: (u32)(LB - BASE) + len <= size(BASE).
-            a.mov_rr(Width::W64, Reg::Rdx, lb);
-            a.alu_rr(AluOp::Sub, Width::W64, Reg::Rdx, Reg::Rax);
-            a.mov_rr(Width::W32, Reg::Rdx, Reg::Rdx);
-            a.alu_ri(AluOp::Add, Width::W64, Reg::Rdx, len);
-            a.alu_rr(AluOp::Cmp, Width::W64, Reg::Rdx, siz);
-            a.jcc_label(Cond::A, err_bounds);
-            stubs.push((err_bounds, after, site, w_bit));
-            a.bind(done)?;
-            a.bind(err_meta)?; // unused in this variant
-            if self.mode == PayloadMode::Profile {
-                a.mov_ri(Width::W64, Reg::Rdi, site as i64);
-                a.mov_ri(Width::W64, Reg::Rsi, 1);
-                a.mov_ri(Width::W64, Reg::Rax, syscalls::PROFILE_EVENT as i64);
-                a.syscall();
-            }
-            a.bind(after)?;
-            return Ok(());
-        }
-        a.mov_rr(Width::W64, cls, lb);
-        a.shift_ri(
-            ShiftOp::Shr,
-            Width::W64,
-            cls,
-            layout::REGION_SIZE_LOG2 as u8,
-        );
-        a.alu_ri(AluOp::Cmp, Width::W64, cls, layout::TABLE_ENTRIES as i64);
-        a.jcc_label(Cond::Ae, done);
-        a.mov_rm(
-            Width::W64,
-            siz,
-            Mem::index_scale(cls, 8, layout::SIZES_TABLE as i64),
-        );
-        a.mov_rr(Width::W64, Reg::Rax, lb);
-        a.mul_m(Mem::index_scale(cls, 8, layout::MAGICS_TABLE as i64));
-        a.mov_rr(Width::W64, Reg::Rax, Reg::Rdx);
-        a.imul_rr(Width::W64, Reg::Rax, siz);
-        a.test_rr(Width::W64, Reg::Rax, Reg::Rax);
-        a.jcc_label(Cond::E, done);
-
-        a.bind(have_base)?;
-        // ---- metadata: cls := SIZE (merged state/size; 0 = free) ----
-        a.mov_rm(Width::W64, cls, Mem::base(Reg::Rax));
-        if self.size_harden {
-            // SIZE must fit the allocation class: SIZE <= size(BASE)-16.
-            a.lea(Reg::Rdx, Mem::base_disp(siz, -(layout::REDZONE as i64)));
-            a.alu_rr(AluOp::Cmp, Width::W64, cls, Reg::Rdx);
-            a.jcc_label(Cond::A, err_meta);
-            stubs.push((err_meta, after, site, (1 << 1) | w_bit));
-        }
-
-        // ---- merged bounds check (§4.2) ----
-        // rdx = (u32)(LB - (BASE+16)) + len, compared against SIZE. The
-        // 32-bit truncation is the paper's underflow trick: a lower-bound
-        // violation leaves a huge 32-bit value that the upper-bound
-        // compare rejects, merging both bounds (and the UaF check, since
-        // SIZE == 0 fails everything) into one branch. Like the paper's,
-        // the truncation leaves a blind spot at offsets that are exact
-        // multiples of 2^32 -- irrelevant for adjacent-object attacks.
-        a.mov_rr(Width::W64, Reg::Rdx, lb);
-        a.alu_rr(AluOp::Sub, Width::W64, Reg::Rdx, Reg::Rax);
-        a.alu_ri(AluOp::Sub, Width::W64, Reg::Rdx, layout::REDZONE as i64);
-        a.mov_rr(Width::W32, Reg::Rdx, Reg::Rdx); // zero-extending truncate
-        a.alu_ri(AluOp::Add, Width::W64, Reg::Rdx, len);
-        a.alu_rr(AluOp::Cmp, Width::W64, Reg::Rdx, cls);
-        a.jcc_label(Cond::A, err_bounds);
-        stubs.push((err_bounds, after, site, w_bit));
-
-        a.bind(done)?;
+        a.bind(l.done)?;
         if self.mode == PayloadMode::Profile {
             // Passing (or non-fat) execution records a pass event.
-            a.mov_ri(Width::W64, Reg::Rdi, site as i64);
+            a.mov_ri(Width::W64, Reg::Rdi, spec.check.sites[0] as i64);
             a.mov_ri(Width::W64, Reg::Rsi, 1);
             a.mov_ri(Width::W64, Reg::Rax, syscalls::PROFILE_EVENT as i64);
             a.syscall();
         }
-        a.bind(after)?;
+        a.bind(l.after)?;
         Ok(())
     }
+}
+
+/// One check's labels, made before any of the payload is emitted so the
+/// cold code (emitted first) and the hot path can name each other, and
+/// the register its low-fat BASE comes from.
+struct CheckLabels {
+    /// The register a full check takes BASE from: the operand's base
+    /// register. `None` for redzone-only checks and base-less operands.
+    ptr: Option<Reg>,
+    /// The out-of-line redzone fallback of a full check (not under the
+    /// `lowfat_only` ablation, which has none).
+    fallback: Option<Label>,
+    /// BASE is in `rdx` and size(BASE) in `siz`: the metadata and bounds
+    /// tests.
+    have_base: Label,
+    /// The check passed, or its pointer is not low-fat.
+    done: Label,
+    /// Where a report stub resumes (log mode continues checking).
+    after: Label,
+    /// The metadata report stub (metadata hardening on).
+    err_meta: Option<Label>,
+    /// The bounds report stub; `None` when the check emits no test.
+    err_bounds: Option<Label>,
+}
+
+impl CheckLabels {
+    fn new(a: &mut Asm, p: &BatchPayload, spec: &CheckSpec) -> CheckLabels {
+        let ptr = spec.check.mem.base.filter(|_| spec.lowfat);
+        let tested = !p.lowfat_only || ptr.is_some();
+        CheckLabels {
+            ptr,
+            fallback: (ptr.is_some() && !p.lowfat_only).then(|| a.label()),
+            have_base: a.label(),
+            done: a.label(),
+            after: a.label(),
+            err_meta: (tested && p.size_harden && !p.lowfat_only).then(|| a.label()),
+            err_bounds: tested.then(|| a.label()),
+        }
+    }
+}
+
+/// Computes the low-fat BASE of the pointer in `ptr` into `rdx` and
+/// size(BASE) into `siz`, or jumps to `not_fat`: when the region index
+/// is past the tables, or when its `SIZES` entry is 0, which is tested
+/// before the multiply. Clobbers `rax` and `cls`; `ptr` may be `rax`.
+fn emit_base(a: &mut Asm, ptr: Reg, (cls, siz): (Reg, Reg), not_fat: Label) {
+    a.mov_rr(Width::W64, cls, ptr);
+    a.shift_ri(
+        ShiftOp::Shr,
+        Width::W64,
+        cls,
+        layout::REGION_SIZE_LOG2 as u8,
+    );
+    // `TABLE_ENTRIES - 1` fits the imm8 form of `cmp`.
+    a.alu_ri(
+        AluOp::Cmp,
+        Width::W64,
+        cls,
+        layout::TABLE_ENTRIES as i64 - 1,
+    );
+    a.jcc_label(Cond::A, not_fat);
+    a.mov_rm(
+        Width::W64,
+        siz,
+        Mem::index_scale(cls, 8, layout::SIZES_TABLE as i64),
+    );
+    a.test_rr(Width::W64, siz, siz);
+    a.jcc_label(Cond::E, not_fat);
+    if ptr != Reg::Rax {
+        a.mov_rr(Width::W64, Reg::Rax, ptr);
+    }
+    a.mul_m(Mem::index_scale(cls, 8, layout::MAGICS_TABLE as i64));
+    a.imul_rr(Width::W64, Reg::Rdx, siz);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use redfat_x86::Op;
 
     fn spec(mem: Mem, len: u64, is_write: bool, lowfat: bool) -> CheckSpec {
         CheckSpec {
@@ -480,6 +515,44 @@ mod tests {
         let insts = redfat_x86::decode_all(&prog.bytes, prog.base);
         let total: usize = insts.iter().map(|(_, _, l)| *l as usize).sum();
         assert_eq!(total, prog.bytes.len(), "payload decodes completely");
+    }
+
+    #[test]
+    fn full_checks_leave_the_hot_path_only_for_cold_code() {
+        // From the entry on, no unconditional jump runs and every
+        // conditional branch targets the cold code before the entry, so
+        // a passing heap access falls through to the end. The cold
+        // code's jumps all return into the hot path.
+        for mode in [PayloadMode::Harden, PayloadMode::Profile] {
+            for size_harden in [true, false] {
+                let p = BatchPayload::plan(
+                    vec![
+                        spec(Mem::base_disp(Reg::Rbx, 8), 8, true, true),
+                        spec(Mem::bis(Reg::Rax, Reg::Rdx, 4, 16), 4, false, true),
+                    ],
+                    &[],
+                    false,
+                    size_harden,
+                    false,
+                    mode,
+                )
+                .unwrap();
+                let mut a = Asm::new(redfat_vm::layout::TRAMPOLINE_BASE);
+                let entry = p.emit(&mut a).unwrap();
+                let prog = a.finish().unwrap();
+                assert!(entry > prog.base, "{mode:?}: cold code comes first");
+                for (addr, inst, _) in redfat_x86::decode_all(&prog.bytes, prog.base) {
+                    let target = inst.branch_target();
+                    let case = format!("{mode:?} size_harden={size_harden}: {inst:?} at {addr:#x}");
+                    match (addr >= entry, inst.op) {
+                        (true, Op::Jmp) => panic!("{case}: jump on the hot path"),
+                        (true, Op::Jcc(_)) => assert!(target < Some(entry), "{case}"),
+                        (false, Op::Jmp) => assert!(target >= Some(entry), "{case}"),
+                        _ => {}
+                    }
+                }
+            }
+        }
     }
 
     fn plan_harden(checks: Vec<CheckSpec>, dead: &[Reg]) -> BatchPayload {

@@ -70,7 +70,14 @@ impl std::fmt::Debug for Digest {
 /// alter hardened output for the same (image, config) pair; stale
 /// cache entries from older tool revisions then miss by key instead of
 /// serving wrong bytes.
-pub const TOOL_VERSION: &str = concat!("redfat-", env!("CARGO_PKG_VERSION"), "+cache2");
+pub const TOOL_VERSION: &str = concat!("redfat-", env!("CARGO_PKG_VERSION"), "+cache3");
+
+/// SHA-256 of a small fixed image hardened by this [`TOOL_VERSION`]
+/// (the `emitted_bytes_are_pinned_to_the_tool_version` test). A change
+/// that moves it changes emitted bytes: bump the tag above, then re-pin.
+#[cfg(test)]
+const PINNED_PROBE_DIGEST: &str =
+    "203c9d03cb7814992e3c984cc7d4cfe9d7b842792502f431f57d4b6930c46a5d";
 
 const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
@@ -479,5 +486,48 @@ mod tests {
         assert_eq!(Digest::from_hex(&d.to_hex()), Some(d));
         assert_eq!(Digest::from_hex("xyz"), None);
         assert_eq!(Digest::from_hex(""), None);
+    }
+
+    /// A fixed probe image: two stores through a `malloc` pointer (one
+    /// batch, one merged check), then a store through a pointer loaded
+    /// from the heap (a second full check).
+    fn probe_image() -> Image {
+        use redfat_elf::{ImageKind, SegFlags, Segment};
+        use redfat_emu::syscalls;
+        use redfat_vm::layout;
+        use redfat_x86::{Asm, Mem, Reg, Width};
+        let mut a = Asm::new(layout::CODE_BASE);
+        a.mov_ri(Width::W64, Reg::Rdi, 64);
+        a.mov_ri(Width::W64, Reg::Rax, syscalls::MALLOC as i64);
+        a.syscall();
+        a.mov_rr(Width::W64, Reg::Rbx, Reg::Rax);
+        a.mov_mr(Width::W64, Mem::base(Reg::Rbx), Reg::Rbx);
+        a.mov_mr(Width::W64, Mem::base_disp(Reg::Rbx, 8), Reg::Rdi);
+        a.mov_rm(Width::W64, Reg::Rdx, Mem::base(Reg::Rbx));
+        a.mov_mr(Width::W64, Mem::bis(Reg::Rdx, Reg::Rdi, 1, -16), Reg::Rdi);
+        a.mov_ri(Width::W64, Reg::Rdi, 0);
+        a.mov_ri(Width::W64, Reg::Rax, syscalls::EXIT as i64);
+        a.syscall();
+        let p = a.finish().expect("probe assembles");
+        Image {
+            kind: ImageKind::Exec,
+            entry: layout::CODE_BASE,
+            segments: vec![Segment::new(p.base, SegFlags::RX, p.bytes)],
+            symbols: vec![],
+        }
+    }
+
+    #[test]
+    fn emitted_bytes_are_pinned_to_the_tool_version() {
+        // Caches key artifacts by TOOL_VERSION, so bytes that change
+        // under the same tag would be served stale from an old cache.
+        let hardened =
+            crate::harden(&probe_image(), &crate::HardenConfig::default()).expect("probe hardens");
+        assert!(hardened.stats.batches > 0, "the probe gets trampolines");
+        assert_eq!(
+            sha256(&hardened.image.to_bytes()).to_hex(),
+            PINNED_PROBE_DIGEST,
+            "emitted bytes changed: bump TOOL_VERSION"
+        );
     }
 }

@@ -1651,8 +1651,9 @@ mod tests {
         vec![Patch {
             anchor,
             payload: Box::new(|a: &mut Asm| {
+                let entry = a.here();
                 a.mov_ri(Width::W64, Reg::Rbx, 99);
-                Ok(())
+                Ok(entry)
             }),
         }]
     }

@@ -1,0 +1,96 @@
+//! What a trampoline costs at run time: hardened-minus-baseline
+//! counters of small mini-C programs under `HardenConfig::default()`.
+//!
+//! A passing check on a heap pointer must run straight from the
+//! trampoline's entry to the displaced instructions: the only transfers
+//! it adds are the jump in and the jump back, and it takes no branch.
+
+use redfat_core::{harden, run_once, HardenConfig};
+use redfat_emu::{CostModel, Counters, ErrorMode, RunResult};
+
+/// Hardened-minus-baseline counters of `src` on `input`, after checking
+/// that both runs exit 0, print the same and report no error.
+fn overhead(src: &str, input: &[i64]) -> Counters {
+    let image = redfat_minic::compile(src).expect("compiles");
+    let hardened = harden(&image, &HardenConfig::default())
+        .expect("hardens")
+        .image;
+    let base = run_once(&image, input.to_vec(), ErrorMode::Abort, 1_000_000);
+    let hard = run_once(&hardened, input.to_vec(), ErrorMode::Abort, 1_000_000);
+    assert_eq!(base.result, RunResult::Exited(0));
+    assert_eq!(hard.result, RunResult::Exited(0));
+    assert_eq!(base.io.out_ints, hard.io.out_ints);
+    assert!(hard.errors.is_empty(), "{:?}", hard.errors);
+    let (b, h) = (base.counters, hard.counters);
+    Counters {
+        instructions: h.instructions - b.instructions,
+        cycles: h.cycles - b.cycles,
+        loads: h.loads - b.loads,
+        stores: h.stores - b.stores,
+        taken_branches: h.taken_branches - b.taken_branches,
+        transfers: h.transfers - b.transfers,
+        region_crossings: h.region_crossings - b.region_crossings,
+        syscalls: h.syscalls - b.syscalls,
+        int3_traps: h.int3_traps - b.int3_traps,
+    }
+}
+
+/// The modeled cycles of `d` if none of its instructions multiplied:
+/// the cost model's prices for every event the counters record.
+fn cycles_without_multiply(d: &Counters) -> u64 {
+    let m = CostModel::default();
+    d.instructions * m.base
+        + (d.loads + d.stores) * m.mem
+        + d.taken_branches * m.branch_taken
+        + d.transfers * m.transfer
+        + d.region_crossings * m.cross_region
+        + d.syscalls * m.syscall
+        + d.int3_traps * m.int3_trap
+}
+
+const HEAP_LOOP: &str = "
+fn main() {
+    var n = input();
+    var a = malloc(8 * n);
+    for (var i = 0; i < n; i = i + 1) { a[i] = i; }
+    return 0;
+}
+";
+
+#[test]
+fn a_passing_heap_check_only_jumps_in_and_out() {
+    for n in [1, 10, 25] {
+        let d = overhead(HEAP_LOOP, &[n]);
+        assert_eq!(d.transfers, d.region_crossings, "n={n}: {d:?}");
+        assert_eq!(d.transfers, 2 * n as u64, "n={n}: one trampoline per store");
+        assert_eq!(d.taken_branches, 0, "n={n}: {d:?}");
+        assert_eq!(d.int3_traps, 0, "n={n}: {d:?}");
+    }
+}
+
+/// A store through a pointer that is not low-fat but that no analysis
+/// can prove so: `gp` holds a global's address, and the store's base
+/// register is loaded from it.
+const GLOBAL_POINTER_STORE: &str = "
+global g[4];
+global gp;
+fn main() {
+    gp = &g;
+    var q = gp;
+    q[1] = input();
+    return 0;
+}
+";
+
+#[test]
+fn a_non_fat_pointer_check_runs_no_multiply() {
+    let d = overhead(GLOBAL_POINTER_STORE, &[5]);
+    // One full check runs: the jump in and back (2 x 4 cycles), four
+    // pushes and pops (16), the region-index and SIZES tests on the
+    // base register (10, leaving for the fallback) and the same tests
+    // on LB (9, leaving for the end of the check).
+    assert_eq!(d.cycles, 43, "{d:?}");
+    assert_eq!((d.transfers, d.region_crossings), (2, 2), "{d:?}");
+    assert_eq!(d.taken_branches, 2, "{d:?}");
+    assert_eq!(d.cycles, cycles_without_multiply(&d), "{d:?}");
+}

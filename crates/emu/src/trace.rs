@@ -15,15 +15,15 @@
 //!   and follows *direct* edges: an unconditional `jmp`/`call` keeps
 //!   decoding at its target (the transfer becomes an interior charge
 //!   pseudo-op), a conditional branch keeps decoding along its
-//!   predicted direction (backward taken, forward fall-through -- the
-//!   classic loop heuristic) and becomes a checked
-//!   [`FastOp::JccInline`] with a **side exit** for the other
+//!   fall-through path (predicted not taken) and becomes a checked
+//!   [`FastOp::JccInline`] with a **side exit** for the taken
 //!   direction, and a `ret` whose matching `call` was inlined earlier
 //!   in the same trace becomes [`FastOp::RetInline`]: the return
 //!   address is popped and *compared* against the build-time
 //!   prediction, so an entire call-return pair of a small helper runs
 //!   inside one trace. Formation stops at indirect transfers, at
-//!   addresses already in the trace (loop closure), at [`TRACE_CAP`]
+//!   addresses already in the trace (loop closure, including a
+//!   conditional branch back into the trace), at [`TRACE_CAP`]
 //!   instructions or [`MAX_INLINE_DEPTH`] nested inlined calls.
 //!   Mispredicted interior branches roll back the unexecuted
 //!   tail of the block charge and leave through a per-site side link.
@@ -364,13 +364,12 @@ enum FastOp {
         next: u64,
         to: u64,
     },
-    /// Interior conditional branch. The trace was built along the
-    /// `expect_taken` direction; when the runtime outcome matches,
-    /// control stays in-trace (accounting only), otherwise the op sets
-    /// `rip` and leaves through side link `side`.
+    /// Interior conditional branch, predicted not taken: the trace was
+    /// built along the fall-through path. When the branch is not taken,
+    /// control stays in-trace; when it is taken, the op charges the
+    /// taken branch, sets `rip` and leaves through side link `side`.
     JccInline {
         cond: Cond,
-        expect_taken: bool,
         next: u64,
         to: u64,
         side: u16,
@@ -403,7 +402,6 @@ enum FastOp {
         /// `test` (and) semantics instead of `cmp` (sub).
         test: bool,
         cond: Cond,
-        expect_taken: bool,
         next: u64,
         to: u64,
         side: u16,
@@ -512,22 +510,6 @@ fn static_charge(op: &FastOp, cost: &CostModel) -> StaticCharge {
             c.stores = 1;
             c.transfers = 1;
             c.cycles = (cost.mem + cost.transfer) as u32;
-            crossing(&mut c, next, to);
-        }
-        FastOp::JccInline {
-            expect_taken,
-            next,
-            to,
-            ..
-        }
-        | FastOp::CmpJcc {
-            expect_taken,
-            next,
-            to,
-            ..
-        } if expect_taken => {
-            c.taken_branches = 1;
-            c.cycles = cost.branch_taken as u32;
             crossing(&mut c, next, to);
         }
         FastOp::RetInline { expect, next, .. } => {
@@ -890,20 +872,10 @@ impl BlockExit {
 /// the builder followed, which executes as an interior pseudo-op.
 enum Interior {
     None,
-    Jmp {
-        to: u64,
-    },
-    Call {
-        to: u64,
-    },
-    Jcc {
-        cond: Cond,
-        to: u64,
-        expect_taken: bool,
-    },
-    Ret {
-        expect: u64,
-    },
+    Jmp { to: u64 },
+    Call { to: u64 },
+    Jcc { cond: Cond, to: u64 },
+    Ret { expect: u64 },
 }
 
 /// The [`BlockExit`] a terminal instruction produces when the trace
@@ -1188,26 +1160,18 @@ impl<R: Runtime> Emu<R> {
                     Some((Interior::Call { to: *t }, *t))
                 }
                 (Op::Jcc(c), Operands::Rel(t)) => {
-                    // Backward-taken / forward-fall-through direction
-                    // heuristic. No fallback to the other direction:
-                    // when the predicted target is already in the trace
-                    // (a loop-closing conditional), the trace ends there
-                    // -- the unpredicted path is cold, and decoding it
-                    // would grow a tail that every iteration side-exits
-                    // around.
-                    let (expect_taken, cand) = if *t <= addr {
-                        (true, *t)
-                    } else {
-                        (false, next)
-                    };
-                    (!visited.contains(&cand)).then_some((
-                        Interior::Jcc {
-                            cond: c,
-                            to: *t,
-                            expect_taken,
-                        },
-                        cand,
-                    ))
+                    // Fall-through prediction, except that a backward
+                    // branch to an address already in the trace (a
+                    // loop-closing conditional) ends the trace there:
+                    // decoding past it would grow a tail that every
+                    // iteration side-exits around. A backward branch
+                    // out of the trace is predicted not taken too:
+                    // mini-C closes its loops with `jmp`, and a
+                    // hardened trampoline's backward branches lead to
+                    // the cold code placed before the payload's entry.
+                    let closes_loop = *t <= addr && visited.contains(t);
+                    (!closes_loop && !visited.contains(&next))
+                        .then_some((Interior::Jcc { cond: c, to: *t }, next))
                 }
                 (Op::Ret, Operands::None) => match ret_stack.pop() {
                     Some(ra) if !visited.contains(&ra) => Some((Interior::Ret { expect: ra }, ra)),
@@ -1265,16 +1229,11 @@ impl<R: Runtime> Emu<R> {
                 Interior::None => specialize(&ti.inst, ti.rip, ti.next, i as u8, dead[i]),
                 Interior::Jmp { to } => FastOp::ChargeJmp { next: ti.next, to },
                 Interior::Call { to } => FastOp::ChargeCall { next: ti.next, to },
-                Interior::Jcc {
-                    cond,
-                    to,
-                    expect_taken,
-                } => {
+                Interior::Jcc { cond, to } => {
                     let side = sides;
                     sides += 1;
                     FastOp::JccInline {
                         cond,
-                        expect_taken,
                         next: ti.next,
                         to,
                         side,
@@ -1300,7 +1259,6 @@ impl<R: Runtime> Emu<R> {
         for i in 0..ops.len().saturating_sub(1) {
             let FastOp::JccInline {
                 cond,
-                expect_taken,
                 next,
                 to,
                 side,
@@ -1341,7 +1299,6 @@ impl<R: Runtime> Emu<R> {
                     imm,
                     test,
                     cond,
-                    expect_taken,
                     next,
                     to,
                     side,
@@ -1818,26 +1775,20 @@ impl<R: Runtime> Emu<R> {
                     }
                     FastOp::JccInline {
                         cond,
-                        expect_taken,
                         next,
                         to,
                         side,
                     } => {
-                        let taken = self.cpu.flags.cond(cond);
-                        // Predicted-taken is statically charged; on a
-                        // mispredict the side-exit rollback drops this
-                        // op's static entry, so the actual outcome is
-                        // always accounted exactly once.
-                        if taken && !expect_taken {
+                        // The static charge assumed not taken; a taken
+                        // branch is accounted here and leaves the trace.
+                        if self.cpu.flags.cond(cond) {
                             self.counters.taken_branches += 1;
                             self.counters.cycles += self.cost.branch_taken;
                             if in_tramp(next) != in_tramp(to) {
                                 self.counters.region_crossings += 1;
                                 self.counters.cycles += self.cost.cross_region;
                             }
-                        }
-                        if taken != expect_taken {
-                            self.cpu.rip = if taken { to } else { next };
+                            self.cpu.rip = to;
                             side_exit = ((i as u64) << 16) | side as u64;
                             break 'body;
                         }
@@ -1849,7 +1800,6 @@ impl<R: Runtime> Emu<R> {
                         imm,
                         test,
                         cond,
-                        expect_taken,
                         next,
                         to,
                         side,
@@ -1865,15 +1815,13 @@ impl<R: Runtime> Emu<R> {
                         } else {
                             cmp_cond(cond, w, av, bv)
                         };
-                        if taken && !expect_taken {
+                        if taken {
                             self.counters.taken_branches += 1;
                             self.counters.cycles += self.cost.branch_taken;
                             if in_tramp(next) != in_tramp(to) {
                                 self.counters.region_crossings += 1;
                                 self.counters.cycles += self.cost.cross_region;
                             }
-                        }
-                        if taken != expect_taken {
                             // Leaving the trace: the compare's flags
                             // become observable, materialize them
                             // exactly (the operand registers are
@@ -1883,7 +1831,7 @@ impl<R: Runtime> Emu<R> {
                             } else {
                                 self.alu(AluOp::Cmp, w, av, bv);
                             }
-                            self.cpu.rip = if taken { to } else { next };
+                            self.cpu.rip = to;
                             side_exit = ((i as u64) << 16) | side as u64;
                             break 'body;
                         }

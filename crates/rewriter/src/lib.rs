@@ -5,7 +5,9 @@
 //! image in which each anchor has been replaced by a jump to a trampoline
 //! that executes:
 //!
-//! 1. the payload (e.g. a RedFat check),
+//! 1. the payload (e.g. a RedFat check), entered at the address its
+//!    generator returns (code it emits before that address is cold:
+//!    reached only through its own branches),
 //! 2. the displaced original instruction(s), re-encoded at their new
 //!    location (RIP-relative operands and branch targets are fixed up
 //!    automatically because the instruction model stores them as
@@ -38,9 +40,11 @@ use redfat_vm::layout;
 use redfat_x86::{encode, Asm, AsmError, Inst, Op, Operands, Width};
 
 /// A payload generator: emits instrumentation into the trampoline
-/// assembler. It must fall through on the success path (the displaced
-/// instructions follow immediately).
-pub type Payload<'a> = Box<dyn FnMut(&mut Asm) -> Result<(), AsmError> + 'a>;
+/// assembler and returns its entry address, which the patch-site `jmp`
+/// or trap-table entry targets. Code emitted before the entry runs only
+/// when the payload branches to it. From the entry, the success path
+/// must fall through: the displaced instructions follow immediately.
+pub type Payload<'a> = Box<dyn FnMut(&mut Asm) -> Result<u64, AsmError> + 'a>;
 
 /// One requested patch.
 pub struct Patch<'a> {
@@ -193,8 +197,9 @@ pub fn rewrite_with_bases(
                 .collect::<Option<Vec<(Inst, u8)>>>()
         });
 
-        let tramp_start = tramp.here();
-        (patch.payload)(&mut tramp)?;
+        let emitted_from = tramp.here();
+        let entry = (patch.payload)(&mut tramp)?;
+        debug_assert!((emitted_from..=tramp.here()).contains(&entry));
 
         match group {
             Some(members) => {
@@ -204,7 +209,7 @@ pub fn rewrite_with_bases(
                 let mut terminal = false;
                 for &(inst, len) in &members {
                     group_len += len as u64;
-                    tramp.emit(reencode_check(inst))?;
+                    tramp.emit(inst)?;
                     stats.displaced += 1;
                     terminal = always_transfers(&inst);
                 }
@@ -212,21 +217,13 @@ pub fn rewrite_with_bases(
                 if !terminal {
                     tramp.jmp_abs(resume)?;
                 }
-                // Patch site: jmp rel32 + NOP padding.
-                let jmp = encode(
-                    &Inst::new(Op::Jmp, Width::W64, Operands::Rel(tramp_start)),
+                // Patch site: jmp (rel32, or rel8 if the trampoline is
+                // unusually close) + NOP padding.
+                let mut site = encode(
+                    &Inst::new(Op::Jmp, Width::W64, Operands::Rel(entry)),
                     anchor,
                 )
                 .map_err(|e| RewriteError::Asm(AsmError::Encode(e)))?;
-                let mut site = Vec::with_capacity(group_len as usize);
-                if jmp.len() == 2 {
-                    // Encoder picked rel8 (trampoline unusually close);
-                    // keep it and pad the rest.
-                    site.extend_from_slice(&jmp);
-                } else {
-                    debug_assert_eq!(jmp.len(), 5);
-                    site.extend_from_slice(&jmp);
-                }
                 while (site.len() as u64) < group_len {
                     site.push(0x90);
                 }
@@ -238,7 +235,7 @@ pub fn rewrite_with_bases(
             None => {
                 // T-trap: int3 at the anchor's first byte; the displaced
                 // instruction is just the anchor.
-                tramp.emit(reencode_check(anchor_inst))?;
+                tramp.emit(anchor_inst)?;
                 stats.displaced += 1;
                 if !always_transfers(&anchor_inst) {
                     tramp.jmp_abs(anchor + anchor_len as u64)?;
@@ -246,7 +243,7 @@ pub fn rewrite_with_bases(
                 if !out.write_bytes(anchor, &[0xCC]) {
                     return Err(RewriteError::PatchWrite(anchor));
                 }
-                traps.push((anchor, tramp_start));
+                traps.push((anchor, entry));
                 stats.trap_patches += 1;
             }
         }
@@ -310,12 +307,6 @@ fn always_transfers(inst: &Inst) -> bool {
     matches!(inst.op, Op::Jmp | Op::JmpInd | Op::Ret | Op::Ud2)
 }
 
-/// Sanity hook for displaced instructions; exists so future tactics can
-/// transform instructions during displacement.
-fn reencode_check(inst: Inst) -> Inst {
-    inst
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -336,7 +327,7 @@ mod tests {
     }
 
     fn no_payload<'a>() -> Payload<'a> {
-        Box::new(|_| Ok(()))
+        Box::new(|a| Ok(a.here()))
     }
 
     #[test]
@@ -505,6 +496,73 @@ mod tests {
             .run(10_000);
         assert_eq!(base.expect_exit(), target as i64);
         assert_eq!(hard.expect_exit(), target as i64);
+    }
+
+    #[test]
+    fn patches_target_the_payload_entry_not_its_cold_code() {
+        // Each payload emits two `ud2`s before its entry, standing in
+        // for out-of-line code it reaches only through its own branches.
+        // The first anchor takes a jmp patch, the second traps (its
+        // successor is a jump target); both must enter past the `ud2`s.
+        let img = build_image(|a| {
+            let next = a.label();
+            a.mov_ri(Width::W64, Reg::Rdi, 0); // 7 bytes: T-jmp
+            a.test_rr(Width::W64, Reg::Rdi, Reg::Rdi);
+            a.jcc_label(Cond::Ne, next); // never taken; makes `next` a leader
+            a.alu_ri(AluOp::Add, Width::W64, Reg::Rdi, 42); // 4 bytes: T-trap
+            a.bind(next).unwrap();
+            a.mov_ri(Width::W64, Reg::Rax, redfat_emu::syscalls::EXIT as i64);
+            a.syscall(); // exit(rdi)
+        });
+        let d = disassemble(&img);
+        let cfg = Cfg::recover(&d, img.entry, &[]);
+        let trap_anchor = d
+            .iter()
+            .find(|(_, i, _)| i.op == Op::Alu(AluOp::Add))
+            .unwrap()
+            .0;
+        let entries = std::cell::RefCell::new(Vec::new());
+        let cold_then_entry = || -> Payload<'_> {
+            Box::new(|a: &mut Asm| {
+                a.ud2();
+                a.ud2();
+                entries.borrow_mut().push(a.here());
+                Ok(a.here())
+            })
+        };
+        let out = rewrite(
+            &img,
+            &d,
+            &cfg,
+            vec![
+                Patch {
+                    anchor: layout::CODE_BASE,
+                    payload: cold_then_entry(),
+                },
+                Patch {
+                    anchor: trap_anchor,
+                    payload: cold_then_entry(),
+                },
+            ],
+        )
+        .unwrap();
+        assert_eq!(out.stats.jmp_patches, 1);
+        assert_eq!(out.stats.trap_patches, 1);
+        let entries = entries.into_inner();
+        assert_eq!(entries[0], layout::TRAMPOLINE_BASE + 4, "after two ud2s");
+
+        let site = out.image.read_bytes(layout::CODE_BASE, 16).unwrap();
+        let (jmp, _) = redfat_x86::decode_one(site, layout::CODE_BASE).unwrap();
+        assert_eq!(jmp.branch_target(), Some(entries[0]));
+        let table = out.image.segment_at(layout::TRAP_TABLE_BASE).unwrap();
+        let entry = |at: usize| u64::from_le_bytes(table.data[at..at + 8].try_into().unwrap());
+        assert_eq!((entry(16), entry(24)), (trap_anchor, entries[1]));
+
+        use redfat_emu::{Emu, ErrorMode, HostRuntime, RunResult};
+        let run = Emu::load_image(&out.image, HostRuntime::new(ErrorMode::Abort))
+            .expect("loads")
+            .run(10_000);
+        assert_eq!(run, RunResult::Exited(42));
     }
 
     #[test]

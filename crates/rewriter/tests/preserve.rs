@@ -100,7 +100,7 @@ fn identity_rewrite_preserves_behavior() {
         .iter()
         .map(|b| Patch {
             anchor: b.anchor,
-            payload: Box::new(|_: &mut Asm| Ok(())),
+            payload: Box::new(|a: &mut Asm| Ok(a.here())),
         })
         .collect();
     let out = rewrite(&img, &d, &cfg, patches).unwrap();
@@ -136,7 +136,7 @@ fn identity_rewrite_on_stripped_binary() {
         .iter()
         .map(|b| Patch {
             anchor: b.anchor,
-            payload: Box::new(|_: &mut Asm| Ok(())),
+            payload: Box::new(|a: &mut Asm| Ok(a.here())),
         })
         .collect();
     let out = rewrite(&img, &d, &cfg, patches).unwrap();
@@ -187,7 +187,7 @@ fn trap_tactic_preserves_behavior() {
         &cfg,
         vec![Patch {
             anchor: store,
-            payload: Box::new(|_: &mut Asm| Ok(())),
+            payload: Box::new(|a: &mut Asm| Ok(a.here())),
         }],
     )
     .unwrap();
@@ -231,9 +231,10 @@ fn payload_executes_before_displaced_instruction() {
                 // Uses rax before the displaced mov sets it: proves the
                 // payload runs first. Store marker without clobbering
                 // anything live (rax is dead here).
+                let entry = a.here();
                 a.mov_ri(Width::W64, Reg::Rax, 0x77);
                 a.mov_mr(Width::W64, Mem::abs(layout::GLOBALS_BASE as i64), Reg::Rax);
-                Ok(())
+                Ok(entry)
             }),
         }],
     )

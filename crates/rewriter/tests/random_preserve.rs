@@ -62,7 +62,7 @@ fn identity_rewrite_preserves_random_programs() {
             .iter()
             .map(|b| Patch {
                 anchor: b.anchor,
-                payload: Box::new(|_: &mut redfat_x86::Asm| Ok(())),
+                payload: Box::new(|a: &mut redfat_x86::Asm| Ok(a.here())),
             })
             .collect();
         let n_patches = patches.len();

@@ -295,6 +295,24 @@ mod tests {
     }
 
     #[test]
+    fn zero_sizes_entry_iff_zero_magic_iff_not_fat() {
+        // Generated checks test the SIZES entry before the multiply, in
+        // place of testing BASE after it: a zero entry must mean exactly
+        // what BASE == 0 means. It does because every heap pointer is at
+        // least 2^35, above every class size, so a valid class never
+        // rounds a pointer down to 0.
+        let (sizes, magics) = (sizes_table(), magics_table());
+        for c in 0..TABLE_ENTRIES {
+            let first = region_base(c);
+            for p in [first, first + REGION_SIZE / 2, first + (REGION_SIZE - 1)] {
+                let not_fat = lowfat_base(p) == 0;
+                assert_eq!(sizes[c] == 0, not_fat, "region {c}, ptr {p:#x}: SIZES");
+                assert_eq!(magics[c] == 0, not_fat, "region {c}, ptr {p:#x}: MAGICS");
+            }
+        }
+    }
+
+    #[test]
     fn heap_end_fits_pointer_model() {
         // All guest addresses stay below 2^43 so the magic error analysis
         // holds.
