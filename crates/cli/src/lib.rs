@@ -368,8 +368,8 @@ pub fn run_cli(argv: &[String]) -> Result<String, CliError> {
                 out,
                 "hardened {input}: {} sites ({} full, {} redzone-only, {} eliminated, \
                  {} flow-eliminated, {} interproc-eliminated, {} redundant), \
-                 {} trampolines ({} jmp, {} int3), {} trampoline bytes, \
-                 {} register saves, {} flag saves",
+                 {} trampolines ({} jmp, {} int3), {} trampoline bytes \
+                 ({} cold, {} hot, {} displaced), {} register saves, {} flag saves",
                 s.sites_considered,
                 s.sites_lowfat,
                 s.sites_redzone,
@@ -381,6 +381,9 @@ pub fn run_cli(argv: &[String]) -> Result<String, CliError> {
                 s.rewrite.jmp_patches,
                 s.rewrite.trap_patches,
                 s.rewrite.trampoline_bytes,
+                s.rewrite.cold_bytes,
+                s.rewrite.hot_bytes,
+                s.rewrite.displaced_bytes,
                 s.regs_saved,
                 s.flags_saved
             )

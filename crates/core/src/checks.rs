@@ -4,15 +4,18 @@
 //! comes first and the rewriter jumps to the entry after it:
 //!
 //! ```text
-//!   .fallback_k: BASE from LB; not low-fat → .done_k; jmp .have_base_k
-//!   .err_k:      push rdi/rsi; report via MEMORY_ERROR syscall; pop;
-//!                jmp .after_k        (log mode continues checking)
-//!   entry:       push live scratch registers; pushfq if flags live
-//!   check_1      BASE from the base register (not low-fat → .fallback_1)
-//!   .have_base_1: metadata/bounds tests → ja .err_1
+//!   .fallback_k:   BASE from LB; not low-fat → .done_k; jmp .have_base_k
+//!   .err_bounds_k: push rdi/rsi; esi = bounds kind
+//!   .report_k:     edi = site; MEMORY_ERROR syscall; pop rsi/rdi;
+//!                  jmp .after_k        (log mode continues checking)
+//!   .err_meta_k:   push rdi/rsi; esi = metadata kind; jmp .report_k
+//!   entry:         push live scratch registers; pushfq if flags live
+//!   check_1        BASE from the base register (not low-fat → .fallback_1)
+//!   .have_base_1:  metadata test → ja .err_meta_1;
+//!                  bounds test → ja .err_bounds_1
 //!   ...
 //!   check_n
-//!                popfq; pop scratch
+//!                  popfq; pop scratch
 //!   (falls through to the displaced original instructions)
 //! ```
 //!
@@ -21,6 +24,13 @@
 //! a full check whose base register is not low-fat, leaves the hot path.
 //! A redzone-only check has no fallback: it computes BASE from LB in
 //! line and skips to `.done_k` when LB is not low-fat.
+//!
+//! Every branch from the hot path into its cold code is backward, so it
+//! takes the 2-byte rel8 form when in reach ([`Asm::jcc_label_short`]);
+//! in a single-check batch all of them are. The cold code's jumps into
+//! the hot path are forward and keep rel32. Stub immediates use the
+//! zero-extending 32-bit `mov` when they fit. A profiling payload has
+//! one stub per check: both tests record the same fail event.
 //!
 //! BASE is one `SIZES` lookup plus one multiply. A zero `SIZES` entry
 //! means "not low-fat" (every heap pointer is at least `2^35`, above
@@ -209,44 +219,58 @@ impl BatchPayload {
     }
 
     /// Emits one check's out-of-line code: the redzone fallback of a
-    /// full check, then its report stubs.
+    /// full check, then its report stubs. The bounds stub falls into the
+    /// report tail and the metadata stub, last, jumps back to it, so
+    /// every hot-path branch into this code is backward.
     fn emit_cold(&self, a: &mut Asm, spec: &CheckSpec, l: &CheckLabels) -> Result<(), AsmError> {
         let (lb, cls, siz) = self.scratch;
         if let Some(fallback) = l.fallback {
             a.bind(fallback)?;
             emit_base(a, lb, (cls, siz), l.done);
-            a.jmp_label(l.have_base);
+            a.jmp_label_short(l.have_base);
         }
 
+        let Some(err_bounds) = l.err_bounds else {
+            return Ok(());
+        };
         let site = spec.check.sites[0];
         let w_bit = spec.check.is_write as u64;
-        let stubs = [(l.err_meta, (1 << 1) | w_bit), (l.err_bounds, w_bit)];
-        for (label, kind_bits) in stubs {
-            let Some(label) = label else { continue };
-            a.bind(label)?;
-            match self.mode {
-                PayloadMode::Harden => {
-                    // Report and (in log mode) continue: preserve rdi/rsi
-                    // around the syscall; rax is scratch.
+        a.bind(err_bounds)?;
+        match self.mode {
+            PayloadMode::Harden => {
+                // Report and (in log mode) continue: preserve rdi/rsi
+                // around the syscall; rax is scratch.
+                a.push_r(Reg::Rdi);
+                a.push_r(Reg::Rsi);
+                mov_imm(a, Reg::Rsi, w_bit);
+                let report = a.label();
+                a.bind(report)?;
+                mov_imm(a, Reg::Rdi, site);
+                mov_imm(a, Reg::Rax, syscalls::MEMORY_ERROR);
+                a.syscall();
+                a.pop_r(Reg::Rsi);
+                a.pop_r(Reg::Rdi);
+                a.jmp_label_short(l.after);
+                if let Some(err_meta) = l.err_meta {
+                    a.bind(err_meta)?;
                     a.push_r(Reg::Rdi);
                     a.push_r(Reg::Rsi);
-                    a.mov_ri(Width::W64, Reg::Rdi, site as i64);
-                    a.mov_ri(Width::W64, Reg::Rsi, kind_bits as i64);
-                    a.mov_ri(Width::W64, Reg::Rax, syscalls::MEMORY_ERROR as i64);
-                    a.syscall();
-                    a.pop_r(Reg::Rsi);
-                    a.pop_r(Reg::Rdi);
-                }
-                PayloadMode::Profile => {
-                    // rdi/rsi are in the save set for profile mode. A
-                    // stub always records a *fail* event (rsi = 0).
-                    a.mov_ri(Width::W64, Reg::Rdi, site as i64);
-                    a.mov_ri(Width::W64, Reg::Rsi, 0);
-                    a.mov_ri(Width::W64, Reg::Rax, syscalls::PROFILE_EVENT as i64);
-                    a.syscall();
+                    mov_imm(a, Reg::Rsi, (1 << 1) | w_bit);
+                    a.jmp_label_short(report);
                 }
             }
-            a.jmp_label(l.after);
+            PayloadMode::Profile => {
+                // Both tests record the same *fail* event (rsi = 0), so
+                // one stub serves both; rdi/rsi are in the save set.
+                if let Some(err_meta) = l.err_meta {
+                    a.bind(err_meta)?;
+                }
+                mov_imm(a, Reg::Rdi, site);
+                mov_imm(a, Reg::Rsi, 0);
+                mov_imm(a, Reg::Rax, syscalls::PROFILE_EVENT);
+                a.syscall();
+                a.jmp_label_short(l.after);
+            }
         }
         Ok(())
     }
@@ -303,7 +327,7 @@ impl BatchPayload {
                 a.alu_rr(AluOp::Sub, Width::W32, Reg::Rax, Reg::Rdx);
                 a.alu_ri(AluOp::Add, Width::W64, Reg::Rax, len);
                 a.alu_rr(AluOp::Cmp, Width::W64, Reg::Rax, siz);
-                a.jcc_label(Cond::A, err_bounds);
+                a.jcc_label_short(Cond::A, err_bounds);
             } else {
                 a.bind(l.have_base)?;
 
@@ -313,7 +337,7 @@ impl BatchPayload {
                     // SIZE must fit the allocation class: SIZE <= size(BASE)-16.
                     a.lea(Reg::Rax, Mem::base_disp(siz, -(layout::REDZONE as i64)));
                     a.alu_rr(AluOp::Cmp, Width::W64, cls, Reg::Rax);
-                    a.jcc_label(Cond::A, err_meta);
+                    a.jcc_label_short(Cond::A, err_meta);
                 }
 
                 // ---- merged bounds check (§4.2) ----
@@ -329,16 +353,16 @@ impl BatchPayload {
                 a.alu_rr(AluOp::Sub, Width::W32, Reg::Rax, Reg::Rdx);
                 a.alu_ri(AluOp::Add, Width::W64, Reg::Rax, len);
                 a.alu_rr(AluOp::Cmp, Width::W64, Reg::Rax, cls);
-                a.jcc_label(Cond::A, err_bounds);
+                a.jcc_label_short(Cond::A, err_bounds);
             }
         }
 
         a.bind(l.done)?;
         if self.mode == PayloadMode::Profile {
             // Passing (or non-fat) execution records a pass event.
-            a.mov_ri(Width::W64, Reg::Rdi, spec.check.sites[0] as i64);
-            a.mov_ri(Width::W64, Reg::Rsi, 1);
-            a.mov_ri(Width::W64, Reg::Rax, syscalls::PROFILE_EVENT as i64);
+            mov_imm(a, Reg::Rdi, spec.check.sites[0]);
+            mov_imm(a, Reg::Rsi, 1);
+            mov_imm(a, Reg::Rax, syscalls::PROFILE_EVENT);
             a.syscall();
         }
         a.bind(l.after)?;
@@ -404,14 +428,14 @@ fn emit_base(a: &mut Asm, ptr: Reg, (cls, siz): (Reg, Reg), not_fat: Label) {
         cls,
         layout::TABLE_ENTRIES as i64 - 1,
     );
-    a.jcc_label(Cond::A, not_fat);
+    a.jcc_label_short(Cond::A, not_fat);
     a.mov_rm(
         Width::W64,
         siz,
         Mem::index_scale(cls, 8, layout::SIZES_TABLE as i64),
     );
     a.test_rr(Width::W64, siz, siz);
-    a.jcc_label(Cond::E, not_fat);
+    a.jcc_label_short(Cond::E, not_fat);
     if ptr != Reg::Rax {
         a.mov_rr(Width::W64, Reg::Rax, ptr);
     }
@@ -419,10 +443,20 @@ fn emit_base(a: &mut Asm, ptr: Reg, (cls, siz): (Reg, Reg), not_fat: Label) {
     a.imul_rr(Width::W64, Reg::Rdx, siz);
 }
 
+/// `mov $imm, %dst`, in the zero-extending 32-bit form when `imm` fits.
+fn mov_imm(a: &mut Asm, dst: Reg, imm: u64) {
+    let w = if u32::try_from(imm).is_ok() {
+        Width::W32
+    } else {
+        Width::W64
+    };
+    a.mov_ri(w, dst, imm as i64);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use redfat_x86::Op;
+    use redfat_x86::{Op, Operands};
 
     fn spec(mem: Mem, len: u64, is_write: bool, lowfat: bool) -> CheckSpec {
         CheckSpec {
@@ -522,7 +556,9 @@ mod tests {
         // From the entry on, no unconditional jump runs and every
         // conditional branch targets the cold code before the entry, so
         // a passing heap access falls through to the end. The cold
-        // code's jumps all return into the hot path.
+        // code's jumps all return into the hot path, but for each
+        // metadata stub's jump back to its own check's report tail (the
+        // `mov edi, site` just before it).
         for mode in [PayloadMode::Harden, PayloadMode::Profile] {
             for size_harden in [true, false] {
                 let p = BatchPayload::plan(
@@ -541,16 +577,35 @@ mod tests {
                 let entry = p.emit(&mut a).unwrap();
                 let prog = a.finish().unwrap();
                 assert!(entry > prog.base, "{mode:?}: cold code comes first");
+                let mut report_tail = None;
+                let mut jumps_back = 0;
                 for (addr, inst, _) in redfat_x86::decode_all(&prog.bytes, prog.base) {
                     let target = inst.branch_target();
                     let case = format!("{mode:?} size_harden={size_harden}: {inst:?} at {addr:#x}");
                     match (addr >= entry, inst.op) {
                         (true, Op::Jmp) => panic!("{case}: jump on the hot path"),
                         (true, Op::Jcc(_)) => assert!(target < Some(entry), "{case}"),
-                        (false, Op::Jmp) => assert!(target >= Some(entry), "{case}"),
+                        (false, Op::Jmp) if target < Some(entry) => {
+                            assert_eq!(target, report_tail, "{case}");
+                            jumps_back += 1;
+                        }
+                        (false, Op::Mov) => {
+                            if let Operands::RI { dst: Reg::Rdi, .. } = inst.operands {
+                                report_tail = Some(addr);
+                            }
+                        }
                         _ => {}
                     }
                 }
+                let metadata_stubs = if mode == PayloadMode::Harden && size_harden {
+                    2
+                } else {
+                    0
+                };
+                assert_eq!(
+                    jumps_back, metadata_stubs,
+                    "{mode:?} size_harden={size_harden}"
+                );
             }
         }
     }
@@ -595,11 +650,18 @@ mod tests {
                     assert_eq!(p.clobbers, dead.to_vec());
 
                     let mut a = Asm::new(redfat_vm::layout::TRAMPOLINE_BASE);
-                    p.emit(&mut a).unwrap();
+                    let entry = p.emit(&mut a).unwrap();
                     let prog = a.finish().unwrap();
                     let insts = redfat_x86::decode_all(&prog.bytes, prog.base);
                     let total: usize = insts.iter().map(|(_, _, l)| *l as usize).sum();
                     assert_eq!(total, prog.bytes.len(), "{dead:?}: decodes completely");
+                    // Every hot-path branch is backward into this check's
+                    // cold code, and in rel8 reach.
+                    for (addr, inst, len) in &insts {
+                        if *addr >= entry && matches!(inst.op, Op::Jcc(_)) {
+                            assert_eq!(*len, 2, "{dead:?}: {inst:?} at {addr:#x}");
+                        }
+                    }
                     // Writes stay inside the scratch set, the forced
                     // rax/rdx, rsp, and the report stub's rdi/rsi.
                     for (addr, inst, _) in &insts {

@@ -70,14 +70,14 @@ impl std::fmt::Debug for Digest {
 /// alter hardened output for the same (image, config) pair; stale
 /// cache entries from older tool revisions then miss by key instead of
 /// serving wrong bytes.
-pub const TOOL_VERSION: &str = concat!("redfat-", env!("CARGO_PKG_VERSION"), "+cache3");
+pub const TOOL_VERSION: &str = concat!("redfat-", env!("CARGO_PKG_VERSION"), "+cache4");
 
 /// SHA-256 of a small fixed image hardened by this [`TOOL_VERSION`]
 /// (the `emitted_bytes_are_pinned_to_the_tool_version` test). A change
 /// that moves it changes emitted bytes: bump the tag above, then re-pin.
 #[cfg(test)]
 const PINNED_PROBE_DIGEST: &str =
-    "203c9d03cb7814992e3c984cc7d4cfe9d7b842792502f431f57d4b6930c46a5d";
+    "668b9dab9c3017f9c52f637538fcdeb178136df11690ff3e387f2252365b4831";
 
 const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,

@@ -63,8 +63,16 @@ pub struct RewriteStats {
     pub trap_patches: usize,
     /// Total instructions displaced into trampolines.
     pub displaced: usize,
-    /// Bytes of trampoline code emitted.
+    /// Bytes of trampoline code emitted: the sum of the three counts
+    /// below.
     pub trampoline_bytes: usize,
+    /// Payload code before each payload's entry (cold: reached only
+    /// through the payload's own branches).
+    pub cold_bytes: usize,
+    /// Payload code from each entry to the end of its payload.
+    pub hot_bytes: usize,
+    /// Displaced original instructions plus each jump back.
+    pub displaced_bytes: usize,
     /// Patch sites skipped because their anchor (or a displaced group
     /// member) does not decode -- the opportunistic-hardening fallback
     /// for corrupt or undecodable code. Zero on well-formed inputs.
@@ -199,7 +207,10 @@ pub fn rewrite_with_bases(
 
         let emitted_from = tramp.here();
         let entry = (patch.payload)(&mut tramp)?;
-        debug_assert!((emitted_from..=tramp.here()).contains(&entry));
+        let payload_end = tramp.here();
+        debug_assert!((emitted_from..=payload_end).contains(&entry));
+        stats.cold_bytes += (entry - emitted_from) as usize;
+        stats.hot_bytes += (payload_end - entry) as usize;
 
         match group {
             Some(members) => {
@@ -247,6 +258,7 @@ pub fn rewrite_with_bases(
                 stats.trap_patches += 1;
             }
         }
+        stats.displaced_bytes += (tramp.here() - payload_end) as usize;
     }
 
     let tramp_prog = tramp.finish()?;
@@ -563,6 +575,54 @@ mod tests {
             .expect("loads")
             .run(10_000);
         assert_eq!(run, RunResult::Exited(42));
+    }
+
+    #[test]
+    fn byte_breakdown_sums_to_trampoline_bytes() {
+        // Each payload: two cold `ud2`s, then one hot `nop` from its
+        // entry. A 7-byte `mov` takes a jmp patch, a 4-byte `add` traps,
+        // and an undecodable anchor is skipped and emits nothing.
+        let img = build_image(|a| {
+            let next = a.label();
+            a.mov_ri(Width::W64, Reg::Rdi, 0); // 7 bytes: T-jmp
+            a.test_rr(Width::W64, Reg::Rdi, Reg::Rdi);
+            a.jcc_label(Cond::Ne, next);
+            a.alu_ri(AluOp::Add, Width::W64, Reg::Rdi, 42); // 4 bytes: T-trap
+            a.bind(next).unwrap();
+            a.ret();
+        });
+        let d = disassemble(&img);
+        let cfg = Cfg::recover(&d, img.entry, &[]);
+        let trap_anchor = d
+            .iter()
+            .find(|(_, i, _)| i.op == Op::Alu(AluOp::Add))
+            .unwrap()
+            .0;
+        let payload = || -> Payload<'static> {
+            Box::new(|a: &mut Asm| {
+                a.ud2();
+                a.ud2();
+                let entry = a.here();
+                a.nop();
+                Ok(entry)
+            })
+        };
+        let patches = [0x12345, layout::CODE_BASE, trap_anchor]
+            .into_iter()
+            .map(|anchor| Patch {
+                anchor,
+                payload: payload(),
+            })
+            .collect();
+        let s = rewrite(&img, &d, &cfg, patches).unwrap().stats;
+        assert_eq!((s.jmp_patches, s.trap_patches, s.skipped_sites), (1, 1, 1));
+        assert_eq!((s.cold_bytes, s.hot_bytes), (2 * 4, 2));
+        // Each displaced instruction and its 5-byte jump back.
+        assert_eq!(s.displaced_bytes, (7 + 5) + (4 + 5));
+        assert_eq!(
+            s.cold_bytes + s.hot_bytes + s.displaced_bytes,
+            s.trampoline_bytes
+        );
     }
 
     #[test]

@@ -1,11 +1,15 @@
 //! A label-aware assembler over the instruction encoder.
 //!
 //! [`Asm`] accumulates machine code at a fixed base address, supporting
-//! forward label references for branches. Branches to labels are always
-//! emitted in their `rel32` form so that binding order cannot change
-//! instruction lengths (the classic fixed-point problem of span-dependent
-//! instructions is deliberately avoided; a hardening tool favors
-//! predictability over the last byte of density).
+//! forward label references for branches. A label branch's form is
+//! decided when it is emitted and never revisited, so instruction lengths
+//! are fixed at emission and binding order cannot change them (the
+//! classic fixed-point problem of span-dependent instructions is
+//! deliberately avoided: there is no relaxation pass). [`Asm::jcc_label`]
+//! and [`Asm::jmp_label`] always emit `rel32`; [`Asm::jcc_label_short`]
+//! and [`Asm::jmp_label_short`] emit `rel8` when the label is already
+//! bound and in reach, and `rel32` otherwise, so only backward branches
+//! ever shrink.
 
 use crate::encode::{encode_append, EncodeError};
 use crate::insn::{AluOp, Cond, Inst, Mem, MulDivOp, Op, Operands, ShiftOp, Width};
@@ -388,6 +392,15 @@ impl Asm {
         self.push_rel32_fixup(label);
     }
 
+    /// `jmp` to a label: rel8 if the label is bound and in reach, else
+    /// rel32.
+    pub fn jmp_label_short(&mut self, label: Label) {
+        match self.bound_rel8(label) {
+            Some(d) => self.bytes.extend_from_slice(&[0xEB, d as u8]),
+            None => self.jmp_label(label),
+        }
+    }
+
     /// `jmp *%r`.
     pub fn jmp_ind_r(&mut self, r: Reg) {
         self.emit(Inst::new(Op::JmpInd, Width::W64, Operands::R(r)))
@@ -399,6 +412,22 @@ impl Asm {
         self.bytes.push(0x0F);
         self.bytes.push(0x80 | cond.code());
         self.push_rel32_fixup(label);
+    }
+
+    /// `jcc` to a label: rel8 if the label is bound and in reach, else
+    /// rel32.
+    pub fn jcc_label_short(&mut self, cond: Cond, label: Label) {
+        match self.bound_rel8(label) {
+            Some(d) => self.bytes.extend_from_slice(&[0x70 | cond.code(), d as u8]),
+            None => self.jcc_label(cond, label),
+        }
+    }
+
+    /// The rel8 displacement of a 2-byte branch emitted here to `label`,
+    /// if the label is bound and within reach.
+    fn bound_rel8(&self, label: Label) -> Option<i8> {
+        let target = self.labels[label.0]?;
+        i8::try_from(target as i64 - (self.here() + 2) as i64).ok()
     }
 
     /// `setcc %r8`.
@@ -515,6 +544,58 @@ mod tests {
             .find(|(_, i, _)| matches!(i.op, Op::Jcc(_)))
             .unwrap();
         assert_eq!(jcc.1.branch_target(), Some(0x40_0000));
+    }
+
+    /// The length and target of a branch that `emit` places after a
+    /// label bound at the base and `pad` single-byte NOPs.
+    fn branch_after(pad: usize, emit: impl Fn(&mut Asm, Label)) -> (usize, Option<u64>) {
+        let mut a = Asm::new(0x40_0000);
+        let l = a.label();
+        a.bind(l).unwrap();
+        for _ in 0..pad {
+            a.nop();
+        }
+        emit(&mut a, l);
+        let p = a.finish().unwrap();
+        let (_, inst, len) = decode_all(&p.bytes, p.base).pop().unwrap();
+        (len as usize, inst.branch_target())
+    }
+
+    #[test]
+    fn short_forms_use_rel8_for_a_bound_label_in_reach() {
+        let jcc = |a: &mut Asm, l| a.jcc_label_short(Cond::A, l);
+        let jmp = |a: &mut Asm, l| a.jmp_label_short(l);
+        assert_eq!(branch_after(0, jcc), (2, Some(0x40_0000)));
+        assert_eq!(branch_after(0, jmp), (2, Some(0x40_0000)));
+        // 126 NOPs put the label 128 bytes before the branch's end: rel8
+        // -128 is the farthest reach; one more byte needs rel32.
+        assert_eq!(branch_after(126, jcc), (2, Some(0x40_0000)));
+        assert_eq!(branch_after(126, jmp), (2, Some(0x40_0000)));
+        assert_eq!(branch_after(127, jcc), (6, Some(0x40_0000)));
+        assert_eq!(branch_after(127, jmp), (5, Some(0x40_0000)));
+    }
+
+    #[test]
+    fn short_forms_use_rel32_for_an_unbound_label() {
+        let mut a = Asm::new(0x40_0000);
+        let l = a.label();
+        a.jcc_label_short(Cond::E, l);
+        a.jmp_label_short(l);
+        assert_eq!(a.len(), 6 + 5, "a forward label keeps rel32");
+        a.bind(l).unwrap();
+        let p = a.finish().unwrap();
+        for (_, inst, _) in decode_all(&p.bytes, p.base) {
+            assert_eq!(inst.branch_target(), Some(0x40_0000 + 11));
+        }
+    }
+
+    #[test]
+    fn label_branches_stay_rel32_when_a_short_form_would_fit() {
+        assert_eq!(
+            branch_after(0, |a, l| a.jcc_label(Cond::A, l)),
+            (6, Some(0x40_0000))
+        );
+        assert_eq!(branch_after(0, |a, l| a.jmp_label(l)), (5, Some(0x40_0000)));
     }
 
     #[test]
