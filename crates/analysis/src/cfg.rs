@@ -75,6 +75,16 @@ impl Cfg {
     /// Components are ordered by their lowest block address, and every
     /// block appears in exactly one component.
     pub fn components(&self) -> Vec<Cfg> {
+        self.component_starts()
+            .iter()
+            .map(|starts| self.sub_cfg(starts))
+            .collect()
+    }
+
+    /// The partition [`Cfg::components`] returns, as the start addresses
+    /// of each component's blocks in ascending order, without cloning
+    /// any block.
+    pub fn component_starts(&self) -> Vec<Vec<u64>> {
         // Undirected adjacency over block indices (address order):
         // successor edges plus their reverses.
         let blocks: Vec<&Block> = self.blocks.values().collect();
@@ -104,16 +114,22 @@ impl Cfg {
                 }
             }
             members.sort_unstable();
-            out.push(Cfg {
-                blocks: members
-                    .iter()
-                    .map(|&m| (blocks[m].start, blocks[m].clone()))
-                    .collect(),
-                leaders: Arc::clone(&self.leaders),
-                func_entries: Arc::clone(&self.func_entries),
-            });
+            out.push(members.iter().map(|&m| blocks[m].start).collect());
         }
         out
+    }
+
+    /// The sub-`Cfg` holding this CFG's blocks that start at `starts`,
+    /// with the full leader and function-entry sets.
+    pub fn sub_cfg(&self, starts: &[u64]) -> Cfg {
+        Cfg {
+            blocks: starts
+                .iter()
+                .filter_map(|s| Some((*s, self.blocks.get(s)?.clone())))
+                .collect(),
+            leaders: Arc::clone(&self.leaders),
+            func_entries: Arc::clone(&self.func_entries),
+        }
     }
 
     /// Recovers the CFG from a disassembly.
@@ -164,94 +180,110 @@ impl Cfg {
             }
         }
 
-        // Pass 2: slice into blocks.
-        let mut blocks = BTreeMap::new();
-        for &leader in &leaders {
-            if disasm.at(leader).is_none() {
-                continue;
-            }
-            let mut insts = Vec::new();
-            let mut addr = leader;
-            let mut succs = Vec::new();
-            let mut opaque = false;
-            loop {
-                let Some((inst, len)) = disasm.at(addr) else {
-                    // Fell into unknown bytes.
-                    opaque = true;
-                    break;
-                };
-                insts.push(addr);
-                let next = addr + *len as u64;
-                match inst.op {
-                    Op::Jmp => {
-                        match inst.branch_target() {
-                            // A direct jump to another function's entry is
-                            // a tail call: control leaves this function and
-                            // the callee's `ret` returns to *our* caller.
-                            // No intra-function successor edge; the exit is
-                            // opaque exactly like a `ret`.
-                            Some(t) if func_entries.contains(&t) && t != leader => {
-                                opaque = true;
-                            }
-                            Some(t) => succs.push(t),
-                            None => {}
-                        }
-                        break;
-                    }
-                    Op::Jcc(_) => {
-                        if let Some(t) = inst.branch_target() {
-                            succs.push(t);
-                        }
-                        if disasm.at(next).is_some() {
-                            succs.push(next);
-                        }
-                        break;
-                    }
-                    Op::JmpInd | Op::Ret | Op::Ud2 | Op::Int3 => {
-                        opaque = true;
-                        break;
-                    }
-                    Op::Call | Op::CallInd => {
-                        // The callee is opaque; treat the return site as
-                        // the fall-through successor but mark the exit
-                        // opaque so liveness stays conservative.
-                        if disasm.at(next).is_some() {
-                            succs.push(next);
-                        }
-                        opaque = true;
-                        break;
-                    }
-                    _ => {
-                        if leaders.contains(&next) || insts.len() >= MAX_BLOCK {
-                            if disasm.at(next).is_some() {
-                                succs.push(next);
-                            }
-                            break;
-                        }
-                        if disasm.at(next).is_none() {
-                            opaque = true;
-                            break;
-                        }
-                        addr = next;
-                    }
-                }
-            }
-            blocks.insert(
-                leader,
-                Block {
-                    start: leader,
-                    insts,
-                    succs,
-                    opaque_exit: opaque,
-                },
-            );
-        }
+        // Pass 2: slice into blocks, in leader order. The map is built
+        // in one go from the ordered list, which packs its nodes full.
+        let blocks = leaders
+            .iter()
+            .filter_map(|&leader| {
+                let block = Cfg::slice_block(disasm, &leaders, &func_entries, leader)?;
+                Some((leader, block))
+            })
+            .collect();
 
         Cfg {
             blocks,
             leaders: Arc::new(leaders),
             func_entries: Arc::new(func_entries),
         }
+    }
+
+    /// The block [`Cfg::recover`] slices at `leader` given its leaders
+    /// and function entries, or `None` if no instruction starts there.
+    /// A block is a pure function of those sets and the instructions
+    /// from `leader` on, so this re-creates any recovered block without
+    /// keeping the map. The member and successor lists carry no spare
+    /// capacity: a CFG lives through the whole harden.
+    pub fn slice_block(
+        disasm: &Disasm,
+        leaders: &BTreeSet<u64>,
+        func_entries: &BTreeSet<u64>,
+        leader: u64,
+    ) -> Option<Block> {
+        disasm.at(leader)?;
+        let mut insts = Vec::new();
+        let mut addr = leader;
+        let mut succs = Vec::new();
+        let mut opaque = false;
+        loop {
+            let Some((inst, len)) = disasm.at(addr) else {
+                // Fell into unknown bytes.
+                opaque = true;
+                break;
+            };
+            insts.push(addr);
+            let next = addr + *len as u64;
+            match inst.op {
+                Op::Jmp => {
+                    match inst.branch_target() {
+                        // A direct jump to another function's entry is
+                        // a tail call: control leaves this function and
+                        // the callee's `ret` returns to *our* caller.
+                        // No intra-function successor edge; the exit is
+                        // opaque exactly like a `ret`.
+                        Some(t) if func_entries.contains(&t) && t != leader => {
+                            opaque = true;
+                        }
+                        Some(t) => succs.push(t),
+                        None => {}
+                    }
+                    break;
+                }
+                Op::Jcc(_) => {
+                    if let Some(t) = inst.branch_target() {
+                        succs.push(t);
+                    }
+                    if disasm.at(next).is_some() {
+                        succs.push(next);
+                    }
+                    break;
+                }
+                Op::JmpInd | Op::Ret | Op::Ud2 | Op::Int3 => {
+                    opaque = true;
+                    break;
+                }
+                Op::Call | Op::CallInd => {
+                    // The callee is opaque; treat the return site as
+                    // the fall-through successor but mark the exit
+                    // opaque so liveness stays conservative.
+                    if disasm.at(next).is_some() {
+                        succs.push(next);
+                    }
+                    opaque = true;
+                    break;
+                }
+                _ => {
+                    if leaders.contains(&next) || insts.len() >= MAX_BLOCK {
+                        if disasm.at(next).is_some() {
+                            succs.push(next);
+                        }
+                        break;
+                    }
+                    if disasm.at(next).is_none() {
+                        opaque = true;
+                        break;
+                    }
+                    addr = next;
+                }
+            }
+        }
+        insts.shrink_to_fit();
+        succs.shrink_to_fit();
+        Some(Block {
+            start: leader,
+            insts,
+            succs,
+            opaque_exit: opaque,
+        })
     }
 }
 

@@ -96,6 +96,26 @@ impl Disasm {
         self.index_of(addr).map(|i| &self.insts[i].1)
     }
 
+    /// Returns the instruction whose bytes cover `addr`, with its start
+    /// address and length.
+    pub fn containing(&self, addr: u64) -> Option<(u64, &Inst, u8)> {
+        let i = self
+            .insts
+            .partition_point(|&(a, _)| a <= addr)
+            .checked_sub(1)?;
+        let (start, (inst, len)) = &self.insts[i];
+        (addr - start < u64::from(*len)).then_some((*start, inst, *len))
+    }
+
+    /// Replaces the instruction starting at `addr` with `inst` and
+    /// returns the old one, or `None` if no instruction starts there.
+    /// The recorded length stays: `inst` must decode from the same
+    /// number of bytes, or the table no longer describes the code.
+    pub fn replace(&mut self, addr: u64, inst: Inst) -> Option<Inst> {
+        let i = self.index_of(addr)?;
+        Some(std::mem::replace(&mut self.insts[i].1 .0, inst))
+    }
+
     /// Returns the address of the instruction following `addr`.
     pub fn next_addr(&self, addr: u64) -> Option<u64> {
         let (_, len) = self.at(addr)?;
@@ -152,7 +172,14 @@ fn word_index(addr: u64, base: u64, first: usize) -> Option<usize> {
 /// sequences degrade coverage rather than correctness, matching the
 /// paper's conservative stance.
 pub fn disassemble(image: &Image) -> Disasm {
-    let mut insts = Vec::new();
+    // One allocation with room for an instruction per three code bytes
+    // (the stand-ins average 3.8-4.8, as compiled x86-64 code does), which
+    // `from_decoded` trims, rather than a chain of doublings: kromium's
+    // chain copies through heap buffers of up to 14 MB that land wherever
+    // earlier frees left room, so the process's peak resident set varied
+    // by that much between runs of identical input.
+    let code: usize = image.exec_segments().map(|s| s.data.len()).sum();
+    let mut insts = Vec::with_capacity(code / 3);
     let mut unknown = Vec::new();
     for seg in image.exec_segments() {
         let mut off = 0usize;
@@ -219,6 +246,30 @@ mod tests {
         // The 0x0F 0x28 fails; resync lands on 0x28 0xC1 (sub), then 0x90.
         assert!(!d.unknown.is_empty());
         assert!(d.at(0x40_0000).is_some());
+    }
+
+    #[test]
+    fn containing_and_replace_address_by_covered_byte() {
+        let mut a = Asm::new(0x40_0000);
+        a.mov_ri(Width::W64, Reg::Rax, 5);
+        a.ret();
+        let p = a.finish().unwrap();
+        let mut d = disassemble(&image_with(p.bytes));
+        let (mov, len) = *d.at(0x40_0000).unwrap();
+        let ret_at = 0x40_0000 + u64::from(len);
+        assert_eq!(d.containing(ret_at - 1), Some((0x40_0000, &mov, len)));
+        assert_eq!(d.containing(ret_at).map(|(a, _, _)| a), Some(ret_at));
+        assert_eq!(d.containing(ret_at + 1), None, "past the last byte");
+        assert_eq!(d.containing(0x3F_FFFF), None, "before the first");
+
+        let ret = d.at(ret_at).unwrap().0;
+        assert_eq!(d.replace(0x40_0000, ret), Some(mov));
+        assert_eq!(d.at(0x40_0000), Some(&(ret, len)), "length stays");
+        assert_eq!(
+            d.replace(0x40_0001, ret),
+            None,
+            "no instruction starts there"
+        );
     }
 
     #[test]

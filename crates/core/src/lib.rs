@@ -36,6 +36,7 @@ mod cache;
 mod checks;
 mod config;
 pub mod digest;
+mod edit;
 pub mod error;
 pub mod faults;
 mod fuzz;
@@ -48,6 +49,7 @@ pub use cache::{MemoryComponentCache, DEFAULT_COMPONENT_CAPACITY};
 pub use checks::CHECK_SCRATCH_CANDIDATES;
 pub use config::{HardenConfig, LowFatPolicy};
 pub use digest::{image_digest, sha256, Digest, Sha256, TOOL_VERSION};
+pub use edit::KeptBase;
 pub use error::{ErrorKind, RedfatError, Stage};
 pub use faults::{classify_bytes, fault_sweep, FaultConfig, FaultOutcome, FaultReport};
 pub use fuzz::{fuzz_profile, FuzzConfig, FuzzOutcome};

@@ -288,6 +288,7 @@ pub fn harden_cached(
         threads,
         Some(cache),
     )
+    .map(|(hardened, _)| hardened)
 }
 
 /// The digest prefix shared by every component key of one (image,
@@ -303,7 +304,7 @@ pub fn harden_cached(
 /// cases at the cost of degrading reuse to whole-image granularity: for
 /// `interproc`, a non-default configuration, and for overlapping
 /// segments, which the loader rejects (`LoadError::SegmentOverlap`).
-fn cache_prefix(image: &Image, config: &HardenConfig, mode: PayloadMode) -> Digest {
+pub(crate) fn cache_prefix(image: &Image, config: &HardenConfig, mode: PayloadMode) -> Digest {
     let mut h = Sha256::new();
     let tool = TOOL_VERSION.as_bytes();
     h.update_u64(tool.len() as u64);
@@ -324,7 +325,7 @@ fn cache_prefix(image: &Image, config: &HardenConfig, mode: PayloadMode) -> Dige
 /// Whether an executable segment overlaps another segment. Extents are
 /// measured as the loader measures them: the larger of file and memory
 /// size, with empty segments skipped.
-fn exec_segment_overlaps(image: &Image) -> bool {
+pub(crate) fn exec_segment_overlaps(image: &Image) -> bool {
     let extents: Vec<(bool, u64, u64)> = image
         .segments
         .iter()
@@ -480,17 +481,109 @@ fn instrument(
     bases: RewriteBases,
     threads: usize,
 ) -> Result<Hardened, HardenError> {
-    instrument_with_cache(image, config, mode, bases, threads, None)
+    instrument_with_cache(image, config, mode, bases, threads, None).map(|(hardened, _)| hardened)
 }
 
-fn instrument_with_cache(
+/// The whole-image analysis of one harden, kept beside its output so an
+/// edit of the same image can skip it (see [`crate::KeptBase`]). Of the
+/// CFG it keeps the leaders and function entries; a block is re-sliced
+/// from them when needed ([`Cfg::slice_block`]).
+pub(crate) struct Analysis {
+    pub(crate) disasm: Disasm,
+    pub(crate) leaders: Arc<BTreeSet<u64>>,
+    pub(crate) func_entries: Arc<BTreeSet<u64>>,
+    pub(crate) roots: Option<BTreeSet<u64>>,
+    /// The start addresses of each component's blocks, in component
+    /// order ([`Cfg::component_starts`]).
+    pub(crate) component_blocks: Vec<Vec<u64>>,
+    /// Each component's plan, in component order.
+    pub(crate) plans: Vec<Arc<ComponentPlan>>,
+    /// The statistics of the instructions in no recovered block.
+    pub(crate) leftover: LeftoverSites,
+}
+
+/// How the instructions in no recovered block count in
+/// [`HardenStats`]: they belong to no component, are never
+/// instrumented, and their flow facts are `None`, so only the
+/// syntactic rule can eliminate them.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct LeftoverSites {
+    considered: usize,
+    eliminated: usize,
+}
+
+impl LeftoverSites {
+    /// Adds `inst`'s contribution, or removes it when `add` is false.
+    pub(crate) fn count(&mut self, config: &HardenConfig, inst: &Inst, add: bool) {
+        let Some(mem) = inst.memory_access() else {
+            return;
+        };
+        if !config.instrument_reads && !inst.writes_memory() {
+            return;
+        }
+        let eliminated = config.elim && !can_reach_heap(&mem);
+        if add {
+            self.considered += 1;
+            self.eliminated += usize::from(eliminated);
+        } else {
+            self.considered -= 1;
+            self.eliminated -= usize::from(eliminated);
+        }
+    }
+}
+
+/// What planning one component reads besides the component itself.
+pub(crate) struct Planner<'a> {
+    pub(crate) disasm: &'a Disasm,
+    pub(crate) image: &'a Image,
+    pub(crate) config: &'a HardenConfig,
+    pub(crate) mode: PayloadMode,
+    pub(crate) roots: Option<&'a BTreeSet<u64>>,
+    pub(crate) summaries: Option<&'a SummaryTables>,
+    /// The component cache and this run's key prefix.
+    pub(crate) cache: Option<(&'a dyn ComponentCache, Digest)>,
+}
+
+impl Planner<'_> {
+    /// Plans component `sub`: with a cache, its plan is first looked up
+    /// by content key -- a hit substitutes the cached plan for
+    /// recomputation (same plan by the key's soundness argument), a miss
+    /// computes and publishes. The flag says whether the plan was
+    /// reused.
+    pub(crate) fn plan(&self, sub: &Cfg) -> (Arc<ComponentPlan>, bool) {
+        let fresh = || {
+            Arc::new(instrument_shard(
+                self.disasm,
+                sub,
+                self.config,
+                self.mode,
+                self.roots,
+                self.summaries,
+            ))
+        };
+        let Some((cache, prefix)) = &self.cache else {
+            return (fresh(), false);
+        };
+        let key = component_key(prefix, self.disasm, self.image, sub, self.roots);
+        if let Some(plan) = cache.get(&key) {
+            return (plan, true);
+        }
+        let plan = fresh();
+        cache.put(&key, plan.clone());
+        (plan, false)
+    }
+}
+
+/// The full pipeline, returning beside its output the analysis an edit
+/// of `image` can keep.
+pub(crate) fn instrument_with_cache(
     image: &Image,
     config: &HardenConfig,
     mode: PayloadMode,
     bases: RewriteBases,
     threads: usize,
     cache: Option<&dyn ComponentCache>,
-) -> Result<Hardened, HardenError> {
+) -> Result<(Hardened, Analysis), HardenError> {
     let disasm = disassemble(image);
     let cfg = Cfg::recover(&disasm, image.entry, &[]);
 
@@ -519,65 +612,29 @@ fn instrument_with_cache(
     // edge crosses a shard, so every per-shard analysis result is the
     // exact restriction of its whole-image counterpart, and the shard
     // granularity -- not the thread count -- determines the output.
-    // With a cache, each component is first looked up by content key;
-    // a hit substitutes the cached plan for recomputation (same plan by
-    // the key's soundness argument), a miss computes and publishes.
-    let prefix = cache.map(|_| cache_prefix(image, config, mode));
-    let shards: Vec<(Arc<ComponentPlan>, bool)> = parallel_map(cfg.components(), threads, |sub| {
-        let key = prefix
-            .as_ref()
-            .map(|p| component_key(p, &disasm, image, sub, roots.as_ref()));
-        if let (Some(cache), Some(key)) = (cache, key.as_ref()) {
-            if let Some(plan) = cache.get(key) {
-                return (plan, true);
-            }
-        }
-        let plan = Arc::new(instrument_shard(
-            &disasm,
-            sub,
-            config,
-            mode,
-            roots.as_ref(),
-            summaries.as_ref(),
-        ));
-        if let (Some(cache), Some(key)) = (cache, key.as_ref()) {
-            cache.put(key, plan.clone());
-        }
-        (plan, false)
+    let planner = Planner {
+        disasm: &disasm,
+        image,
+        config,
+        mode,
+        roots: roots.as_ref(),
+        summaries: summaries.as_ref(),
+        cache: cache.map(|c| (c, cache_prefix(image, config, mode))),
+    };
+    // Each worker builds the sub-CFG it plans, so only as many exist at
+    // once as there are threads.
+    let component_blocks = cfg.component_starts();
+    let shards = parallel_map(component_blocks.iter().collect(), threads, |starts| {
+        planner.plan(&cfg.sub_cfg(starts))
     });
+    let reused = shards.iter().filter(|(_, reused)| *reused).count();
+    let plans = shards.into_iter().map(|(plan, _)| plan).collect();
 
-    // Deterministic merge: shards arrive in component order; anchors
-    // are globally unique, so the final sort is a total order.
-    let mut stats = HardenStats::default();
-    let mut clobbers: HashMap<u64, ClobberInfo> = HashMap::new();
-    let mut planned: Vec<(u64, BatchPayload)> = Vec::new();
-    for (shard, reused) in shards {
-        stats.components += 1;
-        stats.components_reused += reused as usize;
-        stats.sites_considered += shard.stats.sites_considered;
-        stats.sites_eliminated += shard.stats.sites_eliminated;
-        stats.sites_eliminated_flow += shard.stats.sites_eliminated_flow;
-        stats.sites_eliminated_interproc += shard.stats.sites_eliminated_interproc;
-        stats.sites_redundant += shard.stats.sites_redundant;
-        stats.sites_lowfat += shard.stats.sites_lowfat;
-        stats.sites_redzone += shard.stats.sites_redzone;
-        stats.checks += shard.stats.checks;
-        stats.regs_saved += shard.stats.regs_saved;
-        stats.flags_saved += shard.stats.flags_saved;
-        stats.sites_skipped += shard.stats.sites_skipped;
-        clobbers.extend(shard.clobbers.iter().cloned());
-        planned.extend(shard.planned.iter().cloned());
-    }
-    planned.sort_by_key(|(anchor, _)| *anchor);
-    stats.batches = planned.len();
-
-    // Instructions in no recovered block belong to no shard; they are
-    // never instrumented (batches only cover block members) but still
-    // count toward the classification statistics. Flow facts are `None`
-    // for them, so flow elimination never applies. One address-ordered
-    // sweep over blocks and instructions answers `cfg.block_of(addr)`
-    // for each: the last block starting at or before `addr`, and
-    // whether `addr` is one of its members.
+    // Instructions in no recovered block belong to no shard. One
+    // address-ordered sweep over blocks and instructions answers
+    // `cfg.block_of(addr)` for each: the last block starting at or
+    // before `addr`, and whether `addr` is one of its members.
+    let mut leftover = LeftoverSites::default();
     let mut blocks = cfg.blocks.values().peekable();
     let mut current: Option<(&Block, usize)> = None;
     for (addr, inst, _) in disasm.iter() {
@@ -592,26 +649,80 @@ fn instrument_with_cache(
                 continue;
             }
         }
-        if let Some(mem) = inst.memory_access() {
-            if !config.instrument_reads && !inst.writes_memory() {
-                continue;
-            }
-            stats.sites_considered += 1;
-            if config.elim && !can_reach_heap(&mem) {
-                stats.sites_eliminated += 1;
-            }
-        }
+        leftover.count(config, inst, true);
     }
 
+    // The blocks are dropped here, before the rewrite.
+    let Cfg {
+        blocks,
+        leaders,
+        func_entries,
+    } = cfg;
+    drop(blocks);
+    let analysis = Analysis {
+        disasm,
+        leaders,
+        func_entries,
+        roots,
+        component_blocks,
+        plans,
+        leftover,
+    };
+    let hardened = merge_and_rewrite(image, &analysis, reused, bases)?;
+    Ok((hardened, analysis))
+}
+
+/// The tail the full and the edit path share: sums the per-component
+/// statistics, merges the plans in anchor order and rewrites `image`.
+/// Payloads are borrowed from the plans, not copied.
+pub(crate) fn merge_and_rewrite(
+    image: &Image,
+    analysis: &Analysis,
+    components_reused: usize,
+    bases: RewriteBases,
+) -> Result<Hardened, HardenError> {
+    let mut stats = HardenStats {
+        sites_considered: analysis.leftover.considered,
+        sites_eliminated: analysis.leftover.eliminated,
+        components: analysis.plans.len(),
+        components_reused,
+        ..HardenStats::default()
+    };
+    let mut clobbers: HashMap<u64, ClobberInfo> = HashMap::new();
+    let mut planned: Vec<(u64, &BatchPayload)> = Vec::new();
+    for plan in &analysis.plans {
+        let s = &plan.stats;
+        stats.sites_considered += s.sites_considered;
+        stats.sites_eliminated += s.sites_eliminated;
+        stats.sites_eliminated_flow += s.sites_eliminated_flow;
+        stats.sites_eliminated_interproc += s.sites_eliminated_interproc;
+        stats.sites_redundant += s.sites_redundant;
+        stats.sites_lowfat += s.sites_lowfat;
+        stats.sites_redzone += s.sites_redzone;
+        stats.checks += s.checks;
+        stats.regs_saved += s.regs_saved;
+        stats.flags_saved += s.flags_saved;
+        stats.sites_skipped += s.sites_skipped;
+        clobbers.extend(plan.clobbers.iter().cloned());
+        planned.extend(
+            plan.planned
+                .iter()
+                .map(|(anchor, payload)| (*anchor, payload)),
+        );
+    }
+    // Anchors are globally unique, so this is a total order.
+    planned.sort_unstable_by_key(|&(anchor, _)| anchor);
+    stats.batches = planned.len();
+
     let patches: Vec<Patch> = planned
-        .iter()
+        .into_iter()
         .map(|(anchor, payload)| Patch {
-            anchor: *anchor,
+            anchor,
             payload: Box::new(move |a: &mut redfat_x86::Asm| payload.emit(a)),
         })
         .collect();
 
-    let out = rewrite_with_bases(image, &disasm, &cfg, patches, bases)?;
+    let out = rewrite_with_bases(image, &analysis.disasm, &analysis.leaders, patches, bases)?;
     stats.rewrite = out.stats;
     Ok(Hardened {
         image: out.image,
@@ -798,6 +909,8 @@ fn instrument_shard(
         if specs.is_empty() {
             continue;
         }
+        // Plans outlive the harden in caches and kept bases: no slack.
+        specs.shrink_to_fit();
 
         let dead = liveness.dead_regs_before(batch.anchor);
         let flags_dead = liveness.flags_dead_before(batch.anchor);
@@ -847,6 +960,8 @@ fn instrument_shard(
         }
     }
 
+    planned.shrink_to_fit();
+    clobbers.shrink_to_fit();
     ComponentPlan {
         planned,
         clobbers,

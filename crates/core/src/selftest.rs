@@ -1702,7 +1702,7 @@ mod tests {
         });
         let disasm = redfat_analysis::disassemble(&image);
         let cfg = Cfg::recover(&disasm, image.entry, &[]);
-        let out = rewrite(&image, &disasm, &cfg, clobber_rbx_patch(anchor)).unwrap();
+        let out = rewrite(&image, &disasm, &cfg.leaders, clobber_rbx_patch(anchor)).unwrap();
         let rep = lockstep_images(
             &image,
             &out.image,
@@ -1736,7 +1736,7 @@ mod tests {
         });
         let disasm = redfat_analysis::disassemble(&image);
         let cfg = Cfg::recover(&disasm, image.entry, &[]);
-        let out = rewrite(&image, &disasm, &cfg, clobber_rbx_patch(anchor)).unwrap();
+        let out = rewrite(&image, &disasm, &cfg.leaders, clobber_rbx_patch(anchor)).unwrap();
 
         // Undeclared: flagged.
         let rep = lockstep_images(
@@ -1790,7 +1790,7 @@ mod tests {
         });
         let disasm = redfat_analysis::disassemble(&image);
         let cfg = Cfg::recover(&disasm, image.entry, &[]);
-        let out = rewrite(&image, &disasm, &cfg, clobber_rbx_patch(anchor)).unwrap();
+        let out = rewrite(&image, &disasm, &cfg.leaders, clobber_rbx_patch(anchor)).unwrap();
         let shrunk = shrink_input(
             &image,
             &out.image,

@@ -74,8 +74,12 @@ impl RunResult {
     }
 }
 
-/// Per-segment instruction cache: one `u32` slot per code byte indexing
-/// into a pool of decoded instructions (`u32::MAX` = not yet decoded).
+/// Per-segment instruction cache: one `u32` slot per code byte holding
+/// one plus an index into a pool of decoded instructions (0 = not yet
+/// decoded). A new segment's table is thus zeroed memory that the
+/// allocator need not write, and only slots for code the guest runs
+/// become resident; a non-zero fill made the whole table resident
+/// (12 MB for kromium's hardened trampolines) wherever it landed.
 /// Guest stores never invalidate entries (self-modifying code is
 /// unsupported by the substrate); the host can explicitly drop a
 /// segment's decodes via [`Emu::invalidate_code`] after reloading code.
@@ -91,12 +95,8 @@ impl ICache {
     fn lookup(&mut self, rip: u64) -> Option<(Inst, u8)> {
         let seg = self.seg_of(rip)?;
         let (base, _, slots) = &self.segs[seg];
-        let idx = slots[(rip - base) as usize];
-        if idx == u32::MAX {
-            None
-        } else {
-            Some(self.pool[idx as usize])
-        }
+        let slot = slots[(rip - base) as usize];
+        slot.checked_sub(1).map(|idx| self.pool[idx as usize])
     }
 
     #[inline]
@@ -116,18 +116,17 @@ impl ICache {
     }
 
     fn add_seg(&mut self, base: u64, size: u64) {
-        self.segs
-            .push((base, base + size, vec![u32::MAX; size as usize]));
+        self.segs.push((base, base + size, vec![0; size as usize]));
         self.last = self.segs.len() - 1;
     }
 
     fn insert(&mut self, rip: u64, entry: (Inst, u8)) {
         if let Some(seg) = self.seg_of(rip) {
-            let idx = self.pool.len() as u32;
             self.pool.push(entry);
+            let slot = self.pool.len() as u32;
             let (base, _, slots) = &mut self.segs[seg];
             let off = (rip - *base) as usize;
-            slots[off] = idx;
+            slots[off] = slot;
         }
     }
 
@@ -138,7 +137,7 @@ impl ICache {
     fn invalidate(&mut self, addr: u64) -> bool {
         match self.seg_of(addr) {
             Some(seg) => {
-                self.segs[seg].2.fill(u32::MAX);
+                self.segs[seg].2.fill(0);
                 true
             }
             None => false,

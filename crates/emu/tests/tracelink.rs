@@ -392,3 +392,44 @@ fn budget_expiry_mid_trace_retires_identical_counter_deltas() {
         );
     }
 }
+
+/// The step interpreter's decode cache across a host code patch: a
+/// cached decode keeps running until its segment is invalidated, after
+/// which the next step decodes the patched bytes.
+#[test]
+fn step_invalidation_redecodes_patched_code() {
+    let program = |rdi: i64| {
+        let mut a = Asm::new(layout::CODE_BASE);
+        a.mov_ri(Width::W64, Reg::Rdi, rdi);
+        let first_len = a.len();
+        a.mov_ri(Width::W64, Reg::Rax, syscalls::EXIT as i64);
+        a.syscall();
+        (a.finish().unwrap().bytes, first_len)
+    };
+    let (code, len) = program(7);
+    let (patch, patch_len) = program(9);
+    assert_eq!(len, patch_len, "the patch keeps the instruction length");
+    let image = Image {
+        kind: ImageKind::Exec,
+        entry: layout::CODE_BASE,
+        segments: vec![Segment::new(layout::CODE_BASE, SegFlags::RX, code)],
+        symbols: vec![],
+    };
+    let mut emu = load(&image);
+    assert_eq!(emu.step(), Ok(None));
+    assert_eq!(emu.cpu.get(Reg::Rdi), 7);
+
+    emu.vm
+        .write_privileged(layout::CODE_BASE, &patch[..len])
+        .unwrap();
+    emu.cpu.rip = layout::CODE_BASE;
+    assert_eq!(emu.step(), Ok(None));
+    assert_eq!(emu.cpu.get(Reg::Rdi), 7, "the cached decode still runs");
+
+    assert!(emu.invalidate_code(layout::CODE_BASE));
+    emu.cpu.rip = layout::CODE_BASE;
+    assert_eq!(
+        emu.run_backend(ExecBackend::Step, 1_000),
+        RunResult::Exited(9)
+    );
+}

@@ -34,10 +34,11 @@
 //! behavior of unpatched code; integration tests assert output equality
 //! between original and rewritten binaries with empty payloads.
 
-use redfat_analysis::{Cfg, Disasm};
+use redfat_analysis::Disasm;
 use redfat_elf::{Image, SegFlags, Segment};
 use redfat_vm::layout;
 use redfat_x86::{encode, Asm, AsmError, Inst, Op, Operands, Width};
+use std::collections::BTreeSet;
 
 /// A payload generator: emits instrumentation into the trampoline
 /// assembler and returns its entry address, which the patch-site `jmp`
@@ -150,15 +151,16 @@ impl Default for RewriteBases {
 
 /// Applies `patches` to `image` at the default segment bases.
 ///
-/// `disasm`/`cfg` must describe `image` (callers already have them from
-/// planning). Patches must be sorted by strictly increasing anchor.
+/// `disasm` must describe `image` and `leaders` must hold every potential
+/// jump target (the recovered CFG's leaders; callers already have both
+/// from planning). Patches must be sorted by strictly increasing anchor.
 pub fn rewrite(
     image: &Image,
     disasm: &Disasm,
-    cfg: &Cfg,
+    leaders: &BTreeSet<u64>,
     patches: Vec<Patch<'_>>,
 ) -> Result<RewriteOutput, RewriteError> {
-    rewrite_with_bases(image, disasm, cfg, patches, RewriteBases::default())
+    rewrite_with_bases(image, disasm, leaders, patches, RewriteBases::default())
 }
 
 /// Applies `patches` to `image`, placing trampolines and trap table at
@@ -166,7 +168,7 @@ pub fn rewrite(
 pub fn rewrite_with_bases(
     image: &Image,
     disasm: &Disasm,
-    cfg: &Cfg,
+    leaders: &BTreeSet<u64>,
     mut patches: Vec<Patch<'_>>,
     bases: RewriteBases,
 ) -> Result<RewriteOutput, RewriteError> {
@@ -198,7 +200,7 @@ pub fn rewrite_with_bases(
         // Select and decode the displaced group *before* emitting any
         // trampoline bytes, so a member that fails to resolve degrades
         // to a clean skip rather than leaving a half-built trampoline.
-        let group = select_group(disasm, cfg, anchor, next_anchor).and_then(|members| {
+        let group = select_group(disasm, leaders, anchor, next_anchor).and_then(|members| {
             members
                 .iter()
                 .map(|&addr| disasm.at(addr).map(|&(inst, len)| (inst, len)))
@@ -289,7 +291,7 @@ pub fn rewrite_with_bases(
 /// or `None` if the trap tactic must be used.
 fn select_group(
     disasm: &Disasm,
-    cfg: &Cfg,
+    leaders: &BTreeSet<u64>,
     anchor: u64,
     next_anchor: Option<u64>,
 ) -> Option<Vec<u64>> {
@@ -306,7 +308,7 @@ fn select_group(
         let next = addr + len as u64;
         // The next instruction would become patch-interior: it must not
         // be a potential jump target, another patch's anchor, or unknown.
-        if cfg.is_leader(next) || next_anchor == Some(next) || disasm.at(next).is_none() {
+        if leaders.contains(&next) || next_anchor == Some(next) || disasm.at(next).is_none() {
             return None;
         }
         addr = next;
@@ -354,7 +356,7 @@ mod tests {
         let out = rewrite(
             &img,
             &d,
-            &cfg,
+            &cfg.leaders,
             vec![Patch {
                 anchor: layout::CODE_BASE,
                 payload: no_payload(),
@@ -382,7 +384,7 @@ mod tests {
         let out = rewrite(
             &img,
             &d,
-            &cfg,
+            &cfg.leaders,
             vec![Patch {
                 anchor: layout::CODE_BASE,
                 payload: no_payload(),
@@ -410,7 +412,7 @@ mod tests {
         let out = rewrite(
             &img,
             &d,
-            &cfg,
+            &cfg.leaders,
             vec![Patch {
                 anchor: layout::CODE_BASE,
                 payload: no_payload(),
@@ -442,7 +444,7 @@ mod tests {
         let out = rewrite(
             &img,
             &d,
-            &cfg,
+            &cfg.leaders,
             vec![
                 Patch {
                     anchor: layout::CODE_BASE,
@@ -476,7 +478,7 @@ mod tests {
         let out = rewrite(
             &img,
             &d,
-            &cfg,
+            &cfg.leaders,
             vec![Patch {
                 anchor: layout::CODE_BASE,
                 payload: no_payload(),
@@ -545,7 +547,7 @@ mod tests {
         let out = rewrite(
             &img,
             &d,
-            &cfg,
+            &cfg.leaders,
             vec![
                 Patch {
                     anchor: layout::CODE_BASE,
@@ -614,7 +616,7 @@ mod tests {
                 payload: payload(),
             })
             .collect();
-        let s = rewrite(&img, &d, &cfg, patches).unwrap().stats;
+        let s = rewrite(&img, &d, &cfg.leaders, patches).unwrap().stats;
         assert_eq!((s.jmp_patches, s.trap_patches, s.skipped_sites), (1, 1, 1));
         assert_eq!((s.cold_bytes, s.hot_bytes), (2 * 4, 2));
         // Each displaced instruction and its 5-byte jump back.
@@ -638,7 +640,7 @@ mod tests {
         let err = rewrite(
             &img,
             &d,
-            &cfg,
+            &cfg.leaders,
             vec![
                 Patch {
                     anchor: a2,
@@ -664,7 +666,7 @@ mod tests {
         let out = rewrite(
             &img,
             &d,
-            &cfg,
+            &cfg.leaders,
             vec![Patch {
                 anchor: 0x12345,
                 payload: no_payload(),

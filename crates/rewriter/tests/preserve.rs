@@ -103,7 +103,7 @@ fn identity_rewrite_preserves_behavior() {
             payload: Box::new(|a: &mut Asm| Ok(a.here())),
         })
         .collect();
-    let out = rewrite(&img, &d, &cfg, patches).unwrap();
+    let out = rewrite(&img, &d, &cfg.leaders, patches).unwrap();
 
     let (r1, out1, cycles1) = run(&out.image);
     assert_eq!(r1, RunResult::Exited(0));
@@ -139,7 +139,7 @@ fn identity_rewrite_on_stripped_binary() {
             payload: Box::new(|a: &mut Asm| Ok(a.here())),
         })
         .collect();
-    let out = rewrite(&img, &d, &cfg, patches).unwrap();
+    let out = rewrite(&img, &d, &cfg.leaders, patches).unwrap();
     let (r1, out1, _) = run(&out.image);
     assert_eq!(r1, RunResult::Exited(0));
     assert_eq!(out1, vec![285]);
@@ -184,7 +184,7 @@ fn trap_tactic_preserves_behavior() {
     let out = rewrite(
         &img,
         &d,
-        &cfg,
+        &cfg.leaders,
         vec![Patch {
             anchor: store,
             payload: Box::new(|a: &mut Asm| Ok(a.here())),
@@ -224,7 +224,7 @@ fn payload_executes_before_displaced_instruction() {
     let out = rewrite(
         &img,
         &d,
-        &cfg,
+        &cfg.leaders,
         vec![Patch {
             anchor: layout::CODE_BASE,
             payload: Box::new(|a: &mut Asm| {

@@ -66,7 +66,7 @@ fn identity_rewrite_preserves_random_programs() {
             })
             .collect();
         let n_patches = patches.len();
-        let out = rewrite(&image, &d, &cfg, patches).expect("rewrites");
+        let out = rewrite(&image, &d, &cfg.leaders, patches).expect("rewrites");
         assert!(n_patches > 0, "case {case}: programs always touch the heap");
 
         let mut emu =

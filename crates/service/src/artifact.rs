@@ -93,10 +93,9 @@ impl ArtifactCache {
         let tmp = self
             .dir
             .join(format!(".tmp-{}-{}-{n}", key.to_hex(), std::process::id()));
-        let bytes = encode_entry(key, entry);
         let publish = (|| {
             let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(&bytes)?;
+            write_entry(&mut f, key, entry)?;
             f.sync_all()?;
             std::fs::rename(&tmp, self.entry_path(key))
         })();
@@ -108,26 +107,41 @@ impl ArtifactCache {
     }
 }
 
-/// Serializes an entry: header (magic, format, tool version, key),
-/// payload digest + length, then the payload (artifact + stats).
-fn encode_entry(key: &Digest, entry: &ArtifactEntry) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(entry.artifact.len() + entry.stats.len() + 24);
-    payload.extend_from_slice(&(entry.artifact.len() as u64).to_le_bytes());
-    payload.extend_from_slice(&entry.artifact);
-    payload.extend_from_slice(&(entry.stats.len() as u64).to_le_bytes());
-    payload.extend_from_slice(entry.stats.as_bytes());
+/// Writes an entry: header (magic, format, tool version, key),
+/// payload digest + length, then the payload (artifact + stats, each
+/// length-prefixed). The payload is digested and written from `entry`
+/// in place, never copied into a buffer of its own.
+fn write_entry(out: &mut impl Write, key: &Digest, entry: &ArtifactEntry) -> std::io::Result<()> {
+    let artifact_len = (entry.artifact.len() as u64).to_le_bytes();
+    let stats_len = (entry.stats.len() as u64).to_le_bytes();
+    let payload: [&[u8]; 4] = [
+        &artifact_len,
+        &entry.artifact,
+        &stats_len,
+        entry.stats.as_bytes(),
+    ];
+    let mut digest = Sha256::new();
+    for part in payload {
+        digest.update(part);
+    }
+    let payload_len: usize = payload.iter().map(|part| part.len()).sum();
 
-    let mut out = Vec::with_capacity(payload.len() + 128);
-    out.extend_from_slice(ENTRY_MAGIC);
-    out.extend_from_slice(&ENTRY_FORMAT.to_le_bytes());
+    let mut header = Vec::with_capacity(128);
+    header.extend_from_slice(ENTRY_MAGIC);
+    header.extend_from_slice(&ENTRY_FORMAT.to_le_bytes());
     let tool = TOOL_VERSION.as_bytes();
-    out.extend_from_slice(&(tool.len() as u64).to_le_bytes());
-    out.extend_from_slice(tool);
-    out.extend_from_slice(key.as_bytes());
-    out.extend_from_slice(sha256(&payload).as_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&payload);
-    out
+    header.extend_from_slice(&(tool.len() as u64).to_le_bytes());
+    header.extend_from_slice(tool);
+    header.extend_from_slice(key.as_bytes());
+    header.extend_from_slice(digest.finalize().as_bytes());
+    header.extend_from_slice(&(payload_len as u64).to_le_bytes());
+    header.extend_from_slice(&artifact_len);
+    out.write_all(&header)?;
+    out.write_all(&entry.artifact)?;
+    let mut tail = Vec::with_capacity(8 + entry.stats.len());
+    tail.extend_from_slice(&stats_len);
+    tail.extend_from_slice(entry.stats.as_bytes());
+    out.write_all(&tail)
 }
 
 /// Bounds-checked field reader over entry bytes; `None` anywhere means
@@ -242,6 +256,34 @@ mod tests {
             .filter(|e| e.file_name().to_string_lossy().starts_with(".tmp-"))
             .collect();
         assert!(leftovers.is_empty(), "temp files cleaned: {leftovers:?}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn put_writes_the_pinned_entry_layout() {
+        let dir = tmp_dir("layout");
+        let cache = ArtifactCache::open(&dir).unwrap();
+        let key = artifact_key(b"image", b"config", 1);
+        let entry = ArtifactEntry {
+            artifact: vec![0xAA, 0xBB, 0xCC],
+            stats: "sites=3\n".to_string(),
+        };
+        cache.put(&key, &entry).unwrap();
+
+        let mut payload = Vec::new();
+        payload.extend_from_slice(&3u64.to_le_bytes());
+        payload.extend_from_slice(&[0xAA, 0xBB, 0xCC]);
+        payload.extend_from_slice(&8u64.to_le_bytes());
+        payload.extend_from_slice(b"sites=3\n");
+        let mut expected = b"RFATCACH".to_vec();
+        expected.extend_from_slice(&1u32.to_le_bytes());
+        expected.extend_from_slice(&(TOOL_VERSION.len() as u64).to_le_bytes());
+        expected.extend_from_slice(TOOL_VERSION.as_bytes());
+        expected.extend_from_slice(key.as_bytes());
+        expected.extend_from_slice(sha256(&payload).as_bytes());
+        expected.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        expected.extend_from_slice(&payload);
+        assert_eq!(std::fs::read(cache.entry_path(&key)).unwrap(), expected);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -3,7 +3,7 @@
 //! and answers them from a content-addressed artifact cache when it
 //! can.
 //!
-//! Three layers of reuse, strongest first:
+//! Four layers of reuse, strongest first:
 //!
 //! 1. **Artifact cache** ([`artifact::ArtifactCache`]): whole-job
 //!    results keyed by `(tool version, input bytes, canonical config,
@@ -13,7 +13,12 @@
 //! 2. **In-flight dedupe** ([`server::Server`]): N concurrent
 //!    identical requests cost one computation; followers wait on the
 //!    leader's result and respond with [`proto::Source::Deduped`].
-//! 3. **Component cache** (`redfat_core::MemoryComponentCache`): for a
+//! 3. **Kept base** (`redfat_core::KeptBase`): the last hardened
+//!    image's disassembly, CFG leaders, roots and plans. An input that
+//!    edits that image without changing any instruction length or
+//!    control flow skips the whole-image analysis and re-plans only the
+//!    components it touches.
+//! 4. **Component cache** (`redfat_core::MemoryComponentCache`): for a
 //!    *changed* input, per-CFG-component analysis results keyed by the
 //!    component's structural digest are reused, so a one-component
 //!    edit re-analyzes only that component while producing bytes

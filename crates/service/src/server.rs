@@ -2,8 +2,10 @@
 //!
 //! One [`Server`] owns a Unix-domain listener, a [`WorkerPool`] that
 //! runs pipeline jobs, an on-disk [`ArtifactCache`] for whole-job
-//! results, and an in-memory [`MemoryComponentCache`] for per-CFG-
-//! component analysis reuse across jobs. Request handling is
+//! results, an in-memory [`MemoryComponentCache`] for per-CFG-
+//! component analysis reuse across jobs, and one [`KeptBase`]: the
+//! analysis of the last hardened image, which an edit of that image
+//! re-does only where the edit touches it. Request handling is
 //! thread-per-connection (connections are few and local); the compute
 //! itself is scheduled on the pool, so a flood of connections cannot
 //! oversubscribe analysis.
@@ -16,8 +18,8 @@
 use crate::artifact::{artifact_key, ArtifactCache, ArtifactEntry};
 use crate::proto::{read_frame, write_frame, Op, ProtoError, Request, Response, Source};
 use redfat_core::digest::Digest;
-use redfat_core::{harden_cached, instrument_profile, HardenConfig, HardenStats};
-use redfat_core::{ComponentCache, MemoryComponentCache};
+use redfat_core::{instrument_profile, HardenConfig, HardenError, HardenStats, Hardened};
+use redfat_core::{ComponentCache, KeptBase, MemoryComponentCache};
 use redfat_elf::Image;
 use redfat_parallel::WorkerPool;
 use std::collections::HashMap;
@@ -61,6 +63,11 @@ pub struct ServerStats {
     pub components_analyzed: AtomicU64,
     /// CFG components served from the component cache.
     pub components_reused: AtomicU64,
+    /// Harden/analyze jobs answered as an edit of the kept base.
+    pub kept_base_edits: AtomicU64,
+    /// Harden/analyze jobs that found a kept base but were no edit of
+    /// it, and took the full path.
+    pub kept_base_fallbacks: AtomicU64,
 }
 
 impl ServerStats {
@@ -77,6 +84,8 @@ impl ServerStats {
             ("errors", &self.errors),
             ("components_analyzed", &self.components_analyzed),
             ("components_reused", &self.components_reused),
+            ("kept_base_edits", &self.kept_base_edits),
+            ("kept_base_fallbacks", &self.kept_base_fallbacks),
         ] {
             s.push_str(k);
             s.push('=');
@@ -90,8 +99,7 @@ impl ServerStats {
 /// The result of one computed job, shared between the leader and any
 /// deduplicated followers.
 struct JobOutput {
-    artifact: Vec<u8>,
-    stats: String,
+    entry: ArtifactEntry,
     micros: u64,
 }
 
@@ -144,6 +152,10 @@ struct Shared {
     stats: ServerStats,
     artifacts: ArtifactCache,
     components: MemoryComponentCache,
+    /// The last hardened image's analysis. A job takes it out for its
+    /// duration, so concurrent jobs never share it and at most one
+    /// image's analysis is kept.
+    base: Mutex<Option<KeptBase>>,
     pool: WorkerPool,
     inflight: Mutex<HashMap<Digest, Arc<Inflight>>>,
     shutdown: AtomicBool,
@@ -172,6 +184,7 @@ impl Server {
                 stats: ServerStats::default(),
                 artifacts,
                 components: MemoryComponentCache::new(),
+                base: Mutex::new(None),
                 pool,
                 inflight: Mutex::new(HashMap::new()),
                 shutdown: AtomicBool::new(false),
@@ -319,8 +332,8 @@ fn handle_job(shared: &Arc<Shared>, req: Request) -> Response {
             Ok(out) => Response::Ok {
                 source: Source::Deduped,
                 micros: out.micros,
-                stats: out.stats.clone(),
-                artifact: out.artifact.clone(),
+                stats: out.entry.stats.clone(),
+                artifact: out.entry.artifact.clone(),
             },
             Err(e) => Response::Err(e),
         };
@@ -345,8 +358,8 @@ fn handle_job(shared: &Arc<Shared>, req: Request) -> Response {
             Response::Ok {
                 source: Source::Computed,
                 micros: out.micros,
-                stats: out.stats.clone(),
-                artifact: out.artifact.clone(),
+                stats: out.entry.stats.clone(),
+                artifact: out.entry.artifact.clone(),
             }
         }
         Err(e) => {
@@ -363,22 +376,21 @@ fn compute_job(shared: &Shared, req: &Request, key: &Digest) -> Result<Arc<JobOu
         HardenConfig::from_canonical_bytes(&req.config).map_err(|e| format!("bad config: {e}"))?;
     let image = Image::parse(&req.image).map_err(|e| format!("parse failed: {e}"))?;
     let hardened = match req.op {
-        Op::Harden | Op::Analyze => harden_cached(
-            &image,
-            &config,
-            shared.config.threads,
-            &shared.components as &dyn ComponentCache,
-        ),
+        Op::Harden | Op::Analyze => harden_with_base(shared, &image, &config),
         Op::Profile => instrument_profile(&image),
         // Non-job ops never reach compute (dispatch handles them).
         Op::Stats | Op::Shutdown => return Err("not a pipeline op".to_string()),
     }
     .map_err(|e| format!("pipeline failed: {e}"))?;
+    drop(image);
 
-    let fresh = hardened
-        .stats
-        .components
-        .saturating_sub(hardened.stats.components_reused);
+    let Hardened {
+        image: hardened,
+        stats,
+        clobbers,
+    } = hardened;
+    drop(clobbers);
+    let fresh = stats.components.saturating_sub(stats.components_reused);
     shared
         .stats
         .components_analyzed
@@ -386,27 +398,56 @@ fn compute_job(shared: &Shared, req: &Request, key: &Digest) -> Result<Arc<JobOu
     shared
         .stats
         .components_reused
-        .fetch_add(hardened.stats.components_reused as u64, Ordering::Relaxed);
+        .fetch_add(stats.components_reused as u64, Ordering::Relaxed);
 
     let artifact = match req.op {
         Op::Analyze => Vec::new(),
-        _ => hardened.image.to_bytes(),
+        _ => hardened.to_bytes(),
     };
+    drop(hardened);
     let out = Arc::new(JobOutput {
-        stats: render_harden_stats(&hardened.stats),
+        entry: ArtifactEntry {
+            artifact,
+            stats: render_harden_stats(&stats),
+        },
         micros: elapsed_micros(start),
-        artifact,
     });
     // Publication failure (disk full, permissions) degrades to an
     // uncached-but-correct response; the job itself succeeded.
-    let _ = shared.artifacts.put(
-        key,
-        &ArtifactEntry {
-            artifact: out.artifact.clone(),
-            stats: out.stats.clone(),
-        },
-    );
+    let _ = shared.artifacts.put(key, &out.entry);
     Ok(out)
+}
+
+/// Hardens `image` as an edit of the kept base when it is one, else
+/// through the full path, whose analysis then becomes the kept base. A
+/// job that fails leaves no base behind.
+fn harden_with_base(
+    shared: &Shared,
+    image: &Image,
+    config: &HardenConfig,
+) -> Result<Hardened, HardenError> {
+    let threads = shared.config.threads;
+    let cache = &shared.components as &dyn ComponentCache;
+    let kept = lock_riding_poison(&shared.base).take();
+    if let Some(mut base) = kept {
+        match base.harden_edit(image, config, threads, cache) {
+            Some(result) => {
+                let hardened = result?;
+                shared.stats.kept_base_edits.fetch_add(1, Ordering::Relaxed);
+                *lock_riding_poison(&shared.base) = Some(base);
+                return Ok(hardened);
+            }
+            None => {
+                shared
+                    .stats
+                    .kept_base_fallbacks
+                    .fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    }
+    let (hardened, base) = KeptBase::harden(image, config, threads, cache)?;
+    *lock_riding_poison(&shared.base) = Some(base);
+    Ok(hardened)
 }
 
 fn elapsed_micros(start: Instant) -> u64 {

@@ -1,8 +1,11 @@
 //! End-to-end daemon tests: dedupe, artifact warm hits, incremental
-//! component reuse, and corrupt-cache robustness.
+//! component reuse, edits through the kept base, and corrupt-cache
+//! robustness.
 
+use redfat_analysis::{disassemble, Cfg};
 use redfat_core::selftest::SplitMix64;
 use redfat_core::{harden_threaded, HardenConfig, LowFatPolicy};
+use redfat_elf::Image;
 use redfat_service::{
     artifact_key, ArtifactCache, ArtifactEntry, Client, Op, Response, Server, ServerConfig, Source,
 };
@@ -206,6 +209,108 @@ fn changed_input_reuses_unchanged_components() {
         Response::Ok { source, .. } => assert_eq!(source, Source::ArtifactHit),
         Response::Err(e) => panic!("resubmit failed: {e}"),
     }
+
+    c.shutdown().expect("shutdown");
+    handle.join().expect("daemon thread");
+}
+
+/// `image` with the low bit of one instruction's last byte flipped: the
+/// `nth` (from 0) instruction, in address order, that lies in a
+/// recovered block, spans at least four bytes, and under that flip
+/// keeps its length and stays clear of control flow -- an edit the
+/// kept base answers.
+fn edit(image: &Image, nth: usize) -> Image {
+    let disasm = disassemble(image);
+    let cfg = Cfg::recover(&disasm, image.entry, &[]);
+    let mut found = 0;
+    for (addr, inst, len) in disasm.iter() {
+        if len < 4 || inst.is_control_flow() || cfg.block_of(addr).is_none() {
+            continue;
+        }
+        let last = addr + u64::from(len) - 1;
+        let mut bytes = image.read_bytes(addr, len as usize).expect("code").to_vec();
+        bytes[len as usize - 1] ^= 1;
+        match redfat_x86::decode_one(&bytes, addr) {
+            Ok((flipped, l)) if l == len && !flipped.is_control_flow() => {}
+            _ => continue,
+        }
+        if found < nth {
+            found += 1;
+            continue;
+        }
+        let mut out = image.clone();
+        let seg = out
+            .segments
+            .iter_mut()
+            .find(|s| s.vaddr <= last && last - s.vaddr < s.data.len() as u64)
+            .expect("code lies in a segment");
+        seg.data[(last - seg.vaddr) as usize] ^= 1;
+        return out;
+    }
+    panic!("fewer than {} editable instructions", nth + 1);
+}
+
+/// Submits `image` for hardening and checks the reply against a one-shot
+/// harden and the daemon's kept-base counters. Returns the reply stats.
+fn harden_and_check(c: &mut Client, image: &Image, edits: u64, fallbacks: u64) -> String {
+    let cfg = HardenConfig::default();
+    let reply = c
+        .job(Op::Harden, cfg.canonical_bytes(), image.to_bytes())
+        .expect("submit");
+    let Response::Ok {
+        source,
+        artifact,
+        stats,
+        ..
+    } = reply
+    else {
+        panic!("job failed: {reply:?}");
+    };
+    assert_eq!(source, Source::Computed);
+    let one_shot = harden_threaded(image, &cfg, 2).expect("one-shot harden");
+    assert_eq!(
+        artifact,
+        one_shot.image.to_bytes(),
+        "matches a one-shot harden"
+    );
+    let server = c.stats().expect("stats");
+    assert_eq!(counter(&server, "kept_base_edits"), edits, "{server}");
+    assert_eq!(
+        counter(&server, "kept_base_fallbacks"),
+        fallbacks,
+        "{server}"
+    );
+    stats
+}
+
+#[test]
+fn edits_take_the_kept_base_and_a_new_image_replaces_it() {
+    let (config, handle) = start("kept", 1);
+    let mut c = Client::connect(&config.socket).expect("connect");
+    let one_edit = |stats: &str| {
+        assert_eq!(
+            counter(stats, "components_reused") + 1,
+            counter(stats, "components"),
+            "one component analyzed afresh:\n{stats}"
+        );
+    };
+
+    // The first job finds no base and keeps its own.
+    let first = Image::parse(&workload_image_bytes()).expect("parse");
+    harden_and_check(&mut c, &first, 0, 0);
+    // Three chained edits, each of the previous image.
+    let mut image = first;
+    for k in 0..3 {
+        image = edit(&image, k as usize);
+        one_edit(&harden_and_check(&mut c, &image, k + 1, 0));
+    }
+    // A different image is no edit of the base and replaces it...
+    let other = redfat_workloads::spec::by_name("bzip2")
+        .expect("stand-in exists")
+        .image();
+    harden_and_check(&mut c, &other, 3, 1);
+    // ...so its own edit takes the kept base again.
+    one_edit(&harden_and_check(&mut c, &edit(&other, 0), 4, 1));
 
     c.shutdown().expect("shutdown");
     handle.join().expect("daemon thread");
