@@ -30,7 +30,7 @@ impl Runtime for Classify {
         _len: u8,
         _w: bool,
         _rip: u64,
-    ) -> Result<u64, MemoryError> {
+    ) -> Result<(), MemoryError> {
         if addr >= layout::heap_start() {
             self.heap += 1;
         } else if addr > layout::STACK_TOP - layout::STACK_SIZE {
@@ -38,7 +38,7 @@ impl Runtime for Classify {
         } else {
             self.other += 1;
         }
-        Ok(0)
+        Ok(())
     }
 }
 

@@ -149,7 +149,6 @@ pub fn table1_row(wl: &Workload) -> Table1Row {
         Ok(()) => {
             let rt = MemcheckRuntime::new(ErrorMode::Log).with_input(wl.ref_input.clone());
             let mut emu = Emu::load_image(&image, rt).expect("loads");
-            emu.cost = MemcheckRuntime::cost_model();
             let r = emu.run(MAX_STEPS);
             assert!(
                 matches!(r, RunResult::Exited(_)),
@@ -244,7 +243,6 @@ pub fn policy_from_args(args: impl IntoIterator<Item = String>) -> AllocPolicyKi
 pub fn memcheck_detects(image: &Image, attack_input: &[i64]) -> bool {
     let rt = MemcheckRuntime::new(ErrorMode::Abort).with_input(attack_input.to_vec());
     let mut emu = Emu::load_image(image, rt).expect("loads");
-    emu.cost = MemcheckRuntime::cost_model();
     let r = emu.run(MAX_STEPS);
     matches!(r, RunResult::MemoryError(_)) || !emu.runtime.errors.is_empty()
 }

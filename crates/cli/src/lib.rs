@@ -474,7 +474,6 @@ pub fn run_cli(argv: &[String]) -> Result<String, CliError> {
                 let rt = MemcheckRuntime::new(ErrorMode::Log).with_input(inputs);
                 let mut emu = Emu::load_image(&image, rt)
                     .map_err(|e| err(format!("cannot load {input}: {e}")))?;
-                emu.cost = MemcheckRuntime::cost_model();
                 let r = emu.run_backend(backend, steps);
                 writeln!(out, "memcheck: {r:?}").ok();
                 for e in &emu.runtime.errors {
@@ -683,19 +682,8 @@ pub fn run_cli(argv: &[String]) -> Result<String, CliError> {
 fn write_run_counters(out: &mut String, c: &Counters, trace: &TraceStats, stats: bool) {
     writeln!(out, "instructions {}  cycles {}", c.instructions, c.cycles).ok();
     if stats {
-        writeln!(
-            out,
-            "counters: loads {}  stores {}  taken-branches {}  transfers {}  \
-             region-crossings {}  syscalls {}  int3-traps {}",
-            c.loads,
-            c.stores,
-            c.taken_branches,
-            c.transfers,
-            c.region_crossings,
-            c.syscalls,
-            c.int3_traps
-        )
-        .ok();
+        let events: Vec<String> = c.events().iter().map(|(k, v)| format!("{k} {v}")).collect();
+        writeln!(out, "counters: {}", events.join("  ")).ok();
         writeln!(out, "trace-cache: {trace}").ok();
     }
 }

@@ -2,6 +2,8 @@
 //! user would drive it, through files on disk.
 
 use redfat_cli::run_cli;
+use redfat_emu::{CostModel, Counters, Runtime};
+use redfat_memcheck::MemcheckRuntime;
 
 fn args(s: &[&str]) -> Vec<String> {
     s.iter().map(|a| a.to_string()).collect()
@@ -249,11 +251,48 @@ fn harden_flags_change_the_plan() {
     }
 }
 
+/// The `cycles` a `run --stats` printed, and its `counters:` line priced
+/// by `model`.
+fn printed_and_repriced(out: &str, model: &CostModel) -> (u64, u64) {
+    let cycles = out
+        .lines()
+        .find_map(|l| l.strip_prefix("instructions ")?.split_once("  cycles "))
+        .unwrap_or_else(|| panic!("no cycles: {out}"))
+        .1
+        .parse()
+        .unwrap();
+    let line = out
+        .lines()
+        .find_map(|l| l.strip_prefix("counters: "))
+        .unwrap_or_else(|| panic!("no counters: {out}"));
+    let mut c = Counters::default();
+    for pair in line.split("  ") {
+        let (name, v) = pair.split_once(' ').unwrap();
+        *match name {
+            "instructions" => &mut c.instructions,
+            "loads" => &mut c.loads,
+            "stores" => &mut c.stores,
+            "muls" => &mut c.muls,
+            "divs" => &mut c.divs,
+            "taken-branches" => &mut c.taken_branches,
+            "transfers" => &mut c.transfers,
+            "region-crossings" => &mut c.region_crossings,
+            "syscalls" => &mut c.syscalls,
+            "int3-traps" => &mut c.int3_traps,
+            other => panic!("unknown event {other:?}"),
+        } = v.parse().unwrap();
+    }
+    let printed = c.events().map(|(k, v)| format!("{k} {v}")).join("  ");
+    assert_eq!(printed, line, "every event printed once, in order");
+    (cycles, model.price(&c))
+}
+
 #[test]
 fn run_backends_print_identical_output() {
     let dir = tmpdir("backends");
     let src = dir.join("p.mc");
     let elf = dir.join("p.elf");
+    let hard = dir.join("p.hard");
     std::fs::write(&src, ANTI_IDIOM_SRC).unwrap();
     run_cli(&args(&[
         "compile",
@@ -262,63 +301,75 @@ fn run_backends_print_identical_output() {
         elf.to_str().unwrap(),
     ]))
     .unwrap();
-    let run = |input: &str, backend: &str, flag: Option<&str>| {
+    run_cli(&args(&[
+        "harden",
+        elf.to_str().unwrap(),
+        "-o",
+        hard.to_str().unwrap(),
+    ]))
+    .unwrap();
+    let run_image = |image: &std::path::Path, input: &str, backend: &str, flags: &[&str]| {
         let mut a = vec![
             "run",
-            elf.to_str().unwrap(),
+            image.to_str().unwrap(),
             "--input",
             input,
             "--backend",
             backend,
         ];
-        a.extend(flag);
+        a.extend(flags);
         run_cli(&args(&a)).unwrap_or_else(|e| panic!("--backend {backend}: {e}"))
     };
+    let run = |input: &str, backend: &str, flags: &[&str]| run_image(&elf, input, backend, flags);
     // Result, guest output, error reports and the counter line.
-    let step = run("3,2", "step", None);
+    let step = run("3,2", "step", &[]);
     assert!(
         step.lines().last().unwrap().starts_with("instructions "),
         "{step}"
     );
-    assert_eq!(run("3,2", "fast", None), step, "--backend fast differs");
+    assert_eq!(run("3,2", "fast", &[]), step, "--backend fast differs");
 
     // --stats adds the event counters, which match too; only the
-    // translation-cache line is the fast tier's own.
+    // translation-cache line is the fast tier's own. The printed cycles
+    // are the printed events priced, for a baseline and a hardened
+    // image alike.
     let without_cache = |out: String| -> String {
         out.lines()
             .filter(|l| !l.starts_with("trace-cache: "))
             .map(|l| format!("{l}\n"))
             .collect()
     };
-    let step_stats = run("3,2", "step", Some("--stats"));
-    assert!(
-        step_stats
-            .lines()
-            .any(|l| l.starts_with("counters: loads ")),
-        "{step_stats}"
-    );
-    assert_eq!(
-        without_cache(run("3,2", "fast", Some("--stats"))),
-        without_cache(step_stats),
-        "--stats: --backend fast differs"
-    );
+    for image in [&elf, &hard] {
+        let step_stats = run_image(image, "3,2", "step", &["--stats"]);
+        let (cycles, repriced) = printed_and_repriced(&step_stats, &CostModel::NATIVE);
+        assert_eq!(cycles, repriced, "{step_stats}");
+        assert_eq!(
+            without_cache(run_image(image, "3,2", "fast", &["--stats"])),
+            without_cache(step_stats),
+            "--stats: --backend fast differs"
+        );
+    }
 
     // Memcheck observes every access, so it runs on the step
     // interpreter whichever backend is selected: identical output with
     // the planted overflow triggered (`buf[9]`) and without it.
     for (input, overflows) in [("3,9", true), ("3,2", false)] {
-        let step = run(input, "step", Some("--memcheck"));
+        let step = run(input, "step", &["--memcheck"]);
         assert_eq!(
             step.contains("memcheck error: "),
             overflows,
             "--input {input}: {step}"
         );
         assert_eq!(
-            run(input, "fast", Some("--memcheck")),
+            run(input, "fast", &["--memcheck"]),
             step,
             "--memcheck --input {input}: --backend fast differs"
         );
     }
+    // ... and is priced at its own DBI prices.
+    let mc = run("3,2", "step", &["--memcheck", "--stats"]);
+    let (cycles, repriced) = printed_and_repriced(&mc, &MemcheckRuntime::COST);
+    assert_eq!(cycles, repriced, "{mc}");
 }
 
 #[test]

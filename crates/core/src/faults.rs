@@ -10,10 +10,12 @@
 //! mutant through the full parse → disasm → analyze → harden → load →
 //! run chain. Every outcome must be classified:
 //!
-//! * **Ok** -- the mutant survived the chain; guest-level failures
-//!   (faults, step limits, detected memory errors) are graceful.
+//! * **Ok** -- the mutant survived the chain: its guest run exited,
+//!   hit the step limit or reported a detected memory error.
 //! * **Error** -- a stage rejected the mutant with a structured
-//!   [`RedfatError`].
+//!   [`RedfatError`]. A guest run that stops on an emulator error
+//!   (memory fault, undecodable bytes, divide error, stray `int3` or
+//!   `ud2`) counts here too, at stage `run`.
 //! * **Degraded** -- hardening succeeded but skipped sites
 //!   ([`HardenStats::degraded`][crate::HardenStats::degraded]), the
 //!   paper's opportunistic-hardening model applied to the toolchain.
@@ -157,7 +159,8 @@ fn drive_load_run(image: &Image, input: &[i64], max_steps: u64) -> FaultOutcome 
         Err(e) => return FaultOutcome::Error(RedfatError::from(e)),
     };
     match emu.run(max_steps) {
-        // Guest-level endings are graceful by construction.
+        // Guest-level endings are graceful by construction; an
+        // emulator error is not.
         RunResult::Exited(_) | RunResult::StepLimit | RunResult::MemoryError(_) => FaultOutcome::Ok,
         RunResult::Error(e) => FaultOutcome::Error(RedfatError::from(e)),
     }

@@ -6,7 +6,7 @@
 //! it adds are the jump in and the jump back, and it takes no branch.
 
 use redfat_core::{harden, run_once, HardenConfig};
-use redfat_emu::{CostModel, Counters, ErrorMode, RunResult};
+use redfat_emu::{Counters, ErrorMode, RunResult};
 
 /// Hardened-minus-baseline counters of `src` on `input`, after checking
 /// that both runs exit 0, print the same and report no error.
@@ -27,25 +27,14 @@ fn overhead(src: &str, input: &[i64]) -> Counters {
         cycles: h.cycles - b.cycles,
         loads: h.loads - b.loads,
         stores: h.stores - b.stores,
+        muls: h.muls - b.muls,
+        divs: h.divs - b.divs,
         taken_branches: h.taken_branches - b.taken_branches,
         transfers: h.transfers - b.transfers,
         region_crossings: h.region_crossings - b.region_crossings,
         syscalls: h.syscalls - b.syscalls,
         int3_traps: h.int3_traps - b.int3_traps,
     }
-}
-
-/// The modeled cycles of `d` if none of its instructions multiplied:
-/// the cost model's prices for every event the counters record.
-fn cycles_without_multiply(d: &Counters) -> u64 {
-    let m = CostModel::default();
-    d.instructions * m.base
-        + (d.loads + d.stores) * m.mem
-        + d.taken_branches * m.branch_taken
-        + d.transfers * m.transfer
-        + d.region_crossings * m.cross_region
-        + d.syscalls * m.syscall
-        + d.int3_traps * m.int3_trap
 }
 
 const HEAP_LOOP: &str = "
@@ -65,6 +54,9 @@ fn a_passing_heap_check_only_jumps_in_and_out() {
         assert_eq!(d.transfers, 2 * n as u64, "n={n}: one trampoline per store");
         assert_eq!(d.taken_branches, 0, "n={n}: {d:?}");
         assert_eq!(d.int3_traps, 0, "n={n}: {d:?}");
+        // The low-fat base: one `mul` by the class's magic reciprocal
+        // (the object index) and one `imul` scaling it by the size.
+        assert_eq!(d.muls, 2 * n as u64, "n={n}: {d:?}");
     }
 }
 
@@ -92,5 +84,5 @@ fn a_non_fat_pointer_check_runs_no_multiply() {
     assert_eq!(d.cycles, 43, "{d:?}");
     assert_eq!((d.transfers, d.region_crossings), (2, 2), "{d:?}");
     assert_eq!(d.taken_branches, 2, "{d:?}");
-    assert_eq!(d.cycles, cycles_without_multiply(&d), "{d:?}");
+    assert_eq!(d.muls, 0, "{d:?}");
 }

@@ -1,8 +1,9 @@
 //! The interpreter: fetch/decode (cached) and execute.
 
-use crate::cost::{CostModel, Counters};
+use crate::cost::Counters;
 use crate::cpu::Cpu;
 use crate::runtime::{MemoryError, Runtime, SyscallOutcome};
+use crate::trace::ExecBackend;
 use redfat_vm::{layout, Vm, VmFault};
 use redfat_x86::{
     decode_one, AluOp, DecodeError, Inst, Mem, MulDivOp, Op, Operands, Reg, ShiftOp, Width,
@@ -145,7 +146,7 @@ impl ICache {
     }
 }
 
-/// The emulator: CPU + address space + runtime + cost accounting.
+/// The emulator: CPU + address space + runtime + event counters.
 pub struct Emu<R: Runtime> {
     /// Guest CPU state.
     pub cpu: Cpu,
@@ -153,8 +154,6 @@ pub struct Emu<R: Runtime> {
     pub vm: Vm,
     /// The runtime servicing syscalls and access hooks.
     pub runtime: R,
-    /// Cost model in effect.
-    pub cost: CostModel,
     /// Accumulated counters.
     pub counters: Counters,
     icache: ICache,
@@ -176,7 +175,6 @@ impl<R: Runtime> Emu<R> {
             cpu: Cpu::default(),
             vm,
             runtime,
-            cost: CostModel::default(),
             counters: Counters::default(),
             icache: ICache::default(),
             trace: crate::trace::TraceCache::default(),
@@ -197,8 +195,14 @@ impl<R: Runtime> Emu<R> {
         self.trap_table.insert(addr, target);
     }
 
-    /// Runs until exit, error or `max_steps` instructions.
+    /// Runs until exit, error or `max_steps` instructions on the step
+    /// interpreter; [`Emu::run_backend`] with [`ExecBackend::Step`].
     pub fn run(&mut self, max_steps: u64) -> RunResult {
+        self.run_backend(ExecBackend::Step, max_steps)
+    }
+
+    /// The step interpreter's run loop behind [`Emu::run`].
+    pub(crate) fn run_step(&mut self, max_steps: u64) -> RunResult {
         for _ in 0..max_steps {
             match self.step() {
                 Ok(None) => {}
@@ -245,11 +249,9 @@ impl<R: Runtime> Emu<R> {
     /// exact address `step()` would.
     #[inline]
     pub(crate) fn load_at_rip(&mut self, addr: u64, w: Width, rip: u64) -> Result<u64, EmuError> {
-        let extra = self
-            .runtime
+        self.runtime
             .on_memory_access(&self.vm, addr, w.bytes(), false, rip)
             .map_err(|error| EmuError::AccessVetoed { rip, error })?;
-        self.counters.cycles += extra + self.cost.mem;
         self.counters.loads += 1;
         let wrap = |fault| EmuError::Fault { rip, fault };
         Ok(match w {
@@ -275,11 +277,9 @@ impl<R: Runtime> Emu<R> {
     /// [`Emu::load_at_rip`].
     #[inline]
     fn store_at_rip(&mut self, addr: u64, w: Width, v: u64, rip: u64) -> Result<(), EmuError> {
-        let extra = self
-            .runtime
+        self.runtime
             .on_memory_access(&self.vm, addr, w.bytes(), true, rip)
             .map_err(|error| EmuError::AccessVetoed { rip, error })?;
-        self.counters.cycles += extra + self.cost.mem;
         self.counters.stores += 1;
         let wrap = |fault| EmuError::Fault { rip, fault };
         match w {
@@ -302,15 +302,11 @@ impl<R: Runtime> Emu<R> {
         Ok(v)
     }
 
-    /// Charges the cost of a control transfer and tracks trampoline
-    /// region crossings.
+    /// Counts an unconditional control transfer from the fall-through
+    /// `rip` to `target`, and its trampoline region crossing.
     fn transfer_to(&mut self, target: u64) {
         self.counters.transfers += 1;
-        self.counters.cycles += self.cost.transfer;
-        if in_tramp(self.cpu.rip) != in_tramp(target) {
-            self.counters.region_crossings += 1;
-            self.counters.cycles += self.cost.cross_region;
-        }
+        self.counters.count_crossing(self.cpu.rip, target);
         self.cpu.rip = target;
     }
 
@@ -337,7 +333,6 @@ impl<R: Runtime> Emu<R> {
         };
 
         self.counters.instructions += 1;
-        self.counters.cycles += self.cost.base + self.cost.dbi_dispatch;
         let next = rip + len as u64;
         self.cpu.rip = next; // default fall-through; transfers override
 
@@ -483,26 +478,26 @@ impl<R: Runtime> Emu<R> {
                 let b = self.cpu.read(*src, w);
                 let r = self.imul_flags(w, a, b);
                 self.cpu.write(*dst, w, r);
-                self.counters.cycles += self.cost.mul;
+                self.counters.muls += 1;
             }
             (Op::Imul2, O::RM { dst, src }) => {
                 let a = self.cpu.read(*dst, w);
                 let b = self.load(src, w)?;
                 let r = self.imul_flags(w, a, b);
                 self.cpu.write(*dst, w, r);
-                self.counters.cycles += self.cost.mul;
+                self.counters.muls += 1;
             }
             (Op::Imul3, O::RRI { dst, src, imm }) => {
                 let b = self.cpu.read(*src, w);
                 let r = self.imul_flags(w, b, mask(*imm as u64, w));
                 self.cpu.write(*dst, w, r);
-                self.counters.cycles += self.cost.mul;
+                self.counters.muls += 1;
             }
             (Op::Imul3, O::RMI { dst, src, imm }) => {
                 let b = self.load(src, w)?;
                 let r = self.imul_flags(w, b, mask(*imm as u64, w));
                 self.cpu.write(*dst, w, r);
-                self.counters.cycles += self.cost.mul;
+                self.counters.muls += 1;
             }
             (Op::MulDiv(op), operands) => {
                 let src = match operands {
@@ -601,13 +596,11 @@ impl<R: Runtime> Emu<R> {
             }
             (Op::Jcc(c), O::Rel(t)) => {
                 if self.cpu.flags.cond(c) {
+                    // Not an unconditional transfer, but it may still
+                    // cross into or out of the trampoline area.
                     self.counters.taken_branches += 1;
-                    self.counters.cycles += self.cost.branch_taken;
-                    // Track trampoline crossings on conditional jumps too.
-                    let saved = self.counters.transfers;
-                    self.transfer_to(*t);
-                    self.counters.transfers = saved; // not an uncond transfer
-                    self.counters.cycles -= self.cost.transfer;
+                    self.counters.count_crossing(next, *t);
+                    self.cpu.rip = *t;
                 }
             }
             (Op::Setcc(c), O::R(r)) => {
@@ -641,7 +634,6 @@ impl<R: Runtime> Emu<R> {
             // ---- system ----
             (Op::Syscall, O::None) => {
                 self.counters.syscalls += 1;
-                self.counters.cycles += self.cost.syscall;
                 match self.runtime.syscall(&mut self.cpu, &mut self.vm) {
                     SyscallOutcome::Continue => {}
                     SyscallOutcome::Exit(code) => return Ok(Some(RunResult::Exited(code))),
@@ -652,7 +644,6 @@ impl<R: Runtime> Emu<R> {
             (Op::Int3, O::None) => match self.trap_table.get(&rip) {
                 Some(&target) => {
                     self.counters.int3_traps += 1;
-                    self.counters.cycles += self.cost.int3_trap;
                     self.transfer_to(target);
                 }
                 None => return Err(EmuError::UnhandledInt3 { rip }),
@@ -795,7 +786,7 @@ impl<R: Runtime> Emu<R> {
     ) -> Result<(), EmuError> {
         match op {
             MulDivOp::Mul => {
-                self.counters.cycles += self.cost.mul;
+                self.counters.muls += 1;
                 match w {
                     Width::W64 => {
                         let full = self.cpu.get(Reg::Rax) as u128 * src as u128;
@@ -817,7 +808,7 @@ impl<R: Runtime> Emu<R> {
                 }
             }
             MulDivOp::Div => {
-                self.counters.cycles += self.cost.div;
+                self.counters.divs += 1;
                 if src == 0 {
                     return Err(EmuError::DivideError { rip });
                 }
@@ -848,7 +839,7 @@ impl<R: Runtime> Emu<R> {
                 }
             }
             MulDivOp::Idiv => {
-                self.counters.cycles += self.cost.div;
+                self.counters.divs += 1;
                 if src == 0 {
                     return Err(EmuError::DivideError { rip });
                 }
@@ -888,9 +879,9 @@ impl<R: Runtime> Emu<R> {
     }
 }
 
-/// `true` when `a` lies in the trampoline region (used for the
-/// region-crossing cost; shared with the translated tier's inline exit
-/// handling).
+/// `true` when `a` lies in the trampoline region (what
+/// [`Counters::count_crossing`] and the translated tier's static
+/// charges test).
 #[inline]
 pub(crate) fn in_tramp(a: u64) -> bool {
     (layout::TRAMPOLINE_BASE..layout::STACK_TOP).contains(&a)

@@ -8,8 +8,10 @@
 //! * a `syscall` trap into a pluggable [`Runtime`] (the `malloc`/`free`/
 //!   IO/profiling interface; swapping runtimes is the reproduction's
 //!   `LD_PRELOAD` analogue);
-//! * a transparent **cost model** ([`CostModel`]) whose cycle counter is
-//!   the performance metric of the experiments: slowdowns in the Table 1
+//! * a transparent **cost model**: the emulator counts events
+//!   ([`Counters`]) and [`CostModel::price`] turns them into the modeled
+//!   cycles that are the performance metric of the experiments, with
+//!   the runtime's prices ([`Runtime::COST`]): slowdowns in the Table 1
 //!   reproduction are ratios of modeled cycles, so the overhead of
 //!   instrumentation *emerges* from the extra instructions the rewriter
 //!   inserted rather than being assumed;

@@ -7,6 +7,7 @@
 //! implementation under an *unmodified* guest binary is the analogue of
 //! the paper's `LD_PRELOAD` trick for replacing `malloc`.
 
+use crate::cost::CostModel;
 use crate::cpu::Cpu;
 use redfat_lowfat::{LowFatConfig, RedFatHeap};
 use redfat_vm::Vm;
@@ -155,6 +156,12 @@ pub trait Runtime {
     /// every access dispatches the hook in program order.
     const OBSERVES_MEMORY: bool = false;
 
+    /// The cycle prices of a run under this runtime, applied by
+    /// [`crate::Emu::run`] and [`crate::Emu::run_backend`] when they
+    /// return. DBI-style tools override it with their dispatch and
+    /// access-check costs.
+    const COST: CostModel = CostModel::NATIVE;
+
     /// Called once after the image is loaded, before execution.
     fn on_load(&mut self, vm: &mut Vm);
 
@@ -163,9 +170,9 @@ pub trait Runtime {
 
     /// Observes (and may veto) every guest memory access.
     ///
-    /// Returns extra model cycles to charge, or a detected error. The
-    /// default is free and permissive; DBI-style tools (Memcheck
-    /// baseline) override it.
+    /// Returns a detected error to veto the access. The default is
+    /// permissive; DBI-style tools (Memcheck baseline) override it and
+    /// price the check through [`Runtime::COST`].
     fn on_memory_access(
         &mut self,
         _vm: &Vm,
@@ -173,8 +180,8 @@ pub trait Runtime {
         _len: u8,
         _is_write: bool,
         _rip: u64,
-    ) -> Result<u64, MemoryError> {
-        Ok(0)
+    ) -> Result<(), MemoryError> {
+        Ok(())
     }
 }
 

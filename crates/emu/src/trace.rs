@@ -68,17 +68,17 @@
 //!   grown; any miss falls back to the tagged-TLB path with exact
 //!   fault semantics.
 //! * **Batched counters.** The build-time-known counter contributions
-//!   of a block's predicted path (memory cycles, loads/stores,
-//!   interior transfer accounting) are precomputed as prefix sums
+//!   of a block's predicted path (loads/stores, multiplies, interior
+//!   transfer accounting) are precomputed as prefix sums
 //!   ([`StaticCharge`]) and flushed in one batch at block entry instead
 //!   of per instruction; early exits roll back to the exiting op's
 //!   prefix and recharge its actual partial effects.
 //!
 //! Counter semantics are *identical* to the step interpreter at every
-//! `step_fast` return: every entry charges `base + dbi_dispatch` and
-//! bumps `instructions` exactly as [`Emu::step`] does, block-level
-//! charges are rolled back on early exit, terminal transfers replicate
-//! `step()`'s branch/transfer/crossing accounting (`ret` and
+//! `step_fast` return: every entry bumps `instructions` exactly as
+//! [`Emu::step`] does, block-level charges are rolled back on early
+//! exit, terminal transfers replicate `step()`'s
+//! branch/transfer/crossing accounting (`ret` and
 //! register-indirect `jmp`/`call` terminals are replicated inline;
 //! memory-indirect forms and traps defer to the interpreter), and a
 //! budget smaller than the block falls back to exact per-instruction
@@ -98,7 +98,7 @@
 //! outside [`crate::Counters`] (the lockstep oracle requires `Counters`
 //! to be bit-identical across backends).
 
-use crate::cost::{CostModel, Counters, TraceStats};
+use crate::cost::{Counters, TraceStats};
 use crate::exec::{alu_value, in_tramp, shift_value, width_mask, Emu, EmuError, RunResult};
 use crate::runtime::Runtime;
 use redfat_vm::{MemSlot, Vm, VmFault};
@@ -413,16 +413,14 @@ enum FastOp {
 /// prefix sums over the op stream ([`TraceBlock::charge`]), charges the
 /// block total in one batch at entry, and on an early exit at op `i`
 /// rolls back to prefix `i` (or `i + 1` for ops whose fault path keeps
-/// their charge: `step()` prices memory before the access faults) plus
-/// the op's recharged actual effects. Assumes the cost model is fixed
-/// for the cache's lifetime, which it is: `Emu::cost` is configured
-/// before execution starts.
+/// their charge: `step()` counts an access before it faults) plus
+/// the op's recharged actual effects. Counts only: cycles are priced
+/// when the run returns.
 #[derive(Clone, Copy, Default)]
 struct StaticCharge {
-    cycles: u32,
     loads: u16,
     stores: u16,
-    taken_branches: u16,
+    muls: u16,
     transfers: u16,
     crossings: u16,
 }
@@ -430,10 +428,9 @@ struct StaticCharge {
 impl StaticCharge {
     #[inline(always)]
     fn add(&mut self, o: StaticCharge) {
-        self.cycles += o.cycles;
         self.loads += o.loads;
         self.stores += o.stores;
-        self.taken_branches += o.taken_branches;
+        self.muls += o.muls;
         self.transfers += o.transfers;
         self.crossings += o.crossings;
     }
@@ -443,10 +440,9 @@ impl StaticCharge {
     #[inline(always)]
     fn minus(self, o: StaticCharge) -> StaticCharge {
         StaticCharge {
-            cycles: self.cycles - o.cycles,
             loads: self.loads - o.loads,
             stores: self.stores - o.stores,
-            taken_branches: self.taken_branches - o.taken_branches,
+            muls: self.muls - o.muls,
             transfers: self.transfers - o.transfers,
             crossings: self.crossings - o.crossings,
         }
@@ -454,69 +450,52 @@ impl StaticCharge {
 
     #[inline(always)]
     fn apply(self, c: &mut Counters) {
-        c.cycles += self.cycles as u64;
         c.loads += self.loads as u64;
         c.stores += self.stores as u64;
-        c.taken_branches += self.taken_branches as u64;
+        c.muls += self.muls as u64;
         c.transfers += self.transfers as u64;
         c.region_crossings += self.crossings as u64;
     }
 
     #[inline(always)]
     fn revert(self, c: &mut Counters) {
-        c.cycles -= self.cycles as u64;
         c.loads -= self.loads as u64;
         c.stores -= self.stores as u64;
-        c.taken_branches -= self.taken_branches as u64;
+        c.muls -= self.muls as u64;
         c.transfers -= self.transfers as u64;
         c.region_crossings -= self.crossings as u64;
     }
 }
 
 /// The static (build-time-known) charge of `op`'s predicted path,
-/// mirroring exactly what `step()` charges for it. Kept dynamic on
-/// purpose: `MulDivR` ([`Emu::muldiv`] self-charges, and the
-/// div price must land even on `DivideError`), the multiply cycle of
-/// `Imul2RM` (priced only after its load succeeds, like `exec`), and
-/// everything behind `Slow`/`SlowElide`.
-fn static_charge(op: &FastOp, cost: &CostModel) -> StaticCharge {
+/// mirroring exactly what `step()` counts for it. Kept dynamic on
+/// purpose: `MulDivR` ([`Emu::muldiv`] counts itself, and a divide
+/// counts even on `DivideError`), the multiply of `Imul2RM` (counted
+/// only after its load succeeds, like `exec`), and everything behind
+/// `Slow`/`SlowElide`.
+fn static_charge(op: &FastOp) -> StaticCharge {
     let mut c = StaticCharge::default();
-    let crossing = |c: &mut StaticCharge, a: u64, b: u64| {
-        if in_tramp(a) != in_tramp(b) {
-            c.crossings = 1;
-            c.cycles += cost.cross_region as u32;
-        }
-    };
     match *op {
         FastOp::LoadRM { .. }
         | FastOp::ExtRM { .. }
         | FastOp::AluRM { .. }
         | FastOp::Imul2RM { .. }
-        | FastOp::PopR { .. } => {
-            c.loads = 1;
-            c.cycles = cost.mem as u32;
-        }
-        FastOp::StoreMR { .. } | FastOp::StoreMI { .. } | FastOp::PushR { .. } => {
-            c.stores = 1;
-            c.cycles = cost.mem as u32;
-        }
-        FastOp::Imul2RR { .. } | FastOp::Imul3RRI { .. } => c.cycles = cost.mul as u32,
+        | FastOp::PopR { .. } => c.loads = 1,
+        FastOp::StoreMR { .. } | FastOp::StoreMI { .. } | FastOp::PushR { .. } => c.stores = 1,
+        FastOp::Imul2RR { .. } | FastOp::Imul3RRI { .. } => c.muls = 1,
         FastOp::ChargeJmp { next, to } => {
             c.transfers = 1;
-            c.cycles = cost.transfer as u32;
-            crossing(&mut c, next, to);
+            c.crossings = (in_tramp(next) != in_tramp(to)) as u16;
         }
         FastOp::ChargeCall { next, to } => {
             c.stores = 1;
             c.transfers = 1;
-            c.cycles = (cost.mem + cost.transfer) as u32;
-            crossing(&mut c, next, to);
+            c.crossings = (in_tramp(next) != in_tramp(to)) as u16;
         }
         FastOp::RetInline { expect, next, .. } => {
             c.loads = 1;
             c.transfers = 1;
-            c.cycles = (cost.mem + cost.transfer) as u32;
-            crossing(&mut c, next, expect);
+            c.crossings = (in_tramp(next) != in_tramp(expect)) as u16;
         }
         _ => {}
     }
@@ -1002,14 +981,13 @@ impl TraceCache {
         exit: BlockExit,
         side_count: usize,
         deps: Vec<(u32, u32)>,
-        cost: &CostModel,
     ) -> u32 {
         let mut charge = Vec::with_capacity(ops.len() + 1);
         let mut acc = StaticCharge::default();
         charge.push(acc);
         let mut mem_slots = 0usize;
         for op in &ops {
-            acc.add(static_charge(op, cost));
+            acc.add(static_charge(op));
             charge.push(acc);
             mem_slots += uses_mem_slot(op) as usize;
         }
@@ -1325,7 +1303,7 @@ impl<R: Runtime> Emu<R> {
                 deps.push((s as u32, trace.segs[s].version));
             }
         }
-        Some(trace.insert(seg, rip, ops, insts, exit, sides as usize, deps, &self.cost))
+        Some(trace.insert(seg, rip, ops, insts, exit, sides as usize, deps))
     }
 
     /// One global-cache probe, building on miss. `None` means the first
@@ -1429,7 +1407,6 @@ impl<R: Runtime> Emu<R> {
         budget: u64,
     ) -> (u64, Result<Option<RunResult>, EmuError>) {
         let mut executed: u64 = 0;
-        let per_inst = self.cost.base + self.cost.dbi_dispatch;
 
         let mut bidx = match self.lookup_or_build(trace, self.cpu.rip) {
             Some(b) => b,
@@ -1449,7 +1426,6 @@ impl<R: Runtime> Emu<R> {
                 let pref = remaining as usize;
                 for (i, ti) in block.insts[..pref].iter().enumerate() {
                     self.counters.instructions += 1;
-                    self.counters.cycles += per_inst;
                     self.cpu.rip = ti.next;
                     executed += 1;
                     match self.exec(&ti.inst, ti.rip, ti.next) {
@@ -1468,8 +1444,7 @@ impl<R: Runtime> Emu<R> {
                 return (executed, Ok(None));
             }
             self.counters.instructions += n as u64;
-            self.counters.cycles += per_inst * n as u64;
-            // Charge the whole block's predicted-path static cost
+            // Charge the whole block's predicted-path static counts
             // upfront in one shot (`charge` holds prefix sums over
             // `ops`; the last entry is the block total). Every early
             // exit below rolls the unexecuted suffix back, so counters
@@ -1483,13 +1458,12 @@ impl<R: Runtime> Emu<R> {
             // rolled back to prefix `$keep`: `$i` when the exiting op's
             // static charge must not stand (any partial effects were
             // recharged inline by the arm), `$i + 1` when it stands in
-            // full (plain loads/stores: `step()` prices memory before
-            // the access faults).
+            // full (plain loads/stores: `step()` counts an access
+            // before it faults).
             macro_rules! bail {
                 ($n:expr, $i:expr, $keep:expr, $res:expr) => {{
                     let unexecuted = ($n - ($i + 1)) as u64;
                     self.counters.instructions -= unexecuted;
-                    self.counters.cycles -= per_inst * unexecuted;
                     total.minus(charge[$keep]).revert(&mut self.counters);
                     return (executed + $i as u64 + 1, $res);
                 }};
@@ -1727,9 +1701,9 @@ impl<R: Runtime> Emu<R> {
                         let a = rd(&self.cpu.regs, dst, w);
                         let r = self.imul_flags(w, a, b);
                         wr(&mut self.cpu.regs, dst, w, r);
-                        // Dynamic: `exec` prices the multiply only once
+                        // Dynamic: `exec` counts the multiply only once
                         // the load has succeeded.
-                        self.counters.cycles += self.cost.mul;
+                        self.counters.muls += 1;
                     }
                     FastOp::Imul3RRI { w, dst, src, imm } => {
                         let b = rd(&self.cpu.regs, src, w);
@@ -1763,12 +1737,11 @@ impl<R: Runtime> Emu<R> {
                         if let Err(e) =
                             self.store_fast(block, &mut mslot, rsp, Width::W64, next, next)
                         {
-                            // The push is priced before it faults
+                            // The push is counted before it faults
                             // (charge-before-access); the transfer
                             // never happens, so drop the whole static
                             // entry and recharge just the store.
                             self.counters.stores += 1;
-                            self.counters.cycles += self.cost.mem;
                             self.cpu.rip = next;
                             bail!(n, i, i, Err(e));
                         }
@@ -1783,11 +1756,7 @@ impl<R: Runtime> Emu<R> {
                         // branch is accounted here and leaves the trace.
                         if self.cpu.flags.cond(cond) {
                             self.counters.taken_branches += 1;
-                            self.counters.cycles += self.cost.branch_taken;
-                            if in_tramp(next) != in_tramp(to) {
-                                self.counters.region_crossings += 1;
-                                self.counters.cycles += self.cost.cross_region;
-                            }
+                            self.counters.count_crossing(next, to);
                             self.cpu.rip = to;
                             side_exit = ((i as u64) << 16) | side as u64;
                             break 'body;
@@ -1817,11 +1786,7 @@ impl<R: Runtime> Emu<R> {
                         };
                         if taken {
                             self.counters.taken_branches += 1;
-                            self.counters.cycles += self.cost.branch_taken;
-                            if in_tramp(next) != in_tramp(to) {
-                                self.counters.region_crossings += 1;
-                                self.counters.cycles += self.cost.cross_region;
-                            }
+                            self.counters.count_crossing(next, to);
                             // Leaving the trace: the compare's flags
                             // become observable, materialize them
                             // exactly (the operand registers are
@@ -1854,23 +1819,17 @@ impl<R: Runtime> Emu<R> {
                                 // actual target.
                                 if t != expect {
                                     self.counters.loads += 1;
-                                    self.counters.cycles += self.cost.mem;
                                     self.counters.transfers += 1;
-                                    self.counters.cycles += self.cost.transfer;
-                                    if in_tramp(next) != in_tramp(t) {
-                                        self.counters.region_crossings += 1;
-                                        self.counters.cycles += self.cost.cross_region;
-                                    }
+                                    self.counters.count_crossing(next, t);
                                     self.cpu.rip = t;
                                     side_exit = ((i as u64) << 16) | side as u64;
                                     break 'body;
                                 }
                             }
                             Err(e) => {
-                                // `step()` prices the pop before it
+                                // `step()` counts the pop before it
                                 // faults; the transfer never happens.
                                 self.counters.loads += 1;
-                                self.counters.cycles += self.cost.mem;
                                 self.cpu.rip = next;
                                 bail!(n, i, i, Err(e));
                             }
@@ -1908,7 +1867,6 @@ impl<R: Runtime> Emu<R> {
                 // different target.
                 let unexecuted = (n - (i + 1)) as u64;
                 self.counters.instructions -= unexecuted;
-                self.counters.cycles -= per_inst * unexecuted;
                 // Keep the static prefix up to (but excluding) the
                 // exiting op: its actual outcome differed from the
                 // prediction and was accounted dynamically inline.
@@ -1950,22 +1908,14 @@ impl<R: Runtime> Emu<R> {
                 BlockExit::Jmp { to } => {
                     let next = block.insts[n - 1].next;
                     self.counters.transfers += 1;
-                    self.counters.cycles += self.cost.transfer;
-                    if in_tramp(next) != in_tramp(to) {
-                        self.counters.region_crossings += 1;
-                        self.counters.cycles += self.cost.cross_region;
-                    }
+                    self.counters.count_crossing(next, to);
                     self.cpu.rip = to;
                 }
                 BlockExit::Jcc { cond, to } => {
                     let next = block.insts[n - 1].next;
                     if self.cpu.flags.cond(cond) {
                         self.counters.taken_branches += 1;
-                        self.counters.cycles += self.cost.branch_taken;
-                        if in_tramp(next) != in_tramp(to) {
-                            self.counters.region_crossings += 1;
-                            self.counters.cycles += self.cost.cross_region;
-                        }
+                        self.counters.count_crossing(next, to);
                         self.cpu.rip = to;
                     } else {
                         self.cpu.rip = next;
@@ -1981,11 +1931,7 @@ impl<R: Runtime> Emu<R> {
                         return (executed + n as u64, Err(e));
                     }
                     self.counters.transfers += 1;
-                    self.counters.cycles += self.cost.transfer;
-                    if in_tramp(next) != in_tramp(to) {
-                        self.counters.region_crossings += 1;
-                        self.counters.cycles += self.cost.cross_region;
-                    }
+                    self.counters.count_crossing(next, to);
                     self.cpu.rip = to;
                 }
                 BlockExit::Ret => {
@@ -1998,11 +1944,7 @@ impl<R: Runtime> Emu<R> {
                         Ok(t) => {
                             self.cpu.regs[RSP] = rsp.wrapping_add(8);
                             self.counters.transfers += 1;
-                            self.counters.cycles += self.cost.transfer;
-                            if in_tramp(next) != in_tramp(t) {
-                                self.counters.region_crossings += 1;
-                                self.counters.cycles += self.cost.cross_region;
-                            }
+                            self.counters.count_crossing(next, t);
                             self.cpu.rip = t;
                         }
                         Err(e) => {
@@ -2015,11 +1957,7 @@ impl<R: Runtime> Emu<R> {
                     let next = block.insts[n - 1].next;
                     let t = self.cpu.regs[src as usize];
                     self.counters.transfers += 1;
-                    self.counters.cycles += self.cost.transfer;
-                    if in_tramp(next) != in_tramp(t) {
-                        self.counters.region_crossings += 1;
-                        self.counters.cycles += self.cost.cross_region;
-                    }
+                    self.counters.count_crossing(next, t);
                     self.cpu.rip = t;
                 }
                 BlockExit::CallIndR { src } => {
@@ -2033,11 +1971,7 @@ impl<R: Runtime> Emu<R> {
                         return (executed + n as u64, Err(e));
                     }
                     self.counters.transfers += 1;
-                    self.counters.cycles += self.cost.transfer;
-                    if in_tramp(next) != in_tramp(t) {
-                        self.counters.region_crossings += 1;
-                        self.counters.cycles += self.cost.cross_region;
-                    }
+                    self.counters.count_crossing(next, t);
                     self.cpu.rip = t;
                 }
                 BlockExit::Indirect | BlockExit::Other => {
@@ -2142,16 +2076,25 @@ impl<R: Runtime> Emu<R> {
     }
 
     /// Runs until exit, error or `max_steps` instructions on the
-    /// selected backend (see [`ExecBackend`]). The translated tier is
-    /// behaviorally identical to [`Emu::run`] (result, counters,
-    /// guest-visible state), just faster.
+    /// selected backend (see [`ExecBackend`]), then prices the counters
+    /// into `counters.cycles` with [`Runtime::COST`]. The translated
+    /// tier is behaviorally identical to [`Emu::run`] (result,
+    /// counters, guest-visible state), just faster.
     pub fn run_backend(&mut self, backend: ExecBackend, max_steps: u64) -> RunResult {
         // The reference interpreter keeps its own tight loop;
         // one-instruction slices through `step_fast` are measurably
         // slower. Runtimes that observe memory always run on it.
-        if backend == ExecBackend::Step || R::OBSERVES_MEMORY {
-            return self.run(max_steps);
-        }
+        let result = if backend == ExecBackend::Step || R::OBSERVES_MEMORY {
+            self.run_step(max_steps)
+        } else {
+            self.run_fast(max_steps)
+        };
+        self.counters.cycles = R::COST.price(&self.counters);
+        result
+    }
+
+    /// The translated tier's run loop behind [`Emu::run_backend`].
+    fn run_fast(&mut self, max_steps: u64) -> RunResult {
         let mut remaining = max_steps;
         while remaining > 0 {
             let (executed, outcome) = self.step_fast(remaining);

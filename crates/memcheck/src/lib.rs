@@ -16,10 +16,11 @@
 //!   use-after-free are caught, but accesses that **skip over redzones**
 //!   into other live objects are not (paper Problem #1, Table 2);
 //! * the JIT/dispatch overhead of DBI is modeled by a per-instruction
-//!   dispatch cost plus a per-access check cost
-//!   ([`MemcheckRuntime::cost_model`]), calibrated to land in the ~10x
-//!   regime the paper measures for Memcheck with leak checking and
-//!   undef-value tracking disabled;
+//!   dispatch cost ([`DBI_DISPATCH`]) plus a per-access check cost
+//!   ([`SHADOW_CHECK`]), both part of the runtime's price vector
+//!   (`<MemcheckRuntime as Runtime>::COST`) and calibrated to land in
+//!   the ~10x regime the paper measures for Memcheck with leak checking
+//!   and undef-value tracking disabled;
 //! * Valgrind's documented inability to run some SPEC benchmarks
 //!   (`dealII`, `zeusmp`: huge data segments, 80-bit x87) is modeled by
 //!   [`MemcheckLimits`].
@@ -31,6 +32,14 @@ use redfat_emu::{
 };
 use redfat_vm::{layout, Vm};
 use std::collections::BTreeMap;
+
+/// Modeled cycles of DBI JIT/dispatch per guest instruction, on top of
+/// the native price (EXPERIMENTS.md, "Cost-model calibration note").
+pub const DBI_DISPATCH: u64 = 10;
+
+/// Modeled cycles of the shadow-memory check per guest access, on top
+/// of the native price.
+pub const SHADOW_CHECK: u64 = 13;
 
 /// Why Memcheck cannot run a given binary.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -111,8 +120,6 @@ pub struct MemcheckRuntime {
     pub errors: Vec<MemoryError>,
     /// Abort or log.
     pub mode: ErrorMode,
-    /// Modeled per-access check cost in cycles.
-    pub check_cost: u64,
     /// Pending abort (set by the access hook, surfaced at the next
     /// syscall-like boundary via `take_fatal`).
     fatal: Option<MemoryError>,
@@ -126,7 +133,6 @@ impl MemcheckRuntime {
             objects: BTreeMap::new(),
             errors: Vec::new(),
             mode,
-            check_cost: 13,
             fatal: None,
         }
     }
@@ -135,15 +141,6 @@ impl MemcheckRuntime {
     pub fn with_input(mut self, input: Vec<i64>) -> MemcheckRuntime {
         self.inner = self.inner.with_input(input);
         self
-    }
-
-    /// The cost model a Memcheck run should use: DBI dispatch on every
-    /// instruction, on top of the defaults.
-    pub fn cost_model() -> CostModel {
-        CostModel {
-            dbi_dispatch: 10,
-            ..CostModel::default()
-        }
     }
 
     /// Takes the fatal error recorded by the access hook, if any.
@@ -204,6 +201,12 @@ impl Runtime for MemcheckRuntime {
     // Every access is classified through the hook: the fast tier must
     // not elide it.
     const OBSERVES_MEMORY: bool = true;
+
+    const COST: CostModel = CostModel {
+        base: CostModel::NATIVE.base + DBI_DISPATCH,
+        mem: CostModel::NATIVE.mem + SHADOW_CHECK,
+        ..CostModel::NATIVE
+    };
 
     fn on_load(&mut self, vm: &mut Vm) {
         self.inner.on_load(vm);
@@ -268,7 +271,7 @@ impl Runtime for MemcheckRuntime {
         len: u8,
         is_write: bool,
         rip: u64,
-    ) -> Result<u64, MemoryError> {
+    ) -> Result<(), MemoryError> {
         if let Some(kind) = self.classify(addr, len) {
             let err = MemoryError {
                 site: rip,
@@ -282,7 +285,7 @@ impl Runtime for MemcheckRuntime {
                 return Err(err);
             }
         }
-        Ok(self.check_cost)
+        Ok(())
     }
 }
 
@@ -313,7 +316,6 @@ mod tests {
     fn run(img: &Image, input: Vec<i64>) -> (RunResult, Vec<MemoryError>) {
         let rt = MemcheckRuntime::new(ErrorMode::Abort).with_input(input);
         let mut emu = Emu::load_image(img, rt).expect("loads");
-        emu.cost = MemcheckRuntime::cost_model();
         let r = emu.run(1_000_000);
         (r, emu.runtime.errors.clone())
     }
@@ -390,18 +392,37 @@ mod tests {
 
     #[test]
     fn dbi_overhead_is_charged() {
+        // A heap store and load, and a stack push and pop.
         let img = build_image(|a| {
+            a.mov_ri(Width::W64, Reg::Rdi, 40);
+            sys(a, syscalls::MALLOC);
+            a.mov_rr(Width::W64, Reg::Rbx, Reg::Rax);
+            a.mov_ri(Width::W64, Reg::Rcx, 1);
+            a.mov_mr(Width::W64, Mem::base(Reg::Rbx), Reg::Rcx);
+            a.mov_rm(Width::W64, Reg::Rdx, Mem::base(Reg::Rbx));
+            a.push_r(Reg::Rdx);
+            a.pop_r(Reg::Rcx);
             a.mov_ri(Width::W64, Reg::Rdi, 0);
             sys(a, syscalls::EXIT);
         });
-        // Native run.
-        let mut native = Emu::load_image(&img, HostRuntime::new(ErrorMode::Abort)).expect("loads");
-        let _ = native.run(1000);
-        // Memcheck run.
-        let mut mc = Emu::load_image(&img, MemcheckRuntime::new(ErrorMode::Abort)).expect("loads");
-        mc.cost = MemcheckRuntime::cost_model();
-        let _ = mc.run(1000);
-        assert!(mc.counters.cycles > native.counters.cycles);
+        let rt = HostRuntime::new(ErrorMode::Abort);
+        let mut native = Emu::load_image(&img, rt).expect("loads");
+        assert_eq!(native.run(1000), RunResult::Exited(0));
+        let rt = MemcheckRuntime::new(ErrorMode::Abort);
+        let mut mc = Emu::load_image(&img, rt).expect("loads");
+        assert_eq!(mc.run(1000), RunResult::Exited(0));
+        let (n, m) = (native.counters, mc.counters);
+        assert_eq!(
+            n.events(),
+            m.events(),
+            "the same events, priced differently"
+        );
+        assert_eq!((n.loads, n.stores), (2, 2), "{n:?}");
+        assert_eq!(
+            m.cycles - n.cycles,
+            10 * n.instructions + 13 * (n.loads + n.stores),
+            "{n:?}"
+        );
     }
 
     #[test]

@@ -49,7 +49,7 @@ impl Runtime for OracleRuntime {
         len: u8,
         is_write: bool,
         rip: u64,
-    ) -> Result<u64, MemoryError> {
+    ) -> Result<(), MemoryError> {
         if self.eliminated.contains(&rip) {
             let lo = addr;
             let hi = addr.wrapping_add(len as u64);

@@ -40,7 +40,6 @@ fn redfat_clean(workload: &redfat_workloads::Workload, input: &[i64]) -> bool {
 fn memcheck_detects(workload: &redfat_workloads::Workload, input: &[i64]) -> (bool, bool) {
     let rt = MemcheckRuntime::new(ErrorMode::Abort).with_input(input.to_vec());
     let mut emu = Emu::load_image(&workload.image(), rt).expect("loads");
-    emu.cost = MemcheckRuntime::cost_model();
     let r = emu.run(50_000_000);
     let detected = matches!(r, RunResult::MemoryError(_)) || !emu.runtime.errors.is_empty();
     let clean_exit = matches!(r, RunResult::Exited(_));

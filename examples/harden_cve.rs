@@ -38,7 +38,6 @@ fn main() {
     // 2. Memcheck-style DBI baseline: misses the redzone skip.
     let rt = MemcheckRuntime::new(ErrorMode::Abort).with_input(case.attack_input.clone());
     let mut emu = Emu::load_image(&image, rt).expect("loads");
-    emu.cost = MemcheckRuntime::cost_model();
     let r = emu.run(1_000_000);
     println!(
         "memcheck under attack:      {:?} ({} errors) <- Problem #1",
