@@ -29,16 +29,9 @@
 //! * [`redundant`]: dominator-based redundant-check elimination -- a full
 //!   check subsumed by an identical dominating check is downgraded to
 //!   redzone-only.
-//! * [`callgraph`]: call-graph recovery over the CFG -- direct call and
-//!   tail-call edges, conservative Top for indirect calls, condensed to
-//!   SCCs for bottom-up summary computation.
-//! * [`summary`]: per-function summaries over the provenance lattice --
-//!   return-register facts, may-write register masks, and heap purity --
-//!   iterated over call-graph SCCs with recursion widening to Top.
 //! * [`report`]: per-site classification report (`redfat analyze`).
 
 pub mod batch;
-pub mod callgraph;
 pub mod cfg;
 pub mod dataflow;
 pub mod disasm;
@@ -48,10 +41,8 @@ pub mod liveness;
 pub mod provenance;
 pub mod redundant;
 pub mod report;
-pub mod summary;
 
 pub use batch::{merge_checks, plan_batches, Batch, MergedCheck};
-pub use callgraph::{CallGraph, CallSite};
 pub use cfg::{Cfg, MAX_BLOCK};
 pub use dataflow::{solve_forward, unknown_entries, ForwardAnalysis, ForwardSolution};
 pub use disasm::{disassemble, Disasm};
@@ -60,9 +51,4 @@ pub use elim::can_reach_heap;
 pub use liveness::{dead_flags_in_run, flags_live_after_run, Liveness};
 pub use provenance::{operand_non_heap, span_avoids_heap, AbsVal, Provenance, RegFacts};
 pub use redundant::RedundantChecks;
-pub use report::{
-    analyze, analyze_image, analyze_image_opts, analyze_image_threaded, analyze_opts,
-    analyze_threaded, render_callgraph, render_callgraph_dot, AnalysisReport, AnalyzeOptions,
-    SiteReport, SiteVerdict,
-};
-pub use summary::{FuncSummary, Summaries};
+pub use report::{analyze_image, AnalysisReport, SiteReport, SiteVerdict};

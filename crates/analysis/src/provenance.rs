@@ -39,7 +39,7 @@ use crate::dataflow::{solve_forward, unknown_entries, ForwardAnalysis, ForwardSo
 use crate::disasm::Disasm;
 use redfat_vm::layout;
 use redfat_x86::{AluOp, Inst, Mem, Op, Operands, Reg, ShiftOp, Width};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 /// Abstract value of one register.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -176,50 +176,6 @@ impl RegFacts {
     fn clobber_all_but_rsp(&mut self) {
         *self = RegFacts::top();
     }
-
-    /// Pointwise interval-hull join (the [`ForwardAnalysis::join`] of
-    /// the provenance analysis, exposed for the summary fixpoint).
-    pub(crate) fn join_with(&mut self, other: &RegFacts) {
-        for i in 0..16 {
-            self.vals[i] = self.vals[i].join(other.vals[i]);
-        }
-    }
-}
-
-/// The interprocedural effect of calling one *summarized* function: the
-/// abstract register state its `ret` hands back to the caller.
-///
-/// `apply` merges the effect over the caller's pre-call facts:
-///
-/// * a register **not** in `may_write` is provably never written
-///   anywhere in the callee (or anything it calls), so the caller's
-///   fact survives the call verbatim — a *preservation* fact;
-/// * a register in `may_write` takes the callee's at-return value,
-///   which is `Top` unless the summary proved a bound (e.g. `%rax`
-///   after `and $7, %eax; ret`).
-///
-/// Both directions are sound per-path: an unwritten register literally
-/// holds its old value at the return site, and a written register holds
-/// exactly the value the callee's `ret` left in it. `%rsp` always keeps
-/// its axiom ([`RegFacts::set`] refuses it).
-#[derive(Debug, Clone, PartialEq)]
-pub struct CallEffect {
-    /// Register facts at the callee's return points.
-    pub at_return: RegFacts,
-    /// Bit `r.code()` set ⇔ the callee (transitively) may write `r`.
-    pub may_write: u16,
-}
-
-impl CallEffect {
-    /// Merges the effect into the caller's facts at a call site.
-    pub fn apply(&self, fact: &mut RegFacts) {
-        for code in 0u8..16 {
-            if self.may_write & (1 << code) != 0 {
-                let r = Reg::from_code(code);
-                fact.set(r, self.at_return.get(r));
-            }
-        }
-    }
 }
 
 /// Returns `true` when the address span `[lo, hi]` (inclusive, `i128`
@@ -277,24 +233,14 @@ pub fn operand_non_heap(facts: &RegFacts, mem: &Mem, len: u8) -> bool {
     }
 }
 
-/// The analysis instance. Stateless by default; with call effects
-/// attached ([`ProvenanceAnalysis::with_effects`]) direct calls to
-/// summarized functions apply the callee's [`CallEffect`] instead of
-/// clobbering every register.
+/// The analysis instance: every call clobbers all but `%rsp`.
 #[derive(Default)]
-pub struct ProvenanceAnalysis {
-    call_effects: HashMap<u64, CallEffect>,
-}
+pub struct ProvenanceAnalysis;
 
 impl ProvenanceAnalysis {
-    /// The intraprocedural analysis: every call clobbers all but `%rsp`.
+    /// The analysis.
     pub fn new() -> ProvenanceAnalysis {
-        ProvenanceAnalysis::default()
-    }
-
-    /// Attaches per-callee effects, keyed by callee entry address.
-    pub fn with_effects(call_effects: HashMap<u64, CallEffect>) -> ProvenanceAnalysis {
-        ProvenanceAnalysis { call_effects }
+        ProvenanceAnalysis
     }
 }
 
@@ -329,17 +275,8 @@ impl ForwardAnalysis for ProvenanceAnalysis {
 
     fn transfer(&self, _addr: u64, inst: &Inst, fact: &mut RegFacts) {
         // Calls, indirect control flow and syscalls may run unknown
-        // code: every register except %rsp becomes unknown — unless the
-        // call is direct and its callee has a summary, in which case the
-        // callee's effect (at-return facts gated by its may-write mask)
-        // replaces the blanket clobber.
+        // code: every register except %rsp becomes unknown.
         if matches!(inst.op, Op::Call | Op::CallInd | Op::Syscall) {
-            if inst.op == Op::Call {
-                if let Some(eff) = inst.branch_target().and_then(|t| self.call_effects.get(&t)) {
-                    eff.apply(fact);
-                    return;
-                }
-            }
             fact.clobber_all_but_rsp();
             return;
         }
@@ -532,30 +469,12 @@ impl Provenance {
     /// it once globally and this constructor intersects it with the
     /// blocks actually present in `cfg`.
     pub fn compute_with_roots(disasm: &Disasm, cfg: &Cfg, roots: &BTreeSet<u64>) -> Provenance {
-        Provenance::compute_with_roots_and_effects(disasm, cfg, roots, HashMap::new())
-    }
-
-    /// Interprocedural variant: direct calls to callees present in
-    /// `effects` apply the callee's summary instead of clobbering.
-    /// Sound for any sound effect map; an empty map reproduces the
-    /// intraprocedural analysis exactly.
-    pub fn compute_with_roots_and_effects(
-        disasm: &Disasm,
-        cfg: &Cfg,
-        roots: &BTreeSet<u64>,
-        effects: HashMap<u64, CallEffect>,
-    ) -> Provenance {
         let roots: BTreeSet<u64> = roots
             .iter()
             .copied()
             .filter(|r| cfg.blocks.contains_key(r))
             .collect();
-        let solution = solve_forward(
-            ProvenanceAnalysis::with_effects(effects),
-            disasm,
-            cfg,
-            &roots,
-        );
+        let solution = solve_forward(ProvenanceAnalysis, disasm, cfg, &roots);
         Provenance { solution, roots }
     }
 

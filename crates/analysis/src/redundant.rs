@@ -47,7 +47,7 @@ use crate::disasm::Disasm;
 use crate::domtree::DomTree;
 use crate::provenance::Provenance;
 use redfat_x86::{Inst, Mem, Op, Seg};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// Operand shape: a memory operand with the displacement abstracted
 /// away. Two accesses with equal shapes address the same object
@@ -80,8 +80,7 @@ impl Shape {
     }
 
     /// `true` when the shape reads any register whose bit is set in
-    /// `mask` (an instruction's write mask, or a callee may-write mask;
-    /// see [`crate::summary`]).
+    /// `mask` (an instruction's write mask).
     fn uses_mask(&self, mask: u16) -> bool {
         [self.base, self.index]
             .into_iter()
@@ -103,14 +102,6 @@ pub struct Avail {
 
 struct AvailableChecks<F> {
     checked: F,
-    /// May-write masks of *closed, heap-pure* direct callees
-    /// ([`crate::summary::Summaries::pure_write_masks`]). A call to one
-    /// of these cannot reach a syscall (so the heap layout -- every
-    /// object's bounds and redzone state -- is unchanged) and provably
-    /// writes only the masked registers, so available checks on shapes
-    /// reading only unmasked registers survive the call. Empty map ==
-    /// the intraprocedural behavior (every call clears everything).
-    pure_masks: HashMap<u64, u16>,
 }
 
 impl<F: Fn(u64, &Inst) -> bool> ForwardAnalysis for AvailableChecks<F> {
@@ -139,19 +130,11 @@ impl<F: Fn(u64, &Inst) -> bool> ForwardAnalysis for AvailableChecks<F> {
 
     fn transfer(&self, addr: u64, inst: &Inst, fact: &mut Self::Fact) {
         // Unknown code may free heap objects or re-enter anywhere:
-        // nothing survives a call edge -- except a direct call to a
-        // summarized heap-pure callee, which only kills shapes reading
-        // registers the callee may write.
+        // nothing survives a call edge.
         if matches!(
             inst.op,
             Op::Call | Op::CallInd | Op::Syscall | Op::Ret | Op::JmpInd
         ) {
-            if inst.op == Op::Call {
-                if let Some(mask) = inst.branch_target().and_then(|t| self.pure_masks.get(&t)) {
-                    fact.retain(|shape, _| !shape.uses_mask(*mask));
-                    return;
-                }
-            }
             fact.clear();
             return;
         }
@@ -226,36 +209,13 @@ impl RedundantChecks {
         roots: &std::collections::BTreeSet<u64>,
         checked: F,
     ) -> RedundantChecks {
-        RedundantChecks::compute_with_roots_and_masks(disasm, cfg, roots, checked, HashMap::new())
-    }
-
-    /// Interprocedural variant: direct calls to callees present in
-    /// `pure_masks` (closed, heap-pure functions with a may-write mask)
-    /// keep available checks on shapes the callee provably does not
-    /// disturb. An empty map reproduces the intraprocedural pass
-    /// exactly.
-    pub fn compute_with_roots_and_masks<F: Fn(u64, &Inst) -> bool>(
-        disasm: &Disasm,
-        cfg: &Cfg,
-        roots: &std::collections::BTreeSet<u64>,
-        checked: F,
-        pure_masks: HashMap<u64, u16>,
-    ) -> RedundantChecks {
         let roots: std::collections::BTreeSet<u64> = roots
             .iter()
             .copied()
             .filter(|r| cfg.blocks.contains_key(r))
             .collect();
         let dom = DomTree::compute(cfg, &roots);
-        let solution = solve_forward(
-            AvailableChecks {
-                checked,
-                pure_masks,
-            },
-            disasm,
-            cfg,
-            &roots,
-        );
+        let solution = solve_forward(AvailableChecks { checked }, disasm, cfg, &roots);
 
         let mut immediate: BTreeMap<u64, u64> = BTreeMap::new();
         for block in cfg.blocks.values() {
@@ -370,7 +330,6 @@ mod tests {
     fn transfer_generates_and_kills() {
         let analysis = AvailableChecks {
             checked: checked_all,
-            pure_masks: HashMap::new(),
         };
         let mut fact = analysis.boundary();
 
@@ -416,7 +375,6 @@ mod tests {
     fn load_into_own_base_does_not_generate() {
         let analysis = AvailableChecks {
             checked: checked_all,
-            pure_masks: HashMap::new(),
         };
         let mut fact = analysis.boundary();
         // mov (%rax), %rax checks the old address but invalidates the
@@ -430,7 +388,6 @@ mod tests {
     fn calls_clear_everything() {
         let analysis = AvailableChecks {
             checked: checked_all,
-            pure_masks: HashMap::new(),
         };
         let mut fact = analysis.boundary();
         analysis.transfer(0x100, &mov_store(Mem::base(Reg::Rbx), Reg::Rcx), &mut fact);
@@ -448,7 +405,6 @@ mod tests {
     fn join_is_intersection_on_identical_entries() {
         let analysis = AvailableChecks {
             checked: checked_all,
-            pure_masks: HashMap::new(),
         };
         let ka = Shape::of(&Mem::base(Reg::Rax));
         let kb = Shape::of(&Mem::base(Reg::Rbx));
@@ -465,7 +421,6 @@ mod tests {
     fn range_subsumption_in_gen() {
         let analysis = AvailableChecks {
             checked: checked_all,
-            pure_masks: HashMap::new(),
         };
         let mut fact = analysis.boundary();
         // Wider check first...

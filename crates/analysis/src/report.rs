@@ -2,15 +2,12 @@
 //! is classified as, by which pass, and why. Backs the `redfat analyze`
 //! CLI subcommand and the paper-style ablation accounting.
 
-use crate::callgraph::CallGraph;
 use crate::cfg::Cfg;
 use crate::disasm::{disassemble, Disasm};
 use crate::elim::can_reach_heap;
-use crate::provenance::{AbsVal, Provenance};
+use crate::provenance::Provenance;
 use crate::redundant::RedundantChecks;
-use crate::summary::Summaries;
 use redfat_elf::Image;
-use redfat_x86::Reg;
 use std::fmt;
 
 /// Why a site does or does not carry a full check.
@@ -24,10 +21,6 @@ pub enum SiteVerdict {
     /// Eliminated by flow-sensitive provenance: the abstract address
     /// span provably avoids the heap.
     EliminatedFlow,
-    /// Eliminated only with interprocedural call summaries: the
-    /// intraprocedural provenance cannot prove the span heap-free, but
-    /// with callee effects applied at call sites it can.
-    EliminatedInterproc,
     /// Full check downgraded to redzone-only: subsumed by the
     /// dominating check at `root`.
     Redundant {
@@ -42,7 +35,6 @@ impl fmt::Display for SiteVerdict {
             SiteVerdict::Checked => write!(f, "checked"),
             SiteVerdict::EliminatedSyntactic => write!(f, "elim:syntactic"),
             SiteVerdict::EliminatedFlow => write!(f, "elim:flow"),
-            SiteVerdict::EliminatedInterproc => write!(f, "elim:interproc"),
             SiteVerdict::Redundant { root } => write!(f, "redundant(root={root:#x})"),
         }
     }
@@ -79,8 +71,6 @@ pub struct AnalysisReport {
     pub insts: usize,
     /// Number of unknown-entry roots the dataflow was seeded with.
     pub roots: usize,
-    /// Whether interprocedural summaries were applied.
-    pub interproc: bool,
 }
 
 impl AnalysisReport {
@@ -104,153 +94,71 @@ impl AnalysisReport {
         self.count(|v| matches!(v, SiteVerdict::EliminatedFlow))
     }
 
-    /// Sites eliminated only with interprocedural summaries.
-    pub fn eliminated_interproc(&self) -> usize {
-        self.count(|v| matches!(v, SiteVerdict::EliminatedInterproc))
-    }
-
     /// Sites downgraded to redzone-only by the redundant pass.
     pub fn redundant(&self) -> usize {
         self.count(|v| matches!(v, SiteVerdict::Redundant { .. }))
     }
 }
 
-/// Knobs for [`analyze_image_opts`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AnalyzeOptions {
-    /// Worker threads for per-component sharding; `0` analyzes the
-    /// whole image on the calling thread.
-    pub threads: usize,
-    /// Apply interprocedural function summaries at call sites.
-    pub interproc: bool,
-}
-
 /// Runs the full static-analysis stack over an image -- disassembly, CFG
 /// recovery, provenance, redundant-check elimination -- and classifies
 /// every memory-access site the way the instrumentation pipeline would
 /// under its most aggressive configuration (`instrument_reads = true`).
-pub fn analyze_image(image: &Image) -> AnalysisReport {
-    analyze_image_opts(image, AnalyzeOptions::default())
-}
-
-/// [`analyze_image`] with the per-component analyses sharded across
-/// `threads` worker threads. The report is identical to the serial one
-/// at any thread count (see [`Cfg::components`]).
-pub fn analyze_image_threaded(image: &Image, threads: usize) -> AnalysisReport {
-    analyze_image_opts(
-        image,
-        AnalyzeOptions {
-            threads,
-            interproc: false,
-        },
-    )
-}
-
-/// [`analyze_image`] with explicit [`AnalyzeOptions`].
-pub fn analyze_image_opts(image: &Image, opts: AnalyzeOptions) -> AnalysisReport {
+///
+/// With `threads > 0` the analyses run per weakly-connected CFG
+/// component, sharded across `threads` worker threads; `0` analyzes the
+/// whole image on the calling thread. Each component carries the full
+/// image-wide unknown-entry root set, so its provenance and
+/// redundant-check results are exactly the whole-image results
+/// restricted to it, and the report is the same at any thread count.
+pub fn analyze_image(image: &Image, threads: usize) -> AnalysisReport {
     let disasm = disassemble(image);
     let cfg = Cfg::recover(&disasm, image.entry, &[]);
-    analyze_opts(&disasm, &cfg, image.entry, opts)
-}
-
-/// [`analyze_image`] over pre-computed disassembly and CFG.
-pub fn analyze(disasm: &Disasm, cfg: &Cfg, entry: u64) -> AnalysisReport {
-    analyze_opts(disasm, cfg, entry, AnalyzeOptions::default())
-}
-
-/// [`analyze`] sharded by weakly-connected CFG component across
-/// `threads` worker threads (see [`analyze_opts`]).
-pub fn analyze_threaded(disasm: &Disasm, cfg: &Cfg, entry: u64, threads: usize) -> AnalysisReport {
-    analyze_opts(
-        disasm,
-        cfg,
-        entry,
-        AnalyzeOptions {
-            threads,
-            interproc: false,
-        },
-    )
-}
-
-/// The analysis core behind every `analyze*` entry point.
-///
-/// With `threads > 0` the per-component analyses are sharded across
-/// worker threads. Each component carries the full image-wide
-/// unknown-entry root set, so per-shard provenance and redundant-check
-/// results are exactly the whole-image results restricted to that
-/// component; the merged report is identical to the serial one at any
-/// thread count. Interprocedural summaries are computed *globally*
-/// (call edges cross component boundaries by construction) and handed
-/// to every shard, which preserves the same property.
-pub fn analyze_opts(
-    disasm: &Disasm,
-    cfg: &Cfg,
-    entry: u64,
-    opts: AnalyzeOptions,
-) -> AnalysisReport {
-    let roots = crate::dataflow::unknown_entries(disasm, cfg, entry);
-
-    // Function attribution always wants the call graph; summaries only
-    // when the interprocedural pass is on.
-    let (graph, effects, masks) = if opts.interproc {
-        let sums = Summaries::compute(disasm, cfg, &roots);
-        let effects = sums.call_effects();
-        let masks = sums.pure_write_masks();
-        (sums.graph, Some(effects), Some(masks))
-    } else {
-        (CallGraph::build(disasm, cfg), None, None)
+    let roots = crate::dataflow::unknown_entries(&disasm, &cfg, image.entry);
+    // A site belongs to the nearest function entry at or below it that
+    // starts a recovered block.
+    let entries: Vec<u64> = cfg
+        .func_entries
+        .iter()
+        .copied()
+        .filter(|e| cfg.blocks.contains_key(e))
+        .collect();
+    let owner = |addr: u64| {
+        entries[..entries.partition_point(|&e| e <= addr)]
+            .last()
+            .copied()
     };
 
     let analyze_shard = |sub: &Cfg| -> Vec<SiteReport> {
-        let prov = match &effects {
-            Some(e) => Provenance::compute_with_roots_and_effects(disasm, sub, &roots, e.clone()),
-            None => Provenance::compute_with_roots(disasm, sub, &roots),
-        };
-        // The plain analysis, for attributing an elimination to the
-        // interprocedural tier. Only needed when effects are applied:
-        // without them `prov` *is* the plain analysis.
-        let prov_base = effects
-            .as_ref()
-            .map(|_| Provenance::compute_with_roots(disasm, sub, &roots));
+        let prov = Provenance::compute_with_roots(&disasm, sub, &roots);
         let needs_full = |addr: u64, inst: &redfat_x86::Inst| -> bool {
             let Some(mem) = inst.memory_access() else {
                 return false;
             };
-            can_reach_heap(&mem) && prov.site_can_reach_heap(disasm, sub, addr, inst)
+            can_reach_heap(&mem) && prov.site_can_reach_heap(&disasm, sub, addr, inst)
         };
-        let redundant = match &masks {
-            Some(m) => RedundantChecks::compute_with_roots_and_masks(
-                disasm,
-                sub,
-                &roots,
-                needs_full,
-                m.clone(),
-            ),
-            None => RedundantChecks::compute_with_roots(disasm, sub, &roots, needs_full),
-        };
+        let redundant = RedundantChecks::compute_with_roots(&disasm, sub, &roots, needs_full);
         let mut sites = Vec::new();
         for block in sub.blocks.values() {
             for &addr in &block.insts {
                 let (inst, _) = disasm.at(addr).expect("block member decoded");
                 sites.extend(classify_site(
-                    disasm,
+                    &disasm,
                     sub,
-                    &graph,
                     &prov,
-                    prov_base.as_ref(),
                     &redundant,
                     addr,
                     inst,
+                    owner(addr),
                 ));
             }
         }
         sites
     };
-
-    let mut sites: Vec<SiteReport> = if opts.threads == 0 {
-        analyze_shard(cfg)
+    let mut sites: Vec<SiteReport> = if threads == 0 {
+        analyze_shard(&cfg)
     } else {
-        redfat_parallel::parallel_map(cfg.components(), opts.threads, |sub| analyze_shard(sub))
+        redfat_parallel::parallel_map(cfg.components(), threads, |sub| analyze_shard(sub))
             .into_iter()
             .flatten()
             .collect()
@@ -291,34 +199,24 @@ pub fn analyze_opts(
         blocks: cfg.blocks.len(),
         insts,
         roots: roots.iter().filter(|r| cfg.blocks.contains_key(r)).count(),
-        interproc: opts.interproc,
     }
 }
 
 /// Classifies one memory-access site given its component's analyses.
-#[allow(clippy::too_many_arguments)]
 fn classify_site(
     disasm: &Disasm,
     cfg: &Cfg,
-    graph: &CallGraph,
     prov: &Provenance,
-    prov_base: Option<&Provenance>,
     redundant: &RedundantChecks,
     addr: u64,
     inst: &redfat_x86::Inst,
+    func: Option<u64>,
 ) -> Option<SiteReport> {
     let mem = inst.memory_access()?;
     let verdict = if !can_reach_heap(&mem) {
         SiteVerdict::EliminatedSyntactic
     } else if !prov.site_can_reach_heap(disasm, cfg, addr, inst) {
-        match prov_base {
-            // The plain analysis could not prove it: the elimination is
-            // the interprocedural tier's.
-            Some(base) if base.site_can_reach_heap(disasm, cfg, addr, inst) => {
-                SiteVerdict::EliminatedInterproc
-            }
-            _ => SiteVerdict::EliminatedFlow,
-        }
+        SiteVerdict::EliminatedFlow
     } else if let Some(root) = redundant.root_of(addr) {
         SiteVerdict::Redundant { root }
     } else {
@@ -326,7 +224,7 @@ fn classify_site(
     };
     Some(SiteReport {
         addr,
-        func: graph.owner_of_addr(addr),
+        func,
         inst: inst.to_string(),
         len: inst.access_len().unwrap_or(8),
         is_write: inst.writes_memory(),
@@ -341,24 +239,16 @@ pub fn render(report: &AnalysisReport) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{} instructions, {} blocks, {} dataflow roots{}",
-        report.insts,
-        report.blocks,
-        report.roots,
-        if report.interproc {
-            " (interprocedural summaries applied)"
-        } else {
-            ""
-        }
+        "{} instructions, {} blocks, {} dataflow roots",
+        report.insts, report.blocks, report.roots
     );
     let _ = writeln!(
         out,
-        "{} access sites: {} checked, {} elim:syntactic, {} elim:flow, {} elim:interproc, {} redundant",
+        "{} access sites: {} checked, {} elim:syntactic, {} elim:flow, {} redundant",
         report.sites.len(),
         report.checked(),
         report.eliminated_syntactic(),
         report.eliminated_flow(),
-        report.eliminated_interproc(),
         report.redundant()
     );
     for s in &report.sites {
@@ -376,119 +266,6 @@ pub fn render(report: &AnalysisReport) -> String {
             s.inst
         );
     }
-    out
-}
-
-fn describe_absval(v: AbsVal) -> String {
-    match v {
-        AbsVal::Top => "⊤".to_string(),
-        AbsVal::Interval { lo, hi } if lo == hi => format!("{lo:#x}"),
-        AbsVal::Interval { lo, hi } => format!("[{lo:#x},{hi:#x}]"),
-    }
-}
-
-/// Renders the recovered call graph with per-function site and summary
-/// counts (the `redfat analyze --callgraph` text output).
-pub fn render_callgraph(sums: &Summaries) -> String {
-    use std::fmt::Write as _;
-    let g = &sums.graph;
-    let direct = g
-        .sites
-        .iter()
-        .filter(|s| s.callee.is_some() && !s.tail)
-        .count();
-    let tail = g.sites.iter().filter(|s| s.tail).count();
-    let indirect = g.sites.iter().filter(|s| s.callee.is_none()).count();
-    let summarized = sums.iter().filter(|s| s.closed).count();
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "call graph: {} functions ({} summarized), {} call sites ({} direct, {} tail, {} indirect)",
-        g.entries.len(),
-        summarized,
-        g.sites.len(),
-        direct,
-        tail,
-        indirect
-    );
-    for &entry in &g.entries {
-        let blocks = g.body[&entry].len();
-        let nsites = g.sites.iter().filter(|s| s.caller == entry).count();
-        let desc = match sums.get(entry) {
-            Some(s) if s.closed => format!(
-                "closed{} may_write={:#06x} ret rax∈{}",
-                if s.heap_pure { " heap-pure" } else { "" },
-                s.may_write,
-                describe_absval(s.at_return.get(Reg::Rax))
-            ),
-            _ => "⊤ (not summarized)".to_string(),
-        };
-        let _ = writeln!(
-            out,
-            "fn {entry:#x}: {blocks} blocks, {nsites} call sites -- {desc}"
-        );
-        for site in g.sites.iter().filter(|s| s.caller == entry) {
-            let target = match site.callee {
-                Some(t) => format!("{t:#x}"),
-                None => "⊤ (indirect)".to_string(),
-            };
-            let kind = if site.tail { "tail" } else { "call" };
-            let _ = writeln!(out, "  {:#x}: {kind} -> {target}", site.addr);
-        }
-    }
-    let sccs: Vec<String> = g
-        .sccs_bottom_up()
-        .iter()
-        .map(|scc| {
-            let members: Vec<String> = scc.iter().map(|e| format!("{e:#x}")).collect();
-            let tag = if g.is_recursive(scc) { "*" } else { "" };
-            format!("[{}]{tag}", members.join(" "))
-        })
-        .collect();
-    let _ = writeln!(out, "sccs bottom-up (* = recursive): {}", sccs.join(" "));
-    out
-}
-
-/// Renders the call graph in Graphviz DOT form.
-pub fn render_callgraph_dot(sums: &Summaries) -> String {
-    use std::fmt::Write as _;
-    let g = &sums.graph;
-    let mut out = String::new();
-    let _ = writeln!(out, "digraph callgraph {{");
-    let _ = writeln!(out, "  node [shape=box, fontname=\"monospace\"];");
-    for &entry in &g.entries {
-        let style = match sums.get(entry) {
-            Some(s) if s.closed && s.heap_pure => ", style=filled, fillcolor=palegreen",
-            Some(s) if s.closed => ", style=filled, fillcolor=lightyellow",
-            _ => "",
-        };
-        let _ = writeln!(
-            out,
-            "  \"{entry:#x}\" [label=\"{entry:#x}\\n{} blocks\"{style}];",
-            g.body[&entry].len()
-        );
-    }
-    let mut has_indirect = false;
-    for site in &g.sites {
-        match site.callee {
-            Some(t) => {
-                let style = if site.tail {
-                    " [style=dashed, label=\"tail\"]"
-                } else {
-                    ""
-                };
-                let _ = writeln!(out, "  \"{:#x}\" -> \"{t:#x}\"{style};", site.caller);
-            }
-            None => {
-                has_indirect = true;
-                let _ = writeln!(out, "  \"{:#x}\" -> \"⊤\";", site.caller);
-            }
-        }
-    }
-    if has_indirect {
-        let _ = writeln!(out, "  \"⊤\" [shape=doublecircle];");
-    }
-    let _ = writeln!(out, "}}");
     out
 }
 
@@ -517,10 +294,10 @@ mod tests {
     #[test]
     fn threaded_analysis_matches_serial() {
         let image = redfat_minic::compile(SRC).unwrap();
-        let serial = analyze_image(&image);
+        let serial = analyze_image(&image, 0);
         assert!(!serial.sites.is_empty());
         for threads in [1usize, 2, 8] {
-            let par = analyze_image_threaded(&image, threads);
+            let par = analyze_image(&image, threads);
             assert_eq!(
                 render(&serial),
                 render(&par),
@@ -533,47 +310,14 @@ mod tests {
     }
 
     #[test]
-    fn threaded_interproc_matches_serial() {
-        let image = redfat_minic::compile(SRC).unwrap();
-        let opts = |threads| AnalyzeOptions {
-            threads,
-            interproc: true,
-        };
-        let serial = analyze_image_opts(&image, opts(0));
-        for threads in [1usize, 2, 8] {
-            let par = analyze_image_opts(&image, opts(threads));
-            assert_eq!(
-                render(&serial),
-                render(&par),
-                "interproc report differs at {threads} threads"
-            );
-        }
-    }
-
-    #[test]
     fn sites_carry_function_attribution() {
         let image = redfat_minic::compile(SRC).unwrap();
-        let report = analyze_image(&image);
+        let report = analyze_image(&image, 0);
         // Every in-block site is attributed to some recovered function.
         assert!(report.sites.iter().all(|s| s.func.is_some()));
         // More than one function exists, and sites spread across them.
         let funcs: std::collections::BTreeSet<u64> =
             report.sites.iter().filter_map(|s| s.func).collect();
         assert!(funcs.len() >= 2, "weigh and main both have sites");
-    }
-
-    #[test]
-    fn callgraph_render_smoke() {
-        let image = redfat_minic::compile(SRC).unwrap();
-        let disasm = disassemble(&image);
-        let cfg = Cfg::recover(&disasm, image.entry, &[]);
-        let roots = crate::dataflow::unknown_entries(&disasm, &cfg, image.entry);
-        let sums = Summaries::compute(&disasm, &cfg, &roots);
-        let text = render_callgraph(&sums);
-        assert!(text.contains("call graph:"));
-        assert!(text.contains("sccs bottom-up"));
-        let dot = render_callgraph_dot(&sums);
-        assert!(dot.starts_with("digraph callgraph {"));
-        assert!(dot.trim_end().ends_with('}'));
     }
 }

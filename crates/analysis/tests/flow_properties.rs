@@ -24,7 +24,7 @@ fn global_array_const_index_is_flow_eliminated() {
             return 0;
         }";
     let image = compile(src).expect("compiles");
-    let report = analyze_image(&image);
+    let report = analyze_image(&image, 0);
     let flow = report.eliminated_flow();
     assert!(
         flow >= 2,
@@ -46,7 +46,7 @@ fn heap_accesses_survive_flow_elimination() {
             return 0;
         }";
     let image = compile(src).expect("compiles");
-    let report = analyze_image(&image);
+    let report = analyze_image(&image, 0);
     // The heap stores/loads (plus the RMW pattern) must remain checked
     // or at most be *redundant* (still redzone-checked) -- never
     // flow-eliminated.
@@ -209,7 +209,7 @@ fn report_partitions_sites() {
             return 0;
         }";
     let image = compile(src).expect("compiles");
-    let report = analyze_image(&image);
+    let report = analyze_image(&image, 0);
     let total = report.checked()
         + report.eliminated_syntactic()
         + report.eliminated_flow()

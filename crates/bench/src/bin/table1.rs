@@ -3,11 +3,10 @@
 //!
 //! Columns: coverage (% of ref-executed memory operands with the full
 //! (Redzone)+(LowFat) check), baseline modeled cycles, then slowdown
-//! factors for the nine RedFat configurations and Memcheck (NR where
+//! factors for the eight RedFat configurations and Memcheck (NR where
 //! the modeled Valgrind limits apply). Ends with the geometric means,
 //! the static check-elimination accounting (syntactic vs. flow vs.
-//! redundant vs. interprocedural) and the detected-real-error report
-//! of §7.1.
+//! redundant) and the detected-real-error report of §7.1.
 
 use redfat_bench::{geomean, parallel_map, table1_row, Table1Row};
 use redfat_workloads::{spec, Lang};
@@ -36,7 +35,7 @@ fn main() {
     println!("(slowdown factors vs. the uninstrumented baseline; modeled cycles)");
     println!();
     println!(
-        "{:<12} {:>4} {:>9} {:>12} {:>8} {:>7} {:>7} {:>7} {:>7} {:>7} {:>7} {:>7} {:>7} {:>9}",
+        "{:<12} {:>4} {:>9} {:>12} {:>8} {:>7} {:>7} {:>7} {:>7} {:>7} {:>7} {:>7} {:>9}",
         "Binary",
         "lang",
         "coverage",
@@ -47,7 +46,6 @@ fn main() {
         "+merge",
         "+flow",
         "+redund",
-        "+interp",
         "-size",
         "-reads",
         "Memcheck"
@@ -58,7 +56,7 @@ fn main() {
             None => "      NR".to_owned(),
         };
         println!(
-            "{:<12} {:>4} {:>8.1}% {:>12} {:>7.2}x {:>6.2}x {:>6.2}x {:>6.2}x {:>6.2}x {:>6.2}x {:>6.2}x {:>6.2}x {:>6.2}x {}",
+            "{:<12} {:>4} {:>8.1}% {:>12} {:>7.2}x {:>6.2}x {:>6.2}x {:>6.2}x {:>6.2}x {:>6.2}x {:>6.2}x {:>6.2}x {}",
             r.name,
             lang_tag(r.lang),
             100.0 * r.coverage,
@@ -71,7 +69,6 @@ fn main() {
             r.redfat[5],
             r.redfat[6],
             r.redfat[7],
-            r.redfat[8],
             mc
         );
     }
@@ -79,7 +76,7 @@ fn main() {
     let gm = |idx: usize| geomean(rows.iter().map(|r| r.redfat[idx]));
     let mc_gm = geomean(rows.iter().filter_map(|r| r.memcheck));
     println!(
-        "{:<12} {:>4} {:>8.1}% {:>12} {:>7.2}x {:>6.2}x {:>6.2}x {:>6.2}x {:>6.2}x {:>6.2}x {:>6.2}x {:>6.2}x {:>6.2}x {:>8.2}x",
+        "{:<12} {:>4} {:>8.1}% {:>12} {:>7.2}x {:>6.2}x {:>6.2}x {:>6.2}x {:>6.2}x {:>6.2}x {:>6.2}x {:>6.2}x {:>8.2}x",
         "Geomean",
         "",
         100.0 * geomean(rows.iter().map(|r| r.coverage.max(1e-9))),
@@ -92,20 +89,19 @@ fn main() {
         gm(5),
         gm(6),
         gm(7),
-        gm(8),
         mc_gm
     );
 
     println!();
     println!("Static check elimination (sites):");
     println!(
-        "{:<12} {:>10} {:>10} {:>10} {:>10}",
-        "Binary", "syntactic", "+flow", "redundant", "+interproc"
+        "{:<12} {:>10} {:>10} {:>10}",
+        "Binary", "syntactic", "+flow", "redundant"
     );
     for r in &rows {
         println!(
-            "{:<12} {:>10} {:>10} {:>10} {:>10}",
-            r.name, r.sites_elim, r.sites_flow, r.sites_redundant, r.sites_interproc
+            "{:<12} {:>10} {:>10} {:>10}",
+            r.name, r.sites_elim, r.sites_flow, r.sites_redundant
         );
     }
     let flow_wins = rows
@@ -115,12 +111,6 @@ fn main() {
     println!(
         "+flow eliminates additional sites on {} / {} benchmarks",
         flow_wins,
-        rows.len()
-    );
-    let interproc_wins = rows.iter().filter(|r| r.sites_interproc > 0).count();
-    println!(
-        "+interproc eliminates additional sites on {} / {} benchmarks",
-        interproc_wins,
         rows.len()
     );
 

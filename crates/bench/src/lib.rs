@@ -29,8 +29,8 @@ pub struct Table1Row {
     /// Baseline modeled cycles on ref.
     pub baseline_cycles: u64,
     /// Slowdown factors, Table 1 column order: unoptimized, +elim,
-    /// +batch, +merge, +flow, +redund, +interproc, -size, -reads.
-    pub redfat: [f64; 9],
+    /// +batch, +merge, +flow, +redund, -size, -reads.
+    pub redfat: [f64; 8],
     /// Memcheck slowdown, or `None` for NR.
     pub memcheck: Option<f64>,
     /// Distinct real-error sites detected during the ref run (fully
@@ -44,9 +44,6 @@ pub struct Table1Row {
     /// Static full checks downgraded to redzone-only by the redundant
     /// pass (under "+redund").
     pub sites_redundant: usize,
-    /// Static sites *additionally* eliminated by the interprocedural
-    /// summary pass (under "+interproc").
-    pub sites_interproc: usize,
 }
 
 /// Runs the complete §5 + Table 1 pipeline for one workload.
@@ -90,31 +87,28 @@ pub fn table1_row(wl: &Workload) -> Table1Row {
         covered as f64 / executed.len() as f64
     };
 
-    // The nine RedFat configurations.
-    let configs: [HardenConfig; 9] = [
+    // The eight RedFat configurations.
+    let configs: [HardenConfig; 8] = [
         HardenConfig::unoptimized(LowFatPolicy::AllowList(allow.clone())),
         HardenConfig::with_elim(LowFatPolicy::AllowList(allow.clone())),
         HardenConfig::with_batch(LowFatPolicy::AllowList(allow.clone())),
         HardenConfig::with_merge(LowFatPolicy::AllowList(allow.clone())),
         HardenConfig::with_flow(LowFatPolicy::AllowList(allow.clone())),
         HardenConfig::with_redundant(LowFatPolicy::AllowList(allow.clone())),
-        HardenConfig::with_interproc(LowFatPolicy::AllowList(allow.clone())),
         HardenConfig::minus_size(LowFatPolicy::AllowList(allow.clone())),
         HardenConfig::minus_reads(LowFatPolicy::AllowList(allow.clone())),
     ];
-    let mut redfat = [0.0; 9];
+    let mut redfat = [0.0; 8];
     let mut errors_detected = 0usize;
     let mut sites_elim = 0usize;
     let mut sites_flow = 0usize;
     let mut sites_redundant = 0usize;
-    let mut sites_interproc = 0usize;
     for (i, cfg) in configs.iter().enumerate() {
         let hardened = harden(&image, cfg).expect("hardening");
         match i {
             1 => sites_elim = hardened.stats.sites_eliminated,
             4 => sites_flow = hardened.stats.sites_eliminated_flow,
             5 => sites_redundant = hardened.stats.sites_redundant,
-            6 => sites_interproc = hardened.stats.sites_eliminated_interproc,
             _ => {}
         }
         let out = run_once(
@@ -170,7 +164,6 @@ pub fn table1_row(wl: &Workload) -> Table1Row {
         sites_elim,
         sites_flow,
         sites_redundant,
-        sites_interproc,
     }
 }
 

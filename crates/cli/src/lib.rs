@@ -74,9 +74,7 @@ commands:
                                        --alloc-policy selects the heap backend
                                        (default lowfat)
   disasm  <in.elf>                     linear disassembly of code segments
-  analyze <in.elf> [--interproc]       per-site static analysis report
-  analyze <in.elf> --callgraph         call graph + function summaries
-                                       (text report followed by Graphviz DOT)
+  analyze <in.elf>                     per-site static analysis report
   stats   <in.elf>                     image and instrumentation-plan statistics
   selftest [--quick] [--alloc-policy lowfat|rand-lowfat]
                                        differential self-test: lockstep oracle,
@@ -115,9 +113,6 @@ harden options:
   --no-elim | --no-batch | --no-merge  disable an optimization (Table 1)
   --no-flow                 disable flow-sensitive provenance elimination
   --no-redundant            disable dominator-based redundant-check elimination
-  --interproc               enable interprocedural call summaries (+interproc)
-  --alloc-policy <kind>     allocator backend the artifact is keyed to
-                            (lowfat | rand-lowfat; checks are backend-agnostic)
   --strip                   strip symbols before hardening";
 
 struct Args {
@@ -142,12 +137,10 @@ const VALUE_FLAGS: [&str; 12] = [
 ];
 
 /// Flags that take no value.
-const SWITCH_FLAGS: [&str; 19] = [
+const SWITCH_FLAGS: [&str; 17] = [
     "-h",
     "--help",
-    "--callgraph",
     "--faults",
-    "--interproc",
     "--log",
     "--lowfat-only",
     "--memcheck",
@@ -312,18 +305,6 @@ fn harden_config(args: &Args) -> Result<HardenConfig, CliError> {
     if args.has("--lowfat-only") {
         cfg.lowfat_only = true;
     }
-    // Interprocedural summaries ride on the flow pass; requesting them
-    // alongside --no-flow/--no-elim is a contradiction worth rejecting
-    // rather than silently ignoring.
-    if args.has("--interproc") {
-        if !cfg.elim_flow {
-            return Err(err(
-                "--interproc requires the flow pass (drop --no-flow/--no-elim)",
-            ));
-        }
-        cfg.interproc = true;
-    }
-    cfg.alloc_policy = args.alloc_policy()?;
     Ok(cfg)
 }
 
@@ -367,7 +348,7 @@ pub fn run_cli(argv: &[String]) -> Result<String, CliError> {
             writeln!(
                 out,
                 "hardened {input}: {} sites ({} full, {} redzone-only, {} eliminated, \
-                 {} flow-eliminated, {} interproc-eliminated, {} redundant), \
+                 {} flow-eliminated, {} redundant), \
                  {} trampolines ({} jmp, {} int3), {} trampoline bytes \
                  ({} cold, {} hot, {} displaced), {} register saves, {} flag saves",
                 s.sites_considered,
@@ -375,7 +356,6 @@ pub fn run_cli(argv: &[String]) -> Result<String, CliError> {
                 s.sites_redzone,
                 s.sites_eliminated,
                 s.sites_eliminated_flow,
-                s.sites_eliminated_interproc,
                 s.sites_redundant,
                 s.batches,
                 s.rewrite.jmp_patches,
@@ -528,22 +508,8 @@ pub fn run_cli(argv: &[String]) -> Result<String, CliError> {
                 return Err(err("analyze needs exactly one binary"));
             };
             let image = load_image(input)?;
-            if args.has("--callgraph") {
-                let d = redfat_analysis::disassemble(&image);
-                let cfg = redfat_analysis::Cfg::recover(&d, image.entry, &[]);
-                let roots = redfat_analysis::unknown_entries(&d, &cfg, image.entry);
-                let sums = redfat_analysis::Summaries::compute(&d, &cfg, &roots);
-                out.push_str(&redfat_analysis::render_callgraph(&sums));
-                out.push('\n');
-                out.push_str(&redfat_analysis::render_callgraph_dot(&sums));
-            } else {
-                let opts = redfat_analysis::AnalyzeOptions {
-                    threads: args.threads()?,
-                    interproc: args.has("--interproc"),
-                };
-                let report = redfat_analysis::analyze_image_opts(&image, opts);
-                out.push_str(&redfat_analysis::report::render(&report));
-            }
+            let report = redfat_analysis::analyze_image(&image, args.threads()?);
+            out.push_str(&redfat_analysis::report::render(&report));
         }
         "stats" => {
             let [input] = &args.positional[..] else {
@@ -780,12 +746,10 @@ fn run_selftest(
         failures.push(format!("allocator: {f}"));
     }
 
-    // Lockstep oracle over the SPEC stand-ins.
+    // Lockstep oracle over the SPEC stand-ins, hardened as `redfat
+    // harden` hardens by default.
     let max_steps: u64 = if quick { 50_000_000 } else { 400_000_000 };
-    // Run the oracle against the most aggressive elimination tier so the
-    // interprocedural summaries are exercised differentially, not just by
-    // unit tests.
-    let config = HardenConfig::with_interproc(LowFatPolicy::All);
+    let config = HardenConfig::default();
     for w in redfat_workloads::spec::all() {
         let image = w.image();
         let input = if quick {

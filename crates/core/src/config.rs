@@ -2,7 +2,6 @@
 
 use crate::allowlist::AllowList;
 use crate::digest::{sha256, Digest};
-use redfat_lowfat::AllocPolicyKind;
 
 /// Which memory operations receive the full (Redzone)+(LowFat) check, as
 /// opposed to the (Redzone)-only fallback (paper §3, "opportunistic
@@ -39,12 +38,6 @@ pub struct HardenConfig {
     /// subsumed by an identical dominating check is downgraded to
     /// redzone-only. Requires `elim_flow`.
     pub elim_redundant: bool,
-    /// Interprocedural summaries: per-function call effects (at-return
-    /// register facts, may-write masks, heap purity) threaded into the
-    /// flow and redundant passes at direct call sites. Off by default;
-    /// when disabled the hardened output is byte-identical to the
-    /// intraprocedural pipeline. Requires `elim_flow`.
-    pub interproc: bool,
     /// Metadata hardening (§4.2): validate `SIZE` against the immutable
     /// class size. Disabled by the `-size` column.
     pub size_harden: bool,
@@ -58,11 +51,6 @@ pub struct HardenConfig {
     /// metadata -- instead of the combined Figure 4 check. Used by the
     /// complementarity experiment; never set in production.
     pub lowfat_only: bool,
-    /// Which allocator policy backs the runtime heap (`--alloc-policy`).
-    /// Does not change the emitted checks (the policy contract keeps
-    /// them backend-independent) but *is* part of the artifact identity:
-    /// run/analyze results depend on it, so cache keys must too.
-    pub alloc_policy: AllocPolicyKind,
 }
 
 impl HardenConfig {
@@ -75,12 +63,10 @@ impl HardenConfig {
             merge: false,
             elim_flow: false,
             elim_redundant: false,
-            interproc: false,
             size_harden: true,
             instrument_reads: true,
             lowfat,
             lowfat_only: false,
-            alloc_policy: AllocPolicyKind::default(),
         }
     }
 
@@ -126,15 +112,6 @@ impl HardenConfig {
         }
     }
 
-    /// Table 1 "+interproc": interprocedural call summaries on top of
-    /// "+redund".
-    pub fn with_interproc(lowfat: LowFatPolicy) -> HardenConfig {
-        HardenConfig {
-            interproc: true,
-            ..HardenConfig::with_redundant(lowfat)
-        }
-    }
-
     /// Table 1 "-size": fully optimized minus metadata hardening. The
     /// configuration that most closely matches Valgrind Memcheck's
     /// feature set.
@@ -165,9 +142,9 @@ impl HardenConfig {
     }
 
     /// The canonical byte encoding of this configuration: a versioned
-    /// tag, the nine boolean knobs, the LowFat policy (with the
-    /// allow-list sites in sorted order), and the allocator-policy
-    /// byte. Two configs encode to the same bytes iff they are `==`,
+    /// tag, the eight boolean knobs and the LowFat policy (with the
+    /// allow-list sites in sorted order). Two configs encode to the
+    /// same bytes iff they are `==`,
     /// which makes [`Self::digest`] a sound cache-key component and the
     /// encoding itself a usable wire format for the service protocol.
     pub fn canonical_bytes(&self) -> Vec<u8> {
@@ -179,7 +156,6 @@ impl HardenConfig {
             self.merge,
             self.elim_flow,
             self.elim_redundant,
-            self.interproc,
             self.size_harden,
             self.instrument_reads,
             self.lowfat_only,
@@ -197,7 +173,6 @@ impl HardenConfig {
                 }
             }
         }
-        out.push(self.alloc_policy.wire_byte());
         out
     }
 
@@ -208,10 +183,10 @@ impl HardenConfig {
         let rest = bytes
             .strip_prefix(CONFIG_TAG)
             .ok_or_else(|| "config encoding: bad or missing version tag".to_string())?;
-        if rest.len() < 10 {
+        if rest.len() < FLAGS + 1 {
             return Err("config encoding: truncated flag block".to_string());
         }
-        let (flags, rest) = rest.split_at(9);
+        let (flags, rest) = rest.split_at(FLAGS);
         for (i, &b) in flags.iter().enumerate() {
             if b > 1 {
                 return Err(format!("config encoding: flag {i} is {b}, not a bool"));
@@ -250,28 +225,22 @@ impl HardenConfig {
             }
             other => return Err(format!("config encoding: unknown policy byte {other}")),
         };
-        let [alloc_byte] = rest else {
+        if !rest.is_empty() {
             return Err(format!(
-                "config encoding: expected one allocator-policy byte after the LowFat \
-                 policy, found {} bytes",
+                "config encoding: {} trailing bytes after the LowFat policy",
                 rest.len()
             ));
-        };
-        let alloc_policy = AllocPolicyKind::from_wire_byte(*alloc_byte).ok_or_else(|| {
-            format!("config encoding: unknown allocator-policy byte {alloc_byte}")
-        })?;
+        }
         Ok(HardenConfig {
             elim: flags[0] == 1,
             batch: flags[1] == 1,
             merge: flags[2] == 1,
             elim_flow: flags[3] == 1,
             elim_redundant: flags[4] == 1,
-            interproc: flags[5] == 1,
-            size_harden: flags[6] == 1,
-            instrument_reads: flags[7] == 1,
+            size_harden: flags[5] == 1,
+            instrument_reads: flags[6] == 1,
             lowfat,
-            lowfat_only: flags[8] == 1,
-            alloc_policy,
+            lowfat_only: flags[7] == 1,
         })
     }
 
@@ -285,7 +254,10 @@ impl HardenConfig {
 /// Version tag of the canonical config encoding. Bump when the
 /// encoding changes shape; old cache keys then miss instead of
 /// colliding with entries produced under different semantics.
-const CONFIG_TAG: &[u8] = b"redfat-config/v2\n";
+const CONFIG_TAG: &[u8] = b"redfat-config/v3\n";
+
+/// Boolean knobs in the canonical encoding.
+const FLAGS: usize = 8;
 
 impl Default for HardenConfig {
     /// Fully optimized with full LowFat coverage (callers wanting the
@@ -314,16 +286,10 @@ mod tests {
         assert!(f.merge && f.elim_flow && !f.elim_redundant);
         let d = HardenConfig::with_redundant(LowFatPolicy::All);
         assert!(d.elim_flow && d.elim_redundant && d.size_harden);
-        assert!(!d.interproc, "interproc is off throughout the base ladder");
-        let i = HardenConfig::with_interproc(LowFatPolicy::All);
-        assert!(i.elim_flow && i.elim_redundant && i.interproc);
         let s = HardenConfig::minus_size(LowFatPolicy::All);
-        assert!(!s.size_harden && s.instrument_reads && s.elim_redundant && !s.interproc);
+        assert!(!s.size_harden && s.instrument_reads && s.elim_redundant);
         let r = HardenConfig::minus_reads(LowFatPolicy::All);
         assert!(!r.size_harden && !r.instrument_reads);
-        // The default stays the intraprocedural pipeline: off-by-default
-        // contract for byte-identical output.
-        assert!(!HardenConfig::default().interproc);
     }
 
     #[test]
@@ -336,14 +302,9 @@ mod tests {
             HardenConfig::with_merge(LowFatPolicy::All),
             HardenConfig::with_flow(allow.clone()),
             HardenConfig::with_redundant(LowFatPolicy::All),
-            HardenConfig::with_interproc(LowFatPolicy::All),
             HardenConfig::minus_size(LowFatPolicy::All),
             HardenConfig::minus_reads(allow),
             HardenConfig::lowfat_only(),
-            HardenConfig {
-                alloc_policy: AllocPolicyKind::RandLowFat,
-                ..HardenConfig::default()
-            },
         ];
         for c in &configs {
             let bytes = c.canonical_bytes();
@@ -380,7 +341,7 @@ mod tests {
         assert!(HardenConfig::from_canonical_bytes(&bad_flag).is_err());
         // Unknown policy byte is rejected.
         let mut bad_policy = good;
-        let policy_at = CONFIG_TAG.len() + 9;
+        let policy_at = CONFIG_TAG.len() + FLAGS;
         bad_policy[policy_at] = 9;
         assert!(HardenConfig::from_canonical_bytes(&bad_policy).is_err());
         // A truncated allow-list (declared count > bytes) is rejected.
@@ -388,30 +349,17 @@ mod tests {
             HardenConfig::with_merge(LowFatPolicy::AllowList(AllowList::from_sites([1, 2, 3])))
                 .canonical_bytes();
         assert!(HardenConfig::from_canonical_bytes(&listed[..listed.len() - 4]).is_err());
-        // Unknown allocator-policy byte is rejected.
-        let mut bad_alloc = HardenConfig::default().canonical_bytes();
-        *bad_alloc.last_mut().unwrap() = 9;
-        assert!(HardenConfig::from_canonical_bytes(&bad_alloc).is_err());
     }
 
-    /// Cache keys must distinguish the allocator backends: same knobs,
-    /// different policy, different digest (and a different encoding).
+    /// The previous encoding carried a call-summary flag and an
+    /// allocator-policy byte; bytes in it must never decode, whatever
+    /// their payload, so an old cache key cannot alias a new config.
     #[test]
-    fn alloc_policy_is_part_of_the_cache_key() {
-        let lowfat = HardenConfig::default();
-        let rand = HardenConfig {
-            alloc_policy: AllocPolicyKind::RandLowFat,
-            ..HardenConfig::default()
-        };
-        assert_ne!(lowfat.canonical_bytes(), rand.canonical_bytes());
-        assert_ne!(lowfat.digest(), rand.digest());
-        for kind in AllocPolicyKind::ALL {
-            let c = HardenConfig {
-                alloc_policy: kind,
-                ..HardenConfig::default()
-            };
-            let back = HardenConfig::from_canonical_bytes(&c.canonical_bytes()).unwrap();
-            assert_eq!(back.alloc_policy, kind);
-        }
+    fn canonical_decode_rejects_v2_bytes() {
+        let mut v2 = b"redfat-config/v2\n".to_vec();
+        // elim, batch, merge, flow, redundant, call summaries, size,
+        // reads, lowfat_only; LowFat policy `All`; allocator `lowfat`.
+        v2.extend_from_slice(&[1, 1, 1, 1, 1, 0, 1, 1, 0, 1, 0]);
+        assert!(HardenConfig::from_canonical_bytes(&v2).is_err());
     }
 }

@@ -77,8 +77,7 @@ impl KeptBase {
     ///
     /// Returns `None` -- take the full path -- unless `image` is a
     /// *CFG-preserving edit* of the kept image:
-    /// - the same config, not interprocedural (its summaries are
-    ///   whole-image);
+    /// - the same config;
     /// - the same entry, kind and segment table, with no executable
     ///   segment overlapping another;
     /// - every changed code byte lies inside a decoded instruction that
@@ -96,7 +95,7 @@ impl KeptBase {
         threads: usize,
         cache: &dyn ComponentCache,
     ) -> Option<Result<Hardened, HardenError>> {
-        if config.interproc || config.canonical_bytes() != self.config {
+        if config.canonical_bytes() != self.config {
             return None;
         }
         let edits = self.code_edits(image)?;
@@ -210,7 +209,6 @@ impl KeptBase {
             config,
             mode: PayloadMode::Harden,
             roots: analysis.roots.as_ref(),
-            summaries: None,
             cache: Some((cache, cache_prefix(image, config, PayloadMode::Harden))),
         };
         let untouched = analysis.plans.len() - dirty.len();

@@ -29,8 +29,9 @@ use crate::pipeline::harden;
 use crate::selftest::SplitMix64;
 use crate::HardenConfig;
 use redfat_elf::Image;
-use redfat_emu::{Emu, ErrorMode, HostRuntime, RunResult, TRAP_TABLE_MAGIC};
+use redfat_emu::{Emu, EmuError, ErrorMode, HostRuntime, RunResult, Runtime, TRAP_TABLE_MAGIC};
 use redfat_parallel::parallel_map;
+use redfat_vm::layout;
 use redfat_workloads::spec;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -43,8 +44,9 @@ pub struct FaultConfig {
     pub seed: u64,
     /// Mutants generated per workload.
     pub mutants_per_workload: usize,
-    /// Step budget for each mutant's guest run (kept small: the chain
-    /// stages, not the guest, are under test).
+    /// Step budget for each mutant's guest run, in instructions retired
+    /// outside the trampoline area (kept small: the chain stages, not
+    /// the guest, are under test).
     pub max_steps: u64,
 }
 
@@ -158,11 +160,44 @@ fn drive_load_run(image: &Image, input: &[i64], max_steps: u64) -> FaultOutcome 
         Ok(emu) => emu,
         Err(e) => return FaultOutcome::Error(RedfatError::from(e)),
     };
-    match emu.run(max_steps) {
+    match run_budgeted(&mut emu, max_steps) {
         // Guest-level endings are graceful by construction; an
         // emulator error is not.
         RunResult::Exited(_) | RunResult::StepLimit | RunResult::MemoryError(_) => FaultOutcome::Ok,
         RunResult::Error(e) => FaultOutcome::Error(RedfatError::from(e)),
+    }
+}
+
+/// Steps in a row inside the trampoline area after which a run counts
+/// as stuck there (the lockstep oracle's bound).
+const MAX_TRAMPOLINE_STEPS: u64 = 200_000;
+
+/// Steps `emu` until it ends or has retired `max_steps` instructions
+/// below [`layout::TRAMPOLINE_BASE`]. Trampoline steps are not counted,
+/// so the budget ends at the same instruction of the program however
+/// much its checks cost; a run that stays in the trampoline area for
+/// [`MAX_TRAMPOLINE_STEPS`] steps in a row ends at the step limit.
+fn run_budgeted<R: Runtime>(emu: &mut Emu<R>, max_steps: u64) -> RunResult {
+    let (mut retired, mut inside) = (0u64, 0u64);
+    loop {
+        if emu.cpu.rip < layout::TRAMPOLINE_BASE {
+            if retired == max_steps {
+                return RunResult::StepLimit;
+            }
+            retired += 1;
+            inside = 0;
+        } else {
+            if inside == MAX_TRAMPOLINE_STEPS {
+                return RunResult::StepLimit;
+            }
+            inside += 1;
+        }
+        match emu.step() {
+            Ok(None) => {}
+            Ok(Some(result)) => return result,
+            Err(EmuError::AccessVetoed { error, .. }) => return RunResult::MemoryError(error),
+            Err(e) => return RunResult::Error(e),
+        }
     }
 }
 
@@ -431,6 +466,41 @@ pub fn fault_sweep(config: &FaultConfig, threads: usize) -> FaultReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::LowFatPolicy;
+
+    /// Where a budgeted run of `image` hardened under `config` stops:
+    /// its result, `rip` and printed integers.
+    fn budgeted_stop(
+        image: &Image,
+        config: &HardenConfig,
+        input: &[i64],
+        max_steps: u64,
+    ) -> (RunResult, u64, Vec<i64>) {
+        let hardened = harden(image, config).unwrap();
+        let runtime = HostRuntime::new(ErrorMode::Log).with_input(input.to_vec());
+        let mut emu = Emu::load_image(&hardened.image, runtime).unwrap();
+        let result = run_budgeted(&mut emu, max_steps);
+        (result, emu.cpu.rip, emu.runtime.io.out_ints.clone())
+    }
+
+    /// Full, metadata-free (`-size`) and redzone-only checks patch the
+    /// same sites with trampolines of different cost; a budget spent
+    /// mid-run stops all three at the same instruction of the program.
+    #[test]
+    fn budget_stops_at_the_same_original_instruction_whatever_the_checks_cost() {
+        let w = spec::by_name("mcf").unwrap();
+        let image = w.image();
+        let budget = 400_000;
+        let stop = |config: HardenConfig| budgeted_stop(&image, &config, &w.train_input, budget);
+        let full = stop(HardenConfig::default());
+        assert_eq!(full.0, RunResult::StepLimit);
+        assert!(full.1 < layout::TRAMPOLINE_BASE);
+        assert_eq!(stop(HardenConfig::minus_size(LowFatPolicy::All)), full);
+        assert_eq!(
+            stop(HardenConfig::with_redundant(LowFatPolicy::Disabled)),
+            full
+        );
+    }
 
     #[test]
     fn segment_region_finder_locates_code() {

@@ -6,9 +6,8 @@ use crate::checks::{BatchPayload, CheckSpec, PayloadMode};
 use crate::config::{HardenConfig, LowFatPolicy};
 use crate::digest::{image_digest, Digest, Sha256, TOOL_VERSION};
 use redfat_analysis::cfg::Block;
-use redfat_analysis::provenance::CallEffect;
 use redfat_analysis::{can_reach_heap, unknown_entries, Disasm, Provenance, RedundantChecks};
-use redfat_analysis::{disassemble, merge_checks, plan_batches, Batch, Cfg, Liveness, Summaries};
+use redfat_analysis::{disassemble, merge_checks, plan_batches, Batch, Cfg, Liveness};
 use redfat_elf::Image;
 use redfat_emu::ProfileStats;
 use redfat_parallel::parallel_map;
@@ -52,10 +51,10 @@ pub struct HardenStats {
     /// (kept by the syntactic rule, proven non-heap by the interval
     /// analysis).
     pub sites_eliminated_flow: usize,
-    /// Sites eliminated only with interprocedural call summaries
-    /// applied: the intraprocedural provenance keeps them, the
-    /// summary-augmented one proves them non-heap. Zero unless
-    /// [`HardenConfig::interproc`] is set.
+    /// Always zero: no pass eliminates sites across calls. Its only
+    /// reader is `e2ebench/src/replay.rs:208`, which adds it into
+    /// `core.sites_eliminated`; the field goes when the benchmark drops
+    /// that sum together with `core.sites_redundant`.
     pub sites_eliminated_interproc: usize,
     /// Full-check sites downgraded to redzone-only because a dominating
     /// identical check subsumes them. Counts materialized downgrades
@@ -108,10 +107,11 @@ impl HardenStats {
 /// at its anchor; anything dead may legitimately differ from the baseline
 /// after the payload runs. The differential oracle consumes this to
 /// distinguish intended dead-register clobbers from real divergence.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ClobberInfo {
-    /// Registers the payload may leave modified (dead at the anchor).
-    pub regs: Vec<redfat_x86::Reg>,
+    /// Registers the payload may leave modified (dead at the anchor):
+    /// bit `r.code()` for register `r`.
+    pub regs: u16,
     /// `true` if the payload may leave the arithmetic flags modified.
     pub flags: bool,
 }
@@ -122,8 +122,9 @@ pub struct Hardened {
     pub image: Image,
     /// Statistics.
     pub stats: HardenStats,
-    /// Clobber metadata per patched batch, keyed by anchor address.
-    pub clobbers: HashMap<u64, ClobberInfo>,
+    /// Clobber metadata per patched batch with its anchor address, in
+    /// ascending anchor order (look one up by binary search).
+    pub clobbers: Vec<(u64, ClobberInfo)>,
 }
 
 /// Default pipeline parallelism: the `REDFAT_THREADS` environment
@@ -189,12 +190,10 @@ pub fn instrument_profile(image: &Image) -> Result<Hardened, HardenError> {
         merge: false,
         elim_flow: false, // profile counters must cover every site
         elim_redundant: false,
-        interproc: false,
         size_harden: true,
         instrument_reads: true,
         lowfat: LowFatPolicy::All,
         lowfat_only: false,
-        alloc_policy: redfat_lowfat::AllocPolicyKind::default(),
     };
     instrument(
         image,
@@ -230,15 +229,9 @@ enum SiteClass {
     ElimSyntactic,
     /// Additionally eliminated by flow-sensitive provenance.
     ElimFlow,
-    /// Eliminated only with interprocedural call summaries applied.
-    ElimInterproc,
     /// Receives instrumentation.
     Instrument,
 }
-
-/// The precomputed interprocedural tables handed to every shard:
-/// per-call-site effects and per-function pure-write masks.
-type SummaryTables = (HashMap<u64, CallEffect>, HashMap<u64, u16>);
 
 /// The per-component output of the analysis + planning stages:
 /// everything the serial rewrite needs, in a form that merges
@@ -246,7 +239,6 @@ type SummaryTables = (HashMap<u64, CallEffect>, HashMap<u64, u16>);
 /// [`ComponentCache`] implementations can hold and hand back plans.
 pub struct ComponentPlan {
     planned: Vec<(u64, BatchPayload)>,
-    clobbers: Vec<(u64, ClobberInfo)>,
     stats: HardenStats,
 }
 
@@ -293,17 +285,13 @@ pub fn harden_cached(
 
 /// The digest prefix shared by every component key of one (image,
 /// config, mode) run: tool version, canonical config, payload mode,
-/// and -- when interprocedural summaries are enabled or an executable
-/// segment overlaps another segment -- the whole-image digest.
-/// Summaries are a whole-image fixpoint handed to every shard, so under
-/// `interproc` a component's plan can depend on bytes outside the
-/// component. Where segments overlap, the bytes at an address are no
-/// longer one segment's: the disassembler keeps the instruction decoded
-/// last, while a key reads the first segment holding the address.
-/// Folding the image digest into the prefix keeps the key sound in both
-/// cases at the cost of degrading reuse to whole-image granularity: for
-/// `interproc`, a non-default configuration, and for overlapping
-/// segments, which the loader rejects (`LoadError::SegmentOverlap`).
+/// and -- when an executable segment overlaps another segment -- the
+/// whole-image digest. Where segments overlap, the bytes at an address
+/// are no longer one segment's: the disassembler keeps the instruction
+/// decoded last, while a key reads the first segment holding the
+/// address. Folding the image digest into the prefix keeps the key
+/// sound at the cost of degrading reuse to whole-image granularity, for
+/// images the loader rejects anyway (`LoadError::SegmentOverlap`).
 pub(crate) fn cache_prefix(image: &Image, config: &HardenConfig, mode: PayloadMode) -> Digest {
     let mut h = Sha256::new();
     let tool = TOOL_VERSION.as_bytes();
@@ -316,7 +304,7 @@ pub(crate) fn cache_prefix(image: &Image, config: &HardenConfig, mode: PayloadMo
         PayloadMode::Harden => 1,
         PayloadMode::Profile => 2,
     }]);
-    if config.interproc || exec_segment_overlaps(image) {
+    if exec_segment_overlaps(image) {
         h.update(image_digest(image).as_bytes());
     }
     h.finalize()
@@ -539,7 +527,6 @@ pub(crate) struct Planner<'a> {
     pub(crate) config: &'a HardenConfig,
     pub(crate) mode: PayloadMode,
     pub(crate) roots: Option<&'a BTreeSet<u64>>,
-    pub(crate) summaries: Option<&'a SummaryTables>,
     /// The component cache and this run's key prefix.
     pub(crate) cache: Option<(&'a dyn ComponentCache, Digest)>,
 }
@@ -558,7 +545,6 @@ impl Planner<'_> {
                 self.config,
                 self.mode,
                 self.roots,
-                self.summaries,
             ))
         };
         let Some((cache, prefix)) = &self.cache else {
@@ -593,21 +579,6 @@ pub(crate) fn instrument_with_cache(
     let need_roots = config.elim_flow || (config.elim_redundant && mode == PayloadMode::Harden);
     let roots = need_roots.then(|| unknown_entries(&disasm, &cfg, image.entry));
 
-    // Interprocedural summaries are a whole-image fixpoint (call edges
-    // cross component boundaries by construction), so they are computed
-    // once here -- serially, for determinism -- and handed to every
-    // shard. With the knob off, shards behave exactly as before.
-    let summaries: Option<SummaryTables> = (config.interproc && config.elim_flow && need_roots)
-        .then(|| {
-            // Safety of the expect: this closure only runs when
-            // `need_roots` held above, which is exactly when `roots`
-            // was populated.
-            #[allow(clippy::expect_used)]
-            let roots = roots.as_ref().expect("roots computed");
-            let sums = Summaries::compute(&disasm, &cfg, roots);
-            (sums.call_effects(), sums.pure_write_masks())
-        });
-
     // Shard along weakly-connected CFG components (≈ functions): no
     // edge crosses a shard, so every per-shard analysis result is the
     // exact restriction of its whole-image counterpart, and the shard
@@ -618,7 +589,6 @@ pub(crate) fn instrument_with_cache(
         config,
         mode,
         roots: roots.as_ref(),
-        summaries: summaries.as_ref(),
         cache: cache.map(|c| (c, cache_prefix(image, config, mode))),
     };
     // Each worker builds the sub-CFG it plans, so only as many exist at
@@ -674,7 +644,8 @@ pub(crate) fn instrument_with_cache(
 
 /// The tail the full and the edit path share: sums the per-component
 /// statistics, merges the plans in anchor order and rewrites `image`.
-/// Payloads are borrowed from the plans, not copied.
+/// Payloads are borrowed from the plans, not copied; each one's clobbers
+/// are read off it in the same order.
 pub(crate) fn merge_and_rewrite(
     image: &Image,
     analysis: &Analysis,
@@ -688,14 +659,12 @@ pub(crate) fn merge_and_rewrite(
         components_reused,
         ..HardenStats::default()
     };
-    let mut clobbers: HashMap<u64, ClobberInfo> = HashMap::new();
     let mut planned: Vec<(u64, &BatchPayload)> = Vec::new();
     for plan in &analysis.plans {
         let s = &plan.stats;
         stats.sites_considered += s.sites_considered;
         stats.sites_eliminated += s.sites_eliminated;
         stats.sites_eliminated_flow += s.sites_eliminated_flow;
-        stats.sites_eliminated_interproc += s.sites_eliminated_interproc;
         stats.sites_redundant += s.sites_redundant;
         stats.sites_lowfat += s.sites_lowfat;
         stats.sites_redzone += s.sites_redzone;
@@ -703,7 +672,6 @@ pub(crate) fn merge_and_rewrite(
         stats.regs_saved += s.regs_saved;
         stats.flags_saved += s.flags_saved;
         stats.sites_skipped += s.sites_skipped;
-        clobbers.extend(plan.clobbers.iter().cloned());
         planned.extend(
             plan.planned
                 .iter()
@@ -713,6 +681,16 @@ pub(crate) fn merge_and_rewrite(
     // Anchors are globally unique, so this is a total order.
     planned.sort_unstable_by_key(|&(anchor, _)| anchor);
     stats.batches = planned.len();
+    let clobbers = planned
+        .iter()
+        .map(|&(anchor, payload)| {
+            let clobber = ClobberInfo {
+                regs: payload.clobbers.iter().fold(0, |m, r| m | 1 << r.code()),
+                flags: !payload.save_flags,
+            };
+            (anchor, clobber)
+        })
+        .collect();
 
     let patches: Vec<Patch> = planned
         .into_iter()
@@ -741,33 +719,15 @@ fn instrument_shard(
     config: &HardenConfig,
     mode: PayloadMode,
     roots: Option<&BTreeSet<u64>>,
-    summaries: Option<&SummaryTables>,
 ) -> ComponentPlan {
     let liveness = Liveness::compute(disasm, cfg);
     let mut stats = HardenStats::default();
 
-    // Flow-sensitive provenance (when enabled), with callee effects
-    // applied at direct call sites when interprocedural summaries are
-    // on.
+    // Flow-sensitive provenance (when enabled).
     let prov = config.elim_flow.then(|| {
         // Safety of the expect: the caller computes roots exactly when
         // `elim_flow || (elim_redundant && mode == Harden)` holds, and
         // this closure runs only under `elim_flow`.
-        #[allow(clippy::expect_used)]
-        let roots = roots.expect("roots precomputed");
-        match summaries {
-            Some((effects, _)) => {
-                Provenance::compute_with_roots_and_effects(disasm, cfg, roots, effects.clone())
-            }
-            None => Provenance::compute_with_roots(disasm, cfg, roots),
-        }
-    });
-    // The plain (summary-free) provenance, used only to attribute an
-    // elimination to the interprocedural tier in the statistics. The
-    // summary-augmented analysis eliminates a superset of the plain
-    // one's sites, so the filter itself only consults `prov`.
-    let prov_base = (config.elim_flow && summaries.is_some()).then(|| {
-        // Safety of the expect: same `elim_flow` guard as `prov` above.
         #[allow(clippy::expect_used)]
         let roots = roots.expect("roots precomputed");
         Provenance::compute_with_roots(disasm, cfg, roots)
@@ -787,12 +747,7 @@ fn instrument_shard(
         }
         if let Some(p) = &prov {
             if !p.site_can_reach_heap(disasm, cfg, addr, inst) {
-                return match &prov_base {
-                    Some(base) if base.site_can_reach_heap(disasm, cfg, addr, inst) => {
-                        SiteClass::ElimInterproc
-                    }
-                    _ => SiteClass::ElimFlow,
-                };
+                return SiteClass::ElimFlow;
             }
         }
         SiteClass::Instrument
@@ -812,17 +767,15 @@ fn instrument_shard(
     // predicate must be exactly "this site carries a full check", i.e.
     // the pipeline filter composed with the policy.
     let redundant = if config.elim_redundant && mode == PayloadMode::Harden {
-        let pure_masks = summaries.map(|(_, m)| m.clone()).unwrap_or_default();
         // Safety of the expect: this branch is the other disjunct of
         // the caller's roots-computation condition.
         #[allow(clippy::expect_used)]
         let roots = roots.expect("roots precomputed");
-        Some(RedundantChecks::compute_with_roots_and_masks(
+        Some(RedundantChecks::compute_with_roots(
             disasm,
             cfg,
             roots,
             |a, i| filter(a, i) && allowed(a),
-            pure_masks,
         ))
     } else {
         None
@@ -851,7 +804,6 @@ fn instrument_shard(
                 SiteClass::NotSite => continue,
                 SiteClass::ElimSyntactic => stats.sites_eliminated += 1,
                 SiteClass::ElimFlow => stats.sites_eliminated_flow += 1,
-                SiteClass::ElimInterproc => stats.sites_eliminated_interproc += 1,
                 SiteClass::Instrument => {}
             }
             stats.sites_considered += 1;
@@ -863,7 +815,6 @@ fn instrument_shard(
 
     // Build payloads; split any batch whose operand registers starve the
     // scratch allocator (extremely rare; singletons always succeed).
-    let mut clobbers: Vec<(u64, ClobberInfo)> = Vec::new();
     let mut planned: Vec<(u64, BatchPayload)> = Vec::new();
     let mut queue: Vec<Batch> = batches;
     let mut qi = 0;
@@ -939,13 +890,6 @@ fn instrument_shard(
                         stats.sites_redzone += n;
                     }
                 }
-                clobbers.push((
-                    batch.anchor,
-                    ClobberInfo {
-                        regs: p.clobbers.clone(),
-                        flags: !p.save_flags,
-                    },
-                ));
                 planned.push((batch.anchor, p));
             }
             None => {
@@ -961,12 +905,7 @@ fn instrument_shard(
     }
 
     planned.shrink_to_fit();
-    clobbers.shrink_to_fit();
-    ComponentPlan {
-        planned,
-        clobbers,
-        stats,
-    }
+    ComponentPlan { planned, stats }
 }
 
 #[cfg(test)]
@@ -982,11 +921,13 @@ mod tests {
             .expect("stand-in exists")
             .image();
         let h = harden_threaded(&image, &HardenConfig::default(), 1).expect("gcc hardens");
-        let clobbered: usize = h.clobbers.values().map(|c| c.regs.len()).sum();
+        let clobbered: u32 = h.clobbers.iter().map(|(_, c)| c.regs.count_ones()).sum();
         let s = &h.stats;
         assert!(s.regs_saved > 0 && clobbered > 0, "both occur: {s:?}");
-        assert_eq!(s.regs_saved + clobbered, 5 * s.batches);
-        let flag_clobbers = h.clobbers.values().filter(|c| c.flags).count();
+        assert_eq!(s.regs_saved + clobbered as usize, 5 * s.batches);
+        let flag_clobbers = h.clobbers.iter().filter(|(_, c)| c.flags).count();
         assert_eq!(s.flags_saved + flag_clobbers, s.batches);
+        assert_eq!(h.clobbers.len(), s.batches);
+        assert!(h.clobbers.windows(2).all(|w| w[0].0 < w[1].0));
     }
 }

@@ -60,7 +60,7 @@ use redfat_vm::{layout, Vm};
 use redfat_x86::{
     decode_one, encode, AluOp, Cond, Inst, Mem, MulDivOp, Op, Operands, Reg, Seg, ShiftOp, Width,
 };
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Cap on recorded failures/divergences so a systematically broken build
 /// produces a readable report instead of an unbounded one.
@@ -1244,12 +1244,14 @@ fn exit_equiv(b: &RunResult, h: &RunResult) -> bool {
 }
 
 /// Hardens `image` under `config` and runs the lockstep oracle on the
-/// result, using the pipeline's own clobber declarations.
+/// result under allocator `policy`, using the pipeline's own clobber
+/// declarations.
 pub fn lockstep(
     image: &Image,
     config: &HardenConfig,
     input: &[i64],
     max_steps: u64,
+    policy: AllocPolicyKind,
 ) -> Result<LockstepReport, HardenError> {
     let hardened = harden(image, config)?;
     Ok(lockstep_images(
@@ -1258,7 +1260,7 @@ pub fn lockstep(
         &hardened.clobbers,
         input,
         max_steps,
-        config.alloc_policy,
+        policy,
     ))
 }
 
@@ -1269,7 +1271,7 @@ pub fn lockstep(
 pub fn shrink_input(
     baseline: &Image,
     hardened: &Image,
-    clobbers: &HashMap<u64, ClobberInfo>,
+    clobbers: &[(u64, ClobberInfo)],
     input: &[i64],
     max_steps: u64,
     policy: AllocPolicyKind,
@@ -1298,7 +1300,7 @@ pub fn shrink_input(
 pub fn lockstep_images(
     baseline: &Image,
     hardened: &Image,
-    clobbers: &HashMap<u64, ClobberInfo>,
+    clobbers: &[(u64, ClobberInfo)],
     input: &[i64],
     max_steps: u64,
     policy: AllocPolicyKind,
@@ -1382,13 +1384,10 @@ pub fn lockstep_images(
             }
             // The payload anchored here runs *after* this comparison; mark
             // its declared clobbers as legitimately divergent.
-            if let Some(ci) = clobbers.get(&rip) {
-                for r in &ci.regs {
-                    dirty |= 1 << r.code();
-                }
-                if ci.flags {
-                    flags_dirty = true;
-                }
+            if let Ok(i) = clobbers.binary_search_by_key(&rip, |&(anchor, _)| anchor) {
+                let ci = clobbers[i].1;
+                dirty |= ci.regs;
+                flags_dirty |= ci.flags;
             }
             if report.divergences.len() >= MAX_FAILURES {
                 break 'outer;
@@ -1706,7 +1705,7 @@ mod tests {
         let rep = lockstep_images(
             &image,
             &out.image,
-            &HashMap::new(),
+            &[],
             &[],
             100_000,
             AllocPolicyKind::default(),
@@ -1742,7 +1741,7 @@ mod tests {
         let rep = lockstep_images(
             &image,
             &out.image,
-            &HashMap::new(),
+            &[],
             &[],
             100_000,
             AllocPolicyKind::default(),
@@ -1750,14 +1749,13 @@ mod tests {
         assert!(!rep.clean(), "expected the undeclared clobber to be seen");
 
         // Declared: clean, and both runs exit 5.
-        let mut declared = HashMap::new();
-        declared.insert(
+        let declared = [(
             anchor,
             ClobberInfo {
-                regs: vec![Reg::Rbx],
+                regs: 1 << Reg::Rbx.code(),
                 flags: false,
             },
-        );
+        )];
         let rep = lockstep_images(
             &image,
             &out.image,
@@ -1794,7 +1792,7 @@ mod tests {
         let shrunk = shrink_input(
             &image,
             &out.image,
-            &HashMap::new(),
+            &[],
             &[1, 2, 3],
             100_000,
             AllocPolicyKind::default(),
@@ -1882,7 +1880,8 @@ mod tests {
             HardenConfig::unoptimized(LowFatPolicy::All),
             HardenConfig::default(),
         ] {
-            let rep = lockstep(&image, &config, &[3], 5_000_000).unwrap();
+            let rep =
+                lockstep(&image, &config, &[3], 5_000_000, AllocPolicyKind::default()).unwrap();
             assert!(rep.completed, "run did not complete: {rep:#?}");
             assert!(rep.clean(), "{:#?}", rep.divergences);
             assert_eq!(rep.baseline_exit, Some(RunResult::Exited(0)));

@@ -139,34 +139,6 @@ fn warm_and_incremental_rehardening_is_byte_identical_on_all_stand_ins() {
     }
 }
 
-#[test]
-fn interproc_config_degrades_reuse_to_whole_image_soundly() {
-    let config = HardenConfig::with_interproc(LowFatPolicy::All);
-    let w = &redfat_workloads::spec::all()[0];
-    let image = w.image();
-    let cache = MemoryComponentCache::new();
-
-    // Same image: full reuse still applies (the whole-image digest in
-    // the prefix is unchanged).
-    let cold = harden_cached(&image, &config, 2, &cache).expect("cold");
-    let warm = harden_cached(&image, &config, 2, &cache).expect("warm");
-    assert_eq!(warm.stats.components_reused, warm.stats.components);
-    assert_eq!(warm.image.to_bytes(), cold.image.to_bytes());
-
-    // Any byte edit invalidates *every* component under interproc
-    // (summaries are a whole-image fixpoint), trading reuse for
-    // soundness.
-    let mutated = mutate_one_component(&image, 0).expect("mutation");
-    let incr = harden_cached(&mutated, &config, 2, &cache).expect("incremental");
-    assert_eq!(
-        incr.stats.components_reused, 0,
-        "interproc degrades to whole-image granularity"
-    );
-    let cold_cache = MemoryComponentCache::new();
-    let cold2 = harden_cached(&mutated, &config, 2, &cold_cache).expect("mutated cold");
-    assert_eq!(incr.image.to_bytes(), cold2.image.to_bytes());
-}
-
 /// Code at `base`: the instructions `body` emits.
 fn code_at(base: u64, body: impl FnOnce(&mut Asm)) -> Vec<u8> {
     let mut a = Asm::new(base);

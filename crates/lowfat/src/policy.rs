@@ -50,7 +50,7 @@ pub enum AllocPolicyKind {
 }
 
 impl AllocPolicyKind {
-    /// Every registered policy, in canonical (wire-encoding) order.
+    /// Every registered policy.
     pub const ALL: [AllocPolicyKind; 2] = [AllocPolicyKind::LowFat, AllocPolicyKind::RandLowFat];
 
     /// The CLI/wire spelling.
@@ -64,21 +64,6 @@ impl AllocPolicyKind {
     /// Parses the CLI spelling.
     pub fn parse(s: &str) -> Option<AllocPolicyKind> {
         AllocPolicyKind::ALL.into_iter().find(|k| k.as_str() == s)
-    }
-
-    /// Stable one-byte wire encoding (config canonical form v2).
-    pub fn wire_byte(self) -> u8 {
-        match self {
-            AllocPolicyKind::LowFat => 0,
-            AllocPolicyKind::RandLowFat => 1,
-        }
-    }
-
-    /// Inverse of [`AllocPolicyKind::wire_byte`].
-    pub fn from_wire_byte(b: u8) -> Option<AllocPolicyKind> {
-        AllocPolicyKind::ALL
-            .into_iter()
-            .find(|k| k.wire_byte() == b)
     }
 }
 
@@ -155,17 +140,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn kind_roundtrips_through_strings_and_wire_bytes() {
+    fn kind_roundtrips_through_strings() {
         for kind in AllocPolicyKind::ALL {
             assert_eq!(AllocPolicyKind::parse(kind.as_str()), Some(kind));
-            assert_eq!(
-                AllocPolicyKind::from_wire_byte(kind.wire_byte()),
-                Some(kind)
-            );
             assert_eq!(kind.to_string(), kind.as_str());
         }
         assert_eq!(AllocPolicyKind::parse("mesh"), None);
-        assert_eq!(AllocPolicyKind::from_wire_byte(0xFF), None);
     }
 
     #[test]

@@ -164,7 +164,7 @@ fn state_partitions_the_object() {
 #[test]
 fn crafted_pointer_sweep_is_conservative() {
     for policy in AllocPolicyKind::ALL {
-        let mut r = Rng64::new(0xC4AF_7ED0 ^ policy.wire_byte() as u64);
+        let mut r = Rng64::new(0xC4AF_7ED0 ^ policy as u64);
         let mut vm = redfat_vm::Vm::new();
         let mut heap = RedFatHeap::new(LowFatConfig {
             policy,

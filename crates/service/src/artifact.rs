@@ -297,25 +297,6 @@ mod tests {
         assert_ne!(artifact_key(b"ab", b"c", 1), artifact_key(b"a", b"bc", 1));
     }
 
-    /// Two jobs differing only in the allocator policy must land in
-    /// different cache slots: the policy byte rides in the canonical
-    /// config bytes, which participate in the key verbatim.
-    #[test]
-    fn key_separates_allocator_policies() {
-        use redfat_core::HardenConfig;
-        let mut keys = std::collections::HashSet::new();
-        for kind in redfat_core::AllocPolicyKind::ALL {
-            let cfg = HardenConfig {
-                alloc_policy: kind,
-                ..HardenConfig::default()
-            };
-            assert!(
-                keys.insert(artifact_key(b"image", &cfg.canonical_bytes(), 1)),
-                "policy {kind} collided with another policy's cache key"
-            );
-        }
-    }
-
     #[test]
     fn wrong_key_file_is_a_miss() {
         let dir = tmp_dir("wrongkey");

@@ -384,12 +384,7 @@ fn compute_job(shared: &Shared, req: &Request, key: &Digest) -> Result<Arc<JobOu
     .map_err(|e| format!("pipeline failed: {e}"))?;
     drop(image);
 
-    let Hardened {
-        image: hardened,
-        stats,
-        clobbers,
-    } = hardened;
-    drop(clobbers);
+    let stats = hardened.stats;
     let fresh = stats.components.saturating_sub(stats.components_reused);
     shared
         .stats
@@ -402,7 +397,7 @@ fn compute_job(shared: &Shared, req: &Request, key: &Digest) -> Result<Arc<JobOu
 
     let artifact = match req.op {
         Op::Analyze => Vec::new(),
-        _ => hardened.to_bytes(),
+        _ => hardened.image.to_bytes(),
     };
     drop(hardened);
     let out = Arc::new(JobOutput {
@@ -459,13 +454,12 @@ fn elapsed_micros(start: Instant) -> u64 {
 pub fn render_harden_stats(s: &HardenStats) -> String {
     format!(
         "sites_considered={}\nsites_eliminated={}\nsites_eliminated_flow={}\n\
-         sites_eliminated_interproc={}\nsites_redundant={}\nsites_lowfat={}\n\
+         sites_redundant={}\nsites_lowfat={}\n\
          sites_redzone={}\nbatches={}\nchecks={}\nregs_saved={}\nflags_saved={}\n\
          sites_skipped={}\ncomponents={}\ncomponents_reused={}\ndegraded={}\n",
         s.sites_considered,
         s.sites_eliminated,
         s.sites_eliminated_flow,
-        s.sites_eliminated_interproc,
         s.sites_redundant,
         s.sites_lowfat,
         s.sites_redzone,

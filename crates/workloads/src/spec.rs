@@ -112,8 +112,8 @@ fn main() {{
         var st = &opstat;
         st[0] = st[0] + 1;
         st[1] = st[1] + klen;
-        // Key-length histogram: the bucket index flows out of a call, so
-        // only an interprocedural return-range summary bounds it.
+        // Key-length histogram: the bucket index flows out of a call,
+        // which every pass treats as unknown, so the store stays checked.
         cbump(h + klen);
         step = step + 1;
     }}
