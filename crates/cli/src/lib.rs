@@ -55,7 +55,9 @@ const USAGE: &str = "usage: redfat <command> [args]
 
 commands:
   compile <src.mc> -o <out.elf>        compile mini-C to an ELF image
-  harden  <in.elf> -o <out.elf> [opts] harden a binary (drop-in output)
+  harden  <in.elf> -o <out.elf> [--strip] [opts]
+                                       harden a binary (drop-in output);
+                                       --strip strips symbols first
   profile <in.elf> -o <out.elf>        build the profiling binary (step 1 of Fig. 5)
   genlist <prof.elf> -o <allow.lst> [--input v,v,..]
                                        run the profiling binary, emit allow.lst
@@ -99,10 +101,10 @@ commands:
   svcstats --socket <sock>             print a running daemon's counters
   shutdown --socket <sock>             ask a running daemon to exit
 
-`harden`, `analyze`, and `selftest` accept --threads N to set the worker
-thread count (falls back to the REDFAT_THREADS environment variable, then
-to the available parallelism). Every command prints this text for -h or
---help and rejects a flag not listed here.
+`harden`, `analyze`, `selftest` and `serve` accept --threads N to set the
+worker thread count (falls back to the REDFAT_THREADS environment variable,
+then to the available parallelism). Every command prints this text for -h
+or --help and rejects any flag not listed here for it.
 
 harden options:
   --allowlist <allow.lst>   full check only on listed sites (Fig. 5 step 2)
@@ -112,15 +114,14 @@ harden options:
   --no-size                 disable metadata hardening (-size column)
   --no-elim | --no-batch | --no-merge  disable an optimization (Table 1)
   --no-flow                 disable flow-sensitive provenance elimination
-  --no-redundant            disable dominator-based redundant-check elimination
-  --strip                   strip symbols before hardening";
+  --no-redundant            disable dominator-based redundant-check elimination";
 
 struct Args {
     positional: Vec<String>,
     flags: std::collections::BTreeMap<String, Option<String>>,
 }
 
-/// Flags that take a value.
+/// Flags that take a value; every other flag is a switch.
 const VALUE_FLAGS: [&str; 12] = [
     "-o",
     "--input",
@@ -136,48 +137,82 @@ const VALUE_FLAGS: [&str; 12] = [
     "--alloc-policy",
 ];
 
-/// Flags that take no value.
-const SWITCH_FLAGS: [&str; 17] = [
-    "-h",
-    "--help",
-    "--faults",
-    "--log",
-    "--lowfat-only",
-    "--memcheck",
-    "--no-batch",
-    "--no-elim",
-    "--no-flow",
-    "--no-merge",
-    "--no-redundant",
-    "--no-size",
-    "--quick",
+/// The harden options: the flags [`harden_config`] reads.
+const CONFIG_FLAGS: [&str; 10] = [
+    "--allowlist",
     "--redzone-only",
-    "--stats",
-    "--strip",
+    "--lowfat-only",
     "--writes-only",
+    "--no-size",
+    "--no-elim",
+    "--no-batch",
+    "--no-merge",
+    "--no-flow",
+    "--no-redundant",
 ];
 
-/// Splits `argv` into positional arguments and flags. A flag outside
-/// [`VALUE_FLAGS`] and [`SWITCH_FLAGS`] is an error, so a typo fails
-/// at once instead of being ignored.
-fn parse_args(argv: &[String]) -> Result<Args, CliError> {
+/// The flags `cmd` takes besides `-h`/`--help`, and whether it also
+/// takes the harden options; `None` for an unknown command.
+fn command_flags(cmd: &str) -> Option<(&'static [&'static str], bool)> {
+    Some(match cmd {
+        "compile" | "profile" => (&["-o"], false),
+        "harden" => (&["-o", "--strip", "--threads"], true),
+        "genlist" => (&["-o", "--input", "--max-steps"], false),
+        "fuzzlist" => (&["-o", "--input", "--iters", "--max-steps"], false),
+        "run" => (
+            &[
+                "--input",
+                "--log",
+                "--memcheck",
+                "--max-steps",
+                "--backend",
+                "--stats",
+                "--alloc-policy",
+            ],
+            false,
+        ),
+        "analyze" => (&["--threads"], false),
+        "selftest" => (
+            &["--quick", "--faults", "--alloc-policy", "--threads"],
+            false,
+        ),
+        "serve" => (
+            &["--socket", "--cache-dir", "--workers", "--threads"],
+            false,
+        ),
+        "submit" => (&["--socket", "-o", "--op"], true),
+        "svcstats" | "shutdown" => (&["--socket"], false),
+        "disasm" | "stats" | "help" | "--help" | "-h" => (&[], false),
+        _ => return None,
+    })
+}
+
+/// Splits `cmd`'s `argv` into positional arguments and flags. A flag
+/// `cmd` does not take is an error, so a typo or another command's flag
+/// fails at once instead of being ignored.
+fn parse_args(cmd: &str, argv: &[String]) -> Result<Args, CliError> {
+    let (own, config) =
+        command_flags(cmd).ok_or_else(|| err(format!("unknown command {cmd:?}\n\n{USAGE}")))?;
+    let takes = |f: &str| {
+        matches!(f, "-h" | "--help") || own.contains(&f) || (config && CONFIG_FLAGS.contains(&f))
+    };
     let mut positional = Vec::new();
     let mut flags = std::collections::BTreeMap::new();
-    let mut it = argv.iter().peekable();
+    let mut it = argv.iter();
     while let Some(a) = it.next() {
-        if a.starts_with('-') {
-            if VALUE_FLAGS.contains(&a.as_str()) {
-                let v = it
-                    .next()
-                    .ok_or_else(|| err(format!("{a} requires a value")))?;
-                flags.insert(a.clone(), Some(v.clone()));
-            } else if SWITCH_FLAGS.contains(&a.as_str()) {
-                flags.insert(a.clone(), None);
-            } else {
-                return Err(err(format!("unknown flag {a} (see `redfat --help`)")));
-            }
-        } else {
+        if !a.starts_with('-') {
             positional.push(a.clone());
+        } else if !takes(a) {
+            return Err(err(format!(
+                "unknown flag {a} for `{cmd}` (see `redfat {cmd} --help`)"
+            )));
+        } else if VALUE_FLAGS.contains(&a.as_str()) {
+            let v = it
+                .next()
+                .ok_or_else(|| err(format!("{a} requires a value")))?;
+            flags.insert(a.clone(), Some(v.clone()));
+        } else {
+            flags.insert(a.clone(), None);
         }
     }
     Ok(Args { positional, flags })
@@ -313,7 +348,7 @@ pub fn run_cli(argv: &[String]) -> Result<String, CliError> {
     let Some((cmd, rest)) = argv.split_first() else {
         return Err(err(USAGE));
     };
-    let args = parse_args(rest)?;
+    let args = parse_args(cmd, rest)?;
     let mut out = String::new();
     if args.has("-h") || args.has("--help") {
         writeln!(out, "{USAGE}").ok();
@@ -542,6 +577,9 @@ pub fn run_cli(argv: &[String]) -> Result<String, CliError> {
         "selftest" => {
             let quick = args.has("--quick");
             if args.has("--faults") {
+                if args.has("--alloc-policy") {
+                    return Err(err("selftest --faults takes no --alloc-policy"));
+                }
                 run_faults(quick, args.threads()?, &mut out)?;
             } else {
                 run_selftest(quick, args.alloc_policy()?, args.threads()?, &mut out)?;

@@ -423,3 +423,78 @@ fn selftest_rejects_unknown_flags_and_answers_help_without_running() {
         assert_eq!(out, usage, "selftest {help} prints usage and runs nothing");
     }
 }
+
+#[test]
+fn each_command_rejects_flags_it_does_not_take() {
+    let dir = tmpdir("foreign");
+    let src = dir.join("p.mc");
+    let elf = dir.join("p.elf");
+    std::fs::write(&src, "fn main() { var a = malloc(8); a[0] = 1; return 0; }").unwrap();
+    let elf = elf.to_str().unwrap();
+    run_cli(&args(&["compile", src.to_str().unwrap(), "-o", elf])).unwrap();
+
+    // Another command's flags, which `harden` used to accept and ignore.
+    let out = dir.join("p.hard");
+    let out = out.to_str().unwrap();
+    let e = run_cli(&args(&[
+        "harden",
+        elf,
+        "-o",
+        out,
+        "--alloc-policy",
+        "rand-lowfat",
+        "--memcheck",
+    ]))
+    .unwrap_err();
+    assert_eq!(e.code, 1);
+    assert!(
+        e.message.contains("--alloc-policy") && e.message.contains("`harden`"),
+        "{}",
+        e.message
+    );
+    assert!(!std::path::Path::new(out).exists(), "nothing hardened");
+
+    // One flag of another command per command; each fails before the
+    // command reads a file or opens a socket.
+    let cases: [&[&str]; 13] = [
+        &["compile", "p.mc", "-o", out, "--threads", "2"],
+        &["harden", elf, "-o", out, "--memcheck"],
+        &["profile", elf, "-o", out, "--no-elim"],
+        &["genlist", elf, "-o", out, "--iters", "5"],
+        &["fuzzlist", elf, "-o", out, "--log"],
+        &["run", elf, "--no-elim"],
+        &["disasm", elf, "--stats"],
+        &["analyze", elf, "-o", out],
+        &["stats", elf, "--quick"],
+        &["selftest", "--quick", "--memcheck"],
+        &["serve", "--socket", "s.sock", "--strip"],
+        &["submit", elf, "--socket", "s.sock", "--strip"],
+        &["svcstats", "--socket", "s.sock", "--op", "harden"],
+    ];
+    for case in cases {
+        let e = run_cli(&args(case)).unwrap_err();
+        let cmd = case[0];
+        assert!(
+            e.message.starts_with("unknown flag") && e.message.contains(&format!("`{cmd}`")),
+            "{case:?}: {}",
+            e.message
+        );
+    }
+    let e = run_cli(&args(&["selftest", "--faults", "--alloc-policy", "lowfat"])).unwrap_err();
+    assert!(e.message.contains("--alloc-policy"), "{}", e.message);
+    // What a command does take still parses: `harden` takes every harden
+    // option and `--strip`.
+    run_cli(&args(&[
+        "harden",
+        elf,
+        "-o",
+        out,
+        "--strip",
+        "--threads",
+        "1",
+        "--no-elim",
+        "--no-size",
+        "--writes-only",
+    ]))
+    .unwrap();
+}

@@ -25,8 +25,9 @@ struct State {
 }
 
 /// Default entry bound: comfortably above the component count of any
-/// workload in the suite, small enough that plans (a few KiB each)
-/// stay far below the image sizes they describe.
+/// workload in the suite, small enough that plans stay far below the
+/// image sizes they describe. A plan carries its payloads' machine
+/// code: kromium's 3,419 average 1.2 KiB each, 818 bytes of it code.
 pub const DEFAULT_COMPONENT_CAPACITY: usize = 65_536;
 
 impl MemoryComponentCache {

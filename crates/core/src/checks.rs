@@ -56,6 +56,7 @@
 
 use redfat_analysis::MergedCheck;
 use redfat_emu::syscalls;
+use redfat_rewriter::RipField;
 use redfat_vm::layout;
 use redfat_x86::{AluOp, Asm, AsmError, Cond, Label, Mem, Reg, ShiftOp, Width};
 
@@ -187,9 +188,14 @@ impl BatchPayload {
         Some((after + flags) * 8)
     }
 
-    /// Emits the payload into the trampoline assembler and returns its
-    /// entry address, which follows the payload's cold code.
-    pub fn emit(&self, a: &mut Asm) -> Result<u64, AsmError> {
+    /// Emits the payload into `a` and returns its entry address, which
+    /// follows the payload's cold code. The bytes do not depend on where
+    /// they are emitted, but for the `lea` of a rip-relative operand:
+    /// it is emitted with a placeholder displacement and recorded in
+    /// `rip_fields`, at its offset from the payload's start, for the
+    /// rewriter to write where the payload lands.
+    pub fn emit(&self, a: &mut Asm, rip_fields: &mut Vec<RipField>) -> Result<u64, AsmError> {
+        let start = a.here();
         let labels: Vec<CheckLabels> = self
             .checks
             .iter()
@@ -207,7 +213,12 @@ impl BatchPayload {
             a.pushfq();
         }
         for (k, (spec, l)) in self.checks.iter().zip(&labels).enumerate() {
-            self.emit_hot(a, spec, k > 0, l)?;
+            if let Some(field) = self.emit_hot(a, spec, k > 0, l)? {
+                rip_fields.push(RipField {
+                    at: (field - start) as u32,
+                    target: spec.check.mem.disp as u64,
+                });
+            }
         }
         if self.save_flags {
             a.popfq();
@@ -275,14 +286,15 @@ impl BatchPayload {
         Ok(())
     }
 
-    /// Emits one (merged) check's hot path.
+    /// Emits one (merged) check's hot path and returns the address of
+    /// the rip-relative field it leaves for placement, if any.
     fn emit_hot(
         &self,
         a: &mut Asm,
         spec: &CheckSpec,
         may_be_clobbered: bool,
         l: &CheckLabels,
-    ) -> Result<(), AsmError> {
+    ) -> Result<Option<u64>, AsmError> {
         let (lb, cls, siz) = self.scratch;
         let mem = spec.check.mem;
         let len = spec.check.len as i64;
@@ -308,10 +320,18 @@ impl BatchPayload {
 
         // No bounds stub: the `lowfat_only` ablation without a low-fat
         // base register, which tests nothing (paper §2.1).
+        let mut rip_field = None;
         if let Some(err_bounds) = l.err_bounds {
             // LB = effective address (operand registers are intact:
-            // scratch is disjoint from them, rax/rdx were reloaded).
-            a.lea(lb, mem);
+            // scratch is disjoint from them, rax/rdx were reloaded). A
+            // rip-relative operand's displacement depends on where the
+            // payload lands; until then it reaches the `lea` itself.
+            if mem.rip {
+                a.lea(lb, mem.with_disp(a.here() as i64));
+                rip_field = Some(a.here() - 4);
+            } else {
+                a.lea(lb, mem);
+            }
             // A full check takes BASE from the base register and leaves
             // for its fallback when that is not low-fat (the ablation has
             // none); a redzone-only check takes BASE from LB.
@@ -366,7 +386,7 @@ impl BatchPayload {
             a.syscall();
         }
         a.bind(l.after)?;
-        Ok(())
+        Ok(rip_field)
     }
 }
 
@@ -542,7 +562,7 @@ mod tests {
         )
         .unwrap();
         let mut a = Asm::new(redfat_vm::layout::TRAMPOLINE_BASE);
-        p.emit(&mut a).unwrap();
+        p.emit(&mut a, &mut Vec::new()).unwrap();
         let prog = a.finish().unwrap();
         assert!(prog.bytes.len() > 40, "non-trivial check code emitted");
         // The whole payload must decode cleanly.
@@ -574,7 +594,7 @@ mod tests {
                 )
                 .unwrap();
                 let mut a = Asm::new(redfat_vm::layout::TRAMPOLINE_BASE);
-                let entry = p.emit(&mut a).unwrap();
+                let entry = p.emit(&mut a, &mut Vec::new()).unwrap();
                 let prog = a.finish().unwrap();
                 assert!(entry > prog.base, "{mode:?}: cold code comes first");
                 let mut report_tail = None;
@@ -650,7 +670,7 @@ mod tests {
                     assert_eq!(p.clobbers, dead.to_vec());
 
                     let mut a = Asm::new(redfat_vm::layout::TRAMPOLINE_BASE);
-                    let entry = p.emit(&mut a).unwrap();
+                    let entry = p.emit(&mut a, &mut Vec::new()).unwrap();
                     let prog = a.finish().unwrap();
                     let insts = redfat_x86::decode_all(&prog.bytes, prog.base);
                     let total: usize = insts.iter().map(|(_, _, l)| *l as usize).sum();

@@ -79,6 +79,33 @@ pub const TOOL_VERSION: &str = concat!("redfat-", env!("CARGO_PKG_VERSION"), "+c
 const PINNED_PROBE_DIGEST: &str =
     "668b9dab9c3017f9c52f637538fcdeb178136df11690ff3e387f2252365b4831";
 
+/// Further pins of the same test, over more of the emitted code: the
+/// probe unoptimized and as a profiling binary, the rip-relative image
+/// with elimination off, and all stand-ins under two configs.
+#[cfg(test)]
+const PINNED_DIGESTS: [(&str, &str); 5] = [
+    (
+        "probe unoptimized",
+        "4c8bd3f9161d5126b8b8d489719486969e646b78bc380efb53b7e06ca5014964",
+    ),
+    (
+        "probe profile",
+        "82e7a38b8f7f9dfa064f27630f49dbe40e57c68d26adb374604f6d6b65a061d9",
+    ),
+    (
+        "riprel no-elim",
+        "7d19c50aac3a642f0530fe3f5e909e3b15a12689e32ae235f2e2a1d2acf4505d",
+    ),
+    (
+        "stand-ins default",
+        "dc9e29b3fc051b84b251b3c1b22f6cc085f2688f9f2048a088a4c31ebbe14518",
+    ),
+    (
+        "stand-ins unoptimized",
+        "01adf797799d84141fe01ae8e9875d2dd9bb29aad1104eb08347c0c77a08e85e",
+    ),
+];
+
 const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
     0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174,
@@ -517,17 +544,65 @@ mod tests {
         }
     }
 
+    /// The digest of `images`' serialized bytes, each preceded by its
+    /// length.
+    fn digest_of(images: impl IntoIterator<Item = Image>) -> String {
+        let mut h = Sha256::new();
+        for image in images {
+            let bytes = image.to_bytes();
+            h.update_u64(bytes.len() as u64);
+            h.update(&bytes);
+        }
+        h.finalize().to_hex()
+    }
+
     #[test]
     fn emitted_bytes_are_pinned_to_the_tool_version() {
+        use crate::{harden, instrument_profile, HardenConfig, LowFatPolicy};
         // Caches key artifacts by TOOL_VERSION, so bytes that change
         // under the same tag would be served stale from an old cache.
-        let hardened =
-            crate::harden(&probe_image(), &crate::HardenConfig::default()).expect("probe hardens");
+        let probe = probe_image();
+        let hardened = harden(&probe, &HardenConfig::default()).expect("probe hardens");
         assert!(hardened.stats.batches > 0, "the probe gets trampolines");
         assert_eq!(
             sha256(&hardened.image.to_bytes()).to_hex(),
             PINNED_PROBE_DIGEST,
             "emitted bytes changed: bump TOOL_VERSION"
+        );
+
+        let unoptimized = HardenConfig::unoptimized(LowFatPolicy::All);
+        let no_elim = HardenConfig {
+            elim: false,
+            elim_flow: false,
+            elim_redundant: false,
+            ..HardenConfig::default()
+        };
+        let stand_ins = |config: &HardenConfig| {
+            let hardened = redfat_workloads::spec::all()
+                .into_iter()
+                .map(|w| harden(&w.image(), config).expect("stand-in hardens").image);
+            digest_of(hardened)
+        };
+        let harden_one = |image: &Image, config: &HardenConfig| {
+            digest_of([harden(image, config).expect("hardens").image])
+        };
+        let actual = [
+            harden_one(&probe, &unoptimized),
+            digest_of([instrument_profile(&probe).expect("instruments").image]),
+            harden_one(&redfat_workloads::riprel::image(), &no_elim),
+            stand_ins(&HardenConfig::default()),
+            stand_ins(&unoptimized),
+        ];
+        let moved: Vec<String> = PINNED_DIGESTS
+            .iter()
+            .zip(&actual)
+            .filter(|((_, pinned), actual)| pinned != actual)
+            .map(|((name, _), actual)| format!("{name}: {actual}"))
+            .collect();
+        assert!(
+            moved.is_empty(),
+            "emitted bytes changed: bump TOOL_VERSION\n{}",
+            moved.join("\n")
         );
     }
 }

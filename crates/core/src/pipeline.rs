@@ -11,8 +11,11 @@ use redfat_analysis::{disassemble, merge_checks, plan_batches, Batch, Cfg, Liven
 use redfat_elf::Image;
 use redfat_emu::ProfileStats;
 use redfat_parallel::parallel_map;
-use redfat_rewriter::{rewrite_with_bases, Patch, RewriteBases, RewriteError, RewriteStats};
-use redfat_x86::Inst;
+use redfat_rewriter::{
+    rewrite_with_bases, Patch, RewriteBases, RewriteError, RewriteStats, RipField,
+};
+use redfat_x86::{Asm, AsmError, EncodeError, Inst};
+use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
@@ -235,11 +238,32 @@ enum SiteClass {
 
 /// The per-component output of the analysis + planning stages:
 /// everything the serial rewrite needs, in a form that merges
-/// deterministically. Opaque to callers -- it exists publicly only so
-/// [`ComponentCache`] implementations can hold and hand back plans.
+/// deterministically, with each batch's payload already assembled.
+/// Opaque to callers -- it exists publicly only so [`ComponentCache`]
+/// implementations can hold and hand back plans.
 pub struct ComponentPlan {
-    planned: Vec<(u64, BatchPayload)>,
+    /// The batches' payloads back to back, in `batches` order, or the
+    /// failure that stopped their assembly.
+    code: Result<Vec<u8>, AsmError>,
+    /// The payloads' rip-relative fields, in `batches` order, each at
+    /// its offset from its own payload's start.
+    rip_fields: Vec<RipField>,
+    batches: Vec<PlannedBatch>,
     stats: HardenStats,
+}
+
+/// One batch of a [`ComponentPlan`]: its anchor, where its payload
+/// lies in the plan's code and fields, and its clobbers. A payload
+/// starts where the previous batch's ends.
+struct PlannedBatch {
+    anchor: u64,
+    /// One past the payload's last byte in the plan's code.
+    code_end: u32,
+    /// The payload's entry, as an offset from its start.
+    entry: u32,
+    /// One past the payload's last field in the plan's `rip_fields`.
+    fields_end: u32,
+    clobber: ClobberInfo,
 }
 
 /// A cache of per-CFG-component analysis/planning results, keyed by a
@@ -531,6 +555,13 @@ pub(crate) struct Planner<'a> {
     pub(crate) cache: Option<(&'a dyn ComponentCache, Digest)>,
 }
 
+thread_local! {
+    /// The payload assembler of the thread planning components, reused
+    /// from one component to the next so its buffers grow once per
+    /// thread, not once per component.
+    static PAYLOAD_ASM: RefCell<Asm> = RefCell::new(Asm::new(0));
+}
+
 impl Planner<'_> {
     /// Plans component `sub`: with a cache, its plan is first looked up
     /// by content key -- a hit substitutes the cached plan for
@@ -539,13 +570,20 @@ impl Planner<'_> {
     /// reused.
     pub(crate) fn plan(&self, sub: &Cfg) -> (Arc<ComponentPlan>, bool) {
         let fresh = || {
-            Arc::new(instrument_shard(
+            // Out of its slot while the shard runs: a shard that panics
+            // drops it, so no half-assembled payload reaches the
+            // thread's next component.
+            let mut asm = PAYLOAD_ASM.replace(Asm::new(0));
+            let plan = instrument_shard(
                 self.disasm,
                 sub,
                 self.config,
                 self.mode,
                 self.roots,
-            ))
+                &mut asm,
+            );
+            PAYLOAD_ASM.set(asm);
+            Arc::new(plan)
         };
         let Some((cache, prefix)) = &self.cache else {
             return (fresh(), false);
@@ -643,9 +681,9 @@ pub(crate) fn instrument_with_cache(
 }
 
 /// The tail the full and the edit path share: sums the per-component
-/// statistics, merges the plans in anchor order and rewrites `image`.
-/// Payloads are borrowed from the plans, not copied; each one's clobbers
-/// are read off it in the same order.
+/// statistics, merges the plans' batches in anchor order and rewrites
+/// `image`, copying each payload into place. Payload code is borrowed
+/// from the plans, not copied before that.
 pub(crate) fn merge_and_rewrite(
     image: &Image,
     analysis: &Analysis,
@@ -659,7 +697,8 @@ pub(crate) fn merge_and_rewrite(
         components_reused,
         ..HardenStats::default()
     };
-    let mut planned: Vec<(u64, &BatchPayload)> = Vec::new();
+    let batches = analysis.plans.iter().map(|plan| plan.batches.len()).sum();
+    let mut planned: Vec<(Patch, ClobberInfo)> = Vec::with_capacity(batches);
     for plan in &analysis.plans {
         let s = &plan.stats;
         stats.sites_considered += s.sites_considered;
@@ -672,35 +711,33 @@ pub(crate) fn merge_and_rewrite(
         stats.regs_saved += s.regs_saved;
         stats.flags_saved += s.flags_saved;
         stats.sites_skipped += s.sites_skipped;
-        planned.extend(
-            plan.planned
-                .iter()
-                .map(|(anchor, payload)| (*anchor, payload)),
-        );
+        let code = plan
+            .code
+            .as_ref()
+            .map_err(|e| RewriteError::Asm(e.clone()))?;
+        let (mut code_start, mut fields_start) = (0, 0);
+        for b in &plan.batches {
+            let (code_end, fields_end) = (b.code_end as usize, b.fields_end as usize);
+            let patch = Patch {
+                anchor: b.anchor,
+                code: &code[code_start..code_end],
+                entry: b.entry as usize,
+                rip_fields: &plan.rip_fields[fields_start..fields_end],
+            };
+            planned.push((patch, b.clobber));
+            (code_start, fields_start) = (code_end, fields_end);
+        }
     }
     // Anchors are globally unique, so this is a total order.
-    planned.sort_unstable_by_key(|&(anchor, _)| anchor);
+    planned.sort_unstable_by_key(|(patch, _)| patch.anchor);
     stats.batches = planned.len();
     let clobbers = planned
         .iter()
-        .map(|&(anchor, payload)| {
-            let clobber = ClobberInfo {
-                regs: payload.clobbers.iter().fold(0, |m, r| m | 1 << r.code()),
-                flags: !payload.save_flags,
-            };
-            (anchor, clobber)
-        })
+        .map(|(patch, clobber)| (patch.anchor, *clobber))
         .collect();
+    let patches: Vec<Patch> = planned.into_iter().map(|(patch, _)| patch).collect();
 
-    let patches: Vec<Patch> = planned
-        .into_iter()
-        .map(|(anchor, payload)| Patch {
-            anchor,
-            payload: Box::new(move |a: &mut redfat_x86::Asm| payload.emit(a)),
-        })
-        .collect();
-
-    let out = rewrite_with_bases(image, &analysis.disasm, &analysis.leaders, patches, bases)?;
+    let out = rewrite_with_bases(image, &analysis.disasm, &analysis.leaders, &patches, bases)?;
     stats.rewrite = out.stats;
     Ok(Hardened {
         image: out.image,
@@ -713,12 +750,17 @@ pub(crate) fn merge_and_rewrite(
 /// `cfg` is a sub-`Cfg` from [`Cfg::components`]; all queries stay
 /// inside its blocks, so the results equal the whole-image pipeline's
 /// restricted to this component.
+///
+/// Each batch's payload is assembled into `asm`, at its offset from the
+/// component's first payload; the assembler is left empty for the next
+/// component.
 fn instrument_shard(
     disasm: &Disasm,
     cfg: &Cfg,
     config: &HardenConfig,
     mode: PayloadMode,
     roots: Option<&BTreeSet<u64>>,
+    asm: &mut Asm,
 ) -> ComponentPlan {
     let liveness = Liveness::compute(disasm, cfg);
     let mut stats = HardenStats::default();
@@ -813,9 +855,12 @@ fn instrument_shard(
     let batching = config.batch && mode == PayloadMode::Harden;
     let batches = plan_batches(disasm, cfg, batching, filter);
 
-    // Build payloads; split any batch whose operand registers starve the
-    // scratch allocator (extremely rare; singletons always succeed).
-    let mut planned: Vec<(u64, BatchPayload)> = Vec::new();
+    // Build and assemble payloads; split any batch whose operand
+    // registers starve the scratch allocator (extremely rare; singletons
+    // always succeed).
+    let mut planned: Vec<PlannedBatch> = Vec::new();
+    let mut rip_fields: Vec<RipField> = Vec::new();
+    let mut failure = None;
     let mut queue: Vec<Batch> = batches;
     let mut qi = 0;
     while qi < queue.len() {
@@ -860,8 +905,6 @@ fn instrument_shard(
         if specs.is_empty() {
             continue;
         }
-        // Plans outlive the harden in caches and kept bases: no slack.
-        specs.shrink_to_fit();
 
         let dead = liveness.dead_regs_before(batch.anchor);
         let flags_dead = liveness.flags_dead_before(batch.anchor);
@@ -879,6 +922,24 @@ fn instrument_shard(
             mode,
         ) {
             Some(p) => {
+                let start = asm.here();
+                let entry = match p.emit(asm, &mut rip_fields) {
+                    Ok(entry) => entry,
+                    Err(e) => {
+                        failure = Some(e);
+                        break;
+                    }
+                };
+                planned.push(PlannedBatch {
+                    anchor: batch.anchor,
+                    code_end: asm.here() as u32,
+                    entry: (entry - start) as u32,
+                    fields_end: rip_fields.len() as u32,
+                    clobber: ClobberInfo {
+                        regs: p.clobbers.iter().fold(0, |m, r| m | 1 << r.code()),
+                        flags: !p.save_flags,
+                    },
+                });
                 stats.checks += n_specs;
                 stats.regs_saved += p.saves.len();
                 stats.flags_saved += p.save_flags as usize;
@@ -890,7 +951,6 @@ fn instrument_shard(
                         stats.sites_redzone += n;
                     }
                 }
-                planned.push((batch.anchor, p));
             }
             None => {
                 // Scratch starvation: fall back to singleton batches.
@@ -904,8 +964,20 @@ fn instrument_shard(
         }
     }
 
+    // Plans outlive the harden in caches and kept bases: no slack.
     planned.shrink_to_fit();
-    ComponentPlan { planned, stats }
+    rip_fields.shrink_to_fit();
+    let code = asm.take().and_then(|code| match u32::try_from(code.len()) {
+        // The batch records hold offsets into the code as `u32`s.
+        Ok(_) => Ok(code),
+        Err(_) => Err(AsmError::Encode(EncodeError::OutOfRange("component code"))),
+    });
+    ComponentPlan {
+        code: failure.map_or(code, Err),
+        rip_fields,
+        batches: planned,
+        stats,
+    }
 }
 
 #[cfg(test)]

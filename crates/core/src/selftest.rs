@@ -1646,15 +1646,23 @@ mod tests {
         (image, mark)
     }
 
-    fn clobber_rbx_patch(anchor: u64) -> Vec<Patch<'static>> {
-        vec![Patch {
+    /// `image` rewritten with a payload that sets `rbx` to 99 before
+    /// `anchor`.
+    fn clobber_rbx_at(image: &Image, anchor: u64) -> Image {
+        let mut a = Asm::new(0);
+        a.mov_ri(Width::W64, Reg::Rbx, 99);
+        let code = a.finish().unwrap().bytes;
+        let patch = Patch {
             anchor,
-            payload: Box::new(|a: &mut Asm| {
-                let entry = a.here();
-                a.mov_ri(Width::W64, Reg::Rbx, 99);
-                Ok(entry)
-            }),
-        }]
+            code: &code,
+            entry: 0,
+            rip_fields: &[],
+        };
+        let disasm = redfat_analysis::disassemble(image);
+        let cfg = Cfg::recover(&disasm, image.entry, &[]);
+        rewrite(image, &disasm, &cfg.leaders, &[patch])
+            .unwrap()
+            .image
     }
 
     #[test]
@@ -1699,12 +1707,10 @@ mod tests {
             a.syscall();
             anchor
         });
-        let disasm = redfat_analysis::disassemble(&image);
-        let cfg = Cfg::recover(&disasm, image.entry, &[]);
-        let out = rewrite(&image, &disasm, &cfg.leaders, clobber_rbx_patch(anchor)).unwrap();
+        let hardened = clobber_rbx_at(&image, anchor);
         let rep = lockstep_images(
             &image,
-            &out.image,
+            &hardened,
             &[],
             &[],
             100_000,
@@ -1733,14 +1739,12 @@ mod tests {
             a.syscall();
             anchor
         });
-        let disasm = redfat_analysis::disassemble(&image);
-        let cfg = Cfg::recover(&disasm, image.entry, &[]);
-        let out = rewrite(&image, &disasm, &cfg.leaders, clobber_rbx_patch(anchor)).unwrap();
+        let hardened = clobber_rbx_at(&image, anchor);
 
         // Undeclared: flagged.
         let rep = lockstep_images(
             &image,
-            &out.image,
+            &hardened,
             &[],
             &[],
             100_000,
@@ -1758,7 +1762,7 @@ mod tests {
         )];
         let rep = lockstep_images(
             &image,
-            &out.image,
+            &hardened,
             &declared,
             &[],
             100_000,
@@ -1786,12 +1790,10 @@ mod tests {
             a.syscall();
             anchor
         });
-        let disasm = redfat_analysis::disassemble(&image);
-        let cfg = Cfg::recover(&disasm, image.entry, &[]);
-        let out = rewrite(&image, &disasm, &cfg.leaders, clobber_rbx_patch(anchor)).unwrap();
+        let hardened = clobber_rbx_at(&image, anchor);
         let shrunk = shrink_input(
             &image,
-            &out.image,
+            &hardened,
             &[],
             &[1, 2, 3],
             100_000,

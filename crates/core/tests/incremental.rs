@@ -231,10 +231,16 @@ fn a_block_across_adjacent_code_segments_hashes_both_segments() {
 }
 
 /// Asserts that `edit` -- a harden through a kept base -- matches a
-/// one-shot harden of `image` in bytes, clobbers and every statistic
-/// but `components_reused`, which must read `reused`.
-fn assert_matches_one_shot(edit: &Hardened, image: &Image, reused: usize, what: &str) {
-    let one = harden_threaded(image, &HardenConfig::default(), 2)
+/// one-shot harden of `image` under `config` in bytes, clobbers and
+/// every statistic but `components_reused`, which must read `reused`.
+fn assert_matches_one_shot(
+    edit: &Hardened,
+    image: &Image,
+    config: &HardenConfig,
+    reused: usize,
+    what: &str,
+) {
+    let one = harden_threaded(image, config, 2)
         .unwrap_or_else(|e| panic!("{what}: one-shot harden failed: {e}"));
     assert_eq!(edit.image.to_bytes(), one.image.to_bytes(), "{what}: bytes");
     assert_eq!(edit.clobbers, one.clobbers, "{what}: clobbers");
@@ -244,26 +250,113 @@ fn assert_matches_one_shot(edit: &Hardened, image: &Image, reused: usize, what: 
     assert_eq!(stats, one.stats, "{what}: stats");
 }
 
+/// Hardens `image` through a kept base under `config`, then chains
+/// three one-component edits through it, each matching a one-shot
+/// harden. Each edit flips a candidate the previous ones left alone, so
+/// its component's content is new to the cache.
+fn chain_edits(mut image: Image, config: &HardenConfig, name: &str) {
+    let cache = MemoryComponentCache::new();
+    let (_, mut base) = KeptBase::harden(&image, config, 2, &cache)
+        .unwrap_or_else(|e| panic!("{name}: full harden failed: {e}"));
+    for skip in 0..3 {
+        let what = format!("{name} edit {skip}");
+        image = mutate_one_component(&image, skip)
+            .unwrap_or_else(|| panic!("{what}: no structure-preserving mutation"));
+        let edit = base
+            .harden_edit(&image, config, 2, &cache)
+            .unwrap_or_else(|| panic!("{what}: fell back to the full path"))
+            .unwrap_or_else(|e| panic!("{what}: edit failed: {e}"));
+        assert_matches_one_shot(&edit, &image, config, edit.stats.components - 1, &what);
+    }
+}
+
 #[test]
 fn chained_edits_through_a_kept_base_match_one_shot_hardens_on_all_stand_ins() {
-    let config = HardenConfig::default();
     for w in redfat_workloads::spec::all() {
-        let cache = MemoryComponentCache::new();
-        let mut image = w.image();
-        let (_, mut base) = KeptBase::harden(&image, &config, 2, &cache)
-            .unwrap_or_else(|e| panic!("{}: full harden failed: {e}", w.name));
-        // Each edit flips a candidate the previous ones left alone, so
-        // its component's content is new to the cache.
-        for skip in 0..3 {
-            let what = format!("{} edit {skip}", w.name);
-            image = mutate_one_component(&image, skip)
-                .unwrap_or_else(|| panic!("{what}: no structure-preserving mutation"));
-            let edit = base
-                .harden_edit(&image, &config, 2, &cache)
-                .unwrap_or_else(|| panic!("{what}: fell back to the full path"))
-                .unwrap_or_else(|e| panic!("{what}: edit failed: {e}"));
-            assert_matches_one_shot(&edit, &image, edit.stats.components - 1, &what);
-        }
+        chain_edits(w.image(), &HardenConfig::default(), w.name);
+    }
+}
+
+/// `image` with the bits of `mask` flipped in the byte `from_end` bytes
+/// before the end of the first instruction that `pick` accepts.
+fn flip_in(image: &Image, pick: impl Fn(&Inst) -> bool, from_end: u64, mask: u8) -> Image {
+    let disasm = disassemble(image);
+    let (addr, _, len) = disasm
+        .iter()
+        .find(|(_, inst, _)| pick(inst))
+        .expect("the image has such an instruction");
+    let at = addr + u64::from(len) - from_end;
+    let mut out = image.clone();
+    let seg = out
+        .segments
+        .iter_mut()
+        .find(|s| s.vaddr <= at && at - s.vaddr < s.data.len() as u64)
+        .expect("code lies in a segment");
+    seg.data[(at - seg.vaddr) as usize] ^= mask;
+    out
+}
+
+/// The patch-site `jmp` target of each anchor that took one.
+fn jmp_targets(h: &Hardened) -> Vec<(u64, u64)> {
+    h.clobbers
+        .iter()
+        .filter_map(|&(anchor, _)| {
+            let site = h.image.read_bytes(anchor, 5)?;
+            let (jmp, _) = decode_one(site, anchor).ok()?;
+            Some((anchor, jmp.branch_target()?))
+        })
+        .collect()
+}
+
+#[test]
+fn chained_unoptimized_edits_match_one_shot_hardens_and_move_later_trampolines() {
+    // Unoptimized, every access has a payload of its own, rip-relative
+    // ones included.
+    let config = HardenConfig::unoptimized(LowFatPolicy::All);
+    for name in ["bzip2", "mcf", "lbm"] {
+        let w = redfat_workloads::spec::by_name(name).expect("stand-in exists");
+        chain_edits(w.image(), &config, &format!("{name} unoptimized"));
+    }
+
+    let cache = MemoryComponentCache::new();
+    let mut image = redfat_workloads::riprel::image();
+    let (_, mut base) = KeptBase::harden(&image, &config, 2, &cache).expect("hardens");
+    let mut edit = |image: &Image, what: &str| {
+        let edit = base
+            .harden_edit(image, &config, 2, &cache)
+            .unwrap_or_else(|| panic!("{what}: fell back to the full path"))
+            .unwrap_or_else(|e| panic!("{what}: edit failed: {e}"));
+        assert_matches_one_shot(&edit, image, &config, edit.stats.components - 1, what);
+        edit
+    };
+    // A rip-relative load moves to the neighbouring global: bit 3 of
+    // its disp32.
+    let rip_load =
+        |inst: &Inst| inst.memory_access().is_some_and(|m| m.rip) && !inst.writes_memory();
+    image = flip_in(&image, rip_load, 4, 8);
+    let before = edit(&image, "riprel rip target");
+    // The store to 8(%rbx) becomes one to 0(%rbx) through its disp8,
+    // whose re-encoded forms drop that byte: its check's `lea` and its
+    // displaced copy shrink, and every later trampoline moves.
+    let store = |inst: &Inst| {
+        inst.writes_memory() && inst.memory_access() == Some(Mem::base_disp(Reg::Rbx, 8))
+    };
+    let anchor = disassemble(&image)
+        .iter()
+        .find(|(_, inst, _)| store(inst))
+        .expect("the store")
+        .0;
+    image = flip_in(&image, store, 1, 8);
+    let after = edit(&image, "riprel payload length");
+    let shrink = before.stats.rewrite.trampoline_bytes - after.stats.rewrite.trampoline_bytes;
+    assert!(shrink > 0, "the edit shortens the trampolines");
+    let (old, new) = (jmp_targets(&before), jmp_targets(&after));
+    assert_eq!(old.len(), new.len());
+    assert!(old.iter().any(|&(a, _)| a > anchor), "a later trampoline");
+    for ((a, t0), (a1, t1)) in old.into_iter().zip(new) {
+        assert_eq!(a, a1);
+        let moved = if a > anchor { shrink as u64 } else { 0 };
+        assert_eq!(t0 - t1, moved, "the trampoline of {a:#x}");
     }
 }
 
@@ -407,7 +500,8 @@ fn a_data_segment_edit_takes_the_edit_path() {
         .harden_edit(&edited, &config, 2, &cache)
         .expect("a data edit keeps the CFG")
         .expect("edit hardens");
-    assert_matches_one_shot(&edit, &edited, edit.stats.components, "data edit");
+    let config = HardenConfig::default();
+    assert_matches_one_shot(&edit, &edited, &config, edit.stats.components, "data edit");
 }
 
 #[test]
@@ -447,5 +541,12 @@ fn an_edit_outside_every_block_moves_only_the_leftover_counts() {
         edit.stats.sites_eliminated,
         before.stats.sites_eliminated + 1
     );
-    assert_matches_one_shot(&edit, &global, edit.stats.components, "blockless edit");
+    let config = HardenConfig::default();
+    assert_matches_one_shot(
+        &edit,
+        &global,
+        &config,
+        edit.stats.components,
+        "blockless edit",
+    );
 }

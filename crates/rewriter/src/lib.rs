@@ -1,18 +1,27 @@
 //! E9Patch-style static binary rewriting by trampoline (paper §2.2).
 //!
 //! The rewriter takes an ELF image plus a list of *patches* -- an anchor
-//! instruction address and a payload generator -- and produces a new
-//! image in which each anchor has been replaced by a jump to a trampoline
-//! that executes:
+//! instruction address and a payload's machine code -- and produces a
+//! new image in which each anchor has been replaced by a jump to a
+//! trampoline that executes:
 //!
-//! 1. the payload (e.g. a RedFat check), entered at the address its
-//!    generator returns (code it emits before that address is cold:
-//!    reached only through its own branches),
+//! 1. the payload (e.g. a RedFat check), entered at its entry offset
+//!    (code before the entry is cold: reached only through the
+//!    payload's own branches),
 //! 2. the displaced original instruction(s), re-encoded at their new
 //!    location (RIP-relative operands and branch targets are fixed up
 //!    automatically because the instruction model stores them as
 //!    absolute addresses), and
 //! 3. a jump back to the instruction after the patch site.
+//!
+//! Payloads arrive assembled: the caller builds them where it plans
+//! them, and the rewrite assembles no payload code. Their bytes do not
+//! depend on where they land, but for rip-relative disp32 fields
+//! ([`RipField`]), which placement writes with the encoder's rel32
+//! range check. The placement loop copies each payload, writes its
+//! fields, re-encodes the displaced instructions and the jump back, and
+//! writes the patch site; those three depend on the trampoline's
+//! address, so they are never part of a payload.
 //!
 //! # Patch tactics
 //!
@@ -37,22 +46,36 @@
 use redfat_analysis::Disasm;
 use redfat_elf::{Image, SegFlags, Segment};
 use redfat_vm::layout;
-use redfat_x86::{encode, Asm, AsmError, Inst, Op, Operands, Width};
+use redfat_x86::{encode, rip_rel32, Asm, AsmError, Inst, Op, Operands, Width};
 use std::collections::BTreeSet;
 
-/// A payload generator: emits instrumentation into the trampoline
-/// assembler and returns its entry address, which the patch-site `jmp`
-/// or trap-table entry targets. Code emitted before the entry runs only
-/// when the payload branches to it. From the entry, the success path
-/// must fall through: the displaced instructions follow immediately.
-pub type Payload<'a> = Box<dyn FnMut(&mut Asm) -> Result<u64, AsmError> + 'a>;
+/// A rip-relative disp32 field of a payload. Placement writes it so
+/// that it reaches `target` from wherever the payload lands. The field
+/// ends its instruction (no immediate follows it), so its rel32 counts
+/// from the field's end.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RipField {
+    /// Offset of the field in its payload's code.
+    pub at: u32,
+    /// The absolute address the operand names.
+    pub target: u64,
+}
 
-/// One requested patch.
+/// One requested patch: an anchor and the payload to run before it.
+#[derive(Debug, Clone, Copy)]
 pub struct Patch<'a> {
     /// Address of the anchor instruction.
     pub anchor: u64,
-    /// Instrumentation to run before the anchor executes.
-    pub payload: Payload<'a>,
+    /// The payload's machine code. From the entry, the success path
+    /// must fall through its end: the displaced instructions follow
+    /// immediately.
+    pub code: &'a [u8],
+    /// Offset in `code` of the payload's entry, which the patch-site
+    /// `jmp` or trap-table entry targets. Code before it runs only when
+    /// the payload branches to it.
+    pub entry: usize,
+    /// The payload's rip-relative fields, in ascending order.
+    pub rip_fields: &'a [RipField],
 }
 
 /// Rewrite statistics (reported by the scalability experiments).
@@ -93,6 +116,9 @@ pub enum RewriteError {
     UnorderedPatches(u64),
     /// The code bytes at a patch site could not be written back.
     PatchWrite(u64),
+    /// The payload for this anchor has its entry or a rip-relative
+    /// field outside its code, or its fields out of order.
+    BadPayload(u64),
 }
 
 impl std::fmt::Display for RewriteError {
@@ -103,6 +129,9 @@ impl std::fmt::Display for RewriteError {
                 write!(f, "patch anchors must be unique and sorted (at {a:#x})")
             }
             RewriteError::PatchWrite(a) => write!(f, "cannot write patch bytes at {a:#x}"),
+            RewriteError::BadPayload(a) => {
+                write!(f, "payload for {a:#x} has a misplaced entry or field")
+            }
         }
     }
 }
@@ -158,7 +187,7 @@ pub fn rewrite(
     image: &Image,
     disasm: &Disasm,
     leaders: &BTreeSet<u64>,
-    patches: Vec<Patch<'_>>,
+    patches: &[Patch<'_>],
 ) -> Result<RewriteOutput, RewriteError> {
     rewrite_with_bases(image, disasm, leaders, patches, RewriteBases::default())
 }
@@ -169,7 +198,7 @@ pub fn rewrite_with_bases(
     image: &Image,
     disasm: &Disasm,
     leaders: &BTreeSet<u64>,
-    mut patches: Vec<Patch<'_>>,
+    patches: &[Patch<'_>],
     bases: RewriteBases,
 ) -> Result<RewriteOutput, RewriteError> {
     let mut out = image.clone();
@@ -183,11 +212,10 @@ pub fn rewrite_with_bases(
             return Err(RewriteError::UnorderedPatches(w[1].anchor));
         }
     }
-    let anchors: Vec<u64> = patches.iter().map(|p| p.anchor).collect();
 
-    for (i, patch) in patches.iter_mut().enumerate() {
+    for (i, patch) in patches.iter().enumerate() {
         let anchor = patch.anchor;
-        let next_anchor = anchors.get(i + 1).copied();
+        let next_anchor = patches.get(i + 1).map(|p| p.anchor);
         // Opportunistic degradation: an anchor that does not decode
         // (possible only for corrupt or adversarial code bytes) cannot
         // be patched. The site is skipped and recorded instead of
@@ -197,7 +225,7 @@ pub fn rewrite_with_bases(
             continue;
         };
 
-        // Select and decode the displaced group *before* emitting any
+        // Select and decode the displaced group *before* placing any
         // trampoline bytes, so a member that fails to resolve degrades
         // to a clean skip rather than leaving a half-built trampoline.
         let group = select_group(disasm, leaders, anchor, next_anchor).and_then(|members| {
@@ -207,12 +235,10 @@ pub fn rewrite_with_bases(
                 .collect::<Option<Vec<(Inst, u8)>>>()
         });
 
-        let emitted_from = tramp.here();
-        let entry = (patch.payload)(&mut tramp)?;
+        let entry = place(&mut tramp, patch)?;
         let payload_end = tramp.here();
-        debug_assert!((emitted_from..=payload_end).contains(&entry));
-        stats.cold_bytes += (entry - emitted_from) as usize;
-        stats.hot_bytes += (payload_end - entry) as usize;
+        stats.cold_bytes += patch.entry;
+        stats.hot_bytes += patch.code.len() - patch.entry;
 
         match group {
             Some(members) => {
@@ -287,6 +313,30 @@ pub fn rewrite_with_bases(
     Ok(RewriteOutput { image: out, stats })
 }
 
+/// Appends `patch`'s payload to the trampoline, each rip-relative field
+/// written for where it lands, and returns the payload's entry address.
+fn place(tramp: &mut Asm, patch: &Patch<'_>) -> Result<u64, RewriteError> {
+    let bad = || RewriteError::BadPayload(patch.anchor);
+    let base = tramp.here();
+    if patch.entry > patch.code.len() {
+        return Err(bad());
+    }
+    let mut done = 0;
+    for field in patch.rip_fields {
+        let at = field.at as usize;
+        tramp.raw(patch.code.get(done..at).ok_or_else(bad)?);
+        if at + 4 > patch.code.len() {
+            return Err(bad());
+        }
+        let rel32 = rip_rel32(field.target, base + at as u64 + 4)
+            .map_err(|e| RewriteError::Asm(AsmError::Encode(e)))?;
+        tramp.raw(&rel32.to_le_bytes());
+        done = at + 4;
+    }
+    tramp.raw(&patch.code[done..]);
+    Ok(base + patch.entry as u64)
+}
+
 /// Chooses the run of instructions to displace for a 5-byte jump patch,
 /// or `None` if the trap tactic must be used.
 fn select_group(
@@ -340,8 +390,21 @@ mod tests {
         }
     }
 
-    fn no_payload<'a>() -> Payload<'a> {
-        Box::new(|a| Ok(a.here()))
+    /// A patch with an empty payload.
+    fn bare(anchor: u64) -> Patch<'static> {
+        Patch {
+            anchor,
+            code: &[],
+            entry: 0,
+            rip_fields: &[],
+        }
+    }
+
+    /// A payload assembled by `f` at base 0, with the entry `f` returns.
+    fn payload(f: impl FnOnce(&mut Asm) -> u64) -> (Vec<u8>, usize) {
+        let mut a = Asm::new(0);
+        let entry = f(&mut a);
+        (a.finish().unwrap().bytes, entry as usize)
     }
 
     #[test]
@@ -353,16 +416,7 @@ mod tests {
         });
         let d = disassemble(&img);
         let cfg = Cfg::recover(&d, img.entry, &[]);
-        let out = rewrite(
-            &img,
-            &d,
-            &cfg.leaders,
-            vec![Patch {
-                anchor: layout::CODE_BASE,
-                payload: no_payload(),
-            }],
-        )
-        .unwrap();
+        let out = rewrite(&img, &d, &cfg.leaders, &[bare(layout::CODE_BASE)]).unwrap();
         assert_eq!(out.stats.jmp_patches, 1);
         assert_eq!(out.stats.trap_patches, 0);
         // Site now starts with E9 (jmp rel32).
@@ -381,16 +435,7 @@ mod tests {
         });
         let d = disassemble(&img);
         let cfg = Cfg::recover(&d, img.entry, &[]);
-        let out = rewrite(
-            &img,
-            &d,
-            &cfg.leaders,
-            vec![Patch {
-                anchor: layout::CODE_BASE,
-                payload: no_payload(),
-            }],
-        )
-        .unwrap();
+        let out = rewrite(&img, &d, &cfg.leaders, &[bare(layout::CODE_BASE)]).unwrap();
         assert_eq!(out.stats.jmp_patches, 1);
         assert_eq!(out.stats.displaced, 2);
     }
@@ -409,16 +454,7 @@ mod tests {
         });
         let d = disassemble(&img);
         let cfg = Cfg::recover(&d, img.entry, &[]);
-        let out = rewrite(
-            &img,
-            &d,
-            &cfg.leaders,
-            vec![Patch {
-                anchor: layout::CODE_BASE,
-                payload: no_payload(),
-            }],
-        )
-        .unwrap();
+        let out = rewrite(&img, &d, &cfg.leaders, &[bare(layout::CODE_BASE)]).unwrap();
         assert_eq!(out.stats.trap_patches, 1);
         assert_eq!(out.image.read_bytes(layout::CODE_BASE, 1).unwrap()[0], 0xCC);
         // Trap table segment emitted with one entry.
@@ -441,22 +477,7 @@ mod tests {
         let d = disassemble(&img);
         let cfg = Cfg::recover(&d, img.entry, &[]);
         let a2 = d.next_addr(layout::CODE_BASE).unwrap();
-        let out = rewrite(
-            &img,
-            &d,
-            &cfg.leaders,
-            vec![
-                Patch {
-                    anchor: layout::CODE_BASE,
-                    payload: no_payload(),
-                },
-                Patch {
-                    anchor: a2,
-                    payload: no_payload(),
-                },
-            ],
-        )
-        .unwrap();
+        let out = rewrite(&img, &d, &cfg.leaders, &[bare(layout::CODE_BASE), bare(a2)]).unwrap();
         assert_eq!(out.stats.trap_patches, 1);
         assert_eq!(out.stats.jmp_patches, 1);
     }
@@ -475,16 +496,7 @@ mod tests {
         });
         let d = disassemble(&img);
         let cfg = Cfg::recover(&d, img.entry, &[]);
-        let out = rewrite(
-            &img,
-            &d,
-            &cfg.leaders,
-            vec![Patch {
-                anchor: layout::CODE_BASE,
-                payload: no_payload(),
-            }],
-        )
-        .unwrap();
+        let out = rewrite(&img, &d, &cfg.leaders, &[bare(layout::CODE_BASE)]).unwrap();
         assert_eq!(out.stats.jmp_patches, 1);
 
         // The displaced copy decodes back to the same absolute target.
@@ -535,35 +547,36 @@ mod tests {
             .find(|(_, i, _)| i.op == Op::Alu(AluOp::Add))
             .unwrap()
             .0;
-        let entries = std::cell::RefCell::new(Vec::new());
-        let cold_then_entry = || -> Payload<'_> {
-            Box::new(|a: &mut Asm| {
-                a.ud2();
-                a.ud2();
-                entries.borrow_mut().push(a.here());
-                Ok(a.here())
-            })
+        let (code, entry) = payload(|a| {
+            a.ud2();
+            a.ud2();
+            a.here()
+        });
+        let cold_then_entry = |anchor| Patch {
+            anchor,
+            code: &code,
+            entry,
+            rip_fields: &[],
         };
         let out = rewrite(
             &img,
             &d,
             &cfg.leaders,
-            vec![
-                Patch {
-                    anchor: layout::CODE_BASE,
-                    payload: cold_then_entry(),
-                },
-                Patch {
-                    anchor: trap_anchor,
-                    payload: cold_then_entry(),
-                },
+            &[
+                cold_then_entry(layout::CODE_BASE),
+                cold_then_entry(trap_anchor),
             ],
         )
         .unwrap();
         assert_eq!(out.stats.jmp_patches, 1);
         assert_eq!(out.stats.trap_patches, 1);
-        let entries = entries.into_inner();
-        assert_eq!(entries[0], layout::TRAMPOLINE_BASE + 4, "after two ud2s");
+        // Each entry follows its payload's two `ud2`s; the second
+        // payload follows the first, the displaced `mov` and the jump
+        // back.
+        let entries = [
+            layout::TRAMPOLINE_BASE + 4,
+            layout::TRAMPOLINE_BASE + 4 + 7 + 5 + 4,
+        ];
 
         let site = out.image.read_bytes(layout::CODE_BASE, 16).unwrap();
         let (jmp, _) = redfat_x86::decode_one(site, layout::CODE_BASE).unwrap();
@@ -600,23 +613,23 @@ mod tests {
             .find(|(_, i, _)| i.op == Op::Alu(AluOp::Add))
             .unwrap()
             .0;
-        let payload = || -> Payload<'static> {
-            Box::new(|a: &mut Asm| {
-                a.ud2();
-                a.ud2();
-                let entry = a.here();
-                a.nop();
-                Ok(entry)
-            })
-        };
-        let patches = [0x12345, layout::CODE_BASE, trap_anchor]
+        let (code, entry) = payload(|a| {
+            a.ud2();
+            a.ud2();
+            let entry = a.here();
+            a.nop();
+            entry
+        });
+        let patches: Vec<Patch> = [0x12345, layout::CODE_BASE, trap_anchor]
             .into_iter()
             .map(|anchor| Patch {
                 anchor,
-                payload: payload(),
+                code: &code,
+                entry,
+                rip_fields: &[],
             })
             .collect();
-        let s = rewrite(&img, &d, &cfg.leaders, patches).unwrap().stats;
+        let s = rewrite(&img, &d, &cfg.leaders, &patches).unwrap().stats;
         assert_eq!((s.jmp_patches, s.trap_patches, s.skipped_sites), (1, 1, 1));
         assert_eq!((s.cold_bytes, s.hot_bytes), (2 * 4, 2));
         // Each displaced instruction and its 5-byte jump back.
@@ -625,6 +638,123 @@ mod tests {
             s.cold_bytes + s.hot_bytes + s.displaced_bytes,
             s.trampoline_bytes
         );
+    }
+
+    /// An image that exits with the value of `rdi`, set by nothing but
+    /// a payload: its first instruction (7 bytes) takes a jmp patch.
+    fn exit_rdi_image() -> Image {
+        build_image(|a| {
+            a.mov_ri(Width::W64, Reg::Rax, redfat_emu::syscalls::EXIT as i64);
+            a.syscall();
+        })
+    }
+
+    /// A payload whose entry is a rip-relative `lea` of `target` into
+    /// `rdi`, assembled with a placeholder field, and that field.
+    fn lea_rdi_payload(target: u64) -> (Vec<u8>, [RipField; 1]) {
+        let (code, _) = payload(|a| {
+            a.lea(Reg::Rdi, Mem::rip(a.here()));
+            0
+        });
+        let at = code.len() as u32 - 4;
+        (code, [RipField { at, target }])
+    }
+
+    #[test]
+    fn rip_fields_reach_their_target_wherever_the_payload_lands() {
+        use redfat_emu::{Emu, ErrorMode, HostRuntime};
+        let img = exit_rdi_image();
+        let d = disassemble(&img);
+        let cfg = Cfg::recover(&d, img.entry, &[]);
+        let target = layout::GLOBALS_BASE + 0x18;
+        let (code, fields) = lea_rdi_payload(target);
+        let patch = Patch {
+            anchor: layout::CODE_BASE,
+            code: &code,
+            entry: 0,
+            rip_fields: &fields,
+        };
+        for trampoline in [
+            layout::TRAMPOLINE_BASE,
+            layout::TRAMPOLINE_BASE + 0x0800_0123,
+        ] {
+            let bases = RewriteBases {
+                trampoline,
+                ..RewriteBases::default()
+            };
+            let out = rewrite_with_bases(&img, &d, &cfg.leaders, &[patch], bases).unwrap();
+            let tramp = out.image.segment_at(trampoline).unwrap();
+            let (lea, _) = redfat_x86::decode_one(&tramp.data, trampoline).unwrap();
+            assert_eq!(lea.op, Op::Lea);
+            assert_eq!(
+                lea.operands,
+                Operands::RM {
+                    dst: Reg::Rdi,
+                    src: Mem::rip(target)
+                },
+                "at {trampoline:#x}"
+            );
+            let run = Emu::load_image(&out.image, HostRuntime::new(ErrorMode::Abort))
+                .expect("loads")
+                .run(10_000);
+            assert_eq!(run.expect_exit(), target as i64, "at {trampoline:#x}");
+        }
+    }
+
+    #[test]
+    fn a_rip_field_out_of_reach_fails_the_rewrite() {
+        let img = exit_rdi_image();
+        let d = disassemble(&img);
+        let cfg = Cfg::recover(&d, img.entry, &[]);
+        let (code, fields) = lea_rdi_payload(layout::GLOBALS_BASE);
+        let patch = Patch {
+            anchor: layout::CODE_BASE,
+            code: &code,
+            entry: 0,
+            rip_fields: &fields,
+        };
+        let far = RewriteBases {
+            trampoline: layout::GLOBALS_BASE + (1 << 31),
+            ..RewriteBases::default()
+        };
+        let err = rewrite_with_bases(&img, &d, &cfg.leaders, &[patch], far).err();
+        assert!(
+            matches!(
+                err,
+                Some(RewriteError::Asm(AsmError::Encode(
+                    redfat_x86::EncodeError::OutOfRange("rip rel32")
+                )))
+            ),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn malformed_payloads_are_rejected() {
+        let img = exit_rdi_image();
+        let d = disassemble(&img);
+        let cfg = Cfg::recover(&d, img.entry, &[]);
+        let code = [0x90u8; 8];
+        let field = |at| RipField { at, target: 0 };
+        let cases: [(usize, &[RipField]); 4] = [
+            (9, &[]),
+            (0, &[field(5)]),
+            (0, &[field(4), field(2)]),
+            (0, &[field(0), field(2)]),
+        ];
+        for (entry, rip_fields) in cases {
+            let patch = Patch {
+                anchor: layout::CODE_BASE,
+                code: &code,
+                entry,
+                rip_fields,
+            };
+            let err = rewrite(&img, &d, &cfg.leaders, &[patch]).err();
+            assert!(
+                matches!(err, Some(RewriteError::BadPayload(layout::CODE_BASE))),
+                "entry {entry}, {rip_fields:?}: {err:?}"
+            );
+        }
     }
 
     #[test]
@@ -637,21 +767,7 @@ mod tests {
         let d = disassemble(&img);
         let cfg = Cfg::recover(&d, img.entry, &[]);
         let a2 = d.next_addr(layout::CODE_BASE).unwrap();
-        let err = rewrite(
-            &img,
-            &d,
-            &cfg.leaders,
-            vec![
-                Patch {
-                    anchor: a2,
-                    payload: no_payload(),
-                },
-                Patch {
-                    anchor: layout::CODE_BASE,
-                    payload: no_payload(),
-                },
-            ],
-        );
+        let err = rewrite(&img, &d, &cfg.leaders, &[bare(a2), bare(layout::CODE_BASE)]);
         assert!(matches!(err, Err(RewriteError::UnorderedPatches(_))));
     }
 
@@ -663,16 +779,7 @@ mod tests {
         let img = build_image(|a| a.ret());
         let d = disassemble(&img);
         let cfg = Cfg::recover(&d, img.entry, &[]);
-        let out = rewrite(
-            &img,
-            &d,
-            &cfg.leaders,
-            vec![Patch {
-                anchor: 0x12345,
-                payload: no_payload(),
-            }],
-        )
-        .unwrap();
+        let out = rewrite(&img, &d, &cfg.leaders, &[bare(0x12345)]).unwrap();
         assert_eq!(out.stats.skipped_sites, 1);
         assert_eq!(out.stats.jmp_patches, 0);
         assert_eq!(out.stats.trap_patches, 0);

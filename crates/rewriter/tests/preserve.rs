@@ -100,10 +100,12 @@ fn identity_rewrite_preserves_behavior() {
         .iter()
         .map(|b| Patch {
             anchor: b.anchor,
-            payload: Box::new(|a: &mut Asm| Ok(a.here())),
+            code: &[],
+            entry: 0,
+            rip_fields: &[],
         })
         .collect();
-    let out = rewrite(&img, &d, &cfg.leaders, patches).unwrap();
+    let out = rewrite(&img, &d, &cfg.leaders, &patches).unwrap();
 
     let (r1, out1, cycles1) = run(&out.image);
     assert_eq!(r1, RunResult::Exited(0));
@@ -136,10 +138,12 @@ fn identity_rewrite_on_stripped_binary() {
         .iter()
         .map(|b| Patch {
             anchor: b.anchor,
-            payload: Box::new(|a: &mut Asm| Ok(a.here())),
+            code: &[],
+            entry: 0,
+            rip_fields: &[],
         })
         .collect();
-    let out = rewrite(&img, &d, &cfg.leaders, patches).unwrap();
+    let out = rewrite(&img, &d, &cfg.leaders, &patches).unwrap();
     let (r1, out1, _) = run(&out.image);
     assert_eq!(r1, RunResult::Exited(0));
     assert_eq!(out1, vec![285]);
@@ -185,9 +189,11 @@ fn trap_tactic_preserves_behavior() {
         &img,
         &d,
         &cfg.leaders,
-        vec![Patch {
+        &[Patch {
             anchor: store,
-            payload: Box::new(|a: &mut Asm| Ok(a.here())),
+            code: &[],
+            entry: 0,
+            rip_fields: &[],
         }],
     )
     .unwrap();
@@ -219,23 +225,24 @@ fn payload_executes_before_displaced_instruction() {
             symbols: vec![],
         }
     };
+    // Uses rax before the displaced mov sets it: proves the payload
+    // runs first. Store marker without clobbering anything live (rax
+    // is dead here).
+    let mut payload = Asm::new(0);
+    payload.mov_ri(Width::W64, Reg::Rax, 0x77);
+    payload.mov_mr(Width::W64, Mem::abs(layout::GLOBALS_BASE as i64), Reg::Rax);
+    let code = payload.finish().unwrap().bytes;
     let d = disassemble(&img);
     let cfg = Cfg::recover(&d, img.entry, &[]);
     let out = rewrite(
         &img,
         &d,
         &cfg.leaders,
-        vec![Patch {
+        &[Patch {
             anchor: layout::CODE_BASE,
-            payload: Box::new(|a: &mut Asm| {
-                // Uses rax before the displaced mov sets it: proves the
-                // payload runs first. Store marker without clobbering
-                // anything live (rax is dead here).
-                let entry = a.here();
-                a.mov_ri(Width::W64, Reg::Rax, 0x77);
-                a.mov_mr(Width::W64, Mem::abs(layout::GLOBALS_BASE as i64), Reg::Rax);
-                Ok(entry)
-            }),
+            code: &code,
+            entry: 0,
+            rip_fields: &[],
         }],
     )
     .unwrap();

@@ -62,11 +62,13 @@ fn identity_rewrite_preserves_random_programs() {
             .iter()
             .map(|b| Patch {
                 anchor: b.anchor,
-                payload: Box::new(|a: &mut redfat_x86::Asm| Ok(a.here())),
+                code: &[],
+                entry: 0,
+                rip_fields: &[],
             })
             .collect();
         let n_patches = patches.len();
-        let out = rewrite(&image, &d, &cfg.leaders, patches).expect("rewrites");
+        let out = rewrite(&image, &d, &cfg.leaders, &patches).expect("rewrites");
         assert!(n_patches > 0, "case {case}: programs always touch the heap");
 
         let mut emu =

@@ -21,7 +21,7 @@ impl Client {
     pub fn submit(&mut self, req: &Request) -> Result<Response, ProtoError> {
         write_frame(&mut self.stream, &req.encode())?;
         let payload = read_frame(&mut self.stream)?;
-        Response::decode(&payload)
+        Response::decode(payload)
     }
 
     /// Submits a job op with the given canonical config and image

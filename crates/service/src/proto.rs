@@ -164,14 +164,21 @@ fn malformed(msg: impl Into<String>) -> ProtoError {
 
 /// Writes one length-prefixed frame.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), ProtoError> {
-    if payload.len() > MAX_FRAME {
+    write_frame_parts(w, payload, &[])
+}
+
+/// Writes one length-prefixed frame whose payload is `head` followed by
+/// `tail`, without joining them first.
+fn write_frame_parts(w: &mut impl Write, head: &[u8], tail: &[u8]) -> Result<(), ProtoError> {
+    let len = head.len() + tail.len();
+    if len > MAX_FRAME {
         return Err(malformed(format!(
-            "frame of {} bytes exceeds the {MAX_FRAME}-byte cap",
-            payload.len()
+            "frame of {len} bytes exceeds the {MAX_FRAME}-byte cap"
         )));
     }
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
+    w.write_all(&(len as u32).to_le_bytes())?;
+    w.write_all(head)?;
+    w.write_all(tail)?;
     w.flush()?;
     Ok(())
 }
@@ -224,14 +231,18 @@ impl<'a> Fields<'a> {
         Ok(u64::from_le_bytes(le))
     }
 
-    fn var_bytes(&mut self, what: &str) -> Result<Vec<u8>, ProtoError> {
+    fn var_slice(&mut self, what: &str) -> Result<&'a [u8], ProtoError> {
         let len = self.u64(what)? as usize;
         if len > MAX_FRAME {
             return Err(malformed(format!(
                 "{what} declares {len} bytes, over the frame cap"
             )));
         }
-        Ok(self.bytes(len, what)?.to_vec())
+        self.bytes(len, what)
+    }
+
+    fn var_bytes(&mut self, what: &str) -> Result<Vec<u8>, ProtoError> {
+        Ok(self.var_slice(what)?.to_vec())
     }
 
     fn var_string(&mut self, what: &str) -> Result<String, ProtoError> {
@@ -285,6 +296,22 @@ impl Request {
 impl Response {
     /// Encodes to a frame payload.
     pub fn encode(&self) -> Vec<u8> {
+        let (mut out, artifact) = self.encode_parts();
+        out.extend_from_slice(artifact);
+        out
+    }
+
+    /// Writes the response as one frame, the same bytes as
+    /// `write_frame(w, &self.encode())`, with the artifact written
+    /// straight from `self` instead of copied into the payload first.
+    pub fn write_frame(&self, w: &mut impl Write) -> Result<(), ProtoError> {
+        let (head, artifact) = self.encode_parts();
+        write_frame_parts(w, &head, artifact)
+    }
+
+    /// The encoded payload up to its artifact bytes, and those bytes
+    /// (empty for an error).
+    fn encode_parts(&self) -> (Vec<u8>, &[u8]) {
         let mut out = Vec::new();
         out.extend_from_slice(RESPONSE_MAGIC);
         match self {
@@ -298,19 +325,21 @@ impl Response {
                 out.push(source.to_byte());
                 out.extend_from_slice(&micros.to_le_bytes());
                 push_var_bytes(&mut out, stats.as_bytes());
-                push_var_bytes(&mut out, artifact);
+                out.extend_from_slice(&(artifact.len() as u64).to_le_bytes());
+                (out, artifact)
             }
             Response::Err(msg) => {
                 out.push(1);
                 push_var_bytes(&mut out, msg.as_bytes());
+                (out, &[])
             }
         }
-        out
     }
 
-    /// Decodes a frame payload.
-    pub fn decode(payload: &[u8]) -> Result<Response, ProtoError> {
-        let mut f = Fields::new(payload);
+    /// Decodes a frame payload. The artifact, the payload's last field,
+    /// is taken out of `payload` rather than copied.
+    pub fn decode(mut payload: Vec<u8>) -> Result<Response, ProtoError> {
+        let mut f = Fields::new(&payload);
         if f.bytes(4, "response magic")? != RESPONSE_MAGIC {
             return Err(malformed("bad response magic"));
         }
@@ -321,13 +350,14 @@ impl Response {
                     .ok_or_else(|| malformed(format!("unknown source byte {source_byte}")))?;
                 let micros = f.u64("response micros")?;
                 let stats = f.var_string("response stats")?;
-                let artifact = f.var_bytes("response artifact")?;
+                let artifact_len = f.var_slice("response artifact")?.len();
                 f.finish("response")?;
+                payload.drain(..payload.len() - artifact_len);
                 Ok(Response::Ok {
                     source,
                     micros,
                     stats,
-                    artifact,
+                    artifact: payload,
                 })
             }
             1 => {
@@ -368,9 +398,37 @@ mod tests {
             stats: "components=3\n".to_string(),
             artifact: vec![0xAA; 64],
         };
-        assert_eq!(Response::decode(&ok.encode()).unwrap(), ok);
+        assert_eq!(Response::decode(ok.encode()).unwrap(), ok);
         let err = Response::Err("harden failed: no entry".to_string());
-        assert_eq!(Response::decode(&err.encode()).unwrap(), err);
+        assert_eq!(Response::decode(err.encode()).unwrap(), err);
+    }
+
+    #[test]
+    fn a_response_frame_written_from_its_parts_equals_the_encoding() {
+        let responses = [
+            Response::Ok {
+                source: Source::Computed,
+                micros: 7,
+                stats: "components=3\n".to_string(),
+                artifact: (0..=255).collect(),
+            },
+            Response::Ok {
+                source: Source::ArtifactHit,
+                micros: 0,
+                stats: String::new(),
+                artifact: Vec::new(),
+            },
+            Response::Err("pipeline failed".to_string()),
+        ];
+        for resp in responses {
+            let mut from_parts = Vec::new();
+            resp.write_frame(&mut from_parts).unwrap();
+            let mut encoded = Vec::new();
+            write_frame(&mut encoded, &resp.encode()).unwrap();
+            assert_eq!(from_parts, encoded, "{resp:?}");
+            let payload = read_frame(&mut std::io::Cursor::new(from_parts)).unwrap();
+            assert_eq!(Response::decode(payload).unwrap(), resp);
+        }
     }
 
     #[test]
@@ -405,7 +463,7 @@ mod tests {
         let good = ok.encode();
         for len in 0..good.len() {
             assert!(
-                Response::decode(&good[..len]).is_err(),
+                Response::decode(good[..len].to_vec()).is_err(),
                 "truncated to {len}"
             );
         }
@@ -414,7 +472,7 @@ mod tests {
         let mut huge = Response::Err("x".to_string()).encode();
         let at = RESPONSE_MAGIC.len() + 1; // error-message length field
         huge[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-        assert!(Response::decode(&huge).is_err());
+        assert!(Response::decode(huge).is_err());
     }
 
     #[test]

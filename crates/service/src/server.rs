@@ -16,7 +16,7 @@
 //! therefore cost one computation and N responses.
 
 use crate::artifact::{artifact_key, ArtifactCache, ArtifactEntry};
-use crate::proto::{read_frame, write_frame, Op, ProtoError, Request, Response, Source};
+use crate::proto::{read_frame, Op, ProtoError, Request, Response, Source};
 use redfat_core::digest::Digest;
 use redfat_core::{instrument_profile, HardenConfig, HardenError, HardenStats, Hardened};
 use redfat_core::{ComponentCache, KeptBase, MemoryComponentCache};
@@ -26,7 +26,7 @@ use std::collections::HashMap;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Instant;
 
 /// Daemon configuration.
@@ -98,6 +98,7 @@ impl ServerStats {
 
 /// The result of one computed job, shared between the leader and any
 /// deduplicated followers.
+#[derive(Clone)]
 struct JobOutput {
     entry: ArtifactEntry,
     micros: u64,
@@ -120,6 +121,20 @@ impl Inflight {
     fn fulfill(&self, result: Result<Arc<JobOutput>, String>) {
         *lock_riding_poison(&self.state) = Some(result);
         self.done.notify_all();
+    }
+
+    /// The leader's result once no new follower can find `cell`: moved
+    /// out of the cell when no follower holds it either, else cloned as
+    /// a follower's is.
+    fn into_result(cell: Arc<Inflight>) -> Result<Arc<JobOutput>, String> {
+        match Arc::try_unwrap(cell) {
+            Ok(cell) => cell
+                .state
+                .into_inner()
+                .unwrap_or_else(PoisonError::into_inner)
+                .unwrap_or_else(|| Err("job finished without a result".to_string())),
+            Err(cell) => cell.wait(),
+        }
     }
 
     fn wait(&self) -> Result<Arc<JobOutput>, String> {
@@ -260,7 +275,7 @@ fn handle_connection(shared: &Arc<Shared>, stream: UnixStream) {
             }
         };
         let closing = matches!(response, Response::Err(_));
-        if write_frame(&mut writer, &response.encode()).is_err() {
+        if response.write_frame(&mut writer).is_err() {
             return;
         }
         if closing {
@@ -349,17 +364,20 @@ fn handle_job(shared: &Arc<Shared>, req: Request) -> Response {
         Ok(r) => r,
         Err(panic_msg) => Err(panic_msg),
     };
-    cell.fulfill(result.clone());
+    cell.fulfill(result);
     lock_riding_poison(&shared.inflight).remove(&key);
 
-    match result {
+    match Inflight::into_result(cell) {
         Ok(out) => {
             shared.stats.computations.fetch_add(1, Ordering::Relaxed);
+            // The artifact is moved, not copied, unless a follower still
+            // holds the output.
+            let out = Arc::try_unwrap(out).unwrap_or_else(|out| JobOutput::clone(&out));
             Response::Ok {
                 source: Source::Computed,
                 micros: out.micros,
-                stats: out.entry.stats.clone(),
-                artifact: out.entry.artifact.clone(),
+                stats: out.entry.stats,
+                artifact: out.entry.artifact,
             }
         }
         Err(e) => {

@@ -22,11 +22,14 @@
 //! * [`skips::all`] -- computed-pointer slot-skip cases whose access
 //!   carries no provenance: the bug class that separates the
 //!   deterministic and randomized allocator policies.
+//! * [`riprel::image`] -- a hand-assembled program whose globals are
+//!   reached through rip-relative operands, which mini-C never emits.
 
 pub mod cve;
 pub mod juliet;
 pub mod kraken;
 pub mod kromium;
+pub mod riprel;
 pub mod skips;
 pub mod spec;
 

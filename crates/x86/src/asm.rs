@@ -487,6 +487,27 @@ impl Asm {
 
     /// Resolves all fixups and returns the finished program.
     pub fn finish(mut self) -> Result<Program, AsmError> {
+        self.resolve()?;
+        Ok(Program {
+            base: self.base,
+            bytes: self.bytes,
+        })
+    }
+
+    /// Resolves all fixups and returns an exactly sized copy of the
+    /// code, leaving the assembler empty at its base for the next
+    /// program. Its buffers keep their capacity, so a caller assembling
+    /// many small programs allocates them once.
+    pub fn take(&mut self) -> Result<Vec<u8>, AsmError> {
+        let code = self.resolve().map(|()| self.bytes.clone());
+        self.bytes.clear();
+        self.labels.clear();
+        self.fixups.clear();
+        self.named.clear();
+        code
+    }
+
+    fn resolve(&mut self) -> Result<(), AsmError> {
         for fix in &self.fixups {
             let target = self.labels[fix.label.0].ok_or(AsmError::UnboundLabel(fix.label))?;
             match fix.kind {
@@ -500,10 +521,7 @@ impl Asm {
                 }
             }
         }
-        Ok(Program {
-            base: self.base,
-            bytes: self.bytes,
-        })
+        Ok(())
     }
 }
 
@@ -604,6 +622,24 @@ mod tests {
         let l = a.label();
         a.jmp_label(l);
         assert!(matches!(a.finish(), Err(AsmError::UnboundLabel(_))));
+    }
+
+    #[test]
+    fn take_resolves_and_leaves_an_empty_assembler() {
+        let mut a = Asm::new(0x1000);
+        let l = a.label();
+        a.jmp_label(l);
+        assert!(matches!(a.take(), Err(AsmError::UnboundLabel(_))));
+        assert!(a.is_empty(), "a failed take still empties the assembler");
+        for round in 0..2 {
+            let l = a.label();
+            a.jmp_label(l);
+            a.bind(l).unwrap();
+            let code = a.take().unwrap();
+            assert_eq!(code, [0xE9, 0, 0, 0, 0], "round {round}");
+            assert_eq!(code.capacity(), code.len());
+            assert_eq!(a.here(), 0x1000);
+        }
     }
 
     #[test]

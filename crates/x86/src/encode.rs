@@ -235,14 +235,19 @@ fn emit_modrm(
     e.bytes(imm);
     if let Some(pos) = rip_pos {
         let m = mem_of(&rm).expect("rip operand is memory");
-        let end = addr + e.len();
-        let rel = (m.disp as u64).wrapping_sub(end) as i64;
-        let rel32: i32 = rel
-            .try_into()
-            .map_err(|_| EncodeError::OutOfRange("rip rel32"))?;
+        let rel32 = rip_rel32(m.disp as u64, addr + e.len())?;
         e.buf[pos..pos + 4].copy_from_slice(&rel32.to_le_bytes());
     }
     Ok(())
+}
+
+/// The rel32 of a rip-relative operand that addresses `target` from an
+/// instruction ending at `end`, or an error when `target` is out of its
+/// reach.
+pub fn rip_rel32(target: u64, end: u64) -> Result<i32, EncodeError> {
+    (target.wrapping_sub(end) as i64)
+        .try_into()
+        .map_err(|_| EncodeError::OutOfRange("rip rel32"))
 }
 
 /// Encodes `inst` as it would appear at absolute address `addr`.
