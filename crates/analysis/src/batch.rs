@@ -42,7 +42,7 @@ pub struct MergedCheck {
 ///
 /// `filter` selects which memory-access instructions need checks: the
 /// caller composes its policy there -- check elimination
-/// ([`can_reach_heap`]), write-only hardening (`inst.writes_memory()`),
+/// ([`crate::can_reach_heap`]), write-only hardening (`inst.writes_memory()`),
 /// and so on. When `batching` is false every member becomes its own
 /// singleton batch (the unoptimized configuration of Table 1).
 pub fn plan_batches(

@@ -8,7 +8,7 @@
 //! * [`disasm`]: linear-sweep disassembly of executable segments, with
 //!   explicit *unknown gaps* where bytes do not decode -- unknown code is
 //!   left untouched by the rewriter.
-//! * [`cfg`]: basic-block recovery. Any direct branch/call target is a
+//! * [`mod@cfg`]: basic-block recovery. Any direct branch/call target is a
 //!   leader; indirect control flow marks the function boundary as opaque.
 //! * [`liveness`]: backward register/flags liveness, used to find
 //!   *clobbered* (dead) registers so trampolines can skip save/restore
@@ -48,7 +48,7 @@ pub use dataflow::{solve_forward, unknown_entries, ForwardAnalysis, ForwardSolut
 pub use disasm::{disassemble, Disasm};
 pub use domtree::DomTree;
 pub use elim::can_reach_heap;
-pub use liveness::{dead_flags_in_run, flags_live_after_run, Liveness};
+pub use liveness::{dead_flags_in_run, flag_write_dead, flags_live_after_run, Liveness};
 pub use provenance::{operand_non_heap, span_avoids_heap, AbsVal, Provenance, RegFacts};
 pub use redundant::RedundantChecks;
 pub use report::{analyze_image, AnalysisReport, SiteReport, SiteVerdict};

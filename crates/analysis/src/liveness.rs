@@ -225,38 +225,44 @@ fn writes_any_flags(inst: &redfat_x86::Inst) -> bool {
 /// rewrites the flags before anything reads them, and no instruction in
 /// between can leave the run early. The flags are conservatively assumed
 /// live at the end of the run (a trace exit may branch on them) and at
-/// every potential early exit ([`may_exit_run`]), so a trace executor may
-/// skip computing the flags of every `true` entry without the skipped
-/// values ever becoming architecturally visible.
+/// every potential early exit (a memory access, stack traffic, mul/div,
+/// a syscall or a trap), so a trace executor may skip computing the
+/// flags of every `true` entry without the skipped values ever becoming
+/// architecturally visible. Each entry is [`flag_write_dead`] of the
+/// instruction and its [`flags_live_after_run`] entry.
 pub fn dead_flags_in_run(insts: &[redfat_x86::Inst]) -> Vec<bool> {
-    let mut dead = vec![false; insts.len()];
-    // `live` holds liveness *after* instruction `i` within the loop.
-    let mut live = true;
-    for (i, inst) in insts.iter().enumerate().rev() {
-        let exit = may_exit_run(inst);
-        dead[i] = !live && !exit && writes_any_flags(inst);
-        // live-before(i): an exit or a flag read observes the incoming
-        // flags; a must-write-all kills them; otherwise flow through.
-        live = exit || inst.reads_flags() || (live && !inst.writes_flags());
-    }
-    dead
+    let live_after = flags_live_after_run(insts);
+    insts
+        .iter()
+        .zip(live_after)
+        .map(|(inst, live)| flag_write_dead(inst, live))
+        .collect()
+}
+
+/// Whether the flags `inst` writes are unobservable, given whether the
+/// flags are live after it ([`flags_live_after_run`]): it writes some
+/// flag, cannot leave the run early, and nothing reads its flags.
+pub fn flag_write_dead(inst: &redfat_x86::Inst, live_after: bool) -> bool {
+    !live_after && !may_exit_run(inst) && writes_any_flags(inst)
 }
 
 /// Backward flags-liveness *after* each instruction of a straight-line
 /// run: `out[i]` is `false` only when the flags as left by instruction
 /// `i` are provably unobservable -- a later instruction in the run
 /// fully rewrites them before any read, and nothing in between can
-/// leave the run early. Same conservative rules as
-/// [`dead_flags_in_run`] (flags live at the end of the run and at
-/// every potential early exit); the two differ only in what they
-/// report: this is the raw liveness-out, used by the translated
-/// execution tier to decide whether a compare-and-branch pair may skip
-/// materializing the compare's flags on its predicted path.
+/// leave the run early. The flags are live at the end of the run and at
+/// every potential early exit. The translated execution tier derives
+/// [`dead_flags_in_run`] from it and uses it to decide whether a
+/// compare-and-branch pair may skip materializing the compare's flags
+/// on its predicted path.
 pub fn flags_live_after_run(insts: &[redfat_x86::Inst]) -> Vec<bool> {
     let mut out = vec![true; insts.len()];
+    // `live` holds liveness *after* instruction `i` within the loop.
     let mut live = true;
     for (i, inst) in insts.iter().enumerate().rev() {
         out[i] = live;
+        // live-before(i): an exit or a flag read observes the incoming
+        // flags; a must-write-all kills them; otherwise flow through.
         live = may_exit_run(inst) || inst.reads_flags() || (live && !inst.writes_flags());
     }
     out

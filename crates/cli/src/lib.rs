@@ -79,14 +79,11 @@ commands:
   analyze <in.elf>                     per-site static analysis report
   stats   <in.elf>                     image and instrumentation-plan statistics
   selftest [--quick] [--alloc-policy lowfat|rand-lowfat]
-                                       differential self-test: lockstep oracle,
-                                       backend lockstep of the fast tier
-                                       against the step interpreter,
-                                       round-trip fuzzer, allocator invariants
-                                       (the invariant campaign always covers
-                                       every allocator policy; --alloc-policy
-                                       picks the heap backend for the lockstep
-                                       runs)
+                                       differential self-test: lockstep oracle
+                                       and backend lockstep of the fast tier
+                                       against the step interpreter;
+                                       --alloc-policy picks the heap backend
+                                       for the runs
   selftest --faults [--quick]          fault-injection sweep: seeded mutants of
                                        every stand-in driven through the full
                                        pipeline; any panic fails the sweep
@@ -736,56 +733,25 @@ fn run_faults(quick: bool, threads: usize, out: &mut String) -> Result<(), CliEr
 
 /// The `selftest` subcommand: the differential self-test subsystem.
 ///
-/// Runs the deterministic encoder/decoder round-trip fuzzer, the
-/// allocator invariant checker, and the lockstep divergence oracle over
-/// every SPEC stand-in plus a Juliet sample. Every stand-in also runs
-/// the fast execution tier against the single-step reference
-/// interpreter on both the baseline and the hardened image
-/// ([`redfat_core::selftest::backend_lockstep`]). Any failure shrinks
-/// to a minimal repro and fails the invocation with a nonzero exit
-/// code, so CI can gate on `redfat selftest --quick`.
+/// Runs the lockstep divergence oracle over every SPEC stand-in plus a
+/// Juliet sample, each hardened as `redfat harden` hardens by default.
+/// Every stand-in also runs the fast execution tier against the
+/// single-step reference interpreter on both the baseline and the
+/// hardened image ([`redfat_core::selftest::backend_lockstep`]). A
+/// lockstep failure shrinks to a minimal input
+/// ([`redfat_core::selftest::lockstep`]), and any failure fails the
+/// invocation with a nonzero exit code, so CI can gate on
+/// `redfat selftest --quick`.
 fn run_selftest(
     quick: bool,
     policy: AllocPolicyKind,
     threads: usize,
     out: &mut String,
 ) -> Result<(), CliError> {
-    use redfat_core::selftest::{
-        allocator_invariants, backend_lockstep, lockstep_images, roundtrip_fuzz, shrink_input,
-    };
+    use redfat_core::selftest::{backend_lockstep, lockstep};
     let mut failures: Vec<String> = Vec::new();
     writeln!(out, "alloc-policy: {policy}").ok();
 
-    // Instruction round-trip: decode(encode(i)) == i, byte-identical.
-    let rt_cases = if quick { 2_000 } else { 10_000 };
-    let rt = roundtrip_fuzz(rt_cases, 0xDEC0_DE00_0BAD_CAFE);
-    writeln!(
-        out,
-        "roundtrip: {} cases, {} failures",
-        rt.cases,
-        rt.failures.len()
-    )
-    .ok();
-    for f in rt.failures.iter().take(8) {
-        failures.push(format!("roundtrip: {f}"));
-    }
-
-    // Allocator metadata invariants (redzones, canaries, size classes).
-    let alloc_cases = if quick { 300 } else { 1_000 };
-    let ar = allocator_invariants(alloc_cases, 0xA110_C000_5EED_0001);
-    writeln!(
-        out,
-        "allocator: {} cases, {} failures",
-        ar.cases,
-        ar.failures.len()
-    )
-    .ok();
-    for f in ar.failures.iter().take(8) {
-        failures.push(format!("allocator: {f}"));
-    }
-
-    // Lockstep oracle over the SPEC stand-ins, hardened as `redfat
-    // harden` hardens by default.
     let max_steps: u64 = if quick { 50_000_000 } else { 400_000_000 };
     let config = HardenConfig::default();
     for w in redfat_workloads::spec::all() {
@@ -820,14 +786,7 @@ fn run_selftest(
                 failures.push(format!("backend {} {backend} ({kind}):\n{detail}", w.name));
             }
         }
-        let rep = lockstep_images(
-            &image,
-            &hardened.image,
-            &hardened.clobbers,
-            &input,
-            max_steps,
-            policy,
-        );
+        let (rep, repro) = lockstep(&image, &hardened, &input, max_steps, policy);
         writeln!(
             out,
             "lockstep {:<14} {:>9} synced, {} divergences, {} check reports{}",
@@ -838,33 +797,8 @@ fn run_selftest(
             if rep.completed { "" } else { " (incomplete)" }
         )
         .ok();
-        if !rep.clean() || !rep.completed {
-            let shrunk = shrink_input(
-                &image,
-                &hardened.image,
-                &hardened.clobbers,
-                &input,
-                max_steps,
-                policy,
-            );
-            let rep2 = lockstep_images(
-                &image,
-                &hardened.image,
-                &hardened.clobbers,
-                &shrunk,
-                max_steps,
-                policy,
-            );
-            let detail = rep2
-                .divergences
-                .first()
-                .or(rep.divergences.first())
-                .map(|d| d.detail.clone())
-                .unwrap_or_else(|| "run did not complete within the step budget".into());
-            failures.push(format!(
-                "lockstep {} (input {:?}):\n{}",
-                w.name, shrunk, detail
-            ));
+        if let Some(repro) = repro {
+            failures.push(format!("lockstep {} {repro}", w.name));
         }
     }
 
@@ -885,24 +819,12 @@ fn run_selftest(
             ))
         })?;
         for input in [&case.benign_input, &case.attack_input] {
-            let rep = lockstep_images(
-                &image,
-                &hardened.image,
-                &hardened.clobbers,
-                input,
-                max_steps,
-                policy,
-            );
+            let (rep, repro) = lockstep(&image, &hardened, input, max_steps, policy);
             jl_runs += 1;
             jl_reports += rep.hardened_errors;
-            if !rep.clean() || !rep.completed {
+            if let Some(repro) = repro {
                 jl_divergent += 1;
-                let detail = rep
-                    .divergences
-                    .first()
-                    .map(|d| d.detail.clone())
-                    .unwrap_or_else(|| "run did not complete within the step budget".into());
-                failures.push(format!("juliet {} (input {input:?}):\n{detail}", case.id));
+                failures.push(format!("juliet {} {repro}", case.id));
             }
         }
     }

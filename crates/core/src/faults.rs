@@ -7,15 +7,16 @@
 //! images from every SPEC stand-in with a seeded [`SplitMix64`] stream
 //! -- truncations, byte flips in the header / code / metadata regions,
 //! oversized table counts, corrupt trap tables -- and drives each
-//! mutant through the full parse → disasm → analyze → harden → load →
-//! run chain. Every outcome must be classified:
+//! mutant through the full parse → harden → load → run chain. Every
+//! outcome must be classified:
 //!
 //! * **Ok** -- the mutant survived the chain: its guest run exited,
 //!   hit the step limit or reported a detected memory error.
-//! * **Error** -- a stage rejected the mutant with a structured
-//!   [`RedfatError`]. A guest run that stops on an emulator error
-//!   (memory fault, undecodable bytes, divide error, stray `int3` or
-//!   `ud2`) counts here too, at stage `run`.
+//! * **Error** -- a stage rejected the mutant with its own typed error,
+//!   recorded as the [`Stage`] and the error's message. A guest run
+//!   that stops on an emulator error (memory fault, undecodable bytes,
+//!   divide error, stray `int3` or `ud2`) counts here too, at stage
+//!   `run`.
 //! * **Degraded** -- hardening succeeded but skipped sites
 //!   ([`HardenStats::degraded`][crate::HardenStats::degraded]), the
 //!   paper's opportunistic-hardening model applied to the toolchain.
@@ -24,7 +25,6 @@
 //! fully deterministic: the same seed yields the same mutants and the
 //! same classification counts on every run and at any thread count.
 
-use crate::error::RedfatError;
 use crate::pipeline::harden;
 use crate::selftest::SplitMix64;
 use crate::HardenConfig;
@@ -61,21 +61,53 @@ impl Default for FaultConfig {
     }
 }
 
+/// The stage of the parse → harden → load → run chain that rejected a
+/// mutant.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stage {
+    /// ELF parsing ([`Image::parse`]).
+    Parse,
+    /// Analysis, check synthesis and trampoline rewriting.
+    Harden,
+    /// Image loading into the guest address space.
+    Load,
+    /// Guest execution under the emulator.
+    Run,
+}
+
+impl std::fmt::Display for Stage {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            Stage::Parse => "parse",
+            Stage::Harden => "harden",
+            Stage::Load => "load",
+            Stage::Run => "run",
+        })
+    }
+}
+
 /// How one mutant's trip through the chain ended.
 #[derive(Debug)]
 pub enum FaultOutcome {
     /// Survived every stage (guest-level failures included).
     Ok,
-    /// A stage rejected the mutant with a structured error.
-    Error(RedfatError),
+    /// A stage rejected the mutant with its own typed error.
+    Error {
+        /// The rejecting stage.
+        stage: Stage,
+        /// The stage error's message.
+        message: String,
+    },
     /// Hardened with recorded degradation (skipped sites).
     Degraded,
 }
 
 impl FaultOutcome {
-    /// `true` for the `Error` classification.
-    pub fn is_error(&self) -> bool {
-        matches!(self, FaultOutcome::Error(_))
+    fn error(stage: Stage, e: impl std::fmt::Display) -> FaultOutcome {
+        FaultOutcome::Error {
+            stage,
+            message: e.to_string(),
+        }
     }
 }
 
@@ -119,9 +151,9 @@ impl FaultReport {
         match outcome {
             FaultOutcome::Ok => self.ok += 1,
             FaultOutcome::Degraded => self.degraded += 1,
-            FaultOutcome::Error(e) => {
+            FaultOutcome::Error { stage, .. } => {
                 self.errors += 1;
-                *self.by_stage.entry(e.stage.to_string()).or_insert(0) += 1;
+                *self.by_stage.entry(stage.to_string()).or_insert(0) += 1;
             }
         }
     }
@@ -143,7 +175,7 @@ fn fnv1a(s: &str) -> u64 {
 fn drive_image(image: &Image, input: &[i64], max_steps: u64) -> FaultOutcome {
     let hardened = match harden(image, &HardenConfig::default()) {
         Ok(h) => h,
-        Err(e) => return FaultOutcome::Error(RedfatError::from(e)),
+        Err(e) => return FaultOutcome::error(Stage::Harden, e),
     };
     let degraded = hardened.stats.degraded();
     match drive_load_run(&hardened.image, input, max_steps) {
@@ -158,13 +190,13 @@ fn drive_load_run(image: &Image, input: &[i64], max_steps: u64) -> FaultOutcome 
     let runtime = HostRuntime::new(ErrorMode::Log).with_input(input.to_vec());
     let mut emu = match Emu::load_image(image, runtime) {
         Ok(emu) => emu,
-        Err(e) => return FaultOutcome::Error(RedfatError::from(e)),
+        Err(e) => return FaultOutcome::error(Stage::Load, e),
     };
     match run_budgeted(&mut emu, max_steps) {
         // Guest-level endings are graceful by construction; an
         // emulator error is not.
         RunResult::Exited(_) | RunResult::StepLimit | RunResult::MemoryError(_) => FaultOutcome::Ok,
-        RunResult::Error(e) => FaultOutcome::Error(RedfatError::from(e)),
+        RunResult::Error(e) => FaultOutcome::error(Stage::Run, e),
     }
 }
 
@@ -215,7 +247,7 @@ pub fn classify_bytes(bytes: &[u8], input: &[i64], max_steps: u64) -> FaultOutco
 fn drive_bytes(bytes: &[u8], input: &[i64], max_steps: u64) -> FaultOutcome {
     let image = match Image::parse(bytes) {
         Ok(image) => image,
-        Err(e) => return FaultOutcome::Error(RedfatError::from(e)),
+        Err(e) => return FaultOutcome::error(Stage::Parse, e),
     };
     drive_image(&image, input, max_steps)
 }

@@ -37,7 +37,6 @@ mod checks;
 mod config;
 pub mod digest;
 mod edit;
-pub mod error;
 pub mod faults;
 mod fuzz;
 mod pipeline;
@@ -50,13 +49,12 @@ pub use checks::CHECK_SCRATCH_CANDIDATES;
 pub use config::{HardenConfig, LowFatPolicy};
 pub use digest::{image_digest, sha256, Digest, Sha256, TOOL_VERSION};
 pub use edit::KeptBase;
-pub use error::{ErrorKind, RedfatError, Stage};
-pub use faults::{classify_bytes, fault_sweep, FaultConfig, FaultOutcome, FaultReport};
+pub use faults::{classify_bytes, fault_sweep, FaultConfig, FaultOutcome, FaultReport, Stage};
 pub use fuzz::{fuzz_profile, FuzzConfig, FuzzOutcome};
 pub use pipeline::{
     collect_allowlist, harden, harden_cached, harden_threaded, harden_with_bases,
     instrument_profile, ClobberInfo, ComponentCache, ComponentPlan, HardenError, HardenStats,
     Hardened,
 };
-pub use redfat_lowfat::AllocPolicyKind;
+pub use redfat_emu::AllocPolicyKind;
 pub use runner::{run_once, try_run_backend, try_run_backend_policy, try_run_once, RunOutcome};

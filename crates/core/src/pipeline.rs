@@ -269,7 +269,7 @@ struct PlannedBatch {
 /// A cache of per-CFG-component analysis/planning results, keyed by a
 /// content digest over everything the component's analysis can observe
 /// (instruction bytes, block structure, roots, function entries,
-/// config, mode, tool version -- see [`component_key`]). Equal key
+/// config, mode, tool version -- see `component_key`). Equal key
 /// therefore implies equal plan, so a `get` hit may be substituted for
 /// recomputation without changing the hardened output by a single
 /// byte.

@@ -2,28 +2,18 @@
 //!
 //! Rewriting running binaries is only trustworthy if the rewritten binary
 //! is *behaviorally equivalent* to the original everywhere the paper's
-//! design says it must be. This module provides three complementary
-//! oracles, all deterministic and dependency-free:
+//! design says it must be. This module provides two oracles over built
+//! images, both deterministic and dependency-free:
 //!
-//! 1. **Lockstep differential oracle** ([`lockstep`]): runs the hardened
-//!    and baseline images side by side in two emulator instances and
-//!    compares architectural state (registers, flags, stored bytes) at
-//!    every original-instruction boundary. Divergence is flagged unless
-//!    it is attributable to an *intended* effect: a memory-error report
-//!    from an inserted check, or a declared dead-register clobber
-//!    ([`crate::ClobberInfo`], derived from the liveness analysis that
-//!    justified eliding the save/restore).
-//! 2. **Encoder/decoder round-trip fuzzer** ([`roundtrip_fuzz`]):
-//!    `decode(encode(i)) == i` and byte-identical re-encoding over
-//!    randomized REX/ModRM/SIB/displacement/immediate forms, from a fixed
-//!    splitmix64 seed. The rewriter's trampolines are re-encoded
-//!    instructions, so any non-identity here is a latent rewriting bug.
-//! 3. **Allocator invariant checks** ([`allocator_invariants`]): a
-//!    randomized malloc/free/calloc/realloc campaign validating the
-//!    Figure 3 object layout (`base(p) <= p`, `p == base + 16`,
-//!    size-class consistency, metadata/canary round-trip, shadow-state
-//!    classification, double-free detection).
-//! 4. **Backend lockstep oracle** ([`backend_lockstep`]): runs the
+//! 1. **Lockstep differential oracle** ([`lockstep_images`]): runs the
+//!    hardened and baseline images side by side in two emulator
+//!    instances and compares architectural state (registers, flags,
+//!    stored bytes) at every original-instruction boundary. Divergence
+//!    is flagged unless it is attributable to an *intended* effect: a
+//!    memory-error report from an inserted check, or a declared
+//!    dead-register clobber ([`crate::ClobberInfo`], derived from the
+//!    liveness analysis that justified eliding the save/restore).
+//! 2. **Backend lockstep oracle** ([`backend_lockstep`]): runs the
 //!    translated execution tier against the single-step reference
 //!    interpreter on the *same* image and compares the full
 //!    architectural state (every register, flags, `rip`, all cost
@@ -34,7 +24,12 @@
 //! When the lockstep oracle diverges, [`shrink_input`] applies ddmin-style
 //! [`minimize`]-ation to the program input so the repro is as small as the
 //! predicate allows; divergence details embed a disassembly window of the
-//! instructions leading up to the failure.
+//! instructions leading up to the failure. [`lockstep`] runs the oracle,
+//! shrinks and describes a failure in one call.
+//!
+//! The encoder/decoder round trip and the allocator's layout laws read
+//! no image; their randomized campaigns are the tests of `redfat-x86`
+//! (`tests/roundtrip.rs`) and `redfat-lowfat` (`tests/properties.rs`).
 //!
 //! Known blind spots (documented in DESIGN.md): reads below `rsp` after a
 //! payload ran (the payload may push temporaries there), programs that
@@ -49,20 +44,16 @@
 // calls into this module.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use crate::pipeline::{harden, ClobberInfo, HardenError};
-use crate::HardenConfig;
+use crate::pipeline::{ClobberInfo, Hardened};
 use redfat_elf::Image;
-use redfat_emu::{syscalls, Emu, EmuError, ErrorMode, ExecBackend, HostRuntime, RunResult};
-use redfat_lowfat::{
-    AllocError, AllocPolicyKind, LowFatConfig, ObjState, RedFatHeap, REDZONE_SIZE,
+use redfat_emu::{
+    syscalls, AllocPolicyKind, Emu, EmuError, ErrorMode, ExecBackend, HostRuntime, RunResult,
 };
-use redfat_vm::{layout, Vm};
-use redfat_x86::{
-    decode_one, encode, AluOp, Cond, Inst, Mem, MulDivOp, Op, Operands, Reg, Seg, ShiftOp, Width,
-};
+use redfat_vm::layout;
+use redfat_x86::{Op, Reg, Width};
 use std::collections::VecDeque;
 
-/// Cap on recorded failures/divergences so a systematically broken build
+/// Cap on recorded divergences so a systematically broken build
 /// produces a readable report instead of an unbounded one.
 const MAX_FAILURES: usize = 16;
 
@@ -70,8 +61,8 @@ const MAX_FAILURES: usize = 16;
 // Deterministic randomness
 // ---------------------------------------------------------------------------
 
-/// The splitmix64 generator: tiny, seedable, and good enough to cover the
-/// encoder's form space. Fixed seeds make every self-test reproducible.
+/// The splitmix64 generator: tiny and seedable. Fixed seeds make the
+/// fault sweep's mutants and the benchmark's inputs reproducible.
 pub struct SplitMix64 {
     state: u64,
 }
@@ -95,822 +86,6 @@ impl SplitMix64 {
     pub fn below(&mut self, n: u64) -> u64 {
         self.next_u64() % n
     }
-
-    /// Returns `true` with roughly `pct` percent probability.
-    fn chance(&mut self, pct: u64) -> bool {
-        self.below(100) < pct
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Encoder/decoder round-trip fuzzer
-// ---------------------------------------------------------------------------
-
-/// Result of a [`roundtrip_fuzz`] campaign.
-#[derive(Debug)]
-pub struct RoundTripReport {
-    /// Cases executed.
-    pub cases: usize,
-    /// Human-readable descriptions of each failing case (capped).
-    pub failures: Vec<String>,
-}
-
-impl RoundTripReport {
-    /// `true` if every case round-tripped.
-    pub fn clean(&self) -> bool {
-        self.failures.is_empty()
-    }
-}
-
-fn push_capped(failures: &mut Vec<String>, msg: String) {
-    if failures.len() < MAX_FAILURES {
-        failures.push(msg);
-    }
-}
-
-fn gen_reg(r: &mut SplitMix64) -> Reg {
-    Reg::from_code(r.below(16) as u8)
-}
-
-fn gen_index(r: &mut SplitMix64) -> Reg {
-    loop {
-        let reg = gen_reg(r);
-        if reg != Reg::Rsp {
-            return reg;
-        }
-    }
-}
-
-fn gen_width(r: &mut SplitMix64) -> Width {
-    match r.below(3) {
-        0 => Width::W8,
-        1 => Width::W32,
-        _ => Width::W64,
-    }
-}
-
-fn gen_wide(r: &mut SplitMix64) -> Width {
-    if r.chance(50) {
-        Width::W32
-    } else {
-        Width::W64
-    }
-}
-
-fn gen_disp(r: &mut SplitMix64) -> i64 {
-    match r.below(5) {
-        0 => 0,
-        // The disp8/disp32 boundary, where canonical-form bugs live.
-        1 => r.below(0x102) as i64 - 0x81,
-        2 => r.below(0x2_0000) as i64 - 0x1_0000,
-        _ => r.below(0x4000_0000) as i64 - 0x2000_0000,
-    }
-}
-
-fn gen_scale(r: &mut SplitMix64) -> u8 {
-    [1, 2, 4, 8][r.below(4) as usize]
-}
-
-fn gen_mem(r: &mut SplitMix64, addr: u64) -> Mem {
-    let disp = gen_disp(r);
-    let mut m = match r.below(8) {
-        0 => Mem::base(gen_reg(r)),
-        1 | 2 => Mem::base_disp(gen_reg(r), disp),
-        3 | 4 => Mem::bis(gen_reg(r), gen_index(r), gen_scale(r), disp),
-        5 => Mem::index_scale(gen_index(r), gen_scale(r), disp),
-        6 => Mem::abs(r.below(0x7000_0000) as i64),
-        // RIP-relative: `disp` holds the absolute target, which must stay
-        // within rel32 reach of the instruction.
-        _ => Mem::rip(addr.wrapping_add(r.below(0x10_0000)).wrapping_sub(0x8_0000)),
-    };
-    if !m.rip && r.chance(10) {
-        m.seg = Some(if r.chance(50) { Seg::Fs } else { Seg::Gs });
-    }
-    m
-}
-
-/// Immediate fitting the canonical form for `w` in ALU/test/mov-to-memory
-/// encodings (sign-extended imm32 at 64-bit width).
-fn gen_imm(r: &mut SplitMix64, w: Width) -> i64 {
-    match w {
-        Width::W8 => r.below(0x100) as i64 - 0x80,
-        _ => match r.below(3) {
-            // The imm8 sign-extension boundary.
-            0 => r.below(0x102) as i64 - 0x81,
-            1 => r.below(0x2_0000) as i64 - 0x1_0000,
-            _ => r.below(1 << 32) as i64 - (1 << 31),
-        },
-    }
-}
-
-fn gen_cond(r: &mut SplitMix64) -> Cond {
-    Cond::from_code(r.below(16) as u8)
-}
-
-fn gen_rel(r: &mut SplitMix64, addr: u64) -> u64 {
-    addr.wrapping_add(r.below(0x10_0000)).wrapping_sub(0x8_0000)
-}
-
-fn gen_alu(r: &mut SplitMix64) -> Op {
-    Op::Alu(
-        [
-            AluOp::Add,
-            AluOp::Or,
-            AluOp::And,
-            AluOp::Sub,
-            AluOp::Xor,
-            AluOp::Cmp,
-        ][r.below(6) as usize],
-    )
-}
-
-fn gen_shift(r: &mut SplitMix64) -> ShiftOp {
-    [ShiftOp::Shl, ShiftOp::Shr, ShiftOp::Sar][r.below(3) as usize]
-}
-
-/// Generates a random instruction in *canonical* form -- the subset the
-/// assembler emits and the encoder accepts -- at address `addr`.
-fn gen_inst(r: &mut SplitMix64, addr: u64) -> Inst {
-    let rr = |r: &mut SplitMix64| Operands::RR {
-        dst: gen_reg(r),
-        src: gen_reg(r),
-    };
-    match r.below(28) {
-        0 => Inst::new(Op::Mov, gen_width(r), rr(r)),
-        1 => Inst::new(
-            Op::Mov,
-            gen_width(r),
-            Operands::RM {
-                dst: gen_reg(r),
-                src: gen_mem(r, addr),
-            },
-        ),
-        2 => Inst::new(
-            Op::Mov,
-            gen_width(r),
-            Operands::MR {
-                dst: gen_mem(r, addr),
-                src: gen_reg(r),
-            },
-        ),
-        3 => {
-            // Canonical mov-immediate: W32 takes the *unsigned* 32-bit
-            // range, W64 takes any 64-bit value (the encoder selects
-            // between imm32 and movabs forms deterministically).
-            let w = gen_width(r);
-            let imm = match w {
-                Width::W8 => r.below(0x100) as i64 - 0x80,
-                Width::W32 => r.below(1 << 32) as i64,
-                Width::W64 => r.next_u64() as i64,
-            };
-            Inst::new(
-                Op::Mov,
-                w,
-                Operands::RI {
-                    dst: gen_reg(r),
-                    imm,
-                },
-            )
-        }
-        4 => {
-            let w = gen_width(r);
-            Inst::new(
-                Op::Mov,
-                w,
-                Operands::MI {
-                    dst: gen_mem(r, addr),
-                    imm: gen_imm(r, w),
-                },
-            )
-        }
-        5 => Inst::new(gen_alu(r), gen_width(r), rr(r)),
-        6 => Inst::new(
-            gen_alu(r),
-            gen_width(r),
-            Operands::RM {
-                dst: gen_reg(r),
-                src: gen_mem(r, addr),
-            },
-        ),
-        7 => Inst::new(
-            gen_alu(r),
-            gen_width(r),
-            Operands::MR {
-                dst: gen_mem(r, addr),
-                src: gen_reg(r),
-            },
-        ),
-        8 => {
-            let w = gen_width(r);
-            Inst::new(
-                gen_alu(r),
-                w,
-                Operands::RI {
-                    dst: gen_reg(r),
-                    imm: gen_imm(r, w),
-                },
-            )
-        }
-        9 => {
-            let w = gen_width(r);
-            Inst::new(
-                gen_alu(r),
-                w,
-                Operands::MI {
-                    dst: gen_mem(r, addr),
-                    imm: gen_imm(r, w),
-                },
-            )
-        }
-        10 => Inst::new(Op::Test, gen_width(r), rr(r)),
-        11 => {
-            let w = gen_width(r);
-            Inst::new(
-                Op::Test,
-                w,
-                Operands::RI {
-                    dst: gen_reg(r),
-                    imm: gen_imm(r, w),
-                },
-            )
-        }
-        12 => Inst::new(
-            Op::Shift(gen_shift(r)),
-            gen_wide(r),
-            Operands::RI {
-                dst: gen_reg(r),
-                imm: r.below(64) as i64,
-            },
-        ),
-        13 => Inst::new(
-            Op::Shift(gen_shift(r)),
-            gen_wide(r),
-            Operands::MI {
-                dst: gen_mem(r, addr),
-                imm: r.below(64) as i64,
-            },
-        ),
-        14 => {
-            let op = Op::ShiftCl(gen_shift(r));
-            if r.chance(50) {
-                Inst::new(op, gen_wide(r), Operands::R(gen_reg(r)))
-            } else {
-                Inst::new(op, gen_wide(r), Operands::M(gen_mem(r, addr)))
-            }
-        }
-        15 => {
-            let op =
-                Op::MulDiv([MulDivOp::Mul, MulDivOp::Div, MulDivOp::Idiv][r.below(3) as usize]);
-            if r.chance(50) {
-                Inst::new(op, gen_wide(r), Operands::R(gen_reg(r)))
-            } else {
-                Inst::new(op, gen_wide(r), Operands::M(gen_mem(r, addr)))
-            }
-        }
-        16 => {
-            let op = if r.chance(50) { Op::Neg } else { Op::Not };
-            if r.chance(50) {
-                Inst::new(op, gen_wide(r), Operands::R(gen_reg(r)))
-            } else {
-                Inst::new(op, gen_wide(r), Operands::M(gen_mem(r, addr)))
-            }
-        }
-        17 => {
-            if r.chance(50) {
-                Inst::new(Op::Imul2, gen_wide(r), rr(r))
-            } else {
-                Inst::new(
-                    Op::Imul2,
-                    gen_wide(r),
-                    Operands::RM {
-                        dst: gen_reg(r),
-                        src: gen_mem(r, addr),
-                    },
-                )
-            }
-        }
-        18 => {
-            let w = gen_wide(r);
-            let imm = gen_imm(r, w);
-            if r.chance(50) {
-                Inst::new(
-                    Op::Imul3,
-                    w,
-                    Operands::RRI {
-                        dst: gen_reg(r),
-                        src: gen_reg(r),
-                        imm,
-                    },
-                )
-            } else {
-                Inst::new(
-                    Op::Imul3,
-                    w,
-                    Operands::RMI {
-                        dst: gen_reg(r),
-                        src: gen_mem(r, addr),
-                        imm,
-                    },
-                )
-            }
-        }
-        19 => {
-            let op = if r.chance(50) { Op::Movzx8 } else { Op::Movsx8 };
-            if r.chance(50) {
-                Inst::new(op, gen_wide(r), rr(r))
-            } else {
-                Inst::new(
-                    op,
-                    gen_wide(r),
-                    Operands::RM {
-                        dst: gen_reg(r),
-                        src: gen_mem(r, addr),
-                    },
-                )
-            }
-        }
-        20 => {
-            if r.chance(50) {
-                Inst::new(Op::Movsxd, Width::W64, rr(r))
-            } else {
-                Inst::new(
-                    Op::Movsxd,
-                    Width::W64,
-                    Operands::RM {
-                        dst: gen_reg(r),
-                        src: gen_mem(r, addr),
-                    },
-                )
-            }
-        }
-        21 => Inst::new(
-            Op::Lea,
-            gen_wide(r),
-            Operands::RM {
-                dst: gen_reg(r),
-                src: gen_mem(r, addr),
-            },
-        ),
-        22 => {
-            let op = if r.chance(50) { Op::Push } else { Op::Pop };
-            if r.chance(50) {
-                Inst::new(op, Width::W64, Operands::R(gen_reg(r)))
-            } else {
-                Inst::new(op, Width::W64, Operands::M(gen_mem(r, addr)))
-            }
-        }
-        23 => {
-            let op = Op::Setcc(gen_cond(r));
-            if r.chance(50) {
-                Inst::new(op, Width::W8, Operands::R(gen_reg(r)))
-            } else {
-                Inst::new(op, Width::W8, Operands::M(gen_mem(r, addr)))
-            }
-        }
-        24 => {
-            if r.chance(50) {
-                Inst::new(Op::Cmovcc(gen_cond(r)), gen_wide(r), rr(r))
-            } else {
-                Inst::new(
-                    Op::Cmovcc(gen_cond(r)),
-                    gen_wide(r),
-                    Operands::RM {
-                        dst: gen_reg(r),
-                        src: gen_mem(r, addr),
-                    },
-                )
-            }
-        }
-        25 => {
-            let op = [Op::Jmp, Op::Call, Op::Jcc(gen_cond(r))][r.below(3) as usize];
-            Inst::new(op, Width::W64, Operands::Rel(gen_rel(r, addr)))
-        }
-        26 => {
-            let op = if r.chance(50) {
-                Op::CallInd
-            } else {
-                Op::JmpInd
-            };
-            if r.chance(50) {
-                Inst::new(op, Width::W64, Operands::R(gen_reg(r)))
-            } else {
-                Inst::new(op, Width::W64, Operands::M(gen_mem(r, addr)))
-            }
-        }
-        _ => match r.below(8) {
-            0 => Inst::new(Op::Ret, Width::W64, Operands::None),
-            1 => Inst::new(Op::Cqo, gen_wide(r), Operands::None),
-            2 => Inst::new(Op::Syscall, Width::W64, Operands::None),
-            3 => Inst::new(Op::Int3, Width::W64, Operands::None),
-            4 => Inst::new(Op::Nop, Width::W64, Operands::None),
-            5 => Inst::new(Op::Ud2, Width::W64, Operands::None),
-            6 => Inst::new(Op::Pushfq, Width::W64, Operands::None),
-            _ => Inst::new(Op::Popfq, Width::W64, Operands::None),
-        },
-    }
-}
-
-/// Runs `cases` encode→decode→re-encode round trips from `seed`.
-///
-/// Every generated instruction is in canonical form, so three properties
-/// must hold exactly: the encoder accepts it, the decoder inverts the
-/// encoder (`decode(encode(i)) == i`, consuming every byte), and
-/// re-encoding the decoded instruction reproduces the identical bytes.
-pub fn roundtrip_fuzz(cases: usize, seed: u64) -> RoundTripReport {
-    let mut rng = SplitMix64::new(seed);
-    let mut failures = Vec::new();
-    for case in 0..cases {
-        let addr = layout::CODE_BASE + rng.below(0x10_0000);
-        let inst = gen_inst(&mut rng, addr);
-        let bytes = match encode(&inst, addr) {
-            Ok(b) => b,
-            Err(e) => {
-                push_capped(
-                    &mut failures,
-                    format!("case {case}: canonical `{inst}` at {addr:#x} failed to encode: {e:?}"),
-                );
-                continue;
-            }
-        };
-        match decode_one(&bytes, addr) {
-            Err(e) => push_capped(
-                &mut failures,
-                format!(
-                    "case {case}: `{inst}` encoded to {bytes:02x?} but failed to decode: {e:?}"
-                ),
-            ),
-            Ok((got, len)) => {
-                if len as usize != bytes.len() {
-                    push_capped(
-                        &mut failures,
-                        format!(
-                            "case {case}: `{inst}` encoded to {} bytes but decode consumed {len}",
-                            bytes.len()
-                        ),
-                    );
-                } else if got != inst {
-                    push_capped(
-                        &mut failures,
-                        format!(
-                            "case {case}: decode(encode(i)) != i: `{inst}` vs `{got}` \
-                             ({inst:?} vs {got:?}, bytes {bytes:02x?})"
-                        ),
-                    );
-                } else {
-                    match encode(&got, addr) {
-                        Ok(again) if again == bytes => {}
-                        Ok(again) => push_capped(
-                            &mut failures,
-                            format!(
-                                "case {case}: `{inst}` re-encodes differently: \
-                                 {bytes:02x?} vs {again:02x?}"
-                            ),
-                        ),
-                        Err(e) => push_capped(
-                            &mut failures,
-                            format!("case {case}: decoded `{got}` failed to re-encode: {e:?}"),
-                        ),
-                    }
-                }
-            }
-        }
-    }
-    RoundTripReport { cases, failures }
-}
-
-// ---------------------------------------------------------------------------
-// Allocator invariants
-// ---------------------------------------------------------------------------
-
-/// Result of an [`allocator_invariants`] campaign.
-#[derive(Debug)]
-pub struct AllocReport {
-    /// Heap operations performed.
-    pub cases: usize,
-    /// Human-readable invariant violations (capped).
-    pub failures: Vec<String>,
-}
-
-impl AllocReport {
-    /// `true` if every invariant held.
-    pub fn clean(&self) -> bool {
-        self.failures.is_empty()
-    }
-}
-
-/// Checks the full Figure 3 layout contract for a live object, under
-/// whatever policy backs `heap` (the policy's allocation offset `delta`
-/// generalizes the paper's `ptr = base + 16` law to
-/// `ptr = base + 16 + delta` with extent metadata `delta + size`).
-///
-/// `fresh` objects must additionally sit in exactly the size class of
-/// their padded size; a resized-in-place object only has to *fit* its
-/// (possibly larger) slot.
-fn check_object(
-    heap: &RedFatHeap,
-    vm: &Vm,
-    p: u64,
-    size: u64,
-    fresh: bool,
-    failures: &mut Vec<String>,
-) {
-    let mut fail = |msg: String| push_capped(failures, format!("ptr {p:#x} size {size}: {msg}"));
-    let base = layout::lowfat_base(p);
-    if base == 0 {
-        fail("lowfat_base is 0 for a heap pointer".into());
-        return;
-    }
-    if base > p {
-        fail(format!("base {base:#x} above user pointer"));
-    }
-    let delta = heap.user_delta(base);
-    if heap.policy_kind() == AllocPolicyKind::LowFat && delta != 0 {
-        fail(format!("default policy produced a non-zero delta {delta}"));
-    }
-    if p != base + REDZONE_SIZE + delta {
-        fail(format!(
-            "user pointer not base + {REDZONE_SIZE} + delta {delta} (base {base:#x})"
-        ));
-    }
-    if !p.is_multiple_of(16) {
-        fail("user pointer not 16-byte aligned".into());
-    }
-    if layout::lowfat_base(base) != base {
-        fail(format!(
-            "lowfat_base not idempotent: base({base:#x}) = {:#x}",
-            layout::lowfat_base(base)
-        ));
-    }
-    let cls_size = layout::lowfat_size(p);
-    if cls_size < delta + size + REDZONE_SIZE {
-        fail(format!(
-            "class size {cls_size} below delta + size + redzone"
-        ));
-    }
-    if fresh {
-        match layout::class_for_size((size + REDZONE_SIZE).max(REDZONE_SIZE + 1)) {
-            None => fail("class_for_size returned None for an allocated size".into()),
-            Some(idx) => {
-                if layout::class_size(idx) != cls_size {
-                    fail(format!(
-                        "class_for_size/class_size disagree with lowfat_size: {} vs {cls_size}",
-                        layout::class_size(idx)
-                    ));
-                }
-            }
-        }
-    }
-    let extent = delta + size;
-    match vm.read_u64(base) {
-        Ok(meta) if meta == extent => {}
-        Ok(meta) => fail(format!("extent metadata reads {meta}, expected {extent}")),
-        Err(e) => fail(format!("extent metadata unreadable: {e:?}")),
-    }
-    if !heap.check_canary(vm, p) {
-        fail("metadata canary check failed".into());
-    }
-    let want_size = if size == 0 { None } else { Some(size) };
-    if heap.object_size(vm, p) != want_size {
-        fail(format!(
-            "object_size reports {:?}, expected {want_size:?}",
-            heap.object_size(vm, p)
-        ));
-    }
-    if size > 0 && heap.state(vm, p) != ObjState::Allocated {
-        fail(format!(
-            "state(ptr) = {:?}, expected Allocated",
-            heap.state(vm, p)
-        ));
-    }
-    if size > 0 && heap.state(vm, p + size - 1) != ObjState::Allocated {
-        fail(format!(
-            "state(last byte) = {:?}, expected Allocated",
-            heap.state(vm, p + size - 1)
-        ));
-    }
-    for probe in [base, base + REDZONE_SIZE - 1] {
-        if heap.state(vm, probe) != ObjState::Redzone {
-            fail(format!(
-                "state({probe:#x}) = {:?}, expected Redzone",
-                heap.state(vm, probe)
-            ));
-        }
-    }
-    if cls_size > extent + REDZONE_SIZE && heap.state(vm, p + size) != ObjState::Padding {
-        fail(format!(
-            "state(first padding byte) = {:?}, expected Padding",
-            heap.state(vm, p + size)
-        ));
-    }
-}
-
-/// Runs the Figure-3 invariant campaign against **every registered
-/// allocator policy** (the satellite generalization: uniqueness,
-/// alignment, red-zone disjointness and free-then-reuse transitions are
-/// policy-independent laws). Failures are prefixed with the policy name.
-pub fn allocator_invariants(cases: usize, seed: u64) -> AllocReport {
-    let mut total = 0;
-    let mut failures = Vec::new();
-    for policy in AllocPolicyKind::ALL {
-        let r = policy_campaign(cases, seed, policy);
-        total += r.cases;
-        for f in r.failures {
-            push_capped(&mut failures, format!("[{policy}] {f}"));
-        }
-    }
-    AllocReport {
-        cases: total,
-        failures,
-    }
-}
-
-/// Runs `cases` randomized heap operations from `seed` against one
-/// policy, checking the redzone/metadata invariants after every
-/// mutation.
-fn policy_campaign(cases: usize, seed: u64, policy: AllocPolicyKind) -> AllocReport {
-    let mut rng = SplitMix64::new(seed);
-    let mut vm = Vm::new();
-    let mut heap = RedFatHeap::new(LowFatConfig {
-        policy,
-        ..LowFatConfig::default()
-    });
-    heap.install(&mut vm);
-    // Live objects: (user pointer, requested size, fill byte).
-    let mut live: Vec<(u64, u64, u8)> = Vec::new();
-    // Slot bases of live objects (uniqueness) and of freed ones (reuse
-    // transition tracking).
-    let mut live_bases: std::collections::HashSet<u64> = std::collections::HashSet::new();
-    let mut freed_bases: std::collections::HashSet<u64> = std::collections::HashSet::new();
-    let mut failures = Vec::new();
-    let note_alloc = |p: u64,
-                      live_bases: &mut std::collections::HashSet<u64>,
-                      freed_bases: &mut std::collections::HashSet<u64>,
-                      failures: &mut Vec<String>| {
-        let base = layout::lowfat_base(p);
-        if !live_bases.insert(base) {
-            push_capped(
-                failures,
-                format!("slot {base:#x} handed out while still live"),
-            );
-        }
-        // Free-then-reuse: a recycled slot must have gone through a
-        // free first (it is fine for it never to be reused at all).
-        freed_bases.remove(&base);
-    };
-
-    for case in 0..cases {
-        if failures.len() >= MAX_FAILURES {
-            break;
-        }
-        match rng.below(10) {
-            0..=3 => {
-                let cap = if rng.chance(90) { 512 } else { 1 << 16 };
-                let size = 1 + rng.below(cap);
-                let fill = rng.below(0x100) as u8;
-                match heap.malloc(&mut vm, size) {
-                    Ok(p) => {
-                        vm.write_privileged(p, &vec![fill; size as usize])
-                            .expect("fresh object mapped");
-                        note_alloc(p, &mut live_bases, &mut freed_bases, &mut failures);
-                        check_object(&heap, &vm, p, size, true, &mut failures);
-                        live.push((p, size, fill));
-                    }
-                    Err(e) => push_capped(
-                        &mut failures,
-                        format!("case {case}: malloc({size}) failed: {e:?}"),
-                    ),
-                }
-            }
-            4 => {
-                let count = 1 + rng.below(32);
-                let elem = 1 + rng.below(64);
-                match heap.calloc(&mut vm, count, elem) {
-                    Ok(p) => {
-                        let size = count * elem;
-                        note_alloc(p, &mut live_bases, &mut freed_bases, &mut failures);
-                        check_object(&heap, &vm, p, size, true, &mut failures);
-                        let data = vm.read_bytes(p, size as usize).expect("object mapped");
-                        if data.iter().any(|&b| b != 0) {
-                            push_capped(
-                                &mut failures,
-                                format!("case {case}: calloc({count}, {elem}) not zeroed"),
-                            );
-                        }
-                        live.push((p, size, 0));
-                    }
-                    Err(e) => push_capped(
-                        &mut failures,
-                        format!("case {case}: calloc({count}, {elem}) failed: {e:?}"),
-                    ),
-                }
-            }
-            5 => {
-                if live.is_empty() {
-                    continue;
-                }
-                let i = rng.below(live.len() as u64) as usize;
-                let (p, old_size, fill) = live[i];
-                let new_size = 1 + rng.below(1024);
-                match heap.realloc(&mut vm, p, new_size) {
-                    Ok(q) => {
-                        let old_base = layout::lowfat_base(p);
-                        let new_base = layout::lowfat_base(q);
-                        if new_base != old_base {
-                            // Moved: the old slot must be free now.
-                            live_bases.remove(&old_base);
-                            freed_bases.insert(old_base);
-                            note_alloc(q, &mut live_bases, &mut freed_bases, &mut failures);
-                            if heap.state(&vm, p) != ObjState::Free {
-                                push_capped(
-                                    &mut failures,
-                                    format!("case {case}: realloc source not freed after move"),
-                                );
-                            }
-                        }
-                        check_object(&heap, &vm, q, new_size, false, &mut failures);
-                        let keep = old_size.min(new_size) as usize;
-                        let data = vm.read_bytes(q, keep).expect("object mapped");
-                        if data.iter().any(|&b| b != fill) {
-                            push_capped(
-                                &mut failures,
-                                format!("case {case}: realloc lost object contents"),
-                            );
-                        }
-                        vm.write_privileged(q, &vec![fill; new_size as usize])
-                            .expect("object mapped");
-                        live[i] = (q, new_size, fill);
-                    }
-                    Err(e) => push_capped(
-                        &mut failures,
-                        format!("case {case}: realloc({p:#x}, {new_size}) failed: {e:?}"),
-                    ),
-                }
-            }
-            6..=8 => {
-                if live.is_empty() {
-                    continue;
-                }
-                let i = rng.below(live.len() as u64) as usize;
-                let (p, _, _) = live.swap_remove(i);
-                if let Err(e) = heap.free(&mut vm, p) {
-                    push_capped(
-                        &mut failures,
-                        format!("case {case}: free({p:#x}) failed: {e:?}"),
-                    );
-                    continue;
-                }
-                live_bases.remove(&layout::lowfat_base(p));
-                freed_bases.insert(layout::lowfat_base(p));
-                if heap.state(&vm, p) != ObjState::Free {
-                    push_capped(
-                        &mut failures,
-                        format!(
-                            "case {case}: freed object state is {:?}, expected Free",
-                            heap.state(&vm, p)
-                        ),
-                    );
-                }
-                if heap.object_size(&vm, p).is_some() {
-                    push_capped(
-                        &mut failures,
-                        format!("case {case}: freed object still has an object_size"),
-                    );
-                }
-            }
-            _ => {
-                // Double-free probe: the second free must be detected.
-                if live.is_empty() {
-                    continue;
-                }
-                let i = rng.below(live.len() as u64) as usize;
-                let (p, _, _) = live.swap_remove(i);
-                if let Err(e) = heap.free(&mut vm, p) {
-                    push_capped(
-                        &mut failures,
-                        format!("case {case}: free({p:#x}) failed: {e:?}"),
-                    );
-                    continue;
-                }
-                live_bases.remove(&layout::lowfat_base(p));
-                freed_bases.insert(layout::lowfat_base(p));
-                match heap.free(&mut vm, p) {
-                    Err(AllocError::DoubleFree(_)) => {}
-                    other => push_capped(
-                        &mut failures,
-                        format!("case {case}: double free not detected: {other:?}"),
-                    ),
-                }
-            }
-        }
-    }
-
-    // Drain: every remaining object must free cleanly.
-    for (p, _, _) in live {
-        if let Err(e) = heap.free(&mut vm, p) {
-            push_capped(&mut failures, format!("drain: free({p:#x}) failed: {e:?}"));
-        }
-    }
-    AllocReport { cases, failures }
 }
 
 // ---------------------------------------------------------------------------
@@ -1191,7 +366,7 @@ pub struct Divergence {
     pub detail: String,
 }
 
-/// Result of a [`lockstep`] run.
+/// Result of a [`lockstep_images`] run.
 #[derive(Debug, Default)]
 pub struct LockstepReport {
     /// Original-instruction boundaries at which full state was compared.
@@ -1243,25 +418,33 @@ fn exit_equiv(b: &RunResult, h: &RunResult) -> bool {
     }
 }
 
-/// Hardens `image` under `config` and runs the lockstep oracle on the
-/// result under allocator `policy`, using the pipeline's own clobber
-/// declarations.
+/// The self-test's lockstep check of one hardened image: runs
+/// [`lockstep_images`] with the pipeline's own clobber declarations and,
+/// if the run diverges or does not complete within `max_steps`, shrinks
+/// the input ([`shrink_input`]) and describes the first divergence of
+/// the shrunk run. The description reads `(input [..]):` followed by
+/// the divergence's detail; it is `None` for a clean, completed run.
 pub fn lockstep(
-    image: &Image,
-    config: &HardenConfig,
+    baseline: &Image,
+    hardened: &Hardened,
     input: &[i64],
     max_steps: u64,
     policy: AllocPolicyKind,
-) -> Result<LockstepReport, HardenError> {
-    let hardened = harden(image, config)?;
-    Ok(lockstep_images(
-        image,
-        &hardened.image,
-        &hardened.clobbers,
-        input,
-        max_steps,
-        policy,
-    ))
+) -> (LockstepReport, Option<String>) {
+    let (image, clobbers) = (&hardened.image, &hardened.clobbers[..]);
+    let report = lockstep_images(baseline, image, clobbers, input, max_steps, policy);
+    if report.clean() && report.completed {
+        return (report, None);
+    }
+    let shrunk = shrink_input(baseline, image, clobbers, input, max_steps, policy);
+    let rerun = lockstep_images(baseline, image, clobbers, &shrunk, max_steps, policy);
+    let detail = rerun
+        .divergences
+        .first()
+        .or(report.divergences.first())
+        .map_or("run did not complete within the step budget", |d| &d.detail);
+    let repro = format!("(input {shrunk:?}):\n{detail}");
+    (report, Some(repro))
 }
 
 /// Shrinks `input` to a minimal vector on which the hardened image still
@@ -1627,11 +810,11 @@ pub fn lockstep_images(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{HardenConfig, LowFatPolicy};
+    use crate::{harden, HardenConfig, LowFatPolicy};
     use redfat_analysis::Cfg;
     use redfat_elf::{ImageKind, SegFlags, Segment};
     use redfat_rewriter::{rewrite, Patch};
-    use redfat_x86::Asm;
+    use redfat_x86::{AluOp, Asm};
 
     fn program(build: impl FnOnce(&mut Asm) -> u64) -> (Image, u64) {
         let mut a = Asm::new(layout::CODE_BASE);
@@ -1676,19 +859,6 @@ mod tests {
         // A failure independent of the input shrinks to nothing.
         let out = minimize(&items, |_| true);
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn roundtrip_fuzzer_is_clean() {
-        let r = roundtrip_fuzz(2_000, 0xDEC0_DE01);
-        assert_eq!(r.cases, 2_000);
-        assert!(r.clean(), "{:#?}", r.failures);
-    }
-
-    #[test]
-    fn allocator_invariants_hold() {
-        let r = allocator_invariants(1_000, 0xA110_C001);
-        assert!(r.clean(), "{:#?}", r.failures);
     }
 
     #[test]
@@ -1777,7 +947,8 @@ mod tests {
     #[test]
     fn input_shrinking_reaches_a_fixpoint() {
         // The injected divergence is input-independent, so the shrinker
-        // must reduce the input vector to nothing.
+        // must reduce the input vector to nothing, and the description
+        // names the shrunk input and the clobbered register.
         let (image, anchor) = program(|a| {
             a.mov_ri(Width::W64, Reg::Rbx, 7);
             let anchor = a.here();
@@ -1790,16 +961,22 @@ mod tests {
             a.syscall();
             anchor
         });
-        let hardened = clobber_rbx_at(&image, anchor);
-        let shrunk = shrink_input(
+        let hardened = Hardened {
+            image: clobber_rbx_at(&image, anchor),
+            stats: crate::HardenStats::default(),
+            clobbers: vec![],
+        };
+        let (rep, repro) = lockstep(
             &image,
             &hardened,
-            &[],
             &[1, 2, 3],
             100_000,
             AllocPolicyKind::default(),
         );
-        assert!(shrunk.is_empty(), "{shrunk:?}");
+        assert!(!rep.clean());
+        let repro = repro.expect("a divergent run is described");
+        assert!(repro.starts_with("(input []):\n"), "{repro}");
+        assert!(repro.contains("Rbx"), "{repro}");
     }
 
     #[test]
@@ -1882,8 +1059,15 @@ mod tests {
             HardenConfig::unoptimized(LowFatPolicy::All),
             HardenConfig::default(),
         ] {
-            let rep =
-                lockstep(&image, &config, &[3], 5_000_000, AllocPolicyKind::default()).unwrap();
+            let hardened = harden(&image, &config).unwrap();
+            let (rep, repro) = lockstep(
+                &image,
+                &hardened,
+                &[3],
+                5_000_000,
+                AllocPolicyKind::default(),
+            );
+            assert_eq!(repro, None);
             assert!(rep.completed, "run did not complete: {rep:#?}");
             assert!(rep.clean(), "{:#?}", rep.divergences);
             assert_eq!(rep.baseline_exit, Some(RunResult::Exited(0)));

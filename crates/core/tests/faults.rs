@@ -2,8 +2,11 @@
 //! classify every mutant (no panics), be deterministic, and the
 //! individual panic fixes must hold through the public API.
 
-use redfat_core::{classify_bytes, fault_sweep, FaultConfig, FaultOutcome};
+use redfat_core::{classify_bytes, fault_sweep, FaultConfig, FaultOutcome, Stage};
+use redfat_elf::{Image, ImageKind, SegFlags, Segment};
+use redfat_vm::layout;
 use redfat_workloads::spec;
+use redfat_x86::{Asm, Mem, Reg, Width};
 
 /// A scaled-down sweep config so debug-build test time stays sane.
 fn small_config() -> FaultConfig {
@@ -50,11 +53,59 @@ fn different_seed_changes_the_mutants() {
 fn truncated_elf_classifies_as_parse_error() {
     let w = spec::all().into_iter().next().unwrap();
     let bytes = w.image().to_bytes();
-    let outcome = classify_bytes(&bytes[..20], &w.train_input, 10_000);
-    match outcome {
-        FaultOutcome::Error(e) => assert_eq!(e.stage, redfat_core::Stage::Parse),
-        other => panic!("expected parse error, got {other:?}"),
+    assert_eq!(classified_stage(&bytes[..20]), Stage::Parse);
+}
+
+/// Serializes an executable image whose code is `build` assembled at
+/// `base`, entered at `base`, plus `extra` segments.
+fn crafted_elf(base: u64, build: impl FnOnce(&mut Asm), extra: Vec<Segment>) -> Vec<u8> {
+    let mut a = Asm::new(base);
+    build(&mut a);
+    let code = a.finish().unwrap();
+    let mut segments = vec![Segment::new(code.base, SegFlags::RX, code.bytes)];
+    segments.extend(extra);
+    Image {
+        kind: ImageKind::Exec,
+        entry: base,
+        segments,
+        symbols: vec![],
     }
+    .to_bytes()
+}
+
+/// A load through an unknown pointer, then exit.
+fn checked_load(a: &mut Asm) {
+    a.mov_rm(Width::W64, Reg::Rax, Mem::base_disp(Reg::Rdi, 8));
+    a.mov_ri(Width::W64, Reg::Rax, 0);
+    a.syscall();
+}
+
+fn classified_stage(bytes: &[u8]) -> Stage {
+    match classify_bytes(bytes, &[], 10_000) {
+        FaultOutcome::Error { stage, .. } => stage,
+        other => panic!("expected a stage error, got {other:?}"),
+    }
+}
+
+#[test]
+fn code_beyond_trampoline_reach_classifies_as_harden_error() {
+    // 4 GiB above the trampoline area: no rel32 `jmp` at the checked
+    // load reaches its payload, so the rewrite fails.
+    let bytes = crafted_elf(layout::TRAMPOLINE_BASE + (4 << 30), checked_load, vec![]);
+    assert_eq!(classified_stage(&bytes), Stage::Harden);
+}
+
+#[test]
+fn overlapping_segments_classify_as_load_error() {
+    let data = Segment::new(layout::CODE_BASE + 8, SegFlags::RW, vec![0; 64]);
+    let bytes = crafted_elf(layout::CODE_BASE, checked_load, vec![data]);
+    assert_eq!(classified_stage(&bytes), Stage::Load);
+}
+
+#[test]
+fn undefined_instruction_at_entry_classifies_as_run_error() {
+    let bytes = crafted_elf(layout::CODE_BASE, |a| a.ud2(), vec![]);
+    assert_eq!(classified_stage(&bytes), Stage::Run);
 }
 
 #[test]

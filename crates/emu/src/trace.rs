@@ -1185,15 +1185,16 @@ impl<R: Runtime> Emu<R> {
                 }
             }
         }
-        // Flag liveness over the whole trace; the terminal stays on
-        // the slow path (its flag inputs -- Jcc -- are read inline, and
-        // dead[last] is always false under the exit-conservative
-        // rule). Interior transfers are conservative by construction:
+        // Flag liveness over the whole trace, computed once for both
+        // dead-flag elision and compare-branch fusion; the terminal
+        // stays on the slow path (its flag inputs -- Jcc -- are read
+        // inline, and its flag writes are never dead under the
+        // exit-conservative rule). Interior transfers are conservative by construction:
         // `jcc` reads the flags, `call`/`ret` touch the stack (may
         // exit), and an interior `jmp` is infallible so flowing
         // liveness through it is exact.
         let flat: Vec<Inst> = insts.iter().map(|ti| ti.inst).collect();
-        let dead = redfat_analysis::dead_flags_in_run(&flat);
+        let live_after = redfat_analysis::flags_live_after_run(&flat);
         let body_len = match exit {
             BlockExit::Fall => insts.len(),
             _ => insts.len() - 1,
@@ -1204,7 +1205,10 @@ impl<R: Runtime> Emu<R> {
             .zip(&kinds)
             .enumerate()
             .map(|(i, (ti, kind))| match *kind {
-                Interior::None => specialize(&ti.inst, ti.rip, ti.next, i as u8, dead[i]),
+                Interior::None => {
+                    let dead = redfat_analysis::flag_write_dead(&ti.inst, live_after[i]);
+                    specialize(&ti.inst, ti.rip, ti.next, i as u8, dead)
+                }
                 Interior::Jmp { to } => FastOp::ChargeJmp { next: ti.next, to },
                 Interior::Call { to } => FastOp::ChargeCall { next: ti.next, to },
                 Interior::Jcc { cond, to } => {
@@ -1233,7 +1237,6 @@ impl<R: Runtime> Emu<R> {
         // becomes a `Nop` to keep op indices aligned with instruction
         // indices.
         let mut ops = ops;
-        let live_after = redfat_analysis::flags_live_after_run(&flat);
         for i in 0..ops.len().saturating_sub(1) {
             let FastOp::JccInline {
                 cond,

@@ -1,7 +1,6 @@
 //! The low-fat allocator proper: size-class subheaps in 32 GiB regions.
 
 use redfat_vm::layout;
-use redfat_vm::Rng64;
 use redfat_vm::{Prot, Vm};
 
 /// An allocation failure.
@@ -45,9 +44,7 @@ impl std::error::Error for AllocError {}
 pub struct LowFatConfig {
     /// Which placement policy backs the heap (the `--alloc-policy` knob).
     pub policy: crate::AllocPolicyKind,
-    /// Shuffle free-list reuse order (basic heap randomization, paper §8).
-    pub randomize: bool,
-    /// RNG seed for reproducible randomization.
+    /// RNG seed of the randomized policy.
     pub seed: u64,
     /// Bytes of address space each subheap may use before reporting OOM.
     /// Defaults to 16 MiB per class, ample for the workloads while keeping
@@ -63,7 +60,6 @@ impl Default for LowFatConfig {
     fn default() -> LowFatConfig {
         LowFatConfig {
             policy: crate::AllocPolicyKind::LowFat,
-            randomize: false,
             seed: 0x5EED_F00D,
             subheap_limit: 16 << 20,
             quarantine: 64,
@@ -122,18 +118,15 @@ impl Subheap {
 pub struct LowFatAlloc {
     config: LowFatConfig,
     subheaps: Vec<Subheap>,
-    rng: Rng64,
     stats: AllocStats,
 }
 
 impl LowFatAlloc {
     /// Creates an allocator with the given configuration.
     pub fn new(config: LowFatConfig) -> LowFatAlloc {
-        let rng = Rng64::new(config.seed);
         LowFatAlloc {
             config,
             subheaps: (1..=layout::NUM_CLASSES).map(Subheap::new).collect(),
-            rng,
             stats: AllocStats::default(),
         }
     }
@@ -173,13 +166,8 @@ impl LowFatAlloc {
         }
 
         // Prefer the free list.
-        if !heap.free_list.is_empty() {
-            let idx = if self.config.randomize {
-                self.rng.below_usize(heap.free_list.len())
-            } else {
-                heap.free_list.len() - 1
-            };
-            return Ok(heap.free_list.swap_remove(idx));
+        if let Some(base) = heap.free_list.pop() {
+            return Ok(base);
         }
 
         // Bump-allocate a fresh object, growing the backing segment.
@@ -462,29 +450,6 @@ mod tests {
             }
         }
         assert!(n >= 3, "got {n} allocations before OOM");
-    }
-
-    #[test]
-    fn randomized_reuse_differs_from_fifo() {
-        let mut vm = Vm::new();
-        let mut a = LowFatAlloc::new(LowFatConfig {
-            randomize: true,
-            quarantine: 0,
-            ..LowFatConfig::default()
-        });
-        a.install(&mut vm);
-        let ptrs: Vec<u64> = (0..64)
-            .map(|_| a.lowfat_malloc(&mut vm, 32).unwrap())
-            .collect();
-        for &p in &ptrs {
-            a.lowfat_free(&mut vm, p).unwrap();
-        }
-        let reused: Vec<u64> = (0..64)
-            .map(|_| a.lowfat_malloc(&mut vm, 32).unwrap())
-            .collect();
-        // Randomized order should not be the exact LIFO order.
-        let lifo: Vec<u64> = ptrs.iter().rev().copied().collect();
-        assert_ne!(reused, lifo);
     }
 
     #[test]

@@ -86,9 +86,8 @@ pub struct RandLowFatAlloc {
 }
 
 impl RandLowFatAlloc {
-    /// Creates the policy with the given configuration (the `randomize`
-    /// flag is ignored: this policy is always randomized, seeded by
-    /// `config.seed`).
+    /// Creates the policy with the given configuration, randomized from
+    /// `config.seed`.
     pub fn new(config: LowFatConfig) -> RandLowFatAlloc {
         let rng = Rng64::new(config.seed ^ 0x7A4D_10F7_A75E_ED01);
         RandLowFatAlloc {

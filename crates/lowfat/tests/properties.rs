@@ -1,100 +1,168 @@
 //! Randomized tests over the allocator policies and the RedFat wrapper:
-//! the base/size laws of §2.1, structural invariants under random
-//! malloc/free traffic, and a crafted-pointer sweep pinning conservative
+//! the base/size laws of §2.1 and the Figure 3 object layout under random
+//! malloc/calloc/realloc/free/double-free traffic, and a crafted-pointer
+//! sweep pinning conservative
 //! metadata answers -- all driven by deterministic seeded generators and
 //! run against every registered policy.
 
-use redfat_lowfat::{AllocPolicyKind, LowFatConfig, ObjState, RedFatHeap, REDZONE_SIZE};
-use redfat_vm::{layout, Rng64};
+use redfat_lowfat::{
+    AllocError, AllocPolicyKind, LowFatConfig, ObjState, RedFatHeap, REDZONE_SIZE,
+};
+use redfat_vm::{layout, Rng64, Vm};
 
-#[derive(Debug, Clone)]
-enum Op {
-    Malloc(u64),
-    FreeNth(usize),
+/// Heap operations per policy in the random-traffic campaign.
+const TRAFFIC_OPS: u64 = 5_000;
+
+/// Asserts the Figure 3 layout laws for the live object of `size > 0`
+/// bytes at user pointer `p`, under whatever policy backs `heap`: its
+/// allocation offset `delta` generalizes the paper's `p = base + 16` to
+/// `p = base + 16 + delta`, with extent metadata `delta + size`. A
+/// `fresh` object sits in exactly the size class of its padded size; one
+/// resized in place only has to fit its slot.
+fn check_object(heap: &RedFatHeap, vm: &Vm, p: u64, size: u64, fresh: bool, ctx: &str) {
+    // Law 1: user pointer = base + 16 + delta, base is class-aligned,
+    // delta respects the slot contract.
+    let base = layout::lowfat_base(p);
+    assert_ne!(base, 0, "{ctx}: heap pointer {p:#x} has no base");
+    assert_eq!(
+        layout::lowfat_base(base),
+        base,
+        "{ctx}: base not idempotent"
+    );
+    let delta = heap.user_delta(base);
+    assert_eq!(p, base + REDZONE_SIZE + delta, "{ctx}");
+    if heap.policy_kind() == AllocPolicyKind::LowFat {
+        assert_eq!(delta, 0, "{ctx}: the default policy never offsets");
+    }
+    assert_eq!(p % 16, 0, "{ctx}: user pointers stay aligned");
+    let class = layout::region_index(p);
+    assert!((1..=layout::NUM_CLASSES).contains(&class), "{ctx}");
+    let csize = layout::class_size(class);
+    assert_eq!(base % csize, 0, "{ctx}");
+    assert!(
+        delta + size + REDZONE_SIZE <= csize,
+        "{ctx}: slot too small"
+    );
+    if fresh {
+        let want = layout::class_for_size(size + REDZONE_SIZE).map(layout::class_size);
+        assert_eq!(want, Some(csize), "{ctx}: not in its size class");
+    }
+    // Law 2: every interior pointer maps back to base.
+    for probe in [0, size / 2, size - 1] {
+        assert_eq!(layout::lowfat_base(p + probe), base, "{ctx}");
+        assert_eq!(layout::lowfat_size(p + probe), csize, "{ctx}");
+    }
+    // Law 3: metadata reflects the malloc size (the extent word holds
+    // delta + size) behind an armed canary.
+    assert_eq!(vm.read_u64(base).unwrap(), delta + size, "{ctx}");
+    assert!(heap.check_canary(vm, p), "{ctx}: metadata canary");
+    assert_eq!(heap.object_size(vm, p), Some(size), "{ctx}");
+    // The check-visible states: redzone below, the object, padding above.
+    for probe in [base, base + REDZONE_SIZE - 1] {
+        assert_eq!(heap.state(vm, probe), ObjState::Redzone, "{ctx}");
+    }
+    for probe in [p, p + size - 1] {
+        assert_eq!(heap.state(vm, probe), ObjState::Allocated, "{ctx}");
+    }
+    if delta + size + REDZONE_SIZE < csize {
+        assert_eq!(heap.state(vm, p + size), ObjState::Padding, "{ctx}");
+    }
 }
 
-fn random_script(r: &mut Rng64) -> Vec<Op> {
-    let n = r.below_usize(119) + 1;
-    (0..n)
-        .map(|_| {
-            if r.coin() {
-                Op::Malloc(r.range_u64(1, 5000))
-            } else {
-                Op::FreeNth(r.below_usize(64))
-            }
-        })
-        .collect()
+/// Law 4: the slot of the object at `p` overlaps no other live object's.
+fn check_disjoint(p: u64, live: &[(u64, u64, u8)], ctx: &str) {
+    let a0 = layout::lowfat_base(p);
+    let a1 = a0 + layout::lowfat_size(p);
+    for &(other, _, _) in live {
+        let b0 = layout::lowfat_base(other);
+        let b1 = b0 + layout::lowfat_size(other);
+        assert!(a1 <= b0 || b1 <= a0, "{ctx}: overlap {a0:#x} {b0:#x}");
+    }
+}
+
+/// A freed object reads as free and sizeless.
+fn check_freed(heap: &RedFatHeap, vm: &Vm, p: u64, ctx: &str) {
+    assert_eq!(heap.state(vm, p), ObjState::Free, "{ctx}");
+    assert_eq!(heap.object_size(vm, p), None, "{ctx}");
 }
 
 #[test]
 fn allocator_invariants_under_random_traffic() {
     for policy in AllocPolicyKind::ALL {
         let mut r = Rng64::new(0xA110_C001);
-        for case in 0..128 {
-            let script = random_script(&mut r);
-            let randomize = r.coin();
-            let mut vm = redfat_vm::Vm::new();
-            let mut heap = RedFatHeap::new(LowFatConfig {
-                policy,
-                randomize,
-                seed: 1234,
-                ..LowFatConfig::default()
-            });
-            heap.install(&mut vm);
-
-            let mut live: Vec<(u64, u64)> = Vec::new(); // (ptr, size)
-            for op in script {
-                match op {
-                    Op::Malloc(size) => {
-                        let ptr = heap.malloc(&mut vm, size).expect("small allocs succeed");
-                        // Law 1: user pointer = base + 16 + delta, base is
-                        // class-aligned, delta respects the slot contract.
-                        let base = layout::lowfat_base(ptr);
-                        let delta = heap.user_delta(base);
-                        assert_eq!(ptr, base + REDZONE_SIZE + delta, "{policy} case {case}");
-                        if policy == AllocPolicyKind::LowFat {
-                            assert_eq!(delta, 0, "default policy never offsets");
-                        }
-                        assert_eq!(delta % 16, 0, "user pointers stay aligned");
-                        let class = layout::region_index(ptr);
-                        assert!((1..=layout::NUM_CLASSES).contains(&class));
-                        let csize = layout::class_size(class);
-                        assert_eq!(base % csize, 0);
-                        assert!(delta + size + REDZONE_SIZE <= csize);
-                        // Law 2: every interior pointer maps back to base.
-                        for probe in [0, size / 2, size.saturating_sub(1)] {
-                            assert_eq!(layout::lowfat_base(ptr + probe), base);
-                            assert_eq!(layout::lowfat_size(ptr + probe), csize);
-                        }
-                        // Law 3: metadata reflects the malloc size (the
-                        // extent word holds delta + size).
-                        assert_eq!(heap.object_size(&vm, ptr), Some(size));
-                        assert_eq!(vm.read_u64(base).unwrap(), delta + size);
-                        // Law 4: no overlap with any live object.
-                        for &(other, _osize) in &live {
-                            let a0 = base;
-                            let a1 = base + csize;
-                            let b0 = layout::lowfat_base(other);
-                            let b1 = b0 + layout::lowfat_size(other);
-                            assert!(a1 <= b0 || b1 <= a0, "overlap {a0:#x} {b0:#x}");
-                        }
-                        live.push((ptr, size));
+        let mut vm = Vm::new();
+        let mut heap = RedFatHeap::new(LowFatConfig {
+            policy,
+            ..LowFatConfig::default()
+        });
+        heap.install(&mut vm);
+        // Live objects: (user pointer, size, fill byte).
+        let mut live: Vec<(u64, u64, u8)> = Vec::new();
+        for op in 0..TRAFFIC_OPS {
+            let ctx = format!("{policy} op {op}");
+            match r.below(10) {
+                0..=3 => {
+                    let cap = if r.below(10) == 0 { 1 << 16 } else { 512 };
+                    let size = r.range_u64(1, cap + 1);
+                    let fill = r.below(0x100) as u8;
+                    let p = heap.malloc(&mut vm, size).expect("malloc succeeds");
+                    vm.write_privileged(p, &vec![fill; size as usize]).unwrap();
+                    check_object(&heap, &vm, p, size, true, &ctx);
+                    check_disjoint(p, &live, &ctx);
+                    live.push((p, size, fill));
+                }
+                4 => {
+                    let (count, elem) = (r.range_u64(1, 33), r.range_u64(1, 65));
+                    let p = heap.calloc(&mut vm, count, elem).expect("calloc succeeds");
+                    let size = count * elem;
+                    check_object(&heap, &vm, p, size, true, &ctx);
+                    check_disjoint(p, &live, &ctx);
+                    let data = vm.read_bytes(p, size as usize).unwrap();
+                    assert!(data.iter().all(|&b| b == 0), "{ctx}: calloc not zeroed");
+                    live.push((p, size, 0));
+                }
+                5 if !live.is_empty() => {
+                    let i = r.below_usize(live.len());
+                    let (p, old_size, fill) = live.swap_remove(i);
+                    let new_size = r.range_u64(1, 1025);
+                    let q = heap
+                        .realloc(&mut vm, p, new_size)
+                        .expect("realloc succeeds");
+                    if layout::lowfat_base(q) != layout::lowfat_base(p) {
+                        check_freed(&heap, &vm, p, &ctx);
                     }
-                    Op::FreeNth(n) => {
-                        if !live.is_empty() {
-                            let (ptr, _) = live.swap_remove(n % live.len());
-                            heap.free(&mut vm, ptr).expect("live object frees");
-                            // Freed metadata reads as Free (extent 0).
-                            assert_eq!(heap.object_size(&vm, ptr), None);
-                        }
+                    check_object(&heap, &vm, q, new_size, false, &ctx);
+                    check_disjoint(q, &live, &ctx);
+                    let keep = old_size.min(new_size) as usize;
+                    let data = vm.read_bytes(q, keep).unwrap();
+                    assert!(
+                        data.iter().all(|&b| b == fill),
+                        "{ctx}: realloc lost contents"
+                    );
+                    vm.write_privileged(q, &vec![fill; new_size as usize])
+                        .unwrap();
+                    live.push((q, new_size, fill));
+                }
+                6..=9 if !live.is_empty() => {
+                    let i = r.below_usize(live.len());
+                    let (p, _, _) = live.swap_remove(i);
+                    heap.free(&mut vm, p).expect("live object frees");
+                    check_freed(&heap, &vm, p, &ctx);
+                    // One free in four is followed by a second, which
+                    // must be reported.
+                    if r.below(4) == 0 {
+                        let again = heap.free(&mut vm, p);
+                        assert_eq!(again, Err(AllocError::DoubleFree(p)), "{ctx}");
                     }
                 }
+                _ => {}
             }
-
-            // Stats agree with the script.
-            let stats = heap.stats();
-            assert_eq!(stats.live as usize, live.len(), "{policy} case {case}");
+            assert_eq!(heap.stats().live as usize, live.len(), "{ctx}");
         }
+        for (p, _, _) in live {
+            heap.free(&mut vm, p).expect("live object frees");
+        }
+        assert_eq!(heap.stats().live, 0, "{policy}");
     }
 }
 
@@ -130,7 +198,7 @@ fn state_partitions_the_object() {
         let mut r = Rng64::new(0xA110_C004);
         for _ in 0..64 {
             let size = r.range_u64(1, 2000);
-            let mut vm = redfat_vm::Vm::new();
+            let mut vm = Vm::new();
             let mut heap = RedFatHeap::new(LowFatConfig {
                 policy,
                 ..LowFatConfig::default()
@@ -165,7 +233,7 @@ fn state_partitions_the_object() {
 fn crafted_pointer_sweep_is_conservative() {
     for policy in AllocPolicyKind::ALL {
         let mut r = Rng64::new(0xC4AF_7ED0 ^ policy as u64);
-        let mut vm = redfat_vm::Vm::new();
+        let mut vm = Vm::new();
         let mut heap = RedFatHeap::new(LowFatConfig {
             policy,
             seed: 99,

@@ -1,11 +1,11 @@
 //! Allocator-policy ablations called out in DESIGN.md: the quarantine's
 //! role in use-after-free detection, and basic heap randomization
 //! (paper §8: "our current implementation also incorporates basic heap
-//! randomization").
+//! randomization"), which the `rand-lowfat` policy provides.
 
 use redfat::core::{harden, HardenConfig, LowFatPolicy};
 use redfat::emu::{Emu, ErrorMode, HostRuntime, RunResult};
-use redfat::lowfat::LowFatConfig;
+use redfat::lowfat::{AllocPolicyKind, LowFatConfig};
 use redfat::minic::compile;
 
 /// Free an object, then allocate `churn` same-class objects, then
@@ -59,9 +59,8 @@ fn quarantine_extends_uaf_detection_window() {
 
 #[test]
 fn randomization_varies_heap_layout_not_behavior() {
-    // DieHard-style randomized reuse: the same program gets different
-    // object placements across seeds, while output stays correct and
-    // hardened detection still works.
+    // Randomized placement: the same program gets different object
+    // placements across seeds, while its output stays correct.
     let image = compile(
         "fn main() {
             var ptrs = malloc(16 * 8);
@@ -83,7 +82,7 @@ fn randomization_varies_heap_layout_not_behavior() {
         let rt = HostRuntime::with_config(
             ErrorMode::Abort,
             LowFatConfig {
-                randomize: true,
+                policy: AllocPolicyKind::RandLowFat,
                 quarantine: 0,
                 seed,
                 ..LowFatConfig::default()
