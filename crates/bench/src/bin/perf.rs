@@ -16,11 +16,6 @@
 //!   parallelism). The two images must be byte-identical, and the
 //!   parallel path must not regress below serial beyond timing noise
 //!   (the 1-thread thread-pool overhead regression stays fixed).
-//! * **Service caches** -- cold vs warm component-cache hardening
-//!   wall-clock (warm must reuse every component and stay
-//!   byte-identical) and on-disk artifact-cache verified-hit / miss
-//!   latency, the `"service"` section. Quick mode fails if the geomean
-//!   warm-cache speedup drops below 1.0.
 //!
 //! Modes:
 //!
@@ -43,19 +38,17 @@
 //! *ratios* are the stable, host-independent quantities the regression
 //! gate uses.
 
-use redfat_bench::service::{measure_service, ServiceRow};
 use redfat_bench::{geomean, threads_from_args};
 use redfat_core::{harden_threaded, HardenConfig};
 use redfat_elf::{Image, ImageKind, SegFlags, Segment};
 use redfat_emu::{syscalls, Emu, ErrorMode, ExecBackend, HostRuntime, RunResult, TraceStats};
-use redfat_service::ArtifactCache;
 use redfat_vm::layout;
 use redfat_workloads::{spec, Workload};
 use redfat_x86::{AluOp, Asm, Cond, Mem, Reg, Width};
 use std::fmt::Write as _;
 use std::time::Instant;
 
-const SCHEMA: &str = "redfat-bench-perf/v6";
+const SCHEMA: &str = "redfat-bench-perf/v7";
 /// Step cap for the full sweep (ref inputs all exit well below this).
 const FULL_BUDGET: u64 = 4_000_000_000;
 /// Step cap for the quick subset (train inputs).
@@ -242,60 +235,6 @@ fn rows_json(rows: &[Row]) -> String {
     s
 }
 
-fn service_rows_json(rows: &[ServiceRow]) -> String {
-    let mut s = String::from("[");
-    for (i, r) in rows.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(
-            s,
-            "\n    {{\"name\":\"{}\",\"components\":{},\"cold_ms\":{:.3},\"warm_ms\":{:.3},\
-             \"warm_speedup\":{:.4},\"artifact_hit_ms\":{:.4},\"artifact_miss_ms\":{:.4}}}",
-            r.name,
-            r.components,
-            r.cold_ms,
-            r.warm_ms,
-            r.warm_speedup,
-            r.artifact_hit_ms,
-            r.artifact_miss_ms
-        );
-    }
-    s.push_str("\n  ]");
-    s
-}
-
-/// Cache measurements over a suite, against a scratch on-disk artifact
-/// cache that is removed afterwards.
-fn sweep_service(suite: &[Workload]) -> Vec<ServiceRow> {
-    let dir = std::env::temp_dir().join(format!("redfat-perf-cache-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let artifacts = ArtifactCache::open(&dir).expect("artifact cache");
-    let rows: Vec<ServiceRow> = suite
-        .iter()
-        .map(|wl| {
-            let row = measure_service(wl, &artifacts);
-            eprintln!(
-                "perf: {:<14} {:>3} components  cache cold {:>8.3} ms  warm {:>8.3} ms \
-                 ({:.2}x)  artifact hit {:.4} ms",
-                row.name,
-                row.components,
-                row.cold_ms,
-                row.warm_ms,
-                row.warm_speedup,
-                row.artifact_hit_ms
-            );
-            row
-        })
-        .collect();
-    let _ = std::fs::remove_dir_all(&dir);
-    rows
-}
-
-fn warm_cache_geomean(rows: &[ServiceRow]) -> f64 {
-    geomean(rows.iter().map(|r| r.warm_speedup))
-}
-
 fn fast_geomean(rows: &[Row]) -> f64 {
     geomean(rows.iter().map(|r| r.fast_speedup))
 }
@@ -473,7 +412,6 @@ fn render_json(
     full: &[Row],
     quick: &[Row],
     micro: &[MicroRow],
-    service: &[ServiceRow],
     threads: usize,
     cores: usize,
 ) -> String {
@@ -484,17 +422,14 @@ fn render_json(
          \"geomean_harden_speedup\": {:.4},\n  \
          \"quick_geomean_fast_speedup\": {:.4},\n  \
          \"quick_geomean_harden_speedup\": {:.4},\n  \
-         \"geomean_warm_cache_speedup\": {:.4},\n  \
-         \"workloads\": {},\n  \"quick_workloads\": {},\n  \"micro\": {},\n  \"service\": {}\n}}\n",
+         \"workloads\": {},\n  \"quick_workloads\": {},\n  \"micro\": {}\n}}\n",
         fast_geomean(full),
         harden_geomean(full),
         fast_geomean(quick),
         harden_geomean(quick),
-        warm_cache_geomean(service),
         rows_json(full),
         rows_json(quick),
         micro_rows_json(micro),
-        service_rows_json(service),
     )
 }
 
@@ -520,7 +455,6 @@ fn validate_schema(text: &str) -> Result<(), String> {
         "geomean_harden_speedup",
         "quick_geomean_fast_speedup",
         "quick_geomean_harden_speedup",
-        "geomean_warm_cache_speedup",
         "threads",
         "cores",
     ] {
@@ -542,9 +476,6 @@ fn validate_schema(text: &str) -> Result<(), String> {
     }
     if !text.contains("\"micro\":") {
         return Err("missing microbenchmark section".into());
-    }
-    if !text.contains("\"service\":") || !text.contains("\"warm_speedup\":") {
-        return Err("missing service cache section".into());
     }
     Ok(())
 }
@@ -606,17 +537,6 @@ fn main() {
             harden_geomean(&rows)
         );
 
-        let service = sweep_service(&quick_subset(spec::all()));
-        let warm = warm_cache_geomean(&service);
-        println!("perf quick: geomean warm-cache speedup {warm:.3}x");
-        if warm < 1.0 {
-            eprintln!(
-                "perf: REGRESSION: warm component-cache re-hardening ({warm:.3}x) is \
-                 slower than cold analysis"
-            );
-            std::process::exit(1);
-        }
-
         let text = std::fs::read_to_string(&baseline_path).unwrap_or_else(|e| {
             eprintln!("perf: cannot read committed baseline {baseline_path}: {e}");
             std::process::exit(1);
@@ -649,17 +569,14 @@ fn main() {
     let quick_rows = sweep(&quick_subset(spec::all()), true, threads);
     eprintln!("perf: microbenchmark suite...");
     let micro = sweep_micro();
-    eprintln!("perf: service cache sweep...");
-    let service = sweep_service(&suite);
-    let json = render_json(&full, &quick_rows, &micro, &service, threads, cores);
+    let json = render_json(&full, &quick_rows, &micro, threads, cores);
     validate_schema(&json).expect("self-produced JSON validates");
     std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
     println!(
         "perf: geomean fast speedup {:.3}x, \
-         harden speedup {:.3}x, warm cache {:.3}x ({} workloads) -> {out_path}",
+         harden speedup {:.3}x ({} workloads) -> {out_path}",
         fast_geomean(&full),
         harden_geomean(&full),
-        warm_cache_geomean(&service),
         full.len()
     );
 }

@@ -2,8 +2,6 @@
 //! `falsepos`, `table2` and `figure8` binaries (one per paper artifact)
 //! and the micro-benchmarks.
 
-pub mod service;
-
 use redfat_core::{
     collect_allowlist, harden, instrument_profile, run_once, try_run_backend_policy,
     AllocPolicyKind, HardenConfig, LowFatPolicy,

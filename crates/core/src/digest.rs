@@ -1,12 +1,10 @@
-//! Content digests for the hardening-as-a-service caches.
+//! Content digests for the hardening-as-a-service artifact cache.
 //!
-//! Every cache in the service tier is *content-addressed*: artifact
-//! entries are keyed by (input image digest, config digest, tool
-//! version), and per-CFG-component analysis results are keyed by a
-//! digest over the component's byte content plus everything else its
-//! analysis can observe. A 256-bit cryptographic digest makes
-//! accidental collisions a non-concern, so "equal key" can soundly be
-//! read as "equal input" throughout the cache layer.
+//! Artifact entries are *content-addressed*: keyed by a digest over the
+//! tool version, the input image bytes, the canonical config and the op,
+//! and each entry carries a digest of its own payload. A 256-bit
+//! cryptographic digest makes accidental collisions a non-concern, so
+//! "equal key" can soundly be read as "equal input".
 //!
 //! The implementation is an in-tree SHA-256 (FIPS 180-4); the workspace
 //! builds offline, so no external hashing crate is available. Whole
@@ -14,8 +12,6 @@
 //! reports them at run time, and through a portable compression
 //! function otherwise; the two agree bit for bit, so keys and on-disk
 //! entries do not depend on the host.
-
-use redfat_elf::Image;
 
 /// A 256-bit content digest.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -400,15 +396,10 @@ pub fn sha256(data: &[u8]) -> Digest {
     h.finalize()
 }
 
-/// Digest of an image's canonical serialization (its ELF byte encoding,
-/// which [`Image::to_bytes`] produces deterministically).
-pub fn image_digest(image: &Image) -> Digest {
-    sha256(&image.to_bytes())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use redfat_elf::Image;
 
     /// Both compression paths, named: on a CPU without SHA extensions
     /// the dispatching one runs the portable code too.

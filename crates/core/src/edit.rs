@@ -1,27 +1,27 @@
-//! Re-hardening an edit of a kept image.
+//! Re-hardening an edit of the last fully hardened image.
 //!
 //! A full harden spends most of its analysis time on whole-image work:
-//! disassembly, CFG recovery, roots, the component split and one key
-//! per component. When a new input differs from the last hardened image
-//! only inside instructions that keep their length and their control
-//! flow, none of that can change. [`KeptBase`] keeps it, patches the
-//! changed instructions into the disassembly, re-plans only the
-//! components that hold one, and runs the same merge-and-rewrite tail
-//! as the full path, so the output is byte-identical to a one-shot
-//! harden.
+//! disassembly, CFG recovery, roots and the component split. When a new
+//! input differs from the last fully hardened image only inside
+//! instructions that keep their length and their control flow, none of
+//! that can change. [`KeptBase`] keeps it, patches the changed
+//! instructions into the disassembly, re-plans only the components that
+//! hold one, and runs the same merge-and-rewrite tail as the full path,
+//! so the output is byte-identical to a one-shot harden. It then puts
+//! back what it patched, so the base always describes the image of the
+//! last full harden and every edit is planned against that image.
 //!
 //! Why the rest cannot change: CFG recovery and `unknown_entries` read
 //! only instruction lengths, control-flow operations and branch
 //! targets, so leaders, blocks, roots and the component partition of
-//! the edited image equal the kept ones. Every other component's key
-//! reads only its own blocks' bytes and that structure, so its plan is
-//! the kept one.
+//! the edited image equal the kept ones. A component's plan reads only
+//! its own blocks' instructions and that structure, so a component that
+//! holds no changed instruction keeps its plan.
 
 use crate::checks::PayloadMode;
 use crate::config::HardenConfig;
 use crate::pipeline::{
-    cache_prefix, exec_segment_overlaps, instrument_with_cache, merge_and_rewrite, Analysis,
-    ComponentCache, HardenError, Hardened, Planner,
+    instrument_with_analysis, merge_and_rewrite, Analysis, HardenError, Hardened, Planner,
 };
 use redfat_analysis::cfg::Block;
 use redfat_analysis::Cfg;
@@ -30,13 +30,102 @@ use redfat_parallel::parallel_map;
 use redfat_rewriter::RewriteBases;
 use redfat_x86::{decode_one, Inst};
 use std::collections::BTreeSet;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-/// The analysis of the last hardened image, kept so that an edit of it
-/// re-does only the components the edit touches. Built by
-/// [`KeptBase::harden`]; advanced by each successful
-/// [`KeptBase::harden_edit`].
-pub struct KeptBase {
+/// The one slot in which [`harden_cached`] keeps the analysis of the
+/// last image it fully hardened, with the counts of the calls it
+/// answered as an edit of that image and of those that found a kept
+/// analysis but took the full path.
+#[derive(Default)]
+pub struct KeptBaseSlot {
+    base: Mutex<Option<KeptBase>>,
+    edits: AtomicU64,
+    fallbacks: AtomicU64,
+}
+
+/// The benchmark's name for [`KeptBaseSlot`].
+pub type MemoryComponentCache = KeptBaseSlot;
+
+impl KeptBaseSlot {
+    /// An empty slot.
+    pub fn new() -> KeptBaseSlot {
+        KeptBaseSlot::default()
+    }
+
+    /// Calls answered as an edit of the kept base.
+    pub fn edits(&self) -> u64 {
+        self.edits.load(Ordering::Relaxed)
+    }
+
+    /// Calls that found a base, were no edit of it and took the full
+    /// path.
+    pub fn fallbacks(&self) -> u64 {
+        self.fallbacks.load(Ordering::Relaxed)
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Option<KeptBase>> {
+        // Each critical section is one take or one store of the whole
+        // `Option`, so a panic elsewhere cannot leave it half-updated.
+        self.base.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// [`crate::harden_threaded`] through `slot`, which keeps the analysis
+/// of the last image it fully hardened: the *base*. The output, clobbers
+/// and statistics, apart from [`crate::HardenStats::components_reused`],
+/// equal `harden_threaded`'s.
+///
+/// A *CFG-preserving edit* of the base's image re-plans only the
+/// components that hold a changed instruction, counts the others as
+/// reused and leaves the base as it was. That is an image with:
+/// - the same config;
+/// - the same entry, kind and segment table, with no executable
+///   segment overlapping another;
+/// - every changed code byte inside a decoded instruction that
+///   re-decodes to the same length and is either unchanged or not a
+///   control-flow instruction before and after;
+/// - every undecodable byte before a changed one still failing to
+///   decode.
+///
+/// Anything else takes the full path, whose analysis then replaces the
+/// base; a full path that fails leaves the slot empty. A call takes the
+/// base out of the slot while it runs, so concurrent calls never share
+/// one: a call that finds the slot empty takes the full path.
+pub fn harden_cached(
+    image: &Image,
+    config: &HardenConfig,
+    threads: usize,
+    slot: &KeptBaseSlot,
+) -> Result<Hardened, HardenError> {
+    let taken = slot.lock().take();
+    if let Some(mut base) = taken {
+        if let Some(result) = base.harden_edit(image, config, threads) {
+            slot.edits.fetch_add(1, Ordering::Relaxed);
+            // A base a concurrent full harden left is the newer one.
+            slot.lock().get_or_insert(base);
+            return result;
+        }
+        slot.fallbacks.fetch_add(1, Ordering::Relaxed);
+    }
+    let (hardened, analysis) = instrument_with_analysis(
+        image,
+        config,
+        PayloadMode::Harden,
+        RewriteBases::default(),
+        threads,
+    )?;
+    *slot.lock() = Some(KeptBase {
+        image: image.clone(),
+        config: config.canonical_bytes(),
+        analysis,
+    });
+    Ok(hardened)
+}
+
+/// The analysis of the last fully hardened image, kept so that an edit
+/// of it re-does only the components the edit touches.
+struct KeptBase {
     /// The image the analysis describes.
     image: Image,
     /// The canonical bytes of the config it was hardened under.
@@ -45,66 +134,26 @@ pub struct KeptBase {
 }
 
 impl KeptBase {
-    /// [`crate::harden_cached`], keeping the analysis for later edits of
-    /// `image`.
-    pub fn harden(
-        image: &Image,
-        config: &HardenConfig,
-        threads: usize,
-        cache: &dyn ComponentCache,
-    ) -> Result<(Hardened, KeptBase), HardenError> {
-        let (hardened, analysis) = instrument_with_cache(
-            image,
-            config,
-            PayloadMode::Harden,
-            RewriteBases::default(),
-            threads,
-            Some(cache),
-        )?;
-        let base = KeptBase {
-            image: image.clone(),
-            config: config.canonical_bytes(),
-            analysis,
-        };
-        Ok((hardened, base))
-    }
-
-    /// Hardens `image` as an edit of the kept image, with output, stats
-    /// (apart from [`crate::HardenStats::components_reused`]) and
-    /// clobbers identical to [`crate::harden_cached`]'s. Components that
-    /// hold no changed instruction count as reused; those that do are
-    /// re-keyed and planned through `cache`.
-    ///
-    /// Returns `None` -- take the full path -- unless `image` is a
-    /// *CFG-preserving edit* of the kept image:
-    /// - the same config;
-    /// - the same entry, kind and segment table, with no executable
-    ///   segment overlapping another;
-    /// - every changed code byte lies inside a decoded instruction that
-    ///   re-decodes to the same length and is either unchanged or not a
-    ///   control-flow instruction before and after;
-    /// - every undecodable byte before a changed one still fails to
-    ///   decode.
-    ///
-    /// After `None` the base is unchanged. After `Some` it describes
-    /// `image`, whatever the rewrite returned.
-    pub fn harden_edit(
+    /// Hardens `image` as an edit of the kept image, as
+    /// [`harden_cached`] describes, or returns `None` -- take the full
+    /// path -- unless `image` is a CFG-preserving edit of it. Either way
+    /// the base still describes the kept image afterwards.
+    fn harden_edit(
         &mut self,
         image: &Image,
         config: &HardenConfig,
         threads: usize,
-        cache: &dyn ComponentCache,
     ) -> Option<Result<Hardened, HardenError>> {
         if config.canonical_bytes() != self.config {
             return None;
         }
         let edits = self.code_edits(image)?;
-        Some(self.apply(image, config, threads, cache, edits))
+        Some(self.apply(image, config, threads, edits))
     }
 
     /// The instructions whose bytes differ between the kept image and
     /// `image`, re-decoded from `image`, in address order; `None` unless
-    /// `image` is a CFG-preserving edit (see [`KeptBase::harden_edit`]).
+    /// `image` is a CFG-preserving edit (see [`harden_cached`]).
     fn code_edits(&self, image: &Image) -> Option<Vec<(u64, Inst)>> {
         let old = &self.image;
         let same_shape = |a: &Segment, b: &Segment| {
@@ -170,16 +219,18 @@ impl KeptBase {
     }
 
     /// Patches `edits` into the kept analysis, re-plans the components
-    /// they touch and rewrites `image`.
+    /// they touch and rewrites `image`, then restores the kept
+    /// instructions, plans and leftover counts.
     fn apply(
         &mut self,
         image: &Image,
         config: &HardenConfig,
         threads: usize,
-        cache: &dyn ComponentCache,
         edits: Vec<(u64, Inst)>,
     ) -> Result<Hardened, HardenError> {
         let analysis = &mut self.analysis;
+        let leftover = analysis.leftover;
+        let mut kept_insts: Vec<(u64, Inst)> = Vec::with_capacity(edits.len());
         let mut touched: BTreeSet<u64> = BTreeSet::new();
         for (addr, inst) in edits {
             let Some(old) = analysis.disasm.replace(addr, inst) else {
@@ -194,6 +245,7 @@ impl KeptBase {
                     analysis.leftover.count(config, &inst, true);
                 }
             }
+            kept_insts.push((addr, old));
         }
         let dirty: Vec<(usize, Cfg)> = analysis
             .component_blocks
@@ -205,21 +257,24 @@ impl KeptBase {
 
         let planner = Planner {
             disasm: &analysis.disasm,
-            image,
             config,
             mode: PayloadMode::Harden,
             roots: analysis.roots.as_ref(),
-            cache: Some((cache, cache_prefix(image, config, PayloadMode::Harden))),
         };
-        let untouched = analysis.plans.len() - dirty.len();
-        let replanned = parallel_map(dirty, threads, |(c, sub)| (*c, planner.plan(sub)));
-        let mut reused = untouched;
-        for (c, (plan, hit)) in replanned {
-            analysis.plans[c] = plan;
-            reused += usize::from(hit);
+        let mut swapped = parallel_map(dirty, threads, |(c, sub)| (*c, planner.plan(sub)));
+        let reused = analysis.plans.len() - swapped.len();
+        for (c, plan) in &mut swapped {
+            std::mem::swap(&mut analysis.plans[*c], plan);
         }
-        self.image = image.clone();
-        merge_and_rewrite(image, &self.analysis, reused, RewriteBases::default())
+        let hardened = merge_and_rewrite(image, analysis, reused, RewriteBases::default());
+        for (c, plan) in swapped {
+            analysis.plans[c] = plan;
+        }
+        for (addr, old) in kept_insts {
+            analysis.disasm.replace(addr, old);
+        }
+        analysis.leftover = leftover;
+        hardened
     }
 }
 
@@ -274,4 +329,28 @@ fn changed_offsets<'a>(a: &'a [u8], b: &'a [u8]) -> impl Iterator<Item = usize> 
                 .filter(move |&k| x[k] != y[k])
                 .map(move |k| i * CHUNK + k)
         })
+}
+
+/// Whether an executable segment overlaps another segment. Extents are
+/// measured as the loader measures them: the larger of file and memory
+/// size, with empty segments skipped. Where segments overlap, the
+/// disassembler keeps the instruction decoded last while a byte
+/// comparison reads each segment's own data, so no edit of such an
+/// image is taken.
+fn exec_segment_overlaps(image: &Image) -> bool {
+    let extents: Vec<(bool, u64, u64)> = image
+        .segments
+        .iter()
+        .map(|s| {
+            let size = s.mem_size.max(s.data.len() as u64);
+            (s.flags.executable(), s.vaddr, s.vaddr.saturating_add(size))
+        })
+        .collect();
+    extents.iter().enumerate().any(|(i, &(exec, lo, hi))| {
+        exec && lo < hi
+            && extents
+                .iter()
+                .enumerate()
+                .any(|(j, &(_, olo, ohi))| i != j && olo < ohi && lo < ohi && olo < hi)
+    })
 }

@@ -32,7 +32,6 @@
 #![deny(clippy::undocumented_unsafe_blocks)]
 
 mod allowlist;
-mod cache;
 mod checks;
 mod config;
 pub mod digest;
@@ -44,17 +43,15 @@ mod runner;
 pub mod selftest;
 
 pub use allowlist::AllowList;
-pub use cache::{MemoryComponentCache, DEFAULT_COMPONENT_CAPACITY};
 pub use checks::CHECK_SCRATCH_CANDIDATES;
 pub use config::{HardenConfig, LowFatPolicy};
-pub use digest::{image_digest, sha256, Digest, Sha256, TOOL_VERSION};
-pub use edit::KeptBase;
+pub use digest::{sha256, Digest, Sha256, TOOL_VERSION};
+pub use edit::{harden_cached, KeptBaseSlot, MemoryComponentCache};
 pub use faults::{classify_bytes, fault_sweep, FaultConfig, FaultOutcome, FaultReport, Stage};
 pub use fuzz::{fuzz_profile, FuzzConfig, FuzzOutcome};
 pub use pipeline::{
-    collect_allowlist, harden, harden_cached, harden_threaded, harden_with_bases,
-    instrument_profile, ClobberInfo, ComponentCache, ComponentPlan, HardenError, HardenStats,
-    Hardened,
+    collect_allowlist, harden, harden_threaded, harden_with_bases, instrument_profile, ClobberInfo,
+    HardenError, HardenStats, Hardened,
 };
 pub use redfat_emu::AllocPolicyKind;
 pub use runner::{run_once, try_run_backend, try_run_backend_policy, try_run_once, RunOutcome};

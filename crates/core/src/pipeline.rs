@@ -4,7 +4,6 @@
 use crate::allowlist::AllowList;
 use crate::checks::{BatchPayload, CheckSpec, PayloadMode};
 use crate::config::{HardenConfig, LowFatPolicy};
-use crate::digest::{image_digest, Digest, Sha256, TOOL_VERSION};
 use redfat_analysis::cfg::Block;
 use redfat_analysis::{can_reach_heap, unknown_entries, Disasm, Provenance, RedundantChecks};
 use redfat_analysis::{disassemble, merge_checks, plan_batches, Batch, Cfg, Liveness};
@@ -85,10 +84,10 @@ pub struct HardenStats {
     /// Weakly-connected CFG components the image decomposed into (the
     /// unit of analysis sharding and of incremental reuse).
     pub components: usize,
-    /// Components whose analysis/planning results were served from a
-    /// [`ComponentCache`] instead of being recomputed. Always zero when
-    /// no cache is supplied; equal to [`Self::components`] on a fully
-    /// warm incremental re-harden.
+    /// Components whose plans an edit through [`crate::harden_cached`]
+    /// kept from the last full harden instead of planning them afresh.
+    /// Zero on every full harden; equal to [`Self::components`] when
+    /// the image is the kept one.
     pub components_reused: usize,
     /// Underlying rewriter statistics.
     pub rewrite: RewriteStats,
@@ -239,9 +238,7 @@ enum SiteClass {
 /// The per-component output of the analysis + planning stages:
 /// everything the serial rewrite needs, in a form that merges
 /// deterministically, with each batch's payload already assembled.
-/// Opaque to callers -- it exists publicly only so [`ComponentCache`]
-/// implementations can hold and hand back plans.
-pub struct ComponentPlan {
+pub(crate) struct ComponentPlan {
     /// The batches' payloads back to back, in `batches` order, or the
     /// failure that stopped their assembly.
     code: Result<Vec<u8>, AsmError>,
@@ -266,226 +263,6 @@ struct PlannedBatch {
     clobber: ClobberInfo,
 }
 
-/// A cache of per-CFG-component analysis/planning results, keyed by a
-/// content digest over everything the component's analysis can observe
-/// (instruction bytes, block structure, roots, function entries,
-/// config, mode, tool version -- see `component_key`). Equal key
-/// therefore implies equal plan, so a `get` hit may be substituted for
-/// recomputation without changing the hardened output by a single
-/// byte.
-///
-/// Implementations must be safe to call from the analysis worker
-/// threads. `put` may be called concurrently for the same key with
-/// equal plans; keeping either is correct.
-pub trait ComponentCache: Sync {
-    /// Looks up a previously published plan.
-    fn get(&self, key: &Digest) -> Option<Arc<ComponentPlan>>;
-    /// Publishes a freshly computed plan.
-    fn put(&self, key: &Digest, plan: Arc<ComponentPlan>);
-}
-
-/// [`harden_threaded`] with a [`ComponentCache`]: per-component
-/// analysis results are reused when a component's key (byte content +
-/// analysis context) matches a cached entry, and newly computed
-/// results are published for future runs. The output is byte-identical
-/// to an uncached run; [`HardenStats::components_reused`] reports how
-/// much analysis was skipped.
-pub fn harden_cached(
-    image: &Image,
-    config: &HardenConfig,
-    threads: usize,
-    cache: &dyn ComponentCache,
-) -> Result<Hardened, HardenError> {
-    instrument_with_cache(
-        image,
-        config,
-        PayloadMode::Harden,
-        RewriteBases::default(),
-        threads,
-        Some(cache),
-    )
-    .map(|(hardened, _)| hardened)
-}
-
-/// The digest prefix shared by every component key of one (image,
-/// config, mode) run: tool version, canonical config, payload mode,
-/// and -- when an executable segment overlaps another segment -- the
-/// whole-image digest. Where segments overlap, the bytes at an address
-/// are no longer one segment's: the disassembler keeps the instruction
-/// decoded last, while a key reads the first segment holding the
-/// address. Folding the image digest into the prefix keeps the key
-/// sound at the cost of degrading reuse to whole-image granularity, for
-/// images the loader rejects anyway (`LoadError::SegmentOverlap`).
-pub(crate) fn cache_prefix(image: &Image, config: &HardenConfig, mode: PayloadMode) -> Digest {
-    let mut h = Sha256::new();
-    let tool = TOOL_VERSION.as_bytes();
-    h.update_u64(tool.len() as u64);
-    h.update(tool);
-    let cfg_bytes = config.canonical_bytes();
-    h.update_u64(cfg_bytes.len() as u64);
-    h.update(&cfg_bytes);
-    h.update(&[match mode {
-        PayloadMode::Harden => 1,
-        PayloadMode::Profile => 2,
-    }]);
-    if exec_segment_overlaps(image) {
-        h.update(image_digest(image).as_bytes());
-    }
-    h.finalize()
-}
-
-/// Whether an executable segment overlaps another segment. Extents are
-/// measured as the loader measures them: the larger of file and memory
-/// size, with empty segments skipped.
-pub(crate) fn exec_segment_overlaps(image: &Image) -> bool {
-    let extents: Vec<(bool, u64, u64)> = image
-        .segments
-        .iter()
-        .map(|s| {
-            let size = s.mem_size.max(s.data.len() as u64);
-            (s.flags.executable(), s.vaddr, s.vaddr.saturating_add(size))
-        })
-        .collect();
-    extents.iter().enumerate().any(|(i, &(exec, lo, hi))| {
-        exec && lo < hi
-            && extents
-                .iter()
-                .enumerate()
-                .any(|(j, &(_, olo, ohi))| i != j && olo < ohi && lo < ohi && olo < hi)
-    })
-}
-
-/// The content key for one component: the run prefix plus every input
-/// the shard analysis can observe. Each block enters as
-///
-/// - one structure record: start, member count, end (one past the last
-///   member's last byte), successors, the opaque-exit flag, the global
-///   leaders in `[start, end)` (block splits seen by in-block planning),
-///   and the unknown-entry roots and function entries among its
-///   members, each list found by one range over the block's own span
-///   and preceded by its length;
-/// - one byte per member: its length, 0 if it no longer decodes, with
-///   the top bit set when the member does not start where the previous
-///   one ended -- its address then follows -- so the encoding stays
-///   unambiguous;
-/// - its code bytes: in one `update` for the usual block, whose members
-///   run back to back (see [`update_code`]).
-///
-/// A byte change anywhere in the component (or in context it can see)
-/// changes the key; a change elsewhere in the image leaves it
-/// untouched, which is exactly the incremental-reuse granularity.
-fn component_key(
-    prefix: &Digest,
-    disasm: &Disasm,
-    image: &Image,
-    sub: &Cfg,
-    roots: Option<&BTreeSet<u64>>,
-) -> Digest {
-    let mut h = Sha256::new();
-    h.update(prefix.as_bytes());
-    h.update_u64(sub.blocks.len() as u64);
-    let mut lens: Vec<u8> = Vec::new();
-    let mut runs: Vec<(u64, u64)> = Vec::new();
-    let mut record: Vec<u8> = Vec::new();
-    for block in sub.blocks.values() {
-        // Members ascend from `block.start` by construction; `runs`
-        // collects the address ranges of back-to-back decodable ones.
-        lens.clear();
-        runs.clear();
-        let mut expected = Some(block.start);
-        let mut end = block.start;
-        for &addr in &block.insts {
-            let len = disasm.at(addr).map_or(0, |&(_, len)| len);
-            if expected == Some(addr) {
-                lens.push(len);
-            } else {
-                lens.push(0x80 | len);
-                lens.extend_from_slice(&addr.to_le_bytes());
-            }
-            // A member that no longer decodes degrades the shard to
-            // skip-and-record and ends the run; it spans one byte.
-            let next = addr.saturating_add(u64::from(len.max(1)));
-            end = end.max(next);
-            expected = (len > 0).then_some(next);
-            match runs.last_mut() {
-                Some(run) if run.1 == addr && len > 0 => run.1 = next,
-                _ if len > 0 => runs.push((addr, next)),
-                _ => {}
-            }
-        }
-        record.clear();
-        for v in [block.start, block.insts.len() as u64, end] {
-            record.extend_from_slice(&v.to_le_bytes());
-        }
-        put_list(&mut record, block.succs.iter().copied());
-        record.push(u8::from(block.opaque_exit));
-        put_list(&mut record, sub.leaders.range(block.start..end).copied());
-        // `None` (the analyses that need roots are disabled) must hash
-        // differently from "enabled with no roots in this block".
-        match roots {
-            Some(roots) => put_list(&mut record, members_in(roots, block, end)),
-            None => record.extend_from_slice(&u64::MAX.to_le_bytes()),
-        }
-        put_list(&mut record, members_in(&sub.func_entries, block, end));
-        record.extend_from_slice(&lens);
-        h.update(&record);
-        for &(lo, hi) in &runs {
-            update_code(&mut h, image, lo, hi);
-        }
-    }
-    h.finalize()
-}
-
-/// The addresses of `set` that are members of `block`, whose members
-/// lie in `[block.start, end)`.
-fn members_in<'a>(
-    set: &'a BTreeSet<u64>,
-    block: &'a Block,
-    end: u64,
-) -> impl Iterator<Item = u64> + 'a {
-    set.range(block.start..end)
-        .copied()
-        .filter(|a| block.insts.binary_search(a).is_ok())
-}
-
-/// Appends `items` to `record` as a little-endian `u64` count followed
-/// by the items.
-fn put_list(record: &mut Vec<u8>, items: impl Iterator<Item = u64>) {
-    let at = record.len();
-    record.extend_from_slice(&0u64.to_le_bytes());
-    let mut count = 0u64;
-    for item in items {
-        record.extend_from_slice(&item.to_le_bytes());
-        count += 1;
-    }
-    record[at..at + 8].copy_from_slice(&count.to_le_bytes());
-}
-
-/// Absorbs the code bytes in `[lo, hi)` from the data of the executable
-/// segments, where the disassembler decoded them: one `update` when one
-/// segment holds the range, one per segment when it runs from one
-/// segment into the next, so every byte is hashed from the segment it
-/// lies in.
-fn update_code(h: &mut Sha256, image: &Image, mut lo: u64, hi: u64) {
-    while lo < hi {
-        let piece = image.exec_segments().find_map(|seg| {
-            let off = usize::try_from(lo.checked_sub(seg.vaddr)?).ok()?;
-            let data = seg.data.get(off..)?;
-            let len = usize::try_from(hi - lo).map_or(data.len(), |n| n.min(data.len()));
-            (len > 0).then(|| &data[..len])
-        });
-        let Some(bytes) = piece else {
-            // Decodable members lie in executable segment data, so this
-            // cannot happen for a recovered block; a marker keeps the
-            // encoding total anyway.
-            h.update_u64(u64::MAX);
-            return;
-        };
-        h.update(bytes);
-        lo += bytes.len() as u64;
-    }
-}
-
 fn instrument(
     image: &Image,
     config: &HardenConfig,
@@ -493,7 +270,7 @@ fn instrument(
     bases: RewriteBases,
     threads: usize,
 ) -> Result<Hardened, HardenError> {
-    instrument_with_cache(image, config, mode, bases, threads, None).map(|(hardened, _)| hardened)
+    instrument_with_analysis(image, config, mode, bases, threads).map(|(hardened, _)| hardened)
 }
 
 /// The whole-image analysis of one harden, kept beside its output so an
@@ -509,7 +286,7 @@ pub(crate) struct Analysis {
     /// order ([`Cfg::component_starts`]).
     pub(crate) component_blocks: Vec<Vec<u64>>,
     /// Each component's plan, in component order.
-    pub(crate) plans: Vec<Arc<ComponentPlan>>,
+    pub(crate) plans: Vec<ComponentPlan>,
     /// The statistics of the instructions in no recovered block.
     pub(crate) leftover: LeftoverSites,
 }
@@ -547,12 +324,9 @@ impl LeftoverSites {
 /// What planning one component reads besides the component itself.
 pub(crate) struct Planner<'a> {
     pub(crate) disasm: &'a Disasm,
-    pub(crate) image: &'a Image,
     pub(crate) config: &'a HardenConfig,
     pub(crate) mode: PayloadMode,
     pub(crate) roots: Option<&'a BTreeSet<u64>>,
-    /// The component cache and this run's key prefix.
-    pub(crate) cache: Option<(&'a dyn ComponentCache, Digest)>,
 }
 
 thread_local! {
@@ -563,50 +337,33 @@ thread_local! {
 }
 
 impl Planner<'_> {
-    /// Plans component `sub`: with a cache, its plan is first looked up
-    /// by content key -- a hit substitutes the cached plan for
-    /// recomputation (same plan by the key's soundness argument), a miss
-    /// computes and publishes. The flag says whether the plan was
-    /// reused.
-    pub(crate) fn plan(&self, sub: &Cfg) -> (Arc<ComponentPlan>, bool) {
-        let fresh = || {
-            // Out of its slot while the shard runs: a shard that panics
-            // drops it, so no half-assembled payload reaches the
-            // thread's next component.
-            let mut asm = PAYLOAD_ASM.replace(Asm::new(0));
-            let plan = instrument_shard(
-                self.disasm,
-                sub,
-                self.config,
-                self.mode,
-                self.roots,
-                &mut asm,
-            );
-            PAYLOAD_ASM.set(asm);
-            Arc::new(plan)
-        };
-        let Some((cache, prefix)) = &self.cache else {
-            return (fresh(), false);
-        };
-        let key = component_key(prefix, self.disasm, self.image, sub, self.roots);
-        if let Some(plan) = cache.get(&key) {
-            return (plan, true);
-        }
-        let plan = fresh();
-        cache.put(&key, plan.clone());
-        (plan, false)
+    /// Plans component `sub`.
+    pub(crate) fn plan(&self, sub: &Cfg) -> ComponentPlan {
+        // Out of its slot while the shard runs: a shard that panics
+        // drops it, so no half-assembled payload reaches the thread's
+        // next component.
+        let mut asm = PAYLOAD_ASM.replace(Asm::new(0));
+        let plan = instrument_shard(
+            self.disasm,
+            sub,
+            self.config,
+            self.mode,
+            self.roots,
+            &mut asm,
+        );
+        PAYLOAD_ASM.set(asm);
+        plan
     }
 }
 
 /// The full pipeline, returning beside its output the analysis an edit
 /// of `image` can keep.
-pub(crate) fn instrument_with_cache(
+pub(crate) fn instrument_with_analysis(
     image: &Image,
     config: &HardenConfig,
     mode: PayloadMode,
     bases: RewriteBases,
     threads: usize,
-    cache: Option<&dyn ComponentCache>,
 ) -> Result<(Hardened, Analysis), HardenError> {
     let disasm = disassemble(image);
     let cfg = Cfg::recover(&disasm, image.entry, &[]);
@@ -623,20 +380,16 @@ pub(crate) fn instrument_with_cache(
     // granularity -- not the thread count -- determines the output.
     let planner = Planner {
         disasm: &disasm,
-        image,
         config,
         mode,
         roots: roots.as_ref(),
-        cache: cache.map(|c| (c, cache_prefix(image, config, mode))),
     };
     // Each worker builds the sub-CFG it plans, so only as many exist at
     // once as there are threads.
     let component_blocks = cfg.component_starts();
-    let shards = parallel_map(component_blocks.iter().collect(), threads, |starts| {
+    let plans = parallel_map(component_blocks.iter().collect(), threads, |starts| {
         planner.plan(&cfg.sub_cfg(starts))
     });
-    let reused = shards.iter().filter(|(_, reused)| *reused).count();
-    let plans = shards.into_iter().map(|(plan, _)| plan).collect();
 
     // Instructions in no recovered block belong to no shard. One
     // address-ordered sweep over blocks and instructions answers
@@ -676,7 +429,7 @@ pub(crate) fn instrument_with_cache(
         plans,
         leftover,
     };
-    let hardened = merge_and_rewrite(image, &analysis, reused, bases)?;
+    let hardened = merge_and_rewrite(image, &analysis, 0, bases)?;
     Ok((hardened, analysis))
 }
 
@@ -964,7 +717,7 @@ fn instrument_shard(
         }
     }
 
-    // Plans outlive the harden in caches and kept bases: no slack.
+    // Plans outlive the harden in kept bases: no slack.
     planned.shrink_to_fit();
     rip_fields.shrink_to_fit();
     let code = asm.take().and_then(|code| match u32::try_from(code.len()) {

@@ -1,87 +1,169 @@
-//! Golden tests for incremental re-hardening: warm component-cache
-//! runs must do zero analysis and a one-component byte edit must
-//! re-analyze exactly that component, with output byte-identical to a
-//! cold run -- across every SPEC stand-in. Edits against a kept base
-//! must match one-shot hardens, and every edit that could change the
-//! CFG must fall back to the full path. Hand-built images with
-//! overlapping or adjacent code segments pin down which bytes a
-//! component key covers.
+//! Golden tests for re-hardening through a kept base
+//! (`harden_cached`): a re-harden of the kept image re-plans nothing,
+//! and an edit of it re-plans exactly the components that hold an
+//! instruction differing from the kept image, with output
+//! byte-identical to a one-shot harden -- across every SPEC stand-in,
+//! for sibling and for chained edits. Every input that could change the
+//! CFG, another config and overlapping code segments take the full
+//! path, whose analysis then becomes the base.
 
 use redfat_analysis::{disassemble, unknown_entries, Cfg, MAX_BLOCK};
 use redfat_core::{harden_cached, harden_threaded, HardenConfig, Hardened};
-use redfat_core::{KeptBase, LowFatPolicy, MemoryComponentCache};
+use redfat_core::{KeptBaseSlot, LowFatPolicy};
 use redfat_elf::{Image, ImageKind, SegFlags, Segment};
 use redfat_vm::layout::CODE_BASE;
 use redfat_x86::{decode_one, Asm, Inst, Mem, Reg, Width};
+use std::collections::{BTreeSet, HashMap};
 
-/// Finds a single-byte mutation of `image` that changes instruction
-/// *content* but not structure: identical decode boundaries, identical
+/// Single-bit flips of `image` that change instruction *content* but
+/// not structure: identical decode boundaries, identical
 /// blocks/successors, identical leaders, function entries, and roots.
-/// Such an edit perturbs exactly one CFG component's content key.
+/// Each changes exactly one CFG component's instructions.
 ///
-/// Returns the mutated image for the `skip`-th such candidate (from 0).
-/// Deterministic: candidates are tried in address order (low bit of
-/// each instruction's last byte).
-fn mutate_one_component(image: &Image, skip: usize) -> Option<Image> {
+/// Returns the byte addresses of at most `count` flips, each in another
+/// component. Candidates are the low bit of the last byte of each block
+/// member of four bytes or more. A flip that moves the memory operand of
+/// a batch anchor under the default config changes its component's
+/// checks too, so a base that served a stale plan for it would harden
+/// to other bytes. Each component offers its first such candidate, else
+/// its first other one, in address order; the flips that change checks
+/// come first, each kind in component order.
+fn component_flips(image: &Image, count: usize) -> Vec<u64> {
     let d0 = disassemble(image);
     let cfg0 = Cfg::recover(&d0, image.entry, &[]);
     let roots0 = unknown_entries(&d0, &cfg0, image.entry);
     let bounds0: Vec<(u64, u8)> = d0.iter().map(|(a, _, l)| (a, l)).collect();
-
-    let mut tried = 0;
-    let mut found = 0;
-    for (addr, _, len) in d0.iter() {
-        // Only instructions inside a recovered block participate in a
-        // component key; flipping anything else proves nothing.
-        if cfg0.block_of(addr).is_none() {
-            continue;
-        }
-        // Long instructions end in immediates/displacements far more
-        // often than in opcode bytes, so their low bit is the most
-        // likely structure-preserving flip.
-        if len < 4 {
-            continue;
-        }
-        tried += 1;
-        if tried > 300 {
-            break; // candidate budget; plenty for every stand-in
-        }
-
-        let mut mutated = image.clone();
-        let target = addr + u64::from(len) - 1;
-        let Some(seg) = mutated
-            .segments
-            .iter_mut()
-            .find(|s| s.vaddr <= target && target - s.vaddr < s.data.len() as u64)
-        else {
-            continue;
-        };
-        seg.data[(target - seg.vaddr) as usize] ^= 1;
-
-        // Validate: same decode boundaries and identical CFG structure
-        // (blocks compare instruction lists, successors, and opaque
-        // exits), so exactly one component's *content* changed.
-        let d1 = disassemble(&mutated);
+    let keeps_structure = |mutated: &Image| {
+        let d1 = disassemble(mutated);
         let bounds1: Vec<(u64, u8)> = d1.iter().map(|(a, _, l)| (a, l)).collect();
         if bounds1 != bounds0 {
-            continue;
+            return false;
         }
         let cfg1 = Cfg::recover(&d1, mutated.entry, &[]);
-        if cfg1.blocks != cfg0.blocks
-            || cfg1.leaders != cfg0.leaders
-            || cfg1.func_entries != cfg0.func_entries
-        {
-            continue;
+        cfg1.blocks == cfg0.blocks
+            && cfg1.leaders == cfg0.leaders
+            && cfg1.func_entries == cfg0.func_entries
+            && unknown_entries(&d1, &cfg1, mutated.entry) == roots0
+    };
+    let anchors: BTreeSet<u64> = harden_threaded(image, &HardenConfig::default(), 1)
+        .expect("hardens")
+        .clobbers
+        .iter()
+        .map(|&(anchor, _)| anchor)
+        .collect();
+    // `(false, at)` for a flip at `at` that moves an anchor's operand.
+    let candidate = |addr: u64| {
+        let &(inst, len) = d0.at(addr)?;
+        if len < 4 {
+            return None;
         }
-        if unknown_entries(&d1, &cfg1, mutated.entry) != roots0 {
-            continue;
-        }
-        if found == skip {
-            return Some(mutated);
-        }
-        found += 1;
+        let mut bytes = image.read_bytes(addr, len as usize)?.to_vec();
+        bytes[len as usize - 1] ^= 1;
+        let moved = decode_one(&bytes, addr)
+            .ok()
+            .map(|(m, _)| m.memory_access());
+        let checked = anchors.contains(&addr) && moved != Some(inst.memory_access());
+        Some((!checked, addr + u64::from(len) - 1))
+    };
+    let mut flips = Vec::new();
+    for starts in cfg0.component_starts() {
+        let mut candidates: Vec<(bool, u64)> = starts
+            .iter()
+            .flat_map(|s| cfg0.blocks[s].insts.iter())
+            .filter_map(|&addr| candidate(addr))
+            .collect();
+        candidates.sort_by_key(|&(unchecked, _)| unchecked);
+        let mut tried = candidates.into_iter().take(50);
+        flips.extend(tried.find(|&(_, at)| keeps_structure(&flipped(image, &[at]))));
     }
-    None
+    flips.sort_by_key(|&(unchecked, _)| unchecked);
+    flips.into_iter().take(count).map(|(_, at)| at).collect()
+}
+
+/// `image` with the low bit of the byte at each address of `at` flipped.
+fn flipped(image: &Image, at: &[u64]) -> Image {
+    let mut out = image.clone();
+    for &a in at {
+        let seg = out
+            .segments
+            .iter_mut()
+            .find(|s| s.vaddr <= a && a - s.vaddr < s.data.len() as u64)
+            .expect("code lies in a segment");
+        seg.data[(a - seg.vaddr) as usize] ^= 1;
+    }
+    out
+}
+
+/// The number of CFG components of `base` that hold an instruction
+/// whose bytes differ in `image`: what an edit of `base` must re-plan.
+fn components_differing(base: &Image, image: &Image) -> usize {
+    let disasm = disassemble(base);
+    let cfg = Cfg::recover(&disasm, base.entry, &[]);
+    let component_of: HashMap<u64, usize> = cfg
+        .component_starts()
+        .into_iter()
+        .enumerate()
+        .flat_map(|(c, starts)| starts.into_iter().map(move |s| (s, c)))
+        .collect();
+    let differs = |addr: u64, len: u8| {
+        base.read_bytes(addr, len as usize) != image.read_bytes(addr, len as usize)
+    };
+    let dirty: BTreeSet<usize> = disasm
+        .iter()
+        .filter(|&(addr, _, len)| differs(addr, len))
+        .filter_map(|(addr, _, _)| Some(component_of[&cfg.block_of(addr)?.start]))
+        .collect();
+    dirty.len()
+}
+
+/// Asserts that `edit` -- a harden through a kept base -- matches a
+/// one-shot harden of `image` under `config` in bytes, clobbers and
+/// every statistic but `components_reused`, which must read `reused`.
+fn assert_matches_one_shot(
+    edit: &Hardened,
+    image: &Image,
+    config: &HardenConfig,
+    reused: usize,
+    what: &str,
+) {
+    let one = harden_threaded(image, config, 2)
+        .unwrap_or_else(|e| panic!("{what}: one-shot harden failed: {e}"));
+    assert_eq!(edit.image.to_bytes(), one.image.to_bytes(), "{what}: bytes");
+    assert_eq!(edit.clobbers, one.clobbers, "{what}: clobbers");
+    let mut stats = edit.stats;
+    assert_eq!(stats.components_reused, reused, "{what}: components reused");
+    stats.components_reused = one.stats.components_reused;
+    assert_eq!(stats, one.stats, "{what}: stats");
+}
+
+/// A slot whose base is `image`, fully hardened under `config`.
+fn primed(image: &Image, config: &HardenConfig, what: &str) -> (KeptBaseSlot, Hardened) {
+    let slot = KeptBaseSlot::new();
+    let full = harden_cached(image, config, 2, &slot)
+        .unwrap_or_else(|e| panic!("{what}: full harden failed: {e}"));
+    assert_eq!(full.stats.components_reused, 0, "{what}: a full harden");
+    (slot, full)
+}
+
+/// Hardens `image` through `slot`, whose base was fully hardened from
+/// `base`, and asserts that it was answered as an edit that re-planned
+/// exactly the components holding an instruction that differs from
+/// `base`, matching a one-shot harden.
+fn assert_edit(
+    slot: &KeptBaseSlot,
+    base: &Image,
+    image: &Image,
+    config: &HardenConfig,
+    what: &str,
+) -> Hardened {
+    let (edits, fallbacks) = (slot.edits(), slot.fallbacks());
+    let edit = harden_cached(image, config, 2, slot)
+        .unwrap_or_else(|e| panic!("{what}: edit failed: {e}"));
+    assert_eq!(slot.edits(), edits + 1, "{what}: answered as an edit");
+    assert_eq!(slot.fallbacks(), fallbacks, "{what}: no fallback");
+    let reused = edit.stats.components - components_differing(base, image);
+    assert_matches_one_shot(&edit, image, config, reused, what);
+    edit
 }
 
 #[test]
@@ -89,53 +171,46 @@ fn warm_and_incremental_rehardening_is_byte_identical_on_all_stand_ins() {
     let config = HardenConfig::default();
     for w in redfat_workloads::spec::all() {
         let image = w.image();
-        let cache = MemoryComponentCache::new();
-
-        // Cold run: populates the cache, reuses nothing.
-        let cold = harden_cached(&image, &config, 2, &cache)
-            .unwrap_or_else(|e| panic!("{}: cold harden failed: {e}", w.name));
-        assert_eq!(cold.stats.components_reused, 0, "{}", w.name);
+        let (slot, cold) = primed(&image, &config, w.name);
         assert!(cold.stats.components > 1, "{}: multi-component", w.name);
 
-        // Warm run: every component served from the cache, zero
-        // analysis, byte-identical output.
-        let warm = harden_cached(&image, &config, 2, &cache)
-            .unwrap_or_else(|e| panic!("{}: warm harden failed: {e}", w.name));
-        assert_eq!(
-            warm.stats.components_reused, warm.stats.components,
-            "{}: warm run reuses every component",
-            w.name
-        );
-        assert_eq!(
-            warm.image.to_bytes(),
-            cold.image.to_bytes(),
-            "{}: warm bytes identical",
-            w.name
-        );
+        // A re-harden of the kept image re-plans nothing.
+        let warm = assert_edit(&slot, &image, &image, &config, w.name);
+        assert_eq!(warm.stats.components_reused, warm.stats.components);
+        assert_eq!(warm.image.to_bytes(), cold.image.to_bytes(), "{}", w.name);
 
-        // One-component edit: only the touched component re-analyzes,
-        // and the result is byte-identical to hardening the edited
-        // image from a cold cache.
-        let mutated = mutate_one_component(&image, 0)
-            .unwrap_or_else(|| panic!("{}: no structure-preserving mutation found", w.name));
-        let cold_cache = MemoryComponentCache::new();
-        let cold2 = harden_cached(&mutated, &config, 2, &cold_cache)
-            .unwrap_or_else(|e| panic!("{}: mutated cold harden failed: {e}", w.name));
-        let incr = harden_cached(&mutated, &config, 2, &cache)
-            .unwrap_or_else(|e| panic!("{}: incremental harden failed: {e}", w.name));
-        assert_eq!(incr.stats.components, cold2.stats.components, "{}", w.name);
+        // A one-component edit re-plans only the touched component.
+        let flips = component_flips(&image, 1);
+        assert_eq!(flips.len(), 1, "{}: a structure-preserving flip", w.name);
+        let incr = assert_edit(&slot, &image, &flipped(&image, &flips), &config, w.name);
         assert_eq!(
             incr.stats.components_reused,
             incr.stats.components - 1,
-            "{}: exactly one component re-analyzed",
+            "{}: exactly one component re-planned",
             w.name
         );
-        assert_eq!(
-            incr.image.to_bytes(),
-            cold2.image.to_bytes(),
-            "{}: incremental bytes identical to cold",
-            w.name
-        );
+    }
+}
+
+#[test]
+fn sibling_edits_of_one_image_each_replan_one_component() {
+    // Each sibling is the primed image with one instruction flipped in
+    // another component, so each also reverts its predecessor's flip: a
+    // base that followed the edits would see two changed components.
+    let config = HardenConfig::default();
+    for name in ["gcc", "hmmer", "h264ref"] {
+        let image = redfat_workloads::spec::by_name(name)
+            .expect("stand-in exists")
+            .image();
+        let (slot, _) = primed(&image, &config, name);
+        let flips = component_flips(&image, 4);
+        assert_eq!(flips.len(), 4, "{name}: four components take a flip");
+        for (k, &at) in flips.iter().enumerate() {
+            let what = format!("{name} sibling {k}");
+            let edit = assert_edit(&slot, &image, &flipped(&image, &[at]), &config, &what);
+            assert_eq!(edit.stats.components_reused + 1, edit.stats.components);
+        }
+        assert_eq!((slot.edits(), slot.fallbacks()), (4, 0), "{name}");
     }
 }
 
@@ -169,34 +244,30 @@ fn rx_image(segments: Vec<(u64, Vec<u8>)>) -> Image {
     }
 }
 
-/// Hardens `first` and then `second` through one cache, and checks that
-/// the warm run of `second` reuses nothing and matches a cold harden of
-/// it byte for byte.
-fn assert_no_stale_reuse(first: &Image, second: &Image) {
+/// Hardens `first` and then `second` through one slot, and checks that
+/// `second` takes the full path, reusing nothing, and matches a one-shot
+/// harden of it byte for byte.
+fn assert_full_path(first: &Image, second: &Image) {
     let config = HardenConfig::default();
-    let cache = MemoryComponentCache::new();
-    let primed = harden_cached(first, &config, 1, &cache).expect("first harden");
-    assert!(primed.stats.checks > 0, "the store is instrumented");
-    let warm = harden_cached(second, &config, 1, &cache).expect("warm harden");
-    let cold = harden_cached(second, &config, 1, &MemoryComponentCache::new()).expect("cold");
+    let (slot, full) = primed(first, &config, "first image");
+    assert!(full.stats.checks > 0, "the store is instrumented");
+    let second_full = harden_cached(second, &config, 1, &slot).expect("second harden");
+    assert_eq!((slot.edits(), slot.fallbacks()), (0, 1), "a fallback");
     assert_ne!(
-        primed.image.to_bytes(),
-        cold.image.to_bytes(),
+        full.image.to_bytes(),
+        second_full.image.to_bytes(),
         "the two images harden differently"
     );
-    assert_eq!(
-        warm.stats.components_reused, 0,
-        "a changed component must not reuse the other image's plan"
-    );
-    assert_eq!(warm.image.to_bytes(), cold.image.to_bytes());
+    assert_matches_one_shot(&second_full, second, &config, 0, "second image");
 }
 
 #[test]
-fn overlapping_code_segments_never_serve_a_stale_plan() {
+fn overlapping_code_segments_take_the_full_path() {
     // Both images share the first RX segment; the second sits on top of
     // it and differs in the store's base register. The disassembler
     // keeps the instruction decoded last, so the two plans differ,
-    // while a lookup by address reads the shared first segment.
+    // while a comparison of each segment's bytes sees a change in the
+    // second segment only.
     let shared = store_ret(CODE_BASE, Reg::Rcx);
     let over_rcx = rx_image(vec![
         (CODE_BASE, shared.clone()),
@@ -206,11 +277,11 @@ fn overlapping_code_segments_never_serve_a_stale_plan() {
         (CODE_BASE, shared),
         (CODE_BASE, store_ret(CODE_BASE, Reg::Rdx)),
     ]);
-    assert_no_stale_reuse(&over_rcx, &over_rdx);
+    assert_full_path(&over_rcx, &over_rdx);
 }
 
 #[test]
-fn a_block_across_adjacent_code_segments_hashes_both_segments() {
+fn an_edit_in_the_second_of_two_adjacent_code_segments_is_planned_afresh() {
     // One block runs from the first RX segment into the second, which
     // starts where the first ends; the images differ only in the
     // second segment's store.
@@ -227,46 +298,26 @@ fn a_block_across_adjacent_code_segments_hashes_both_segments() {
     let cfg = Cfg::recover(&d, with_rcx.entry, &[]);
     assert_eq!(cfg.blocks.len(), 1, "one block spans both segments");
     assert_eq!(cfg.blocks[&CODE_BASE].insts.len(), 3);
-    assert_no_stale_reuse(&with_rcx, &with_rdx);
+    let config = HardenConfig::default();
+    let (slot, full) = primed(&with_rcx, &config, "rcx");
+    let edit = assert_edit(&slot, &with_rcx, &with_rdx, &config, "rdx");
+    assert_eq!(edit.stats.components_reused, 0, "the one component");
+    assert_ne!(full.image.to_bytes(), edit.image.to_bytes());
 }
 
-/// Asserts that `edit` -- a harden through a kept base -- matches a
-/// one-shot harden of `image` under `config` in bytes, clobbers and
-/// every statistic but `components_reused`, which must read `reused`.
-fn assert_matches_one_shot(
-    edit: &Hardened,
-    image: &Image,
-    config: &HardenConfig,
-    reused: usize,
-    what: &str,
-) {
-    let one = harden_threaded(image, config, 2)
-        .unwrap_or_else(|e| panic!("{what}: one-shot harden failed: {e}"));
-    assert_eq!(edit.image.to_bytes(), one.image.to_bytes(), "{what}: bytes");
-    assert_eq!(edit.clobbers, one.clobbers, "{what}: clobbers");
-    let mut stats = edit.stats;
-    assert_eq!(stats.components_reused, reused, "{what}: components reused");
-    stats.components_reused = one.stats.components_reused;
-    assert_eq!(stats, one.stats, "{what}: stats");
-}
-
-/// Hardens `image` through a kept base under `config`, then chains
-/// three one-component edits through it, each matching a one-shot
-/// harden. Each edit flips a candidate the previous ones left alone, so
-/// its component's content is new to the cache.
-fn chain_edits(mut image: Image, config: &HardenConfig, name: &str) {
-    let cache = MemoryComponentCache::new();
-    let (_, mut base) = KeptBase::harden(&image, config, 2, &cache)
-        .unwrap_or_else(|e| panic!("{name}: full harden failed: {e}"));
-    for skip in 0..3 {
-        let what = format!("{name} edit {skip}");
-        image = mutate_one_component(&image, skip)
-            .unwrap_or_else(|| panic!("{what}: no structure-preserving mutation"));
-        let edit = base
-            .harden_edit(&image, config, 2, &cache)
-            .unwrap_or_else(|| panic!("{what}: fell back to the full path"))
-            .unwrap_or_else(|e| panic!("{what}: edit failed: {e}"));
-        assert_matches_one_shot(&edit, &image, config, edit.stats.components - 1, &what);
+/// Hardens `image` under `config` through a slot, then chains up to
+/// three edits through it, each flipping one more instruction, in
+/// another component, on top of the previous edit. Each must match a
+/// one-shot harden and re-plan exactly the components holding an
+/// instruction that differs from `image`: one more per edit.
+fn chain_edits(image: Image, config: &HardenConfig, name: &str) {
+    let (slot, _) = primed(&image, config, name);
+    let flips = component_flips(&image, 3);
+    assert!(flips.len() >= 2, "{name}: two components take a flip");
+    for k in 1..=flips.len() {
+        let what = format!("{name} edit {k}");
+        let edit = assert_edit(&slot, &image, &flipped(&image, &flips[..k]), config, &what);
+        assert_eq!(edit.stats.components_reused + k, edit.stats.components);
     }
 }
 
@@ -318,23 +369,14 @@ fn chained_unoptimized_edits_match_one_shot_hardens_and_move_later_trampolines()
         chain_edits(w.image(), &config, &format!("{name} unoptimized"));
     }
 
-    let cache = MemoryComponentCache::new();
-    let mut image = redfat_workloads::riprel::image();
-    let (_, mut base) = KeptBase::harden(&image, &config, 2, &cache).expect("hardens");
-    let mut edit = |image: &Image, what: &str| {
-        let edit = base
-            .harden_edit(image, &config, 2, &cache)
-            .unwrap_or_else(|| panic!("{what}: fell back to the full path"))
-            .unwrap_or_else(|e| panic!("{what}: edit failed: {e}"));
-        assert_matches_one_shot(&edit, image, &config, edit.stats.components - 1, what);
-        edit
-    };
+    let first = redfat_workloads::riprel::image();
+    let (slot, _) = primed(&first, &config, "riprel");
     // A rip-relative load moves to the neighbouring global: bit 3 of
     // its disp32.
     let rip_load =
         |inst: &Inst| inst.memory_access().is_some_and(|m| m.rip) && !inst.writes_memory();
-    image = flip_in(&image, rip_load, 4, 8);
-    let before = edit(&image, "riprel rip target");
+    let image = flip_in(&first, rip_load, 4, 8);
+    let before = assert_edit(&slot, &first, &image, &config, "riprel rip target");
     // The store to 8(%rbx) becomes one to 0(%rbx) through its disp8,
     // whose re-encoded forms drop that byte: its check's `lea` and its
     // displaced copy shrink, and every later trampoline moves.
@@ -346,8 +388,8 @@ fn chained_unoptimized_edits_match_one_shot_hardens_and_move_later_trampolines()
         .find(|(_, inst, _)| store(inst))
         .expect("the store")
         .0;
-    image = flip_in(&image, store, 1, 8);
-    let after = edit(&image, "riprel payload length");
+    let image = flip_in(&image, store, 1, 8);
+    let after = assert_edit(&slot, &first, &image, &config, "riprel payload length");
     let shrink = before.stats.rewrite.trampoline_bytes - after.stats.rewrite.trampoline_bytes;
     assert!(shrink > 0, "the edit shortens the trampolines");
     let (old, new) = (jmp_targets(&before), jmp_targets(&after));
@@ -390,21 +432,20 @@ fn flip_where(image: &Image, accept: impl Fn(&Inst, u8, Option<(Inst, u8)>) -> b
     panic!("no instruction takes such a flip");
 }
 
-/// Asserts that a base kept for `image` refuses `variant` under
-/// `config`, and that the full path then matches a one-shot harden.
+/// Asserts that a slot whose base is `image`, fully hardened under the
+/// default config, takes the full path for `variant` under `config`,
+/// matching a one-shot harden, and that `variant` then is the base.
 fn assert_falls_back(image: &Image, variant: &Image, config: &HardenConfig, what: &str) {
-    let cache = MemoryComponentCache::new();
-    let (_, mut base) = KeptBase::harden(image, &HardenConfig::default(), 2, &cache)
-        .unwrap_or_else(|e| panic!("{what}: full harden failed: {e}"));
-    assert!(
-        base.harden_edit(variant, config, 2, &cache).is_none(),
+    let (slot, _) = primed(image, &HardenConfig::default(), what);
+    let full = harden_cached(variant, config, 2, &slot)
+        .unwrap_or_else(|e| panic!("{what}: full path failed: {e}"));
+    assert_eq!(
+        (slot.edits(), slot.fallbacks()),
+        (0, 1),
         "{what}: must take the full path"
     );
-    let (full, _) = KeptBase::harden(variant, config, 2, &cache)
-        .unwrap_or_else(|e| panic!("{what}: full path failed: {e}"));
-    let one = harden_threaded(variant, config, 2).expect("one-shot harden");
-    assert_eq!(full.image.to_bytes(), one.image.to_bytes(), "{what}: bytes");
-    assert_eq!(full.clobbers, one.clobbers, "{what}: clobbers");
+    assert_matches_one_shot(&full, variant, config, 0, what);
+    assert_edit(&slot, variant, variant, config, &format!("{what}, again"));
 }
 
 /// Where the tests below add a data segment, clear of code, globals and
@@ -492,16 +533,11 @@ fn a_data_segment_edit_takes_the_edit_path() {
     image
         .segments
         .push(Segment::new(DATA_AT, SegFlags::RW, vec![7; 64]));
-    let cache = MemoryComponentCache::new();
-    let (_, mut base) = KeptBase::harden(&image, &config, 2, &cache).expect("full harden");
+    let (slot, _) = primed(&image, &config, "data");
     let mut edited = image.clone();
     edited.segments.last_mut().expect("data segment").data[5] ^= 0xFF;
-    let edit = base
-        .harden_edit(&edited, &config, 2, &cache)
-        .expect("a data edit keeps the CFG")
-        .expect("edit hardens");
-    let config = HardenConfig::default();
-    assert_matches_one_shot(&edit, &edited, &config, edit.stats.components, "data edit");
+    let edit = assert_edit(&slot, &image, &edited, &config, "data edit");
+    assert_eq!(edit.stats.components_reused, edit.stats.components);
 }
 
 #[test]
@@ -531,22 +567,13 @@ fn an_edit_outside_every_block_moves_only_the_leftover_counts() {
     assert!(cfg.block_of(store_at).is_none(), "the store is in no block");
 
     let config = HardenConfig::default();
-    let cache = MemoryComponentCache::new();
-    let (before, mut base) = KeptBase::harden(&heap, &config, 1, &cache).expect("full harden");
-    let edit = base
-        .harden_edit(&global, &config, 1, &cache)
-        .expect("a blockless edit keeps the CFG")
-        .expect("edit hardens");
+    let (slot, before) = primed(&heap, &config, "heap store");
+    let edit = assert_edit(&slot, &heap, &global, &config, "blockless edit");
     assert_eq!(
         edit.stats.sites_eliminated,
         before.stats.sites_eliminated + 1
     );
-    let config = HardenConfig::default();
-    assert_matches_one_shot(
-        &edit,
-        &global,
-        &config,
-        edit.stats.components,
-        "blockless edit",
-    );
+    // The edit left the base's counts as they were.
+    let again = assert_edit(&slot, &heap, &heap, &config, "the kept image again");
+    assert_eq!(again.stats.sites_eliminated, before.stats.sites_eliminated);
 }

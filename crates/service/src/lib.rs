@@ -3,7 +3,7 @@
 //! and answers them from a content-addressed artifact cache when it
 //! can.
 //!
-//! Four layers of reuse, strongest first:
+//! Three layers of reuse, strongest first:
 //!
 //! 1. **Artifact cache** ([`artifact::ArtifactCache`]): whole-job
 //!    results keyed by `(tool version, input bytes, canonical config,
@@ -13,16 +13,14 @@
 //! 2. **In-flight dedupe** ([`server::Server`]): N concurrent
 //!    identical requests cost one computation; followers wait on the
 //!    leader's result and respond with [`proto::Source::Deduped`].
-//! 3. **Kept base** (`redfat_core::KeptBase`): the last hardened
-//!    image's disassembly, CFG leaders, roots and plans. An input that
-//!    edits that image without changing any instruction length or
-//!    control flow skips the whole-image analysis and re-plans only the
-//!    components it touches.
-//! 4. **Component cache** (`redfat_core::MemoryComponentCache`): for a
-//!    *changed* input, per-CFG-component analysis results keyed by the
-//!    component's structural digest are reused, so a one-component
-//!    edit re-analyzes only that component while producing bytes
-//!    identical to a cold run.
+//! 3. **Kept base** ([`redfat_core::KeptBaseSlot`], through
+//!    [`redfat_core::harden_cached`]): the disassembly, CFG leaders,
+//!    roots and plans of the last image the daemon fully hardened. An
+//!    input that edits that image without changing any instruction
+//!    length or control flow skips the whole-image analysis and
+//!    re-plans only the components it touches, with bytes identical to
+//!    a one-shot harden. Every other input takes the full path, whose
+//!    analysis becomes the new base.
 //!
 //! Correctness never depends on the caches: any verification failure
 //! (truncated, bit-flipped, wrong-version entry) classifies as a miss

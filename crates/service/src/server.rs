@@ -2,10 +2,9 @@
 //!
 //! One [`Server`] owns a Unix-domain listener, a [`WorkerPool`] that
 //! runs pipeline jobs, an on-disk [`ArtifactCache`] for whole-job
-//! results, an in-memory [`MemoryComponentCache`] for per-CFG-
-//! component analysis reuse across jobs, and one [`KeptBase`]: the
-//! analysis of the last hardened image, which an edit of that image
-//! re-does only where the edit touches it. Request handling is
+//! results, and one [`KeptBaseSlot`]: the analysis of the last fully
+//! hardened image, which an edit of that image re-does only where the
+//! edit touches it. Request handling is
 //! thread-per-connection (connections are few and local); the compute
 //! itself is scheduled on the pool, so a flood of connections cannot
 //! oversubscribe analysis.
@@ -18,8 +17,7 @@
 use crate::artifact::{artifact_key, ArtifactCache, ArtifactEntry};
 use crate::proto::{read_frame, Op, ProtoError, Request, Response, Source};
 use redfat_core::digest::Digest;
-use redfat_core::{instrument_profile, HardenConfig, HardenError, HardenStats, Hardened};
-use redfat_core::{ComponentCache, KeptBase, MemoryComponentCache};
+use redfat_core::{harden_cached, instrument_profile, HardenConfig, HardenStats, KeptBaseSlot};
 use redfat_elf::Image;
 use redfat_parallel::WorkerPool;
 use std::collections::HashMap;
@@ -61,21 +59,19 @@ pub struct ServerStats {
     pub errors: AtomicU64,
     /// CFG components analyzed fresh across all computations.
     pub components_analyzed: AtomicU64,
-    /// CFG components served from the component cache.
+    /// CFG components whose plans an edit reused from the kept base.
     pub components_reused: AtomicU64,
-    /// Harden/analyze jobs answered as an edit of the kept base.
-    pub kept_base_edits: AtomicU64,
-    /// Harden/analyze jobs that found a kept base but were no edit of
-    /// it, and took the full path.
-    pub kept_base_fallbacks: AtomicU64,
 }
 
 impl ServerStats {
-    /// Renders the counters as `key=value` lines (the `Stats` op
+    /// Renders the counters, then `kept`'s counts of harden/analyze
+    /// jobs answered as an edit of the kept base (`kept_base_edits`)
+    /// and of those that found a base but took the full path
+    /// (`kept_base_fallbacks`), as `key=value` lines (the `Stats` op
     /// response body).
-    pub fn render(&self) -> String {
+    pub fn render(&self, kept: &KeptBaseSlot) -> String {
         let mut s = String::new();
-        for (k, v) in [
+        let counters = [
             ("requests", &self.requests),
             ("job_requests", &self.job_requests),
             ("artifact_hits", &self.artifact_hits),
@@ -84,12 +80,16 @@ impl ServerStats {
             ("errors", &self.errors),
             ("components_analyzed", &self.components_analyzed),
             ("components_reused", &self.components_reused),
-            ("kept_base_edits", &self.kept_base_edits),
-            ("kept_base_fallbacks", &self.kept_base_fallbacks),
-        ] {
+        ]
+        .map(|(k, v)| (k, v.load(Ordering::Relaxed)));
+        let kept = [
+            ("kept_base_edits", kept.edits()),
+            ("kept_base_fallbacks", kept.fallbacks()),
+        ];
+        for (k, v) in counters.into_iter().chain(kept) {
             s.push_str(k);
             s.push('=');
-            s.push_str(&v.load(Ordering::Relaxed).to_string());
+            s.push_str(&v.to_string());
             s.push('\n');
         }
         s
@@ -166,11 +166,10 @@ struct Shared {
     config: ServerConfig,
     stats: ServerStats,
     artifacts: ArtifactCache,
-    components: MemoryComponentCache,
-    /// The last hardened image's analysis. A job takes it out for its
-    /// duration, so concurrent jobs never share it and at most one
+    /// The last fully hardened image's analysis. A job takes it out for
+    /// its duration, so concurrent jobs never share it and at most one
     /// image's analysis is kept.
-    base: Mutex<Option<KeptBase>>,
+    base: KeptBaseSlot,
     pool: WorkerPool,
     inflight: Mutex<HashMap<Digest, Arc<Inflight>>>,
     shutdown: AtomicBool,
@@ -198,8 +197,7 @@ impl Server {
                 config,
                 stats: ServerStats::default(),
                 artifacts,
-                components: MemoryComponentCache::new(),
-                base: Mutex::new(None),
+                base: KeptBaseSlot::new(),
                 pool,
                 inflight: Mutex::new(HashMap::new()),
                 shutdown: AtomicBool::new(false),
@@ -241,7 +239,7 @@ impl Server {
         for h in handlers {
             let _ = h.join();
         }
-        let stats = self.shared.stats.render();
+        let stats = self.shared.stats.render(&self.shared.base);
         let _ = std::fs::remove_file(&self.shared.config.socket);
         Ok(stats)
     }
@@ -292,7 +290,7 @@ fn dispatch(shared: &Arc<Shared>, req: Request) -> Response {
         Op::Stats => Response::Ok {
             source: Source::Computed,
             micros: 0,
-            stats: shared.stats.render(),
+            stats: shared.stats.render(&shared.base),
             artifact: Vec::new(),
         },
         Op::Shutdown => {
@@ -394,7 +392,9 @@ fn compute_job(shared: &Shared, req: &Request, key: &Digest) -> Result<Arc<JobOu
         HardenConfig::from_canonical_bytes(&req.config).map_err(|e| format!("bad config: {e}"))?;
     let image = Image::parse(&req.image).map_err(|e| format!("parse failed: {e}"))?;
     let hardened = match req.op {
-        Op::Harden | Op::Analyze => harden_with_base(shared, &image, &config),
+        Op::Harden | Op::Analyze => {
+            harden_cached(&image, &config, shared.config.threads, &shared.base)
+        }
         Op::Profile => instrument_profile(&image),
         // Non-job ops never reach compute (dispatch handles them).
         Op::Stats | Op::Shutdown => return Err("not a pipeline op".to_string()),
@@ -429,38 +429,6 @@ fn compute_job(shared: &Shared, req: &Request, key: &Digest) -> Result<Arc<JobOu
     // uncached-but-correct response; the job itself succeeded.
     let _ = shared.artifacts.put(key, &out.entry);
     Ok(out)
-}
-
-/// Hardens `image` as an edit of the kept base when it is one, else
-/// through the full path, whose analysis then becomes the kept base. A
-/// job that fails leaves no base behind.
-fn harden_with_base(
-    shared: &Shared,
-    image: &Image,
-    config: &HardenConfig,
-) -> Result<Hardened, HardenError> {
-    let threads = shared.config.threads;
-    let cache = &shared.components as &dyn ComponentCache;
-    let kept = lock_riding_poison(&shared.base).take();
-    if let Some(mut base) = kept {
-        match base.harden_edit(image, config, threads, cache) {
-            Some(result) => {
-                let hardened = result?;
-                shared.stats.kept_base_edits.fetch_add(1, Ordering::Relaxed);
-                *lock_riding_poison(&shared.base) = Some(base);
-                return Ok(hardened);
-            }
-            None => {
-                shared
-                    .stats
-                    .kept_base_fallbacks
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-    let (hardened, base) = KeptBase::harden(image, config, threads, cache)?;
-    *lock_riding_poison(&shared.base) = Some(base);
-    Ok(hardened)
 }
 
 fn elapsed_micros(start: Instant) -> u64 {

@@ -1,6 +1,5 @@
-//! End-to-end daemon tests: dedupe, artifact warm hits, incremental
-//! component reuse, edits through the kept base, and corrupt-cache
-//! robustness.
+//! End-to-end daemon tests: dedupe, artifact warm hits, edits through
+//! the kept base, and corrupt-cache robustness.
 
 use redfat_analysis::{disassemble, Cfg};
 use redfat_core::selftest::SplitMix64;
@@ -166,7 +165,7 @@ fn warm_artifact_hit_does_zero_analysis() {
 }
 
 #[test]
-fn changed_input_reuses_unchanged_components() {
+fn another_config_takes_the_full_path() {
     let (config, handle) = start("incr", 1);
     let base = workload_image_bytes();
     let cfg = HardenConfig::default().canonical_bytes();
@@ -184,10 +183,9 @@ fn changed_input_reuses_unchanged_components() {
     assert!(analyzed_cold > 1, "stand-in has multiple components");
 
     // Submitting a *different* config over the same image is a new
-    // artifact key and a new component-cache prefix: it must recompute
-    // every component (config changes invalidate analysis), proving
-    // the reuse key is not input-bytes-only. `unoptimized` keeps the
-    // recompute cheap (no elimination analyses run).
+    // artifact key and no edit of the kept base: it must re-plan every
+    // component (config changes invalidate analysis). `unoptimized`
+    // keeps the recompute cheap (no elimination analyses run).
     let other = HardenConfig::unoptimized(LowFatPolicy::All).canonical_bytes();
     match c
         .job(Op::Harden, other, base.clone())
@@ -202,9 +200,10 @@ fn changed_input_reuses_unchanged_components() {
         "different config re-analyzes; stats:\n{after_other}"
     );
     assert_eq!(counter(&after_other, "components_reused"), 0);
+    assert_eq!(counter(&after_other, "kept_base_fallbacks"), 1);
 
     // Re-submitting the original config exercises the artifact cache,
-    // not the component cache (whole-job hit short-circuits first).
+    // not the kept base (whole-job hit short-circuits first).
     match c.job(Op::Harden, cfg, base).expect("resubmit") {
         Response::Ok { source, .. } => assert_eq!(source, Source::ArtifactHit),
         Response::Err(e) => panic!("resubmit failed: {e}"),
@@ -214,40 +213,66 @@ fn changed_input_reuses_unchanged_components() {
     handle.join().expect("daemon thread");
 }
 
-/// `image` with the low bit of one instruction's last byte flipped: the
-/// `nth` (from 0) instruction, in address order, that lies in a
-/// recovered block, spans at least four bytes, and under that flip
-/// keeps its length and stays clear of control flow -- an edit the
-/// kept base answers.
-fn edit(image: &Image, nth: usize) -> Image {
+/// Byte addresses of low-bit flips of `image` that the kept base
+/// answers as edits, each in another CFG component: the last byte of an
+/// instruction that spans at least four bytes and under that flip keeps
+/// its length and stays clear of control flow. Each component offers
+/// its first flip, in address order, that moves the memory operand of a
+/// batch anchor, else its first other flip. Flips of the first kind
+/// change their component's checks, so a base that served a stale plan
+/// would answer with other bytes; they come first, each kind in
+/// component order.
+fn component_flips(image: &Image, count: usize) -> Vec<u64> {
     let disasm = disassemble(image);
     let cfg = Cfg::recover(&disasm, image.entry, &[]);
-    let mut found = 0;
-    for (addr, inst, len) in disasm.iter() {
-        if len < 4 || inst.is_control_flow() || cfg.block_of(addr).is_none() {
-            continue;
+    let anchors: Vec<u64> = harden_threaded(image, &HardenConfig::default(), 1)
+        .expect("hardens")
+        .clobbers
+        .iter()
+        .map(|&(anchor, _)| anchor)
+        .collect();
+    // `(false, at)` for a flip at `at` that moves an anchor's operand.
+    let flippable = |addr: u64| {
+        let &(inst, len) = disasm.at(addr)?;
+        if len < 4 || inst.is_control_flow() {
+            return None;
         }
-        let last = addr + u64::from(len) - 1;
-        let mut bytes = image.read_bytes(addr, len as usize).expect("code").to_vec();
+        let mut bytes = image.read_bytes(addr, len as usize)?.to_vec();
         bytes[len as usize - 1] ^= 1;
         match redfat_x86::decode_one(&bytes, addr) {
-            Ok((flipped, l)) if l == len && !flipped.is_control_flow() => {}
-            _ => continue,
+            Ok((flipped, l)) if l == len && !flipped.is_control_flow() => {
+                let moves = flipped.memory_access() != inst.memory_access();
+                let checked = moves && anchors.binary_search(&addr).is_ok();
+                Some((!checked, addr + u64::from(len) - 1))
+            }
+            _ => None,
         }
-        if found < nth {
-            found += 1;
-            continue;
-        }
-        let mut out = image.clone();
+    };
+    let mut flips: Vec<(bool, u64)> = cfg
+        .component_starts()
+        .iter()
+        .filter_map(|starts| {
+            let members = starts.iter().flat_map(|s| cfg.blocks[s].insts.iter());
+            members.filter_map(|&addr| flippable(addr)).min()
+        })
+        .collect();
+    flips.sort_by_key(|&(unchecked, _)| unchecked);
+    assert!(flips.len() >= count, "components that take a flip");
+    flips.into_iter().take(count).map(|(_, at)| at).collect()
+}
+
+/// `image` with the low bit of the byte at each address of `at` flipped.
+fn flipped(image: &Image, at: &[u64]) -> Image {
+    let mut out = image.clone();
+    for &a in at {
         let seg = out
             .segments
             .iter_mut()
-            .find(|s| s.vaddr <= last && last - s.vaddr < s.data.len() as u64)
+            .find(|s| s.vaddr <= a && a - s.vaddr < s.data.len() as u64)
             .expect("code lies in a segment");
-        seg.data[(last - seg.vaddr) as usize] ^= 1;
-        return out;
+        seg.data[(a - seg.vaddr) as usize] ^= 1;
     }
-    panic!("fewer than {} editable instructions", nth + 1);
+    out
 }
 
 /// Submits `image` for hardening and checks the reply against a one-shot
@@ -283,34 +308,110 @@ fn harden_and_check(c: &mut Client, image: &Image, edits: u64, fallbacks: u64) -
     stats
 }
 
+/// Asserts that the job whose reply `stats` renders planned exactly
+/// `fresh` components afresh.
+fn assert_replanned(stats: &str, fresh: u64) {
+    assert_eq!(
+        counter(stats, "components_reused") + fresh,
+        counter(stats, "components"),
+        "{fresh} components planned afresh:\n{stats}"
+    );
+}
+
 #[test]
 fn edits_take_the_kept_base_and_a_new_image_replaces_it() {
     let (config, handle) = start("kept", 1);
     let mut c = Client::connect(&config.socket).expect("connect");
-    let one_edit = |stats: &str| {
-        assert_eq!(
-            counter(stats, "components_reused") + 1,
-            counter(stats, "components"),
-            "one component analyzed afresh:\n{stats}"
-        );
-    };
 
     // The first job finds no base and keeps its own.
     let first = Image::parse(&workload_image_bytes()).expect("parse");
     harden_and_check(&mut c, &first, 0, 0);
-    // Three chained edits, each of the previous image.
-    let mut image = first;
-    for k in 0..3 {
-        image = edit(&image, k as usize);
-        one_edit(&harden_and_check(&mut c, &image, k + 1, 0));
+    // Three chained edits, each flipping one more component on top of
+    // the previous one. The base stays the first image, so edit k
+    // re-plans the k components that differ from it.
+    let flips = component_flips(&first, 3);
+    for k in 1..=3 {
+        let image = flipped(&first, &flips[..k]);
+        let stats = harden_and_check(&mut c, &image, k as u64, 0);
+        assert_replanned(&stats, k as u64);
     }
     // A different image is no edit of the base and replaces it...
     let other = redfat_workloads::spec::by_name("bzip2")
         .expect("stand-in exists")
         .image();
     harden_and_check(&mut c, &other, 3, 1);
-    // ...so its own edit takes the kept base again.
-    one_edit(&harden_and_check(&mut c, &edit(&other, 0), 4, 1));
+    // ...so its own edit takes the kept base again, and an edit of the
+    // first image no longer does.
+    let other_flip = component_flips(&other, 1);
+    assert_replanned(
+        &harden_and_check(&mut c, &flipped(&other, &other_flip), 4, 1),
+        1,
+    );
+    let stats = harden_and_check(&mut c, &flipped(&first, &flips[1..2]), 4, 2);
+    assert_replanned(&stats, counter(&stats, "components"));
+
+    c.shutdown().expect("shutdown");
+    handle.join().expect("daemon thread");
+}
+
+#[test]
+fn sibling_edits_and_alternating_images_count_by_the_last_full_harden() {
+    let (config, handle) = start("siblings", 1);
+    let mut c = Client::connect(&config.socket).expect("connect");
+    let a = Image::parse(&workload_image_bytes()).expect("parse");
+    let b = redfat_workloads::spec::by_name("bzip2")
+        .expect("stand-in exists")
+        .image();
+
+    // Siblings: each is `a` with one component's flip, so each also
+    // reverts the previous one's, yet each re-plans one component.
+    let a_first = harden_and_check(&mut c, &a, 0, 0);
+    let flips = component_flips(&a, 5);
+    for k in 0..3 {
+        let stats = harden_and_check(&mut c, &flipped(&a, &flips[k..=k]), k as u64 + 1, 0);
+        assert_replanned(&stats, 1);
+    }
+
+    // A, B, A: B replaces the base, and the repeat of A is an artifact
+    // hit that leaves the base and the counts alone.
+    harden_and_check(&mut c, &b, 3, 1);
+    let cfg = HardenConfig::default().canonical_bytes();
+    match c.job(Op::Harden, cfg, a.to_bytes()).expect("resubmit") {
+        Response::Ok { source, stats, .. } => {
+            assert_eq!(source, Source::ArtifactHit);
+            assert_eq!(stats, a_first, "the first answer's stats");
+        }
+        Response::Err(e) => panic!("resubmit failed: {e}"),
+    }
+    // So the next sibling of `a` takes the full path and becomes the
+    // base, and the one after it differs from that base in two
+    // components: its own flip and the reverted one.
+    let stats = harden_and_check(&mut c, &flipped(&a, &flips[3..4]), 3, 2);
+    assert_replanned(&stats, counter(&stats, "components"));
+    let stats = harden_and_check(&mut c, &flipped(&a, &flips[4..5]), 4, 2);
+    assert_replanned(&stats, 2);
+
+    // Every counter the daemon renders, in order.
+    let rendered = c.stats().expect("stats");
+    let keys: Vec<&str> = rendered
+        .lines()
+        .filter_map(|l| l.split_once('=').map(|(k, _)| k))
+        .collect();
+    assert_eq!(
+        keys,
+        [
+            "requests",
+            "job_requests",
+            "artifact_hits",
+            "computations",
+            "deduped",
+            "errors",
+            "components_analyzed",
+            "components_reused",
+            "kept_base_edits",
+            "kept_base_fallbacks",
+        ]
+    );
 
     c.shutdown().expect("shutdown");
     handle.join().expect("daemon thread");
