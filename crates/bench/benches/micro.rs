@@ -6,7 +6,7 @@
 //! batch, then measures wall time over enough iterations to smooth jitter
 //! and prints ns/iter. `cargo bench -p redfat-bench` runs them all.
 
-use redfat_core::{harden, run_once, HardenConfig, LowFatPolicy};
+use redfat_core::{harden, run, HardenConfig, LowFatPolicy, RunSpec};
 use redfat_emu::ErrorMode;
 use redfat_lowfat::{LowFatConfig, RedFatHeap};
 use redfat_minic::compile;
@@ -103,14 +103,15 @@ fn bench_guest_execution() {
     let redzone = harden(&image, &HardenConfig::with_merge(LowFatPolicy::Disabled))
         .unwrap()
         .image;
+    let spec = RunSpec::new(&[], ErrorMode::Log, u64::MAX);
     bench("guest/baseline", 50, || {
-        black_box(run_once(&image, vec![], ErrorMode::Log, u64::MAX));
+        black_box(run(&image, &spec).unwrap());
     });
     bench("guest/hardened-full", 50, || {
-        black_box(run_once(&hardened, vec![], ErrorMode::Log, u64::MAX));
+        black_box(run(&hardened, &spec).unwrap());
     });
     bench("guest/hardened-redzone-only", 50, || {
-        black_box(run_once(&redzone, vec![], ErrorMode::Log, u64::MAX));
+        black_box(run(&redzone, &spec).unwrap());
     });
 }
 

@@ -3,7 +3,7 @@
 //! and the combined check. "Complementary protection offers an overall
 //! stronger defense than each individual protection can offer alone."
 
-use redfat_core::{harden, run_once, HardenConfig, LowFatPolicy};
+use redfat_core::{harden, run, HardenConfig, LowFatPolicy, RunSpec};
 use redfat_emu::{ErrorMode, RunResult};
 use redfat_minic::compile;
 
@@ -77,12 +77,8 @@ fn probes() -> Vec<Probe> {
 fn detects(cfg: &HardenConfig, probe: &Probe) -> bool {
     let image = compile(probe.source).expect("probe compiles");
     let hardened = harden(&image, cfg).expect("hardens");
-    let out = run_once(
-        &hardened.image,
-        probe.input.clone(),
-        ErrorMode::Abort,
-        10_000_000,
-    );
+    let spec = RunSpec::new(&probe.input, ErrorMode::Abort, 10_000_000);
+    let out = run(&hardened.image, &spec).expect("image loads");
     matches!(out.result, RunResult::MemoryError(_))
 }
 

@@ -7,7 +7,7 @@
 //! wall-clock time.
 
 use redfat_bench::geomean;
-use redfat_core::{harden, run_once, HardenConfig, LowFatPolicy};
+use redfat_core::{harden, run, HardenConfig, LowFatPolicy, RunSpec};
 use redfat_emu::ErrorMode;
 use redfat_workloads::{kraken, kromium};
 
@@ -35,9 +35,10 @@ fn main() {
 
     let mut factors = Vec::new();
     for bench in kraken::all() {
-        let input = vec![bench.kernel, bench.scale];
-        let base = run_once(&image, input.clone(), ErrorMode::Log, u64::MAX);
-        let hard = run_once(&hardened.image, input, ErrorMode::Log, u64::MAX);
+        let input = [bench.kernel, bench.scale];
+        let spec = RunSpec::new(&input, ErrorMode::Log, u64::MAX);
+        let base = run(&image, &spec).expect("image loads");
+        let hard = run(&hardened.image, &spec).expect("image loads");
         assert!(base.ok() && hard.ok(), "{} must run", bench.name);
         assert_eq!(
             base.io.digest(),
@@ -76,7 +77,8 @@ fn main() {
     );
 
     // Startup stability check (the "Chrome loads and runs stable" claim).
-    let startup = run_once(&hardened.image, vec![0, 1], ErrorMode::Abort, u64::MAX);
+    let spec = RunSpec::new(&[0, 1], ErrorMode::Abort, u64::MAX);
+    let startup = run(&hardened.image, &spec).expect("image loads");
     println!(
         "  hardened startup    {:>10}",
         if startup.ok() { "stable" } else { "FAILED" }

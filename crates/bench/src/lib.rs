@@ -3,11 +3,11 @@
 //! and the micro-benchmarks.
 
 use redfat_core::{
-    collect_allowlist, harden, instrument_profile, run_once, try_run_backend_policy,
-    AllocPolicyKind, HardenConfig, LowFatPolicy,
+    collect_allowlist, harden, instrument_profile, run, AllocPolicyKind, HardenConfig,
+    LowFatPolicy, RunOutcome, RunSpec,
 };
 use redfat_elf::Image;
-use redfat_emu::{Emu, ErrorMode, ExecBackend, RunResult};
+use redfat_emu::{Emu, ErrorMode, RunResult};
 use redfat_memcheck::{MemcheckLimits, MemcheckRuntime};
 use redfat_workloads::Workload;
 use std::collections::BTreeSet;
@@ -44,12 +44,18 @@ pub struct Table1Row {
     pub sites_redundant: usize,
 }
 
+/// Runs `image` on `input` on the fast tier, in log mode, with the
+/// paper's allocator policy and the harness's step budget.
+fn run_log(image: &Image, input: &[i64]) -> RunOutcome {
+    run(image, &RunSpec::new(input, ErrorMode::Log, MAX_STEPS)).expect("image loads")
+}
+
 /// Runs the complete §5 + Table 1 pipeline for one workload.
 pub fn table1_row(wl: &Workload) -> Table1Row {
     let image = wl.image();
 
     // Baseline.
-    let base = run_once(&image, wl.ref_input.clone(), ErrorMode::Log, MAX_STEPS);
+    let base = run_log(&image, &wl.ref_input);
     assert!(
         matches!(base.result, RunResult::Exited(_)),
         "{}: baseline must exit ({:?})",
@@ -61,12 +67,7 @@ pub fn table1_row(wl: &Workload) -> Table1Row {
 
     // Profiling phase on the train input.
     let prof = instrument_profile(&image).expect("profile instrumentation");
-    let train = run_once(
-        &prof.image,
-        wl.train_input.clone(),
-        ErrorMode::Log,
-        MAX_STEPS,
-    );
+    let train = run_log(&prof.image, &wl.train_input);
     assert!(
         matches!(train.result, RunResult::Exited(_)),
         "{}: profile run must exit ({:?})",
@@ -76,7 +77,7 @@ pub fn table1_row(wl: &Workload) -> Table1Row {
     let allow = collect_allowlist(&train.profile);
 
     // Coverage accounting: sites dynamically reached on ref.
-    let cov = run_once(&prof.image, wl.ref_input.clone(), ErrorMode::Log, MAX_STEPS);
+    let cov = run_log(&prof.image, &wl.ref_input);
     let executed: BTreeSet<u64> = cov.profile.keys().copied().collect();
     let covered = executed.iter().filter(|s| allow.contains(**s)).count();
     let coverage = if executed.is_empty() {
@@ -86,22 +87,13 @@ pub fn table1_row(wl: &Workload) -> Table1Row {
     };
 
     // The eight RedFat configurations.
-    let configs: [HardenConfig; 8] = [
-        HardenConfig::unoptimized(LowFatPolicy::AllowList(allow.clone())),
-        HardenConfig::with_elim(LowFatPolicy::AllowList(allow.clone())),
-        HardenConfig::with_batch(LowFatPolicy::AllowList(allow.clone())),
-        HardenConfig::with_merge(LowFatPolicy::AllowList(allow.clone())),
-        HardenConfig::with_flow(LowFatPolicy::AllowList(allow.clone())),
-        HardenConfig::with_redundant(LowFatPolicy::AllowList(allow.clone())),
-        HardenConfig::minus_size(LowFatPolicy::AllowList(allow.clone())),
-        HardenConfig::minus_reads(LowFatPolicy::AllowList(allow.clone())),
-    ];
     let mut redfat = [0.0; 8];
     let mut errors_detected = 0usize;
     let mut sites_elim = 0usize;
     let mut sites_flow = 0usize;
     let mut sites_redundant = 0usize;
-    for (i, cfg) in configs.iter().enumerate() {
+    let ladder = HardenConfig::table1_ladder(LowFatPolicy::AllowList(allow));
+    for (i, (_, cfg)) in ladder.iter().enumerate() {
         let hardened = harden(&image, cfg).expect("hardening");
         match i {
             1 => sites_elim = hardened.stats.sites_eliminated,
@@ -109,12 +101,7 @@ pub fn table1_row(wl: &Workload) -> Table1Row {
             5 => sites_redundant = hardened.stats.sites_redundant,
             _ => {}
         }
-        let out = run_once(
-            &hardened.image,
-            wl.ref_input.clone(),
-            ErrorMode::Log,
-            MAX_STEPS,
-        );
+        let out = run_log(&hardened.image, &wl.ref_input);
         assert!(
             matches!(out.result, RunResult::Exited(_)),
             "{}: hardened run ({i}) must exit ({:?})",
@@ -177,15 +164,11 @@ pub fn false_positive_sites(wl: &Workload, policy: AllocPolicyKind) -> usize {
     // site; measure without merging for exact per-site attribution.
     let cfg = HardenConfig::with_batch(LowFatPolicy::All);
     let hardened = harden(&image, &cfg).expect("hardening");
-    let out = try_run_backend_policy(
-        &hardened.image,
-        wl.ref_input.clone(),
-        ErrorMode::Log,
-        ExecBackend::Step,
-        MAX_STEPS,
+    let spec = RunSpec {
         policy,
-    )
-    .expect("image loads");
+        ..RunSpec::new(&wl.ref_input, ErrorMode::Log, MAX_STEPS)
+    };
+    let out = run(&hardened.image, &spec).expect("image loads");
     let sites: BTreeSet<u64> = out.errors.iter().map(|e| e.site).collect();
     sites.len().saturating_sub(wl.planted_errors)
 }
@@ -195,15 +178,11 @@ pub fn false_positive_sites(wl: &Workload, policy: AllocPolicyKind) -> usize {
 pub fn redfat_detects(image: &Image, attack_input: &[i64], policy: AllocPolicyKind) -> bool {
     let cfg = HardenConfig::with_merge(LowFatPolicy::All);
     let hardened = harden(image, &cfg).expect("hardening");
-    let out = try_run_backend_policy(
-        &hardened.image,
-        attack_input.to_vec(),
-        ErrorMode::Abort,
-        ExecBackend::Step,
-        MAX_STEPS,
+    let spec = RunSpec {
         policy,
-    )
-    .expect("image loads");
+        ..RunSpec::new(attack_input, ErrorMode::Abort, MAX_STEPS)
+    };
+    let out = run(&hardened.image, &spec).expect("image loads");
     matches!(out.result, RunResult::MemoryError(_))
 }
 

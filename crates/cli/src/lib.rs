@@ -18,8 +18,8 @@
 //! returns the text it would print.
 
 use redfat_core::{
-    collect_allowlist, harden_threaded, instrument_profile, try_run_backend_policy, try_run_once,
-    AllowList, HardenConfig, LowFatPolicy,
+    collect_allowlist, harden_threaded, instrument_profile, run, AllowList, HardenConfig,
+    LowFatPolicy, RunSpec,
 };
 use redfat_elf::Image;
 use redfat_emu::{AllocPolicyKind, Counters, Emu, ErrorMode, ExecBackend, RunResult, TraceStats};
@@ -67,7 +67,8 @@ commands:
           [--backend step|fast] [--stats]
           [--alloc-policy lowfat|rand-lowfat]
                                        --backend selects the execution tier
-                                       (default step); --stats prints the
+                                       (default fast; step is the reference
+                                       interpreter); --stats prints the
                                        run's event counters (loads, stores,
                                        taken branches, transfers, region
                                        crossings, syscalls, int3 traps) and
@@ -81,7 +82,8 @@ commands:
   selftest [--quick] [--alloc-policy lowfat|rand-lowfat]
                                        differential self-test: lockstep oracle
                                        and backend lockstep of the fast tier
-                                       against the step interpreter;
+                                       against the step interpreter (without
+                                       --quick also on Table 1's configs);
                                        --alloc-policy picks the heap backend
                                        for the runs
   selftest --faults [--quick]          fault-injection sweep: seeded mutants of
@@ -252,7 +254,7 @@ impl Args {
     /// Execution backend for `run`: `--backend step|fast`.
     fn backend(&self) -> Result<ExecBackend, CliError> {
         match self.flags.get("--backend").and_then(|v| v.as_deref()) {
-            None => Ok(ExecBackend::Step),
+            None => Ok(ExecBackend::default()),
             Some(s) => {
                 ExecBackend::parse(s).ok_or_else(|| err(format!("bad --backend {s:?} (step|fast)")))
             }
@@ -420,23 +422,25 @@ pub fn run_cli(argv: &[String]) -> Result<String, CliError> {
                 return Err(err("genlist needs exactly one profiling binary"));
             };
             let image = load_image(prof)?;
-            let run = try_run_once(
+            let input = args.input_values()?;
+            let profiled = run(
                 &image,
-                args.input_values()?,
-                ErrorMode::Log,
-                args.max_steps()?,
+                &RunSpec::new(&input, ErrorMode::Log, args.max_steps()?),
             )
             .map_err(|e| err(format!("cannot load {prof}: {e}")))?;
-            if !matches!(run.result, RunResult::Exited(_)) {
-                return Err(err(format!("profiling run did not exit: {:?}", run.result)));
+            if !matches!(profiled.result, RunResult::Exited(_)) {
+                return Err(err(format!(
+                    "profiling run did not exit: {:?}",
+                    profiled.result
+                )));
             }
-            let allow = collect_allowlist(&run.profile);
+            let allow = collect_allowlist(&profiled.profile);
             std::fs::write(args.out()?, allow.to_text())
                 .map_err(|e| err(format!("cannot write allow-list: {e}")))?;
             writeln!(
                 out,
                 "observed {} sites, allow-listed {}",
-                run.profile.len(),
+                profiled.profile.len(),
                 allow.len()
             )
             .ok();
@@ -499,15 +503,13 @@ pub fn run_cli(argv: &[String]) -> Result<String, CliError> {
                 } else {
                     ErrorMode::Abort
                 };
-                let result = try_run_backend_policy(
-                    &image,
-                    inputs,
-                    mode,
+                let spec = RunSpec {
                     backend,
-                    steps,
-                    args.alloc_policy()?,
-                )
-                .map_err(|e| err(format!("cannot load {input}: {e}")))?;
+                    policy: args.alloc_policy()?,
+                    ..RunSpec::new(&inputs, mode, steps)
+                };
+                let result =
+                    run(&image, &spec).map_err(|e| err(format!("cannot load {input}: {e}")))?;
                 writeln!(out, "{:?}", result.result).ok();
                 for v in &result.io.out_ints {
                     writeln!(out, "{v}").ok();
@@ -736,12 +738,14 @@ fn run_faults(quick: bool, threads: usize, out: &mut String) -> Result<(), CliEr
 /// Runs the lockstep divergence oracle over every SPEC stand-in plus a
 /// Juliet sample, each hardened as `redfat harden` hardens by default.
 /// Every stand-in also runs the fast execution tier against the
-/// single-step reference interpreter on both the baseline and the
-/// hardened image ([`redfat_core::selftest::backend_lockstep`]). A
-/// lockstep failure shrinks to a minimal input
-/// ([`redfat_core::selftest::lockstep`]), and any failure fails the
-/// invocation with a nonzero exit code, so CI can gate on
-/// `redfat selftest --quick`.
+/// single-step reference interpreter
+/// ([`redfat_core::selftest::backend_lockstep`]) on each image the
+/// paper's evaluation runs on the fast tier: the baseline, the default
+/// hardened image and the profiling binary, and without `--quick` also
+/// the images of Table 1's eight allow-list configs. A lockstep failure
+/// shrinks to a minimal input ([`redfat_core::selftest::lockstep`]),
+/// and any failure fails the invocation with a nonzero exit code, so CI
+/// can gate on `redfat selftest --quick`.
 fn run_selftest(
     quick: bool,
     policy: AllocPolicyKind,
@@ -756,17 +760,41 @@ fn run_selftest(
     let config = HardenConfig::default();
     for w in redfat_workloads::spec::all() {
         let image = w.image();
-        let input = if quick {
-            w.train_input.clone()
-        } else {
-            w.ref_input.clone()
+        let input = if quick { &w.train_input } else { &w.ref_input };
+        let harden = |cfg: &HardenConfig| {
+            harden_threaded(&image, cfg, threads)
+                .map_err(|e| err(format!("selftest: hardening {} failed: {e}", w.name)))
         };
-        let hardened = harden_threaded(&image, &config, threads)
-            .map_err(|e| err(format!("selftest: hardening {} failed: {e}", w.name)))?;
+        let hardened = harden(&config)?;
+        let profiling = instrument_profile(&image)
+            .map_err(|e| err(format!("selftest: profiling {} failed: {e}", w.name)))?;
+        let ladder = if quick {
+            Vec::new()
+        } else {
+            // Table 1's allow-list, from the profiling binary's train run
+            // on the reference interpreter.
+            let spec = RunSpec {
+                backend: ExecBackend::Step,
+                ..RunSpec::new(&w.train_input, ErrorMode::Log, max_steps)
+            };
+            let train = run(&profiling.image, &spec)
+                .map_err(|e| err(format!("selftest: profiling {} failed: {e}", w.name)))?;
+            let lowfat = LowFatPolicy::AllowList(collect_allowlist(&train.profile));
+            HardenConfig::table1_ladder(lowfat)
+                .iter()
+                .map(|(name, cfg)| Ok((*name, harden(cfg)?)))
+                .collect::<Result<Vec<_>, CliError>>()?
+        };
         // Audit the translated tier against the step interpreter.
         let backend = ExecBackend::Fast;
-        for (kind, img) in [("baseline", &image), ("hardened", &hardened.image)] {
-            let rep = backend_lockstep(img, &input, backend, max_steps, policy);
+        let audited = [
+            ("baseline", &image),
+            ("hardened", &hardened.image),
+            ("profile", &profiling.image),
+        ];
+        let ladder_images = ladder.iter().map(|(name, h)| (*name, &h.image));
+        for (kind, img) in audited.into_iter().chain(ladder_images) {
+            let rep = backend_lockstep(img, input, backend, max_steps, policy);
             writeln!(
                 out,
                 "backend  {:<14} {:<10} {kind:<8} {:>9} blocks, {} divergences{}",
@@ -786,7 +814,7 @@ fn run_selftest(
                 failures.push(format!("backend {} {backend} ({kind}):\n{detail}", w.name));
             }
         }
-        let (rep, repro) = lockstep(&image, &hardened, &input, max_steps, policy);
+        let (rep, repro) = lockstep(&image, &hardened, input, max_steps, policy);
         writeln!(
             out,
             "lockstep {:<14} {:>9} synced, {} divergences, {} check reports{}",

@@ -349,6 +349,15 @@ fn run_backends_print_identical_output() {
             "--stats: --backend fast differs"
         );
     }
+    // With no --backend, `run` takes the fast tier, translation-cache
+    // counters and all.
+    let hard_path = hard.to_str().unwrap();
+    let default = run_cli(&args(&["run", hard_path, "--input", "3,2", "--stats"])).unwrap();
+    assert_eq!(default, run_image(&hard, "3,2", "fast", &["--stats"]));
+    assert!(
+        !default.contains("trace-cache: hits 0  misses 0 "),
+        "{default}"
+    );
 
     // Memcheck observes every access, so it runs on the step
     // interpreter whichever backend is selected: identical output with

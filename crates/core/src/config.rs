@@ -131,6 +131,21 @@ impl HardenConfig {
         }
     }
 
+    /// Table 1's eight RedFat columns in column order, each under
+    /// `lowfat` and named as its column header.
+    pub fn table1_ladder(lowfat: LowFatPolicy) -> [(&'static str, HardenConfig); 8] {
+        [
+            ("unopt", HardenConfig::unoptimized(lowfat.clone())),
+            ("+elim", HardenConfig::with_elim(lowfat.clone())),
+            ("+batch", HardenConfig::with_batch(lowfat.clone())),
+            ("+merge", HardenConfig::with_merge(lowfat.clone())),
+            ("+flow", HardenConfig::with_flow(lowfat.clone())),
+            ("+redund", HardenConfig::with_redundant(lowfat.clone())),
+            ("-size", HardenConfig::minus_size(lowfat.clone())),
+            ("-reads", HardenConfig::minus_reads(lowfat)),
+        ]
+    }
+
     /// Ablation: the pure low-fat-pointer methodology of §2.1, without
     /// the redzone component (detects non-incremental skips; misses
     /// use-after-free, redzone hits and padding overflows).

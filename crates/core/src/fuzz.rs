@@ -8,9 +8,10 @@
 //! across all executions feeds [`crate::collect_allowlist`].
 
 use crate::pipeline::{instrument_profile, HardenError};
-use crate::runner::run_once;
+use crate::runner::{run, RunSpec};
 use redfat_elf::Image;
 use redfat_emu::{ErrorMode, ProfileStats, RunResult};
+use redfat_vm::Rng64;
 use std::collections::HashMap;
 
 /// Configuration for the profiling fuzzer.
@@ -44,50 +45,31 @@ pub struct FuzzOutcome {
     pub executions: usize,
 }
 
-/// A tiny deterministic xorshift RNG (no external dependency needed in
-/// this crate for reproducible mutation).
-struct XorShift(u64);
-
-impl XorShift {
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n.max(1) as u64) as usize
-    }
-}
-
 /// Mutates an input vector AFL-style: flip/replace/insert/remove/
 /// perturb values.
-fn mutate(rng: &mut XorShift, input: &[i64]) -> Vec<i64> {
+fn mutate(rng: &mut Rng64, input: &[i64]) -> Vec<i64> {
     let mut out = input.to_vec();
-    match rng.below(5) {
+    match rng.below_usize(5) {
         0 if !out.is_empty() => {
             // Small perturbation.
-            let i = rng.below(out.len());
-            out[i] = out[i].wrapping_add(rng.next() as i64 % 17 - 8);
+            let i = rng.below_usize(out.len());
+            out[i] = out[i].wrapping_add(rng.next_u64() as i64 % 17 - 8);
         }
         1 if !out.is_empty() => {
             // Interesting-value replacement.
             const INTERESTING: [i64; 8] = [0, 1, -1, 2, 16, 64, 255, 4096];
-            let i = rng.below(out.len());
-            out[i] = INTERESTING[rng.below(INTERESTING.len())];
+            let i = rng.below_usize(out.len());
+            out[i] = INTERESTING[rng.below_usize(INTERESTING.len())];
         }
-        2 => out.push(rng.next() as i64 % 128),
+        2 => out.push(rng.next_u64() as i64 % 128),
         3 if out.len() > 1 => {
-            let i = rng.below(out.len());
+            let i = rng.below_usize(out.len());
             out.remove(i);
         }
         _ if !out.is_empty() => {
             // Random replacement.
-            let i = rng.below(out.len());
-            out[i] = (rng.next() % 256) as i64;
+            let i = rng.below_usize(out.len());
+            out[i] = (rng.next_u64() % 256) as i64;
         }
         _ => out.push(0),
     }
@@ -100,13 +82,18 @@ fn mutate(rng: &mut XorShift, input: &[i64]) -> Vec<i64> {
 /// Crashing or non-exiting inputs contribute whatever profile events they
 /// produced before dying (AFL keeps their coverage too), but are not
 /// added to the corpus.
+///
+/// # Panics
+///
+/// Panics if the profiling binary does not load, which happens only
+/// when `image` itself does not.
 pub fn fuzz_profile(
     image: &Image,
     seeds: &[Vec<i64>],
     config: &FuzzConfig,
 ) -> Result<FuzzOutcome, HardenError> {
     let prof = instrument_profile(image)?;
-    let mut rng = XorShift(config.seed | 1);
+    let mut rng = Rng64::new(config.seed);
     let mut profile: HashMap<u64, ProfileStats> = HashMap::new();
     let mut corpus: Vec<Vec<i64>> = seeds.to_vec();
     if corpus.is_empty() {
@@ -116,7 +103,13 @@ pub fn fuzz_profile(
 
     let run_and_merge =
         |input: &Vec<i64>, profile: &mut HashMap<u64, ProfileStats>| -> (bool, usize) {
-            let out = run_once(&prof.image, input.clone(), ErrorMode::Log, config.max_steps);
+            // Safety of the expect: documented under `# Panics`.
+            #[allow(clippy::expect_used)]
+            let out = run(
+                &prof.image,
+                &RunSpec::new(input, ErrorMode::Log, config.max_steps),
+            )
+            .expect("profiling binary loads");
             let mut new_sites = 0usize;
             for (site, stats) in out.profile {
                 let e = profile.entry(site).or_insert_with(|| {
@@ -137,7 +130,7 @@ pub fn fuzz_profile(
 
     // Mutation loop.
     while executions < config.iterations {
-        let parent = corpus[rng.below(corpus.len())].clone();
+        let parent = corpus[rng.below_usize(corpus.len())].clone();
         let child = mutate(&mut rng, &parent);
         let (exited, new_sites) = run_and_merge(&child, &mut profile);
         executions += 1;
@@ -241,7 +234,7 @@ fn main() {
         let prof = instrument_profile(&image).unwrap();
         let mut exhaustive: HashMap<u64, ProfileStats> = HashMap::new();
         for v in 0..=64 {
-            let out = run_once(&prof.image, vec![v], ErrorMode::Log, 50_000_000);
+            let out = run(&prof.image, &RunSpec::new(&[v], ErrorMode::Log, 50_000_000)).unwrap();
             assert!(matches!(out.result, RunResult::Exited(_)));
             for (site, stats) in out.profile {
                 let e = exhaustive.entry(site).or_default();

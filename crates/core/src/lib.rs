@@ -15,8 +15,9 @@
 //!   two-phase workflow; [`collect_allowlist`] turns the recorded
 //!   per-site pass/fail counters into an [`AllowList`]; hardening with
 //!   [`LowFatPolicy::AllowList`] closes the loop.
-//! * [`run_once`] is a convenience runner used by tests, examples and the
-//!   experiment harness.
+//! * [`run`] runs an image as a [`RunSpec`] says: on the fast execution
+//!   tier unless the spec selects the step interpreter, which stays the
+//!   reference that selftest's backend audit compares the tier against.
 //!
 //! The generated checks are real x86-64 code operating on the low-fat
 //! SIZES/MAGICS tables installed by the runtime; no host-side shortcut
@@ -54,4 +55,4 @@ pub use pipeline::{
     HardenError, HardenStats, Hardened,
 };
 pub use redfat_emu::AllocPolicyKind;
-pub use runner::{run_once, try_run_backend, try_run_backend_policy, try_run_once, RunOutcome};
+pub use runner::{run, try_run_backend, RunOutcome, RunSpec};

@@ -129,23 +129,11 @@ pub struct Hardened {
     pub clobbers: Vec<(u64, ClobberInfo)>,
 }
 
-/// Default pipeline parallelism: the `REDFAT_THREADS` environment
-/// variable when set to a positive integer, else 1 (serial). The
-/// conservative default keeps single-workload experiment runs serial;
-/// callers wanting machine-wide parallelism use [`harden_threaded`]
-/// with an explicit count.
-fn default_threads() -> usize {
-    std::env::var("REDFAT_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(1)
-}
-
 /// Hardens `image` under `config` (paper §3/§6; production phase of §5
-/// when the policy is an allow-list).
+/// when the policy is an allow-list), on one thread. Callers wanting
+/// parallel analysis use [`harden_threaded`] with an explicit count.
 pub fn harden(image: &Image, config: &HardenConfig) -> Result<Hardened, HardenError> {
-    harden_threaded(image, config, default_threads())
+    harden_threaded(image, config, 1)
 }
 
 /// [`harden`] with an explicit analysis thread count. The hardened
@@ -176,13 +164,13 @@ pub fn harden_with_bases(
     config: &HardenConfig,
     bases: RewriteBases,
 ) -> Result<Hardened, HardenError> {
-    instrument(image, config, PayloadMode::Harden, bases, default_threads())
+    instrument(image, config, PayloadMode::Harden, bases, 1)
 }
 
 /// Builds the §5 *profiling* binary: every heap-reachable access is
 /// instrumented to record whether its (LowFat) check passes, via
 /// `PROFILE_EVENT`. Run it against a test suite with
-/// [`crate::run_once`], then feed the collected counters to
+/// [`crate::run`], then feed the collected counters to
 /// [`collect_allowlist`].
 pub fn instrument_profile(image: &Image) -> Result<Hardened, HardenError> {
     let bases = RewriteBases::default();
@@ -197,13 +185,7 @@ pub fn instrument_profile(image: &Image) -> Result<Hardened, HardenError> {
         lowfat: LowFatPolicy::All,
         lowfat_only: false,
     };
-    instrument(
-        image,
-        &config,
-        PayloadMode::Profile,
-        bases,
-        default_threads(),
-    )
+    instrument(image, &config, PayloadMode::Profile, bases, 1)
 }
 
 /// Builds the allow-list from profiling counters: a site is allowed iff

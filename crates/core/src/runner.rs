@@ -1,10 +1,10 @@
-//! Convenience runner used by tests, examples and the experiment
-//! harness.
+//! The one guest-run entry point, used by the CLI, tests, examples and
+//! the experiment harness.
 
 use redfat_elf::Image;
 use redfat_emu::{
-    Counters, Emu, ErrorMode, ExecBackend, GuestIo, HostRuntime, LoadError, MemoryError,
-    ProfileStats, RunResult, TraceStats,
+    AllocPolicyKind, Counters, Emu, ErrorMode, ExecBackend, GuestIo, HostRuntime, LoadError,
+    MemoryError, ProfileStats, RunResult, TraceStats,
 };
 use std::collections::HashMap;
 
@@ -32,66 +32,50 @@ impl RunOutcome {
     }
 }
 
-/// Loads `image`, runs it with the given input under the standard
-/// RedFat runtime, and collects the outcome.
-///
-/// `mode` selects abort-on-error (hardening) or log-and-continue
-/// (bug finding / profiling).
-pub fn run_once(image: &Image, input: Vec<i64>, mode: ErrorMode, max_steps: u64) -> RunOutcome {
-    // Safety of the expect: `run_once` is the documented panic-on-
-    // malformed-image convenience for tests and experiments; services
-    // and fault-tolerant callers use `try_run_once`.
-    #[allow(clippy::expect_used)]
-    try_run_once(image, input, mode, max_steps).expect("image loads")
+/// How to run one guest: its input, the reaction to a memory error, the
+/// execution backend, the step budget and the heap's allocator policy.
+#[derive(Debug, Clone, Copy)]
+pub struct RunSpec<'a> {
+    /// The values the guest reads with `input()`.
+    pub input: &'a [i64],
+    /// Abort on the first memory error (hardening) or log and continue
+    /// (bug finding, profiling).
+    pub mode: ErrorMode,
+    /// The fast tier by default; [`ExecBackend::Step`] selects the
+    /// reference interpreter. Counters, I/O, errors and profile are
+    /// backend-independent (the selftest backend audit checks that);
+    /// only wall-clock time and [`RunOutcome::trace_stats`] differ.
+    pub backend: ExecBackend,
+    /// Instructions to run before giving up with
+    /// [`RunResult::StepLimit`].
+    pub budget: u64,
+    /// The runtime heap's placement policy. The hardened image is
+    /// policy-independent; only the runtime's placement decisions
+    /// change.
+    pub policy: AllocPolicyKind,
 }
 
-/// [`run_once`] for images that may not load: a malformed image yields
-/// the loader's structured error instead of a panic.
-pub fn try_run_once(
-    image: &Image,
-    input: Vec<i64>,
-    mode: ErrorMode,
-    max_steps: u64,
-) -> Result<RunOutcome, LoadError> {
-    try_run_backend(image, input, mode, ExecBackend::Step, max_steps)
+impl<'a> RunSpec<'a> {
+    /// A run of `input` in `mode` for at most `budget` instructions, on
+    /// the fast tier under the paper's allocator policy.
+    pub fn new(input: &'a [i64], mode: ErrorMode, budget: u64) -> RunSpec<'a> {
+        RunSpec {
+            input,
+            mode,
+            backend: ExecBackend::default(),
+            budget,
+            policy: AllocPolicyKind::default(),
+        }
+    }
 }
 
-/// [`try_run_once`] on an explicit execution backend: `step` (the
-/// reference interpreter) or the fast tier. Counters, I/O, and
-/// reported errors are backend-independent (the translated tier is
-/// audited against `step` by the selftest lockstep oracle); only
-/// wall-clock time and [`RunOutcome::trace_stats`] differ.
-pub fn try_run_backend(
-    image: &Image,
-    input: Vec<i64>,
-    mode: ErrorMode,
-    backend: ExecBackend,
-    max_steps: u64,
-) -> Result<RunOutcome, LoadError> {
-    try_run_backend_policy(
-        image,
-        input,
-        mode,
-        backend,
-        max_steps,
-        redfat_emu::AllocPolicyKind::default(),
-    )
-}
-
-/// [`try_run_backend`] with the runtime heap backed by an explicit
-/// allocator policy (the `--alloc-policy` knob). The hardened image is
-/// policy-independent; only the runtime's placement decisions change.
-pub fn try_run_backend_policy(
-    image: &Image,
-    input: Vec<i64>,
-    mode: ErrorMode,
-    backend: ExecBackend,
-    max_steps: u64,
-    policy: redfat_emu::AllocPolicyKind,
-) -> Result<RunOutcome, LoadError> {
-    let runtime = HostRuntime::with_policy(mode, policy).with_input(input);
+/// Loads `image`, runs it as `spec` says under the standard RedFat
+/// runtime, and collects the outcome. A malformed image yields the
+/// loader's structured error.
+pub fn run(image: &Image, spec: &RunSpec<'_>) -> Result<RunOutcome, LoadError> {
+    let runtime = HostRuntime::with_policy(spec.mode, spec.policy).with_input(spec.input.to_vec());
     let mut emu = Emu::load_image(image, runtime)?;
-    let result = emu.run_backend(backend, max_steps);
+    let result = emu.run_backend(spec.backend, spec.budget);
     let trace_stats = emu.trace_stats();
     Ok(RunOutcome {
         result,
@@ -101,4 +85,78 @@ pub fn try_run_backend_policy(
         profile: emu.runtime.profile,
         trace_stats,
     })
+}
+
+/// [`run`] under the paper's allocator policy, kept with this signature
+/// for the `e2ebench` benchmark crate, which calls it; new code calls
+/// [`run`].
+pub fn try_run_backend(
+    image: &Image,
+    input: Vec<i64>,
+    mode: ErrorMode,
+    backend: ExecBackend,
+    max_steps: u64,
+) -> Result<RunOutcome, LoadError> {
+    run(
+        image,
+        &RunSpec {
+            backend,
+            ..RunSpec::new(&input, mode, max_steps)
+        },
+    )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{harden, instrument_profile, HardenConfig};
+
+    #[test]
+    fn the_default_fast_tier_and_the_step_interpreter_agree_on_every_outcome() {
+        // The second input reads element 10 of a 10-element array: the
+        // hardened image reports it and, in log mode, runs on.
+        let src = "fn main() {
+            var n = input();
+            var m = input();
+            var a = malloc(10 * 8);
+            for (var i = 0; i < 10; i = i + 1) { a[i] = i * n; }
+            var s = 0;
+            for (var i = 0; i <= m; i = i + 1) { s = s + a[i]; }
+            print(s);
+            free(a);
+            return 0;
+        }";
+        let image = redfat_minic::compile(src).unwrap();
+        let hardened = harden(&image, &HardenConfig::default()).unwrap().image;
+        let profiling = instrument_profile(&image).unwrap().image;
+        for (kind, img) in [
+            ("baseline", &image),
+            ("hardened", &hardened),
+            ("profiling", &profiling),
+        ] {
+            let spec = RunSpec::new(&[3, 10], ErrorMode::Log, 1_000_000);
+            let fast = run(img, &spec).unwrap();
+            let step = run(
+                img,
+                &RunSpec {
+                    backend: ExecBackend::Step,
+                    ..spec
+                },
+            )
+            .unwrap();
+            assert_eq!(fast.result, RunResult::Exited(0), "{kind}");
+            assert_eq!(fast.result, step.result, "{kind}: result");
+            assert_eq!(fast.counters, step.counters, "{kind}: counters");
+            assert_eq!(fast.io.digest(), step.io.digest(), "{kind}: I/O");
+            assert_eq!(fast.errors, step.errors, "{kind}: errors");
+            assert_eq!(fast.profile, step.profile, "{kind}: profile");
+            assert_ne!(fast.trace_stats, TraceStats::default(), "{kind}: fast");
+            assert_eq!(step.trace_stats, TraceStats::default(), "{kind}: step");
+            match kind {
+                "hardened" => assert!(!fast.errors.is_empty(), "the overflow is reported"),
+                "profiling" => assert!(!fast.profile.is_empty(), "the sites are profiled"),
+                _ => {}
+            }
+        }
+    }
 }

@@ -17,7 +17,8 @@
 //!    translated execution tier against the single-step reference
 //!    interpreter on the *same* image and compares the full
 //!    architectural state (every register, flags, `rip`, all cost
-//!    counters, runtime error count) at every audit boundary. The
+//!    counters, runtime error count) at every audit boundary, and the
+//!    guest IO and per-site profile counters at the end. The
 //!    translation cache is a pure performance optimization, so any
 //!    difference at all is a bug.
 //!
@@ -26,6 +27,9 @@
 //! predicate allows; divergence details embed a disassembly window of the
 //! instructions leading up to the failure. [`lockstep`] runs the oracle,
 //! shrinks and describes a failure in one call.
+//!
+//! [`assert_same_bytes`] reports where two images that must be
+//! byte-identical first differ.
 //!
 //! The encoder/decoder round trip and the allocator's layout laws read
 //! no image; their randomized campaigns are the tests of `redfat-x86`
@@ -86,6 +90,35 @@ impl SplitMix64 {
     pub fn below(&mut self, n: u64) -> u64 {
         self.next_u64() % n
     }
+}
+
+// ---------------------------------------------------------------------------
+// Byte identity
+// ---------------------------------------------------------------------------
+
+/// Asserts that `got` equals `want` -- typically two serialized images
+/// that must be byte-identical. On a mismatch it panics with `case`,
+/// both lengths, the first differing offset and up to eight bytes from
+/// there on each side, not with both byte strings in full.
+#[track_caller]
+pub fn assert_same_bytes(case: &str, got: &[u8], want: &[u8]) {
+    if got == want {
+        return;
+    }
+    let at = got
+        .iter()
+        .zip(want)
+        .position(|(g, w)| g != w)
+        .unwrap_or(got.len().min(want.len()));
+    let from = |b: &[u8]| b[at..].iter().take(8).copied().collect::<Vec<u8>>();
+    panic!(
+        "{case}: bytes differ from offset {at:#x} ({} bytes, expected {}): \
+         {:02x?}, expected {:02x?}",
+        got.len(),
+        want.len(),
+        from(got),
+        from(want)
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -186,8 +219,9 @@ fn settle(outcome: Result<Option<RunResult>, EmuError>) -> Option<RunResult> {
 /// so the comparison is exact: every register (no dead-clobber
 /// exemptions), the flags, `rip`, the full cost-counter set, and the
 /// memory-error reports must agree element-for-element at every
-/// boundary, and the final run results and guest IO digests must be
-/// equal. Both emulators use the same policy (and thus see the same
+/// boundary, and the final run results, guest IO digests and per-site
+/// profile counters (which Table 1's allow-lists are built from) must
+/// be equal. Both emulators use the same policy (and thus see the same
 /// deterministic pointer stream), so the oracle stays exact even under
 /// the randomized backend.
 ///
@@ -343,6 +377,27 @@ pub fn backend_lockstep(
                 "guest IO digests differ: {backend} {:#x}, step {:#x}",
                 sup.runtime.io.digest(),
                 refr.runtime.io.digest()
+            ),
+        });
+    } else if sup.runtime.profile != refr.runtime.profile {
+        let (sp, rp) = (&sup.runtime.profile, &refr.runtime.profile);
+        let site = sp
+            .keys()
+            .chain(rp.keys())
+            .filter(|s| sp.get(s) != rp.get(s))
+            .min()
+            .copied()
+            .unwrap_or_default();
+        report.divergences.truncate(MAX_FAILURES - 1);
+        report.divergences.push(Divergence {
+            rip: refr.cpu.rip,
+            detail: format!(
+                "per-site profiles differ ({backend} {} sites, step {}); first at site \
+                 {site:#x}: {backend} {:?}, step {:?}",
+                sp.len(),
+                rp.len(),
+                sp.get(&site),
+                rp.get(&site)
             ),
         });
     }
@@ -980,7 +1035,7 @@ mod tests {
     }
 
     #[test]
-    fn backend_lockstep_is_clean_on_baseline_and_hardened_images() {
+    fn backend_lockstep_is_clean_on_baseline_hardened_and_profiling_images() {
         let src = "fn main() {
             var n = input();
             var a = malloc(12 * 8);
@@ -993,6 +1048,7 @@ mod tests {
         }";
         let image = redfat_minic::compile(src).unwrap();
         let hardened = harden(&image, &HardenConfig::default()).unwrap();
+        let profiling = crate::instrument_profile(&image).unwrap();
         let fast = ExecBackend::Fast;
         for policy in AllocPolicyKind::ALL {
             let rep = backend_lockstep(&image, &[3], fast, 5_000_000, policy);
@@ -1006,14 +1062,20 @@ mod tests {
             assert!(rep.blocks > 0 && rep.instructions > rep.blocks);
 
             // The hardened image exercises trampoline crossings and the
-            // inserted check payloads under the translated tier.
-            let rep = backend_lockstep(&hardened.image, &[3], fast, 5_000_000, policy);
-            assert!(
-                rep.completed,
-                "{fast} ({policy}): hardened run incomplete: {rep:#?}"
-            );
-            assert!(rep.clean(), "{fast} ({policy}): {:#?}", rep.divergences);
-            assert_eq!(rep.backend_exit, Some(RunResult::Exited(0)));
+            // inserted check payloads under the translated tier, the
+            // profiling image its per-site `PROFILE_EVENT` syscalls.
+            for (kind, img) in [
+                ("hardened", &hardened.image),
+                ("profiling", &profiling.image),
+            ] {
+                let rep = backend_lockstep(img, &[3], fast, 5_000_000, policy);
+                assert!(
+                    rep.completed,
+                    "{fast} ({policy}): {kind} run incomplete: {rep:#?}"
+                );
+                assert!(rep.clean(), "{fast} ({policy}): {:#?}", rep.divergences);
+                assert_eq!(rep.backend_exit, Some(RunResult::Exited(0)));
+            }
         }
     }
 

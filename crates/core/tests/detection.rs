@@ -13,7 +13,7 @@
 //!   workflow (Problem #2)
 
 use redfat_core::{
-    collect_allowlist, harden, instrument_profile, run_once, HardenConfig, LowFatPolicy,
+    collect_allowlist, harden, instrument_profile, run, HardenConfig, LowFatPolicy, RunSpec,
 };
 use redfat_elf::{Image, ImageKind, SegFlags, Segment};
 use redfat_emu::{syscalls, ErrorMode, MemErrKind, RunResult};
@@ -69,7 +69,8 @@ fn redzone_only() -> HardenConfig {
 
 fn expect_error(img: &Image, input: Vec<i64>, cfg: &HardenConfig) -> redfat_emu::MemoryError {
     let hardened = harden(img, cfg).expect("hardens");
-    let out = run_once(&hardened.image, input, ErrorMode::Abort, 1_000_000);
+    let spec = RunSpec::new(&input, ErrorMode::Abort, 1_000_000);
+    let out = run(&hardened.image, &spec).unwrap();
     match out.result {
         RunResult::MemoryError(e) => e,
         other => panic!(
@@ -81,7 +82,8 @@ fn expect_error(img: &Image, input: Vec<i64>, cfg: &HardenConfig) -> redfat_emu:
 
 fn expect_clean(img: &Image, input: Vec<i64>, cfg: &HardenConfig) {
     let hardened = harden(img, cfg).expect("hardens");
-    let out = run_once(&hardened.image, input, ErrorMode::Abort, 1_000_000);
+    let spec = RunSpec::new(&input, ErrorMode::Abort, 1_000_000);
+    let out = run(&hardened.image, &spec).unwrap();
     assert_eq!(out.result, RunResult::Exited(0), "errors: {:?}", out.errors);
 }
 
@@ -254,7 +256,7 @@ fn profile_workflow_eliminates_false_positive() {
 
     // Phase 1: profile against a training input.
     let prof = instrument_profile(&img).expect("profiles");
-    let out = run_once(&prof.image, vec![34], ErrorMode::Log, 1_000_000);
+    let out = run(&prof.image, &RunSpec::new(&[34], ErrorMode::Log, 1_000_000)).unwrap();
     assert_eq!(out.result, RunResult::Exited(0));
     assert!(!out.profile.is_empty(), "profiling recorded events");
     let allow = collect_allowlist(&out.profile);
@@ -295,7 +297,7 @@ fn profile_workflow_still_detects_real_bugs() {
 
     // Train with a benign input.
     let prof = instrument_profile(&img).expect("profiles");
-    let out = run_once(&prof.image, vec![1], ErrorMode::Log, 1_000_000);
+    let out = run(&prof.image, &RunSpec::new(&[1], ErrorMode::Log, 1_000_000)).unwrap();
     assert_eq!(out.result, RunResult::Exited(0));
     let allow = collect_allowlist(&out.profile);
     let cfg = HardenConfig::with_merge(LowFatPolicy::AllowList(allow));
@@ -311,7 +313,8 @@ fn profile_workflow_still_detects_real_bugs() {
 fn log_mode_reports_and_continues() {
     let img = build_image(attacker_indexed_store);
     let hardened = harden(&img, &full()).unwrap();
-    let out = run_once(&hardened.image, vec![5], ErrorMode::Log, 1_000_000);
+    let spec = RunSpec::new(&[5], ErrorMode::Log, 1_000_000);
+    let out = run(&hardened.image, &spec).unwrap();
     // Padding index: access proceeds after logging (padding is mapped).
     assert_eq!(out.result, RunResult::Exited(0));
     assert_eq!(out.errors.len(), 1);

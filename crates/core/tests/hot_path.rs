@@ -5,7 +5,7 @@
 //! trampoline's entry to the displaced instructions: the only transfers
 //! it adds are the jump in and the jump back, and it takes no branch.
 
-use redfat_core::{harden, run_once, HardenConfig};
+use redfat_core::{harden, run, HardenConfig, RunSpec};
 use redfat_emu::{Counters, ErrorMode, RunResult};
 
 /// Hardened-minus-baseline counters of `src` on `input`, after checking
@@ -15,8 +15,8 @@ fn overhead(src: &str, input: &[i64]) -> Counters {
     let hardened = harden(&image, &HardenConfig::default())
         .expect("hardens")
         .image;
-    let base = run_once(&image, input.to_vec(), ErrorMode::Abort, 1_000_000);
-    let hard = run_once(&hardened, input.to_vec(), ErrorMode::Abort, 1_000_000);
+    let base = run(&image, &RunSpec::new(input, ErrorMode::Abort, 1_000_000)).unwrap();
+    let hard = run(&hardened, &RunSpec::new(input, ErrorMode::Abort, 1_000_000)).unwrap();
     assert_eq!(base.result, RunResult::Exited(0));
     assert_eq!(hard.result, RunResult::Exited(0));
     assert_eq!(base.io.out_ints, hard.io.out_ints);

@@ -8,6 +8,7 @@
 //! path, whose analysis then becomes the base.
 
 use redfat_analysis::{disassemble, unknown_entries, Cfg, MAX_BLOCK};
+use redfat_core::selftest::assert_same_bytes;
 use redfat_core::{harden_cached, harden_threaded, HardenConfig, Hardened};
 use redfat_core::{KeptBaseSlot, LowFatPolicy};
 use redfat_elf::{Image, ImageKind, SegFlags, Segment};
@@ -128,7 +129,7 @@ fn assert_matches_one_shot(
 ) {
     let one = harden_threaded(image, config, 2)
         .unwrap_or_else(|e| panic!("{what}: one-shot harden failed: {e}"));
-    assert_eq!(edit.image.to_bytes(), one.image.to_bytes(), "{what}: bytes");
+    assert_same_bytes(what, &edit.image.to_bytes(), &one.image.to_bytes());
     assert_eq!(edit.clobbers, one.clobbers, "{what}: clobbers");
     let mut stats = edit.stats;
     assert_eq!(stats.components_reused, reused, "{what}: components reused");
@@ -177,7 +178,7 @@ fn warm_and_incremental_rehardening_is_byte_identical_on_all_stand_ins() {
         // A re-harden of the kept image re-plans nothing.
         let warm = assert_edit(&slot, &image, &image, &config, w.name);
         assert_eq!(warm.stats.components_reused, warm.stats.components);
-        assert_eq!(warm.image.to_bytes(), cold.image.to_bytes(), "{}", w.name);
+        assert_same_bytes(w.name, &warm.image.to_bytes(), &cold.image.to_bytes());
 
         // A one-component edit re-plans only the touched component.
         let flips = component_flips(&image, 1);
@@ -253,9 +254,8 @@ fn assert_full_path(first: &Image, second: &Image) {
     assert!(full.stats.checks > 0, "the store is instrumented");
     let second_full = harden_cached(second, &config, 1, &slot).expect("second harden");
     assert_eq!((slot.edits(), slot.fallbacks()), (0, 1), "a fallback");
-    assert_ne!(
-        full.image.to_bytes(),
-        second_full.image.to_bytes(),
+    assert!(
+        full.image.to_bytes() != second_full.image.to_bytes(),
         "the two images harden differently"
     );
     assert_matches_one_shot(&second_full, second, &config, 0, "second image");
@@ -302,7 +302,7 @@ fn an_edit_in_the_second_of_two_adjacent_code_segments_is_planned_afresh() {
     let (slot, full) = primed(&with_rcx, &config, "rcx");
     let edit = assert_edit(&slot, &with_rcx, &with_rdx, &config, "rdx");
     assert_eq!(edit.stats.components_reused, 0, "the one component");
-    assert_ne!(full.image.to_bytes(), edit.image.to_bytes());
+    assert!(full.image.to_bytes() != edit.image.to_bytes());
 }
 
 /// Hardens `image` under `config` through a slot, then chains up to

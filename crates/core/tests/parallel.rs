@@ -4,6 +4,7 @@
 //! component, so the worker count can only change *who* computes a
 //! shard, never what any shard computes (see `Cfg::components`).
 
+use redfat_core::selftest::assert_same_bytes;
 use redfat_core::{harden_threaded, HardenConfig, LowFatPolicy};
 
 #[test]
@@ -18,11 +19,10 @@ fn harden_is_identical_across_thread_counts() {
             let serial_bytes = serial.image.to_bytes();
             for threads in [2usize, 8] {
                 let parallel = harden_threaded(&image, &config, threads).expect("parallel harden");
-                assert_eq!(
-                    serial_bytes,
-                    parallel.image.to_bytes(),
-                    "{}: hardened image differs at {threads} threads",
-                    w.name
+                assert_same_bytes(
+                    &format!("{} at {threads} threads", w.name),
+                    &parallel.image.to_bytes(),
+                    &serial_bytes,
                 );
                 assert_eq!(
                     serial.stats, parallel.stats,
@@ -56,6 +56,10 @@ fn threads_beyond_component_count_are_harmless() {
     let config = HardenConfig::default();
     let serial = harden_threaded(&image, &config, 1).expect("serial harden");
     let wide = harden_threaded(&image, &config, 64).expect("wide harden");
-    assert_eq!(serial.image.to_bytes(), wide.image.to_bytes());
+    assert_same_bytes(
+        "64 threads",
+        &wide.image.to_bytes(),
+        &serial.image.to_bytes(),
+    );
     assert_eq!(serial.stats, wide.stats);
 }

@@ -4,7 +4,7 @@
 //! under `--no-elim`, such a `lea` must compute the operand's absolute
 //! address at any trampoline base.
 
-use redfat_core::{harden_with_bases, run_once, HardenConfig, RunOutcome};
+use redfat_core::{harden_with_bases, HardenConfig, RunOutcome, RunSpec};
 use redfat_emu::ErrorMode;
 use redfat_rewriter::RewriteBases;
 use redfat_vm::layout;
@@ -39,7 +39,7 @@ fn rip_lea_targets(image: &redfat_elf::Image, base: u64) -> Vec<u64> {
 }
 
 fn run(image: &redfat_elf::Image) -> RunOutcome {
-    run_once(image, Vec::new(), ErrorMode::Log, 100_000)
+    redfat_core::run(image, &RunSpec::new(&[], ErrorMode::Log, 100_000)).unwrap()
 }
 
 #[test]

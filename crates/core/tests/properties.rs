@@ -3,7 +3,7 @@
 //! no memory errors), under every optimization configuration. Driven by
 //! a deterministic seeded generator.
 
-use redfat_core::{harden, run_once, HardenConfig, LowFatPolicy};
+use redfat_core::{harden, run, HardenConfig, LowFatPolicy, RunSpec};
 use redfat_emu::{ErrorMode, RunResult};
 use redfat_minic::compile;
 use redfat_vm::Rng64;
@@ -53,7 +53,7 @@ fn hardening_preserves_random_program_behavior() {
     for case in 0..48 {
         let src = random_program(&mut r);
         let image = compile(&src).expect("generated programs compile");
-        let base = run_once(&image, vec![], ErrorMode::Abort, 20_000_000);
+        let base = run(&image, &RunSpec::new(&[], ErrorMode::Abort, 20_000_000)).unwrap();
         assert_eq!(base.result, RunResult::Exited(0), "case {case}");
 
         for cfg in [
@@ -63,7 +63,8 @@ fn hardening_preserves_random_program_behavior() {
             HardenConfig::minus_reads(LowFatPolicy::Disabled),
         ] {
             let hardened = harden(&image, &cfg).expect("hardens");
-            let out = run_once(&hardened.image, vec![], ErrorMode::Abort, 100_000_000);
+            let spec = RunSpec::new(&[], ErrorMode::Abort, 100_000_000);
+            let out = run(&hardened.image, &spec).unwrap();
             assert_eq!(
                 out.result,
                 RunResult::Exited(0),
@@ -100,7 +101,9 @@ fn out_of_bounds_index_always_detected() {
         // Class capacity in elements (user area minus nothing; the
         // check bound is the malloc size).
         let idx = (elems + excess) as i64;
-        let out = run_once(&hardened.image, vec![idx], ErrorMode::Abort, 10_000_000);
+        let overflow = [idx];
+        let spec = RunSpec::new(&overflow, ErrorMode::Abort, 10_000_000);
+        let out = run(&hardened.image, &spec).unwrap();
         assert!(
             matches!(out.result, RunResult::MemoryError(_)),
             "idx {} on {} elems gave {:?}",
@@ -109,12 +112,9 @@ fn out_of_bounds_index_always_detected() {
             out.result
         );
         // And the in-bounds probe is clean.
-        let ok = run_once(
-            &hardened.image,
-            vec![elems as i64 - 1],
-            ErrorMode::Abort,
-            10_000_000,
-        );
+        let last = [elems as i64 - 1];
+        let spec = RunSpec::new(&last, ErrorMode::Abort, 10_000_000);
+        let ok = run(&hardened.image, &spec).unwrap();
         assert_eq!(ok.result, RunResult::Exited(0));
     }
 }

@@ -1053,15 +1053,16 @@ fn ends_block(op: Op) -> bool {
 /// Which execution backend [`Emu::run_backend`] drives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecBackend {
-    /// Per-instruction fetch/decode-cached interpretation ([`Emu::step`]).
-    #[default]
+    /// Per-instruction fetch/decode-cached interpretation ([`Emu::step`]):
+    /// the reference the fast tier is audited against.
     Step,
     /// The translated tier ([`Emu::step_fast`]): trace chaining,
     /// indirect-branch inline caches, dead-flag elision, host-pointer
     /// memory caching and batched counter accounting. Counters and
     /// architectural state are bit-exact at every trace boundary
     /// (audited by the boundary-audit oracle), not at every instruction
-    /// mid-trace.
+    /// mid-trace. The default.
+    #[default]
     Fast,
 }
 

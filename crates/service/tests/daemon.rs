@@ -2,7 +2,7 @@
 //! the kept base, and corrupt-cache robustness.
 
 use redfat_analysis::{disassemble, Cfg};
-use redfat_core::selftest::SplitMix64;
+use redfat_core::selftest::{assert_same_bytes, SplitMix64};
 use redfat_core::{harden_threaded, HardenConfig, LowFatPolicy};
 use redfat_elf::Image;
 use redfat_service::{
@@ -90,7 +90,7 @@ fn concurrent_identical_requests_cost_one_computation() {
     .image
     .to_bytes();
     for a in &artifacts {
-        assert_eq!(a, &direct, "daemon artifact matches one-shot harden");
+        assert_same_bytes("a deduplicated client's artifact", a, &direct);
     }
 
     // However the arrivals interleaved, exactly one computation ran;
@@ -144,7 +144,7 @@ fn warm_artifact_hit_does_zero_analysis() {
             ..
         } => {
             assert_eq!(source, Source::ArtifactHit);
-            assert_eq!(artifact, cold_bytes, "warm hit is byte-identical");
+            assert_same_bytes("the warm hit", &artifact, &cold_bytes);
             assert!(
                 micros <= cold_micros,
                 "warm lookup ({micros}us) within cold compute ({cold_micros}us)"
@@ -275,9 +275,16 @@ fn flipped(image: &Image, at: &[u64]) -> Image {
     out
 }
 
-/// Submits `image` for hardening and checks the reply against a one-shot
-/// harden and the daemon's kept-base counters. Returns the reply stats.
-fn harden_and_check(c: &mut Client, image: &Image, edits: u64, fallbacks: u64) -> String {
+/// Submits `image`, named `what` in failures, for hardening and checks
+/// the reply against a one-shot harden and the daemon's kept-base
+/// counters. Returns the reply stats.
+fn harden_and_check(
+    c: &mut Client,
+    image: &Image,
+    edits: u64,
+    fallbacks: u64,
+    what: &str,
+) -> String {
     let cfg = HardenConfig::default();
     let reply = c
         .job(Op::Harden, cfg.canonical_bytes(), image.to_bytes())
@@ -291,19 +298,19 @@ fn harden_and_check(c: &mut Client, image: &Image, edits: u64, fallbacks: u64) -
     else {
         panic!("job failed: {reply:?}");
     };
-    assert_eq!(source, Source::Computed);
+    assert_eq!(source, Source::Computed, "{what}");
     let one_shot = harden_threaded(image, &cfg, 2).expect("one-shot harden");
-    assert_eq!(
-        artifact,
-        one_shot.image.to_bytes(),
-        "matches a one-shot harden"
-    );
+    assert_same_bytes(what, &artifact, &one_shot.image.to_bytes());
     let server = c.stats().expect("stats");
-    assert_eq!(counter(&server, "kept_base_edits"), edits, "{server}");
+    assert_eq!(
+        counter(&server, "kept_base_edits"),
+        edits,
+        "{what}: {server}"
+    );
     assert_eq!(
         counter(&server, "kept_base_fallbacks"),
         fallbacks,
-        "{server}"
+        "{what}: {server}"
     );
     stats
 }
@@ -325,29 +332,41 @@ fn edits_take_the_kept_base_and_a_new_image_replaces_it() {
 
     // The first job finds no base and keeps its own.
     let first = Image::parse(&workload_image_bytes()).expect("parse");
-    harden_and_check(&mut c, &first, 0, 0);
+    harden_and_check(&mut c, &first, 0, 0, "the first image");
     // Three chained edits, each flipping one more component on top of
     // the previous one. The base stays the first image, so edit k
     // re-plans the k components that differ from it.
     let flips = component_flips(&first, 3);
     for k in 1..=3 {
         let image = flipped(&first, &flips[..k]);
-        let stats = harden_and_check(&mut c, &image, k as u64, 0);
+        let stats = harden_and_check(&mut c, &image, k as u64, 0, &format!("chained edit {k}"));
         assert_replanned(&stats, k as u64);
     }
     // A different image is no edit of the base and replaces it...
     let other = redfat_workloads::spec::by_name("bzip2")
         .expect("stand-in exists")
         .image();
-    harden_and_check(&mut c, &other, 3, 1);
+    harden_and_check(&mut c, &other, 3, 1, "another stand-in");
     // ...so its own edit takes the kept base again, and an edit of the
     // first image no longer does.
     let other_flip = component_flips(&other, 1);
     assert_replanned(
-        &harden_and_check(&mut c, &flipped(&other, &other_flip), 4, 1),
+        &harden_and_check(
+            &mut c,
+            &flipped(&other, &other_flip),
+            4,
+            1,
+            "an edit of the other stand-in",
+        ),
         1,
     );
-    let stats = harden_and_check(&mut c, &flipped(&first, &flips[1..2]), 4, 2);
+    let stats = harden_and_check(
+        &mut c,
+        &flipped(&first, &flips[1..2]),
+        4,
+        2,
+        "an edit of the first image",
+    );
     assert_replanned(&stats, counter(&stats, "components"));
 
     c.shutdown().expect("shutdown");
@@ -365,16 +384,17 @@ fn sibling_edits_and_alternating_images_count_by_the_last_full_harden() {
 
     // Siblings: each is `a` with one component's flip, so each also
     // reverts the previous one's, yet each re-plans one component.
-    let a_first = harden_and_check(&mut c, &a, 0, 0);
+    let a_first = harden_and_check(&mut c, &a, 0, 0, "image a");
     let flips = component_flips(&a, 5);
     for k in 0..3 {
-        let stats = harden_and_check(&mut c, &flipped(&a, &flips[k..=k]), k as u64 + 1, 0);
+        let what = format!("sibling {k} of a");
+        let stats = harden_and_check(&mut c, &flipped(&a, &flips[k..=k]), k as u64 + 1, 0, &what);
         assert_replanned(&stats, 1);
     }
 
     // A, B, A: B replaces the base, and the repeat of A is an artifact
     // hit that leaves the base and the counts alone.
-    harden_and_check(&mut c, &b, 3, 1);
+    harden_and_check(&mut c, &b, 3, 1, "image b");
     let cfg = HardenConfig::default().canonical_bytes();
     match c.job(Op::Harden, cfg, a.to_bytes()).expect("resubmit") {
         Response::Ok { source, stats, .. } => {
@@ -386,9 +406,9 @@ fn sibling_edits_and_alternating_images_count_by_the_last_full_harden() {
     // So the next sibling of `a` takes the full path and becomes the
     // base, and the one after it differs from that base in two
     // components: its own flip and the reverted one.
-    let stats = harden_and_check(&mut c, &flipped(&a, &flips[3..4]), 3, 2);
+    let stats = harden_and_check(&mut c, &flipped(&a, &flips[3..4]), 3, 2, "sibling 3 of a");
     assert_replanned(&stats, counter(&stats, "components"));
-    let stats = harden_and_check(&mut c, &flipped(&a, &flips[4..5]), 4, 2);
+    let stats = harden_and_check(&mut c, &flipped(&a, &flips[4..5]), 4, 2, "sibling 4 of a");
     assert_replanned(&stats, 2);
 
     // Every counter the daemon renders, in order.
@@ -536,7 +556,7 @@ fn daemon_survives_poisoned_cache_directory() {
             source, artifact, ..
         } => {
             assert_eq!(source, Source::Computed, "corrupt entry recomputes");
-            assert_eq!(artifact, cold, "recompute is byte-identical");
+            assert_same_bytes("the recompute", &artifact, &cold);
         }
         Response::Err(e) => panic!("resubmit failed: {e}"),
     }
@@ -547,7 +567,7 @@ fn daemon_survives_poisoned_cache_directory() {
             source, artifact, ..
         } => {
             assert_eq!(source, Source::ArtifactHit);
-            assert_eq!(artifact, cold);
+            assert_same_bytes("the healed hit", &artifact, &cold);
         }
         Response::Err(e) => panic!("warm submit failed: {e}"),
     }

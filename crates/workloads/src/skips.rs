@@ -99,12 +99,15 @@ mod tests {
     fn every_case_compiles_and_benign_runs_clean() {
         for case in all() {
             let image = case.workload.image();
-            let out = redfat_core::run_once(
+            let out = redfat_core::run(
                 &image,
-                case.benign_input.clone(),
-                redfat_emu::ErrorMode::Abort,
-                10_000_000,
-            );
+                &redfat_core::RunSpec::new(
+                    &case.benign_input,
+                    redfat_emu::ErrorMode::Abort,
+                    10_000_000,
+                ),
+            )
+            .unwrap();
             assert!(
                 matches!(out.result, redfat_emu::RunResult::Exited(0)),
                 "{}: benign run must exit cleanly ({:?})",

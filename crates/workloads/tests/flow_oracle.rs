@@ -14,7 +14,7 @@
 //!    Table 2 attack/benign suites.
 
 use redfat_analysis::{analyze_image, SiteVerdict};
-use redfat_core::{harden, run_once, HardenConfig, LowFatPolicy};
+use redfat_core::{harden, run, HardenConfig, LowFatPolicy, RunSpec};
 use redfat_emu::{
     Cpu, Emu, ErrorMode, HostRuntime, MemoryError, RunResult, Runtime, SyscallOutcome,
 };
@@ -169,18 +169,9 @@ fn flow_pass_wins_on_most_benchmarks() {
         }
         // Strictly more instrumentation removed; runs must agree and
         // cost no more cycles than "+merge".
-        let base = run_once(
-            &merge.image,
-            wl.train_input.clone(),
-            ErrorMode::Log,
-            4_000_000_000,
-        );
-        let opt = run_once(
-            &flow.image,
-            wl.train_input.clone(),
-            ErrorMode::Log,
-            4_000_000_000,
-        );
+        let train = RunSpec::new(&wl.train_input, ErrorMode::Log, 4_000_000_000);
+        let base = run(&merge.image, &train).unwrap();
+        let opt = run(&flow.image, &train).unwrap();
         assert_eq!(
             base.io.digest(),
             opt.io.digest(),
@@ -209,12 +200,11 @@ fn flow_pass_wins_on_most_benchmarks() {
 fn redundant_pass_preserves_detection_verdicts() {
     let verdict = |cfg: &HardenConfig, wl: &redfat_workloads::Workload, input: &[i64]| -> bool {
         let hardened = harden(&wl.image(), cfg).expect("hardens");
-        let out = run_once(
+        let out = run(
             &hardened.image,
-            input.to_vec(),
-            ErrorMode::Abort,
-            50_000_000,
-        );
+            &RunSpec::new(input, ErrorMode::Abort, 50_000_000),
+        )
+        .unwrap();
         matches!(out.result, RunResult::MemoryError(_))
     };
     let merge = HardenConfig::with_merge(LowFatPolicy::All);

@@ -2,7 +2,7 @@
 //! (CVEs + Juliet sample); the Memcheck baseline detects none of them,
 //! while both behave cleanly on benign inputs.
 
-use redfat_core::{harden, run_once, HardenConfig, LowFatPolicy};
+use redfat_core::{harden, run, HardenConfig, LowFatPolicy, RunSpec};
 use redfat_emu::{Emu, ErrorMode, RunResult};
 use redfat_memcheck::MemcheckRuntime;
 use redfat_workloads::{cve, juliet};
@@ -13,12 +13,11 @@ fn redfat_detects(workload: &redfat_workloads::Workload, input: &[i64]) -> bool 
         &HardenConfig::with_merge(LowFatPolicy::All),
     )
     .expect("hardens");
-    let out = run_once(
+    let out = run(
         &hardened.image,
-        input.to_vec(),
-        ErrorMode::Abort,
-        50_000_000,
-    );
+        &RunSpec::new(input, ErrorMode::Abort, 50_000_000),
+    )
+    .unwrap();
     matches!(out.result, RunResult::MemoryError(_))
 }
 
@@ -28,12 +27,11 @@ fn redfat_clean(workload: &redfat_workloads::Workload, input: &[i64]) -> bool {
         &HardenConfig::with_merge(LowFatPolicy::All),
     )
     .expect("hardens");
-    let out = run_once(
+    let out = run(
         &hardened.image,
-        input.to_vec(),
-        ErrorMode::Abort,
-        50_000_000,
-    );
+        &RunSpec::new(input, ErrorMode::Abort, 50_000_000),
+    )
+    .unwrap();
     matches!(out.result, RunResult::Exited(_))
 }
 

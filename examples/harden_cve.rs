@@ -9,7 +9,7 @@
 //!
 //! Run with: `cargo run --release --example harden_cve`
 
-use redfat::core::{harden, run_once, HardenConfig, LowFatPolicy};
+use redfat::core::{harden, run, HardenConfig, LowFatPolicy, RunSpec};
 use redfat::emu::{Emu, ErrorMode, RunResult};
 use redfat::memcheck::MemcheckRuntime;
 use redfat::workloads::cve;
@@ -24,12 +24,8 @@ fn main() {
     );
 
     // 1. Original binary: the attack corrupts the adjacent object.
-    let out = run_once(
-        &image,
-        case.attack_input.clone(),
-        ErrorMode::Abort,
-        1_000_000,
-    );
+    let attack = RunSpec::new(&case.attack_input, ErrorMode::Abort, 1_000_000);
+    let out = run(&image, &attack).expect("image loads");
     println!(
         "original under attack:      {:?} (silent corruption)",
         out.result
@@ -47,24 +43,15 @@ fn main() {
 
     // 3. RedFat: complementary (Redzone)+(LowFat) detects it.
     let hardened = harden(&image, &HardenConfig::with_merge(LowFatPolicy::All)).unwrap();
-    let out = run_once(
-        &hardened.image,
-        case.attack_input.clone(),
-        ErrorMode::Abort,
-        1_000_000,
-    );
+    let out = run(&hardened.image, &attack).expect("image loads");
     match out.result {
         RunResult::MemoryError(e) => println!("redfat under attack:        DETECTED: {e}"),
         other => panic!("expected detection, got {other:?}"),
     }
 
     // 4. And behaves identically on benign traffic.
-    let out = run_once(
-        &hardened.image,
-        case.benign_input.clone(),
-        ErrorMode::Abort,
-        1_000_000,
-    );
+    let benign = RunSpec::new(&case.benign_input, ErrorMode::Abort, 1_000_000);
+    let out = run(&hardened.image, &benign).expect("image loads");
     println!("redfat on benign traffic:   {:?}", out.result);
     assert_eq!(out.result, RunResult::Exited(0));
 }

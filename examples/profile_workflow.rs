@@ -14,7 +14,7 @@
 //! Run with: `cargo run --release --example profile_workflow`
 
 use redfat::core::{
-    collect_allowlist, harden, instrument_profile, run_once, HardenConfig, LowFatPolicy,
+    collect_allowlist, harden, instrument_profile, run, HardenConfig, LowFatPolicy, RunSpec,
 };
 use redfat::emu::{ErrorMode, RunResult};
 use redfat::minic::compile;
@@ -44,8 +44,9 @@ fn main() {
     let image = compile(source).expect("compiles");
 
     // Naive full-LowFat hardening false-positives on the benign run.
+    let benign = RunSpec::new(&[5, 2], ErrorMode::Abort, 1_000_000);
     let naive = harden(&image, &HardenConfig::with_merge(LowFatPolicy::All)).unwrap();
-    let out = run_once(&naive.image, vec![5, 2], ErrorMode::Abort, 1_000_000);
+    let out = run(&naive.image, &benign).expect("image loads");
     println!(
         "naive lowfat-everywhere on benign input: {:?}  <- Problem #2!",
         out.result
@@ -55,7 +56,8 @@ fn main() {
     let profiling = instrument_profile(&image).expect("profiles");
     let mut profile = std::collections::HashMap::new();
     for train in [vec![1, 0], vec![8, 3], vec![16, 7]] {
-        let out = run_once(&profiling.image, train, ErrorMode::Log, 1_000_000);
+        let spec = RunSpec::new(&train, ErrorMode::Log, 1_000_000);
+        let out = run(&profiling.image, &spec).expect("image loads");
         assert_eq!(out.result, RunResult::Exited(0));
         for (site, stats) in out.profile {
             let e: &mut redfat::emu::ProfileStats = profile.entry(site).or_default();
@@ -76,7 +78,7 @@ fn main() {
     let production = harden(&image, &config).expect("hardens");
 
     // Benign inputs: no false positives.
-    let ok = run_once(&production.image, vec![5, 2], ErrorMode::Abort, 1_000_000);
+    let ok = run(&production.image, &benign).expect("image loads");
     println!(
         "\nproduction, benign input: {:?} output {:?}",
         ok.result, ok.io.out_ints
@@ -84,7 +86,8 @@ fn main() {
     assert_eq!(ok.result, RunResult::Exited(0));
 
     // The attack on `buf` is still caught (non-incremental skip).
-    let attack = run_once(&production.image, vec![5, 12], ErrorMode::Abort, 1_000_000);
+    let skip = RunSpec::new(&[5, 12], ErrorMode::Abort, 1_000_000);
+    let attack = run(&production.image, &skip).expect("image loads");
     match attack.result {
         RunResult::MemoryError(e) => println!("production, attack input: DETECTED: {e}"),
         other => panic!("expected detection, got {other:?}"),

@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use redfat::core::{harden, run_once, HardenConfig, LowFatPolicy};
+use redfat::core::{harden, run, HardenConfig, LowFatPolicy, RunSpec};
 use redfat::emu::{ErrorMode, RunResult};
 use redfat::minic::compile;
 
@@ -27,12 +27,14 @@ fn main() {
     let image = compile(source).expect("compiles");
 
     // The original binary: the attack silently corrupts `prices`.
-    let benign = run_once(&image, vec![3], ErrorMode::Abort, 1_000_000);
+    let seat_3 = RunSpec::new(&[3], ErrorMode::Abort, 1_000_000);
+    let seat_14 = RunSpec::new(&[14], ErrorMode::Abort, 1_000_000);
+    let benign = run(&image, &seat_3).expect("image loads");
     println!(
         "original, seat=3  -> {:?}, prices[2] = {:?}",
         benign.result, benign.io.out_ints
     );
-    let attacked = run_once(&image, vec![14], ErrorMode::Abort, 1_000_000);
+    let attacked = run(&image, &seat_14).expect("image loads");
     println!(
         "original, seat=14 -> {:?}, prices[2] = {:?}  (corrupted!)",
         attacked.result, attacked.io.out_ints
@@ -47,14 +49,14 @@ fn main() {
     );
 
     // The hardened binary behaves identically on benign input...
-    let benign = run_once(&hardened.image, vec![3], ErrorMode::Abort, 1_000_000);
+    let benign = run(&hardened.image, &seat_3).expect("image loads");
     println!(
         "hardened, seat=3  -> {:?}, prices[2] = {:?}",
         benign.result, benign.io.out_ints
     );
 
     // ...and aborts cleanly on the attack.
-    let attacked = run_once(&hardened.image, vec![14], ErrorMode::Abort, 1_000_000);
+    let attacked = run(&hardened.image, &seat_14).expect("image loads");
     match attacked.result {
         RunResult::MemoryError(e) => {
             println!("hardened, seat=14 -> DETECTED: {e}");

@@ -5,7 +5,8 @@
 //! corruption, allow-list round-trips).
 
 use redfat::core::{
-    collect_allowlist, harden, instrument_profile, run_once, AllowList, HardenConfig, LowFatPolicy,
+    collect_allowlist, harden, instrument_profile, run, AllowList, HardenConfig, LowFatPolicy,
+    RunSpec,
 };
 use redfat::emu::{ErrorMode, MemErrKind, RunResult};
 use redfat::minic::compile;
@@ -38,8 +39,9 @@ fn full_pipeline_through_elf_bytes_and_strip() {
     let hardened = harden(&stripped, &HardenConfig::with_merge(LowFatPolicy::All)).unwrap();
 
     // Behavior preserved on benign input.
-    let base = run_once(&stripped, vec![4], ErrorMode::Abort, 10_000_000);
-    let hard = run_once(&hardened.image, vec![4], ErrorMode::Abort, 10_000_000);
+    let benign = RunSpec::new(&[4], ErrorMode::Abort, 10_000_000);
+    let base = run(&stripped, &benign).unwrap();
+    let hard = run(&hardened.image, &benign).unwrap();
     assert_eq!(base.result, RunResult::Exited(0));
     assert_eq!(hard.result, RunResult::Exited(0));
     assert_eq!(base.io.out_ints, hard.io.out_ints);
@@ -47,7 +49,8 @@ fn full_pipeline_through_elf_bytes_and_strip() {
     // Attack detected. Index 12 lands in object b's user data
     // (objects are 96 bytes apart in the 96-byte class; 12 elements =
     // 96 bytes: exactly the neighbor's user start).
-    let attacked = run_once(&hardened.image, vec![12], ErrorMode::Abort, 10_000_000);
+    let attack = RunSpec::new(&[12], ErrorMode::Abort, 10_000_000);
+    let attacked = run(&hardened.image, &attack).unwrap();
     assert!(
         matches!(attacked.result, RunResult::MemoryError(_)),
         "got {:?}",
@@ -63,17 +66,19 @@ fn hardened_binary_serializes_and_reloads() {
     let hardened = harden(&image, &HardenConfig::with_merge(LowFatPolicy::All)).unwrap();
     let bytes = hardened.image.to_bytes();
     let reloaded = redfat::elf::Image::parse(&bytes).unwrap();
-    let out = run_once(&reloaded, vec![3], ErrorMode::Abort, 10_000_000);
+    let out = run(&reloaded, &RunSpec::new(&[3], ErrorMode::Abort, 10_000_000)).unwrap();
     assert_eq!(out.result, RunResult::Exited(0));
-    let attacked = run_once(&reloaded, vec![12], ErrorMode::Abort, 10_000_000);
+    let attack = RunSpec::new(&[12], ErrorMode::Abort, 10_000_000);
+    let attacked = run(&reloaded, &attack).unwrap();
     assert!(matches!(attacked.result, RunResult::MemoryError(_)));
 }
 
 #[test]
 fn all_optimization_levels_agree_on_output_and_detection() {
     let image = compile(VULN_PROGRAM).unwrap();
-    let baseline = run_once(&image, vec![4], ErrorMode::Abort, 10_000_000);
-    let expected = baseline.io.out_ints.clone();
+    let benign = RunSpec::new(&[4], ErrorMode::Abort, 10_000_000);
+    let attack = RunSpec::new(&[12], ErrorMode::Abort, 10_000_000);
+    let expected = run(&image, &benign).unwrap().io.out_ints;
     for (name, cfg) in [
         ("unopt", HardenConfig::unoptimized(LowFatPolicy::All)),
         ("+elim", HardenConfig::with_elim(LowFatPolicy::All)),
@@ -83,10 +88,10 @@ fn all_optimization_levels_agree_on_output_and_detection() {
         ("-reads", HardenConfig::minus_reads(LowFatPolicy::All)),
     ] {
         let hardened = harden(&image, &cfg).unwrap();
-        let ok = run_once(&hardened.image, vec![4], ErrorMode::Abort, 10_000_000);
+        let ok = run(&hardened.image, &benign).unwrap();
         assert_eq!(ok.result, RunResult::Exited(0), "{name}");
         assert_eq!(ok.io.out_ints, expected, "{name} changed output");
-        let bad = run_once(&hardened.image, vec![12], ErrorMode::Abort, 10_000_000);
+        let bad = run(&hardened.image, &attack).unwrap();
         assert!(
             matches!(bad.result, RunResult::MemoryError(_)),
             "{name} missed the attack: {:?}",
@@ -111,6 +116,7 @@ fn optimization_ladder_monotonically_cheapens() {
         }",
     )
     .unwrap();
+    let spec = RunSpec::new(&[], ErrorMode::Abort, 100_000_000);
     let mut cycles = Vec::new();
     for cfg in [
         HardenConfig::unoptimized(LowFatPolicy::All),
@@ -121,7 +127,7 @@ fn optimization_ladder_monotonically_cheapens() {
         HardenConfig::minus_reads(LowFatPolicy::All),
     ] {
         let hardened = harden(&image, &cfg).unwrap();
-        let out = run_once(&hardened.image, vec![], ErrorMode::Abort, 100_000_000);
+        let out = run(&hardened.image, &spec).unwrap();
         assert_eq!(out.result, RunResult::Exited(0));
         cycles.push(out.counters.cycles);
     }
@@ -129,7 +135,7 @@ fn optimization_ladder_monotonically_cheapens() {
         assert!(w[1] <= w[0], "optimization increased cost: {cycles:?}");
     }
     // And the fully-hardened binary costs more than baseline.
-    let base = run_once(&image, vec![], ErrorMode::Abort, 100_000_000);
+    let base = run(&image, &spec).unwrap();
     assert!(cycles[0] > base.counters.cycles);
 }
 
@@ -243,7 +249,7 @@ fn allowlist_text_roundtrip_through_production() {
     )
     .unwrap();
     let prof = instrument_profile(&image).unwrap();
-    let out = run_once(&prof.image, vec![8], ErrorMode::Log, 10_000_000);
+    let out = run(&prof.image, &RunSpec::new(&[8], ErrorMode::Log, 10_000_000)).unwrap();
     assert_eq!(out.result, RunResult::Exited(0));
     let allow = collect_allowlist(&out.profile);
 
@@ -254,7 +260,8 @@ fn allowlist_text_roundtrip_through_production() {
 
     let cfg = HardenConfig::with_merge(LowFatPolicy::AllowList(parsed));
     let hardened = harden(&image, &cfg).unwrap();
-    let ok = run_once(&hardened.image, vec![8], ErrorMode::Abort, 10_000_000);
+    let spec = RunSpec::new(&[8], ErrorMode::Abort, 10_000_000);
+    let ok = run(&hardened.image, &spec).unwrap();
     assert_eq!(ok.result, RunResult::Exited(0), "no false positive");
 }
 
@@ -273,7 +280,7 @@ fn double_free_and_invalid_free_reported_by_allocator() {
     // The runtime tolerates the bad free (real RedFat's allocator
     // aborts; ours records) -- what matters is no crash and no heap
     // corruption afterwards.
-    let out = run_once(&image, vec![], ErrorMode::Abort, 1_000_000);
+    let out = run(&image, &RunSpec::new(&[], ErrorMode::Abort, 1_000_000)).unwrap();
     assert_eq!(out.result, RunResult::Exited(0));
 }
 
@@ -291,7 +298,8 @@ fn use_after_free_detected_until_reuse() {
     )
     .unwrap();
     let hardened = harden(&image, &HardenConfig::with_merge(LowFatPolicy::All)).unwrap();
-    let out = run_once(&hardened.image, vec![], ErrorMode::Abort, 1_000_000);
+    let spec = RunSpec::new(&[], ErrorMode::Abort, 1_000_000);
+    let out = run(&hardened.image, &spec).unwrap();
     assert!(matches!(out.result, RunResult::MemoryError(_)));
 }
 
@@ -305,9 +313,11 @@ fn position_independent_images_harden_too() {
     let image = redfat::elf::Image::parse(&bytes).unwrap();
     assert_eq!(image.kind, redfat::elf::ImageKind::Dyn);
     let hardened = harden(&image, &HardenConfig::with_merge(LowFatPolicy::All)).unwrap();
-    let ok = run_once(&hardened.image, vec![4], ErrorMode::Abort, 10_000_000);
+    let benign = RunSpec::new(&[4], ErrorMode::Abort, 10_000_000);
+    let ok = run(&hardened.image, &benign).unwrap();
     assert_eq!(ok.result, RunResult::Exited(0));
-    let bad = run_once(&hardened.image, vec![12], ErrorMode::Abort, 10_000_000);
+    let attack = RunSpec::new(&[12], ErrorMode::Abort, 10_000_000);
+    let bad = run(&hardened.image, &attack).unwrap();
     assert!(matches!(bad.result, RunResult::MemoryError(_)));
 }
 
@@ -335,12 +345,14 @@ fn lowfat_only_ablation_misses_uaf_catches_skip() {
     .unwrap();
     let lowfat = redfat::core::HardenConfig::lowfat_only();
     let h_skip = harden(&skip, &lowfat).unwrap();
-    let out = run_once(&h_skip.image, vec![10], ErrorMode::Abort, 1_000_000);
+    let skip_over = RunSpec::new(&[10], ErrorMode::Abort, 1_000_000);
+    let out = run(&h_skip.image, &skip_over).unwrap();
     assert!(
         matches!(out.result, RunResult::MemoryError(_)),
         "lowfat catches skips"
     );
     let h_uaf = harden(&uaf, &lowfat).unwrap();
-    let out = run_once(&h_uaf.image, vec![1], ErrorMode::Abort, 1_000_000);
+    let write_freed = RunSpec::new(&[1], ErrorMode::Abort, 1_000_000);
+    let out = run(&h_uaf.image, &write_freed).unwrap();
     assert_eq!(out.result, RunResult::Exited(0), "lowfat alone misses UAF");
 }
