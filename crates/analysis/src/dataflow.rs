@@ -175,12 +175,6 @@ pub fn solve_forward<A: ForwardAnalysis>(
 }
 
 impl<A: ForwardAnalysis> ForwardSolution<A> {
-    /// The fact at the entry of the block starting at `start`, if the
-    /// block was reached.
-    pub fn block_entry(&self, start: u64) -> Option<&A::Fact> {
-        self.block_in.get(&start)
-    }
-
     /// The fact holding immediately *before* the instruction at `addr`,
     /// recovered by replaying the block prefix. `None` when `addr` is in
     /// no reached block -- callers must treat that conservatively.

@@ -201,12 +201,6 @@ impl DomTree {
         }
     }
 
-    /// Returns `true` if the block starting at `b` is reachable from the
-    /// analysis roots.
-    pub fn is_reachable(&self, b: u64) -> bool {
-        self.index.contains_key(&b)
-    }
-
     /// Site-level dominance: the instruction at `a` dominates the
     /// instruction at `b` if they share a block and `a` comes first, or
     /// `a`'s block strictly dominates `b`'s block.

@@ -45,7 +45,6 @@ use crate::cfg::Cfg;
 use crate::dataflow::{solve_forward, unknown_entries, ForwardAnalysis};
 use crate::disasm::Disasm;
 use crate::domtree::DomTree;
-use crate::provenance::Provenance;
 use redfat_x86::{Inst, Mem, Op, Seg};
 use std::collections::BTreeMap;
 
@@ -200,7 +199,7 @@ impl RedundantChecks {
     /// [`RedundantChecks::compute`] with a precomputed unknown-entry
     /// set, for callers sharding one image into per-component
     /// sub-`Cfg`s (the roots are an image-wide property; see
-    /// [`Provenance::compute_with_roots`]). Only instructions inside
+    /// [`crate::provenance::Provenance::compute_with_roots`]). Only instructions inside
     /// `cfg`'s blocks are examined -- instructions in no block can never
     /// be proven redundant (they have no dataflow facts).
     pub fn compute_with_roots<F: Fn(u64, &Inst) -> bool>(
@@ -284,21 +283,6 @@ impl RedundantChecks {
     pub fn is_empty(&self) -> bool {
         self.redundant.is_empty()
     }
-}
-
-/// Convenience driver composing both flow passes the way the pipeline
-/// does: `flow` refines which sites need checks at all, and the
-/// redundant pass then runs with exactly that refined predicate.
-pub fn compute_with_provenance<F: Fn(u64, &Inst) -> bool>(
-    disasm: &Disasm,
-    cfg: &Cfg,
-    entry: u64,
-    prov: &Provenance,
-    base_checked: F,
-) -> RedundantChecks {
-    RedundantChecks::compute(disasm, cfg, entry, move |addr, inst| {
-        base_checked(addr, inst) && prov.site_can_reach_heap(disasm, cfg, addr, inst)
-    })
 }
 
 #[cfg(test)]

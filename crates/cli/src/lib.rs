@@ -102,7 +102,8 @@ commands:
 
 `harden`, `analyze`, `selftest` and `serve` accept --threads N to set the
 worker thread count (falls back to the REDFAT_THREADS environment variable,
-then to the available parallelism). Every command prints this text for -h
+then to the available parallelism); `selftest` audits that many stand-ins
+at once, each hardened on one thread. Every command prints this text for -h
 or --help and rejects any flag not listed here for it.
 
 harden options:
@@ -742,92 +743,31 @@ fn run_faults(quick: bool, threads: usize, out: &mut String) -> Result<(), CliEr
 /// ([`redfat_core::selftest::backend_lockstep`]) on each image the
 /// paper's evaluation runs on the fast tier: the baseline, the default
 /// hardened image and the profiling binary, and without `--quick` also
-/// the images of Table 1's eight allow-list configs. A lockstep failure
-/// shrinks to a minimal input ([`redfat_core::selftest::lockstep`]),
-/// and any failure fails the invocation with a nonzero exit code, so CI
-/// can gate on `redfat selftest --quick`.
+/// the images of Table 1's eight allow-list configs. The stand-ins are
+/// audited `threads` at a time, each hardening on one thread, and
+/// report in suite order. A lockstep failure shrinks to a minimal input
+/// ([`redfat_core::selftest::lockstep`]), and any failure fails the
+/// invocation with a nonzero exit code, so CI can gate on
+/// `redfat selftest --quick`.
 fn run_selftest(
     quick: bool,
     policy: AllocPolicyKind,
     threads: usize,
     out: &mut String,
 ) -> Result<(), CliError> {
-    use redfat_core::selftest::{backend_lockstep, lockstep};
+    use redfat_core::selftest::lockstep;
     let mut failures: Vec<String> = Vec::new();
     writeln!(out, "alloc-policy: {policy}").ok();
 
     let max_steps: u64 = if quick { 50_000_000 } else { 400_000_000 };
     let config = HardenConfig::default();
-    for w in redfat_workloads::spec::all() {
-        let image = w.image();
-        let input = if quick { &w.train_input } else { &w.ref_input };
-        let harden = |cfg: &HardenConfig| {
-            harden_threaded(&image, cfg, threads)
-                .map_err(|e| err(format!("selftest: hardening {} failed: {e}", w.name)))
-        };
-        let hardened = harden(&config)?;
-        let profiling = instrument_profile(&image)
-            .map_err(|e| err(format!("selftest: profiling {} failed: {e}", w.name)))?;
-        let ladder = if quick {
-            Vec::new()
-        } else {
-            // Table 1's allow-list, from the profiling binary's train run
-            // on the reference interpreter.
-            let spec = RunSpec {
-                backend: ExecBackend::Step,
-                ..RunSpec::new(&w.train_input, ErrorMode::Log, max_steps)
-            };
-            let train = run(&profiling.image, &spec)
-                .map_err(|e| err(format!("selftest: profiling {} failed: {e}", w.name)))?;
-            let lowfat = LowFatPolicy::AllowList(collect_allowlist(&train.profile));
-            HardenConfig::table1_ladder(lowfat)
-                .iter()
-                .map(|(name, cfg)| Ok((*name, harden(cfg)?)))
-                .collect::<Result<Vec<_>, CliError>>()?
-        };
-        // Audit the translated tier against the step interpreter.
-        let backend = ExecBackend::Fast;
-        let audited = [
-            ("baseline", &image),
-            ("hardened", &hardened.image),
-            ("profile", &profiling.image),
-        ];
-        let ladder_images = ladder.iter().map(|(name, h)| (*name, &h.image));
-        for (kind, img) in audited.into_iter().chain(ladder_images) {
-            let rep = backend_lockstep(img, input, backend, max_steps, policy);
-            writeln!(
-                out,
-                "backend  {:<14} {:<10} {kind:<8} {:>9} blocks, {} divergences{}",
-                w.name,
-                backend.to_string(),
-                rep.blocks,
-                rep.divergences.len(),
-                if rep.completed { "" } else { " (incomplete)" }
-            )
-            .ok();
-            if !rep.clean() || !rep.completed {
-                let detail = rep
-                    .divergences
-                    .first()
-                    .map(|d| d.detail.clone())
-                    .unwrap_or_else(|| "run did not complete within the step budget".into());
-                failures.push(format!("backend {} {backend} ({kind}):\n{detail}", w.name));
-            }
-        }
-        let (rep, repro) = lockstep(&image, &hardened, input, max_steps, policy);
-        writeln!(
-            out,
-            "lockstep {:<14} {:>9} synced, {} divergences, {} check reports{}",
-            w.name,
-            rep.synced,
-            rep.divergences.len(),
-            rep.hardened_errors,
-            if rep.completed { "" } else { " (incomplete)" }
-        )
-        .ok();
-        if let Some(repro) = repro {
-            failures.push(format!("lockstep {} {repro}", w.name));
-        }
+    let audits = redfat_parallel::parallel_map(redfat_workloads::spec::all(), threads, |w| {
+        audit_stand_in(w, quick, policy, max_steps)
+    });
+    for audit in audits {
+        let (lines, stand_in_failures) = audit?;
+        out.push_str(&lines);
+        failures.extend(stand_in_failures);
     }
 
     // Juliet sample: benign and attack inputs both stay in lockstep (the
@@ -872,6 +812,90 @@ fn run_selftest(
             code: 1,
         })
     }
+}
+
+/// One stand-in's share of `redfat selftest`: the backend audit of each
+/// image it runs on the fast tier, then the hardened-vs-baseline
+/// lockstep. Returns its report lines and failures.
+fn audit_stand_in(
+    w: &redfat_workloads::Workload,
+    quick: bool,
+    policy: AllocPolicyKind,
+    max_steps: u64,
+) -> Result<(String, Vec<String>), CliError> {
+    use redfat_core::selftest::{backend_lockstep, lockstep};
+    let mut out = String::new();
+    let mut failures = Vec::new();
+    let image = w.image();
+    let input = if quick { &w.train_input } else { &w.ref_input };
+    let harden = |cfg: &HardenConfig| {
+        redfat_core::harden(&image, cfg)
+            .map_err(|e| err(format!("selftest: hardening {} failed: {e}", w.name)))
+    };
+    let hardened = harden(&HardenConfig::default())?;
+    let profiling = instrument_profile(&image)
+        .map_err(|e| err(format!("selftest: profiling {} failed: {e}", w.name)))?;
+    let ladder = if quick {
+        Vec::new()
+    } else {
+        // Table 1's allow-list, from the profiling binary's train run on
+        // the reference interpreter.
+        let spec = RunSpec {
+            backend: ExecBackend::Step,
+            ..RunSpec::new(&w.train_input, ErrorMode::Log, max_steps)
+        };
+        let train = run(&profiling.image, &spec)
+            .map_err(|e| err(format!("selftest: profiling {} failed: {e}", w.name)))?;
+        let lowfat = LowFatPolicy::AllowList(collect_allowlist(&train.profile));
+        HardenConfig::table1_ladder(lowfat)
+            .iter()
+            .map(|(name, cfg)| Ok((*name, harden(cfg)?)))
+            .collect::<Result<Vec<_>, CliError>>()?
+    };
+    // Audit the translated tier against the step interpreter.
+    let backend = ExecBackend::Fast;
+    let audited = [
+        ("baseline", &image),
+        ("hardened", &hardened.image),
+        ("profile", &profiling.image),
+    ];
+    let ladder_images = ladder.iter().map(|(name, h)| (*name, &h.image));
+    for (kind, img) in audited.into_iter().chain(ladder_images) {
+        let rep = backend_lockstep(img, input, backend, max_steps, policy);
+        writeln!(
+            out,
+            "backend  {:<14} {:<10} {kind:<8} {:>9} blocks, {} divergences{}",
+            w.name,
+            backend.to_string(),
+            rep.blocks,
+            rep.divergences.len(),
+            if rep.completed { "" } else { " (incomplete)" }
+        )
+        .ok();
+        if !rep.clean() || !rep.completed {
+            let detail = rep
+                .divergences
+                .first()
+                .map(|d| d.detail.clone())
+                .unwrap_or_else(|| "run did not complete within the step budget".into());
+            failures.push(format!("backend {} {backend} ({kind}):\n{detail}", w.name));
+        }
+    }
+    let (rep, repro) = lockstep(&image, &hardened, input, max_steps, policy);
+    writeln!(
+        out,
+        "lockstep {:<14} {:>9} synced, {} divergences, {} check reports{}",
+        w.name,
+        rep.synced,
+        rep.divergences.len(),
+        rep.hardened_errors,
+        if rep.completed { "" } else { " (incomplete)" }
+    )
+    .ok();
+    if let Some(repro) = repro {
+        failures.push(format!("lockstep {} {repro}", w.name));
+    }
+    Ok((out, failures))
 }
 
 /// Renders a memory error with the enclosing function name when the

@@ -1,7 +1,12 @@
-//! The low-fat allocator proper: size-class subheaps in 32 GiB regions.
+//! The low-fat slot allocator: one subheap per size class in its 32 GiB
+//! region, with the slot supply picked by [`LowFatConfig::policy`].
+
+use std::collections::{HashMap, HashSet, VecDeque};
 
 use redfat_vm::layout;
-use redfat_vm::{Prot, Vm};
+use redfat_vm::{Prot, Rng64, Vm};
+
+use crate::AllocPolicyKind;
 
 /// An allocation failure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,8 +47,8 @@ impl std::error::Error for AllocError {}
 /// Allocator configuration.
 #[derive(Debug, Clone)]
 pub struct LowFatConfig {
-    /// Which placement policy backs the heap (the `--alloc-policy` knob).
-    pub policy: crate::AllocPolicyKind,
+    /// Which slot supply backs the heap (the `--alloc-policy` knob).
+    pub policy: AllocPolicyKind,
     /// RNG seed of the randomized policy.
     pub seed: u64,
     /// Bytes of address space each subheap may use before reporting OOM.
@@ -59,7 +64,7 @@ pub struct LowFatConfig {
 impl Default for LowFatConfig {
     fn default() -> LowFatConfig {
         LowFatConfig {
-            policy: crate::AllocPolicyKind::LowFat,
+            policy: AllocPolicyKind::LowFat,
             seed: 0x5EED_F00D,
             subheap_limit: 16 << 20,
             quarantine: 64,
@@ -82,166 +87,250 @@ pub struct AllocStats {
     pub bytes_requested: u64,
 }
 
+/// Target byte span of the randomized window's first mapping per class.
+/// Small classes get thousands of candidate slots; classes larger than
+/// the target start with one slot plus the guard and grow on demand.
+const WINDOW_TARGET: u64 = 256 << 10;
+
+/// Upper bound on the randomized allocation offset.
+const MAX_DELTA: u64 = 64;
+
+/// Where a subheap's next slot comes from.
+enum Supply {
+    /// The paper's bump-or-reuse: the most recently released slot, else
+    /// a fresh one at the bump frontier, mapped in 64 KiB steps; the user
+    /// area always starts right after the redzone (offset 0).
+    BumpOrReuse,
+    /// The randomized window (Fully Randomized Pointers style): a random
+    /// slot from a mapped window whose last slot stays an unallocated
+    /// guard, and a random 16-byte-aligned offset within the slot's
+    /// padding. A pointer that skips one class size past an object then
+    /// lands, with probability `~(1 - occupancy)`, in a free slot
+    /// (`E == 0` metadata) -- the neighbor skip that bump order hides
+    /// (EXPERIMENTS.md). Deterministic per seed, so the two runs of a
+    /// lockstep pair see the same pointer stream.
+    Window(Rng64),
+}
+
+/// One size class's slots.
 struct Subheap {
-    /// Next fresh (never-allocated) object base.
+    /// First slot base: the smallest multiple of the class size at or
+    /// above the region base. Slots sit at *global* multiples of their
+    /// size, which makes `base(ptr)` a pure function of the pointer
+    /// (paper §2.1).
+    first: u64,
+    /// Slots below this have been handed out or released into `free`.
     next_fresh: u64,
-    /// How far the backing segment has been mapped/grown.
+    /// End of the mapped part of the region (exclusive).
     mapped_end: u64,
-    /// Reusable object bases.
-    free_list: Vec<u64>,
-    /// Quarantined (recently freed) object bases, oldest first.
-    quarantine: std::collections::VecDeque<u64>,
+    /// Slots ready for reuse.
+    free: Vec<u64>,
+    /// Recently freed slots, oldest first (delayed reuse).
+    quarantine: VecDeque<u64>,
+    /// Slots holding a live object.
+    live: HashSet<u64>,
 }
 
 impl Subheap {
     fn new(class: usize) -> Subheap {
         let size = layout::class_size(class);
         let region = layout::region_base(class);
-        // First object base: smallest multiple of `size` that is >= the
-        // region base. Objects are aligned to *global* multiples of their
-        // size, which is what makes `base(ptr)` a pure function of the
-        // pointer (paper §2.1).
         let first = region.div_ceil(size) * size;
         Subheap {
+            first,
             next_fresh: first,
             mapped_end: region,
-            free_list: Vec::new(),
-            quarantine: std::collections::VecDeque::new(),
+            free: Vec::new(),
+            quarantine: VecDeque::new(),
+            live: HashSet::new(),
         }
+    }
+
+    /// Maps (or grows) the class's segment up to `end`. A window under a
+    /// subheap limit below 64 KiB already fits the head the runtime
+    /// install mapped.
+    fn map_to(&mut self, vm: &mut Vm, class: usize, end: u64) {
+        let region = layout::region_base(class);
+        match vm.segment_span(region) {
+            Some((_, len)) if len > end - region => {}
+            Some(_) => vm.grow(region, end - region),
+            None => vm.map(region, end - region, Prot::RW, &format!("subheap{class}")),
+        }
+        self.mapped_end = end;
+    }
+
+    /// Bump-or-reuse: the last released slot, else a fresh one.
+    fn bump_or_reuse(&mut self, vm: &mut Vm, class: usize, limit: u64) -> Option<u64> {
+        if let Some(base) = self.free.pop() {
+            return Some(base);
+        }
+        let base = self.next_fresh;
+        let end = base + layout::class_size(class);
+        let region = layout::region_base(class);
+        if end - region > limit {
+            return None;
+        }
+        if end > self.mapped_end {
+            self.map_to(
+                vm,
+                class,
+                region + (end - region).next_multiple_of(64 << 10),
+            );
+        }
+        self.next_fresh = end;
+        Some(base)
+    }
+
+    /// Grows the randomized window and releases its new slots into
+    /// `free`: first to [`WINDOW_TARGET`], then by doubling, capped by
+    /// `limit`, always by at least one slot plus the guard. The old guard
+    /// becomes allocatable and the new last slot is the guard. False when
+    /// the limit leaves no room.
+    fn grow_window(&mut self, vm: &mut Vm, class: usize, limit: u64) -> bool {
+        let csize = layout::class_size(class);
+        let region = layout::region_base(class);
+        let used = self.mapped_end - region;
+        if used + 2 * csize > limit {
+            return false;
+        }
+        let want = if used == 0 {
+            WINDOW_TARGET.max(2 * csize)
+        } else {
+            used * 2
+        };
+        let new_end = region + want.min(limit).max(used + 2 * csize);
+        self.map_to(vm, class, new_end);
+        let guard = ((new_end - self.first) / csize).saturating_sub(1) * csize + self.first;
+        let grew = guard > self.next_fresh;
+        while self.next_fresh < guard {
+            self.free.push(self.next_fresh);
+            self.next_fresh += csize;
+        }
+        grew
     }
 }
 
-/// The low-fat allocator.
+/// The slot allocator behind [`RedFatHeap`](crate::RedFatHeap).
 ///
-/// All methods take the guest [`Vm`] explicitly; the allocator owns no
-/// memory itself, only bookkeeping.
-pub struct LowFatAlloc {
+/// Owns only bookkeeping; guest memory is reached through the [`Vm`]
+/// passed in. It deals in raw slots: padded sizes already include the
+/// redzone, and the wrapper writes the metadata words.
+pub(crate) struct SlotAlloc {
     config: LowFatConfig,
+    supply: Supply,
     subheaps: Vec<Subheap>,
     stats: AllocStats,
+    /// Last allocation offset handed out per slot under the randomized
+    /// window. Entries outlive frees (overwritten on reuse) so double-free
+    /// reporting can rebuild the freed object's user pointer; absent
+    /// means offset 0.
+    deltas: HashMap<u64, u64>,
 }
 
-impl LowFatAlloc {
-    /// Creates an allocator with the given configuration.
-    pub fn new(config: LowFatConfig) -> LowFatAlloc {
-        LowFatAlloc {
+impl SlotAlloc {
+    pub(crate) fn new(config: LowFatConfig) -> SlotAlloc {
+        let supply = match config.policy {
+            AllocPolicyKind::LowFat => Supply::BumpOrReuse,
+            AllocPolicyKind::RandLowFat => {
+                Supply::Window(Rng64::new(config.seed ^ 0x7A4D_10F7_A75E_ED01))
+            }
+        };
+        SlotAlloc {
             config,
+            supply,
             subheaps: (1..=layout::NUM_CLASSES).map(Subheap::new).collect(),
             stats: AllocStats::default(),
+            deltas: HashMap::new(),
         }
     }
 
-    /// Writes the SIZES/MAGICS tables to the guest runtime page.
-    ///
-    /// This is the reproduction's `LD_PRELOAD` analogue: generated check
-    /// code reads these tables at fixed addresses; without installation
-    /// every lookup yields 0 and all checks degenerate to no-ops, exactly
-    /// like running a RedFat binary without `libredfat.so`.
-    pub fn install(&self, vm: &mut Vm) {
-        install_runtime_tables(vm);
+    pub(crate) fn policy(&self) -> AllocPolicyKind {
+        self.config.policy
     }
 
-    /// Allocates `size` bytes, returning the object base address.
-    ///
-    /// The object is aligned to its class size and lies entirely within
-    /// the class's 32 GiB region.
-    pub fn lowfat_malloc(&mut self, vm: &mut Vm, size: u64) -> Result<u64, AllocError> {
-        let class = layout::class_for_size(size).ok_or(AllocError::TooLarge(size))?;
-        let ptr = self.alloc_in_class(vm, class)?;
+    /// Places an object of `padded` bytes (user size plus redzone) and
+    /// returns its slot base and allocation offset, with
+    /// `offset % 16 == 0` and `offset + padded <= class size`.
+    pub(crate) fn alloc(&mut self, vm: &mut Vm, padded: u64) -> Result<(u64, u64), AllocError> {
+        let class = layout::class_for_size(padded).ok_or(AllocError::TooLarge(padded))?;
+        let limit = self.config.subheap_limit;
+        let heap = &mut self.subheaps[class - 1];
+        while heap.quarantine.len() > self.config.quarantine {
+            let base = heap.quarantine.pop_front().expect("non-empty");
+            heap.free.push(base);
+        }
+        let (base, delta) = match &mut self.supply {
+            Supply::BumpOrReuse => {
+                let base = heap
+                    .bump_or_reuse(vm, class, limit)
+                    .ok_or(AllocError::OutOfMemory)?;
+                (base, 0)
+            }
+            Supply::Window(rng) => {
+                if heap.free.is_empty() && !heap.grow_window(vm, class, limit) {
+                    return Err(AllocError::OutOfMemory);
+                }
+                let base = heap.free.swap_remove(rng.below_usize(heap.free.len()));
+                let slack = (layout::class_size(class) - padded).min(MAX_DELTA);
+                let delta = 16 * rng.below(slack / 16 + 1);
+                self.deltas.insert(base, delta);
+                (base, delta)
+            }
+        };
+        heap.live.insert(base);
         self.stats.allocs += 1;
         self.stats.live += 1;
         self.stats.peak_live = self.stats.peak_live.max(self.stats.live);
-        self.stats.bytes_requested += size;
-        Ok(ptr)
+        self.stats.bytes_requested += padded;
+        Ok((base, delta))
     }
 
-    fn alloc_in_class(&mut self, vm: &mut Vm, class: usize) -> Result<u64, AllocError> {
+    /// Retires the live object at slot `base` into the quarantine; the
+    /// slot stays mapped, so dangling reads see `E == 0` metadata.
+    pub(crate) fn free(&mut self, base: u64) -> Result<(), AllocError> {
+        let class = layout::region_index(base);
+        if !(1..=layout::NUM_CLASSES).contains(&class) {
+            return Err(AllocError::InvalidFree(base));
+        }
         let heap = &mut self.subheaps[class - 1];
-        let csize = layout::class_size(class);
-
-        // Overflow quarantine into the free list.
-        while heap.quarantine.len() > self.config.quarantine {
-            let base = heap.quarantine.pop_front().expect("non-empty");
-            heap.free_list.push(base);
-        }
-
-        // Prefer the free list.
-        if let Some(base) = heap.free_list.pop() {
-            return Ok(base);
-        }
-
-        // Bump-allocate a fresh object, growing the backing segment.
-        let base = heap.next_fresh;
-        let end = base + csize;
-        let region = layout::region_base(class);
-        if end - region > self.config.subheap_limit {
-            return Err(AllocError::OutOfMemory);
-        }
-        if end > heap.mapped_end {
-            // Grow in 64 KiB increments (or enough for one object).
-            let grow_to = (end - region).next_multiple_of(64 << 10);
-            let new_end = region + grow_to;
-            if !vm.is_mapped(region) {
-                vm.map(
-                    region,
-                    new_end - region,
-                    Prot::RW,
-                    &format!("subheap{class}"),
-                );
-            } else {
-                vm.grow(region, new_end - region);
+        if !heap.live.remove(&base) {
+            if heap.free.contains(&base) || heap.quarantine.contains(&base) {
+                return Err(AllocError::DoubleFree(base));
             }
-            heap.mapped_end = new_end;
+            return Err(AllocError::InvalidFree(base));
         }
-        heap.next_fresh = end;
-        Ok(base)
-    }
-
-    /// Frees the object whose base is `ptr`.
-    ///
-    /// The pointer must be exactly an allocation base (class-size
-    /// aligned and below the bump frontier).
-    pub fn lowfat_free(&mut self, _vm: &mut Vm, ptr: u64) -> Result<(), AllocError> {
-        let class = layout::region_index(ptr);
-        if class == 0 || class > layout::NUM_CLASSES {
-            return Err(AllocError::InvalidFree(ptr));
-        }
-        let csize = layout::class_size(class);
-        if !ptr.is_multiple_of(csize) {
-            return Err(AllocError::InvalidFree(ptr));
-        }
-        let heap = &mut self.subheaps[class - 1];
-        if ptr >= heap.next_fresh {
-            return Err(AllocError::InvalidFree(ptr));
-        }
-        if heap.free_list.contains(&ptr) || heap.quarantine.contains(&ptr) {
-            return Err(AllocError::DoubleFree(ptr));
-        }
-        heap.quarantine.push_back(ptr);
+        heap.quarantine.push_back(base);
         self.stats.frees += 1;
-        self.stats.live = self.stats.live.saturating_sub(1);
+        self.stats.live -= 1;
         Ok(())
     }
 
-    /// `size(ptr)`: class size for heap pointers, `u64::MAX` otherwise.
-    pub fn size(&self, ptr: u64) -> u64 {
-        layout::lowfat_size(ptr)
+    /// The allocation offset of the object at slot `base`, or of the last
+    /// object there once it is freed; 0 for a slot never offset.
+    pub(crate) fn delta_of(&self, base: u64) -> u64 {
+        self.deltas.get(&base).copied().unwrap_or(0)
     }
 
-    /// `base(ptr)`: allocation base for heap pointers, 0 otherwise.
-    pub fn base(&self, ptr: u64) -> u64 {
-        layout::lowfat_base(ptr)
+    /// Whether slot `base` holds a live object: the tie breaker for the
+    /// one state the merged metadata cannot express, since a live
+    /// zero-size object also reads `E == 0`.
+    pub(crate) fn slot_is_live(&self, base: u64) -> bool {
+        let class = layout::region_index(base);
+        (1..=layout::NUM_CLASSES).contains(&class) && self.subheaps[class - 1].live.contains(&base)
     }
 
-    /// Returns allocation statistics.
-    pub fn stats(&self) -> AllocStats {
+    pub(crate) fn stats(&self) -> AllocStats {
         self.stats
     }
 }
 
-/// Installs the guest-side runtime state shared by every policy: the
-/// SIZES/MAGICS tables plus region head/tail guards. Policy independent
-/// by contract (DESIGN.md §14) -- generated check code reads only this.
+/// Installs the guest-side runtime state: the SIZES/MAGICS tables plus
+/// region head/tail guards. The same under both supply rules, because
+/// generated check code reads only this (DESIGN.md §14).
+///
+/// This is the reproduction's `LD_PRELOAD` analogue: without it every
+/// table lookup yields 0 and all checks degenerate to no-ops, exactly
+/// like running a RedFat binary without `libredfat.so`.
 pub(crate) fn install_runtime_tables(vm: &mut Vm) {
     if !vm.is_mapped(layout::RUNTIME_BASE) {
         let size = layout::SCRATCH_BASE + layout::SCRATCH_SIZE - layout::RUNTIME_BASE;
@@ -275,200 +364,229 @@ pub(crate) fn install_runtime_tables(vm: &mut Vm) {
     }
 }
 
-impl crate::AllocPolicy for LowFatAlloc {
-    fn kind(&self) -> crate::AllocPolicyKind {
-        crate::AllocPolicyKind::LowFat
-    }
-
-    fn install(&self, vm: &mut Vm) {
-        install_runtime_tables(vm);
-    }
-
-    fn alloc_object(
-        &mut self,
-        vm: &mut Vm,
-        padded: u64,
-    ) -> Result<crate::policy::Placement, AllocError> {
-        // Deterministic placement: the user area always starts right
-        // after the redzone (delta 0).
-        let base = self.lowfat_malloc(vm, padded)?;
-        Ok(crate::policy::Placement { base, delta: 0 })
-    }
-
-    fn free_object(&mut self, vm: &mut Vm, base: u64) -> Result<(), AllocError> {
-        self.lowfat_free(vm, base)
-    }
-
-    fn delta_of(&self, _base: u64) -> u64 {
-        0
-    }
-
-    fn slot_is_live(&self, base: u64) -> bool {
-        // The default policy keeps no explicit live set: a slot is live
-        // iff it was ever handed out (below the bump frontier, aligned)
-        // and is not currently free or quarantined.
-        let class = layout::region_index(base);
-        if class == 0 || class > layout::NUM_CLASSES {
-            return false;
-        }
-        if !base.is_multiple_of(layout::class_size(class)) {
-            return false;
-        }
-        let heap = &self.subheaps[class - 1];
-        base >= layout::region_base(class).div_ceil(layout::class_size(class))
-            * layout::class_size(class)
-            && base < heap.next_fresh
-            && !heap.free_list.contains(&base)
-            && !heap.quarantine.contains(&base)
-    }
-
-    fn size(&self, ptr: u64) -> u64 {
-        LowFatAlloc::size(self, ptr)
-    }
-
-    fn base(&self, ptr: u64) -> u64 {
-        LowFatAlloc::base(self, ptr)
-    }
-
-    fn stats(&self) -> AllocStats {
-        LowFatAlloc::stats(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn setup() -> (LowFatAlloc, Vm) {
+    fn setup(config: LowFatConfig) -> (SlotAlloc, Vm) {
         let mut vm = Vm::new();
-        let alloc = LowFatAlloc::new(LowFatConfig::default());
-        alloc.install(&mut vm);
-        (alloc, vm)
+        install_runtime_tables(&mut vm);
+        (SlotAlloc::new(config), vm)
     }
 
-    #[test]
-    fn malloc_respects_class_alignment() {
-        let (mut a, mut vm) = setup();
-        for size in [1u64, 16, 17, 48, 100, 1024, 1025, 5000, 1 << 20] {
-            let p = a.lowfat_malloc(&mut vm, size).unwrap();
-            let class = layout::class_for_size(size).unwrap();
-            let csize = layout::class_size(class);
-            assert_eq!(p % csize, 0, "size {size}");
-            assert_eq!(layout::region_index(p), class, "size {size}");
-            assert_eq!(a.base(p + size / 2), p, "size {size}");
-            assert_eq!(a.size(p), csize);
-        }
-    }
-
-    #[test]
-    fn allocations_do_not_overlap() {
-        let (mut a, mut vm) = setup();
-        let mut seen = std::collections::HashSet::new();
-        for _ in 0..1000 {
-            let p = a.lowfat_malloc(&mut vm, 48).unwrap();
-            assert!(seen.insert(p), "duplicate object base {p:#x}");
-        }
-    }
-
-    #[test]
-    fn memory_is_usable() {
-        let (mut a, mut vm) = setup();
-        let p = a.lowfat_malloc(&mut vm, 64).unwrap();
-        vm.write_u64(p, 0x1234).unwrap();
-        vm.write_u64(p + 56, 0x5678).unwrap();
-        assert_eq!(vm.read_u64(p).unwrap(), 0x1234);
-        assert_eq!(vm.read_u64(p + 56).unwrap(), 0x5678);
-    }
-
-    #[test]
-    fn free_and_reuse_after_quarantine() {
-        let mut vm = Vm::new();
-        let mut a = LowFatAlloc::new(LowFatConfig {
-            quarantine: 0,
+    fn with(policy: AllocPolicyKind) -> LowFatConfig {
+        LowFatConfig {
+            policy,
             ..LowFatConfig::default()
-        });
-        a.install(&mut vm);
-        let p = a.lowfat_malloc(&mut vm, 32).unwrap();
-        a.lowfat_free(&mut vm, p).unwrap();
-        // With quarantine 0, a second alloc drains the quarantine and
-        // reuses the object.
-        let q = a.lowfat_malloc(&mut vm, 32).unwrap();
-        let r = a.lowfat_malloc(&mut vm, 32).unwrap();
-        assert!(p == q || p == r, "freed object eventually reused");
+        }
+    }
+
+    #[test]
+    fn placements_respect_the_slot_contract() {
+        for policy in AllocPolicyKind::ALL {
+            let (mut a, mut vm) = setup(with(policy));
+            for padded in [17u64, 32, 48, 64, 100, 1024, 1025, 4096, 5000, 1 << 20] {
+                let (base, delta) = a.alloc(&mut vm, padded).unwrap();
+                let class = layout::class_for_size(padded).unwrap();
+                let csize = layout::class_size(class);
+                let ctx = format!("{policy} padded {padded}");
+                assert_eq!(base % csize, 0, "{ctx}");
+                assert_eq!(layout::region_index(base), class, "{ctx}");
+                assert_eq!(layout::lowfat_base(base + padded / 2), base, "{ctx}");
+                assert_eq!(delta % 16, 0, "{ctx}");
+                assert!(delta + padded <= csize, "{ctx}");
+                assert_eq!(a.delta_of(base), delta, "{ctx}");
+                assert!(a.slot_is_live(base), "{ctx}");
+                // The slot is usable memory from metadata to padding end.
+                vm.write_u64(base, 0x1234).unwrap();
+                vm.write_u64(base + csize - 8, 0x5678).unwrap();
+                assert_eq!(vm.read_u64(base).unwrap(), 0x1234, "{ctx}");
+                assert_eq!(vm.read_u64(base + csize - 8).unwrap(), 0x5678, "{ctx}");
+                // Under the window, the next slot up is a readable guard
+                // or another slot of the window.
+                if policy == AllocPolicyKind::RandLowFat {
+                    assert!(vm.read_u64(base + csize).is_ok(), "{ctx}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn slots_are_never_handed_out_twice() {
+        for policy in AllocPolicyKind::ALL {
+            let (mut a, mut vm) = setup(with(policy));
+            let mut seen = HashSet::new();
+            for _ in 0..1000 {
+                let (base, _) = a.alloc(&mut vm, 48).unwrap();
+                assert!(
+                    seen.insert(base),
+                    "{policy}: slot {base:#x} handed out twice"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn slot_order_follows_the_policy() {
+        let order = |policy, seed| -> Vec<u64> {
+            let (mut a, mut vm) = setup(LowFatConfig {
+                seed,
+                ..with(policy)
+            });
+            (0..32).map(|_| a.alloc(&mut vm, 48).unwrap().0).collect()
+        };
+        // Bump order: consecutive slots, whatever the seed.
+        let bump = order(AllocPolicyKind::LowFat, 1);
+        assert!(bump.windows(2).all(|w| w[1] == w[0] + 48));
+        assert_eq!(bump, order(AllocPolicyKind::LowFat, 2));
+        // The window: random order, deterministic per seed.
+        let a = order(AllocPolicyKind::RandLowFat, 1);
+        assert_eq!(
+            a,
+            order(AllocPolicyKind::RandLowFat, 1),
+            "same seed, same stream"
+        );
+        assert_ne!(
+            a,
+            order(AllocPolicyKind::RandLowFat, 2),
+            "different seed, different stream"
+        );
+        let mut sorted = a.clone();
+        sorted.sort_unstable();
+        assert_ne!(a, sorted, "selection is not bump order");
+    }
+
+    #[test]
+    fn offsets_use_only_the_slot_padding() {
+        // padded == class size: no padding, no offset.
+        let (mut a, mut vm) = setup(with(AllocPolicyKind::RandLowFat));
+        assert_eq!(a.alloc(&mut vm, 64).unwrap().1, 0);
+        // 2 KiB class with ~1.1 KiB padded: offsets vary. (The
+        // 16-byte-spaced classes never have >= 16 bytes of padding, so
+        // offsets only materialize in the power-of-two classes.)
+        let deltas: HashSet<u64> = (0..64).map(|_| a.alloc(&mut vm, 1100).unwrap().1).collect();
+        assert!(deltas.len() > 1, "offsets never varied: {deltas:?}");
+        assert!(deltas.iter().all(|d| d % 16 == 0 && *d <= MAX_DELTA));
+        // Bump-or-reuse never offsets.
+        let (mut a, mut vm) = setup(with(AllocPolicyKind::LowFat));
+        assert!((0..64).all(|_| a.alloc(&mut vm, 1100).unwrap().1 == 0));
+    }
+
+    #[test]
+    fn freed_slot_is_reused_once_the_quarantine_drains() {
+        for policy in AllocPolicyKind::ALL {
+            let (mut a, mut vm) = setup(LowFatConfig {
+                quarantine: 0,
+                ..with(policy)
+            });
+            // 1 MiB slots: the window's first mapping holds one slot plus
+            // its guard, so the freed slot is the only one to hand out.
+            let (p, _) = a.alloc(&mut vm, 1 << 20).unwrap();
+            a.free(p).unwrap();
+            assert!(!a.slot_is_live(p), "{policy}");
+            assert_eq!(a.alloc(&mut vm, 1 << 20).unwrap().0, p, "{policy}");
+            assert!(a.slot_is_live(p), "{policy}");
+        }
     }
 
     #[test]
     fn quarantine_delays_reuse() {
-        let (mut a, mut vm) = setup();
-        let p = a.lowfat_malloc(&mut vm, 32).unwrap();
-        a.lowfat_free(&mut vm, p).unwrap();
-        let q = a.lowfat_malloc(&mut vm, 32).unwrap();
-        assert_ne!(p, q, "quarantined object must not be immediately reused");
+        for policy in AllocPolicyKind::ALL {
+            let (mut a, mut vm) = setup(with(policy));
+            let (p, _) = a.alloc(&mut vm, 32).unwrap();
+            a.free(p).unwrap();
+            // One freed slot never overflows a 64-deep quarantine.
+            for _ in 0..200 {
+                let (q, _) = a.alloc(&mut vm, 32).unwrap();
+                assert_ne!(p, q, "{policy}: quarantined slot reused");
+            }
+        }
     }
 
     #[test]
     fn invalid_and_double_free_detected() {
-        let (mut a, mut vm) = setup();
-        assert_eq!(
-            a.lowfat_free(&mut vm, layout::CODE_BASE),
-            Err(AllocError::InvalidFree(layout::CODE_BASE))
-        );
-        let p = a.lowfat_malloc(&mut vm, 32).unwrap();
-        assert_eq!(
-            a.lowfat_free(&mut vm, p + 8),
-            Err(AllocError::InvalidFree(p + 8))
-        );
-        a.lowfat_free(&mut vm, p).unwrap();
-        assert_eq!(a.lowfat_free(&mut vm, p), Err(AllocError::DoubleFree(p)));
+        for policy in AllocPolicyKind::ALL {
+            let (mut a, mut vm) = setup(with(policy));
+            let code = layout::CODE_BASE;
+            assert_eq!(a.free(code), Err(AllocError::InvalidFree(code)), "{policy}");
+            let (p, _) = a.alloc(&mut vm, 32).unwrap();
+            assert_eq!(
+                a.free(p + 8),
+                Err(AllocError::InvalidFree(p + 8)),
+                "{policy}"
+            );
+            // A slot past the frontier and the window was never handed out.
+            let far = p + (8 << 20);
+            assert_eq!(a.free(far), Err(AllocError::InvalidFree(far)), "{policy}");
+            let before = a.stats();
+            a.free(p).unwrap();
+            assert_eq!(a.free(p), Err(AllocError::DoubleFree(p)), "{policy}");
+            assert_eq!(a.stats().frees, before.frees + 1, "{policy}");
+        }
     }
 
     #[test]
     fn too_large_rejected() {
-        let (mut a, mut vm) = setup();
-        let max = layout::class_size(layout::NUM_CLASSES);
-        assert!(a.lowfat_malloc(&mut vm, max).is_ok());
-        assert_eq!(
-            a.lowfat_malloc(&mut vm, max + 1),
-            Err(AllocError::TooLarge(max + 1))
-        );
+        for policy in AllocPolicyKind::ALL {
+            let (mut a, mut vm) = setup(with(policy));
+            let max = layout::class_size(layout::NUM_CLASSES);
+            assert_eq!(
+                a.alloc(&mut vm, max + 1),
+                Err(AllocError::TooLarge(max + 1))
+            );
+            assert_eq!(a.stats(), AllocStats::default(), "{policy}");
+        }
+        // The largest class fits a default subheap under bump order; the
+        // window also needs room for its guard slot.
+        let (mut a, mut vm) = setup(with(AllocPolicyKind::LowFat));
+        assert!(a
+            .alloc(&mut vm, layout::class_size(layout::NUM_CLASSES))
+            .is_ok());
     }
 
     #[test]
-    fn oom_when_subheap_exhausted() {
-        let mut vm = Vm::new();
-        let mut a = LowFatAlloc::new(LowFatConfig {
-            subheap_limit: 1024,
-            ..LowFatConfig::default()
-        });
-        a.install(&mut vm);
-        let mut n = 0;
-        loop {
-            match a.lowfat_malloc(&mut vm, 256) {
-                Ok(_) => n += 1,
-                Err(AllocError::OutOfMemory) => break,
-                Err(e) => panic!("unexpected {e}"),
+    fn oom_at_the_subheap_limit() {
+        for policy in AllocPolicyKind::ALL {
+            // The window keeps its last mapped slot as a guard.
+            let guard = u64::from(policy == AllocPolicyKind::RandLowFat);
+            for (limit, padded) in [(1024u64, 256u64), (8 << 20, 1 << 20)] {
+                let (mut a, mut vm) = setup(LowFatConfig {
+                    subheap_limit: limit,
+                    quarantine: 0,
+                    ..with(policy)
+                });
+                let mut n = 0;
+                loop {
+                    match a.alloc(&mut vm, padded) {
+                        Ok(_) => n += 1,
+                        Err(AllocError::OutOfMemory) => break,
+                        Err(e) => panic!("{policy}: unexpected {e}"),
+                    }
+                }
+                assert_eq!(n, limit / padded - guard, "{policy}: limit {limit}");
             }
         }
-        assert!(n >= 3, "got {n} allocations before OOM");
     }
 
     #[test]
     fn stats_track_lifecycle() {
-        let (mut a, mut vm) = setup();
-        let p = a.lowfat_malloc(&mut vm, 100).unwrap();
-        let _q = a.lowfat_malloc(&mut vm, 100).unwrap();
-        a.lowfat_free(&mut vm, p).unwrap();
-        let s = a.stats();
-        assert_eq!(s.allocs, 2);
-        assert_eq!(s.frees, 1);
-        assert_eq!(s.live, 1);
-        assert_eq!(s.peak_live, 2);
-        assert_eq!(s.bytes_requested, 200);
+        for policy in AllocPolicyKind::ALL {
+            let (mut a, mut vm) = setup(with(policy));
+            let (p, _) = a.alloc(&mut vm, 100).unwrap();
+            a.alloc(&mut vm, 100).unwrap();
+            a.free(p).unwrap();
+            let s = a.stats();
+            assert_eq!(s.allocs, 2, "{policy}");
+            assert_eq!(s.frees, 1, "{policy}");
+            assert_eq!(s.live, 1, "{policy}");
+            assert_eq!(s.peak_live, 2, "{policy}");
+            assert_eq!(s.bytes_requested, 200, "{policy}");
+        }
     }
 
     #[test]
     fn install_writes_tables() {
-        let (_a, vm) = setup();
+        let (_a, vm) = setup(LowFatConfig::default());
         assert_eq!(vm.read_u64(layout::SIZES_TABLE).unwrap(), 0);
         assert_eq!(vm.read_u64(layout::SIZES_TABLE + 8).unwrap(), 16);
         assert_eq!(

@@ -14,6 +14,11 @@
 //!   is used: `SIZE > 0` means `Allocated` and `SIZE == 0` means `Free`,
 //!   which lets the instrumentation fold the use-after-free check into the
 //!   bounds check.
+//! * **Basic heap randomization** (paper §8): [`AllocPolicyKind`] picks
+//!   how the one slot allocator supplies slots -- the paper's
+//!   bump-or-reuse, or a randomized window of slots with randomized
+//!   allocation offsets. The slot contract the emitted checks rely on
+//!   is the same under both.
 //!
 //! The allocator runs against the simulated [`redfat_vm::Vm`]; installing
 //! it into a guest (writing the SIZES/MAGICS tables to the runtime page)
@@ -21,10 +26,8 @@
 
 mod alloc;
 mod policy;
-mod rand_alloc;
 mod wrapper;
 
-pub use alloc::{AllocError, AllocStats, LowFatAlloc, LowFatConfig};
-pub use policy::{AllocPolicy, AllocPolicyKind, Placement};
-pub use rand_alloc::RandLowFatAlloc;
+pub use alloc::{AllocError, AllocStats, LowFatConfig};
+pub use policy::AllocPolicyKind;
 pub use wrapper::{ObjState, RedFatHeap, REDZONE_SIZE};

@@ -1,18 +1,18 @@
-//! The allocator-policy abstraction.
+//! The allocator-policy selector and the slot contract both policies keep.
 //!
-//! The paper's red-zone + low-fat heap is one point in a wider design
-//! space (Fully Randomized Pointers, MESH, CAMP -- see PAPERS.md). This
-//! module captures the *contract* between an allocator policy and the
-//! rest of the system, so alternative placement strategies can be
-//! plugged in without touching the check emitter, the runtime hooks, or
-//! the oracle (DESIGN.md §14).
+//! The paper's red-zone + low-fat heap is one slot allocator
+//! (`alloc.rs`); [`AllocPolicyKind`] picks only where its slots come
+//! from -- the paper's bump-or-reuse, or the randomized window after
+//! Fully Randomized Pointers (PAPERS.md). Both keep the same contract
+//! with the rest of the system, so the check emitter, the runtime hooks
+//! and the oracle need not know which one runs (DESIGN.md §14).
 //!
 //! # What the emitted checks may assume
 //!
 //! The Figure-4 check sequence is compiled once and is *policy
 //! independent*: it derives `base(ptr)` from the SIZES/MAGICS tables and
-//! reads one metadata word at the object base. Any [`AllocPolicy`] must
-//! therefore guarantee, for every object it hands out:
+//! reads one metadata word at the object base. So for every object the
+//! heap hands out, under either policy:
 //!
 //! 1. **Slot discipline.** The object occupies one *slot* -- a
 //!    class-size-aligned chunk of the class's 32 GiB region -- so
@@ -27,24 +27,20 @@
 //!    pointers near the object (adjacent slots, region head/tail) see
 //!    zeroed memory, never a fault.
 //!
-//! `delta` is the policy's *allocation offset*: the default low-fat
-//! policy always uses `delta == 0` (the user pointer is `base + 16`),
-//! while the randomized policy may shift the user area within the slot's
-//! padding. A non-zero delta turns the first `delta` bytes after the
-//! redzone into *slack* that the merged check cannot distinguish from
-//! user data -- the probabilistic-detection trade-off discussed in
-//! EXPERIMENTS.md.
+//! `delta` is the *allocation offset*: the default policy always uses
+//! `delta == 0` (the user pointer is `base + 16`), while the randomized
+//! policy may shift the user area within the slot's padding. A non-zero
+//! delta turns the first `delta` bytes after the redzone into *slack*
+//! that the merged check cannot distinguish from user data -- the
+//! probabilistic-detection trade-off discussed in EXPERIMENTS.md.
 
-use crate::alloc::{AllocError, AllocStats};
-use redfat_vm::Vm;
-
-/// Identifies a registered allocator policy (the `--alloc-policy` knob).
+/// Identifies an allocator policy (the `--alloc-policy` knob).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum AllocPolicyKind {
-    /// The paper's deterministic low-fat bump/free-list policy.
+    /// The paper's deterministic bump-or-reuse slot supply.
     #[default]
     LowFat,
-    /// Randomized low-fat: random slot selection plus randomized
+    /// The randomized window: random slot selection plus randomized
     /// allocation offsets (Fully Randomized Pointers style).
     RandLowFat,
 }
@@ -71,68 +67,6 @@ impl std::fmt::Display for AllocPolicyKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.as_str())
     }
-}
-
-/// Where a policy placed an object.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Placement {
-    /// Slot base (class-size aligned; metadata lives here).
-    pub base: u64,
-    /// Allocation offset: the user pointer is `base + 16 + delta`.
-    /// Always a multiple of 16 so user pointers stay 16-byte aligned.
-    pub delta: u64,
-}
-
-/// An allocator placement policy.
-///
-/// Implementations own only bookkeeping; guest memory is always accessed
-/// through the [`Vm`] passed in. The [`RedFatHeap`](crate::RedFatHeap)
-/// wrapper layers the Figure-3 redzone/metadata protocol on top, so
-/// policies deal in raw slots: `padded` sizes already include the
-/// 16-byte redzone, and metadata words are written by the wrapper.
-pub trait AllocPolicy: Send {
-    /// Which registered policy this is.
-    fn kind(&self) -> AllocPolicyKind;
-
-    /// Installs the SIZES/MAGICS tables and region guards into the
-    /// guest (the `LD_PRELOAD` analogue). Identical across policies by
-    /// contract: hardened images must not depend on the policy.
-    fn install(&self, vm: &mut Vm);
-
-    /// Places an object serving `padded` bytes (user size + redzone),
-    /// returning the slot base and allocation offset. The policy must
-    /// ensure `delta % 16 == 0` and `delta + padded <= class_size`.
-    fn alloc_object(&mut self, vm: &mut Vm, padded: u64) -> Result<Placement, AllocError>;
-
-    /// Retires the object at slot `base` (a base previously returned by
-    /// [`AllocPolicy::alloc_object`] and not freed since). The slot must
-    /// stay mapped (quarantined) so dangling dereferences read `E == 0`
-    /// metadata instead of faulting.
-    fn free_object(&mut self, vm: &mut Vm, base: u64) -> Result<(), AllocError>;
-
-    /// The allocation offset recorded for the object at slot `base`: the
-    /// live object's delta, or the last delta the slot was handed out
-    /// with (so double-free reporting can reconstruct the user pointer).
-    /// 0 when the slot is unknown.
-    fn delta_of(&self, base: u64) -> u64;
-
-    /// Whether the slot at `base` currently holds a live object
-    /// according to the policy's own bookkeeping. This is the tie
-    /// breaker for the one state the merged metadata cannot express:
-    /// a live *zero-size* object also reads `E == 0`.
-    fn slot_is_live(&self, base: u64) -> bool;
-
-    /// `size(ptr)`: class size for heap pointers, `u64::MAX` otherwise.
-    /// Must agree with what the guest-side SIZES table computes.
-    fn size(&self, ptr: u64) -> u64;
-
-    /// `base(ptr)`: slot base for heap pointers, 0 otherwise. Must agree
-    /// with what the guest-side check sequence computes, and never
-    /// attribute `ptr` to a slot that does not contain it.
-    fn base(&self, ptr: u64) -> u64;
-
-    /// Allocation statistics.
-    fn stats(&self) -> AllocStats;
 }
 
 #[cfg(test)]

@@ -1,17 +1,16 @@
-//! The RedFat `malloc` wrapper: redzone + in-band metadata over a
-//! pluggable allocation policy (paper §4.1, Figure 3; DESIGN.md §14).
+//! The RedFat `malloc` wrapper: redzone + in-band metadata over the
+//! slot allocator (paper §4.1, Figure 3; DESIGN.md §14).
 
-use crate::alloc::{AllocError, AllocStats, LowFatAlloc, LowFatConfig};
-use crate::policy::{AllocPolicy, AllocPolicyKind};
-use crate::rand_alloc::RandLowFatAlloc;
-use redfat_vm::Vm;
+use crate::alloc::{install_runtime_tables, AllocError, AllocStats, LowFatConfig, SlotAlloc};
+use crate::AllocPolicyKind;
+use redfat_vm::{layout, Vm};
 
 /// Redzone size in bytes, which doubles as the metadata block size.
 pub const REDZONE_SIZE: u64 = 16;
 
-/// The RedFat heap: `malloc(SIZE) = alloc_object(SIZE + 16) + 16 + delta`.
+/// The RedFat heap: `malloc(SIZE) = slot(SIZE + 16) + 16 + delta`.
 ///
-/// Object layout (paper Figure 3 generalized to a placement policy,
+/// Object layout (paper Figure 3 generalized to an allocation offset,
 /// addresses growing up):
 ///
 /// ```text
@@ -36,54 +35,46 @@ pub const REDZONE_SIZE: u64 = 16;
 /// protocol above is fixed, which is what keeps the emitted Figure-4
 /// checks policy independent.
 pub struct RedFatHeap {
-    policy: Box<dyn AllocPolicy>,
+    alloc: SlotAlloc,
     canary: u64,
 }
 
 impl RedFatHeap {
-    /// Creates the heap, selecting the backend named by `config.policy`.
+    /// Creates the heap, with the slot supply named by `config.policy`.
     pub fn new(config: LowFatConfig) -> RedFatHeap {
         let canary = 0x5AFE_C0DE_5AFE_C0DE ^ config.seed.rotate_left(17);
-        let policy: Box<dyn AllocPolicy> = match config.policy {
-            AllocPolicyKind::LowFat => Box::new(LowFatAlloc::new(config)),
-            AllocPolicyKind::RandLowFat => Box::new(RandLowFatAlloc::new(config)),
-        };
-        RedFatHeap { policy, canary }
-    }
-
-    /// Creates the heap for `kind` with otherwise-default configuration.
-    pub fn with_policy(kind: AllocPolicyKind) -> RedFatHeap {
-        RedFatHeap::new(LowFatConfig {
-            policy: kind,
-            ..LowFatConfig::default()
-        })
+        RedFatHeap {
+            alloc: SlotAlloc::new(config),
+            canary,
+        }
     }
 
     /// Which policy backs this heap.
     pub fn policy_kind(&self) -> AllocPolicyKind {
-        self.policy.kind()
+        self.alloc.policy()
     }
 
-    /// The allocation offset recorded for the slot at `base` (see
-    /// [`AllocPolicy::delta_of`]); 0 under the default policy.
+    /// The allocation offset recorded for the slot at `base`: the live
+    /// object's, or the last one handed out there; 0 under the default
+    /// policy.
     pub fn user_delta(&self, base: u64) -> u64 {
-        self.policy.delta_of(base)
+        self.alloc.delta_of(base)
     }
 
-    /// `base(ptr)` under this heap's policy: slot base or 0.
+    /// `base(ptr)`: slot base for heap pointers, 0 otherwise.
     pub fn slot_base(&self, ptr: u64) -> u64 {
-        self.policy.base(ptr)
+        layout::lowfat_base(ptr)
     }
 
-    /// `size(ptr)` under this heap's policy: class size or `u64::MAX`.
+    /// `size(ptr)`: class size for heap pointers, `u64::MAX` otherwise.
     pub fn slot_size(&self, ptr: u64) -> u64 {
-        self.policy.size(ptr)
+        layout::lowfat_size(ptr)
     }
 
-    /// Installs runtime tables into the guest (see
-    /// [`AllocPolicy::install`]).
+    /// Installs the SIZES/MAGICS tables and region guards into the guest
+    /// (the `LD_PRELOAD` analogue); the same under every policy.
     pub fn install(&self, vm: &mut Vm) {
-        self.policy.install(vm);
+        install_runtime_tables(vm);
     }
 
     /// Allocates `size` bytes and returns the user pointer
@@ -98,15 +89,14 @@ impl RedFatHeap {
             .checked_add(REDZONE_SIZE)
             .ok_or(AllocError::TooLarge(size))?
             .max(REDZONE_SIZE + 1);
-        let placed = self.policy.alloc_object(vm, padded)?;
-        let extent = placed.delta + size;
-        // Safety of the expects: `alloc_object` just returned this slot,
-        // which is mapped for at least `padded >= 16` bytes.
-        vm.write_privileged(placed.base, &extent.to_le_bytes())
+        let (base, delta) = self.alloc.alloc(vm, padded)?;
+        // Safety of the expects: `alloc` just returned this slot, which
+        // is mapped for at least `padded >= 16` bytes.
+        vm.write_privileged(base, &(delta + size).to_le_bytes())
             .expect("fresh object mapped");
-        vm.write_privileged(placed.base + 8, &self.canary.to_le_bytes())
+        vm.write_privileged(base + 8, &self.canary.to_le_bytes())
             .expect("fresh object mapped");
-        Ok(placed.base + REDZONE_SIZE + placed.delta)
+        Ok(base + REDZONE_SIZE + delta)
     }
 
     /// Frees the object at user pointer `ptr`.
@@ -114,21 +104,21 @@ impl RedFatHeap {
     /// Detects invalid frees (not exactly the user pointer of a live
     /// allocation) and double frees (the merged `E == 0` state). The one
     /// ambiguity of the merged representation -- a live *zero-size*
-    /// object also reads `E == 0` -- is resolved by the policy's own
-    /// bookkeeping, so `free(malloc(0))` succeeds instead of falsely
+    /// object also reads `E == 0` -- is resolved by the allocator's live
+    /// set, so `free(malloc(0))` succeeds instead of falsely
     /// reporting a double free (and leaking the slot).
     pub fn free(&mut self, vm: &mut Vm, ptr: u64) -> Result<(), AllocError> {
-        let base = self.policy.base(ptr);
+        let base = self.slot_base(ptr);
         if base == 0 {
             return Err(AllocError::InvalidFree(ptr));
         }
         let extent = vm
             .read_u64(base)
             .map_err(|_| AllocError::InvalidFree(ptr))?;
-        if ptr != base + REDZONE_SIZE + self.policy.delta_of(base) {
+        if ptr != base + REDZONE_SIZE + self.alloc.delta_of(base) {
             return Err(AllocError::InvalidFree(ptr));
         }
-        if extent == 0 && !self.policy.slot_is_live(base) {
+        if extent == 0 && !self.alloc.slot_is_live(base) {
             return Err(AllocError::DoubleFree(ptr));
         }
         // Merged state representation: E = 0 ⇒ Free. The object stays
@@ -138,7 +128,7 @@ impl RedFatHeap {
         // metadata word is mapped and writable via the privileged path.
         vm.write_privileged(base, &0u64.to_le_bytes())
             .expect("object mapped");
-        self.policy.free_object(vm, base)
+        self.alloc.free(base)
     }
 
     /// `calloc`: zeroed allocation. `count * elem` overflow is a
@@ -177,15 +167,15 @@ impl RedFatHeap {
         if ptr == 0 {
             return self.malloc(vm, new_size);
         }
-        let base = self.policy.base(ptr);
+        let base = self.slot_base(ptr);
         if base == 0 {
             return Err(AllocError::InvalidFree(ptr));
         }
         let extent = vm
             .read_u64(base)
             .map_err(|_| AllocError::InvalidFree(ptr))?;
-        let delta = self.policy.delta_of(base);
-        if ptr != base + REDZONE_SIZE + delta || extent < delta || !self.policy.slot_is_live(base) {
+        let delta = self.alloc.delta_of(base);
+        if ptr != base + REDZONE_SIZE + delta || extent < delta || !self.alloc.slot_is_live(base) {
             return Err(AllocError::InvalidFree(ptr));
         }
         let old_size = extent - delta;
@@ -193,7 +183,7 @@ impl RedFatHeap {
             self.free(vm, ptr)?;
             return self.malloc(vm, 0);
         }
-        let csize = self.policy.size(ptr);
+        let csize = self.slot_size(ptr);
         if delta + new_size + REDZONE_SIZE <= csize {
             // In-place resize: same slot, same delta, same pointer.
             let new_extent = delta + new_size;
@@ -225,7 +215,7 @@ impl RedFatHeap {
     /// object's data), and corrupt metadata (`E < delta`) is treated as
     /// no object rather than misattributed.
     pub fn object_size(&self, vm: &Vm, ptr: u64) -> Option<u64> {
-        let base = self.policy.base(ptr);
+        let base = self.slot_base(ptr);
         if base == 0 {
             return None;
         }
@@ -233,7 +223,7 @@ impl RedFatHeap {
         if extent == 0 {
             return None;
         }
-        let delta = self.policy.delta_of(base);
+        let delta = self.alloc.delta_of(base);
         let size = extent.checked_sub(delta)?;
         let user = base + REDZONE_SIZE + delta;
         if ptr < user || ptr - user >= size {
@@ -249,7 +239,7 @@ impl RedFatHeap {
     /// canary gives the runtime an independent tamper signal used by
     /// failure-injection tests.
     pub fn check_canary(&self, vm: &Vm, ptr: u64) -> bool {
-        let base = self.policy.base(ptr);
+        let base = self.slot_base(ptr);
         if base == 0 {
             return false;
         }
@@ -260,7 +250,7 @@ impl RedFatHeap {
 
     /// Returns allocator statistics.
     pub fn stats(&self) -> AllocStats {
-        self.policy.stats()
+        self.alloc.stats()
     }
 
     /// Reference implementation of the paper's Figure 4 `state()`:
@@ -272,7 +262,7 @@ impl RedFatHeap {
     /// `Allocated` (the check cannot distinguish it from user data);
     /// [`RedFatHeap::object_size`] gives the object-granular truth.
     pub fn state(&self, vm: &Vm, ptr: u64) -> ObjState {
-        let base = self.policy.base(ptr);
+        let base = self.slot_base(ptr);
         if base == 0 {
             return ObjState::NonFat;
         }
@@ -310,16 +300,17 @@ pub enum ObjState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::alloc::LowFatConfig;
-    use redfat_vm::layout;
 
     fn setup() -> (RedFatHeap, Vm) {
         setup_policy(AllocPolicyKind::LowFat)
     }
 
-    fn setup_policy(kind: AllocPolicyKind) -> (RedFatHeap, Vm) {
+    fn setup_policy(policy: AllocPolicyKind) -> (RedFatHeap, Vm) {
         let mut vm = Vm::new();
-        let heap = RedFatHeap::with_policy(kind);
+        let heap = RedFatHeap::new(LowFatConfig {
+            policy,
+            ..LowFatConfig::default()
+        });
         heap.install(&mut vm);
         (heap, vm)
     }

@@ -95,12 +95,6 @@ pub fn compile(source: &str) -> Result<Image, CompileError> {
     codegen::generate(&program).map_err(CompileError::Codegen)
 }
 
-/// Parses mini-C source to an AST (exposed for tooling/tests).
-pub fn parse_program(source: &str) -> Result<Program, CompileError> {
-    let tokens = lexer::lex(source).map_err(CompileError::Lex)?;
-    parser::parse(&tokens).map_err(CompileError::Parse)
-}
-
 /// Compiles a mini-C *library*: no `main`, no startup stub, text and
 /// globals at caller-chosen bases. Its exported functions are reached
 /// from other images through the `callptr` intrinsic, using addresses

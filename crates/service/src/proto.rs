@@ -57,11 +57,6 @@ impl Op {
             _ => None,
         }
     }
-
-    /// `true` for the ops that submit an image through the pipeline.
-    pub fn is_job(self) -> bool {
-        matches!(self, Op::Harden | Op::Analyze | Op::Profile)
-    }
 }
 
 /// How the daemon produced a successful job response.

@@ -364,11 +364,6 @@ impl Asm {
             .expect("ret");
     }
 
-    /// `call` to an absolute address.
-    pub fn call_abs(&mut self, target: u64) -> Result<(), AsmError> {
-        self.emit(Inst::new(Op::Call, Width::W64, Operands::Rel(target)))
-    }
-
     /// `call` to a label (rel32 form).
     pub fn call_label(&mut self, label: Label) {
         self.bytes.push(0xE8);
