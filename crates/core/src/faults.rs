@@ -30,7 +30,7 @@ use crate::selftest::SplitMix64;
 use crate::HardenConfig;
 use redfat_elf::Image;
 use redfat_emu::{Emu, EmuError, ErrorMode, HostRuntime, RunResult, Runtime, TRAP_TABLE_MAGIC};
-use redfat_parallel::parallel_map;
+use redfat_parallel::{panic_message, parallel_map};
 use redfat_vm::layout;
 use redfat_workloads::spec;
 use std::collections::BTreeMap;
@@ -462,15 +462,11 @@ fn fault_workload(name: &str, config: &FaultConfig) -> FaultReport {
         match outcome {
             Ok(classified) => report.record(classified),
             Err(payload) => {
-                let msg = payload
-                    .downcast_ref::<String>()
-                    .map(String::as_str)
-                    .or_else(|| payload.downcast_ref::<&str>().copied())
-                    .unwrap_or("<non-string panic payload>");
                 report.cases += 1;
                 report.failures.push(format!(
-                    "{name}: PANIC on mutant {m} (seed {:#x}): {msg}",
-                    config.seed
+                    "{name}: PANIC on mutant {m} (seed {:#x}): {}",
+                    config.seed,
+                    panic_message(&*payload)
                 ));
             }
         }

@@ -222,8 +222,9 @@ pub(crate) struct SlotAlloc {
     stats: AllocStats,
     /// Last allocation offset handed out per slot under the randomized
     /// window. Entries outlive frees (overwritten on reuse) so double-free
-    /// reporting can rebuild the freed object's user pointer; absent
-    /// means offset 0.
+    /// reporting can rebuild the freed object's user pointer and tell a
+    /// slot handed out before from one never handed out; absent means
+    /// offset 0.
     deltas: HashMap<u64, u64>,
 }
 
@@ -286,18 +287,31 @@ impl SlotAlloc {
     }
 
     /// Retires the live object at slot `base` into the quarantine; the
-    /// slot stays mapped, so dangling reads see `E == 0` metadata.
-    pub(crate) fn free(&mut self, base: u64) -> Result<(), AllocError> {
+    /// slot stays mapped, so dangling reads see `E == 0` metadata. Freeing
+    /// a slot that is not live is a double free of the guest pointer
+    /// `ptr` if this heap handed the slot out before, else an invalid one.
+    pub(crate) fn free(&mut self, base: u64, ptr: u64) -> Result<(), AllocError> {
         let class = layout::region_index(base);
         if !(1..=layout::NUM_CLASSES).contains(&class) {
-            return Err(AllocError::InvalidFree(base));
+            return Err(AllocError::InvalidFree(ptr));
         }
         let heap = &mut self.subheaps[class - 1];
         if !heap.live.remove(&base) {
-            if heap.free.contains(&base) || heap.quarantine.contains(&base) {
-                return Err(AllocError::DoubleFree(base));
-            }
-            return Err(AllocError::InvalidFree(base));
+            // Bump order hands out exactly the slots below its frontier;
+            // the window records the offset of each slot it hands out.
+            let handed_out = match self.supply {
+                Supply::BumpOrReuse => {
+                    base.is_multiple_of(layout::class_size(class))
+                        && (heap.first..heap.next_fresh).contains(&base)
+                }
+                Supply::Window(_) => self.deltas.contains_key(&base),
+            };
+            let error = if handed_out {
+                AllocError::DoubleFree
+            } else {
+                AllocError::InvalidFree
+            };
+            return Err(error(ptr));
         }
         heap.quarantine.push_back(base);
         self.stats.frees += 1;
@@ -482,7 +496,7 @@ mod tests {
             // 1 MiB slots: the window's first mapping holds one slot plus
             // its guard, so the freed slot is the only one to hand out.
             let (p, _) = a.alloc(&mut vm, 1 << 20).unwrap();
-            a.free(p).unwrap();
+            a.free(p, p + 16).unwrap();
             assert!(!a.slot_is_live(p), "{policy}");
             assert_eq!(a.alloc(&mut vm, 1 << 20).unwrap().0, p, "{policy}");
             assert!(a.slot_is_live(p), "{policy}");
@@ -494,7 +508,7 @@ mod tests {
         for policy in AllocPolicyKind::ALL {
             let (mut a, mut vm) = setup(with(policy));
             let (p, _) = a.alloc(&mut vm, 32).unwrap();
-            a.free(p).unwrap();
+            a.free(p, p + 16).unwrap();
             // One freed slot never overflows a 64-deep quarantine.
             for _ in 0..200 {
                 let (q, _) = a.alloc(&mut vm, 32).unwrap();
@@ -507,20 +521,33 @@ mod tests {
     fn invalid_and_double_free_detected() {
         for policy in AllocPolicyKind::ALL {
             let (mut a, mut vm) = setup(with(policy));
+            // Errors name the guest's pointer, not the slot base.
             let code = layout::CODE_BASE;
-            assert_eq!(a.free(code), Err(AllocError::InvalidFree(code)), "{policy}");
+            assert_eq!(
+                a.free(code, code + 16),
+                Err(AllocError::InvalidFree(code + 16)),
+                "{policy}"
+            );
             let (p, _) = a.alloc(&mut vm, 32).unwrap();
             assert_eq!(
-                a.free(p + 8),
+                a.free(p + 8, p + 8),
                 Err(AllocError::InvalidFree(p + 8)),
                 "{policy}"
             );
             // A slot past the frontier and the window was never handed out.
             let far = p + (8 << 20);
-            assert_eq!(a.free(far), Err(AllocError::InvalidFree(far)), "{policy}");
+            assert_eq!(
+                a.free(far, far + 16),
+                Err(AllocError::InvalidFree(far + 16)),
+                "{policy}"
+            );
             let before = a.stats();
-            a.free(p).unwrap();
-            assert_eq!(a.free(p), Err(AllocError::DoubleFree(p)), "{policy}");
+            a.free(p, p + 16).unwrap();
+            assert_eq!(
+                a.free(p, p + 16),
+                Err(AllocError::DoubleFree(p + 16)),
+                "{policy}"
+            );
             assert_eq!(a.stats().frees, before.frees + 1, "{policy}");
         }
     }
@@ -574,7 +601,7 @@ mod tests {
             let (mut a, mut vm) = setup(with(policy));
             let (p, _) = a.alloc(&mut vm, 100).unwrap();
             a.alloc(&mut vm, 100).unwrap();
-            a.free(p).unwrap();
+            a.free(p, p + 16).unwrap();
             let s = a.stats();
             assert_eq!(s.allocs, 2, "{policy}");
             assert_eq!(s.frees, 1, "{policy}");

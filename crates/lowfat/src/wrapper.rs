@@ -101,34 +101,27 @@ impl RedFatHeap {
 
     /// Frees the object at user pointer `ptr`.
     ///
-    /// Detects invalid frees (not exactly the user pointer of a live
-    /// allocation) and double frees (the merged `E == 0` state). The one
-    /// ambiguity of the merged representation -- a live *zero-size*
-    /// object also reads `E == 0` -- is resolved by the allocator's live
-    /// set, so `free(malloc(0))` succeeds instead of falsely
-    /// reporting a double free (and leaking the slot).
+    /// `ptr` must be exactly the user pointer of a live object. The
+    /// allocator's records decide, not the metadata word: a stray store
+    /// can overwrite the word, and a live *zero-size* object reads
+    /// `E == 0` like a free one. Freeing a slot that is not live is a
+    /// double free if the heap handed the slot out before and an invalid
+    /// free if not; the error carries `ptr`, and a rejected free writes
+    /// nothing.
     pub fn free(&mut self, vm: &mut Vm, ptr: u64) -> Result<(), AllocError> {
         let base = self.slot_base(ptr);
-        if base == 0 {
+        if base == 0 || ptr != base + REDZONE_SIZE + self.alloc.delta_of(base) {
             return Err(AllocError::InvalidFree(ptr));
         }
-        let extent = vm
-            .read_u64(base)
-            .map_err(|_| AllocError::InvalidFree(ptr))?;
-        if ptr != base + REDZONE_SIZE + self.alloc.delta_of(base) {
-            return Err(AllocError::InvalidFree(ptr));
-        }
-        if extent == 0 && !self.alloc.slot_is_live(base) {
-            return Err(AllocError::DoubleFree(ptr));
-        }
+        self.alloc.free(base, ptr)?;
         // Merged state representation: E = 0 ⇒ Free. The object stays
         // mapped (and quarantined), so dangling dereferences hit the
         // metadata check rather than unmapped memory.
-        // Safety of the expect: `read_u64(base)` above succeeded, so the
+        // Safety of the expect: the slot held a live object, so its
         // metadata word is mapped and writable via the privileged path.
         vm.write_privileged(base, &0u64.to_le_bytes())
             .expect("object mapped");
-        self.alloc.free(base)
+        Ok(())
     }
 
     /// `calloc`: zeroed allocation. `count * elem` overflow is a
@@ -400,6 +393,33 @@ mod tests {
                 matches!(h.free(&mut vm, p), Err(AllocError::DoubleFree(_))),
                 "{kind}: double free must be recognized at the old user pointer"
             );
+        }
+    }
+
+    #[test]
+    fn a_rejected_free_writes_nothing_and_names_the_pointer() {
+        for kind in AllocPolicyKind::ALL {
+            let (mut h, mut vm) = setup_policy(kind);
+            // A 64-byte slot. The next slot is mapped under both supplies
+            // (bump order maps 64 KiB at a time, the window ends in a
+            // guard slot) and was never handed out.
+            let p = h.malloc(&mut vm, 40).unwrap();
+            let fresh = h.slot_base(p) + 64;
+            h.free(&mut vm, p).unwrap();
+            let freed = h.slot_base(p);
+            // Whatever a stray store left in the metadata word, the heap's
+            // own record classifies the free, and the word stays as it was.
+            for stray in [0u64, 0x28] {
+                for (base, ptr, want) in [
+                    (fresh, fresh + 16, AllocError::InvalidFree(fresh + 16)),
+                    (freed, p, AllocError::DoubleFree(p)),
+                ] {
+                    vm.write_privileged(base, &stray.to_le_bytes()).unwrap();
+                    assert_eq!(h.free(&mut vm, ptr), Err(want), "{kind}: E = {stray}");
+                    assert_eq!(vm.read_u64(base).unwrap(), stray, "{kind}: E = {stray}");
+                }
+            }
+            assert_eq!(h.stats().frees, 1, "{kind}");
         }
     }
 

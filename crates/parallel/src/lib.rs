@@ -1,9 +1,12 @@
 //! Shared scoped-thread work distribution and small numeric helpers.
 //!
-//! Hoisted out of `redfat-bench` so the hardening pipeline
-//! (`redfat-core`) and the CLI can use the same machinery without
-//! depending on the experiment harness; `redfat_bench` re-exports
-//! everything here for its bins and tests.
+//! [`parallel_map`] and [`try_parallel_map`] spread one batch of items
+//! over scoped threads, which end with the call, for the hardening
+//! pipeline (`redfat-core`), the CLI and the experiment bins; the
+//! thread-count helpers resolve `--threads`. Hoisted out of
+//! `redfat-bench` so the pipeline need not depend on the experiment
+//! harness; `redfat_bench` re-exports the helpers for its bins and
+//! tests.
 
 /// Geometric mean helper.
 pub fn geomean(values: impl IntoIterator<Item = f64>) -> f64 {
@@ -20,7 +23,7 @@ pub fn geomean(values: impl IntoIterator<Item = f64>) -> f64 {
 }
 
 /// Extracts the human-readable message from a `catch_unwind` payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     payload
         .downcast_ref::<&str>()
         .map(|s| s.to_string())
@@ -177,199 +180,9 @@ pub fn threads_from_args(args: impl IntoIterator<Item = String>) -> usize {
     resolve_threads(explicit)
 }
 
-/// A long-lived pool of worker threads for job-at-a-time scheduling --
-/// the service daemon's compute backend. [`try_parallel_map`] spins up
-/// scoped threads per call, which is right for one batch of homogeneous
-/// items; a daemon instead receives heterogeneous jobs over time and
-/// wants submission to return immediately with a handle.
-///
-/// Jobs run under `catch_unwind`: a panicking job resolves its handle
-/// to `Err(message)` and the worker survives to take the next job.
-/// Dropping the pool finishes queued jobs and joins the workers.
-pub struct WorkerPool {
-    shared: std::sync::Arc<PoolShared>,
-    workers: Vec<std::thread::JoinHandle<()>>,
-}
-
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-struct PoolShared {
-    queue: std::sync::Mutex<PoolQueue>,
-    available: std::sync::Condvar,
-}
-
-struct PoolQueue {
-    jobs: std::collections::VecDeque<Job>,
-    shutdown: bool,
-}
-
-/// Receives the result of a job submitted to a [`WorkerPool`].
-pub struct JobHandle<T> {
-    rx: std::sync::mpsc::Receiver<Result<T, String>>,
-}
-
-impl<T> JobHandle<T> {
-    /// Blocks until the job finishes. `Err` carries the panic message
-    /// if the job panicked, or a disconnect notice if the pool was torn
-    /// down before the job ran.
-    pub fn join(self) -> Result<T, String> {
-        self.rx
-            .recv()
-            .unwrap_or_else(|_| Err("worker pool shut down before the job ran".to_string()))
-    }
-}
-
-impl WorkerPool {
-    /// Starts a pool with `workers` threads (minimum 1).
-    pub fn new(workers: usize) -> WorkerPool {
-        let shared = std::sync::Arc::new(PoolShared {
-            queue: std::sync::Mutex::new(PoolQueue {
-                jobs: std::collections::VecDeque::new(),
-                shutdown: false,
-            }),
-            available: std::sync::Condvar::new(),
-        });
-        let workers = (0..workers.max(1))
-            .map(|i| {
-                let shared = shared.clone();
-                std::thread::Builder::new()
-                    .name(format!("redfat-worker-{i}"))
-                    .spawn(move || worker_loop(&shared))
-                    .unwrap_or_else(|e| panic!("spawning worker {i}: {e}"))
-            })
-            .collect();
-        WorkerPool { shared, workers }
-    }
-
-    /// Number of worker threads.
-    pub fn workers(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// Enqueues `job` and returns a handle to its result. Submission
-    /// never blocks on job execution; the queue is unbounded (callers
-    /// wanting admission control gate before submitting).
-    pub fn submit<T, F>(&self, job: F) -> JobHandle<T>
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
-        let (tx, rx) = std::sync::mpsc::channel();
-        let wrapped: Job = Box::new(move || {
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job))
-                .map_err(|payload| format!("job panicked: {}", panic_message(&*payload)));
-            // The submitter may have dropped the handle; a dead
-            // receiver just discards the result.
-            let _ = tx.send(result);
-        });
-        {
-            let mut q = lock_queue(&self.shared);
-            if q.shutdown {
-                // Between submit and shutdown only Drop flips this, and
-                // Drop takes &mut self -- but keep the path total.
-                drop(q);
-                return JobHandle { rx };
-            }
-            q.jobs.push_back(wrapped);
-        }
-        self.shared.available.notify_one();
-        JobHandle { rx }
-    }
-}
-
-/// Locks the pool queue, riding through poisoning: the queue is never
-/// left mid-update (single push/pop per critical section), and a
-/// panicking job is already contained by `catch_unwind` inside the job
-/// wrapper, so a poisoned mutex here only means some unrelated thread
-/// died mid-lock.
-fn lock_queue(shared: &PoolShared) -> std::sync::MutexGuard<'_, PoolQueue> {
-    match shared.queue.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
-fn worker_loop(shared: &PoolShared) {
-    loop {
-        let job = {
-            let mut q = lock_queue(shared);
-            loop {
-                if let Some(job) = q.jobs.pop_front() {
-                    break job;
-                }
-                if q.shutdown {
-                    return;
-                }
-                q = match shared.available.wait(q) {
-                    Ok(g) => g,
-                    Err(poisoned) => poisoned.into_inner(),
-                };
-            }
-        };
-        job();
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        lock_queue(&self.shared).shutdown = true;
-        self.shared.available.notify_all();
-        for w in self.workers.drain(..) {
-            // A worker that panicked outside a job is already dead;
-            // joining it returns the payload, which Drop must swallow
-            // (double panic would abort).
-            let _ = w.join();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn worker_pool_runs_jobs_and_returns_results() {
-        let pool = WorkerPool::new(4);
-        assert_eq!(pool.workers(), 4);
-        let handles: Vec<JobHandle<u64>> = (0..32u64).map(|i| pool.submit(move || i * i)).collect();
-        for (i, h) in handles.into_iter().enumerate() {
-            assert_eq!(h.join(), Ok((i * i) as u64));
-        }
-    }
-
-    #[test]
-    fn worker_pool_contains_panics_and_survives() {
-        let pool = WorkerPool::new(2);
-        let bad = pool.submit(|| -> u32 { panic!("job exploded") });
-        let err = bad.join().expect_err("panicking job must fail");
-        assert!(err.contains("job exploded"), "message preserved: {err}");
-        // The pool keeps working after a contained panic.
-        let good = pool.submit(|| 7u32);
-        assert_eq!(good.join(), Ok(7));
-    }
-
-    #[test]
-    fn worker_pool_drop_finishes_queued_jobs() {
-        let counter = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        {
-            let pool = WorkerPool::new(1);
-            for _ in 0..16 {
-                let c = counter.clone();
-                // Fire-and-forget: handles dropped immediately.
-                let _ = pool.submit(move || {
-                    c.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-                });
-            }
-        } // Drop joins; queued jobs must all have run.
-        assert_eq!(counter.load(std::sync::atomic::Ordering::SeqCst), 16);
-    }
-
-    #[test]
-    fn worker_pool_zero_workers_clamps_to_one() {
-        let pool = WorkerPool::new(0);
-        assert_eq!(pool.workers(), 1);
-        assert_eq!(pool.submit(|| 1u8).join(), Ok(1));
-    }
 
     #[test]
     fn poisoned_item_does_not_sink_the_rest() {

@@ -1,13 +1,14 @@
-//! The daemon: accept loop, job scheduling, dedupe, and caching.
+//! The daemon: accept loop, compute slots, dedupe, and caching.
 //!
-//! One [`Server`] owns a Unix-domain listener, a [`WorkerPool`] that
-//! runs pipeline jobs, an on-disk [`ArtifactCache`] for whole-job
-//! results, and one [`KeptBaseSlot`]: the analysis of the last fully
-//! hardened image, which an edit of that image re-does only where the
-//! edit touches it. Request handling is
-//! thread-per-connection (connections are few and local); the compute
-//! itself is scheduled on the pool, so a flood of connections cannot
-//! oversubscribe analysis.
+//! One [`Server`] owns a Unix-domain listener, `workers` compute slots,
+//! an on-disk [`ArtifactCache`] for whole-job results, and one
+//! [`KeptBaseSlot`]: the analysis of the last fully hardened image,
+//! which an edit of that image re-does only where the edit touches it.
+//! Request handling is thread-per-connection (connections are few and
+//! local), and a job computes on its own connection's thread once it
+//! holds a compute slot, so a flood of connections cannot oversubscribe
+//! analysis: at most `workers` jobs compute at once, and the rest wait
+//! for a slot.
 //!
 //! Identical concurrent requests are deduplicated: the first becomes
 //! the *leader* and computes; followers block on the leader's
@@ -19,7 +20,7 @@ use crate::proto::{read_frame, Op, ProtoError, Request, Response, Source};
 use redfat_core::digest::Digest;
 use redfat_core::{harden_cached, instrument_profile, HardenConfig, HardenStats, KeptBaseSlot};
 use redfat_elf::Image;
-use redfat_parallel::WorkerPool;
+use redfat_parallel::panic_message;
 use std::collections::HashMap;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
@@ -34,7 +35,7 @@ pub struct ServerConfig {
     pub socket: PathBuf,
     /// Artifact cache directory.
     pub cache_dir: PathBuf,
-    /// Worker threads executing pipeline jobs.
+    /// Jobs that may compute at once (0 admits one).
     pub workers: usize,
     /// Analysis threads per job (`harden_threaded` sharding).
     pub threads: usize,
@@ -155,13 +156,57 @@ impl Inflight {
 /// this module is a single read or single write of an `Option`/map
 /// entry, so a panic elsewhere cannot leave the value mid-update.
 fn lock_riding_poison<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The daemon's compute slots: a job computes only while it holds one,
+/// so at most as many jobs compute at once as there are slots.
+struct ComputeSlots {
+    free: Mutex<usize>,
+    returned: Condvar,
+}
+
+impl ComputeSlots {
+    /// `n` slots; 0 admits one job, like 1.
+    fn new(n: usize) -> ComputeSlots {
+        ComputeSlots {
+            free: Mutex::new(n.max(1)),
+            returned: Condvar::new(),
+        }
+    }
+
+    /// Runs `job` on the calling thread once a slot is free, under
+    /// `catch_unwind`: a panic reads `job panicked: <message>`. The
+    /// slot goes back when its guard drops, which happens on unwind too.
+    fn run<T>(&self, job: impl FnOnce() -> Result<T, String>) -> Result<T, String> {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut free = lock_riding_poison(&self.free);
+            while *free == 0 {
+                free = self
+                    .returned
+                    .wait(free)
+                    .unwrap_or_else(PoisonError::into_inner);
+            }
+            *free -= 1;
+            drop(free);
+            let _slot = SlotGuard(self);
+            job()
+        }))
+        .unwrap_or_else(|payload| Err(format!("job panicked: {}", panic_message(&*payload))))
     }
 }
 
-/// State shared by the accept loop, connection handlers, and pool jobs.
+/// A held compute slot, given back on drop.
+struct SlotGuard<'a>(&'a ComputeSlots);
+
+impl Drop for SlotGuard<'_> {
+    fn drop(&mut self) {
+        *lock_riding_poison(&self.0.free) += 1;
+        self.0.returned.notify_one();
+    }
+}
+
+/// State shared by the accept loop and connection handlers.
 struct Shared {
     config: ServerConfig,
     stats: ServerStats,
@@ -170,7 +215,7 @@ struct Shared {
     /// its duration, so concurrent jobs never share it and at most one
     /// image's analysis is kept.
     base: KeptBaseSlot,
-    pool: WorkerPool,
+    slots: ComputeSlots,
     inflight: Mutex<HashMap<Digest, Arc<Inflight>>>,
     shutdown: AtomicBool,
 }
@@ -190,7 +235,7 @@ impl Server {
             std::fs::remove_file(&config.socket)?;
         }
         let listener = UnixListener::bind(&config.socket)?;
-        let pool = WorkerPool::new(config.workers);
+        let slots = ComputeSlots::new(config.workers);
         Ok(Server {
             listener,
             shared: Arc::new(Shared {
@@ -198,7 +243,7 @@ impl Server {
                 stats: ServerStats::default(),
                 artifacts,
                 base: KeptBaseSlot::new(),
-                pool,
+                slots,
                 inflight: Mutex::new(HashMap::new()),
                 shutdown: AtomicBool::new(false),
             }),
@@ -211,18 +256,19 @@ impl Server {
     }
 
     /// Serves requests until a `Shutdown` request arrives. Each
-    /// connection gets a handler thread; job compute runs on the
-    /// worker pool. Returns the final server statistics rendering.
+    /// connection gets a handler thread, which also computes its jobs
+    /// once it holds a compute slot. Returns the final server statistics
+    /// rendering.
     pub fn run(self) -> std::io::Result<String> {
-        let mut handlers = Vec::new();
+        // Live handlers only: finished ones are dropped as connections
+        // arrive, so the list does not grow with the daemon's lifetime.
+        let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
         for stream in self.listener.incoming() {
             if self.shared.shutdown.load(Ordering::SeqCst) {
                 break;
             }
-            let stream = match stream {
-                Ok(s) => s,
-                Err(_) => continue,
-            };
+            let Ok(stream) = stream else { continue };
+            handlers.retain(|h| !h.is_finished());
             let shared = self.shared.clone();
             if let Ok(h) = std::thread::Builder::new()
                 .name("redfat-conn".to_string())
@@ -352,16 +398,8 @@ fn handle_job(shared: &Arc<Shared>, req: Request) -> Response {
         };
     }
 
-    let job_shared = shared.clone();
-    let job_req = req;
-    let handle = shared
-        .pool
-        .submit(move || compute_job(&job_shared, &job_req, &key));
-    // A panicking job surfaces as Err through the pool's catch_unwind.
-    let result = match handle.join() {
-        Ok(r) => r,
-        Err(panic_msg) => Err(panic_msg),
-    };
+    // A panicking job surfaces as Err, so followers never hang.
+    let result = shared.slots.run(|| compute_job(shared, &req, &key));
     cell.fulfill(result);
     lock_riding_poison(&shared.inflight).remove(&key);
 
@@ -385,7 +423,7 @@ fn handle_job(shared: &Arc<Shared>, req: Request) -> Response {
     }
 }
 
-/// Runs one pipeline job on a worker thread and publishes its artifact.
+/// Runs one pipeline job and publishes its artifact.
 fn compute_job(shared: &Shared, req: &Request, key: &Digest) -> Result<Arc<JobOutput>, String> {
     let start = Instant::now();
     let config =
@@ -458,4 +496,73 @@ pub fn render_harden_stats(s: &HardenStats) -> String {
         s.components_reused,
         s.degraded(),
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_slots_admit_that_many_jobs_at_once_and_the_next_one_waits() {
+        // `workers: 0` admits one job at a time, as one slot does.
+        for (n, admitted) in [(0, 1), (1, 1), (3, 3)] {
+            let slots = ComputeSlots::new(n);
+            // Jobs inside a slot, and whether they may leave.
+            let gate = (Mutex::new((0usize, false)), Condvar::new());
+            let hold = || {
+                let mut g = lock_riding_poison(&gate.0);
+                g.0 += 1;
+                gate.1.notify_all();
+                while !g.1 {
+                    g = gate.1.wait(g).unwrap_or_else(PoisonError::into_inner);
+                }
+                g.0 -= 1;
+                Ok(())
+            };
+            std::thread::scope(|scope| {
+                let holders: Vec<_> = (0..admitted)
+                    .map(|_| scope.spawn(|| slots.run(hold)))
+                    .collect();
+                // Every admitted job holds a slot at the same time, and
+                // none is left for the next one, which runs only once a
+                // holder has left. The wait is bounded and the holders
+                // are let go before any assert, so a failure cannot hang.
+                let (inside, _) = gate
+                    .1
+                    .wait_timeout_while(
+                        lock_riding_poison(&gate.0),
+                        std::time::Duration::from_secs(30),
+                        |g| g.0 < admitted,
+                    )
+                    .unwrap_or_else(PoisonError::into_inner);
+                let all_in = inside.0 == admitted;
+                drop(inside);
+                let free_while_held = *lock_riding_poison(&slots.free);
+                let next = scope.spawn(|| slots.run(|| Ok(lock_riding_poison(&gate.0).0)));
+                // Nothing can signal that the next job is waiting for a
+                // slot; give it time to get in wrongly first.
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                lock_riding_poison(&gate.0).1 = true;
+                gate.1.notify_all();
+                for h in holders {
+                    assert_eq!(h.join().expect("holder"), Ok(()), "n = {n}");
+                }
+                assert!(all_in, "n = {n}: {admitted} jobs never held slots at once");
+                assert_eq!(free_while_held, 0, "n = {n}: slots left while all held");
+                let seen = next.join().expect("next job").expect("runs");
+                assert!(seen < admitted, "n = {n}: ran beside {seen} holders");
+            });
+            assert_eq!(*lock_riding_poison(&slots.free), admitted, "n = {n}");
+        }
+    }
+
+    #[test]
+    fn a_panicking_job_gives_its_slot_back() {
+        let slots = ComputeSlots::new(1);
+        let got: Result<u32, String> = slots.run(|| panic!("job exploded"));
+        assert_eq!(got, Err("job panicked: job exploded".to_string()));
+        assert_eq!(*lock_riding_poison(&slots.free), 1, "the slot is back");
+        // The next job takes the same slot and runs.
+        assert_eq!(slots.run(|| Ok(7u32)), Ok(7));
+    }
 }

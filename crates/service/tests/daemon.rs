@@ -111,6 +111,53 @@ fn concurrent_identical_requests_cost_one_computation() {
 }
 
 #[test]
+fn one_worker_computes_concurrent_distinct_jobs_in_turn() {
+    let (config, handle) = start("one-worker", 1);
+    let cfg = HardenConfig::default();
+    let names = ["perlbench", "bzip2", "mcf", "libquantum"];
+    let images: Vec<Image> = redfat_workloads::spec::all()
+        .into_iter()
+        .filter(|w| names.contains(&w.name))
+        .map(|w| w.image())
+        .collect();
+    assert_eq!(images.len(), names.len(), "stand-ins exist");
+
+    // Four clients at once, one compute slot: the jobs wait their turn
+    // for the slot and each computes its own image.
+    let joins: Vec<_> = images
+        .iter()
+        .map(|image| {
+            let socket = config.socket.clone();
+            let (cfg, bytes) = (cfg.canonical_bytes(), image.to_bytes());
+            std::thread::spawn(move || {
+                let mut c = Client::connect(&socket).expect("connect");
+                c.job(Op::Harden, cfg, bytes).expect("submit")
+            })
+        })
+        .collect();
+    for ((image, join), name) in images.iter().zip(joins).zip(names) {
+        match join.join().expect("client") {
+            Response::Ok {
+                source, artifact, ..
+            } => {
+                assert_eq!(source, Source::Computed, "{name}");
+                let one_shot = harden_threaded(image, &cfg, 2).expect("one-shot harden");
+                assert_same_bytes(name, &artifact, &one_shot.image.to_bytes());
+            }
+            Response::Err(e) => panic!("{name}: job failed: {e}"),
+        }
+    }
+
+    let mut c = Client::connect(&config.socket).expect("connect");
+    let stats = c.stats().expect("stats");
+    assert_eq!(counter(&stats, "computations"), 4, "stats:\n{stats}");
+    assert_eq!(counter(&stats, "errors"), 0, "stats:\n{stats}");
+
+    c.shutdown().expect("shutdown");
+    handle.join().expect("daemon thread");
+}
+
+#[test]
 fn warm_artifact_hit_does_zero_analysis() {
     let (config, handle) = start("warm", 1);
     let image = workload_image_bytes();
