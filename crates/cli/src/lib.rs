@@ -385,7 +385,7 @@ pub fn run_cli(argv: &[String]) -> Result<String, CliError> {
                 "hardened {input}: {} sites ({} full, {} redzone-only, {} eliminated, \
                  {} flow-eliminated, {} redundant), \
                  {} trampolines ({} jmp, {} int3), {} trampoline bytes \
-                 ({} cold, {} hot, {} displaced), {} register saves, {} flag saves",
+                 ({} cold, {} hot, {} displaced, {} library), {} register saves, {} flag saves",
                 s.sites_considered,
                 s.sites_lowfat,
                 s.sites_redzone,
@@ -399,6 +399,7 @@ pub fn run_cli(argv: &[String]) -> Result<String, CliError> {
                 s.rewrite.cold_bytes,
                 s.rewrite.hot_bytes,
                 s.rewrite.displaced_bytes,
+                s.rewrite.library_bytes,
                 s.regs_saved,
                 s.flags_saved
             )

@@ -4,16 +4,38 @@
 use redfat_cli::run_cli;
 use redfat_emu::{CostModel, Counters, Runtime};
 use redfat_memcheck::MemcheckRuntime;
+use std::path::{Path, PathBuf};
 
 fn args(s: &[&str]) -> Vec<String> {
     s.iter().map(|a| a.to_string()).collect()
 }
 
-fn tmpdir(name: &str) -> std::path::PathBuf {
+/// A directory of its own under the temp dir, removed when dropped. A
+/// failing test keeps it for a look and prints where it is.
+struct Scratch(PathBuf);
+
+impl std::ops::Deref for Scratch {
+    type Target = Path;
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            eprintln!("kept the failed test's directory {}", self.0.display());
+        } else {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+}
+
+fn tmpdir(name: &str) -> Scratch {
     let dir = std::env::temp_dir().join(format!("redfat-cli-{name}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("tempdir");
-    dir
+    Scratch(dir)
 }
 
 const ANTI_IDIOM_SRC: &str = "

@@ -4,11 +4,11 @@
 //! comes first and the rewriter jumps to the entry after it:
 //!
 //! ```text
-//!   .fallback_k:   BASE from LB; not low-fat → .done_k; jmp .have_base_k
-//!   .err_bounds_k: push rdi/rsi; esi = bounds kind
-//!   .report_k:     edi = site; MEMORY_ERROR syscall; pop rsi/rdi;
+//!   .fallback_k:   call fallback(lb, cls, siz); je .done_k; jmp .have_base_k
+//!   .err_meta_k:   call report(metadata, w)
+//!   .err_bounds_k: call report(bounds, w)
+//!                  mov eax, site_k     (the reports read the site here)
 //!                  jmp .after_k        (log mode continues checking)
-//!   .err_meta_k:   push rdi/rsi; esi = metadata kind; jmp .report_k
 //!   entry:         push live scratch registers; pushfq if flags live
 //!   check_1        BASE from the base register (not low-fat → .fallback_1)
 //!   .have_base_1:  metadata test → ja .err_meta_1;
@@ -25,12 +25,33 @@
 //! A redzone-only check has no fallback: it computes BASE from LB in
 //! line and skips to `.done_k` when LB is not low-fat.
 //!
+//! # The cold library
+//!
+//! What the cold code does depends on little: the redzone fallback only
+//! on the batch's scratch triple, and a report only on the site and the
+//! error kind. So each is a [`Routine`] of a library the rewriter places
+//! once at the head of the trampoline segment, and a check's cold code
+//! is calls into it, each recorded as a [`CallField`] that placement
+//! writes:
+//! - `fallback(lb, cls, siz)` computes BASE into `rdx` and size(BASE)
+//!   into `siz` from LB, and returns ZF set when LB is not low-fat, so
+//!   its call site branches to `.done_k` or `.have_base_k`;
+//! - `report(kind, w)` saves `rdi`/`rsi`, reads the site from the
+//!   immediate of the `mov eax, site_k` after the bounds stub's call,
+//!   raises `MEMORY_ERROR` and returns to that `mov`, whose `jmp`
+//!   resumes at `.after_k`. The metadata report returns past the bounds
+//!   stub's call. The `mov` keeps the trampoline decodable from end to
+//!   end; `rax` is scratch there.
+//!
+//! A site that does not fit the immediate keeps the stubs in line: they
+//! save `rdi`/`rsi`, raise the error and jump to `.after_k`.
+//!
 //! Every branch from the hot path into its cold code is backward, so it
 //! takes the 2-byte rel8 form when in reach ([`Asm::jcc_label_short`]);
 //! in a single-check batch all of them are. The cold code's jumps into
 //! the hot path are forward and keep rel32. Stub immediates use the
 //! zero-extending 32-bit `mov` when they fit. A profiling payload has
-//! one stub per check: both tests record the same fail event.
+//! one stub per check, in line: both tests record the same fail event.
 //!
 //! BASE is one `SIZES` lookup plus one multiply. A zero `SIZES` entry
 //! means "not low-fat" (every heap pointer is at least `2^35`, above
@@ -56,9 +77,9 @@
 
 use redfat_analysis::MergedCheck;
 use redfat_emu::syscalls;
-use redfat_rewriter::RipField;
+use redfat_rewriter::{CallField, RipField, NO_ROUTINE};
 use redfat_vm::layout;
-use redfat_x86::{AluOp, Asm, AsmError, Cond, Label, Mem, Reg, ShiftOp, Width};
+use redfat_x86::{AluOp, Asm, AsmError, Cond, Inst, Label, Mem, Op, Operands, Reg, ShiftOp, Width};
 
 /// Registers eligible as chosen scratch (beyond the forced `rax`/`rdx`),
 /// in preference order: caller-saved first, then callee-saved.
@@ -77,6 +98,120 @@ pub const CHECK_SCRATCH_CANDIDATES: [Reg; 13] = [
     Reg::R14,
     Reg::R15,
 ];
+
+/// A routine of the cold library (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Routine {
+    /// Raises `MEMORY_ERROR` for the site of the calling check: a
+    /// metadata or a bounds failure, of a write or a read.
+    Report { metadata: bool, write: bool },
+    /// The redzone fallback of a full check whose scratch triple is
+    /// `(lb, cls, siz)`.
+    Fallback(Reg, Reg, Reg),
+}
+
+/// The length of a `call rel32`: the metadata stub's call lies this far
+/// before the bounds stub's.
+const CALL_LEN: i64 = 5;
+
+impl Routine {
+    /// Routine ids run from 0 to this bound: four reports, then one
+    /// fallback per ordered triple of register codes.
+    pub(crate) const COUNT: usize = 4 + 16 * 16 * 16;
+
+    /// The routine's id, which orders the library.
+    pub(crate) fn id(self) -> u32 {
+        match self {
+            Routine::Report { metadata, write } => u32::from(metadata) << 1 | u32::from(write),
+            Routine::Fallback(lb, cls, siz) => {
+                let code = |r: Reg| u32::from(r.code());
+                4 + (code(lb) << 8 | code(cls) << 4 | code(siz))
+            }
+        }
+    }
+
+    /// The routine whose [`Routine::id`] is `id`.
+    fn from_id(id: u32) -> Routine {
+        match id {
+            0..4 => Routine::Report {
+                metadata: id & 2 != 0,
+                write: id & 1 != 0,
+            },
+            _ => {
+                let reg = |shift: u32| Reg::from_code(((id - 4) >> shift & 15) as u8);
+                Routine::Fallback(reg(8), reg(4), reg(0))
+            }
+        }
+    }
+
+    /// Emits the routine's code, which does not depend on where it
+    /// lands: its branches stay inside it.
+    fn emit(self, a: &mut Asm) -> Result<(), AsmError> {
+        match self {
+            Routine::Fallback(lb, cls, siz) => {
+                let not_fat = a.label();
+                emit_base(a, lb, (cls, siz), not_fat);
+                // ZF clear: size(BASE) is never 0 for a low-fat pointer.
+                a.test_rr(Width::W64, siz, siz);
+                a.ret();
+                a.bind(not_fat)?;
+                a.alu_rr(AluOp::Cmp, Width::W32, Reg::Rax, Reg::Rax);
+                a.ret();
+            }
+            Routine::Report { metadata, write } => {
+                // The bounds stub's call returns to the `mov eax, site`;
+                // the metadata stub's call is one call before it.
+                let to_site = if metadata { CALL_LEN } else { 0 };
+                a.push_r(Reg::Rdi);
+                a.push_r(Reg::Rsi);
+                a.mov_rm(Width::W64, Reg::Rdi, Mem::base_disp(Reg::Rsp, 16));
+                a.mov_rm(Width::W32, Reg::Rdi, Mem::base_disp(Reg::Rdi, to_site + 1));
+                mov_imm(a, Reg::Rsi, u64::from(metadata) << 1 | u64::from(write));
+                mov_imm(a, Reg::Rax, syscalls::MEMORY_ERROR);
+                a.syscall();
+                a.pop_r(Reg::Rsi);
+                a.pop_r(Reg::Rdi);
+                if metadata {
+                    a.emit(Inst::new(
+                        Op::Alu(AluOp::Add),
+                        Width::W64,
+                        Operands::MI {
+                            dst: Mem::base(Reg::Rsp),
+                            imm: CALL_LEN,
+                        },
+                    ))?;
+                }
+                a.ret();
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The cold library holding each routine `used[id]` marks, in id
+/// order: its code and the entry offset of each routine id
+/// ([`NO_ROUTINE`] for the others).
+pub(crate) fn library(used: &[bool]) -> Result<(Vec<u8>, Vec<u32>), AsmError> {
+    let mut a = Asm::new(0);
+    let mut entries = vec![NO_ROUTINE; Routine::COUNT];
+    for (id, entry) in entries.iter_mut().enumerate() {
+        if used.get(id).copied().unwrap_or(false) {
+            *entry = a.len() as u32;
+            Routine::from_id(id as u32).emit(&mut a)?;
+        }
+    }
+    Ok((a.take()?, entries))
+}
+
+/// Emits a `call` to `routine`, its rel32 left for placement and
+/// recorded in `calls` at its offset from the payload's `start`.
+fn call(a: &mut Asm, routine: Routine, start: u64, calls: &mut Vec<CallField>) {
+    a.raw(&[0xE8, 0, 0, 0, 0]);
+    calls.push(CallField {
+        at: (a.here() - 4 - start) as u32,
+        routine: routine.id(),
+    });
+}
 
 /// One check to synthesize, with its policy decision.
 #[derive(Debug, Clone)]
@@ -190,11 +325,17 @@ impl BatchPayload {
 
     /// Emits the payload into `a` and returns its entry address, which
     /// follows the payload's cold code. The bytes do not depend on where
-    /// they are emitted, but for the `lea` of a rip-relative operand:
-    /// it is emitted with a placeholder displacement and recorded in
-    /// `rip_fields`, at its offset from the payload's start, for the
-    /// rewriter to write where the payload lands.
-    pub fn emit(&self, a: &mut Asm, rip_fields: &mut Vec<RipField>) -> Result<u64, AsmError> {
+    /// they are emitted, but for two kinds of rel32 field, emitted with
+    /// a placeholder and recorded at their offset from the payload's
+    /// start for the rewriter to write where the payload lands: the
+    /// `lea` of a rip-relative operand, in `rip_fields`, and each call
+    /// into the cold library, in `calls`.
+    pub fn emit(
+        &self,
+        a: &mut Asm,
+        rip_fields: &mut Vec<RipField>,
+        calls: &mut Vec<CallField>,
+    ) -> Result<u64, AsmError> {
         let start = a.here();
         let labels: Vec<CheckLabels> = self
             .checks
@@ -202,7 +343,7 @@ impl BatchPayload {
             .map(|spec| CheckLabels::new(a, self, spec))
             .collect();
         for (spec, l) in self.checks.iter().zip(&labels) {
-            self.emit_cold(a, spec, l)?;
+            self.emit_cold(a, spec, l, start, calls)?;
         }
 
         let entry = a.here();
@@ -229,15 +370,24 @@ impl BatchPayload {
         Ok(entry)
     }
 
-    /// Emits one check's out-of-line code: the redzone fallback of a
-    /// full check, then its report stubs. The bounds stub falls into the
-    /// report tail and the metadata stub, last, jumps back to it, so
-    /// every hot-path branch into this code is backward.
-    fn emit_cold(&self, a: &mut Asm, spec: &CheckSpec, l: &CheckLabels) -> Result<(), AsmError> {
+    /// Emits one check's out-of-line code: the call to the redzone
+    /// fallback of a full check, then its report stubs, the metadata
+    /// stub before the bounds stub, so every hot-path branch into this
+    /// code is backward. Calls are recorded in `calls` at their offset
+    /// from the payload's `start`.
+    fn emit_cold(
+        &self,
+        a: &mut Asm,
+        spec: &CheckSpec,
+        l: &CheckLabels,
+        start: u64,
+        calls: &mut Vec<CallField>,
+    ) -> Result<(), AsmError> {
         let (lb, cls, siz) = self.scratch;
         if let Some(fallback) = l.fallback {
             a.bind(fallback)?;
-            emit_base(a, lb, (cls, siz), l.done);
+            call(a, Routine::Fallback(lb, cls, siz), start, calls);
+            a.jcc_label_short(Cond::E, l.done);
             a.jmp_label_short(l.have_base);
         }
 
@@ -245,37 +395,61 @@ impl BatchPayload {
             return Ok(());
         };
         let site = spec.check.sites[0];
-        let w_bit = spec.check.is_write as u64;
-        a.bind(err_bounds)?;
+        let write = spec.check.is_write;
         match self.mode {
-            PayloadMode::Harden => {
-                // Report and (in log mode) continue: preserve rdi/rsi
-                // around the syscall; rax is scratch.
-                a.push_r(Reg::Rdi);
-                a.push_r(Reg::Rsi);
-                mov_imm(a, Reg::Rsi, w_bit);
-                let report = a.label();
-                a.bind(report)?;
-                mov_imm(a, Reg::Rdi, site);
-                mov_imm(a, Reg::Rax, syscalls::MEMORY_ERROR);
-                a.syscall();
-                a.pop_r(Reg::Rsi);
-                a.pop_r(Reg::Rdi);
-                a.jmp_label_short(l.after);
-                if let Some(err_meta) = l.err_meta {
-                    a.bind(err_meta)?;
+            PayloadMode::Harden => match u32::try_from(site) {
+                Ok(site) => {
+                    if let Some(err_meta) = l.err_meta {
+                        a.bind(err_meta)?;
+                        let metadata = Routine::Report {
+                            metadata: true,
+                            write,
+                        };
+                        call(a, metadata, start, calls);
+                    }
+                    a.bind(err_bounds)?;
+                    let bounds = Routine::Report {
+                        metadata: false,
+                        write,
+                    };
+                    call(a, bounds, start, calls);
+                    // Never runs before the report: the routine reads
+                    // the site from its immediate and returns to it.
+                    a.mov_ri(Width::W32, Reg::Rax, i64::from(site));
+                    a.jmp_label_short(l.after);
+                }
+                Err(_) => {
+                    // Report and (in log mode) continue: preserve rdi/rsi
+                    // around the syscall; rax is scratch.
+                    let w_bit = u64::from(write);
+                    a.bind(err_bounds)?;
                     a.push_r(Reg::Rdi);
                     a.push_r(Reg::Rsi);
-                    mov_imm(a, Reg::Rsi, (1 << 1) | w_bit);
-                    a.jmp_label_short(report);
+                    mov_imm(a, Reg::Rsi, w_bit);
+                    let report = a.label();
+                    a.bind(report)?;
+                    mov_imm(a, Reg::Rdi, site);
+                    mov_imm(a, Reg::Rax, syscalls::MEMORY_ERROR);
+                    a.syscall();
+                    a.pop_r(Reg::Rsi);
+                    a.pop_r(Reg::Rdi);
+                    a.jmp_label_short(l.after);
+                    if let Some(err_meta) = l.err_meta {
+                        a.bind(err_meta)?;
+                        a.push_r(Reg::Rdi);
+                        a.push_r(Reg::Rsi);
+                        mov_imm(a, Reg::Rsi, (1 << 1) | w_bit);
+                        a.jmp_label_short(report);
+                    }
                 }
-            }
+            },
             PayloadMode::Profile => {
                 // Both tests record the same *fail* event (rsi = 0), so
                 // one stub serves both; rdi/rsi are in the save set.
                 if let Some(err_meta) = l.err_meta {
                     a.bind(err_meta)?;
                 }
+                a.bind(err_bounds)?;
                 mov_imm(a, Reg::Rdi, site);
                 mov_imm(a, Reg::Rsi, 0);
                 mov_imm(a, Reg::Rax, syscalls::PROFILE_EVENT);
@@ -476,7 +650,7 @@ fn mov_imm(a: &mut Asm, dst: Reg, imm: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use redfat_x86::{Op, Operands};
+    use redfat_x86::Op;
 
     fn spec(mem: Mem, len: u64, is_write: bool, lowfat: bool) -> CheckSpec {
         CheckSpec {
@@ -562,7 +736,7 @@ mod tests {
         )
         .unwrap();
         let mut a = Asm::new(redfat_vm::layout::TRAMPOLINE_BASE);
-        p.emit(&mut a, &mut Vec::new()).unwrap();
+        p.emit(&mut a, &mut Vec::new(), &mut Vec::new()).unwrap();
         let prog = a.finish().unwrap();
         assert!(prog.bytes.len() > 40, "non-trivial check code emitted");
         // The whole payload must decode cleanly.
@@ -573,12 +747,12 @@ mod tests {
 
     #[test]
     fn full_checks_leave_the_hot_path_only_for_cold_code() {
-        // From the entry on, no unconditional jump runs and every
-        // conditional branch targets the cold code before the entry, so
-        // a passing heap access falls through to the end. The cold
-        // code's jumps all return into the hot path, but for each
-        // metadata stub's jump back to its own check's report tail (the
-        // `mov edi, site` just before it).
+        // From the entry on, no unconditional jump or call runs and
+        // every conditional branch targets the cold code before the
+        // entry, so a passing heap access falls through to the end. The
+        // cold code calls the library -- each check its fallback and,
+        // in harden mode, one report per test -- and every branch in it
+        // goes forward into the hot path.
         for mode in [PayloadMode::Harden, PayloadMode::Profile] {
             for size_harden in [true, false] {
                 let p = BatchPayload::plan(
@@ -594,39 +768,70 @@ mod tests {
                 )
                 .unwrap();
                 let mut a = Asm::new(redfat_vm::layout::TRAMPOLINE_BASE);
-                let entry = p.emit(&mut a, &mut Vec::new()).unwrap();
+                let mut calls = Vec::new();
+                let entry = p.emit(&mut a, &mut Vec::new(), &mut calls).unwrap();
                 let prog = a.finish().unwrap();
                 assert!(entry > prog.base, "{mode:?}: cold code comes first");
-                let mut report_tail = None;
-                let mut jumps_back = 0;
-                for (addr, inst, _) in redfat_x86::decode_all(&prog.bytes, prog.base) {
+                let mut call_sites = Vec::new();
+                for (addr, inst, len) in redfat_x86::decode_all(&prog.bytes, prog.base) {
                     let target = inst.branch_target();
                     let case = format!("{mode:?} size_harden={size_harden}: {inst:?} at {addr:#x}");
                     match (addr >= entry, inst.op) {
-                        (true, Op::Jmp) => panic!("{case}: jump on the hot path"),
+                        (true, Op::Jmp | Op::Call) => panic!("{case}: transfer on the hot path"),
                         (true, Op::Jcc(_)) => assert!(target < Some(entry), "{case}"),
-                        (false, Op::Jmp) if target < Some(entry) => {
-                            assert_eq!(target, report_tail, "{case}");
-                            jumps_back += 1;
-                        }
-                        (false, Op::Mov) => {
-                            if let Operands::RI { dst: Reg::Rdi, .. } = inst.operands {
-                                report_tail = Some(addr);
-                            }
+                        (false, Op::Jmp | Op::Jcc(_)) => assert!(target >= Some(entry), "{case}"),
+                        (false, Op::Call) => {
+                            call_sites.push((addr + len as u64 - 4 - prog.base) as u32)
                         }
                         _ => {}
                     }
                 }
-                let metadata_stubs = if mode == PayloadMode::Harden && size_harden {
-                    2
-                } else {
-                    0
-                };
-                assert_eq!(
-                    jumps_back, metadata_stubs,
-                    "{mode:?} size_harden={size_harden}"
-                );
+                let (lb, cls, siz) = p.scratch;
+                let mut expected = Vec::new();
+                for write in [true, false] {
+                    expected.push(Routine::Fallback(lb, cls, siz));
+                    if mode == PayloadMode::Harden {
+                        if size_harden {
+                            expected.push(Routine::Report {
+                                metadata: true,
+                                write,
+                            });
+                        }
+                        expected.push(Routine::Report {
+                            metadata: false,
+                            write,
+                        });
+                    }
+                }
+                let called: Vec<Routine> =
+                    calls.iter().map(|c| Routine::from_id(c.routine)).collect();
+                assert_eq!(called, expected, "{mode:?} size_harden={size_harden}");
+                let at: Vec<u32> = calls.iter().map(|c| c.at).collect();
+                assert_eq!(at, call_sites, "{mode:?} size_harden={size_harden}");
             }
+        }
+    }
+
+    #[test]
+    fn routine_ids_round_trip() {
+        let mut routines = vec![
+            Routine::Report {
+                metadata: false,
+                write: false,
+            },
+            Routine::Report {
+                metadata: true,
+                write: true,
+            },
+        ];
+        let c = CHECK_SCRATCH_CANDIDATES;
+        routines.extend(
+            [(0, 1, 2), (12, 11, 10), (3, 7, 5)]
+                .map(|(i, j, k)| Routine::Fallback(c[i], c[j], c[k])),
+        );
+        for r in routines {
+            assert!((r.id() as usize) < Routine::COUNT, "{r:?}");
+            assert_eq!(Routine::from_id(r.id()), r);
         }
     }
 
@@ -670,7 +875,7 @@ mod tests {
                     assert_eq!(p.clobbers, dead.to_vec());
 
                     let mut a = Asm::new(redfat_vm::layout::TRAMPOLINE_BASE);
-                    let entry = p.emit(&mut a, &mut Vec::new()).unwrap();
+                    let entry = p.emit(&mut a, &mut Vec::new(), &mut Vec::new()).unwrap();
                     let prog = a.finish().unwrap();
                     let insts = redfat_x86::decode_all(&prog.bytes, prog.base);
                     let total: usize = insts.iter().map(|(_, _, l)| *l as usize).sum();
@@ -682,14 +887,23 @@ mod tests {
                             assert_eq!(*len, 2, "{dead:?}: {inst:?} at {addr:#x}");
                         }
                     }
-                    // Writes stay inside the scratch set, the forced
-                    // rax/rdx, rsp, and the report stub's rdi/rsi.
-                    for (addr, inst, _) in &insts {
+                    // So does the triple's fallback routine, and writes
+                    // in both stay inside the scratch set, the forced
+                    // rax/rdx and rsp.
+                    let mut used = vec![false; Routine::COUNT];
+                    used[Routine::Fallback(c[i], c[j], c[k]).id() as usize] = true;
+                    let (code, _) = library(&used).unwrap();
+                    let routine = redfat_x86::decode_all(&code, 0);
+                    let total: usize = routine.iter().map(|(_, _, l)| *l as usize).sum();
+                    assert_eq!(
+                        total,
+                        code.len(),
+                        "{dead:?}: the routine decodes completely"
+                    );
+                    for (addr, inst, _) in insts.iter().chain(&routine) {
                         for r in inst.regs_written() {
                             assert!(
-                                dead.contains(&r)
-                                    || [Reg::Rax, Reg::Rdx, Reg::Rsp, Reg::Rdi, Reg::Rsi]
-                                        .contains(&r),
+                                dead.contains(&r) || [Reg::Rax, Reg::Rdx, Reg::Rsp].contains(&r),
                                 "{dead:?}: {inst:?} at {addr:#x} writes {r:?}"
                             );
                         }

@@ -66,14 +66,14 @@ impl std::fmt::Debug for Digest {
 /// alter hardened output for the same (image, config) pair; stale
 /// cache entries from older tool revisions then miss by key instead of
 /// serving wrong bytes.
-pub const TOOL_VERSION: &str = concat!("redfat-", env!("CARGO_PKG_VERSION"), "+cache4");
+pub const TOOL_VERSION: &str = concat!("redfat-", env!("CARGO_PKG_VERSION"), "+cache5");
 
 /// SHA-256 of a small fixed image hardened by this [`TOOL_VERSION`]
 /// (the `emitted_bytes_are_pinned_to_the_tool_version` test). A change
 /// that moves it changes emitted bytes: bump the tag above, then re-pin.
 #[cfg(test)]
 const PINNED_PROBE_DIGEST: &str =
-    "668b9dab9c3017f9c52f637538fcdeb178136df11690ff3e387f2252365b4831";
+    "2ad37dd27d79f817fc77578d7de034f6b70ef339463c70f022b5134ff49fc3c3";
 
 /// Further pins of the same test, over more of the emitted code: the
 /// probe unoptimized and as a profiling binary, the rip-relative image
@@ -82,23 +82,23 @@ const PINNED_PROBE_DIGEST: &str =
 const PINNED_DIGESTS: [(&str, &str); 5] = [
     (
         "probe unoptimized",
-        "4c8bd3f9161d5126b8b8d489719486969e646b78bc380efb53b7e06ca5014964",
+        "0f07ce739f80ca2bf24fa17414a7594a89ed21ee858f1690b63497b6b856c368",
     ),
     (
         "probe profile",
-        "82e7a38b8f7f9dfa064f27630f49dbe40e57c68d26adb374604f6d6b65a061d9",
+        "cbd50683f57bf8ea0bff45b515edd7a7c3af4bc3a937f49105660ec35fa3f12e",
     ),
     (
         "riprel no-elim",
-        "7d19c50aac3a642f0530fe3f5e909e3b15a12689e32ae235f2e2a1d2acf4505d",
+        "2f75d4623f55862b22dc1b9aa9f5421091fdc361204e3e000884a37428aaefa4",
     ),
     (
         "stand-ins default",
-        "dc9e29b3fc051b84b251b3c1b22f6cc085f2688f9f2048a088a4c31ebbe14518",
+        "02a8895451c09e94e3150279bdc80dbe41ad7aa487b804c9a9fd7075bec43acc",
     ),
     (
         "stand-ins unoptimized",
-        "01adf797799d84141fe01ae8e9875d2dd9bb29aad1104eb08347c0c77a08e85e",
+        "47c30821db6a59c24e4243df30f2ed1b417f640649075e6b69a71b0b23eb5c61",
     ),
 ];
 

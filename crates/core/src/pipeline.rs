@@ -2,7 +2,7 @@
 //! trampoline rewrite, plus the §5 two-phase profiling workflow.
 
 use crate::allowlist::AllowList;
-use crate::checks::{BatchPayload, CheckSpec, PayloadMode};
+use crate::checks::{library, BatchPayload, CheckSpec, PayloadMode, Routine};
 use crate::config::{HardenConfig, LowFatPolicy};
 use redfat_analysis::cfg::Block;
 use redfat_analysis::{can_reach_heap, unknown_entries, Disasm, Provenance, RedundantChecks};
@@ -11,7 +11,8 @@ use redfat_elf::Image;
 use redfat_emu::ProfileStats;
 use redfat_parallel::parallel_map;
 use redfat_rewriter::{
-    rewrite_with_bases, Patch, RewriteBases, RewriteError, RewriteStats, RipField,
+    rewrite_with_bases, CallField, Library, Patch, RewriteBases, RewriteError, RewriteStats,
+    RipField,
 };
 use redfat_x86::{Asm, AsmError, EncodeError, Inst};
 use std::cell::RefCell;
@@ -227,13 +228,15 @@ pub(crate) struct ComponentPlan {
     /// The payloads' rip-relative fields, in `batches` order, each at
     /// its offset from its own payload's start.
     rip_fields: Vec<RipField>,
+    /// The payloads' calls into the cold library, likewise.
+    calls: Vec<CallField>,
     batches: Vec<PlannedBatch>,
     stats: HardenStats,
 }
 
 /// One batch of a [`ComponentPlan`]: its anchor, where its payload
-/// lies in the plan's code and fields, and its clobbers. A payload
-/// starts where the previous batch's ends.
+/// lies in the plan's code, fields and calls, and its clobbers. A
+/// payload starts where the previous batch's ends.
 struct PlannedBatch {
     anchor: u64,
     /// One past the payload's last byte in the plan's code.
@@ -242,6 +245,8 @@ struct PlannedBatch {
     entry: u32,
     /// One past the payload's last field in the plan's `rip_fields`.
     fields_end: u32,
+    /// One past the payload's last call in the plan's `calls`.
+    calls_end: u32,
     clobber: ClobberInfo,
 }
 
@@ -416,9 +421,12 @@ pub(crate) fn instrument_with_analysis(
 }
 
 /// The tail the full and the edit path share: sums the per-component
-/// statistics, merges the plans' batches in anchor order and rewrites
-/// `image`, copying each payload into place. Payload code is borrowed
-/// from the plans, not copied before that.
+/// statistics, merges the plans' batches in anchor order, builds the
+/// cold library of the routines they call, in routine-id order, and
+/// rewrites `image`, copying each payload into place. Payload code is
+/// borrowed from the plans, not copied before that. The library depends
+/// only on which routines the plans call, so an edit that adds or drops
+/// none leaves every payload where a one-shot harden puts it.
 pub(crate) fn merge_and_rewrite(
     image: &Image,
     analysis: &Analysis,
@@ -434,7 +442,11 @@ pub(crate) fn merge_and_rewrite(
     };
     let batches = analysis.plans.iter().map(|plan| plan.batches.len()).sum();
     let mut planned: Vec<(Patch, ClobberInfo)> = Vec::with_capacity(batches);
+    let mut used = vec![false; Routine::COUNT];
     for plan in &analysis.plans {
+        for c in &plan.calls {
+            used[c.routine as usize] = true;
+        }
         let s = &plan.stats;
         stats.sites_considered += s.sites_considered;
         stats.sites_eliminated += s.sites_eliminated;
@@ -450,17 +462,19 @@ pub(crate) fn merge_and_rewrite(
             .code
             .as_ref()
             .map_err(|e| RewriteError::Asm(e.clone()))?;
-        let (mut code_start, mut fields_start) = (0, 0);
+        let (mut code_start, mut fields_start, mut calls_start) = (0, 0, 0);
         for b in &plan.batches {
-            let (code_end, fields_end) = (b.code_end as usize, b.fields_end as usize);
+            let code_end = b.code_end as usize;
+            let (fields_end, calls_end) = (b.fields_end as usize, b.calls_end as usize);
             let patch = Patch {
                 anchor: b.anchor,
                 code: &code[code_start..code_end],
                 entry: b.entry as usize,
                 rip_fields: &plan.rip_fields[fields_start..fields_end],
+                calls: &plan.calls[calls_start..calls_end],
             };
             planned.push((patch, b.clobber));
-            (code_start, fields_start) = (code_end, fields_end);
+            (code_start, fields_start, calls_start) = (code_end, fields_end, calls_end);
         }
     }
     // Anchors are globally unique, so this is a total order.
@@ -472,7 +486,19 @@ pub(crate) fn merge_and_rewrite(
         .collect();
     let patches: Vec<Patch> = planned.into_iter().map(|(patch, _)| patch).collect();
 
-    let out = rewrite_with_bases(image, &analysis.disasm, &analysis.leaders, &patches, bases)?;
+    let (code, entries) = library(&used).map_err(RewriteError::Asm)?;
+    let library = Library {
+        code: &code,
+        entries: &entries,
+    };
+    let out = rewrite_with_bases(
+        image,
+        &analysis.disasm,
+        &analysis.leaders,
+        library,
+        &patches,
+        bases,
+    )?;
     stats.rewrite = out.stats;
     Ok(Hardened {
         image: out.image,
@@ -595,6 +621,7 @@ fn instrument_shard(
     // always succeed).
     let mut planned: Vec<PlannedBatch> = Vec::new();
     let mut rip_fields: Vec<RipField> = Vec::new();
+    let mut calls: Vec<CallField> = Vec::new();
     let mut failure = None;
     let mut queue: Vec<Batch> = batches;
     let mut qi = 0;
@@ -658,7 +685,7 @@ fn instrument_shard(
         ) {
             Some(p) => {
                 let start = asm.here();
-                let entry = match p.emit(asm, &mut rip_fields) {
+                let entry = match p.emit(asm, &mut rip_fields, &mut calls) {
                     Ok(entry) => entry,
                     Err(e) => {
                         failure = Some(e);
@@ -670,6 +697,7 @@ fn instrument_shard(
                     code_end: asm.here() as u32,
                     entry: (entry - start) as u32,
                     fields_end: rip_fields.len() as u32,
+                    calls_end: calls.len() as u32,
                     clobber: ClobberInfo {
                         regs: p.clobbers.iter().fold(0, |m, r| m | 1 << r.code()),
                         flags: !p.save_flags,
@@ -702,6 +730,7 @@ fn instrument_shard(
     // Plans outlive the harden in kept bases: no slack.
     planned.shrink_to_fit();
     rip_fields.shrink_to_fit();
+    calls.shrink_to_fit();
     let code = asm.take().and_then(|code| match u32::try_from(code.len()) {
         // The batch records hold offsets into the code as `u32`s.
         Ok(_) => Ok(code),
@@ -710,6 +739,7 @@ fn instrument_shard(
     ComponentPlan {
         code: failure.map_or(code, Err),
         rip_fields,
+        calls,
         batches: planned,
         stats,
     }

@@ -17,7 +17,7 @@ pub struct RunOutcome {
     pub counters: Counters,
     /// Guest I/O streams.
     pub io: GuestIo,
-    /// Memory errors reported by instrumentation.
+    /// Memory errors reported by instrumentation or by the allocator.
     pub errors: Vec<MemoryError>,
     /// Per-site profiling counters (profiling binaries only).
     pub profile: HashMap<u64, ProfileStats>,

@@ -903,6 +903,7 @@ mod tests {
             code: &code,
             entry: 0,
             rip_fields: &[],
+            calls: &[],
         };
         let disasm = redfat_analysis::disassemble(image);
         let cfg = Cfg::recover(&disasm, image.entry, &[]);

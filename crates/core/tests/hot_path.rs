@@ -78,11 +78,15 @@ fn main() {
 fn a_non_fat_pointer_check_runs_no_multiply() {
     let d = overhead(GLOBAL_POINTER_STORE, &[5]);
     // One full check runs: the jump in and back (2 x 4 cycles), four
-    // pushes and pops (16), the region-index and SIZES tests on the
-    // base register (10, leaving for the fallback) and the same tests
-    // on LB (9, leaving for the end of the check).
-    assert_eq!(d.cycles, 43, "{d:?}");
-    assert_eq!((d.transfers, d.region_crossings), (2, 2), "{d:?}");
-    assert_eq!(d.taken_branches, 2, "{d:?}");
+    // pushes and pops (16) and the region-index and SIZES tests on the
+    // base register (10, leaving for the fallback). The fallback then
+    // runs in the cold library: the `call` (3), the same tests on LB
+    // (9, leaving for the routine's not-low-fat exit), the `cmp` that
+    // sets ZF there (1) and the `ret` (3). The call site's `je` takes
+    // the check to its end (2).
+    assert_eq!(d.cycles, 52, "{d:?}");
+    // The jump in and back cross regions; the call and return do not.
+    assert_eq!((d.transfers, d.region_crossings), (4, 2), "{d:?}");
+    assert_eq!(d.taken_branches, 3, "{d:?}");
     assert_eq!(d.muls, 0, "{d:?}");
 }

@@ -305,6 +305,63 @@ fn an_edit_in_the_second_of_two_adjacent_code_segments_is_planned_afresh() {
     assert!(full.image.to_bytes() != edit.image.to_bytes());
 }
 
+/// `call f; mov %rax, 0x40(%first); ret` at `CODE_BASE`, then
+/// `f: mov %rax, 0x40(%second); ret`: two components, each a store
+/// whose check's scratch triple avoids the store's base register, so it
+/// calls the cold library's fallback routine of that triple.
+fn two_stores(first: Reg, second: Reg) -> Image {
+    let code = code_at(CODE_BASE, |a| {
+        let f = a.label();
+        a.call_label(f);
+        a.mov_mr(Width::W64, Mem::base_disp(first, 0x40), Reg::Rax);
+        a.ret();
+        a.bind(f).expect("binds");
+        a.mov_mr(Width::W64, Mem::base_disp(second, 0x40), Reg::Rax);
+        a.ret();
+    });
+    rx_image(vec![(CODE_BASE, code)])
+}
+
+/// Primes a slot with `base`, hardens `edit` through it and returns the
+/// library bytes of both, after checking that the edit re-planned one
+/// of two components and matches a one-shot harden.
+fn library_bytes_before_and_after(base: &Image, edit: &Image, what: &str) -> (usize, usize) {
+    let config = HardenConfig::default();
+    let (slot, full) = primed(base, &config, what);
+    assert_eq!(full.stats.components, 2, "{what}: two components");
+    let edited = assert_edit(&slot, base, edit, &config, what);
+    assert_eq!(edited.stats.components_reused, 1, "{what}");
+    (
+        full.stats.rewrite.library_bytes,
+        edited.stats.rewrite.library_bytes,
+    )
+}
+
+#[test]
+fn an_edit_that_adds_a_library_routine_matches_a_one_shot_harden() {
+    // The second store's base moves from rbx to rcx, so its triple
+    // avoids rcx: one no other check uses, so the edit's library gains
+    // a routine and every payload after it moves.
+    let (before, after) = library_bytes_before_and_after(
+        &two_stores(Reg::Rbx, Reg::Rbx),
+        &two_stores(Reg::Rbx, Reg::Rcx),
+        "a new triple",
+    );
+    assert!(after > before, "the library grows: {before} -> {after}");
+}
+
+#[test]
+fn an_edit_that_drops_a_library_routine_matches_a_one_shot_harden() {
+    // The reverse: the only check of the rcx-avoiding triple goes back
+    // to rbx, and the edit's library loses that routine.
+    let (before, after) = library_bytes_before_and_after(
+        &two_stores(Reg::Rbx, Reg::Rcx),
+        &two_stores(Reg::Rbx, Reg::Rbx),
+        "a triple's last user",
+    );
+    assert!(after < before, "the library shrinks: {before} -> {after}");
+}
+
 /// Hardens `image` under `config` through a slot, then chains up to
 /// three edits through it, each flipping one more instruction, in
 /// another component, on top of the previous edit. Each must match a

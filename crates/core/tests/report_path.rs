@@ -1,8 +1,9 @@
 //! The report path end to end: a hardened program, run in log mode, is
-//! driven into each of a check's report stubs -- the bounds stub, which
-//! falls into the check's report tail, and the metadata stub, which
-//! jumps back to it -- and each report must name its site and kind, and
-//! the run must carry on past the check to a clean exit.
+//! driven into each of a check's report stubs -- the bounds stub and
+//! the metadata stub, each a call into the cold library's report
+//! routine of its kind, which reads the site beside the bounds stub's
+//! call -- and each report must name its site and kind, and the run
+//! must carry on past the check to a clean exit.
 
 use redfat_core::{harden, HardenConfig};
 use redfat_elf::{Image, ImageKind, SegFlags, Segment};

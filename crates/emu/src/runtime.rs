@@ -9,7 +9,7 @@
 
 use crate::cost::CostModel;
 use crate::cpu::Cpu;
-use redfat_lowfat::{LowFatConfig, RedFatHeap};
+use redfat_lowfat::{AllocError, LowFatConfig, RedFatHeap};
 use redfat_vm::Vm;
 use std::collections::{HashMap, VecDeque};
 
@@ -47,16 +47,26 @@ pub enum MemErrKind {
     Metadata,
     /// Use-after-free reported distinctly (unmerged check variant).
     UseAfterFree,
+    /// A `free` of an object that is already free, rejected by the
+    /// allocator.
+    DoubleFree,
+    /// A `free` of a pointer that is no allocation's base, rejected by
+    /// the allocator.
+    InvalidFree,
 }
 
-/// A guest memory error detected by instrumentation.
+/// A guest memory error detected by instrumentation or by the
+/// allocator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemoryError {
-    /// Instrumentation site identifier (the patched instruction address).
+    /// Instrumentation site identifier (the patched instruction
+    /// address); for a bad free, the address of the `syscall` that asked
+    /// for it.
     pub site: u64,
     /// Error classification.
     pub kind: MemErrKind,
-    /// Whether the offending access was a write.
+    /// Whether the offending access was a write (a free writes the
+    /// object's metadata).
     pub is_write: bool,
 }
 
@@ -194,8 +204,8 @@ pub struct HostRuntime {
     pub io: GuestIo,
     /// Reaction to memory errors.
     pub error_mode: ErrorMode,
-    /// Memory errors reported by instrumentation (all of them in `Log`
-    /// mode; the fatal one in `Abort` mode).
+    /// Memory errors reported by instrumentation or by the allocator
+    /// (all of them in `Log` mode; the fatal one in `Abort` mode).
     pub errors: Vec<MemoryError>,
     /// Profiling counters by site (populated by profiling binaries).
     pub profile: HashMap<u64, ProfileStats>,
@@ -254,6 +264,15 @@ impl HostRuntime {
             is_write,
         }
     }
+
+    /// Records `err`, and ends the guest with it in `Abort` mode.
+    fn report(&mut self, err: MemoryError) -> SyscallOutcome {
+        self.errors.push(err);
+        match self.error_mode {
+            ErrorMode::Abort => SyscallOutcome::Abort(err),
+            ErrorMode::Log => SyscallOutcome::Continue,
+        }
+    }
 }
 
 impl Runtime for HostRuntime {
@@ -274,13 +293,25 @@ impl Runtime for HostRuntime {
                 }
             }
             syscalls::FREE => {
-                // Invalid frees terminate the guest in Abort mode; the
-                // paper's runtime would report and abort similarly.
+                // A free the allocator rejects leaves the heap as it was
+                // and is a memory error of its own, at the `syscall`
+                // (2 bytes, and `rip` is past it): it ends the guest in
+                // Abort mode, as the paper's runtime aborts.
                 let ptr = cpu.get(Rdi);
-                if ptr != 0 {
-                    let _ = self.heap.free(vm, ptr);
-                }
                 cpu.set(Rax, 0);
+                if ptr != 0 {
+                    if let Err(e) = self.heap.free(vm, ptr) {
+                        let kind = match e {
+                            AllocError::DoubleFree(_) => MemErrKind::DoubleFree,
+                            _ => MemErrKind::InvalidFree,
+                        };
+                        return self.report(MemoryError {
+                            site: cpu.rip.wrapping_sub(2),
+                            kind,
+                            is_write: true,
+                        });
+                    }
+                }
             }
             syscalls::CALLOC => {
                 let (c, e) = (cpu.get(Rdi), cpu.get(Rsi));
@@ -315,12 +346,8 @@ impl Runtime for HostRuntime {
                 }
             },
             syscalls::MEMORY_ERROR => {
-                let err = Self::decode_error(cpu);
-                self.errors.push(err);
                 cpu.set(Rax, 0);
-                if self.error_mode == ErrorMode::Abort {
-                    return SyscallOutcome::Abort(err);
-                }
+                return self.report(Self::decode_error(cpu));
             }
             syscalls::PROFILE_EVENT => {
                 let site = cpu.get(Rdi);

@@ -16,12 +16,23 @@
 //!
 //! Payloads arrive assembled: the caller builds them where it plans
 //! them, and the rewrite assembles no payload code. Their bytes do not
-//! depend on where they land, but for rip-relative disp32 fields
-//! ([`RipField`]), which placement writes with the encoder's rel32
-//! range check. The placement loop copies each payload, writes its
+//! depend on where they land, but for two kinds of rel32 field, which
+//! placement writes with the encoder's rel32 range check: rip-relative
+//! operands ([`RipField`]) and calls into the segment's cold library
+//! ([`CallField`]). The placement loop copies each payload, writes its
 //! fields, re-encodes the displaced instructions and the jump back, and
 //! writes the patch site; those three depend on the trampoline's
 //! address, so they are never part of a payload.
+//!
+//! # The cold library
+//!
+//! Code that many payloads would otherwise each carry a copy of -- the
+//! check's redzone fallback and its error reports -- arrives once, as a
+//! [`Library`] of routines. The rewrite places it at the head of the
+//! trampoline segment, before the first payload, so every image
+//! rewritten at its own [`RewriteBases`] carries its own copy, and a
+//! payload reaches a routine with a `call rel32` whose field names the
+//! routine, not an address.
 //!
 //! # Patch tactics
 //!
@@ -46,7 +57,7 @@
 use redfat_analysis::Disasm;
 use redfat_elf::{Image, SegFlags, Segment};
 use redfat_vm::layout;
-use redfat_x86::{encode, rip_rel32, Asm, AsmError, Inst, Op, Operands, Width};
+use redfat_x86::{rip_rel32, Asm, AsmError, EncodeError, Inst, Op};
 use std::collections::BTreeSet;
 
 /// A rip-relative disp32 field of a payload. Placement writes it so
@@ -60,6 +71,32 @@ pub struct RipField {
     /// The absolute address the operand names.
     pub target: u64,
 }
+
+/// The rel32 of a payload's `call` into a routine of the segment's
+/// [`Library`]. Placement writes it so that the call reaches the
+/// routine's entry; like a [`RipField`], it ends its instruction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CallField {
+    /// Offset of the field in its payload's code.
+    pub at: u32,
+    /// The routine called: an index into [`Library::entries`].
+    pub routine: u32,
+}
+
+/// Out-of-line routines the payloads call, placed once at the head of
+/// the trampoline segment. Their code does not depend on where it
+/// lands: its branches are relative and stay inside it.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Library<'a> {
+    /// The routines' code, back to back.
+    pub code: &'a [u8],
+    /// `entries[r]` is the offset in `code` of routine `r`'s entry, or
+    /// [`NO_ROUTINE`] when the library does not hold routine `r`.
+    pub entries: &'a [u32],
+}
+
+/// The [`Library::entries`] value of a routine the library lacks.
+pub const NO_ROUTINE: u32 = u32::MAX;
 
 /// One requested patch: an anchor and the payload to run before it.
 #[derive(Debug, Clone, Copy)]
@@ -76,6 +113,8 @@ pub struct Patch<'a> {
     pub entry: usize,
     /// The payload's rip-relative fields, in ascending order.
     pub rip_fields: &'a [RipField],
+    /// The payload's calls into the library, in ascending order.
+    pub calls: &'a [CallField],
 }
 
 /// Rewrite statistics (reported by the scalability experiments).
@@ -87,9 +126,11 @@ pub struct RewriteStats {
     pub trap_patches: usize,
     /// Total instructions displaced into trampolines.
     pub displaced: usize,
-    /// Bytes of trampoline code emitted: the sum of the three counts
+    /// Bytes of trampoline code emitted: the sum of the four counts
     /// below.
     pub trampoline_bytes: usize,
+    /// The cold library at the head of the segment.
+    pub library_bytes: usize,
     /// Payload code before each payload's entry (cold: reached only
     /// through the payload's own branches).
     pub cold_bytes: usize,
@@ -116,8 +157,9 @@ pub enum RewriteError {
     UnorderedPatches(u64),
     /// The code bytes at a patch site could not be written back.
     PatchWrite(u64),
-    /// The payload for this anchor has its entry or a rip-relative
-    /// field outside its code, or its fields out of order.
+    /// The payload for this anchor has its entry or a field outside its
+    /// code, its fields out of order, or a call to a routine the
+    /// library lacks.
     BadPayload(u64),
 }
 
@@ -178,7 +220,16 @@ impl Default for RewriteBases {
     }
 }
 
-/// Applies `patches` to `image` at the default segment bases.
+/// The most instructions a displaced group holds: each is at least one
+/// byte long, and the group ends once it spans the 5-byte `jmp`.
+const MAX_GROUP: usize = 5;
+
+/// The longest patch site: four bytes of short instructions, then one of
+/// at most 15 bytes.
+const MAX_SITE: usize = 4 + 15;
+
+/// Applies `patches`, which call no library routine, to `image` at the
+/// default segment bases.
 ///
 /// `disasm` must describe `image` and `leaders` must hold every potential
 /// jump target (the recovered CFG's leaders; callers already have both
@@ -189,15 +240,24 @@ pub fn rewrite(
     leaders: &BTreeSet<u64>,
     patches: &[Patch<'_>],
 ) -> Result<RewriteOutput, RewriteError> {
-    rewrite_with_bases(image, disasm, leaders, patches, RewriteBases::default())
+    rewrite_with_bases(
+        image,
+        disasm,
+        leaders,
+        Library::default(),
+        patches,
+        RewriteBases::default(),
+    )
 }
 
-/// Applies `patches` to `image`, placing trampolines and trap table at
-/// the given bases.
+/// Applies `patches` to `image`, placing the trampoline segment -- the
+/// `library` first, then the payloads -- and the trap table at the given
+/// bases.
 pub fn rewrite_with_bases(
     image: &Image,
     disasm: &Disasm,
     leaders: &BTreeSet<u64>,
+    library: Library<'_>,
     patches: &[Patch<'_>],
     bases: RewriteBases,
 ) -> Result<RewriteOutput, RewriteError> {
@@ -205,6 +265,8 @@ pub fn rewrite_with_bases(
     let mut stats = RewriteStats::default();
     let mut tramp = Asm::new(bases.trampoline);
     let mut traps: Vec<(u64, u64)> = Vec::new();
+    tramp.raw(library.code);
+    stats.library_bytes = library.code.len();
 
     // Validate ordering.
     for w in patches.windows(2) {
@@ -225,48 +287,34 @@ pub fn rewrite_with_bases(
             continue;
         };
 
-        // Select and decode the displaced group *before* placing any
-        // trampoline bytes, so a member that fails to resolve degrades
-        // to a clean skip rather than leaving a half-built trampoline.
-        let group = select_group(disasm, leaders, anchor, next_anchor).and_then(|members| {
-            members
-                .iter()
-                .map(|&addr| disasm.at(addr).map(|&(inst, len)| (inst, len)))
-                .collect::<Option<Vec<(Inst, u8)>>>()
-        });
+        // Select the displaced group *before* placing any trampoline
+        // bytes, so a member that fails to decode degrades to a clean
+        // skip rather than leaving a half-built trampoline.
+        let group = select_group(disasm, leaders, anchor, next_anchor);
 
-        let entry = place(&mut tramp, patch)?;
+        let entry = place(&mut tramp, patch, bases.trampoline, &library)?;
         let payload_end = tramp.here();
         stats.cold_bytes += patch.entry;
         stats.hot_bytes += patch.code.len() - patch.entry;
 
         match group {
-            Some(members) => {
+            Some((members, n)) => {
                 // T-jmp: re-encode displaced instructions in the
                 // trampoline, then jump back.
-                let mut group_len = 0u64;
+                let mut group_len = 0usize;
                 let mut terminal = false;
-                for &(inst, len) in &members {
-                    group_len += len as u64;
+                for &(inst, len) in &members[..n] {
+                    group_len += len as usize;
                     tramp.emit(inst)?;
                     stats.displaced += 1;
                     terminal = always_transfers(&inst);
                 }
-                let resume = anchor + group_len;
+                let resume = anchor + group_len as u64;
                 if !terminal {
                     tramp.jmp_abs(resume)?;
                 }
-                // Patch site: jmp (rel32, or rel8 if the trampoline is
-                // unusually close) + NOP padding.
-                let mut site = encode(
-                    &Inst::new(Op::Jmp, Width::W64, Operands::Rel(entry)),
-                    anchor,
-                )
-                .map_err(|e| RewriteError::Asm(AsmError::Encode(e)))?;
-                while (site.len() as u64) < group_len {
-                    site.push(0x90);
-                }
-                if !out.write_bytes(anchor, &site) {
+                let site = patch_site(anchor, entry)?;
+                if !out.write_bytes(anchor, &site[..group_len]) {
                     return Err(RewriteError::PatchWrite(anchor));
                 }
                 stats.jmp_patches += 1;
@@ -313,22 +361,44 @@ pub fn rewrite_with_bases(
     Ok(RewriteOutput { image: out, stats })
 }
 
-/// Appends `patch`'s payload to the trampoline, each rip-relative field
-/// written for where it lands, and returns the payload's entry address.
-fn place(tramp: &mut Asm, patch: &Patch<'_>) -> Result<u64, RewriteError> {
+/// Appends `patch`'s payload to the trampoline, each field written for
+/// where it lands -- a call field to reach its routine in `library`,
+/// placed at `library_base` -- and returns the payload's entry address.
+fn place(
+    tramp: &mut Asm,
+    patch: &Patch<'_>,
+    library_base: u64,
+    library: &Library<'_>,
+) -> Result<u64, RewriteError> {
     let bad = || RewriteError::BadPayload(patch.anchor);
     let base = tramp.here();
     if patch.entry > patch.code.len() {
         return Err(bad());
     }
+    let mut rips = patch.rip_fields.iter().peekable();
+    let mut calls = patch.calls.iter().peekable();
     let mut done = 0;
-    for field in patch.rip_fields {
-        let at = field.at as usize;
+    loop {
+        // The next field in code order, and the address it reaches.
+        let (at, target) =
+            if let Some(r) = rips.next_if(|r| calls.peek().is_none_or(|c| r.at < c.at)) {
+                (r.at, r.target)
+            } else if let Some(c) = calls.next() {
+                let entry = library
+                    .entries
+                    .get(c.routine as usize)
+                    .filter(|&&e| (e as usize) < library.code.len())
+                    .ok_or_else(bad)?;
+                (c.at, library_base + u64::from(*entry))
+            } else {
+                break;
+            };
+        let at = at as usize;
         tramp.raw(patch.code.get(done..at).ok_or_else(bad)?);
         if at + 4 > patch.code.len() {
             return Err(bad());
         }
-        let rel32 = rip_rel32(field.target, base + at as u64 + 4)
+        let rel32 = rip_rel32(target, base + at as u64 + 4)
             .map_err(|e| RewriteError::Asm(AsmError::Encode(e)))?;
         tramp.raw(&rel32.to_le_bytes());
         done = at + 4;
@@ -338,24 +408,26 @@ fn place(tramp: &mut Asm, patch: &Patch<'_>) -> Result<u64, RewriteError> {
 }
 
 /// Chooses the run of instructions to displace for a 5-byte jump patch,
-/// or `None` if the trap tactic must be used.
+/// decoded, with its length, or `None` if the trap tactic must be used.
 fn select_group(
     disasm: &Disasm,
     leaders: &BTreeSet<u64>,
     anchor: u64,
     next_anchor: Option<u64>,
-) -> Option<Vec<u64>> {
-    let mut members = Vec::new();
+) -> Option<([(Inst, u8); MAX_GROUP], usize)> {
+    let mut members = [*disasm.at(anchor)?; MAX_GROUP];
+    let mut n = 0;
     let mut total = 0u64;
     let mut addr = anchor;
     loop {
-        let (_, len) = *disasm.at(addr)?;
-        members.push(addr);
-        total += len as u64;
+        let member = *disasm.at(addr)?;
+        members[n] = member;
+        n += 1;
+        total += member.1 as u64;
         if total >= 5 {
-            return Some(members);
+            return Some((members, n));
         }
-        let next = addr + len as u64;
+        let next = addr + member.1 as u64;
         // The next instruction would become patch-interior: it must not
         // be a potential jump target, another patch's anchor, or unknown.
         if leaders.contains(&next) || next_anchor == Some(next) || disasm.at(next).is_none() {
@@ -363,6 +435,24 @@ fn select_group(
         }
         addr = next;
     }
+}
+
+/// The bytes of a jump patch site at `anchor`: a `jmp` to `entry` --
+/// rel8 if the trampoline is unusually close, else rel32 -- then NOP
+/// padding to the end of the longest group.
+fn patch_site(anchor: u64, entry: u64) -> Result<[u8; MAX_SITE], RewriteError> {
+    let mut site = [0x90; MAX_SITE];
+    let rel = entry.wrapping_sub(anchor) as i64;
+    if let Ok(rel8) = i8::try_from(rel.saturating_sub(2)) {
+        site[..2].copy_from_slice(&[0xEB, rel8 as u8]);
+    } else {
+        let rel32 = i32::try_from(rel.saturating_sub(5)).map_err(|_| {
+            RewriteError::Asm(AsmError::Encode(EncodeError::OutOfRange("branch rel32")))
+        })?;
+        site[0] = 0xE9;
+        site[1..5].copy_from_slice(&rel32.to_le_bytes());
+    }
+    Ok(site)
 }
 
 /// Returns `true` if the instruction unconditionally transfers control
@@ -376,7 +466,7 @@ mod tests {
     use super::*;
     use redfat_analysis::{disassemble, Cfg};
     use redfat_elf::{Image, ImageKind, SegFlags, Segment};
-    use redfat_x86::{AluOp, Asm, Cond, Mem, Reg, Width};
+    use redfat_x86::{AluOp, Asm, Cond, Mem, Operands, Reg, Width};
 
     fn build_image(f: impl FnOnce(&mut Asm)) -> Image {
         let mut a = Asm::new(layout::CODE_BASE);
@@ -397,6 +487,7 @@ mod tests {
             code: &[],
             entry: 0,
             rip_fields: &[],
+            calls: &[],
         }
     }
 
@@ -557,6 +648,7 @@ mod tests {
             code: &code,
             entry,
             rip_fields: &[],
+            calls: &[],
         };
         let out = rewrite(
             &img,
@@ -627,6 +719,7 @@ mod tests {
                 code: &code,
                 entry,
                 rip_fields: &[],
+                calls: &[],
             })
             .collect();
         let s = rewrite(&img, &d, &cfg.leaders, &patches).unwrap().stats;
@@ -673,6 +766,7 @@ mod tests {
             code: &code,
             entry: 0,
             rip_fields: &fields,
+            calls: &[],
         };
         for trampoline in [
             layout::TRAMPOLINE_BASE,
@@ -682,7 +776,9 @@ mod tests {
                 trampoline,
                 ..RewriteBases::default()
             };
-            let out = rewrite_with_bases(&img, &d, &cfg.leaders, &[patch], bases).unwrap();
+            let out =
+                rewrite_with_bases(&img, &d, &cfg.leaders, Library::default(), &[patch], bases)
+                    .unwrap();
             let tramp = out.image.segment_at(trampoline).unwrap();
             let (lea, _) = redfat_x86::decode_one(&tramp.data, trampoline).unwrap();
             assert_eq!(lea.op, Op::Lea);
@@ -712,12 +808,14 @@ mod tests {
             code: &code,
             entry: 0,
             rip_fields: &fields,
+            calls: &[],
         };
         let far = RewriteBases {
             trampoline: layout::GLOBALS_BASE + (1 << 31),
             ..RewriteBases::default()
         };
-        let err = rewrite_with_bases(&img, &d, &cfg.leaders, &[patch], far).err();
+        let err =
+            rewrite_with_bases(&img, &d, &cfg.leaders, Library::default(), &[patch], far).err();
         assert!(
             matches!(
                 err,
@@ -727,6 +825,78 @@ mod tests {
             ),
             "{err:?}"
         );
+    }
+
+    #[test]
+    fn call_fields_reach_their_routine_wherever_the_payload_lands() {
+        use redfat_emu::{Emu, ErrorMode, HostRuntime};
+        let img = exit_rdi_image();
+        let d = disassemble(&img);
+        let cfg = Cfg::recover(&d, img.entry, &[]);
+        // Routine 0 traps, routine 1 sets the exit code; the payload
+        // calls routine 1 through a placeholder rel32.
+        let (library, _) = payload(|a| {
+            a.ud2();
+            a.mov_ri(Width::W32, Reg::Rdi, 42);
+            a.ret();
+            0
+        });
+        let entries = [0, 2];
+        fn patch(calls: &[CallField]) -> Patch<'_> {
+            Patch {
+                anchor: layout::CODE_BASE,
+                code: &[0xE8, 0, 0, 0, 0],
+                entry: 0,
+                rip_fields: &[],
+                calls,
+            }
+        }
+        let calls = [CallField { at: 1, routine: 1 }];
+        for trampoline in [layout::TRAMPOLINE_BASE, layout::TRAMPOLINE_BASE + 0x123] {
+            let bases = RewriteBases {
+                trampoline,
+                ..RewriteBases::default()
+            };
+            let library = Library {
+                code: &library,
+                entries: &entries,
+            };
+            let out = rewrite_with_bases(&img, &d, &cfg.leaders, library, &[patch(&calls)], bases)
+                .unwrap();
+            let s = out.stats;
+            assert_eq!(s.library_bytes, library.code.len());
+            assert_eq!(
+                s.library_bytes + s.cold_bytes + s.hot_bytes + s.displaced_bytes,
+                s.trampoline_bytes
+            );
+            let run = Emu::load_image(&out.image, HostRuntime::new(ErrorMode::Abort))
+                .expect("loads")
+                .run(10_000);
+            assert_eq!(run.expect_exit(), 42, "at {trampoline:#x}");
+        }
+
+        // A call to a routine the library lacks, or past its entries.
+        let lacking = [0, NO_ROUTINE];
+        for (entries, routine) in [(&entries[..], 2), (&lacking[..], 1)] {
+            let library = Library {
+                code: &library,
+                entries,
+            };
+            let calls = [CallField { at: 1, routine }];
+            let err = rewrite_with_bases(
+                &img,
+                &d,
+                &cfg.leaders,
+                library,
+                &[patch(&calls)],
+                RewriteBases::default(),
+            )
+            .err();
+            assert!(
+                matches!(err, Some(RewriteError::BadPayload(layout::CODE_BASE))),
+                "routine {routine} of {entries:?}: {err:?}"
+            );
+        }
     }
 
     #[test]
@@ -748,6 +918,7 @@ mod tests {
                 code: &code,
                 entry,
                 rip_fields,
+                calls: &[],
             };
             let err = rewrite(&img, &d, &cfg.leaders, &[patch]).err();
             assert!(

@@ -103,6 +103,7 @@ fn identity_rewrite_preserves_behavior() {
             code: &[],
             entry: 0,
             rip_fields: &[],
+            calls: &[],
         })
         .collect();
     let out = rewrite(&img, &d, &cfg.leaders, &patches).unwrap();
@@ -141,6 +142,7 @@ fn identity_rewrite_on_stripped_binary() {
             code: &[],
             entry: 0,
             rip_fields: &[],
+            calls: &[],
         })
         .collect();
     let out = rewrite(&img, &d, &cfg.leaders, &patches).unwrap();
@@ -194,6 +196,7 @@ fn trap_tactic_preserves_behavior() {
             code: &[],
             entry: 0,
             rip_fields: &[],
+            calls: &[],
         }],
     )
     .unwrap();
@@ -243,6 +246,7 @@ fn payload_executes_before_displaced_instruction() {
             code: &code,
             entry: 0,
             rip_fields: &[],
+            calls: &[],
         }],
     )
     .unwrap();

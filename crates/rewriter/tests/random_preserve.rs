@@ -65,6 +65,7 @@ fn identity_rewrite_preserves_random_programs() {
                 code: &[],
                 entry: 0,
                 rip_fields: &[],
+                calls: &[],
             })
             .collect();
         let n_patches = patches.len();

@@ -8,17 +8,39 @@ use redfat_elf::Image;
 use redfat_service::{
     artifact_key, ArtifactCache, ArtifactEntry, Client, Op, Response, Server, ServerConfig, Source,
 };
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
-fn scratch(tag: &str) -> PathBuf {
+/// A directory of its own under the temp dir, removed when dropped. A
+/// failing test keeps it for a look and prints where it is.
+struct Scratch(PathBuf);
+
+impl std::ops::Deref for Scratch {
+    type Target = Path;
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            eprintln!("kept the failed test's directory {}", self.0.display());
+        } else {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+}
+
+fn scratch(tag: &str) -> Scratch {
     let dir = std::env::temp_dir().join(format!("redfat-daemon-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("scratch dir");
-    dir
+    Scratch(dir)
 }
 
-/// Starts a daemon on a scratch socket; returns (config, join handle).
-fn start(tag: &str, workers: usize) -> (ServerConfig, std::thread::JoinHandle<String>) {
+/// Starts a daemon on a scratch socket; returns (its directory, config,
+/// join handle).
+fn start(tag: &str, workers: usize) -> (Scratch, ServerConfig, std::thread::JoinHandle<String>) {
     let dir = scratch(tag);
     let config = ServerConfig {
         socket: dir.join("daemon.sock"),
@@ -28,7 +50,7 @@ fn start(tag: &str, workers: usize) -> (ServerConfig, std::thread::JoinHandle<St
     };
     let server = Server::bind(config.clone()).expect("bind daemon");
     let handle = std::thread::spawn(move || server.run().expect("daemon run"));
-    (config, handle)
+    (dir, config, handle)
 }
 
 /// One stand-in image, built once per test binary: `spec::all()`
@@ -52,7 +74,7 @@ fn counter(stats: &str, key: &str) -> u64 {
 
 #[test]
 fn concurrent_identical_requests_cost_one_computation() {
-    let (config, handle) = start("dedupe", 2);
+    let (_dir, config, handle) = start("dedupe", 2);
     let image = workload_image_bytes();
     let cfg = HardenConfig::default().canonical_bytes();
 
@@ -112,7 +134,7 @@ fn concurrent_identical_requests_cost_one_computation() {
 
 #[test]
 fn one_worker_computes_concurrent_distinct_jobs_in_turn() {
-    let (config, handle) = start("one-worker", 1);
+    let (_dir, config, handle) = start("one-worker", 1);
     let cfg = HardenConfig::default();
     let names = ["perlbench", "bzip2", "mcf", "libquantum"];
     let images: Vec<Image> = redfat_workloads::spec::all()
@@ -159,7 +181,7 @@ fn one_worker_computes_concurrent_distinct_jobs_in_turn() {
 
 #[test]
 fn warm_artifact_hit_does_zero_analysis() {
-    let (config, handle) = start("warm", 1);
+    let (_dir, config, handle) = start("warm", 1);
     let image = workload_image_bytes();
     let cfg = HardenConfig::default().canonical_bytes();
 
@@ -213,7 +235,7 @@ fn warm_artifact_hit_does_zero_analysis() {
 
 #[test]
 fn another_config_takes_the_full_path() {
-    let (config, handle) = start("incr", 1);
+    let (_dir, config, handle) = start("incr", 1);
     let base = workload_image_bytes();
     let cfg = HardenConfig::default().canonical_bytes();
 
@@ -374,7 +396,7 @@ fn assert_replanned(stats: &str, fresh: u64) {
 
 #[test]
 fn edits_take_the_kept_base_and_a_new_image_replaces_it() {
-    let (config, handle) = start("kept", 1);
+    let (_dir, config, handle) = start("kept", 1);
     let mut c = Client::connect(&config.socket).expect("connect");
 
     // The first job finds no base and keeps its own.
@@ -422,7 +444,7 @@ fn edits_take_the_kept_base_and_a_new_image_replaces_it() {
 
 #[test]
 fn sibling_edits_and_alternating_images_count_by_the_last_full_harden() {
-    let (config, handle) = start("siblings", 1);
+    let (_dir, config, handle) = start("siblings", 1);
     let mut c = Client::connect(&config.socket).expect("connect");
     let a = Image::parse(&workload_image_bytes()).expect("parse");
     let b = redfat_workloads::spec::by_name("bzip2")
@@ -486,7 +508,7 @@ fn sibling_edits_and_alternating_images_count_by_the_last_full_harden() {
 
 #[test]
 fn malformed_and_non_job_requests_never_kill_the_daemon() {
-    let (config, handle) = start("malformed", 1);
+    let (_dir, config, handle) = start("malformed", 1);
 
     // Garbage config bytes: structured error, daemon stays up.
     let mut c = Client::connect(&config.socket).expect("connect");
@@ -571,7 +593,7 @@ fn corrupted_artifacts_are_misses_never_stale() {
 /// recomputes and heals without ever panicking.
 #[test]
 fn daemon_survives_poisoned_cache_directory() {
-    let (config, handle) = start("poisoned", 1);
+    let (_dir, config, handle) = start("poisoned", 1);
     let image = workload_image_bytes();
     let cfg = HardenConfig::default().canonical_bytes();
 
@@ -625,7 +647,7 @@ fn daemon_survives_poisoned_cache_directory() {
 
 #[test]
 fn profile_op_and_analyze_op_have_distinct_artifacts() {
-    let (config, handle) = start("ops", 1);
+    let (_dir, config, handle) = start("ops", 1);
     let image = workload_image_bytes();
     let cfg = HardenConfig::default().canonical_bytes();
 

@@ -267,21 +267,44 @@ fn allowlist_text_roundtrip_through_production() {
 
 #[test]
 fn double_free_and_invalid_free_reported_by_allocator() {
-    let image = compile(
-        "fn main() {
+    // The allocator rejects both frees and leaves the heap as it was;
+    // the runtime records each as a memory error at the `free`'s
+    // syscall, ends the run in Abort mode and goes on in Log mode.
+    let double = "fn main() {
             var a = malloc(32);
             free(a);
-            free(a);   // double free: runtime ignores gracefully
+            free(a);
             print(1);
             return 0;
-        }",
-    )
-    .unwrap();
-    // The runtime tolerates the bad free (real RedFat's allocator
-    // aborts; ours records) -- what matters is no crash and no heap
-    // corruption afterwards.
-    let out = run(&image, &RunSpec::new(&[], ErrorMode::Abort, 1_000_000)).unwrap();
-    assert_eq!(out.result, RunResult::Exited(0));
+        }";
+    let invalid = "fn main() {
+            var a = malloc(32);
+            free(a + 8);
+            a[0] = 2;
+            print(a[0]);
+            return 0;
+        }";
+    for (src, kind, printed) in [
+        (double, MemErrKind::DoubleFree, 1),
+        (invalid, MemErrKind::InvalidFree, 2),
+    ] {
+        let image = compile(src).unwrap();
+        let abort = run(&image, &RunSpec::new(&[], ErrorMode::Abort, 1_000_000)).unwrap();
+        let RunResult::MemoryError(err) = abort.result else {
+            panic!("{kind:?}: Abort mode ends the run, got {:?}", abort.result);
+        };
+        assert_eq!((err.kind, err.is_write), (kind, true), "{err:?}");
+        assert_eq!(abort.errors, [err]);
+        assert!(
+            abort.io.out_ints.is_empty(),
+            "{kind:?}: stopped at the free"
+        );
+
+        let log = run(&image, &RunSpec::new(&[], ErrorMode::Log, 1_000_000)).unwrap();
+        assert_eq!(log.result, RunResult::Exited(0), "{kind:?}");
+        assert_eq!(log.errors, [err], "{kind:?}: the same error, recorded");
+        assert_eq!(log.io.out_ints, [printed], "{kind:?}: the heap still works");
+    }
 }
 
 #[test]

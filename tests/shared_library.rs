@@ -55,10 +55,19 @@ fn protection_follows_instrumentation() {
     let main_plain = compile(MAIN_SRC).unwrap();
     let lib_plain = compile_library(LIB_SRC, 0x0100_0000, 0x0120_0000).unwrap();
     let cfg = HardenConfig::with_merge(LowFatPolicy::All);
-    let main_hard = harden(&main_plain, &cfg).unwrap().image;
-    let lib_hard = harden_with_bases(&lib_plain, &cfg, LIB_BASES)
-        .unwrap()
-        .image;
+    let main_hard = harden(&main_plain, &cfg).unwrap();
+    let lib_hard = harden_with_bases(&lib_plain, &cfg, LIB_BASES).unwrap();
+    // Each image's checks call the cold library at the head of its own
+    // trampoline segment.
+    for h in [&main_hard, &lib_hard] {
+        assert!(h.stats.rewrite.library_bytes > 0, "{:?}", h.stats.rewrite);
+    }
+    assert!(lib_hard.image.segment_at(LIB_BASES.trampoline).is_some());
+    assert!(lib_hard
+        .image
+        .segment_at(redfat::vm::layout::TRAMPOLINE_BASE)
+        .is_none());
+    let (main_hard, lib_hard) = (main_hard.image, lib_hard.image);
 
     let detected = |r: &RunResult| matches!(r, RunResult::MemoryError(_));
     let atk = 10;
@@ -82,10 +91,19 @@ fn cross_image_calls_compute_correctly() {
     let main_plain = compile(MAIN_SRC).unwrap();
     let lib_plain = compile_library(LIB_SRC, 0x0100_0000, 0x0120_0000).unwrap();
     let cfg = HardenConfig::with_merge(LowFatPolicy::All);
-    let main_hard = harden(&main_plain, &cfg).unwrap().image;
-    let lib_hard = harden_with_bases(&lib_plain, &cfg, LIB_BASES)
-        .unwrap()
-        .image;
+    let main_hard = harden(&main_plain, &cfg).unwrap();
+    let lib_hard = harden_with_bases(&lib_plain, &cfg, LIB_BASES).unwrap();
+    // Each image's checks call the cold library at the head of its own
+    // trampoline segment.
+    for h in [&main_hard, &lib_hard] {
+        assert!(h.stats.rewrite.library_bytes > 0, "{:?}", h.stats.rewrite);
+    }
+    assert!(lib_hard.image.segment_at(LIB_BASES.trampoline).is_some());
+    assert!(lib_hard
+        .image
+        .segment_at(redfat::vm::layout::TRAMPOLINE_BASE)
+        .is_none());
+    let (main_hard, lib_hard) = (main_hard.image, lib_hard.image);
 
     // Benign run through every combination gives identical output:
     // the library stores 0x41 at a[2], then sums the first 5 elements.
