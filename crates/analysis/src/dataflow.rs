@@ -25,7 +25,7 @@
 use crate::cfg::Cfg;
 use crate::disasm::Disasm;
 use redfat_x86::{Inst, Op};
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Number of refinements of one block's entry fact before the solver
 /// starts widening (guarantees termination on interval-like domains).
@@ -59,7 +59,9 @@ pub trait ForwardAnalysis {
 pub struct ForwardSolution<A: ForwardAnalysis> {
     analysis: A,
     /// Entry fact per reachable block.
-    block_in: HashMap<u64, A::Fact>,
+    /// Ordered, so identical runs build and free it in the same order
+    /// and leave identically shaped heaps.
+    block_in: BTreeMap<u64, A::Fact>,
 }
 
 /// Computes the set of blocks that must be treated as enterable from
@@ -106,8 +108,8 @@ pub fn solve_forward<A: ForwardAnalysis>(
     cfg: &Cfg,
     roots: &BTreeSet<u64>,
 ) -> ForwardSolution<A> {
-    let mut block_in: HashMap<u64, A::Fact> = HashMap::new();
-    let mut updates: HashMap<u64, usize> = HashMap::new();
+    let mut block_in: BTreeMap<u64, A::Fact> = BTreeMap::new();
+    let mut updates: BTreeMap<u64, usize> = BTreeMap::new();
     let mut work: VecDeque<u64> = VecDeque::new();
     let mut queued: BTreeSet<u64> = BTreeSet::new();
 

@@ -355,8 +355,11 @@ impl BatchPayload {
         }
         for (k, (spec, l)) in self.checks.iter().zip(&labels).enumerate() {
             if let Some(field) = self.emit_hot(a, spec, k > 0, l)? {
+                // The field ends its `lea`.
+                let at = (field - start) as u32;
                 rip_fields.push(RipField {
-                    at: (field - start) as u32,
+                    at,
+                    end: at + 4,
                     target: spec.check.mem.disp as u64,
                 });
             }

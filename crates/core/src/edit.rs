@@ -15,8 +15,9 @@
 //! only instruction lengths, control-flow operations and branch
 //! targets, so leaders, blocks, roots and the component partition of
 //! the edited image equal the kept ones. A component's plan reads only
-//! its own blocks' instructions and that structure, so a component that
-//! holds no changed instruction keeps its plan.
+//! its own blocks' instructions, the instructions its trampolines
+//! displace and that structure, so a component that holds no changed
+//! instruction and displaces none keeps its plan.
 
 use crate::checks::PayloadMode;
 use crate::config::HardenConfig;
@@ -77,8 +78,9 @@ impl KeptBaseSlot {
 /// equal `harden_threaded`'s.
 ///
 /// A *CFG-preserving edit* of the base's image re-plans only the
-/// components that hold a changed instruction, counts the others as
-/// reused and leaves the base as it was. That is an image with:
+/// components that hold a changed instruction or whose trampolines
+/// displace one, counts the others as reused and leaves the base as it
+/// was. That is an image with:
 /// - the same config;
 /// - the same entry, kind and segment table, with no executable
 ///   segment overlapping another;
@@ -232,6 +234,7 @@ impl KeptBase {
         let leftover = analysis.leftover;
         let mut kept_insts: Vec<(u64, Inst)> = Vec::with_capacity(edits.len());
         let mut touched: BTreeSet<u64> = BTreeSet::new();
+        let mut blockless: Vec<u64> = Vec::new();
         for (addr, inst) in edits {
             let Some(old) = analysis.disasm.replace(addr, inst) else {
                 continue;
@@ -243,16 +246,26 @@ impl KeptBase {
                 None => {
                     analysis.leftover.count(config, &old, false);
                     analysis.leftover.count(config, &inst, true);
+                    blockless.push(addr);
                 }
             }
             kept_insts.push((addr, old));
         }
+        // Plans carry the instructions their trampolines displace. A
+        // displaced group stays in its anchor's block, or runs past the
+        // end of a block capped at `MAX_BLOCK` into instructions that no
+        // block holds; a changed one of those re-plans the group's
+        // component.
         let dirty: Vec<(usize, Cfg)> = analysis
             .component_blocks
             .iter()
+            .zip(&analysis.plans)
             .enumerate()
-            .filter(|(_, starts)| starts.iter().any(|s| touched.contains(s)))
-            .map(|(c, starts)| (c, sub_cfg(analysis, starts)))
+            .filter(|(_, (starts, plan))| {
+                starts.iter().any(|s| touched.contains(s))
+                    || blockless.iter().any(|&addr| plan.displaces(addr))
+            })
+            .map(|(c, (starts, _))| (c, sub_cfg(analysis, starts)))
             .collect();
 
         let planner = Planner {

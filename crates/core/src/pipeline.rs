@@ -11,8 +11,8 @@ use redfat_elf::Image;
 use redfat_emu::ProfileStats;
 use redfat_parallel::parallel_map;
 use redfat_rewriter::{
-    rewrite_with_bases, CallField, Library, Patch, RewriteBases, RewriteError, RewriteStats,
-    RipField,
+    rewrite_with_bases, select_group, CallField, Displaced, Library, RewriteBases, RewriteError,
+    RewriteStats, RipField, Trampoline,
 };
 use redfat_x86::{Asm, AsmError, EncodeError, Inst};
 use std::cell::RefCell;
@@ -220,13 +220,16 @@ enum SiteClass {
 
 /// The per-component output of the analysis + planning stages:
 /// everything the serial rewrite needs, in a form that merges
-/// deterministically, with each batch's payload already assembled.
+/// deterministically, with each batch's whole trampoline already
+/// assembled: its payload, the instructions it displaces and the jump
+/// back.
 pub(crate) struct ComponentPlan {
-    /// The batches' payloads back to back, in `batches` order, or the
-    /// failure that stopped their assembly.
+    /// The batches' trampolines back to back, in `batches` order, or
+    /// the failure that stopped their assembly.
     code: Result<Vec<u8>, AsmError>,
-    /// The payloads' rip-relative fields, in `batches` order, each at
-    /// its offset from its own payload's start.
+    /// The trampolines' fields that reach absolute addresses, in
+    /// `batches` order, each at its offset from its own trampoline's
+    /// start.
     rip_fields: Vec<RipField>,
     /// The payloads' calls into the cold library, likewise.
     calls: Vec<CallField>,
@@ -234,19 +237,32 @@ pub(crate) struct ComponentPlan {
     stats: HardenStats,
 }
 
-/// One batch of a [`ComponentPlan`]: its anchor, where its payload
-/// lies in the plan's code, fields and calls, and its clobbers. A
-/// payload starts where the previous batch's ends.
+impl ComponentPlan {
+    /// Whether one of the plan's trampolines displaces the instruction
+    /// at `addr`. A displaced group can run past its block's end into
+    /// instructions no block holds, so an edit there must re-plan the
+    /// group's component.
+    pub(crate) fn displaces(&self, addr: u64) -> bool {
+        self.batches
+            .iter()
+            .any(|b| b.anchor <= addr && addr < b.anchor + u64::from(b.displaced.len))
+    }
+}
+
+/// One batch of a [`ComponentPlan`]: its anchor, where its trampoline
+/// lies in the plan's code, fields and calls, what it displaces, and
+/// its clobbers. A trampoline starts where the previous batch's ends.
 struct PlannedBatch {
     anchor: u64,
-    /// One past the payload's last byte in the plan's code.
+    /// One past the trampoline's last byte in the plan's code.
     code_end: u32,
-    /// The payload's entry, as an offset from its start.
+    /// The payload's entry, as an offset from the trampoline's start.
     entry: u32,
-    /// One past the payload's last field in the plan's `rip_fields`.
+    /// One past the trampoline's last field in the plan's `rip_fields`.
     fields_end: u32,
     /// One past the payload's last call in the plan's `calls`.
     calls_end: u32,
+    displaced: Displaced,
     clobber: ClobberInfo,
 }
 
@@ -423,10 +439,11 @@ pub(crate) fn instrument_with_analysis(
 /// The tail the full and the edit path share: sums the per-component
 /// statistics, merges the plans' batches in anchor order, builds the
 /// cold library of the routines they call, in routine-id order, and
-/// rewrites `image`, copying each payload into place. Payload code is
-/// borrowed from the plans, not copied before that. The library depends
-/// only on which routines the plans call, so an edit that adds or drops
-/// none leaves every payload where a one-shot harden puts it.
+/// rewrites `image`, copying each trampoline into place. Trampoline
+/// code is borrowed from the plans, not copied before that. The library
+/// depends only on which routines the plans call, so an edit that adds
+/// or drops none leaves every trampoline where a one-shot harden puts
+/// it.
 pub(crate) fn merge_and_rewrite(
     image: &Image,
     analysis: &Analysis,
@@ -441,7 +458,8 @@ pub(crate) fn merge_and_rewrite(
         ..HardenStats::default()
     };
     let batches = analysis.plans.iter().map(|plan| plan.batches.len()).sum();
-    let mut planned: Vec<(Patch, ClobberInfo)> = Vec::with_capacity(batches);
+    let mut planned: Vec<(Trampoline, ClobberInfo)> = Vec::with_capacity(batches);
+    let mut skipped_sites = 0;
     let mut used = vec![false; Routine::COUNT];
     for plan in &analysis.plans {
         for c in &plan.calls {
@@ -458,6 +476,7 @@ pub(crate) fn merge_and_rewrite(
         stats.regs_saved += s.regs_saved;
         stats.flags_saved += s.flags_saved;
         stats.sites_skipped += s.sites_skipped;
+        skipped_sites += s.rewrite.skipped_sites;
         let code = plan
             .code
             .as_ref()
@@ -466,40 +485,37 @@ pub(crate) fn merge_and_rewrite(
         for b in &plan.batches {
             let code_end = b.code_end as usize;
             let (fields_end, calls_end) = (b.fields_end as usize, b.calls_end as usize);
-            let patch = Patch {
+            let trampoline = Trampoline {
                 anchor: b.anchor,
                 code: &code[code_start..code_end],
                 entry: b.entry as usize,
+                displaced: b.displaced,
                 rip_fields: &plan.rip_fields[fields_start..fields_end],
                 calls: &plan.calls[calls_start..calls_end],
             };
-            planned.push((patch, b.clobber));
+            planned.push((trampoline, b.clobber));
             (code_start, fields_start, calls_start) = (code_end, fields_end, calls_end);
         }
     }
     // Anchors are globally unique, so this is a total order.
-    planned.sort_unstable_by_key(|(patch, _)| patch.anchor);
+    planned.sort_unstable_by_key(|(trampoline, _)| trampoline.anchor);
     stats.batches = planned.len();
     let clobbers = planned
         .iter()
-        .map(|(patch, clobber)| (patch.anchor, *clobber))
+        .map(|(trampoline, clobber)| (trampoline.anchor, *clobber))
         .collect();
-    let patches: Vec<Patch> = planned.into_iter().map(|(patch, _)| patch).collect();
+    let trampolines: Vec<Trampoline> = planned.into_iter().map(|(t, _)| t).collect();
 
     let (code, entries) = library(&used).map_err(RewriteError::Asm)?;
     let library = Library {
         code: &code,
         entries: &entries,
     };
-    let out = rewrite_with_bases(
-        image,
-        &analysis.disasm,
-        &analysis.leaders,
-        library,
-        &patches,
-        bases,
-    )?;
-    stats.rewrite = out.stats;
+    let out = rewrite_with_bases(image, library, &trampolines, bases)?;
+    stats.rewrite = RewriteStats {
+        skipped_sites,
+        ..out.stats
+    };
     Ok(Hardened {
         image: out.image,
         stats,
@@ -512,9 +528,10 @@ pub(crate) fn merge_and_rewrite(
 /// inside its blocks, so the results equal the whole-image pipeline's
 /// restricted to this component.
 ///
-/// Each batch's payload is assembled into `asm`, at its offset from the
-/// component's first payload; the assembler is left empty for the next
-/// component.
+/// Each batch's trampoline -- its payload, then the instructions the
+/// patch displaces and the jump back -- is assembled into `asm`, at its
+/// offset from the component's first trampoline; the assembler is left
+/// empty for the next component.
 fn instrument_shard(
     disasm: &Disasm,
     cfg: &Cfg,
@@ -616,14 +633,24 @@ fn instrument_shard(
     let batching = config.batch && mode == PayloadMode::Harden;
     let batches = plan_batches(disasm, cfg, batching, filter);
 
-    // Build and assemble payloads; split any batch whose operand
-    // registers starve the scratch allocator (extremely rare; singletons
-    // always succeed).
+    // Build and assemble each batch's trampoline; split any batch whose
+    // operand registers starve the scratch allocator (extremely rare;
+    // singletons always succeed).
+    //
+    // A displaced group stops at the next anchor. Batches run in anchor
+    // order, each anchored at its first member, and the singletons of a
+    // split batch run after them all. So when a batch is assembled,
+    // `anchors` holds every anchor that can follow it within a group's
+    // reach: one added later is a member of a batch anchored past this
+    // batch's next anchor. Only this component's anchors matter: a group
+    // never leaves its block but for instructions that no block holds.
     let mut planned: Vec<PlannedBatch> = Vec::new();
     let mut rip_fields: Vec<RipField> = Vec::new();
     let mut calls: Vec<CallField> = Vec::new();
     let mut failure = None;
     let mut queue: Vec<Batch> = batches;
+    queue.sort_by_key(|b| b.anchor);
+    let mut anchors: Vec<u64> = queue.iter().map(|b| b.anchor).collect();
     let mut qi = 0;
     while qi < queue.len() {
         let batch = queue[qi].clone();
@@ -684,9 +711,19 @@ fn instrument_shard(
             mode,
         ) {
             Some(p) => {
+                let next = anchors.get(anchors.partition_point(|&a| a <= batch.anchor));
+                let Some(group) = select_group(disasm, &cfg.leaders, batch.anchor, next.copied())
+                else {
+                    stats.rewrite.skipped_sites += 1;
+                    continue;
+                };
                 let start = asm.here();
-                let entry = match p.emit(asm, &mut rip_fields, &mut calls) {
-                    Ok(entry) => entry,
+                let emitted = p.emit(asm, &mut rip_fields, &mut calls).and_then(|entry| {
+                    let displaced = group.emit(asm, start, &mut rip_fields)?;
+                    Ok((entry, displaced))
+                });
+                let (entry, displaced) = match emitted {
+                    Ok(emitted) => emitted,
                     Err(e) => {
                         failure = Some(e);
                         break;
@@ -698,6 +735,7 @@ fn instrument_shard(
                     entry: (entry - start) as u32,
                     fields_end: rip_fields.len() as u32,
                     calls_end: calls.len() as u32,
+                    displaced,
                     clobber: ClobberInfo {
                         regs: p.clobbers.iter().fold(0, |m, r| m | 1 << r.code()),
                         flags: !p.save_flags,
@@ -718,6 +756,9 @@ fn instrument_shard(
             None => {
                 // Scratch starvation: fall back to singleton batches.
                 for &m in &batch.members {
+                    if let Err(at) = anchors.binary_search(&m) {
+                        anchors.insert(at, m);
+                    }
                     queue.push(Batch {
                         anchor: m,
                         members: vec![m],

@@ -13,7 +13,8 @@ use redfat_core::{harden_cached, harden_threaded, HardenConfig, Hardened};
 use redfat_core::{KeptBaseSlot, LowFatPolicy};
 use redfat_elf::{Image, ImageKind, SegFlags, Segment};
 use redfat_vm::layout::CODE_BASE;
-use redfat_x86::{decode_one, Asm, Inst, Mem, Reg, Width};
+use redfat_workloads::riprel;
+use redfat_x86::{decode_one, AluOp, Asm, Inst, Mem, Reg, Width};
 use std::collections::{BTreeSet, HashMap};
 
 /// Single-bit flips of `image` that change instruction *content* but
@@ -633,4 +634,112 @@ fn an_edit_outside_every_block_moves_only_the_leftover_counts() {
     // The edit left the base's counts as they were.
     let again = assert_edit(&slot, &heap, &heap, &config, "the kept image again");
     assert_eq!(again.stats.sites_eliminated, before.stats.sites_eliminated);
+}
+
+/// `add $imm, %rdx`: 4 bytes, no memory access.
+fn add_rdx(a: &mut Asm, imm: i64) {
+    a.alu_ri(AluOp::Add, Width::W64, Reg::Rdx, imm);
+}
+
+#[test]
+fn an_edit_of_an_instruction_a_neighbouring_anchor_displaces_is_planned_afresh() {
+    // The 3-byte store is too short for a `jmp` patch, so its trampoline
+    // displaces the `add` after it as well; only the `add` changes.
+    let image = |imm| {
+        rx_image(vec![(
+            CODE_BASE,
+            code_at(CODE_BASE, |a| {
+                a.mov_mr(Width::W64, Mem::base(Reg::Rcx), Reg::Rax);
+                add_rdx(a, imm);
+                a.ret();
+            }),
+        )])
+    };
+    let config = HardenConfig::default();
+    let (slot, full) = primed(&image(1), &config, "add $1");
+    assert_eq!(full.stats.rewrite.displaced, 2, "the store and the add");
+    let edit = assert_edit(&slot, &image(1), &image(2), &config, "add $2");
+    assert!(full.image.to_bytes() != edit.image.to_bytes());
+}
+
+#[test]
+fn an_edit_in_no_block_that_a_group_displaces_replans_the_groups_component() {
+    // After `call f`, a block of MAX_BLOCK instructions ends with a
+    // 3-byte store, capped before the `add` that follows, so the `add`
+    // and the `ret` lie in no block. The store's trampoline displaces
+    // the `add`: an edit of it must re-plan the store's component,
+    // although the `add` lies in none.
+    let image = |imm| {
+        rx_image(vec![(
+            CODE_BASE,
+            code_at(CODE_BASE, |a| {
+                let f = a.label();
+                a.call_label(f);
+                for _ in 0..MAX_BLOCK - 1 {
+                    a.nop();
+                }
+                a.mov_mr(Width::W64, Mem::base(Reg::Rcx), Reg::Rax);
+                add_rdx(a, imm);
+                a.ret();
+                a.bind(f).expect("binds");
+                a.mov_mr(Width::W64, Mem::base_disp(Reg::Rsi, 8), Reg::Rax);
+                a.ret();
+            }),
+        )])
+    };
+    let (base, edited) = (image(1), image(2));
+    let disasm = disassemble(&base);
+    let cfg = Cfg::recover(&disasm, base.entry, &[]);
+    let store = CODE_BASE + 5 + (MAX_BLOCK as u64 - 1);
+    let add = store + 3;
+    assert_eq!(cfg.block_of(store).map(|b| b.insts.len()), Some(MAX_BLOCK));
+    assert!(cfg.block_of(add).is_none(), "the add is in no block");
+    assert_eq!(components_differing(&base, &edited), 0);
+
+    let config = HardenConfig::default();
+    let (slot, full) = primed(&base, &config, "add $1");
+    assert_eq!(full.stats.components, 2);
+    let edit = harden_cached(&edited, &config, 2, &slot).expect("edit");
+    assert_eq!((slot.edits(), slot.fallbacks()), (1, 0), "a kept-base edit");
+    assert_matches_one_shot(&edit, &edited, &config, 1, "add $2");
+    assert!(full.image.to_bytes() != edit.image.to_bytes());
+}
+
+#[test]
+fn an_edit_of_a_displaced_rip_relative_instruction_matches_a_one_shot_harden() {
+    // Under `--no-elim` the rip-relative accesses are checked, and each
+    // anchor is displaced into its own trampoline. Moving one's target
+    // from one global to the other keeps its length.
+    let config = HardenConfig {
+        elim: false,
+        elim_flow: false,
+        elim_redundant: false,
+        ..HardenConfig::default()
+    };
+    let image = riprel::image();
+    let (slot, full) = primed(&image, &config, "riprel");
+    let anchors: BTreeSet<u64> = full.clobbers.iter().map(|&(anchor, _)| anchor).collect();
+    let disasm = disassemble(&image);
+    let (addr, inst, _) = disasm
+        .iter()
+        .find(|(a, i, _)| anchors.contains(a) && i.memory_operand().is_some_and(|m| m.rip))
+        .expect("a checked rip-relative access");
+    let mut buf = Vec::new();
+    let field = redfat_x86::encode_relocatable(inst, &mut buf)
+        .expect("encodes")
+        .expect("a rip-relative field");
+    let mut edited = image.clone();
+    let code = &mut edited.segments[0].data;
+    let start = (addr - CODE_BASE) as usize;
+    let rel32 = &mut code[start + field.at..start + field.at + 4];
+    let moved_rel32 = i32::from_le_bytes((&*rel32).try_into().expect("4 bytes")) + 8;
+    rel32.copy_from_slice(&moved_rel32.to_le_bytes());
+    let (moved, _) = decode_one(&code[start..], addr).expect("decodes");
+    let target = |i: &Inst| i.memory_operand().map(|m| m.disp as u64);
+    assert_eq!(
+        (target(inst), target(&moved)),
+        (Some(riprel::POINTER), Some(riprel::COUNTER)),
+    );
+    let edit = assert_edit(&slot, &image, &edited, &config, "riprel edit");
+    assert!(full.image.to_bytes() != edit.image.to_bytes());
 }

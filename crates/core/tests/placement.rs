@@ -1,8 +1,8 @@
-//! Payloads are assembled where they are planned and copied into place
-//! by the rewrite. Their bytes do not depend on where they land, but for
-//! the `lea` of a rip-relative operand, which placement writes: checked
-//! under `--no-elim`, such a `lea` must compute the operand's absolute
-//! address at any trampoline base.
+//! Trampolines are assembled where they are planned and copied into
+//! place by the rewrite. Their bytes do not depend on where they land,
+//! but for the rel32 fields that placement writes, among them the `lea`
+//! of a rip-relative operand: checked under `--no-elim`, such a `lea`
+//! must compute the operand's absolute address at any trampoline base.
 
 use redfat_core::{harden_with_bases, HardenConfig, RunOutcome, RunSpec};
 use redfat_emu::ErrorMode;
@@ -83,12 +83,23 @@ fn rip_relative_checks_reach_their_operands_at_any_trampoline_base() {
 fn a_rip_relative_check_out_of_reach_fails_the_harden() {
     // A trampoline 2 GiB past the globals cannot reach them with a
     // rel32: the harden reports it rather than emitting a wrong `lea`.
+    // Under the default config no payload reaches a global, but the
+    // jumps back to the text are out of reach as well, and so fail the
+    // harden on their own.
     let bases = RewriteBases {
         trampoline: layout::GLOBALS_BASE + (1 << 31),
         ..RewriteBases::default()
     };
-    let err = harden_with_bases(&riprel::image(), &no_elim(), bases)
-        .err()
-        .expect("out of reach");
-    assert!(err.to_string().contains("rip rel32"), "{err}");
+    let default = HardenConfig::default();
+    let near = harden_with_bases(&riprel::image(), &default, RewriteBases::default())
+        .expect("hardens at the default base");
+    assert!(near.stats.batches > 0, "the heap stores are checked");
+    let leas = rip_lea_targets(&near.image, layout::TRAMPOLINE_BASE);
+    assert!(leas.is_empty(), "no payload reaches a global: {leas:x?}");
+    for config in [no_elim(), default] {
+        let err = harden_with_bases(&riprel::image(), &config, bases)
+            .err()
+            .expect("out of reach");
+        assert!(err.to_string().contains("rip rel32"), "{err}");
+    }
 }

@@ -17,7 +17,9 @@ use redfat_elf::{Image, ImageKind, SegFlags, Segment};
 use redfat_emu::syscalls;
 use redfat_vm::layout;
 use redfat_x86::{AluOp, Asm, AsmError, Cond, Inst, Label, Mem, Op, Operands, Reg, ShiftOp, Width};
-use std::collections::HashMap;
+// The code generator's maps are ordered, so identical compiles build and
+// free them in the same order and leave identically shaped heaps.
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Maximum expression nesting depth (temporary slots per frame).
 const MAX_TEMPS: i64 = 24;
@@ -103,7 +105,7 @@ enum Leaf {
 }
 
 struct FnCtx {
-    vars: Vec<HashMap<String, Place>>,
+    vars: Vec<BTreeMap<String, Place>>,
     /// Pool registers allocated per scope (returned on scope exit, so
     /// sibling scopes reuse them -- a lifetime-aware allocator lite).
     scope_regs: Vec<Vec<Reg>>,
@@ -115,7 +117,7 @@ struct FnCtx {
     /// High-water mark of concurrently allocated pool registers.
     max_regs: usize,
     /// Names eligible for a pool register (frequency-ranked pre-pass).
-    reg_names: std::collections::HashSet<String>,
+    reg_names: BTreeSet<String>,
     depth: i64,
     epilogue: Label,
     loops: Vec<(Label, Label)>, // (continue target, break target)
@@ -123,8 +125,8 @@ struct FnCtx {
 
 struct Gen {
     asm: Asm,
-    globals: HashMap<String, (u64, u64)>, // name -> (addr, elems)
-    fn_arity: HashMap<String, usize>,
+    globals: BTreeMap<String, (u64, u64)>, // name -> (addr, elems)
+    fn_arity: BTreeMap<String, usize>,
 }
 
 impl Gen {
@@ -193,9 +195,8 @@ impl Gen {
     /// count (loop bodies weighted 3x per nesting level) and returns the
     /// `pool_len` hottest -- only they may occupy pool registers, so an
     /// inner-loop scalar never loses its register to a cold outer local.
-    fn hot_names(f: &Function, pool_len: usize) -> std::collections::HashSet<String> {
-        use std::collections::HashMap as Counts;
-        fn count_expr(e: &Expr, c: &mut Counts<String, usize>) {
+    fn hot_names(f: &Function, pool_len: usize) -> BTreeSet<String> {
+        fn count_expr(e: &Expr, c: &mut BTreeMap<String, usize>) {
             match e {
                 Expr::Var(n) => *c.entry(n.clone()).or_default() += 1,
                 Expr::Bin(_, a, b) => {
@@ -219,7 +220,7 @@ impl Gen {
                 Expr::Int(_) | Expr::GlobalAddr(_) => {}
             }
         }
-        fn count_stmt(s: &Stmt, c: &mut Counts<String, usize>) {
+        fn count_stmt(s: &Stmt, c: &mut BTreeMap<String, usize>) {
             match s {
                 Stmt::Decl(n, e) | Stmt::Assign(n, e) => {
                     *c.entry(n.clone()).or_default() += 1;
@@ -243,7 +244,7 @@ impl Gen {
                     count_expr(e, c);
                     // Loop bodies weigh triple: that is where registers
                     // pay off.
-                    let mut inner = Counts::new();
+                    let mut inner = BTreeMap::new();
                     b.iter().for_each(|s| count_stmt(s, &mut inner));
                     for (k, v) in inner {
                         *c.entry(k).or_default() += 3 * v;
@@ -252,7 +253,7 @@ impl Gen {
                 Stmt::For(init, e, step, b) => {
                     count_stmt(init, c);
                     count_expr(e, c);
-                    let mut inner = Counts::new();
+                    let mut inner = BTreeMap::new();
                     count_stmt(step, &mut inner);
                     b.iter().for_each(|s| count_stmt(s, &mut inner));
                     for (k, v) in inner {
@@ -262,7 +263,7 @@ impl Gen {
                 Stmt::Break | Stmt::Continue => {}
             }
         }
-        let mut counts = Counts::new();
+        let mut counts = BTreeMap::new();
         for p in &f.params {
             *counts.entry(p.clone()).or_default() += 1;
         }
@@ -866,7 +867,7 @@ impl Gen {
     }
 
     fn stmts(&mut self, ctx: &mut FnCtx, stmts: &[Stmt]) -> Result<(), CodegenError> {
-        ctx.vars.push(HashMap::new());
+        ctx.vars.push(BTreeMap::new());
         ctx.scope_regs.push(Vec::new());
         let mut i = 0usize;
         while i < stmts.len() {
@@ -1026,7 +1027,7 @@ impl Gen {
                 self.asm.bind(end)?;
             }
             Stmt::For(init, cond, step, body) => {
-                ctx.vars.push(HashMap::new());
+                ctx.vars.push(BTreeMap::new());
                 ctx.scope_regs.push(Vec::new());
                 self.stmt(ctx, init)?;
                 let top = self.asm.label();
@@ -1118,7 +1119,7 @@ impl Gen {
         free_regs.reverse(); // hand out rbx first
         let epilogue = self.asm.label();
         let mut ctx = FnCtx {
-            vars: vec![HashMap::new()],
+            vars: vec![BTreeMap::new()],
             scope_regs: vec![Vec::new()],
             nlocals: 0,
             free_regs,
@@ -1205,7 +1206,7 @@ pub fn generate(program: &Program) -> Result<Image, CodegenError> {
 /// that must not collide with the main program).
 pub fn generate_with(program: &Program, opts: CodegenOptions) -> Result<Image, CodegenError> {
     // Assign global addresses.
-    let mut globals = HashMap::new();
+    let mut globals = BTreeMap::new();
     let mut gaddr = opts.globals_base;
     for g in &program.globals {
         if globals.contains_key(&g.name) {
@@ -1216,7 +1217,7 @@ pub fn generate_with(program: &Program, opts: CodegenOptions) -> Result<Image, C
     }
     let globals_size = gaddr - opts.globals_base;
 
-    let mut fn_arity = HashMap::new();
+    let mut fn_arity = BTreeMap::new();
     for f in &program.functions {
         if fn_arity.insert(f.name.clone(), f.params.len()).is_some() {
             return Err(CodegenError::Duplicate(f.name.clone()));

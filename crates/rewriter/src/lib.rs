@@ -8,21 +8,30 @@
 //! 1. the payload (e.g. a RedFat check), entered at its entry offset
 //!    (code before the entry is cold: reached only through the
 //!    payload's own branches),
-//! 2. the displaced original instruction(s), re-encoded at their new
-//!    location (RIP-relative operands and branch targets are fixed up
-//!    automatically because the instruction model stores them as
-//!    absolute addresses), and
+//! 2. the displaced original instruction(s), re-encoded for their new
+//!    location (RIP-relative operands and branch targets keep their
+//!    absolute targets), and
 //! 3. a jump back to the instruction after the patch site.
 //!
-//! Payloads arrive assembled: the caller builds them where it plans
-//! them, and the rewrite assembles no payload code. Their bytes do not
-//! depend on where they land, but for two kinds of rel32 field, which
-//! placement writes with the encoder's rel32 range check: rip-relative
-//! operands ([`RipField`]) and calls into the segment's cold library
-//! ([`CallField`]). The placement loop copies each payload, writes its
-//! fields, re-encodes the displaced instructions and the jump back, and
-//! writes the patch site; those three depend on the trampoline's
-//! address, so they are never part of a payload.
+//! # Planning and placement
+//!
+//! A rewrite has two halves. *Planning* builds each [`Trampoline`]'s
+//! code where the caller plans its payload: [`select_group`] picks the
+//! instructions a patch displaces, and [`Group::emit`] appends them and
+//! the jump back after the payload. *Placement*
+//! ([`rewrite_with_bases`]) decodes and encodes nothing. It reserves
+//! the trampoline segment once, copies each trampoline into it, writes
+//! the trampoline's rel32 fields for where it landed, and writes the
+//! patch site. A trampoline's bytes do not depend on where it lands but
+//! for those fields, which placement writes with the encoder's rel32
+//! range check: [`RipField`]s, which reach absolute addresses (the
+//! payload's rip-relative operands, the displaced instructions'
+//! rip-relative operands and branches, and the jump back), and
+//! [`CallField`]s, which reach the segment's cold library. A displaced
+//! branch is planned in its rel32 form; every text target is out of
+//! rel8 reach from the trampoline area, so its bytes equal those of
+//! encoding it where it lands. [`rewrite`] runs both halves for callers
+//! that plan nothing themselves.
 //!
 //! # The cold library
 //!
@@ -60,21 +69,26 @@ use redfat_vm::layout;
 use redfat_x86::{rip_rel32, Asm, AsmError, EncodeError, Inst, Op};
 use std::collections::BTreeSet;
 
-/// A rip-relative disp32 field of a payload. Placement writes it so
-/// that it reaches `target` from wherever the payload lands. The field
-/// ends its instruction (no immediate follows it), so its rel32 counts
-/// from the field's end.
+/// A rel32 field of a trampoline that reaches an absolute address: a
+/// rip-relative operand of the payload or of a displaced instruction, a
+/// displaced branch, or the jump back. Placement writes it so that it
+/// reaches `target` from wherever the trampoline lands. Its rel32 counts
+/// from `end`, the end of its instruction, which an immediate may
+/// separate from the field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RipField {
-    /// Offset of the field in its payload's code.
+    /// Offset of the field in its trampoline's code.
     pub at: u32,
-    /// The absolute address the operand names.
+    /// Offset in its trampoline's code of the end of the field's
+    /// instruction.
+    pub end: u32,
+    /// The absolute address the field reaches.
     pub target: u64,
 }
 
 /// The rel32 of a payload's `call` into a routine of the segment's
 /// [`Library`]. Placement writes it so that the call reaches the
-/// routine's entry; like a [`RipField`], it ends its instruction.
+/// routine's entry; it ends its instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CallField {
     /// Offset of the field in its payload's code.
@@ -117,6 +131,55 @@ pub struct Patch<'a> {
     pub calls: &'a [CallField],
 }
 
+/// How a patch site enters its trampoline.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Tactic {
+    /// T-jmp: the displaced group's bytes become a `jmp` to the entry
+    /// and NOP padding.
+    Jmp,
+    /// T-trap: the anchor's first byte becomes `int3`, and a trap-table
+    /// entry maps the anchor to the entry. The anchor alone is
+    /// displaced.
+    Trap,
+}
+
+/// What a trampoline displaces from its patch site, as [`Group::emit`]
+/// planned it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Displaced {
+    /// Offset in the trampoline's code of the first displaced
+    /// instruction: the payload ends here.
+    pub at: u32,
+    /// Bytes of original code the displaced instructions span from the
+    /// anchor.
+    pub len: u8,
+    /// The number of displaced instructions.
+    pub insts: u8,
+    /// How the patch site enters the trampoline.
+    pub tactic: Tactic,
+}
+
+/// One planned trampoline: a payload, the instructions it displaces and
+/// the jump back, ready to be copied into place.
+#[derive(Debug, Clone, Copy)]
+pub struct Trampoline<'a> {
+    /// Address of the anchor instruction.
+    pub anchor: u64,
+    /// The payload's code, then the displaced instructions and, unless
+    /// the last of them always transfers control, a `jmp` back to the
+    /// instruction after them.
+    pub code: &'a [u8],
+    /// Offset in `code` of the payload's entry, which the patch-site
+    /// `jmp` or trap-table entry targets.
+    pub entry: usize,
+    /// Where the displaced instructions start and how the site enters.
+    pub displaced: Displaced,
+    /// The fields that reach absolute addresses, in ascending order.
+    pub rip_fields: &'a [RipField],
+    /// The payload's calls into the library, in ascending order.
+    pub calls: &'a [CallField],
+}
+
 /// Rewrite statistics (reported by the scalability experiments).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RewriteStats {
@@ -138,9 +201,10 @@ pub struct RewriteStats {
     pub hot_bytes: usize,
     /// Displaced original instructions plus each jump back.
     pub displaced_bytes: usize,
-    /// Patch sites skipped because their anchor (or a displaced group
-    /// member) does not decode -- the opportunistic-hardening fallback
-    /// for corrupt or undecodable code. Zero on well-formed inputs.
+    /// Patch sites skipped because their anchor does not decode -- the
+    /// opportunistic-hardening fallback for corrupt or undecodable code.
+    /// Counted where the displaced groups are selected; zero on
+    /// well-formed inputs.
     pub skipped_sites: usize,
 }
 
@@ -151,15 +215,17 @@ pub struct RewriteStats {
 /// the paper's opportunistic-hardening model.
 #[derive(Debug)]
 pub enum RewriteError {
-    /// Trampoline assembly failed.
+    /// Trampoline assembly failed, or a field is out of its rel32 reach.
     Asm(AsmError),
-    /// Patch anchors were not strictly increasing / unique.
+    /// Patch anchors were not strictly increasing / unique, or a
+    /// trampoline's displaced instructions reach the next one's anchor.
     UnorderedPatches(u64),
     /// The code bytes at a patch site could not be written back.
     PatchWrite(u64),
-    /// The payload for this anchor has its entry or a field outside its
-    /// code, its fields out of order, or a call to a routine the
-    /// library lacks.
+    /// The trampoline for this anchor has its entry, its displaced
+    /// instructions or a field outside its code, its fields out of
+    /// order, a site length no `jmp` patch can have, or a call to a
+    /// routine the library lacks.
     BadPayload(u64),
 }
 
@@ -168,7 +234,7 @@ impl std::fmt::Display for RewriteError {
         match self {
             RewriteError::Asm(e) => write!(f, "trampoline assembly failed: {e}"),
             RewriteError::UnorderedPatches(a) => {
-                write!(f, "patch anchors must be unique and sorted (at {a:#x})")
+                write!(f, "patch sites must be sorted and disjoint (at {a:#x})")
             }
             RewriteError::PatchWrite(a) => write!(f, "cannot write patch bytes at {a:#x}"),
             RewriteError::BadPayload(a) => {
@@ -228,19 +294,19 @@ const MAX_GROUP: usize = 5;
 /// at most 15 bytes.
 const MAX_SITE: usize = 4 + 15;
 
-/// Applies `patches`, which call no library routine, to `image` at the
-/// default segment bases.
+/// Plans `patches`, which call no library routine, against `disasm` and
+/// places them at the default segment bases.
 ///
 /// `disasm` must describe `image` and `leaders` must hold every potential
-/// jump target (the recovered CFG's leaders; callers already have both
-/// from planning). Patches must be sorted by strictly increasing anchor.
+/// jump target (the recovered CFG's leaders). Patches must be sorted by
+/// strictly increasing anchor.
 pub fn rewrite(
     image: &Image,
     disasm: &Disasm,
     leaders: &BTreeSet<u64>,
     patches: &[Patch<'_>],
 ) -> Result<RewriteOutput, RewriteError> {
-    rewrite_with_bases(
+    plan_and_place(
         image,
         disasm,
         leaders,
@@ -250,10 +316,8 @@ pub fn rewrite(
     )
 }
 
-/// Applies `patches` to `image`, placing the trampoline segment -- the
-/// `library` first, then the payloads -- and the trap table at the given
-/// bases.
-pub fn rewrite_with_bases(
+/// [`rewrite`] with a library and segment bases.
+fn plan_and_place(
     image: &Image,
     disasm: &Disasm,
     leaders: &BTreeSet<u64>,
@@ -261,90 +325,117 @@ pub fn rewrite_with_bases(
     patches: &[Patch<'_>],
     bases: RewriteBases,
 ) -> Result<RewriteOutput, RewriteError> {
-    let mut out = image.clone();
-    let mut stats = RewriteStats::default();
-    let mut tramp = Asm::new(bases.trampoline);
-    let mut traps: Vec<(u64, u64)> = Vec::new();
-    tramp.raw(library.code);
-    stats.library_bytes = library.code.len();
-
-    // Validate ordering.
     for w in patches.windows(2) {
         if w[1].anchor <= w[0].anchor {
             return Err(RewriteError::UnorderedPatches(w[1].anchor));
         }
     }
-
+    let mut asm = Asm::new(0);
+    let mut fields: Vec<RipField> = Vec::new();
+    let mut planned = Vec::with_capacity(patches.len());
+    let mut skipped_sites = 0;
     for (i, patch) in patches.iter().enumerate() {
-        let anchor = patch.anchor;
         let next_anchor = patches.get(i + 1).map(|p| p.anchor);
-        // Opportunistic degradation: an anchor that does not decode
-        // (possible only for corrupt or adversarial code bytes) cannot
-        // be patched. The site is skipped and recorded instead of
-        // failing the whole rewrite.
-        let Some(&(anchor_inst, anchor_len)) = disasm.at(anchor) else {
-            stats.skipped_sites += 1;
+        let Some(group) = select_group(disasm, leaders, patch.anchor, next_anchor) else {
+            skipped_sites += 1;
             continue;
         };
+        // Placement checks fields against the whole trampoline, so one
+        // that runs past the payload is caught here.
+        let len = patch.code.len();
+        if patch.rip_fields.iter().any(|f| f.end as usize > len)
+            || patch.calls.iter().any(|c| c.at as usize + 4 > len)
+        {
+            return Err(RewriteError::BadPayload(patch.anchor));
+        }
+        let (start, first_field) = (asm.here(), fields.len());
+        asm.raw(patch.code);
+        fields.extend_from_slice(patch.rip_fields);
+        let displaced = group.emit(&mut asm, start, &mut fields)?;
+        planned.push((
+            patch,
+            start..asm.here(),
+            first_field..fields.len(),
+            displaced,
+        ));
+    }
+    let code = asm.take()?;
+    let trampolines: Vec<Trampoline> = planned
+        .into_iter()
+        .map(|(patch, code_at, fields_at, displaced)| Trampoline {
+            anchor: patch.anchor,
+            code: &code[code_at.start as usize..code_at.end as usize],
+            entry: patch.entry,
+            displaced,
+            rip_fields: &fields[fields_at],
+            calls: patch.calls,
+        })
+        .collect();
+    let mut out = rewrite_with_bases(image, library, &trampolines, bases)?;
+    out.stats.skipped_sites = skipped_sites;
+    Ok(out)
+}
 
-        // Select the displaced group *before* placing any trampoline
-        // bytes, so a member that fails to decode degrades to a clean
-        // skip rather than leaving a half-built trampoline.
-        let group = select_group(disasm, leaders, anchor, next_anchor);
+/// Places `trampolines`, sorted by anchor with disjoint patch sites,
+/// into `image`: the trampoline segment -- the `library` first, then
+/// each trampoline with its fields written for where it lands -- and
+/// the trap table at the given bases, and each patch site.
+pub fn rewrite_with_bases(
+    image: &Image,
+    library: Library<'_>,
+    trampolines: &[Trampoline<'_>],
+    bases: RewriteBases,
+) -> Result<RewriteOutput, RewriteError> {
+    // A site that reached the next anchor would overwrite its patch.
+    for w in trampolines.windows(2) {
+        let end = w[0]
+            .anchor
+            .saturating_add(u64::from(w[0].displaced.len.max(1)));
+        if w[1].anchor < end {
+            return Err(RewriteError::UnorderedPatches(w[1].anchor));
+        }
+    }
+    let mut out = image.clone();
+    let mut stats = RewriteStats::default();
+    let mut traps: Vec<(u64, u64)> = Vec::new();
+    let size = trampolines.iter().map(|t| t.code.len()).sum::<usize>();
+    let mut tramp: Vec<u8> = Vec::with_capacity(library.code.len() + size);
+    tramp.extend_from_slice(library.code);
+    stats.library_bytes = library.code.len();
 
-        let entry = place(&mut tramp, patch, bases.trampoline, &library)?;
-        let payload_end = tramp.here();
-        stats.cold_bytes += patch.entry;
-        stats.hot_bytes += patch.code.len() - patch.entry;
-
-        match group {
-            Some((members, n)) => {
-                // T-jmp: re-encode displaced instructions in the
-                // trampoline, then jump back.
-                let mut group_len = 0usize;
-                let mut terminal = false;
-                for &(inst, len) in &members[..n] {
-                    group_len += len as usize;
-                    tramp.emit(inst)?;
-                    stats.displaced += 1;
-                    terminal = always_transfers(&inst);
-                }
-                let resume = anchor + group_len as u64;
-                if !terminal {
-                    tramp.jmp_abs(resume)?;
-                }
-                let site = patch_site(anchor, entry)?;
-                if !out.write_bytes(anchor, &site[..group_len]) {
-                    return Err(RewriteError::PatchWrite(anchor));
+    for t in trampolines {
+        let entry = place(&mut tramp, t, bases.trampoline, &library)?;
+        let d = t.displaced;
+        match d.tactic {
+            Tactic::Jmp => {
+                let site = patch_site(t.anchor, entry)?;
+                let group = site
+                    .get(..usize::from(d.len))
+                    .filter(|g| g.len() >= 5)
+                    .ok_or(RewriteError::BadPayload(t.anchor))?;
+                if !out.write_bytes(t.anchor, group) {
+                    return Err(RewriteError::PatchWrite(t.anchor));
                 }
                 stats.jmp_patches += 1;
             }
-            None => {
-                // T-trap: int3 at the anchor's first byte; the displaced
-                // instruction is just the anchor.
-                tramp.emit(anchor_inst)?;
-                stats.displaced += 1;
-                if !always_transfers(&anchor_inst) {
-                    tramp.jmp_abs(anchor + anchor_len as u64)?;
+            Tactic::Trap => {
+                if !out.write_bytes(t.anchor, &[0xCC]) {
+                    return Err(RewriteError::PatchWrite(t.anchor));
                 }
-                if !out.write_bytes(anchor, &[0xCC]) {
-                    return Err(RewriteError::PatchWrite(anchor));
-                }
-                traps.push((anchor, entry));
+                traps.push((t.anchor, entry));
                 stats.trap_patches += 1;
             }
         }
-        stats.displaced_bytes += (tramp.here() - payload_end) as usize;
+        stats.displaced += usize::from(d.insts);
+        stats.cold_bytes += t.entry;
+        stats.hot_bytes += d.at as usize - t.entry;
+        stats.displaced_bytes += t.code.len() - d.at as usize;
     }
 
-    let tramp_prog = tramp.finish()?;
-    stats.trampoline_bytes = tramp_prog.bytes.len();
-    if !tramp_prog.bytes.is_empty() {
-        out.segments.push(Segment::new(
-            tramp_prog.base,
-            SegFlags::RX,
-            tramp_prog.bytes,
-        ));
+    stats.trampoline_bytes = tramp.len();
+    if !tramp.is_empty() {
+        out.segments
+            .push(Segment::new(bases.trampoline, SegFlags::RX, tramp));
     }
     if !traps.is_empty() {
         let mut table = Vec::with_capacity(16 + traps.len() * 16);
@@ -361,79 +452,154 @@ pub fn rewrite_with_bases(
     Ok(RewriteOutput { image: out, stats })
 }
 
-/// Appends `patch`'s payload to the trampoline, each field written for
-/// where it lands -- a call field to reach its routine in `library`,
-/// placed at `library_base` -- and returns the payload's entry address.
+/// Appends `t`'s code to the trampoline segment `tramp`, which starts at
+/// `segment` with the `library` at its head, writes each of its fields
+/// for where it landed, and returns the entry's address.
 fn place(
-    tramp: &mut Asm,
-    patch: &Patch<'_>,
-    library_base: u64,
+    tramp: &mut Vec<u8>,
+    t: &Trampoline<'_>,
+    segment: u64,
     library: &Library<'_>,
 ) -> Result<u64, RewriteError> {
-    let bad = || RewriteError::BadPayload(patch.anchor);
-    let base = tramp.here();
-    if patch.entry > patch.code.len() {
+    let bad = || RewriteError::BadPayload(t.anchor);
+    let displaced = t.displaced.at as usize;
+    if t.entry > displaced || displaced > t.code.len() {
         return Err(bad());
     }
-    let mut rips = patch.rip_fields.iter().peekable();
-    let mut calls = patch.calls.iter().peekable();
+    let start = tramp.len();
+    let base = segment + start as u64;
+    tramp.extend_from_slice(t.code);
+    let code = &mut tramp[start..];
     let mut done = 0;
-    loop {
-        // The next field in code order, and the address it reaches.
-        let (at, target) =
-            if let Some(r) = rips.next_if(|r| calls.peek().is_none_or(|c| r.at < c.at)) {
-                (r.at, r.target)
-            } else if let Some(c) = calls.next() {
-                let entry = library
-                    .entries
-                    .get(c.routine as usize)
-                    .filter(|&&e| (e as usize) < library.code.len())
-                    .ok_or_else(bad)?;
-                (c.at, library_base + u64::from(*entry))
-            } else {
-                break;
-            };
-        let at = at as usize;
-        tramp.raw(patch.code.get(done..at).ok_or_else(bad)?);
-        if at + 4 > patch.code.len() {
+    for f in t.rip_fields {
+        let (at, end) = (f.at as usize, f.end as usize);
+        if at < done || at + 4 > end || end > code.len() {
             return Err(bad());
         }
-        let rel32 = rip_rel32(target, base + at as u64 + 4)
-            .map_err(|e| RewriteError::Asm(AsmError::Encode(e)))?;
-        tramp.raw(&rel32.to_le_bytes());
+        write_rel32(code, at, f.target, base + end as u64)?;
         done = at + 4;
     }
-    tramp.raw(&patch.code[done..]);
-    Ok(base + patch.entry as u64)
+    done = 0;
+    for c in t.calls {
+        let at = c.at as usize;
+        let entry = library
+            .entries
+            .get(c.routine as usize)
+            .filter(|&&e| (e as usize) < library.code.len())
+            .ok_or_else(bad)?;
+        if at < done || at + 4 > code.len() {
+            return Err(bad());
+        }
+        write_rel32(code, at, segment + u64::from(*entry), base + at as u64 + 4)?;
+        done = at + 4;
+    }
+    Ok(base + t.entry as u64)
 }
 
-/// Chooses the run of instructions to displace for a 5-byte jump patch,
-/// decoded, with its length, or `None` if the trap tactic must be used.
-fn select_group(
+/// Writes at `code[at..]` the rel32 that reaches `target` from an
+/// instruction ending at `end`, or fails when `target` is out of reach.
+fn write_rel32(code: &mut [u8], at: usize, target: u64, end: u64) -> Result<(), RewriteError> {
+    let rel32 = rip_rel32(target, end).map_err(|e| RewriteError::Asm(AsmError::Encode(e)))?;
+    code[at..at + 4].copy_from_slice(&rel32.to_le_bytes());
+    Ok(())
+}
+
+/// The instructions a patch displaces from its site, decoded, with how
+/// the site enters the trampoline ([`select_group`]).
+#[derive(Debug, Clone, Copy)]
+pub struct Group {
+    anchor: u64,
+    members: [(Inst, u8); MAX_GROUP],
+    n: usize,
+    tactic: Tactic,
+}
+
+/// Chooses the instructions a patch at `anchor` displaces: a run of at
+/// least 5 bytes for a `jmp` patch (T-jmp) when one is safe, else the
+/// anchor alone (T-trap). `None` when the anchor does not decode: the
+/// site is skipped. `next_anchor` is the next patch's anchor, which no
+/// group may take.
+pub fn select_group(
     disasm: &Disasm,
     leaders: &BTreeSet<u64>,
     anchor: u64,
     next_anchor: Option<u64>,
-) -> Option<([(Inst, u8); MAX_GROUP], usize)> {
-    let mut members = [*disasm.at(anchor)?; MAX_GROUP];
-    let mut n = 0;
-    let mut total = 0u64;
-    let mut addr = anchor;
-    loop {
-        let member = *disasm.at(addr)?;
-        members[n] = member;
-        n += 1;
-        total += member.1 as u64;
-        if total >= 5 {
-            return Some((members, n));
-        }
-        let next = addr + member.1 as u64;
+) -> Option<Group> {
+    let first = *disasm.at(anchor)?;
+    let mut group = Group {
+        anchor,
+        members: [first; MAX_GROUP],
+        n: 1,
+        tactic: Tactic::Jmp,
+    };
+    let mut end = anchor + u64::from(first.1);
+    while end - anchor < 5 {
         // The next instruction would become patch-interior: it must not
         // be a potential jump target, another patch's anchor, or unknown.
-        if leaders.contains(&next) || next_anchor == Some(next) || disasm.at(next).is_none() {
-            return None;
+        let interior = disasm
+            .at(end)
+            .filter(|_| !leaders.contains(&end) && next_anchor != Some(end));
+        let Some(&member) = interior else {
+            group.n = 1;
+            group.tactic = Tactic::Trap;
+            break;
+        };
+        group.members[group.n] = member;
+        group.n += 1;
+        end += u64::from(member.1);
+    }
+    Some(group)
+}
+
+impl Group {
+    /// The displaced instructions, decoded, with their lengths.
+    fn members(&self) -> &[(Inst, u8)] {
+        &self.members[..self.n]
+    }
+
+    /// Appends the displaced instructions to `asm`, after the patch's
+    /// payload, and then -- unless the last of them always transfers
+    /// control -- a `jmp` back to the instruction after them. Each rel32
+    /// that depends on where they land goes to `fields` at its offset
+    /// from `start`, the trampoline's first byte in `asm`.
+    pub fn emit(
+        &self,
+        asm: &mut Asm,
+        start: u64,
+        fields: &mut Vec<RipField>,
+    ) -> Result<Displaced, AsmError> {
+        let offset = |addr: u64| (addr - start) as u32;
+        let at = offset(asm.here());
+        let mut resume = self.anchor;
+        let members = self.members();
+        for &(inst, len) in members {
+            let inst_start = asm.here();
+            if let Some(reloc) = asm.emit_relocatable(inst)? {
+                fields.push(RipField {
+                    at: offset(inst_start + reloc.at as u64),
+                    end: offset(asm.here()),
+                    target: reloc.target,
+                });
+            }
+            resume += u64::from(len);
         }
-        addr = next;
+        if !members
+            .last()
+            .is_some_and(|(inst, _)| always_transfers(inst))
+        {
+            asm.raw(&[0xE9, 0, 0, 0, 0]);
+            fields.push(RipField {
+                at: offset(asm.here() - 4),
+                end: offset(asm.here()),
+                target: resume,
+            });
+        }
+        Ok(Displaced {
+            at,
+            len: (resume - self.anchor) as u8,
+            insts: self.n as u8,
+            tactic: self.tactic,
+        })
     }
 }
 
@@ -750,7 +916,14 @@ mod tests {
             0
         });
         let at = code.len() as u32 - 4;
-        (code, [RipField { at, target }])
+        (
+            code,
+            [RipField {
+                at,
+                end: at + 4,
+                target,
+            }],
+        )
     }
 
     #[test]
@@ -776,9 +949,8 @@ mod tests {
                 trampoline,
                 ..RewriteBases::default()
             };
-            let out =
-                rewrite_with_bases(&img, &d, &cfg.leaders, Library::default(), &[patch], bases)
-                    .unwrap();
+            let out = plan_and_place(&img, &d, &cfg.leaders, Library::default(), &[patch], bases)
+                .unwrap();
             let tramp = out.image.segment_at(trampoline).unwrap();
             let (lea, _) = redfat_x86::decode_one(&tramp.data, trampoline).unwrap();
             assert_eq!(lea.op, Op::Lea);
@@ -814,17 +986,120 @@ mod tests {
             trampoline: layout::GLOBALS_BASE + (1 << 31),
             ..RewriteBases::default()
         };
-        let err =
-            rewrite_with_bases(&img, &d, &cfg.leaders, Library::default(), &[patch], far).err();
-        assert!(
-            matches!(
-                err,
-                Some(RewriteError::Asm(AsmError::Encode(
-                    redfat_x86::EncodeError::OutOfRange("rip rel32")
-                )))
-            ),
-            "{err:?}"
-        );
+        // The payload's field, and with no payload the jump back.
+        for patch in [patch, bare(layout::CODE_BASE)] {
+            let err =
+                plan_and_place(&img, &d, &cfg.leaders, Library::default(), &[patch], far).err();
+            assert!(
+                matches!(
+                    err,
+                    Some(RewriteError::Asm(AsmError::Encode(
+                        redfat_x86::EncodeError::OutOfRange("rip rel32")
+                    )))
+                ),
+                "{err:?}"
+            );
+        }
+    }
+
+    /// The trampoline segment at `base` as encoding each displaced
+    /// instruction and jump back at its final address builds it: the
+    /// reference for placement's copy-and-relocate. The `patches` carry
+    /// no fields, and the library is empty.
+    fn encoded_in_place(
+        disasm: &Disasm,
+        leaders: &BTreeSet<u64>,
+        patches: &[Patch<'_>],
+        base: u64,
+    ) -> Vec<u8> {
+        let mut tramp = Asm::new(base);
+        for (i, p) in patches.iter().enumerate() {
+            let next = patches.get(i + 1).map(|p| p.anchor);
+            let group = select_group(disasm, leaders, p.anchor, next).unwrap();
+            tramp.raw(p.code);
+            let mut resume = p.anchor;
+            for &(inst, len) in group.members() {
+                tramp.emit(inst).unwrap();
+                resume += u64::from(len);
+            }
+            if !always_transfers(&group.members().last().unwrap().0) {
+                tramp.jmp_abs(resume).unwrap();
+            }
+        }
+        tramp.finish().unwrap().bytes
+    }
+
+    #[test]
+    fn displaced_instructions_place_as_they_encode_at_their_address() {
+        // Five 3-byte stores, each an anchor. The first four displace the
+        // instruction after them: a jcc (rel8 in place), a call, a
+        // rip-relative load and a rip-relative store whose immediate
+        // follows its field. The fifth precedes a jump target and traps.
+        let global = layout::GLOBALS_BASE;
+        let img = build_image(|a| {
+            let (top, join, f) = (a.label(), a.label(), a.label());
+            a.bind(top).unwrap();
+            a.mov_mr(Width::W64, Mem::base(Reg::Rax), Reg::Rcx);
+            a.jcc_label_short(Cond::Ne, top);
+            a.mov_mr(Width::W64, Mem::base(Reg::Rbx), Reg::Rcx);
+            a.call_label(f);
+            a.mov_mr(Width::W64, Mem::base(Reg::Rcx), Reg::Rdx);
+            a.mov_rm(Width::W64, Reg::Rax, Mem::rip(global));
+            a.mov_mr(Width::W64, Mem::base(Reg::Rsi), Reg::Rdx);
+            a.mov_mi(Width::W32, Mem::rip(global + 8), 7);
+            a.mov_mr(Width::W64, Mem::base(Reg::Rdi), Reg::Rdx);
+            a.bind(join).unwrap();
+            a.alu_ri(AluOp::Sub, Width::W64, Reg::Rcx, 1);
+            a.jcc_label_short(Cond::Ne, join);
+            a.ret();
+            a.bind(f).unwrap();
+            a.ret();
+        });
+        let d = disassemble(&img);
+        let cfg = Cfg::recover(&d, img.entry, &[]);
+        let anchors: Vec<u64> = d
+            .iter()
+            .filter(|(_, i, _)| {
+                i.op == Op::Mov && matches!(i.operands, Operands::MR { dst, .. } if !dst.rip)
+            })
+            .map(|(a, _, _)| a)
+            .collect();
+        assert_eq!(anchors.len(), 5);
+        let (code, entry) = payload(|a| {
+            a.ud2();
+            let entry = a.here();
+            a.nop();
+            entry
+        });
+        let patches: Vec<Patch> = anchors
+            .iter()
+            .map(|&anchor| Patch {
+                anchor,
+                code: &code,
+                entry,
+                rip_fields: &[],
+                calls: &[],
+            })
+            .collect();
+        for trampoline in [
+            layout::TRAMPOLINE_BASE,
+            layout::TRAMPOLINE_BASE + 0x0800_0123,
+        ] {
+            let bases = RewriteBases {
+                trampoline,
+                ..RewriteBases::default()
+            };
+            let out = plan_and_place(&img, &d, &cfg.leaders, Library::default(), &patches, bases)
+                .unwrap();
+            let s = out.stats;
+            assert_eq!((s.jmp_patches, s.trap_patches, s.displaced), (4, 1, 9));
+            let placed = &out.image.segment_at(trampoline).unwrap().data;
+            assert_eq!(
+                *placed,
+                encoded_in_place(&d, &cfg.leaders, &patches, trampoline),
+                "at {trampoline:#x}"
+            );
+        }
     }
 
     #[test]
@@ -861,8 +1136,8 @@ mod tests {
                 code: &library,
                 entries: &entries,
             };
-            let out = rewrite_with_bases(&img, &d, &cfg.leaders, library, &[patch(&calls)], bases)
-                .unwrap();
+            let out =
+                plan_and_place(&img, &d, &cfg.leaders, library, &[patch(&calls)], bases).unwrap();
             let s = out.stats;
             assert_eq!(s.library_bytes, library.code.len());
             assert_eq!(
@@ -883,7 +1158,7 @@ mod tests {
                 entries,
             };
             let calls = [CallField { at: 1, routine }];
-            let err = rewrite_with_bases(
+            let err = plan_and_place(
                 &img,
                 &d,
                 &cfg.leaders,
@@ -905,7 +1180,11 @@ mod tests {
         let d = disassemble(&img);
         let cfg = Cfg::recover(&d, img.entry, &[]);
         let code = [0x90u8; 8];
-        let field = |at| RipField { at, target: 0 };
+        let field = |at| RipField {
+            at,
+            end: at + 4,
+            target: 0,
+        };
         let cases: [(usize, &[RipField]); 4] = [
             (9, &[]),
             (0, &[field(5)]),
@@ -940,6 +1219,34 @@ mod tests {
         let a2 = d.next_addr(layout::CODE_BASE).unwrap();
         let err = rewrite(&img, &d, &cfg.leaders, &[bare(a2), bare(layout::CODE_BASE)]);
         assert!(matches!(err, Err(RewriteError::UnorderedPatches(_))));
+
+        // Placement rejects a site that reaches the next anchor.
+        let displaced = Displaced {
+            at: 0,
+            len: 7,
+            insts: 1,
+            tactic: Tactic::Jmp,
+        };
+        let at = |anchor| Trampoline {
+            anchor,
+            code: &[],
+            entry: 0,
+            displaced,
+            rip_fields: &[],
+            calls: &[],
+        };
+        let overlapping = [at(layout::CODE_BASE), at(layout::CODE_BASE + 6)];
+        let err = rewrite_with_bases(
+            &img,
+            Library::default(),
+            &overlapping,
+            RewriteBases::default(),
+        );
+        assert!(
+            matches!(err, Err(RewriteError::UnorderedPatches(a)) if a == layout::CODE_BASE + 6),
+            "{:?}",
+            err.err()
+        );
     }
 
     #[test]

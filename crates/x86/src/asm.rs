@@ -11,10 +11,10 @@
 //! bound and in reach, and `rel32` otherwise, so only backward branches
 //! ever shrink.
 
-use crate::encode::{encode_append, EncodeError};
+use crate::encode::{encode_append, encode_relocatable, EncodeError, Reloc};
 use crate::insn::{AluOp, Cond, Inst, Mem, MulDivOp, Op, Operands, ShiftOp, Width};
 use crate::reg::Reg;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// An opaque assembler label.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -82,7 +82,8 @@ pub struct Asm {
     bytes: Vec<u8>,
     labels: Vec<Option<u64>>,
     fixups: Vec<Fixup>,
-    named: HashMap<String, Label>,
+    /// Ordered, so identical runs leave identically shaped heaps.
+    named: BTreeMap<String, Label>,
 }
 
 impl Asm {
@@ -93,7 +94,7 @@ impl Asm {
             bytes: Vec::new(),
             labels: Vec::new(),
             fixups: Vec::new(),
-            named: HashMap::new(),
+            named: BTreeMap::new(),
         }
     }
 
@@ -154,6 +155,12 @@ impl Asm {
         let addr = self.here();
         encode_append(&inst, addr, &mut self.bytes)?;
         Ok(())
+    }
+
+    /// Emits `inst` for an address not yet known, its address-dependent
+    /// rel32 left zero ([`encode_relocatable`]), and returns that field.
+    pub fn emit_relocatable(&mut self, inst: Inst) -> Result<Option<Reloc>, AsmError> {
+        Ok(encode_relocatable(&inst, &mut self.bytes)?)
     }
 
     /// Emits raw bytes verbatim.

@@ -43,6 +43,12 @@ fn bare8(r: Reg) -> bool {
 struct Enc<'a> {
     buf: &'a mut Vec<u8>,
     start: usize,
+    /// Direct branches take their rel32 form even when a rel8 reaches.
+    wide: bool,
+    /// The offset from `start` of the rel32 that depends on the
+    /// instruction's address (a rip-relative disp32 or a branch's rel32),
+    /// once emitted.
+    field: Option<usize>,
 }
 
 impl Enc<'_> {
@@ -234,6 +240,7 @@ fn emit_modrm(
     let rip_pos = e.modrm(reg_field, &rm)?;
     e.bytes(imm);
     if let Some(pos) = rip_pos {
+        e.field = Some(pos - e.start);
         let m = mem_of(&rm).expect("rip operand is memory");
         let rel32 = rip_rel32(m.disp as u64, addr + e.len())?;
         e.buf[pos..pos + 4].copy_from_slice(&rel32.to_le_bytes());
@@ -265,12 +272,62 @@ pub fn encode(inst: &Inst, addr: u64) -> Result<Vec<u8>, EncodeError> {
 /// as it was.
 pub(crate) fn encode_append(inst: &Inst, addr: u64, buf: &mut Vec<u8>) -> Result<(), EncodeError> {
     let start = buf.len();
-    let mut e = Enc { buf, start };
+    let mut e = Enc {
+        buf,
+        start,
+        wide: false,
+        field: None,
+    };
     let res = encode_into(inst, addr, &mut e);
     if res.is_err() {
         buf.truncate(start);
     }
     res
+}
+
+/// The rel32 field of an instruction encoded by [`encode_relocatable`]:
+/// a rip-relative disp32 or a direct branch's rel32. Either counts from
+/// the end of the instruction, which an immediate may separate from the
+/// field.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Reloc {
+    /// Offset of the field from the instruction's start.
+    pub at: usize,
+    /// The absolute address the field reaches.
+    pub target: u64,
+}
+
+/// Appends `inst` to `buf` for an address not yet known: a direct branch
+/// takes its rel32 form even when a rel8 would reach, so the length does
+/// not depend on the address, and the one field that does is left zero
+/// and returned, for the caller to write where the instruction lands
+/// ([`rip_rel32`]). The other bytes equal [`encode`]'s at any address
+/// from which no rel8 branch reaches the target. On error `buf` is left
+/// as it was.
+pub fn encode_relocatable(inst: &Inst, buf: &mut Vec<u8>) -> Result<Option<Reloc>, EncodeError> {
+    let target = inst.branch_target().or_else(|| {
+        inst.memory_operand()
+            .filter(|m| m.rip)
+            .map(|m| m.disp as u64)
+    });
+    let start = buf.len();
+    let mut e = Enc {
+        buf,
+        start,
+        wide: true,
+        field: None,
+    };
+    // Encoded as if at its own target, from where every field reaches.
+    let res = encode_into(inst, target.unwrap_or(0), &mut e);
+    let field = e.field;
+    if let Err(err) = res {
+        buf.truncate(start);
+        return Err(err);
+    }
+    Ok(field.zip(target).map(|(at, target)| {
+        buf[start + at..start + at + 4].fill(0);
+        Reloc { at, target }
+    }))
 }
 
 fn encode_into(inst: &Inst, addr: u64, e: &mut Enc) -> Result<(), EncodeError> {
@@ -842,7 +899,7 @@ fn encode_into(inst: &Inst, addr: u64, e: &mut Enc) -> Result<(), EncodeError> {
         }
         (Op::Jmp, O::Rel(target)) => {
             let rel8 = (*target as i64) - (addr as i64 + 2);
-            if let Ok(d8) = i8::try_from(rel8) {
+            if let (Ok(d8), false) = (i8::try_from(rel8), e.wide) {
                 e.byte(0xEB);
                 e.byte(d8 as u8);
                 Ok(())
@@ -859,7 +916,7 @@ fn encode_into(inst: &Inst, addr: u64, e: &mut Enc) -> Result<(), EncodeError> {
         }
         (Op::Jcc(c), O::Rel(target)) => {
             let rel8 = (*target as i64) - (addr as i64 + 2);
-            if let Ok(d8) = i8::try_from(rel8) {
+            if let (Ok(d8), false) = (i8::try_from(rel8), e.wide) {
                 e.byte(0x70 | c.code());
                 e.byte(d8 as u8);
                 Ok(())
@@ -941,6 +998,7 @@ fn encode_into(inst: &Inst, addr: u64, e: &mut Enc) -> Result<(), EncodeError> {
 /// Emits a rel32 whose origin is `addr` and whose end is four bytes past
 /// the current buffer position.
 fn emit_rel32(e: &mut Enc, addr: u64, target: u64) -> Result<(), EncodeError> {
+    e.field = Some(e.len() as usize);
     let end = addr + e.len() + 4;
     let rel = (target as i64) - (end as i64);
     let rel32: i32 = rel
@@ -1171,6 +1229,59 @@ mod tests {
         // call to next instruction: E8 00 00 00 00.
         let i = Inst::new(Op::Call, Width::W64, Operands::Rel(0x40_0005));
         assert_eq!(enc(i), vec![0xE8, 0, 0, 0, 0]);
+    }
+
+    #[test]
+    fn relocatable_encodings_equal_encoding_in_place() {
+        // A near jmp (rel8 in place), a jcc, a call, a rip-relative load
+        // and a rip-relative store whose immediate follows the field.
+        let target = 0x40_0010;
+        let insts = [
+            Inst::new(Op::Jmp, Width::W64, Operands::Rel(target)),
+            Inst::new(Op::Jcc(Cond::Ne), Width::W64, Operands::Rel(target)),
+            Inst::new(Op::Call, Width::W64, Operands::Rel(target)),
+            Inst::new(
+                Op::Mov,
+                Width::W64,
+                Operands::RM {
+                    dst: Reg::Rcx,
+                    src: Mem::rip(target),
+                },
+            ),
+            Inst::new(
+                Op::Mov,
+                Width::W32,
+                Operands::MI {
+                    dst: Mem::rip(target),
+                    imm: 7,
+                },
+            ),
+        ];
+        let fields = [(1, 5), (2, 6), (1, 5), (3, 7), (2, 10)];
+        for (inst, (at, len)) in insts.into_iter().zip(fields) {
+            let mut buf = vec![0xAA];
+            let reloc = encode_relocatable(&inst, &mut buf).unwrap();
+            assert_eq!(reloc, Some(Reloc { at, target }), "{inst}");
+            assert_eq!(buf.len(), 1 + len, "{inst}");
+            assert_eq!(&buf[1 + at..1 + at + 4], &[0; 4], "{inst}");
+            // Written where it lands, far from the target, the field
+            // gives encode's bytes there.
+            let addr = 0x7000_0000u64;
+            let rel32 = rip_rel32(target, addr + len as u64).unwrap();
+            buf[1 + at..1 + at + 4].copy_from_slice(&rel32.to_le_bytes());
+            assert_eq!(buf[1..], encode(&inst, addr).unwrap(), "{inst}");
+        }
+        let plain = Inst::new(
+            Op::Mov,
+            Width::W64,
+            Operands::RR {
+                dst: Reg::Rax,
+                src: Reg::Rbx,
+            },
+        );
+        let mut buf = Vec::new();
+        assert_eq!(encode_relocatable(&plain, &mut buf), Ok(None));
+        assert_eq!(buf, encode(&plain, 0).unwrap());
     }
 
     #[test]

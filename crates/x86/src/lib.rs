@@ -42,7 +42,7 @@ mod reg;
 
 pub use asm::{Asm, AsmError, Label, Program};
 pub use decode::{decode_one, DecodeError};
-pub use encode::{encode, rip_rel32, EncodeError};
+pub use encode::{encode, encode_relocatable, rip_rel32, EncodeError, Reloc};
 pub use insn::{AluOp, Cond, Inst, Mem, MulDivOp, Op, Operands, Seg, ShiftOp, Width};
 pub use reg::Reg;
 
