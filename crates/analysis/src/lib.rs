@@ -29,7 +29,10 @@
 //! * [`redundant`]: dominator-based redundant-check elimination -- a full
 //!   check subsumed by an identical dominating check is downgraded to
 //!   redzone-only.
-//! * [`report`]: per-site classification report (`redfat analyze`).
+//!
+//! The per-site verdicts that `redfat analyze` prints are not worked out
+//! here: the hardening planner in `redfat-core` applies these analyses
+//! and records each site's verdict as it plans.
 
 pub mod batch;
 pub mod cfg;
@@ -40,7 +43,6 @@ pub mod elim;
 pub mod liveness;
 pub mod provenance;
 pub mod redundant;
-pub mod report;
 
 pub use batch::{merge_checks, plan_batches, Batch, MergedCheck};
 pub use cfg::{Cfg, MAX_BLOCK};
@@ -51,4 +53,3 @@ pub use elim::can_reach_heap;
 pub use liveness::{dead_flags_in_run, flag_write_dead, flags_live_after_run, Liveness};
 pub use provenance::{operand_non_heap, span_avoids_heap, AbsVal, Provenance, RegFacts};
 pub use redundant::RedundantChecks;
-pub use report::{analyze_image, AnalysisReport, SiteReport, SiteVerdict};

@@ -505,7 +505,7 @@ impl Provenance {
     }
 
     /// Human-readable rendering of the operand's abstract address span
-    /// at `addr` (for `AnalysisReport`).
+    /// at `addr` (for the `redfat analyze` report).
     pub fn describe_span(&self, disasm: &Disasm, cfg: &Cfg, addr: u64, inst: &Inst) -> String {
         let Some(mem) = inst.memory_access() else {
             return "no access".to_string();

@@ -2,61 +2,9 @@
 //! mini-C images: provenance elimination, dominator-validated redundant
 //! checks, and conservatism on patterns that must NOT be eliminated.
 
-use redfat_analysis::{
-    analyze_image, can_reach_heap, disassemble, Cfg, DomTree, Provenance, RedundantChecks,
-    SiteVerdict,
-};
+use redfat_analysis::{can_reach_heap, disassemble, Cfg, DomTree, Provenance, RedundantChecks};
 use redfat_minic::compile;
 use redfat_vm::Rng64;
-
-/// Const-index accesses through a register holding a global's address:
-/// kept by the syntactic rule (general-purpose base), eliminated by
-/// provenance (the register provably holds the global's address).
-#[test]
-fn global_array_const_index_is_flow_eliminated() {
-    let src = "
-        global tab[8];
-        fn main() {
-            var p = &tab;
-            p[0] = 41;
-            p[3] = p[0] + 1;
-            print(p[3]);
-            return 0;
-        }";
-    let image = compile(src).expect("compiles");
-    let report = analyze_image(&image, 0);
-    let flow = report.eliminated_flow();
-    assert!(
-        flow >= 2,
-        "expected the const-index global accesses flow-eliminated, got report:\n{}",
-        redfat_analysis::report::render(&report)
-    );
-}
-
-/// A heap pointer returned by malloc flows from a call: every access
-/// through it must keep its check.
-#[test]
-fn heap_accesses_survive_flow_elimination() {
-    let src = "
-        fn main() {
-            var a = malloc(64);
-            a[0] = 7;
-            a[1] = a[0] + 1;
-            print(a[1]);
-            return 0;
-        }";
-    let image = compile(src).expect("compiles");
-    let report = analyze_image(&image, 0);
-    // The heap stores/loads (plus the RMW pattern) must remain checked
-    // or at most be *redundant* (still redzone-checked) -- never
-    // flow-eliminated.
-    let checked_or_redundant = report.checked() + report.redundant();
-    assert!(
-        checked_or_redundant >= 3,
-        "heap accesses vanished:\n{}",
-        redfat_analysis::report::render(&report)
-    );
-}
 
 /// The read-modify-write idiom `a[k] = a[k] + v` checks the same operand
 /// shape twice with no intervening call or register write: the second
@@ -189,36 +137,6 @@ fn random_programs_static_sanity() {
                     "eliminated site {addr:#x} has Top operand register"
                 );
             }
-        }
-    }
-}
-
-/// The report classifies every access site exactly once and counts add
-/// up.
-#[test]
-fn report_partitions_sites() {
-    let src = "
-        global t[4];
-        fn main() {
-            var a = malloc(32);
-            var p = &t;
-            p[1] = 3;
-            a[1] = p[1];
-            a[1] = a[1] * 2;
-            print(a[1]);
-            return 0;
-        }";
-    let image = compile(src).expect("compiles");
-    let report = analyze_image(&image, 0);
-    let total = report.checked()
-        + report.eliminated_syntactic()
-        + report.eliminated_flow()
-        + report.redundant();
-    assert_eq!(total, report.sites.len());
-    assert!(!report.sites.is_empty());
-    for s in &report.sites {
-        if let SiteVerdict::Redundant { root } = s.verdict {
-            assert!(report.sites.iter().any(|o| o.addr == root));
         }
     }
 }

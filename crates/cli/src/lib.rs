@@ -77,7 +77,8 @@ commands:
                                        --alloc-policy selects the heap backend
                                        (default lowfat)
   disasm  <in.elf>                     linear disassembly of code segments
-  analyze <in.elf>                     per-site static analysis report
+  analyze <in.elf>                     each access site's verdict as harden plans
+                                       it under the default options
   stats   <in.elf>                     image and instrumentation-plan statistics
   selftest [--quick] [--alloc-policy lowfat|rand-lowfat]
                                        differential self-test: lockstep oracle
@@ -544,8 +545,8 @@ pub fn run_cli(argv: &[String]) -> Result<String, CliError> {
                 return Err(err("analyze needs exactly one binary"));
             };
             let image = load_image(input)?;
-            let report = redfat_analysis::analyze_image(&image, args.threads()?);
-            out.push_str(&redfat_analysis::report::render(&report));
+            let report = redfat_core::analyze(&image, args.threads()?);
+            write!(out, "{report}").ok();
         }
         "stats" => {
             let [input] = &args.positional[..] else {

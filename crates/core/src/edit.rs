@@ -273,6 +273,7 @@ impl KeptBase {
             config,
             mode: PayloadMode::Harden,
             roots: analysis.roots.as_ref(),
+            report: false,
         };
         let mut swapped = parallel_map(dirty, threads, |(c, sub)| (*c, planner.plan(sub)));
         let reused = analysis.plans.len() - swapped.len();

@@ -29,7 +29,7 @@ use crate::pipeline::harden;
 use crate::selftest::SplitMix64;
 use crate::HardenConfig;
 use redfat_elf::Image;
-use redfat_emu::{Emu, EmuError, ErrorMode, HostRuntime, RunResult, Runtime, TRAP_TABLE_MAGIC};
+use redfat_emu::{Emu, EmuError, ErrorMode, HostRuntime, RunResult, Runtime};
 use redfat_parallel::{panic_message, parallel_map};
 use redfat_vm::layout;
 use redfat_workloads::spec;
@@ -374,7 +374,7 @@ fn mutate_trap_table(hardened: &Image, rng: &mut SplitMix64) -> Option<Image> {
     let seg = img
         .segments
         .iter_mut()
-        .find(|s| s.data.len() >= 16 && s.data[..8] == TRAP_TABLE_MAGIC.to_le_bytes())?;
+        .find(|s| s.data.len() >= 16 && s.data[..8] == layout::TRAP_TABLE_MAGIC.to_le_bytes())?;
     match rng.below(4) {
         0 => {
             // Truncate the table mid-entry (keeping the header so the

@@ -15,6 +15,8 @@
 //!   two-phase workflow; [`collect_allowlist`] turns the recorded
 //!   per-site pass/fail counters into an [`AllowList`]; hardening with
 //!   [`LowFatPolicy::AllowList`] closes the loop.
+//! * [`analyze`] reports each memory-access site's verdict as the
+//!   planner makes it under the default config (`redfat analyze`).
 //! * [`run`] runs an image as a [`RunSpec`] says: on the fast execution
 //!   tier unless the spec selects the step interpreter, which stays the
 //!   reference that selftest's backend audit compares the tier against.
@@ -33,6 +35,7 @@
 #![deny(clippy::undocumented_unsafe_blocks)]
 
 mod allowlist;
+mod analyze;
 mod checks;
 mod config;
 pub mod digest;
@@ -44,6 +47,7 @@ mod runner;
 pub mod selftest;
 
 pub use allowlist::AllowList;
+pub use analyze::{analyze, AnalysisReport, SiteReport, SiteVerdict};
 pub use checks::CHECK_SCRATCH_CANDIDATES;
 pub use config::{HardenConfig, LowFatPolicy};
 pub use digest::{sha256, Digest, Sha256, TOOL_VERSION};

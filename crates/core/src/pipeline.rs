@@ -2,6 +2,7 @@
 //! trampoline rewrite, plus the §5 two-phase profiling workflow.
 
 use crate::allowlist::AllowList;
+use crate::analyze::{AnalysisReport, SiteReport, SiteVerdict};
 use crate::checks::{library, BatchPayload, CheckSpec, PayloadMode, Routine};
 use crate::config::{HardenConfig, LowFatPolicy};
 use redfat_analysis::cfg::Block;
@@ -202,20 +203,31 @@ pub fn collect_allowlist(profile: &HashMap<u64, ProfileStats>) -> AllowList {
     )
 }
 
-/// How one memory access is handled by the pipeline, as decided by the
-/// shared classification closure. One value drives both the statistics
-/// accounting and the batch/redundant site filters, so the two can
-/// never disagree about a site.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum SiteClass {
-    /// No memory access, or filtered out by the read/write policy.
-    NotSite,
-    /// Eliminated by the syntactic non-heap rule.
-    ElimSyntactic,
-    /// Additionally eliminated by flow-sensitive provenance.
-    ElimFlow,
-    /// Receives instrumentation.
-    Instrument,
+/// The pipeline's site rule: how `config` handles `inst`, or `None`
+/// when it is no site (no memory access, or a read that the config does
+/// not instrument). `flow_non_heap` says whether flow-sensitive
+/// provenance proves the access avoids the heap; it is asked only of a
+/// site the syntactic rule keeps. A [`SiteVerdict::Checked`] site is
+/// instrumented; the planner may still downgrade its check to
+/// [`SiteVerdict::Redundant`]. One rule drives the statistics, the
+/// batch and redundant-check site filters and `redfat analyze`, so none
+/// of them can disagree about a site.
+fn classify(
+    config: &HardenConfig,
+    inst: &Inst,
+    flow_non_heap: impl FnOnce() -> bool,
+) -> Option<SiteVerdict> {
+    let mem = inst.memory_access()?;
+    if !config.instrument_reads && !inst.writes_memory() {
+        return None;
+    }
+    Some(if config.elim && !can_reach_heap(&mem) {
+        SiteVerdict::EliminatedSyntactic
+    } else if flow_non_heap() {
+        SiteVerdict::EliminatedFlow
+    } else {
+        SiteVerdict::Checked
+    })
 }
 
 /// The per-component output of the analysis + planning stages:
@@ -235,6 +247,9 @@ pub(crate) struct ComponentPlan {
     calls: Vec<CallField>,
     batches: Vec<PlannedBatch>,
     stats: HardenStats,
+    /// Each site's verdict, in address order, when the planner reports;
+    /// empty otherwise.
+    sites: Vec<SiteReport>,
 }
 
 impl ComponentPlan {
@@ -296,8 +311,8 @@ pub(crate) struct Analysis {
 
 /// How the instructions in no recovered block count in
 /// [`HardenStats`]: they belong to no component, are never
-/// instrumented, and their flow facts are `None`, so only the
-/// syntactic rule can eliminate them.
+/// instrumented, and have no flow facts, so only the syntactic rule can
+/// eliminate them.
 #[derive(Clone, Copy, Default)]
 pub(crate) struct LeftoverSites {
     considered: usize,
@@ -305,15 +320,16 @@ pub(crate) struct LeftoverSites {
 }
 
 impl LeftoverSites {
-    /// Adds `inst`'s contribution, or removes it when `add` is false.
-    pub(crate) fn count(&mut self, config: &HardenConfig, inst: &Inst, add: bool) {
-        let Some(mem) = inst.memory_access() else {
-            return;
-        };
-        if !config.instrument_reads && !inst.writes_memory() {
-            return;
-        }
-        let eliminated = config.elim && !can_reach_heap(&mem);
+    /// Adds `inst`'s contribution, or removes it when `add` is false,
+    /// and returns its verdict.
+    pub(crate) fn count(
+        &mut self,
+        config: &HardenConfig,
+        inst: &Inst,
+        add: bool,
+    ) -> Option<SiteVerdict> {
+        let verdict = classify(config, inst, || false)?;
+        let eliminated = verdict == SiteVerdict::EliminatedSyntactic;
         if add {
             self.considered += 1;
             self.eliminated += usize::from(eliminated);
@@ -321,6 +337,7 @@ impl LeftoverSites {
             self.considered -= 1;
             self.eliminated -= usize::from(eliminated);
         }
+        Some(verdict)
     }
 }
 
@@ -330,6 +347,8 @@ pub(crate) struct Planner<'a> {
     pub(crate) config: &'a HardenConfig,
     pub(crate) mode: PayloadMode,
     pub(crate) roots: Option<&'a BTreeSet<u64>>,
+    /// Whether each plan records its sites' verdicts (`redfat analyze`).
+    pub(crate) report: bool,
 }
 
 thread_local! {
@@ -352,6 +371,7 @@ impl Planner<'_> {
             self.config,
             self.mode,
             self.roots,
+            self.report,
             &mut asm,
         );
         PAYLOAD_ASM.set(asm);
@@ -368,6 +388,23 @@ pub(crate) fn instrument_with_analysis(
     bases: RewriteBases,
     threads: usize,
 ) -> Result<(Hardened, Analysis), HardenError> {
+    let (analysis, _) = plan_image(image, config, mode, threads, false);
+    let hardened = merge_and_rewrite(image, &analysis, 0, bases)?;
+    Ok((hardened, analysis))
+}
+
+/// The pipeline up to the rewrite: disassembly, CFG recovery, each
+/// component's plan on `threads` threads, and the count of the
+/// instructions in no block. With `report` the planner records every
+/// site's verdict, and the second value reports them all; otherwise it
+/// is empty.
+pub(crate) fn plan_image(
+    image: &Image,
+    config: &HardenConfig,
+    mode: PayloadMode,
+    threads: usize,
+    report: bool,
+) -> (Analysis, AnalysisReport) {
     let disasm = disassemble(image);
     let cfg = Cfg::recover(&disasm, image.entry, &[]);
 
@@ -386,11 +423,12 @@ pub(crate) fn instrument_with_analysis(
         config,
         mode,
         roots: roots.as_ref(),
+        report,
     };
     // Each worker builds the sub-CFG it plans, so only as many exist at
     // once as there are threads.
     let component_blocks = cfg.component_starts();
-    let plans = parallel_map(component_blocks.iter().collect(), threads, |starts| {
+    let mut plans = parallel_map(component_blocks.iter().collect(), threads, |starts| {
         planner.plan(&cfg.sub_cfg(starts))
     });
 
@@ -399,6 +437,7 @@ pub(crate) fn instrument_with_analysis(
     // `cfg.block_of(addr)` for each: the last block starting at or
     // before `addr`, and whether `addr` is one of its members.
     let mut leftover = LeftoverSites::default();
+    let mut sites = Vec::new();
     let mut blocks = cfg.blocks.values().peekable();
     let mut current: Option<(&Block, usize)> = None;
     for (addr, inst, _) in disasm.iter() {
@@ -413,7 +452,23 @@ pub(crate) fn instrument_with_analysis(
                 continue;
             }
         }
-        leftover.count(config, inst, true);
+        let verdict = leftover.count(config, inst, true);
+        if let Some(verdict) = verdict.filter(|_| report) {
+            let span = "unreached".to_string();
+            sites.push(SiteReport::new(addr, inst, verdict, None, span));
+        }
+    }
+    let mut analysis_report = AnalysisReport::default();
+    if report {
+        sites.extend(plans.iter_mut().flat_map(|p| std::mem::take(&mut p.sites)));
+        sites.sort_unstable_by_key(|s| s.addr);
+        let in_block = |addr: &&u64| cfg.blocks.contains_key(addr);
+        analysis_report = AnalysisReport {
+            sites,
+            blocks: cfg.blocks.len(),
+            insts: disasm.len(),
+            roots: roots.iter().flatten().filter(in_block).count(),
+        };
     }
 
     // The blocks are dropped here, before the rewrite.
@@ -432,8 +487,7 @@ pub(crate) fn instrument_with_analysis(
         plans,
         leftover,
     };
-    let hardened = merge_and_rewrite(image, &analysis, 0, bases)?;
-    Ok((hardened, analysis))
+    (analysis, analysis_report)
 }
 
 /// The tail the full and the edit path share: sums the per-component
@@ -531,13 +585,15 @@ pub(crate) fn merge_and_rewrite(
 /// Each batch's trampoline -- its payload, then the instructions the
 /// patch displaces and the jump back -- is assembled into `asm`, at its
 /// offset from the component's first trampoline; the assembler is left
-/// empty for the next component.
+/// empty for the next component. With `report`, the plan also records
+/// each site's verdict as planned.
 fn instrument_shard(
     disasm: &Disasm,
     cfg: &Cfg,
     config: &HardenConfig,
     mode: PayloadMode,
     roots: Option<&BTreeSet<u64>>,
+    report: bool,
     asm: &mut Asm,
 ) -> ComponentPlan {
     let liveness = Liveness::compute(disasm, cfg);
@@ -553,26 +609,13 @@ fn instrument_shard(
         Provenance::compute_with_roots(disasm, cfg, roots)
     });
 
-    // The shared classification: read/write policy + (optionally)
-    // syntactic and flow-sensitive check elimination.
-    let classify = |addr: u64, inst: &Inst| {
-        let Some(mem) = inst.memory_access() else {
-            return SiteClass::NotSite;
-        };
-        if !config.instrument_reads && !inst.writes_memory() {
-            return SiteClass::NotSite;
-        }
-        if config.elim && !can_reach_heap(&mem) {
-            return SiteClass::ElimSyntactic;
-        }
-        if let Some(p) = &prov {
-            if !p.site_can_reach_heap(disasm, cfg, addr, inst) {
-                return SiteClass::ElimFlow;
-            }
-        }
-        SiteClass::Instrument
+    let verdict_of = |addr: u64, inst: &Inst| {
+        classify(config, inst, || {
+            prov.as_ref()
+                .is_some_and(|p| !p.site_can_reach_heap(disasm, cfg, addr, inst))
+        })
     };
-    let filter = |addr: u64, inst: &Inst| classify(addr, inst) == SiteClass::Instrument;
+    let filter = |addr: u64, inst: &Inst| verdict_of(addr, inst) == Some(SiteVerdict::Checked);
 
     // Which sites the LowFat policy grants a *full* check.
     let allowed = |site: u64| match (&config.lowfat, mode) {
@@ -603,14 +646,16 @@ fn instrument_shard(
     // A site may be downgraded only when its root keeps its full check
     // (roots are non-redundant by construction, but an allow-list could
     // still withhold the root's LowFat component).
-    let downgraded = |site: u64| {
+    let root_of = |site: u64| {
         redundant
             .as_ref()
             .and_then(|r| r.root_of(site))
-            .is_some_and(&allowed)
+            .filter(|&root| allowed(root))
     };
 
-    // Classification statistics for this shard's instructions.
+    // Classification statistics for this shard's instructions, and with
+    // `report` each site's verdict.
+    let mut sites: Vec<SiteReport> = Vec::new();
     for block in cfg.blocks.values() {
         for &addr in &block.insts {
             // A block member that no longer decodes (corrupt input)
@@ -620,13 +665,26 @@ fn instrument_shard(
                 stats.sites_skipped += 1;
                 continue;
             };
-            match classify(addr, inst) {
-                SiteClass::NotSite => continue,
-                SiteClass::ElimSyntactic => stats.sites_eliminated += 1,
-                SiteClass::ElimFlow => stats.sites_eliminated_flow += 1,
-                SiteClass::Instrument => {}
+            let Some(verdict) = verdict_of(addr, inst) else {
+                continue;
+            };
+            match verdict {
+                SiteVerdict::EliminatedSyntactic => stats.sites_eliminated += 1,
+                SiteVerdict::EliminatedFlow => stats.sites_eliminated_flow += 1,
+                _ => {}
             }
             stats.sites_considered += 1;
+            if report {
+                // The owner is the nearest function entry at or below
+                // the site that starts a block, as every decoded leader
+                // does.
+                let mut entries = cfg.func_entries.range(..=addr).rev().copied();
+                let func = entries.find(|&e| disasm.at(e).is_some());
+                let span = prov
+                    .as_ref()
+                    .map_or_else(String::new, |p| p.describe_span(disasm, cfg, addr, inst));
+                sites.push(SiteReport::new(addr, inst, verdict, func, span));
+            }
         }
     }
 
@@ -660,7 +718,7 @@ fn instrument_shard(
         let (lf_members, rz_members): (Vec<u64>, Vec<u64>) =
             batch.members.iter().partition(|&&m| allowed(m));
         let mut specs: Vec<CheckSpec> = Vec::new();
-        let mut batch_redundant = 0usize;
+        let mut batch_downgrades: Vec<u64> = Vec::new();
         // Redundant-check downgrades apply at merged-check granularity:
         // a check becomes redzone-only iff *every* site it covers is
         // subsumed by a dominating identical check. Downgrading a single
@@ -672,9 +730,9 @@ fn instrument_shard(
                 members: lf_members,
             };
             for check in merge_checks(disasm, &sub, config.merge) {
-                let lowfat = !check.sites.iter().all(|&s| downgraded(s));
+                let lowfat = !check.sites.iter().all(|&s| root_of(s).is_some());
                 if !lowfat {
-                    batch_redundant += check.sites.len();
+                    batch_downgrades.extend(&check.sites);
                 }
                 specs.push(CheckSpec { check, lowfat });
             }
@@ -744,7 +802,13 @@ fn instrument_shard(
                 stats.checks += n_specs;
                 stats.regs_saved += p.saves.len();
                 stats.flags_saved += p.save_flags as usize;
-                stats.sites_redundant += batch_redundant;
+                stats.sites_redundant += batch_downgrades.len();
+                for &site in batch_downgrades.iter().filter(|_| report) {
+                    let at = sites.binary_search_by_key(&site, |s| s.addr);
+                    if let (Ok(i), Some(root)) = (at, root_of(site)) {
+                        sites[i].verdict = SiteVerdict::Redundant { root };
+                    }
+                }
                 for (n, lowfat) in site_counts {
                     if lowfat {
                         stats.sites_lowfat += n;
@@ -783,6 +847,7 @@ fn instrument_shard(
         calls,
         batches: planned,
         stats,
+        sites,
     }
 }
 

@@ -10,9 +10,6 @@ use redfat_x86::{
 };
 use std::collections::HashMap;
 
-/// Magic first quadword of the rewriter's `int3` trap-table segment.
-pub const TRAP_TABLE_MAGIC: u64 = 0x5041_5254_4642_5244; // "DRBFTRAP"-ish tag
-
 /// A host-visible execution failure (guest bug or unsupported code).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EmuError {

@@ -16,7 +16,7 @@
 //!   instrumentation *emerges* from the extra instructions the rewriter
 //!   inserted rather than being assumed;
 //! * support for the rewriter's `int3` fallback patch tactic via an
-//!   in-binary trap table (see [`TRAP_TABLE_MAGIC`]);
+//!   in-binary trap table (see [`redfat_vm::layout::TRAP_TABLE_MAGIC`]);
 //! * a per-access hook on [`Runtime`] so that DBI-style tools (the
 //!   Memcheck baseline) can interpose on every load/store exactly as
 //!   dynamic binary instrumentation would.
@@ -37,7 +37,7 @@ mod trace;
 
 pub use cost::{CostModel, Counters, TraceStats};
 pub use cpu::{Cpu, Flags};
-pub use exec::{Emu, EmuError, RunResult, TRAP_TABLE_MAGIC};
+pub use exec::{Emu, EmuError, RunResult};
 pub use loader::{stub_image, LoadError, MAX_LOAD_BYTES};
 pub use runtime::{
     syscalls, ErrorMode, GuestIo, HostRuntime, MemErrKind, MemoryError, ProfileStats, Runtime,

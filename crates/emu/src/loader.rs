@@ -6,7 +6,7 @@
 //! malformed image yields a structured [`LoadError`] naming the offending
 //! segment, never a panic or an abort from the [`Vm`]'s mapping asserts.
 
-use crate::exec::{Emu, TRAP_TABLE_MAGIC};
+use crate::exec::Emu;
 use crate::runtime::Runtime;
 use redfat_elf::{Image, ImageKind, SegFlags, Segment};
 use redfat_vm::{layout, Prot, Vm};
@@ -208,7 +208,7 @@ impl<R: Runtime> Emu<R> {
             let Some(magic) = read_u64_le(&seg.data, 0) else {
                 continue;
             };
-            if magic != TRAP_TABLE_MAGIC {
+            if magic != layout::TRAP_TABLE_MAGIC {
                 continue;
             }
             let available = (seg.data.len() as u64 - 16) / 16;
@@ -385,7 +385,7 @@ mod tests {
         let tramp_p = tramp.finish().unwrap();
 
         let mut table = Vec::new();
-        table.extend_from_slice(&crate::TRAP_TABLE_MAGIC.to_le_bytes());
+        table.extend_from_slice(&layout::TRAP_TABLE_MAGIC.to_le_bytes());
         table.extend_from_slice(&1u64.to_le_bytes());
         table.extend_from_slice(&layout::CODE_BASE.to_le_bytes());
         table.extend_from_slice(&layout::TRAMPOLINE_BASE.to_le_bytes());
@@ -427,7 +427,7 @@ mod tests {
     fn truncated_trap_table_is_an_error() {
         // Declares 100 entries but carries data for exactly one.
         let mut table = Vec::new();
-        table.extend_from_slice(&crate::TRAP_TABLE_MAGIC.to_le_bytes());
+        table.extend_from_slice(&layout::TRAP_TABLE_MAGIC.to_le_bytes());
         table.extend_from_slice(&100u64.to_le_bytes());
         table.extend_from_slice(&layout::CODE_BASE.to_le_bytes());
         table.extend_from_slice(&layout::TRAMPOLINE_BASE.to_le_bytes());
@@ -544,7 +544,7 @@ mod tests {
         // entry's data stops 8 bytes short: the checked reads must
         // surface TruncatedTrapTable, not panic on a slice conversion.
         let mut table = Vec::new();
-        table.extend_from_slice(&crate::TRAP_TABLE_MAGIC.to_le_bytes());
+        table.extend_from_slice(&layout::TRAP_TABLE_MAGIC.to_le_bytes());
         table.extend_from_slice(&1u64.to_le_bytes());
         table.extend_from_slice(&layout::CODE_BASE.to_le_bytes());
         // Missing the 8-byte target field entirely.

@@ -3,7 +3,7 @@
 //! structured [`LoadError`] through the public API.
 
 use redfat_elf::{Image, ImageKind, SegFlags, Segment};
-use redfat_emu::{Emu, ErrorMode, HostRuntime, LoadError, RunResult, TRAP_TABLE_MAGIC};
+use redfat_emu::{Emu, ErrorMode, HostRuntime, LoadError, RunResult};
 use redfat_vm::layout;
 
 fn code_image() -> Image {
@@ -36,7 +36,7 @@ fn truncated_trap_table_reports_segment_address() {
     // error names the offending segment.
     let mut img = code_image();
     let mut table = Vec::new();
-    table.extend_from_slice(&TRAP_TABLE_MAGIC.to_le_bytes());
+    table.extend_from_slice(&layout::TRAP_TABLE_MAGIC.to_le_bytes());
     table.extend_from_slice(&100u64.to_le_bytes()); // declares 100 entries
     table.extend_from_slice(&[0u8; 16]); // data for exactly 1
     img.segments

@@ -261,10 +261,6 @@ pub struct RewriteOutput {
     pub stats: RewriteStats,
 }
 
-/// Magic quadword marking the trap-table segment (shared with the
-/// emulator's loader).
-pub const TRAP_TABLE_MAGIC: u64 = 0x5041_5254_4642_5244;
-
 /// Where a rewrite places its new segments. The defaults suit a single
 /// image at the standard layout; hardening several images into one
 /// address space (separately instrumented shared objects, paper §7.4)
@@ -439,7 +435,7 @@ pub fn rewrite_with_bases(
     }
     if !traps.is_empty() {
         let mut table = Vec::with_capacity(16 + traps.len() * 16);
-        table.extend_from_slice(&TRAP_TABLE_MAGIC.to_le_bytes());
+        table.extend_from_slice(&layout::TRAP_TABLE_MAGIC.to_le_bytes());
         table.extend_from_slice(&(traps.len() as u64).to_le_bytes());
         for (a, t) in traps {
             table.extend_from_slice(&a.to_le_bytes());

@@ -22,6 +22,7 @@ use redfat_core::{harden_cached, instrument_profile, HardenConfig, HardenStats, 
 use redfat_elf::Image;
 use redfat_parallel::panic_message;
 use std::collections::HashMap;
+use std::net::Shutdown;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -260,21 +261,30 @@ impl Server {
     /// once it holds a compute slot. Returns the final server statistics
     /// rendering.
     pub fn run(self) -> std::io::Result<String> {
-        // Live handlers only: finished ones are dropped as connections
-        // arrive, so the list does not grow with the daemon's lifetime.
-        let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
+        // Live handlers only, each beside its connection: finished ones
+        // are dropped as connections arrive, so the list does not grow
+        // with the daemon's lifetime.
+        let mut handlers: Vec<(std::thread::JoinHandle<()>, UnixStream)> = Vec::new();
         for stream in self.listener.incoming() {
             if self.shared.shutdown.load(Ordering::SeqCst) {
                 break;
             }
             let Ok(stream) = stream else { continue };
-            handlers.retain(|h| !h.is_finished());
+            let Ok(conn) = stream.try_clone() else {
+                continue;
+            };
+            handlers.retain(|(h, _)| !h.is_finished());
             let shared = self.shared.clone();
             if let Ok(h) = std::thread::Builder::new()
                 .name("redfat-conn".to_string())
-                .spawn(move || handle_connection(&shared, stream))
+                .spawn(move || {
+                    handle_connection(&shared, &stream);
+                    // The accept loop holds a clone of the stream, so
+                    // only a shutdown ends the connection for the client.
+                    let _ = stream.shutdown(Shutdown::Both);
+                })
             {
-                handlers.push(h);
+                handlers.push((h, conn));
             }
             // A handler may have processed Shutdown while we were
             // accepting; re-check before blocking on accept again.
@@ -282,7 +292,14 @@ impl Server {
                 break;
             }
         }
-        for h in handlers {
+        // A handler whose client is connected but idle blocks reading
+        // its next request. Shutting the connections' read side ends
+        // that read; a handler in the middle of a job still writes its
+        // reply.
+        for (_, conn) in &handlers {
+            let _ = conn.shutdown(Shutdown::Read);
+        }
+        for (h, _) in handlers {
             let _ = h.join();
         }
         let stats = self.shared.stats.render(&self.shared.base);
@@ -294,12 +311,8 @@ impl Server {
 /// Serves one connection: a sequence of request frames, each answered
 /// with a response frame. Protocol errors answer with `Response::Err`
 /// where a response can still be framed, and close the connection.
-fn handle_connection(shared: &Arc<Shared>, stream: UnixStream) {
-    let mut reader = match stream.try_clone() {
-        Ok(r) => r,
-        Err(_) => return,
-    };
-    let mut writer = stream;
+fn handle_connection(shared: &Arc<Shared>, stream: &UnixStream) {
+    let (mut reader, mut writer) = (stream, stream);
     loop {
         let payload = match read_frame(&mut reader) {
             Ok(p) => p,

@@ -9,6 +9,7 @@ use redfat_service::{
     artifact_key, ArtifactCache, ArtifactEntry, Client, Op, Response, Server, ServerConfig, Source,
 };
 use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
 
 /// A directory of its own under the temp dir, removed when dropped. A
 /// failing test keeps it for a look and prints where it is.
@@ -504,6 +505,28 @@ fn sibling_edits_and_alternating_images_count_by_the_last_full_harden() {
 
     c.shutdown().expect("shutdown");
     handle.join().expect("daemon thread");
+}
+
+/// A client that stays connected without sending a request does not
+/// keep a shut-down daemon running.
+#[test]
+fn shutdown_does_not_wait_for_idle_clients() {
+    let (_dir, config, handle) = start("idle", 1);
+    // Connected first, so accepted before the shutdown request's
+    // connection is.
+    let idle = Client::connect(&config.socket).expect("connect idle client");
+    let mut c = Client::connect(&config.socket).expect("connect");
+    c.shutdown().expect("shutdown");
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while !handle.is_finished() && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let returned = handle.is_finished();
+    // Dropping the idle client ends its connection either way, so a
+    // daemon that waits for it cannot hang the test.
+    drop(idle);
+    handle.join().expect("daemon thread");
+    assert!(returned, "the daemon still ran 5 s after Shutdown");
 }
 
 #[test]

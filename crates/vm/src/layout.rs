@@ -68,6 +68,10 @@ pub const SCRATCH_SIZE: u64 = 256;
 /// segment emitted into rewritten binaries).
 pub const TRAP_TABLE_BASE: u64 = 0x6F00_0000;
 
+/// Magic first quadword of the trap-table segment: the rewriter writes
+/// it, and the loader finds the table by it.
+pub const TRAP_TABLE_MAGIC: u64 = 0x5041_5254_4642_5244;
+
 /// Base address for rewriter trampolines. Within rel32 range of
 /// `CODE_BASE` so a 5-byte `jmp` can always reach.
 pub const TRAMPOLINE_BASE: u64 = 0x7000_0000;

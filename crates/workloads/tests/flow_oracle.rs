@@ -1,8 +1,8 @@
 //! Soundness oracle for the flow-sensitive passes, run over the whole
 //! SPEC stand-in suite:
 //!
-//! 1. **Provenance oracle** (property test): every check site the static
-//!    analysis eliminates -- syntactically or flow-sensitively -- must
+//! 1. **Provenance oracle** (property test): every check site the
+//!    planner eliminates -- syntactically or flow-sensitively -- must
 //!    never dereference a low-fat heap address at runtime. Checked by
 //!    executing the *original* image under a wrapper runtime that
 //!    observes every memory access.
@@ -13,13 +13,12 @@
 //!    must reach exactly the same detection verdicts as "+merge" on the
 //!    Table 2 attack/benign suites.
 
-use redfat_analysis::{analyze_image, SiteVerdict};
-use redfat_core::{harden, run, HardenConfig, LowFatPolicy, RunSpec};
+use redfat_core::{analyze, harden, run, HardenConfig, LowFatPolicy, RunSpec, SiteVerdict};
 use redfat_emu::{
     Cpu, Emu, ErrorMode, HostRuntime, MemoryError, RunResult, Runtime, SyscallOutcome,
 };
 use redfat_vm::{layout, Vm};
-use redfat_workloads::{cve, juliet, spec};
+use redfat_workloads::{cve, juliet, kromium, spec};
 use std::collections::BTreeSet;
 
 /// Delegates everything to [`HostRuntime`] but records any access that
@@ -61,13 +60,13 @@ impl Runtime for OracleRuntime {
     }
 }
 
-/// Every site the static analysis claims non-heap, on every benchmark,
-/// for both train and ref inputs: the claim must hold dynamically.
+/// Every site the planner claims non-heap, on every benchmark, for both
+/// train and ref inputs: the claim must hold dynamically.
 #[test]
 fn eliminated_sites_never_touch_the_heap() {
     for wl in spec::all() {
         let image = wl.image();
-        let report = analyze_image(&image, 0);
+        let report = analyze(&image, 1);
         let eliminated_addrs: BTreeSet<u64> = report
             .sites
             .iter()
@@ -114,29 +113,35 @@ fn eliminated_sites_never_touch_the_heap() {
     }
 }
 
-/// `redfat analyze` and `redfat harden` classify sites with separate
-/// code: under the default config both must count the same sites, the
-/// same syntactic eliminations and the same flow eliminations on every
-/// stand-in. (Redundant counts differ by design: the pipeline counts a
-/// downgrade per merged check, the report per site.)
+/// `redfat analyze` reports the verdicts the planner makes, so under the
+/// default config it counts every kind of site exactly as `redfat
+/// harden` does, on every stand-in and on kromium: a site is `checked`
+/// iff it carries the full check and `redundant` iff its check was
+/// downgraded.
 #[test]
 fn analyze_and_harden_agree_on_site_counts() {
-    for wl in spec::all() {
+    let mut images: Vec<_> = spec::all();
+    images.push(kromium::build());
+    for wl in images {
         let image = wl.image();
-        let report = analyze_image(&image, 0);
+        let report = analyze(&image, 1);
         let stats = harden(&image, &HardenConfig::default()).unwrap().stats;
         assert_eq!(
             (
                 report.sites.len(),
                 report.eliminated_syntactic(),
-                report.eliminated_flow()
+                report.eliminated_flow(),
+                report.checked(),
+                report.redundant()
             ),
             (
                 stats.sites_considered,
                 stats.sites_eliminated,
-                stats.sites_eliminated_flow
+                stats.sites_eliminated_flow,
+                stats.sites_lowfat,
+                stats.sites_redundant
             ),
-            "{}: analyze vs harden (sites, syntactic, flow)",
+            "{}: analyze vs harden (sites, syntactic, flow, checked, redundant)",
             wl.name
         );
     }
